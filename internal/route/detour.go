@@ -245,8 +245,10 @@ func ringArc(ring geom.Polyline, s0, s1 float64) geom.Polyline {
 	}
 	var vs []vert
 	acc := 0.0
-	for i := 1; i < len(ring)-1; i++ { // skip the closing vertex (== first)
-		acc += ring[i-1].Manhattan(ring[i])
+	for i := 0; i < len(ring)-1; i++ { // skip the closing vertex (== first)
+		if i > 0 {
+			acc += ring[i-1].Manhattan(ring[i])
+		}
 		d := mod(acc - s0)
 		if d > 1e-9 && d < span-1e-9 {
 			vs = append(vs, vert{d: d, pt: ring[i]})

@@ -223,10 +223,22 @@ func TestRingArc(t *testing.T) {
 	if !arc[0].Eq(geom.Pt(50, 0), 1e-9) || !arc[len(arc)-1].Eq(geom.Pt(100, 50), 1e-9) {
 		t.Errorf("arc endpoints wrong: %v", arc)
 	}
-	// Wrapping arc.
+	// Wrapping arc: it must turn at the ring's start corner. Length alone
+	// cannot tell (a diagonal shortcut has the same Manhattan length), so
+	// check every segment is axis-parallel and the corner is on the arc.
 	wrap := ringArc(ring, 350, 50)
 	if math.Abs(wrap.Length()-100) > 1e-9 {
 		t.Errorf("wrap length=%v want 100", wrap.Length())
+	}
+	corner := false
+	for i, p := range wrap {
+		corner = corner || p.Eq(geom.Pt(0, 0), 1e-9)
+		if i > 0 && wrap[i-1].X != p.X && wrap[i-1].Y != p.Y {
+			t.Errorf("wrap segment %d not rectilinear: %v", i, wrap)
+		}
+	}
+	if !corner {
+		t.Errorf("wrap arc skips the ring's start corner: %v", wrap)
 	}
 	// Degenerate.
 	if d := ringArc(ring, 70, 70); d.Length() != 0 {
