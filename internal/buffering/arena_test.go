@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"contango/internal/ctree"
+	"contango/internal/ctree/ctreetest"
 	"contango/internal/dme"
 	"contango/internal/geom"
 	"contango/internal/tech"
@@ -29,7 +30,7 @@ func buildBoth(t *testing.T, seed int64, n int) (*ctree.Tree, *ctree.Arena) {
 	return tr, a
 }
 
-func expectEqual(t *testing.T, label string, tr *ctree.Tree, a *ctree.Arena) {
+func expectEqual(t *testing.T, label string, tr *ctree.Tree, a *ctree.Arena, extra ...interface{}) {
 	t.Helper()
 	if err := a.Validate(); err != nil {
 		t.Fatalf("%s: arena invalid: %v", label, err)
@@ -41,6 +42,8 @@ func expectEqual(t *testing.T, label string, tr *ctree.Tree, a *ctree.Arena) {
 	if err := ctree.Equal(tr, got); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	ctreetest.RequireAMD64(t)
+	ctreetest.Check(t, ctreetest.Golden(t, "testdata/arena.golden"), label, ctreetest.Digest(got, extra...))
 }
 
 func TestBalancedInsertArenaMatchesPointer(t *testing.T) {
@@ -59,7 +62,7 @@ func TestBalancedInsertArenaMatchesPointer(t *testing.T) {
 		if wantAdded != gotAdded {
 			t.Fatalf("n=%d: added %d buffers via arena, %d via pointer", n, gotAdded, wantAdded)
 		}
-		expectEqual(t, fmt.Sprintf("balanced n=%d", n), tr, a)
+		expectEqual(t, fmt.Sprintf("balanced/n%d", n), tr, a, gotAdded)
 	}
 }
 
@@ -79,7 +82,7 @@ func TestInsertArenaMatchesPointer(t *testing.T) {
 		if wantAdded != gotAdded {
 			t.Fatalf("n=%d: added %d buffers via arena, %d via pointer", n, gotAdded, wantAdded)
 		}
-		expectEqual(t, fmt.Sprintf("vg n=%d", n), tr, a)
+		expectEqual(t, fmt.Sprintf("vg/n%d", n), tr, a, gotAdded)
 	}
 }
 
@@ -102,7 +105,7 @@ func TestCorrectPolarityArenaMatchesPointer(t *testing.T) {
 		if len(InvertedSinks(tr)) != 0 {
 			t.Fatalf("n=%d: pointer path left inverted sinks", n)
 		}
-		expectEqual(t, fmt.Sprintf("polarity n=%d", n), tr, a)
+		expectEqual(t, fmt.Sprintf("polarity/n%d", n), tr, a, got)
 	}
 }
 
@@ -124,6 +127,6 @@ func TestSweepArenaMatchesPointer(t *testing.T) {
 			want.TotalCap != got.TotalCap || want.WorstLat != got.WorstLat {
 			t.Fatalf("n=%d: sweep result %+v != %+v", n, got, want)
 		}
-		expectEqual(t, fmt.Sprintf("sweep n=%d", n), tr, a)
+		expectEqual(t, fmt.Sprintf("sweep/n%d", n), tr, a, got)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -45,61 +44,6 @@ func randomBench(seed int64, n int) *bench.Benchmark {
 	}
 	b.CapLimit = 500000
 	return b
-}
-
-// TestArenaConstructionParityRandom is the construction-parity property
-// test: the arena-native construction path (the default) and the pointer
-// path (Options.PointerBuild) must produce bit-identical results on
-// randomized benchmarks — same tree node for node, same construction
-// counters, and byte-identical persisted envelopes.
-func TestArenaConstructionParityRandom(t *testing.T) {
-	cases := []struct {
-		seed int64
-		n    int
-	}{{1, 12}, {7, 40}, {23, 90}}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("seed%d_n%d", tc.seed, tc.n), func(t *testing.T) {
-			opts := Options{Plan: "zst,legalize,buffer,polarity"}
-			pointer := opts
-			pointer.PointerBuild = true
-			pres, err := Synthesize(randomBench(tc.seed, tc.n), pointer)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ares, err := Synthesize(randomBench(tc.seed, tc.n), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ctree.Equal(pres.Tree, ares.Tree); err != nil {
-				t.Fatalf("trees diverge: %v", err)
-			}
-			if pres.Buffers != ares.Buffers || pres.InvertedSinks != ares.InvertedSinks ||
-				pres.AddedInverters != ares.AddedInverters {
-				t.Fatalf("counters diverge: %d/%d buffers, %d/%d inverted, %d/%d added",
-					pres.Buffers, ares.Buffers, pres.InvertedSinks, ares.InvertedSinks,
-					pres.AddedInverters, ares.AddedInverters)
-			}
-			if pres.Legalization != ares.Legalization {
-				t.Fatalf("legalization reports diverge: %v vs %v", pres.Legalization, ares.Legalization)
-			}
-			if !reflect.DeepEqual(pres.Final, ares.Final) {
-				t.Fatalf("final metrics diverge: %v vs %v", pres.Final, ares.Final)
-			}
-			// The envelopes must be byte-identical. Elapsed is wall-clock —
-			// the only field allowed to differ — so zero it on both sides.
-			pres.Elapsed, ares.Elapsed = 0, 0
-			var pb, ab bytes.Buffer
-			if err := EncodeResult(&pb, pres); err != nil {
-				t.Fatal(err)
-			}
-			if err := EncodeResult(&ab, ares); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(pb.Bytes(), ab.Bytes()) {
-				t.Fatalf("encoded envelopes differ (%d vs %d bytes)", pb.Len(), ab.Len())
-			}
-		})
-	}
 }
 
 // TestArenaDirtyJournalParityRandom: an arena built natively by DME and an

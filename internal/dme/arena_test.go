@@ -5,11 +5,14 @@ import (
 	"testing"
 
 	"contango/internal/ctree"
+	"contango/internal/ctree/ctreetest"
 	"contango/internal/geom"
 	"contango/internal/tech"
 )
 
 func TestArenaBuildMatchesPointerPath(t *testing.T) {
+	ctreetest.RequireAMD64(t)
+	golden := ctreetest.Golden(t, "testdata/zst.golden")
 	tk := tech.Default45()
 	die := geom.NewRect(0, 0, 6000, 4000)
 	src := geom.Pt(0, 2000)
@@ -48,6 +51,7 @@ func TestArenaBuildMatchesPointerPath(t *testing.T) {
 			if err := ctree.Equal(want, got); err != nil {
 				t.Fatal(err)
 			}
+			ctreetest.Check(t, golden, tc.name, ctreetest.Digest(got))
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"contango/internal/ctree"
+	"contango/internal/ctree/ctreetest"
 	"contango/internal/dme"
 	"contango/internal/geom"
 	"contango/internal/tech"
@@ -12,7 +13,7 @@ import (
 
 // legalizeBoth runs the pointer legalizer on tr and the arena legalizer on a
 // flattened copy, then checks both reports and trees agree exactly.
-func legalizeBoth(t *testing.T, tr *ctree.Tree, obs *geom.ObstacleSet, die geom.Rect, opt Options) {
+func legalizeBoth(t *testing.T, name string, tr *ctree.Tree, obs *geom.ObstacleSet, die geom.Rect, opt Options) {
 	t.Helper()
 	a := ctree.FromTree(tr)
 	want, err := Legalize(tr, obs, die, opt)
@@ -36,12 +37,15 @@ func legalizeBoth(t *testing.T, tr *ctree.Tree, obs *geom.ObstacleSet, die geom.
 	if len(CheckLegal(tr, obs, opt.SafeCap)) != len(CheckLegalArena(a, obs, opt.SafeCap)) {
 		t.Fatal("CheckLegal disagreement between representations")
 	}
+	ctreetest.RequireAMD64(t)
+	ctreetest.Check(t, ctreetest.Golden(t, "testdata/legalize.golden"), name,
+		ctreetest.Digest(back, got, len(CheckLegalArena(a, obs, opt.SafeCap))))
 }
 
 func TestLegalizeArenaMatchesPointerDetour(t *testing.T) {
 	tk := tech.Default45()
 	tr, obs, die := buildEnclosedScenario(tk)
-	legalizeBoth(t, tr, obs, die, Options{SafeCap: 300})
+	legalizeBoth(t, "detour", tr, obs, die, Options{SafeCap: 300})
 }
 
 func TestLegalizeArenaMatchesPointerCapturedSink(t *testing.T) {
@@ -55,7 +59,7 @@ func TestLegalizeArenaMatchesPointerCapturedSink(t *testing.T) {
 	for k := 0; k < 20; k++ {
 		tr.AddSink(c, geom.Pt(3000+float64(20*k), 2100), 50, "")
 	}
-	legalizeBoth(t, tr, obs, die, Options{SafeCap: 400})
+	legalizeBoth(t, "captured-sink", tr, obs, die, Options{SafeCap: 400})
 }
 
 func TestLegalizeArenaMatchesPointerOnDMETree(t *testing.T) {
@@ -76,7 +80,7 @@ func TestLegalizeArenaMatchesPointerOnDMETree(t *testing.T) {
 		sinks = append(sinks, dme.Sink{Loc: p, Cap: 20 + rng.Float64()*30})
 	}
 	tr := dme.BuildZST(tk, geom.Pt(0, 4000), sinks, dme.Options{})
-	legalizeBoth(t, tr, obs, die, Options{SafeCap: tk.SlewSafeCap})
+	legalizeBoth(t, "dme-tree", tr, obs, die, Options{SafeCap: tk.SlewSafeCap})
 }
 
 func TestLegalizeArenaNoObstaclesIsNoop(t *testing.T) {
