@@ -137,8 +137,8 @@ func BenchmarkFigure2_ContourDetour(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := buildEnclosed(tk)
-		rep, err := route.Legalize(tr, obs, die, route.Options{SafeCap: 300})
+		a := buildEnclosed(tk)
+		rep, err := route.LegalizeArena(a, obs, die, route.Options{SafeCap: 300})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,16 +148,16 @@ func BenchmarkFigure2_ContourDetour(b *testing.B) {
 	}
 }
 
-func buildEnclosed(tk *tech.Tech) *ctree.Tree {
-	tr := ctree.New(tk, geom.Pt(0, 2000), 0.1)
-	hub := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(2000, 2000))
+func buildEnclosed(tk *tech.Tech) *ctree.Arena {
+	a := ctree.NewArena(tk, geom.Pt(0, 2000), 0.1, ctree.HintsForSinks(24))
+	hub := a.AddChildL(a.Root(), ctree.Internal, geom.Pt(2000, 2000))
 	for _, l := range []geom.Point{{X: 3000, Y: 2000}, {X: 2000, Y: 3000}, {X: 2000, Y: 1000}} {
-		c := tr.AddChild(hub, ctree.Internal, l)
+		c := a.AddChildL(hub, ctree.Internal, l)
 		for k := 0; k < 8; k++ {
-			tr.AddSink(c, geom.Pt(l.X+float64(30*k), l.Y+100), 40, "")
+			a.AddSinkL(c, geom.Pt(l.X+float64(30*k), l.Y+100), 40, "")
 		}
 	}
-	return tr
+	return a
 }
 
 // BenchmarkFigure3_Render renders a synthesized tree with the slack
@@ -221,13 +221,13 @@ func BenchmarkAblation_InsertionModes(b *testing.B) {
 	for _, mode := range []string{"balanced", "vg"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tr := dme.BuildZST(tk, bm.Source, bm.Sinks, dme.Options{})
-				tr.SourceR = bm.SourceR
+				a := dme.BuildZSTArena(tk, bm.Source, bm.Sinks, dme.Options{})
+				a.SourceR = bm.SourceR
 				var err error
 				if mode == "vg" {
-					_, err = buffering.Insert(tr, comp, buffering.Options{})
+					_, err = buffering.InsertArena(a, comp, buffering.Options{})
 				} else {
-					_, err = buffering.BalancedInsert(tr, comp, buffering.Options{})
+					_, err = buffering.BalancedInsertArena(a, comp, buffering.Options{})
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -245,8 +245,8 @@ func BenchmarkDME_ZST1000(b *testing.B) {
 	tk := tech.Default45()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := dme.BuildZST(tk, bm.Source, bm.Sinks, dme.Options{})
-		if tr.NumNodes() == 0 {
+		a := dme.BuildZSTArena(tk, bm.Source, bm.Sinks, dme.Options{})
+		if a.Len() == 0 {
 			b.Fatal("empty tree")
 		}
 	}

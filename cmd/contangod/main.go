@@ -51,9 +51,8 @@ func main() {
 	parallel := flag.Int("parallel", 0, "per-job stage-simulation workers for jobs that don't set one (0 = GOMAXPROCS/workers)")
 	plan := flag.String("plan", "", "default synthesis plan for jobs that don't set one (built-in name or plan spec; empty = paper)")
 	cornerSpec := flag.String("corners", "", "default PVT corner set for jobs that don't set one (ispd09, pvt5, or mc:<n>:<seed>[:sigmas]; empty = ispd09)")
-	sched := flag.String("sched", service.SchedulerPack, "job scheduler: pack (cost-model packing with deadlines and sweep splitting) or fifo")
-	maxWait := flag.Duration("max-wait", 0, "reject submissions when the estimated queue wait exceeds this (429 + Retry-After; 0 = no bound; pack scheduler only)")
-	split := flag.Int("split", 0, "max corners per worker-slot tenure before a sweep yields to waiting jobs (0 = default 16, negative disables; pack scheduler only)")
+	maxWait := flag.Duration("max-wait", 0, "reject submissions when the estimated queue wait exceeds this (429 + Retry-After; 0 = no bound)")
+	split := flag.Int("split", 0, "max corners per worker-slot tenure before a sweep yields to waiting jobs (0 = default 16, negative disables)")
 	dataDir := flag.String("data-dir", "", "durable storage directory: persists results/logs/SVGs and recovers unfinished jobs across restarts (empty = in-memory only)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown grace period for in-flight jobs")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
@@ -85,7 +84,7 @@ func main() {
 	cfg := service.Config{Workers: *workers, CacheEntries: *cache, QueueDepth: *queue,
 		JobParallelism: *parallel, DefaultPlan: *plan, DefaultCorners: *cornerSpec,
 		DataDir: *dataDir, Logger: logger,
-		Scheduler: *sched, MaxQueueWait: *maxWait, SplitCorners: *split}
+		MaxQueueWait: *maxWait, SplitCorners: *split}
 	svc, err := service.Open(cfg)
 	if err != nil {
 		fail(err)
@@ -148,7 +147,7 @@ func main() {
 	}()
 
 	logger.Info("contangod listening",
-		"addr", *addr, "workers", *workers, "cache_entries", *cache, "scheduler", cfg.Scheduler)
+		"addr", *addr, "workers", *workers, "cache_entries", *cache, "scheduler", service.SchedulerPack)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fail(err)
 	}

@@ -11,17 +11,20 @@ import (
 	"contango/internal/tech"
 )
 
-// Arena-native buffering: the insertion and polarity passes below operate on
-// ctree.Arena slot indices instead of pointer nodes. Every algorithm is a
-// line-for-line mirror of its pointer twin in balanced.go / vanginneken.go /
-// polarity.go / sweep.go — same traversal order, same sorts on the same
-// input orders, same floating-point expressions — and the arena mutators
-// they call are themselves bit-identical mirrors of the Tree mutators, so a
-// tree built through this path round-trips ToTree equal to the pointer
-// construction down to the last bit (pinned by the construction property
-// tests and the top-level envelope-parity test).
-
-// BalancedInsertArena is BalancedInsert on an arena.
+// BalancedInsertArena places buffers bottom-up by load threshold: walking
+// from the sinks toward the root, a buffer is inserted whenever the
+// unbuffered load a driver would have to carry reaches a fraction of the
+// slew-safe capacitance. On an Elmore-balanced ZST this yields nearly
+// identical buffer counts on every source-to-sink path — the property the
+// paper relies on for low post-insertion skew ("source-to-sink paths contain
+// practically the same numbers of buffers", Section IV-C) — and it is the
+// flow's default insertion mode. The van Ginneken DP (InsertArena) minimizes
+// worst delay more aggressively and is kept for comparison and ablation.
+//
+// The threshold is 35% of the safe load. The deliberately deep margin
+// leaves slew headroom that the snaking and sizing passes spend later; the
+// slow corner and slew compounding through chains consume their share as
+// well.
 func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) {
 	opt.defaults()
 	maxCap := opt.MaxCap
@@ -38,6 +41,12 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 		n    int32
 		load float64
 	}
+	// process returns the unbuffered load at the TOP of n's parent edge
+	// after placing any buffers this subtree needs, together with the slot
+	// that now sits directly under the edge top (the last inserted buffer,
+	// or n itself) so that callers can decouple the corridor at the merge.
+	// The returned load never exceeds the threshold except at unrepairable
+	// merges (inside obstacles).
 	var process func(n int32) (float64, int32)
 	process = func(n int32) (float64, int32) {
 		load := 0.0
@@ -66,11 +75,17 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 				b := a.InsertOnEdge(k.n, pos, ctree.Buffer)
 				a.SetBuf(b, comp)
 				added++
+				// If the site was nudged down the edge by an obstacle, the
+				// wire above the new buffer still loads this merge.
 				contrib := comp.Cin() + a.EdgeCap(b)
 				kids[i] = kid{b, contrib}
 				load += contrib - k.load
 			}
-			// Repair 2: sink clusters — many near-Cin children at one point.
+			// Repair 2: sink clusters — many near-Cin children at one
+			// point. Partition the children into slew-safe groups, each
+			// driven by its own buffer at the merge location. Skipped when
+			// the merge sits inside an obstacle (no legal site there); such
+			// regions were bounded by the legalizer's slew-free test.
 			mergeLegal := opt.Obs == nil || !opt.Obs.BlocksPoint(a.Loc[n])
 			for mergeLegal && load > threshold && len(kids) > 1 {
 				b := a.AddChildL(n, ctree.Buffer, a.Loc[n])
@@ -102,6 +117,9 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 		}
 		w := a.Tech.Wires[a.WidthIdx[n]]
 		length := a.EdgeLen(n)
+		// Walk the edge bottom-up; insert a buffer each time the running
+		// load hits the threshold. Positions are electrical distances from
+		// the child end.
 		fromBottom := 0.0
 		for {
 			if load >= threshold {
@@ -128,6 +146,8 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 		return load + (length-fromBottom)*w.CPerUm, n
 	}
 
+	// The clock source is a plain resistive driver with no regenerative
+	// gain, so it gets its own (usually much smaller) slew-safe load bound.
 	srcSafe := 0.45 * a.Tech.SlewLimit / (2.2 * a.SourceR)
 	for _, c := range append([]int32(nil), a.Children(a.Root())...) {
 		top, topNode := process(c)
@@ -141,7 +161,9 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 	return added, nil
 }
 
-// legalizePosArena mirrors legalizePos on a slot index.
+// legalizePosArena converts an electrical distance-from-parent on slot n's
+// edge into a geometric route position and nudges it off obstacles
+// (preferring upward, toward the parent).
 func legalizePosArena(a *ctree.Arena, n int32, d float64, opt Options) float64 {
 	route := a.Route(n)
 	scale := 1.0
@@ -166,14 +188,17 @@ func legalizePosArena(a *ctree.Arena, n int32, d float64, opt Options) float64 {
 	return pos
 }
 
-// --- van Ginneken DP on slots ---
+// --- van Ginneken DP ---
 
-// abufPos is bufPos with a slot-index edge.
+// abufPos identifies a chosen buffer site: on the parent edge of slot edge,
+// at Manhattan distance dist from the parent along the route.
 type abufPos struct {
 	edge int32
 	dist float64
 }
 
+// aplist is a persistent list of buffer placements with O(1)
+// concatenation.
 type aplist struct {
 	pos         abufPos
 	leaf        bool
@@ -210,12 +235,16 @@ func (p *aplist) collect(out *[]abufPos) {
 	p.right.collect(out)
 }
 
+// aOption is one Pareto point of the DP: downstream cap seen from here and
+// the worst delay from here to any downstream sink, with the placements
+// that realize it.
 type aOption struct {
 	cap   float64
 	delay float64
 	bufs  *aplist
 }
 
+// arenaInserter runs van Ginneken insertion for one composite buffer.
 type arenaInserter struct {
 	a    *ctree.Arena
 	comp tech.Composite
@@ -224,7 +253,9 @@ type arenaInserter struct {
 	maxCap float64
 }
 
-// InsertArena is Insert (van Ginneken DP) on an arena.
+// InsertArena places buffers of the given composite throughout the tree
+// (van Ginneken DP), minimizing worst Elmore source-to-sink delay subject
+// to the slew-safe load cap. It returns the number of buffers added.
 func InsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) {
 	opt.defaults()
 	ins := &arenaInserter{a: a, comp: comp, opt: opt}
@@ -236,6 +267,7 @@ func InsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) 
 		return 0, fmt.Errorf("buffering: composite %v cannot even drive its own input cap", comp)
 	}
 
+	// Bottom-up DP from each root child.
 	var rootOpts []aOption
 	for i, c := range a.Children(a.Root()) {
 		co := ins.edgeOptions(c)
@@ -248,6 +280,8 @@ func InsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) 
 	if len(rootOpts) == 0 {
 		return 0, nil // empty tree
 	}
+	// Pick the option minimizing source delay; the source must also be able
+	// to drive it safely.
 	best := -1
 	bestScore := math.Inf(1)
 	for i, o := range rootOpts {
@@ -264,6 +298,8 @@ func InsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) 
 	return ins.realize(poss), nil
 }
 
+// edgeOptions computes the option list looking down slot n's parent edge
+// from the parent end.
 func (ins *arenaInserter) edgeOptions(n int32) []aOption {
 	a := ins.a
 	var opts []aOption
@@ -284,6 +320,7 @@ func (ins *arenaInserter) edgeOptions(n int32) []aOption {
 		}
 	}
 
+	// Walk up the edge, adding wire and offering buffer sites.
 	w := a.Tech.Wires[a.WidthIdx[n]]
 	length := a.EdgeLen(n)
 	cands := ins.candidates(length)
@@ -299,6 +336,8 @@ func (ins *arenaInserter) edgeOptions(n int32) []aOption {
 	return ins.prune(opts)
 }
 
+// candidates returns buffer positions (distance from parent) in descending
+// order: spaced Step apart measured from the child end, plus the edge top.
 func (ins *arenaInserter) candidates(length float64) []float64 {
 	var out []float64
 	for d := length - ins.opt.Step; d > 0; d -= ins.opt.Step {
@@ -308,6 +347,9 @@ func (ins *arenaInserter) candidates(length float64) []float64 {
 	return out
 }
 
+// blocked reports whether the candidate site sits strictly inside an
+// obstacle. The geometric position ignores snaking (snake length is assumed
+// to be realized near the site's neighborhood).
 func (ins *arenaInserter) blocked(n int32, dist, length float64) bool {
 	if ins.opt.Obs == nil {
 		return false
@@ -321,6 +363,7 @@ func (ins *arenaInserter) blocked(n int32, dist, length float64) bool {
 	return ins.opt.Obs.BlocksPoint(route.At(frac * geo))
 }
 
+// addWire extends every option upward through dl µm of wire.
 func (ins *arenaInserter) addWire(opts []aOption, w tech.WireType, dl float64) []aOption {
 	if dl <= 0 {
 		return opts
@@ -337,6 +380,8 @@ func (ins *arenaInserter) addWire(opts []aOption, w tech.WireType, dl float64) [
 	return ins.prune(out)
 }
 
+// offerBuffer adds the buffered alternative at the site (n, dist): a buffer
+// driving the best downstream option.
 func (ins *arenaInserter) offerBuffer(opts []aOption, n int32, dist float64) []aOption {
 	comp := ins.comp
 	bestScore := math.Inf(1)
@@ -360,6 +405,8 @@ func (ins *arenaInserter) offerBuffer(opts []aOption, n int32, dist float64) []a
 	return ins.prune(append(opts, buffered))
 }
 
+// mergeOptions combines option lists of sibling subtrees at their common
+// parent: caps add, delays take the max.
 func (ins *arenaInserter) mergeOptions(a, b []aOption) []aOption {
 	out := make([]aOption, 0, len(a)+len(b))
 	for _, x := range a {
@@ -374,6 +421,8 @@ func (ins *arenaInserter) mergeOptions(a, b []aOption) []aOption {
 	return ins.prune(out)
 }
 
+// prune removes dominated options (another option with <= cap and <= delay),
+// drops slew-hopeless options when safe ones exist, and caps the list.
 func (ins *arenaInserter) prune(opts []aOption) []aOption {
 	if len(opts) <= 1 {
 		return opts
@@ -392,6 +441,7 @@ func (ins *arenaInserter) prune(opts []aOption) []aOption {
 			bestDelay = o.delay
 		}
 	}
+	// Enforce the slew-safe cap when any option satisfies it.
 	if out[0].cap <= ins.maxCap {
 		cut := len(out)
 		for i, o := range out {
@@ -405,6 +455,7 @@ func (ins *arenaInserter) prune(opts []aOption) []aOption {
 		out = out[:1] // keep the least-bad option; flagged later by CNE
 	}
 	if len(out) > ins.opt.MaxOptions {
+		// Keep the extremes and evenly thin the middle.
 		kept := make([]aOption, 0, ins.opt.MaxOptions)
 		stridef := float64(len(out)-1) / float64(ins.opt.MaxOptions-1)
 		for i := 0; i < ins.opt.MaxOptions; i++ {
@@ -415,8 +466,12 @@ func (ins *arenaInserter) prune(opts []aOption) []aOption {
 	return append([]aOption(nil), out...)
 }
 
-// realize mirrors Inserter.realize, grouping positions per edge in
-// first-seen order so node-ID assignment matches the pointer path exactly.
+// realize inserts buffers at the chosen positions. DP distances are
+// electrical (they include snaking); they are scaled onto the geometric
+// route before splitting. Positions on the same edge are applied top-down
+// so later distances stay valid. Positions are grouped per edge in
+// first-seen order: iterating the map would make slot assignment (and
+// hence encoded artifacts) vary run to run.
 func (ins *arenaInserter) realize(poss []abufPos) int {
 	byEdge := map[int32][]float64{}
 	var edges []int32
@@ -448,8 +503,19 @@ func (ins *arenaInserter) realize(poss []abufPos) int {
 	return added
 }
 
-// CorrectPolarityArena is CorrectPolarity on an arena: same bottom-up
-// uniform-polarity marking, same minimal antichain, same insertion sites.
+// CorrectPolarityArena fixes inverted sinks after inverter-based buffer
+// insertion (paper Section IV-D, Proposition 2). It traverses the tree
+// bottom-up and marks each node (i) whose downstream sinks all share one
+// polarity while (ii) its parent's do not; an inverter is inserted just
+// above every marked node whose sinks are inverted. The algorithm runs in
+// O(n), corrects every inverted sink, and adds the minimum possible number
+// of inverters subject to at most one added inverter on any root-to-sink
+// path (the added set must be an antichain whose subtrees exactly cover the
+// inverted sinks, and the maximal uniformly-inverted subtree roots are that
+// minimum antichain).
+//
+// Inserted inverters use the given composite. Sites inside obstacles are
+// slid up the edge to the nearest legal spot.
 func CorrectPolarityArena(a *ctree.Arena, inv tech.Composite, obs *geom.ObstacleSet) int {
 	n := a.Len()
 	// parity[i]: #inverters on the root path, mod 2 (sinks want 0).
@@ -489,6 +555,8 @@ func CorrectPolarityArena(a *ctree.Arena, inv tech.Composite, obs *geom.Obstacle
 		uniform[i] = u
 	})
 
+	// Marked slots: uniform subtrees whose parent is not uniform. The root
+	// counts as marked when the whole tree is uniform.
 	var marked []int32
 	a.PreOrder(func(i int32) {
 		if u := uniform[i]; u == 0 || u == 1 {
@@ -546,7 +614,9 @@ func CorrectSinkPolarityArena(a *ctree.Arena, sink int32, inv tech.Composite, ob
 	return 1
 }
 
-// insertInverterAboveArena mirrors insertInverterAbove on a slot index.
+// insertInverterAboveArena splits slot n's parent edge at route distance d
+// from the parent and places an inverter there, sliding up toward the
+// parent when the spot is inside an obstacle.
 func insertInverterAboveArena(a *ctree.Arena, n int32, d float64, inv tech.Composite, obs *geom.ObstacleSet) int32 {
 	if obs != nil {
 		step := 25.0
@@ -564,7 +634,7 @@ func insertInverterAboveArena(a *ctree.Arena, n int32, d float64, inv tech.Compo
 }
 
 // InvertedSinksArena returns the sinks whose current polarity differs from
-// the source (parity 1), in pre-order — InvertedSinks on slots.
+// the source (parity 1), in pre-order. Used for Table II and by tests.
 func InvertedSinksArena(a *ctree.Arena) []int32 {
 	var out []int32
 	var walk func(i int32, p int)
@@ -583,17 +653,26 @@ func InvertedSinksArena(a *ctree.Arena) []int32 {
 	return out
 }
 
-// InsertBestCompositeArena is InsertBestComposite on an arena: candidate
-// insertions fan out over flat-copy arena clones, and only the Elmore
-// judging of each candidate materializes a pointer tree (the decision
-// sequence — budget test, slew test, fallback ranking — is identical to the
-// pointer sweep because the materialized tree is bit-identical to the
-// pointer path's clone).
+// InsertBestCompositeArena implements the paper's Section IV-C strategy:
+// run fast buffer insertion with each composite configuration from the
+// ladder and keep the solution with the strongest composite whose total
+// capacitance stays within (1−gamma) of the capacitance limit — the gamma
+// reserve (10% in the paper) is left for the downstream SPICE-driven
+// optimizations.
+//
+// The arena is replaced by the winning solution. Candidates are tried from
+// strongest to weakest on flat-copy clones, so the first admissible one
+// wins; ties in strength never occur because the ladder is strictly
+// ordered. Only the Elmore judging of each candidate materializes a pointer
+// tree.
 func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit, gamma float64, opt Options) (*SweepResult, error) {
 	if len(ladder) == 0 {
 		return nil, fmt.Errorf("buffering: empty composite ladder")
 	}
 	budget := (1 - gamma) * capLimit
+	// The sweep judges candidates at the set's reference corner; going
+	// through the role accessor (not index 0) keeps custom corner sets —
+	// where the fast corner may sit anywhere — evaluating the right one.
 	corner := a.Tech.Reference()
 
 	insert := InsertArena
@@ -624,6 +703,8 @@ func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit,
 			best, bestArena = cand, work
 			break
 		}
+		// Remember the least-bad fallback in case nothing fits: fewest
+		// slew violations first, then lowest worst latency.
 		if best == nil || res.SlewViol < bestViol ||
 			(res.SlewViol == bestViol && cand.WorstLat < best.WorstLat) {
 			best, bestArena, bestViol = cand, work, res.SlewViol

@@ -12,9 +12,12 @@ import (
 	"contango/internal/tech"
 )
 
-// buildBoth constructs the same ZST through both paths.
-func buildBoth(t *testing.T, seed int64, n int) (*ctree.Tree, *ctree.Arena) {
-	t.Helper()
+// The *MatchesPointer tests pin each buffering pass against the digests in
+// testdata/arena.golden. They were recorded while the pointer twins of
+// these passes still existed and produced the identical trees.
+
+// randomZST builds a seeded random zero-skew tree in the arena.
+func randomZST(seed int64, n int) *ctree.Arena {
 	tk := tech.Default45()
 	rng := rand.New(rand.NewSource(seed))
 	sinks := make([]dme.Sink, n)
@@ -25,12 +28,12 @@ func buildBoth(t *testing.T, seed int64, n int) (*ctree.Tree, *ctree.Arena) {
 			Name: fmt.Sprintf("s%d", i),
 		}
 	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 2000), sinks, dme.Options{})
-	a := dme.BuildZSTArena(tk, geom.Pt(0, 2000), sinks, dme.Options{})
-	return tr, a
+	return dme.BuildZSTArena(tk, geom.Pt(0, 2000), sinks, dme.Options{})
 }
 
-func expectEqual(t *testing.T, label string, tr *ctree.Tree, a *ctree.Arena, extra ...interface{}) {
+// expectGolden validates a and compares its digest, together with the
+// pass's reported outcome, against the golden entry label.
+func expectGolden(t *testing.T, label string, a *ctree.Arena, outcome interface{}) {
 	t.Helper()
 	if err := a.Validate(); err != nil {
 		t.Fatalf("%s: arena invalid: %v", label, err)
@@ -39,30 +42,20 @@ func expectEqual(t *testing.T, label string, tr *ctree.Tree, a *ctree.Arena, ext
 	if err != nil {
 		t.Fatalf("%s: ToTree: %v", label, err)
 	}
-	if err := ctree.Equal(tr, got); err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
 	ctreetest.RequireAMD64(t)
-	ctreetest.Check(t, ctreetest.Golden(t, "testdata/arena.golden"), label, ctreetest.Digest(got, extra...))
+	ctreetest.Check(t, ctreetest.Golden(t, "testdata/arena.golden"), label, ctreetest.Digest(got, outcome))
 }
 
 func TestBalancedInsertArenaMatchesPointer(t *testing.T) {
 	tk := tech.Default45()
 	comp := tech.Composite{Type: tk.Inverters[1], N: 4}
 	for _, n := range []int{1, 9, 60, 300, 900} {
-		tr, a := buildBoth(t, int64(n), n)
-		wantAdded, err := BalancedInsert(tr, comp, Options{})
+		a := randomZST(int64(n), n)
+		added, err := BalancedInsertArena(a, comp, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotAdded, err := BalancedInsertArena(a, comp, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantAdded != gotAdded {
-			t.Fatalf("n=%d: added %d buffers via arena, %d via pointer", n, gotAdded, wantAdded)
-		}
-		expectEqual(t, fmt.Sprintf("balanced/n%d", n), tr, a, gotAdded)
+		expectGolden(t, fmt.Sprintf("balanced/n%d", n), a, added)
 	}
 }
 
@@ -70,19 +63,12 @@ func TestInsertArenaMatchesPointer(t *testing.T) {
 	tk := tech.Default45()
 	comp := tech.Composite{Type: tk.Inverters[1], N: 4}
 	for _, n := range []int{5, 40, 150} {
-		tr, a := buildBoth(t, int64(100+n), n)
-		wantAdded, err := Insert(tr, comp, Options{Mode: "vg"})
+		a := randomZST(int64(100+n), n)
+		added, err := InsertArena(a, comp, Options{Mode: "vg"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotAdded, err := InsertArena(a, comp, Options{Mode: "vg"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantAdded != gotAdded {
-			t.Fatalf("n=%d: added %d buffers via arena, %d via pointer", n, gotAdded, wantAdded)
-		}
-		expectEqual(t, fmt.Sprintf("vg/n%d", n), tr, a, gotAdded)
+		expectGolden(t, fmt.Sprintf("vg/n%d", n), a, added)
 	}
 }
 
@@ -90,22 +76,15 @@ func TestCorrectPolarityArenaMatchesPointer(t *testing.T) {
 	tk := tech.Default45()
 	comp := tech.Composite{Type: tk.Inverters[1], N: 2}
 	for _, n := range []int{8, 70, 400} {
-		tr, a := buildBoth(t, int64(200+n), n)
-		if _, err := BalancedInsert(tr, comp, Options{}); err != nil {
-			t.Fatal(err)
-		}
+		a := randomZST(int64(200+n), n)
 		if _, err := BalancedInsertArena(a, comp, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		want := CorrectPolarity(tr, comp, nil)
-		got := CorrectPolarityArena(a, comp, nil)
-		if want != got {
-			t.Fatalf("n=%d: arena added %d inverters, pointer %d", n, got, want)
+		added := CorrectPolarityArena(a, comp, nil)
+		if len(InvertedSinksArena(a)) != 0 {
+			t.Fatalf("n=%d: inverted sinks remain", n)
 		}
-		if len(InvertedSinks(tr)) != 0 {
-			t.Fatalf("n=%d: pointer path left inverted sinks", n)
-		}
-		expectEqual(t, fmt.Sprintf("polarity/n%d", n), tr, a, got)
+		expectGolden(t, fmt.Sprintf("polarity/n%d", n), a, added)
 	}
 }
 
@@ -113,20 +92,11 @@ func TestSweepArenaMatchesPointer(t *testing.T) {
 	tk := tech.Default45()
 	ladder := tk.CompositeLadder()
 	for _, n := range []int{30, 250} {
-		tr, a := buildBoth(t, int64(300+n), n)
-		capLimit := tr.WireCap() * 3
-		want, err := InsertBestComposite(tr, ladder, capLimit, 0.1, Options{})
+		a := randomZST(int64(300+n), n)
+		res, err := InsertBestCompositeArena(a, ladder, a.WireCap()*3, 0.1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := InsertBestCompositeArena(a, ladder, capLimit, 0.1, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Composite != got.Composite || want.Added != got.Added ||
-			want.TotalCap != got.TotalCap || want.WorstLat != got.WorstLat {
-			t.Fatalf("n=%d: sweep result %+v != %+v", n, got, want)
-		}
-		expectEqual(t, fmt.Sprintf("sweep/n%d", n), tr, a, got)
+		expectGolden(t, fmt.Sprintf("sweep/n%d", n), a, res)
 	}
 }

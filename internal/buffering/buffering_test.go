@@ -16,6 +16,53 @@ func comp8(tk *tech.Tech) tech.Composite {
 	return tech.Composite{Type: tk.Inverters[1], N: 8}
 }
 
+// zst builds a zero-skew tree in the arena and returns its pointer form.
+func zst(t *testing.T, tk *tech.Tech, source geom.Point, sinks []dme.Sink) *ctree.Tree {
+	t.Helper()
+	tr, err := dme.BuildZSTArena(tk, source, sinks, dme.Options{}).ToTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// arenaPass runs pass on tr's arena form and returns the resulting tree
+// (node IDs are arena slots, so they carry over) and the pass's count.
+func arenaPass(t *testing.T, tr *ctree.Tree, pass func(*ctree.Arena) (int, error)) (*ctree.Tree, int) {
+	t.Helper()
+	a := ctree.FromTree(tr)
+	n, err := pass(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := a.ToTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, n
+}
+
+// insert runs the van Ginneken inserter.
+func insert(t *testing.T, tr *ctree.Tree, comp tech.Composite, opt Options) (*ctree.Tree, int) {
+	t.Helper()
+	return arenaPass(t, tr, func(a *ctree.Arena) (int, error) { return InsertArena(a, comp, opt) })
+}
+
+// correctPolarity runs the polarity fixup.
+func correctPolarity(t *testing.T, tr *ctree.Tree, inv tech.Composite) (*ctree.Tree, int) {
+	t.Helper()
+	return arenaPass(t, tr, func(a *ctree.Arena) (int, error) { return CorrectPolarityArena(a, inv, nil), nil })
+}
+
+// invertedSinks returns tr's inverted sinks, in pre-order.
+func invertedSinks(tr *ctree.Tree) []*ctree.Node {
+	var out []*ctree.Node
+	for _, slot := range InvertedSinksArena(ctree.FromTree(tr)) {
+		out = append(out, tr.Node(int(slot)))
+	}
+	return out
+}
+
 func TestInsertFixesSlewOnLongLine(t *testing.T) {
 	tk := tech.Default45()
 	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
@@ -24,10 +71,7 @@ func TestInsertFixesSlewOnLongLine(t *testing.T) {
 	if res0.SlewViol == 0 {
 		t.Fatal("test needs an initial slew violation")
 	}
-	added, err := Insert(tr, comp8(tk), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, added := insert(t, tr, comp8(tk), Options{})
 	if added == 0 {
 		t.Fatal("no buffers inserted on a 12 mm line")
 	}
@@ -56,11 +100,8 @@ func TestEveryStageWithinSafeLoad(t *testing.T) {
 			Cap: 20 + rng.Float64()*30,
 		})
 	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 4500), sinks, dme.Options{})
 	comp := comp8(tk)
-	if _, err := Insert(tr, comp, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	tr, _ := insert(t, zst(t, tk, geom.Pt(0, 4500), sinks), comp, Options{})
 	safe := SafeLoad(tk, comp)
 	net := analysis.Extract(tr, 0)
 	for _, s := range net.Stages {
@@ -78,10 +119,7 @@ func TestBuffersAvoidObstacles(t *testing.T) {
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(2000, -500, 9000, 500)}})
 	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
 	tr.AddSink(tr.Root, geom.Pt(11000, 0), 35, "far") // wire runs straight over the macro
-	added, err := Insert(tr, comp8(tk), Options{Obs: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, added := insert(t, tr, comp8(tk), Options{Obs: obs})
 	if added == 0 {
 		t.Fatal("expected buffers")
 	}
@@ -96,9 +134,8 @@ func TestMultipleBuffersOneEdgeOrdered(t *testing.T) {
 	tk := tech.Default45()
 	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
 	s := tr.AddSink(tr.Root, geom.Pt(20000, 0), 35, "far")
-	if _, err := Insert(tr, comp8(tk), Options{}); err != nil {
-		t.Fatal(err)
-	}
+	tr, _ = insert(t, tr, comp8(tk), Options{})
+	s = tr.Node(s.ID)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +165,7 @@ func TestInsertPreservesSinksProperty(t *testing.T) {
 				Cap: 15 + rng.Float64()*40,
 			})
 		}
-		tr := dme.BuildZST(tk, geom.Pt(0, 0), sinks, dme.Options{})
-		if _, err := Insert(tr, comp8(tk), Options{}); err != nil {
-			t.Fatal(err)
-		}
+		tr, _ := insert(t, zst(t, tk, geom.Pt(0, 0), sinks), comp8(tk), Options{})
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -156,13 +190,18 @@ func TestInsertBestCompositePicksStrongestFitting(t *testing.T) {
 			Cap: 20 + rng.Float64()*30,
 		})
 	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 3000), sinks, dme.Options{})
 	ladder := tk.BatchLadder("Small", 8)
-	capLimit := tr.TotalCap() * 4
-	res, err := InsertBestComposite(tr, ladder, capLimit, 0.10, Options{})
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(capLimit float64) (*ctree.Tree, *SweepResult) {
+		var res *SweepResult
+		tr, _ := arenaPass(t, zst(t, tk, geom.Pt(0, 3000), sinks), func(a *ctree.Arena) (int, error) {
+			var err error
+			res, err = InsertBestCompositeArena(a, ladder, capLimit, 0.10, Options{})
+			return 0, err
+		})
+		return tr, res
 	}
+	capLimit := zst(t, tk, geom.Pt(0, 3000), sinks).TotalCap() * 4
+	tr, res := sweep(capLimit)
 	if res.TotalCap > 0.9*capLimit {
 		t.Errorf("cap %v exceeds 90%% budget of %v", res.TotalCap, capLimit)
 	}
@@ -173,11 +212,7 @@ func TestInsertBestCompositePicksStrongestFitting(t *testing.T) {
 		t.Errorf("added=%d but tree has %d buffers", res.Added, len(tr.Buffers()))
 	}
 	// A tighter budget must pick a weaker (or equal) composite.
-	tr2 := dme.BuildZST(tk, geom.Pt(0, 3000), sinks, dme.Options{})
-	res2, err := InsertBestComposite(tr2, ladder, capLimit/3, 0.10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res2 := sweep(capLimit / 3)
 	if res2.Composite.N > res.Composite.N {
 		t.Errorf("tighter budget chose stronger composite: %v vs %v", res2.Composite, res.Composite)
 	}
@@ -193,20 +228,17 @@ func TestPolarityCorrection(t *testing.T) {
 			Cap: 20 + rng.Float64()*30,
 		})
 	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 0), sinks, dme.Options{})
-	if _, err := Insert(tr, comp8(tk), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	inverted := len(InvertedSinks(tr))
+	tr, _ := insert(t, zst(t, tk, geom.Pt(0, 0), sinks), comp8(tk), Options{})
+	inverted := len(invertedSinks(tr))
 	buffersBefore := map[int]bool{}
 	for _, b := range tr.Buffers() {
 		buffersBefore[b.ID] = true
 	}
-	added := CorrectPolarity(tr, tech.Composite{Type: tk.Inverters[1], N: 2}, nil)
+	tr, added := correctPolarity(t, tr, tech.Composite{Type: tk.Inverters[1], N: 2})
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(InvertedSinks(tr)); got != 0 {
+	if got := len(invertedSinks(tr)); got != 0 {
 		t.Fatalf("%d sinks still inverted after correction", got)
 	}
 	if inverted > 0 && added == 0 {
@@ -264,11 +296,11 @@ func TestPolarityMinimalityVsBruteForce(t *testing.T) {
 			continue
 		}
 		want := bruteForceMinInverters(tr)
-		got := CorrectPolarity(tr, inv, nil)
+		fixed, got := correctPolarity(t, tr, inv)
 		if got != want {
 			t.Fatalf("iter %d: algorithm added %d, brute force needs %d", iter, got, want)
 		}
-		if len(InvertedSinks(tr)) != 0 {
+		if len(invertedSinks(fixed)) != 0 {
 			t.Fatalf("iter %d: sinks remain inverted", iter)
 		}
 	}
@@ -282,7 +314,7 @@ func bruteForceMinInverters(tr *ctree.Tree) int {
 	tr.PreOrder(func(n *ctree.Node) { all = append(all, n) })
 	sinks := tr.Sinks()
 	wrong := map[int]bool{}
-	for _, s := range InvertedSinks(tr) {
+	for _, s := range invertedSinks(tr) {
 		wrong[s.ID] = true
 	}
 	inSubtree := func(root, n *ctree.Node) bool {
@@ -337,7 +369,7 @@ func TestInvertedSinksCounts(t *testing.T) {
 	inv := tech.Composite{Type: tk.Inverters[1], N: 1}
 	bb := tr.InsertOnEdge(a, 50, ctree.Buffer)
 	bb.Buf = &inv
-	got := InvertedSinks(tr)
+	got := invertedSinks(tr)
 	if len(got) != 1 || got[0] != a {
 		t.Errorf("InvertedSinks=%v want [a]", got)
 	}

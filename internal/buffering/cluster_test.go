@@ -17,10 +17,7 @@ func TestSinkClusterSplit(t *testing.T) {
 		tr.AddSink(hub, geom.Pt(3000+float64(i), 0), 35, "")
 	}
 	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
-	added, err := BalancedInsert(tr, comp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, added := arenaPass(t, tr, func(a *ctree.Arena) (int, error) { return BalancedInsertArena(a, comp, Options{}) })
 	t.Logf("added %d buffers", added)
 	safe := SafeLoad(tk, comp)
 	net := analysis.Extract(tr, 0)

@@ -46,18 +46,23 @@ func randomBench(seed int64, n int) *bench.Benchmark {
 	return b
 }
 
-// TestArenaDirtyJournalParityRandom: an arena built natively by DME and an
-// arena flattened from the pointer-built tree must not only agree on
-// content — after an identical randomized mutation burst their dirty
-// journals must be identical too, so downstream incremental consumers see
-// the same invalidation set whichever way the arena was produced.
+// TestArenaDirtyJournalParityRandom: an arena built natively by DME and the
+// arena flattened back from its pointer form (FromTree(ToTree())) must not
+// only agree on content — after an identical randomized mutation burst
+// their dirty journals must be identical too, so downstream incremental
+// consumers see the same invalidation set whichever way the arena was
+// produced.
 func TestArenaDirtyJournalParityRandom(t *testing.T) {
 	tk := tech.Default45()
 	for _, seed := range []int64{3, 11, 42} {
 		rng := rand.New(rand.NewSource(seed))
 		b := randomBench(seed, 60)
-		ptr := ctree.FromTree(dme.BuildZST(tk, b.Source, b.Sinks, dme.Options{}))
 		arn := dme.BuildZSTArena(tk, b.Source, b.Sinks, dme.Options{})
+		tr, err := arn.ToTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptr := ctree.FromTree(tr)
 		if arn.Len() != ptr.Len() {
 			t.Fatalf("seed %d: arena sizes differ: %d vs %d", seed, arn.Len(), ptr.Len())
 		}

@@ -6,7 +6,6 @@ import (
 
 	"contango/internal/bench"
 	"contango/internal/buffering"
-	"contango/internal/ctree"
 	"contango/internal/dme"
 	"contango/internal/geom"
 	"contango/internal/route"
@@ -60,18 +59,35 @@ func SynthesizeBaseline(b *bench.Benchmark, kind BaselineKind, o Options) (*Resu
 		dopt.NoSnake = true
 		dopt.TapQuantum = 250
 	}
+	dopt.Parallelism = o.Parallelism
+	a := dme.BuildZSTArena(o.Tech, b.Source, b.Sinks, dopt)
+	a.SourceR = b.SourceR
+
+	obs := geom.NewObstacleSet(b.Obstacles)
+	rep, err := route.LegalizeArena(a, obs, b.Die, route.Options{SafeCap: buffering.SafeLoad(o.Tech, o.Ladder[0])})
+	if err != nil {
+		return nil, fmt.Errorf("legalize: %w", err)
+	}
+	res.Legalization = *rep
+
 	ladder := o.Ladder
 	if kind == BaselineGreedy {
 		// Single mid-strength configuration, no sweep.
 		ladder = []tech.Composite{o.Ladder[len(o.Ladder)/2]}
 	}
-	var tr *ctree.Tree
-	var err error
-	if o.PointerBuild {
-		tr, err = baselinePointer(b, kind, o, dopt, ladder, res)
-	} else {
-		tr, err = baselineArena(b, kind, o, dopt, ladder, res)
+	sweep, err := buffering.InsertBestCompositeArena(a, ladder, b.CapLimit, o.Gamma,
+		buffering.Options{Obs: obs, Step: o.BufferStep})
+	if err != nil {
+		return nil, fmt.Errorf("buffering: %w", err)
 	}
+	res.Composite = sweep.Composite
+	res.InvertedSinks = len(buffering.InvertedSinksArena(a))
+	res.AddedInverters = buffering.CorrectPolarityArena(a, sweep.Composite, obs)
+	if err := a.Validate(); err != nil {
+		return nil, fmt.Errorf("baseline %v: %w", kind, err)
+	}
+	a.Compact()
+	tr, err := a.ToTree()
 	if err != nil {
 		return nil, err
 	}
@@ -87,56 +103,4 @@ func SynthesizeBaseline(b *bench.Benchmark, kind BaselineKind, o Options) (*Resu
 	res.Buffers = len(tr.Buffers())
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-func baselinePointer(b *bench.Benchmark, kind BaselineKind, o Options, dopt dme.Options, ladder []tech.Composite, res *Result) (*ctree.Tree, error) {
-	tr := dme.BuildZST(o.Tech, b.Source, b.Sinks, dopt)
-	tr.SourceR = b.SourceR
-
-	obs := geom.NewObstacleSet(b.Obstacles)
-	rep, err := route.Legalize(tr, obs, b.Die, route.Options{SafeCap: buffering.SafeLoad(o.Tech, o.Ladder[0])})
-	if err != nil {
-		return nil, fmt.Errorf("legalize: %w", err)
-	}
-	res.Legalization = *rep
-
-	sweep, err := buffering.InsertBestComposite(tr, ladder, b.CapLimit, o.Gamma,
-		buffering.Options{Obs: obs, Step: o.BufferStep})
-	if err != nil {
-		return nil, fmt.Errorf("buffering: %w", err)
-	}
-	res.Composite = sweep.Composite
-	res.InvertedSinks = len(buffering.InvertedSinks(tr))
-	res.AddedInverters = buffering.CorrectPolarity(tr, sweep.Composite, obs)
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("baseline %v: %w", kind, err)
-	}
-	return tr, nil
-}
-
-func baselineArena(b *bench.Benchmark, kind BaselineKind, o Options, dopt dme.Options, ladder []tech.Composite, res *Result) (*ctree.Tree, error) {
-	dopt.Parallelism = o.Parallelism
-	a := dme.BuildZSTArena(o.Tech, b.Source, b.Sinks, dopt)
-	a.SourceR = b.SourceR
-
-	obs := geom.NewObstacleSet(b.Obstacles)
-	rep, err := route.LegalizeArena(a, obs, b.Die, route.Options{SafeCap: buffering.SafeLoad(o.Tech, o.Ladder[0])})
-	if err != nil {
-		return nil, fmt.Errorf("legalize: %w", err)
-	}
-	res.Legalization = *rep
-
-	sweep, err := buffering.InsertBestCompositeArena(a, ladder, b.CapLimit, o.Gamma,
-		buffering.Options{Obs: obs, Step: o.BufferStep})
-	if err != nil {
-		return nil, fmt.Errorf("buffering: %w", err)
-	}
-	res.Composite = sweep.Composite
-	res.InvertedSinks = len(buffering.InvertedSinksArena(a))
-	res.AddedInverters = buffering.CorrectPolarityArena(a, sweep.Composite, obs)
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("baseline %v: %w", kind, err)
-	}
-	a.Compact()
-	return a.ToTree()
 }

@@ -8,6 +8,7 @@ import (
 
 	"contango/internal/bench"
 	"contango/internal/buffering"
+	"contango/internal/ctree"
 	"contango/internal/dme"
 	"contango/internal/geom"
 	"contango/internal/route"
@@ -77,12 +78,12 @@ func TestSynthesizeEndToEnd(t *testing.T) {
 		t.Errorf("final cap %v over limit %v", final.TotalCap, b.CapLimit)
 	}
 	// Polarity must be correct at every sink.
-	if got := len(buffering.InvertedSinks(res.Tree)); got != 0 {
+	if got := len(buffering.InvertedSinksArena(ctree.FromTree(res.Tree))); got != 0 {
 		t.Errorf("%d sinks inverted in final tree", got)
 	}
 	// No heavy crossings remain.
 	obs := geomObstacles(b)
-	if bad := route.CheckLegal(res.Tree, obs, 1e9); len(bad) != 0 {
+	if bad := route.CheckLegalArena(ctree.FromTree(res.Tree), obs, 1e9); len(bad) != 0 {
 		t.Errorf("unexpected crossing load")
 	}
 	if res.Runs == 0 {

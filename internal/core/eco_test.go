@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"contango/internal/buffering"
+	"contango/internal/ctree"
 	"contango/internal/eco"
 	"contango/internal/route"
 )
@@ -59,10 +60,10 @@ func TestECOFlowRepairsAndStaysLegal(t *testing.T) {
 	if got := len(res.Tree.Sinks()); got != len(perturbed.Sinks) {
 		t.Fatalf("%d sinks, want %d", got, len(perturbed.Sinks))
 	}
-	if got := len(buffering.InvertedSinks(res.Tree)); got != 0 {
+	if got := len(buffering.InvertedSinksArena(ctree.FromTree(res.Tree))); got != 0 {
 		t.Errorf("%d sinks inverted after eco repair", got)
 	}
-	if bad := route.CheckLegal(res.Tree, geomObstacles(b), 1e9); len(bad) != 0 {
+	if bad := route.CheckLegalArena(ctree.FromTree(res.Tree), geomObstacles(b), 1e9); len(bad) != 0 {
 		t.Errorf("%d illegal edges after eco", len(bad))
 	}
 	if res.Final.SlewViol > 0 {

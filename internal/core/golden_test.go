@@ -14,9 +14,10 @@ import (
 
 // goldenPath holds one "<case> <sha256>" line per construction case. Each
 // digest is the SHA-256 of the case's EncodeResult envelope with Elapsed
-// zeroed. The file was generated while the pointer and arena construction
-// paths both existed and agreed; it pins every construction layer (DME,
-// legalization, the buffering sweep, polarity correction) bit for bit.
+// zeroed. The file was generated while a pointer-tree construction path
+// still existed beside the arena one and both produced these envelopes; it
+// pins every construction layer (DME, legalization, the buffering sweep,
+// polarity correction) bit for bit.
 const goldenPath = "testdata/construction.golden"
 
 // constructionPlan is the construction prelude the golden cases run.
@@ -24,30 +25,30 @@ const constructionPlan = "zst,legalize,buffer,polarity"
 
 type goldenCase struct {
 	name string
-	run  func(pointer bool) (*Result, error)
+	run  func() (*Result, error)
 }
 
 func ispdGoldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, name := range bench.ISPD09Names() {
 		name := name
-		cases = append(cases, goldenCase{"construct/" + name, func(pointer bool) (*Result, error) {
+		cases = append(cases, goldenCase{"construct/" + name, func() (*Result, error) {
 			b, err := bench.ISPD09(name)
 			if err != nil {
 				return nil, err
 			}
-			return Synthesize(b, Options{FastSim: true, Plan: constructionPlan, PointerBuild: pointer})
+			return Synthesize(b, Options{FastSim: true, Plan: constructionPlan})
 		}})
 	}
 	for _, name := range bench.ISPD09Names() {
 		for _, kind := range []BaselineKind{BaselineNoOpt, BaselineGreedy, BaselineBST} {
 			name, kind := name, kind
-			cases = append(cases, goldenCase{fmt.Sprintf("baseline/%s/%v", name, kind), func(pointer bool) (*Result, error) {
+			cases = append(cases, goldenCase{fmt.Sprintf("baseline/%s/%v", name, kind), func() (*Result, error) {
 				b, err := bench.ISPD09(name)
 				if err != nil {
 					return nil, err
 				}
-				return SynthesizeBaseline(b, kind, Options{FastSim: true, PointerBuild: pointer})
+				return SynthesizeBaseline(b, kind, Options{FastSim: true})
 			}})
 		}
 	}
@@ -59,8 +60,8 @@ func randomGoldenCases() []goldenCase {
 	for _, seed := range []int64{1, 7, 23} {
 		for _, n := range []int{12, 40, 90} {
 			seed, n := seed, n
-			cases = append(cases, goldenCase{fmt.Sprintf("random/seed%d_n%d", seed, n), func(pointer bool) (*Result, error) {
-				return Synthesize(randomBench(seed, n), Options{FastSim: true, Plan: constructionPlan, PointerBuild: pointer})
+			cases = append(cases, goldenCase{fmt.Sprintf("random/seed%d_n%d", seed, n), func() (*Result, error) {
+				return Synthesize(randomBench(seed, n), Options{FastSim: true, Plan: constructionPlan})
 			}})
 		}
 	}
@@ -82,9 +83,8 @@ func envelopeDigest(t *testing.T, r *Result) string {
 }
 
 // checkGolden runs each case as a parallel subtest (named after the part
-// of the case name that follows prefix) on both construction paths,
-// requires their envelopes to agree, and compares the digest with the
-// golden file.
+// of the case name that follows prefix) and compares its envelope digest
+// with the golden file.
 func checkGolden(t *testing.T, cases []goldenCase, prefix string) {
 	ctreetest.RequireAMD64(t)
 	golden := ctreetest.Golden(t, goldenPath)
@@ -92,19 +92,11 @@ func checkGolden(t *testing.T, cases []goldenCase, prefix string) {
 		tc := tc
 		t.Run(strings.TrimPrefix(tc.name, prefix), func(t *testing.T) {
 			t.Parallel()
-			pres, err := tc.run(true)
+			res, err := tc.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ares, err := tc.run(false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pd, ad := envelopeDigest(t, pres), envelopeDigest(t, ares)
-			if pd != ad {
-				t.Fatalf("pointer and arena envelopes differ: %s vs %s", pd, ad)
-			}
-			ctreetest.Check(t, golden, tc.name, ad)
+			ctreetest.Check(t, golden, tc.name, envelopeDigest(t, res))
 		})
 	}
 }

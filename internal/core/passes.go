@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"contango/internal/buffering"
@@ -34,45 +35,35 @@ func init() {
 		Optional: true, Record: true, NeedsEval: true})
 }
 
-// passZST builds the initial zero-skew tree (ZST/DME). The default path
-// builds straight into the SoA arena (flat merge segments, slots reserved
-// up front from the benchmark's sink count, parallel subtree merging);
-// Options.PointerBuild selects the original pointer-node construction. The
-// two are bit-identical.
+// passZST builds the initial zero-skew tree (ZST/DME) straight into the SoA
+// arena: flat merge segments, slots reserved up front from the benchmark's
+// sink count, parallel subtree merging.
 func passZST(ctx context.Context, s *flow.State) error {
 	b := s.Bench
-	if s.BuildInArena() {
-		a := dme.BuildZSTArena(s.Opts.Tech, b.Source, b.Sinks,
-			dme.Options{Parallelism: s.Opts.Parallelism})
-		a.SourceR = b.SourceR
-		s.Arena = a
-		s.Logf("%s: ZST built (arena), %d sinks, wirelength %.0f µm", b.Name, len(b.Sinks), a.Wirelength())
-		return nil
-	}
-	tr := dme.BuildZST(s.Opts.Tech, b.Source, b.Sinks, dme.Options{})
-	tr.SourceR = b.SourceR
-	s.Tree = tr
-	s.Logf("%s: ZST built, %d sinks, wirelength %.0f µm", b.Name, len(b.Sinks), tr.Wirelength())
+	a := dme.BuildZSTArena(s.Opts.Tech, b.Source, b.Sinks,
+		dme.Options{Parallelism: s.Opts.Parallelism})
+	a.SourceR = b.SourceR
+	s.Arena = a
+	s.Logf("%s: ZST built (arena), %d sinks, wirelength %.0f µm", b.Name, len(b.Sinks), a.Wirelength())
 	return nil
 }
+
+// errNoTree reports a construction pass that ran before zst. ParsePlan
+// accepts such plans (they name construction passes); the run fails here.
+var errNoTree = errors.New("no tree yet (the zst pass must run first)")
 
 // passLegalize repairs obstacle violations. The slew-free capacitance used
 // for the detour decision matches the workhorse composite the insertion
 // phase will actually place (the ladder's first rung).
 func passLegalize(ctx context.Context, s *flow.State) error {
-	if s.Tree == nil && s.Arena == nil {
-		return fmt.Errorf("no tree yet (the zst pass must run first)")
+	a := s.Arena
+	if a == nil {
+		return errNoTree
 	}
 	obs := geom.NewObstacleSet(s.Bench.Obstacles)
 	s.Obs = obs
 	safeCap := buffering.SafeLoad(s.Opts.Tech, s.Opts.Ladder[0])
-	var rep *route.Report
-	var err error
-	if s.BuildInArena() && s.Arena != nil {
-		rep, err = route.LegalizeArena(s.Arena, obs, s.Bench.Die, route.Options{SafeCap: safeCap})
-	} else {
-		rep, err = route.Legalize(s.Tree, obs, s.Bench.Die, route.Options{SafeCap: safeCap})
-	}
+	rep, err := route.LegalizeArena(a, obs, s.Bench.Die, route.Options{SafeCap: safeCap})
 	if err != nil {
 		return err
 	}
@@ -84,19 +75,13 @@ func passLegalize(ctx context.Context, s *flow.State) error {
 // passBuffer runs composite buffer insertion with sizing (90% of the power
 // budget).
 func passBuffer(ctx context.Context, s *flow.State) error {
-	if s.Tree == nil && s.Arena == nil {
-		return fmt.Errorf("no tree yet (the zst pass must run first)")
+	a := s.Arena
+	if a == nil {
+		return errNoTree
 	}
 	b := s.Bench
-	var sweep *buffering.SweepResult
-	var err error
-	if s.BuildInArena() && s.Arena != nil {
-		sweep, err = buffering.InsertBestCompositeArena(s.Arena, s.Opts.Ladder, b.CapLimit, s.Opts.Gamma,
-			buffering.Options{Obs: s.Obs, Step: s.Opts.BufferStep})
-	} else {
-		sweep, err = buffering.InsertBestComposite(s.Tree, s.Opts.Ladder, b.CapLimit, s.Opts.Gamma,
-			buffering.Options{Obs: s.Obs, Step: s.Opts.BufferStep})
-	}
+	sweep, err := buffering.InsertBestCompositeArena(a, s.Opts.Ladder, b.CapLimit, s.Opts.Gamma,
+		buffering.Options{Obs: s.Obs, Step: s.Opts.BufferStep})
 	if err != nil {
 		return err
 	}
@@ -110,8 +95,9 @@ func passBuffer(ctx context.Context, s *flow.State) error {
 // inverters use a half-strength composite: their input capacitance lands
 // on stages already near their load target.
 func passPolarity(ctx context.Context, s *flow.State) error {
-	if s.Tree == nil && s.Arena == nil {
-		return fmt.Errorf("no tree yet (the zst pass must run first)")
+	a := s.Arena
+	if a == nil {
+		return errNoTree
 	}
 	polComp := s.Composite
 	if polComp.N == 0 {
@@ -122,18 +108,11 @@ func passPolarity(ctx context.Context, s *flow.State) error {
 	if half := polComp.N / 2; half >= 1 {
 		polComp.N = half
 	}
-	if s.BuildInArena() && s.Arena != nil {
-		s.InvertedSinks = len(buffering.InvertedSinksArena(s.Arena))
-		s.AddedInverters = buffering.CorrectPolarityArena(s.Arena, polComp, s.Obs)
-		s.Logf("%s: %d inverted sinks fixed with %d inverters", s.Bench.Name,
-			s.InvertedSinks, s.AddedInverters)
-		return s.Arena.Validate()
-	}
-	s.InvertedSinks = len(buffering.InvertedSinks(s.Tree))
-	s.AddedInverters = buffering.CorrectPolarity(s.Tree, polComp, s.Obs)
+	s.InvertedSinks = len(buffering.InvertedSinksArena(a))
+	s.AddedInverters = buffering.CorrectPolarityArena(a, polComp, s.Obs)
 	s.Logf("%s: %d inverted sinks fixed with %d inverters", s.Bench.Name,
 		s.InvertedSinks, s.AddedInverters)
-	return s.Tree.Validate()
+	return a.Validate()
 }
 
 // optPass adapts a SPICE-driven optimization pass to the pipeline. The

@@ -178,19 +178,23 @@ func TestInvalidPlanRejected(t *testing.T) {
 	}
 }
 
-// TestMisorderedPlanFailsCleanly: a parseable plan that reaches an
-// evaluated (or gated) pass before construction must fail with an error,
-// not a nil-tree panic — the service runs jobs without a recover().
+// TestMisorderedPlanFailsCleanly: a plan that runs construction out of
+// order must fail with an error, not a nil-tree panic — the service runs
+// jobs without a recover(). Construction after the evaluator is armed is
+// rejected when the plan is parsed; a missing zst is caught at run time.
 func TestMisorderedPlanFailsCleanly(t *testing.T) {
-	for _, spec := range []string{
-		"tbsz,zst,legalize,buffer,polarity",
-		"zst?skew>5,legalize,buffer,polarity",
+	for _, tc := range []struct{ spec, want string }{
+		{"tbsz,zst,legalize,buffer,polarity", "cannot follow cascade step"},
+		{"zst?skew>5,legalize,buffer,polarity", "cannot be gated"},
+		{"zst,legalize,buffer,polarity,tbsz,polarity", "cannot follow cascade step"},
+		{"zst,legalize,buffer,polarity,cycle(twsz,zst)", "cannot run in a cycle group"},
+		{"legalize,buffer,polarity,tbsz", "zst pass must run first"},
 	} {
-		_, err := Synthesize(tinyBench(), Options{MaxRounds: 1, Plan: spec})
+		_, err := Synthesize(tinyBench(), Options{MaxRounds: 1, Plan: tc.spec})
 		if err == nil {
-			t.Errorf("mis-ordered plan %q succeeded", spec)
-		} else if !strings.Contains(err.Error(), "zst must run first") {
-			t.Errorf("plan %q: unexpected error %v", spec, err)
+			t.Errorf("mis-ordered plan %q succeeded", tc.spec)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("plan %q: unexpected error %v", tc.spec, err)
 		}
 	}
 }

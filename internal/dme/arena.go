@@ -10,13 +10,9 @@ import (
 	"contango/internal/tech"
 )
 
-// Arena-native construction: the merge tree is built in a flat
-// merge-segment slice instead of per-node heap allocations, then
-// materialized straight into a ctree.Arena through the bulk-construction
-// API. The merge math itself is mergeKernel — shared with the pointer
-// path — and materialization mirrors BuildZST's attach order exactly, so
-// the resulting arena round-trips ToTree bit-identical to what BuildZST
-// produces (topology, node IDs, routes, widths and snakes).
+// Construction: the merge tree is built in a flat merge-segment slice
+// instead of per-node heap allocations, then materialized straight into a
+// ctree.Arena through the bulk-construction API.
 
 // mseg is a merge-tree vertex in flat form: children and the originating
 // sink are indices, not pointers, so a whole build's merge tree lives in
@@ -40,9 +36,10 @@ type Scratch struct {
 	live  []int32
 }
 
-// BuildZSTArena is the arena-native BuildZST: same sinks, same options,
-// same tree — materialized directly into a ctree.Arena with capacity
-// reserved up front from the sink count.
+// BuildZSTArena constructs a zero-skew tree over the sinks, rooted at
+// source, directly into a ctree.Arena with capacity reserved up front from
+// the sink count. The trunk (source to first merge point) is a plain
+// route; it delays all sinks equally and is later populated with buffers.
 func BuildZSTArena(tk *tech.Tech, source geom.Point, sinks []Sink, opt Options) *ctree.Arena {
 	var sc Scratch
 	return BuildZSTArenaScratch(tk, source, sinks, opt, &sc)
@@ -79,10 +76,9 @@ func BuildZSTArenaScratch(tk *tech.Tech, source geom.Point, sinks []Sink, opt Op
 	return a
 }
 
-// materialize writes the merge tree into the arena top-down, in the exact
-// order BuildZST's attach materializes mnodes into a pointer tree: node i of
-// either construction is the same vertex, with the same route, width and
-// snake.
+// materialize writes the merge tree into the arena top-down: each vertex,
+// then its left and right subtrees, with every child edge carrying the
+// snake its merge assigned.
 func materialize(a *ctree.Arena, segs []mseg, sinks []Sink, top int32, opt Options) {
 	var attach func(parent, si int32)
 	attach = func(parent, si int32) {
@@ -110,8 +106,8 @@ func materialize(a *ctree.Arena, segs []mseg, sinks []Sink, top int32, opt Optio
 	a.WidthIdx[a.Children(a.Root())[0]] = int32(opt.WidthIdx)
 }
 
-// mergeSegs merges segs[ai] and segs[bi] through the shared kernel and
-// writes the result to segs[out].
+// mergeSegs merges segs[ai] and segs[bi] through mergeKernel and writes the
+// result to segs[out].
 func mergeSegs(segs []mseg, ai, bi, out int32, w tech.WireType, opt Options) {
 	res := mergeKernel(
 		subtree{loc: segs[ai].loc, cap: segs[ai].cap, delay: segs[ai].delay},
@@ -124,9 +120,9 @@ func mergeSegs(segs []mseg, ai, bi, out int32, w tech.WireType, opt Options) {
 	}
 }
 
-// mergeNearestNeighborSegs is mergeNearestNeighbor on flat segments: the
-// same greedy closest-pair loop, with merge results appended to the segment
-// slice instead of heap-allocated.
+// mergeNearestNeighborSegs repeatedly merges the globally closest pair of
+// cluster roots (Edahiro-style greedy clustering), appending merge results
+// to the segment slice.
 func mergeNearestNeighborSegs(segs []mseg, w tech.WireType, opt Options, sc *Scratch) ([]mseg, int32) {
 	n := len(segs)
 	if cap(sc.live) < n {
@@ -158,11 +154,10 @@ func mergeNearestNeighborSegs(segs []mseg, w tech.WireType, opt Options, sc *Scr
 	return segs, root
 }
 
-// buildMMMSegs is buildMMM on flat segments. Instead of copying and sorting
-// a fresh slice per recursion level it sorts one ordering slice in place —
-// each recursive sort sees its elements in exactly the order the pointer
-// path's copy would hold them, so sort.Slice produces the identical
-// permutation and the merge tree is the same vertex for vertex.
+// buildMMMSegs recursively bisects the sink set at the median of its wider
+// axis (method of means and medians), then merges the two halves' trees.
+// It sorts one ordering slice in place instead of copying a fresh slice per
+// recursion level.
 //
 // Internal segments are pre-assigned: the call over order[lo:hi) owns output
 // range [out, out+(hi−lo−1)) with its own merge node last, the left half

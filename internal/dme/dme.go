@@ -12,9 +12,7 @@ package dme
 
 import (
 	"math"
-	"sort"
 
-	"contango/internal/ctree"
 	"contango/internal/geom"
 	"contango/internal/tech"
 )
@@ -55,7 +53,7 @@ type Options struct {
 	// range, so the parallel schedule performs exactly the serial
 	// floating-point work on exactly the serial operand order — results
 	// are bit-identical regardless of this setting. It does not affect
-	// cache keys and the pointer-path BuildZST ignores it.
+	// cache keys.
 	Parallelism int
 }
 
@@ -68,74 +66,9 @@ func (o *Options) defaults() {
 	}
 }
 
-// mnode is a merge-tree vertex built bottom-up before materialization.
-type mnode struct {
-	loc         geom.Point
-	left, right *mnode
-	sink        *Sink
-	// per-child edge geometry decided during merging
-	snakeL, snakeR float64
-	// Elmore state of the subtree rooted here
-	cap   float64 // total downstream capacitance, fF
-	delay float64 // Elmore delay from this point to every sink (zero skew)
-}
-
-// BuildZST constructs a zero-skew tree over the sinks, rooted at source.
-// The trunk (source to first merge point) is a plain route; it delays all
-// sinks equally and is later populated with buffers.
-func BuildZST(tk *tech.Tech, source geom.Point, sinks []Sink, opt Options) *ctree.Tree {
-	opt.defaults()
-	tr := ctree.New(tk, source, 0.1)
-	if len(sinks) == 0 {
-		return tr
-	}
-	w := tk.Wires[opt.WidthIdx]
-
-	leaves := make([]*mnode, len(sinks))
-	for i := range sinks {
-		s := sinks[i]
-		leaves[i] = &mnode{loc: s.Loc, sink: &s, cap: s.Cap}
-	}
-
-	var top *mnode
-	useNN := opt.Topology == "nn" || (opt.Topology == "auto" && len(sinks) <= opt.NNThreshold)
-	if useNN {
-		top = mergeNearestNeighbor(leaves, w, opt)
-	} else {
-		top = buildMMM(leaves, w, opt)
-	}
-
-	// Materialize into a ctree, top-down.
-	var attach func(parent *ctree.Node, m *mnode)
-	attach = func(parent *ctree.Node, m *mnode) {
-		var n *ctree.Node
-		if m.sink != nil {
-			n = tr.AddSink(parent, m.loc, m.sink.Cap, m.sink.Name)
-		} else {
-			n = tr.AddChild(parent, ctree.Internal, m.loc)
-		}
-		n.WidthIdx = opt.WidthIdx
-		if m.left != nil {
-			attach(n, m.left)
-			child := n.Children[len(n.Children)-1]
-			child.Snake = m.snakeL
-		}
-		if m.right != nil {
-			attach(n, m.right)
-			child := n.Children[len(n.Children)-1]
-			child.Snake = m.snakeR
-		}
-		_ = parent
-	}
-	attach(tr.Root, top)
-	tr.Root.Children[0].WidthIdx = opt.WidthIdx
-	return tr
-}
-
 // subtree is the Elmore state of a merge-candidate root: its position, total
 // downstream capacitance and zero-skew delay. mergeKernel consumes two of
-// these regardless of whether the caller keeps its merge tree as pointer
-// mnodes or flat arena segments.
+// these.
 type subtree struct {
 	loc   geom.Point
 	cap   float64
@@ -150,24 +83,9 @@ type merged struct {
 	snakeL, snakeR float64
 }
 
-// merge combines two subtrees with an Elmore-balanced tapping point and
-// returns the merged node (Tsay's exact zero-skew construction).
-func merge(a, b *mnode, w tech.WireType, opt Options) *mnode {
-	out := mergeKernel(
-		subtree{loc: a.loc, cap: a.cap, delay: a.delay},
-		subtree{loc: b.loc, cap: b.cap, delay: b.delay},
-		w, opt)
-	return &mnode{
-		left: a, right: b,
-		loc: out.loc, cap: out.cap, delay: out.delay,
-		snakeL: out.snakeL, snakeR: out.snakeR,
-	}
-}
-
-// mergeKernel is the single source of truth for the zero-skew merge math.
-// Both the pointer-node path (merge) and the arena path share it, so the two
-// constructions perform the same floating-point operations in the same order
-// and stay bit-identical. Baseline options degrade it deliberately:
+// mergeKernel is the zero-skew merge math (Tsay's exact construction): it
+// combines two subtrees with an Elmore-balanced tapping point. Baseline
+// options degrade it deliberately:
 // NoBalance taps at the midpoint, TapQuantum snaps the tapping point to a
 // grid, NoSnake clamps instead of elongating.
 func mergeKernel(a, b subtree, w tech.WireType, opt Options) merged {
@@ -253,59 +171,4 @@ func extension(dt, cap, r, c float64) float64 {
 // horizontal-first L-shape to b.
 func tapPoint(a, b geom.Point, x float64) geom.Point {
 	return geom.LShape(a, b)[0].At(x)
-}
-
-// mergeNearestNeighbor repeatedly merges the globally closest pair of
-// cluster roots (Edahiro-style greedy clustering).
-func mergeNearestNeighbor(nodes []*mnode, w tech.WireType, opt Options) *mnode {
-	live := append([]*mnode(nil), nodes...)
-	for len(live) > 1 {
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < len(live); i++ {
-			for j := i + 1; j < len(live); j++ {
-				if d := live[i].loc.Manhattan(live[j].loc); d < best {
-					bi, bj, best = i, j, d
-				}
-			}
-		}
-		m := merge(live[bi], live[bj], w, opt)
-		live[bi] = m
-		live[bj] = live[len(live)-1]
-		live = live[:len(live)-1]
-	}
-	return live[0]
-}
-
-// buildMMM recursively bisects the sink set at the median of its wider axis
-// (method of means and medians), then merges the two halves' trees.
-func buildMMM(nodes []*mnode, w tech.WireType, opt Options) *mnode {
-	if len(nodes) == 1 {
-		return nodes[0]
-	}
-	minX, maxX := nodes[0].loc.X, nodes[0].loc.X
-	minY, maxY := nodes[0].loc.Y, nodes[0].loc.Y
-	for _, n := range nodes[1:] {
-		minX = math.Min(minX, n.loc.X)
-		maxX = math.Max(maxX, n.loc.X)
-		minY = math.Min(minY, n.loc.Y)
-		maxY = math.Max(maxY, n.loc.Y)
-	}
-	byX := maxX-minX >= maxY-minY
-	sorted := append([]*mnode(nil), nodes...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if byX {
-			if sorted[i].loc.X != sorted[j].loc.X {
-				return sorted[i].loc.X < sorted[j].loc.X
-			}
-			return sorted[i].loc.Y < sorted[j].loc.Y
-		}
-		if sorted[i].loc.Y != sorted[j].loc.Y {
-			return sorted[i].loc.Y < sorted[j].loc.Y
-		}
-		return sorted[i].loc.X < sorted[j].loc.X
-	})
-	mid := len(sorted) / 2
-	left := buildMMM(sorted[:mid], w, opt)
-	right := buildMMM(sorted[mid:], w, opt)
-	return merge(left, right, w, opt)
 }

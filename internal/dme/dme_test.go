@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"contango/internal/analysis"
+	"contango/internal/ctree"
 	"contango/internal/geom"
 	"contango/internal/tech"
 )
@@ -23,6 +24,17 @@ func randomSinks(rng *rand.Rand, n int, die geom.Rect) []Sink {
 	return out
 }
 
+// buildZST constructs a zero-skew tree in the arena and returns its pointer
+// form for the Elmore analyses.
+func buildZST(t *testing.T, tk *tech.Tech, source geom.Point, sinks []Sink, opt Options) *ctree.Tree {
+	t.Helper()
+	tr, err := BuildZSTArena(tk, source, sinks, opt).ToTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestZeroElmoreSkewProperty(t *testing.T) {
 	tk := tech.Default45()
 	die := geom.NewRect(0, 0, 5000, 5000)
@@ -30,7 +42,7 @@ func TestZeroElmoreSkewProperty(t *testing.T) {
 	for _, topo := range []string{"nn", "mmm"} {
 		for _, n := range []int{1, 2, 3, 7, 25, 80} {
 			sinks := randomSinks(rng, n, die)
-			tr := BuildZST(tk, geom.Pt(0, 2500), sinks, Options{Topology: topo})
+			tr := buildZST(t, tk, geom.Pt(0, 2500), sinks, Options{Topology: topo})
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("%s/%d: %v", topo, n, err)
 			}
@@ -53,7 +65,7 @@ func TestAllSinksPreserved(t *testing.T) {
 	tk := tech.Default45()
 	rng := rand.New(rand.NewSource(2))
 	sinks := randomSinks(rng, 60, geom.NewRect(0, 0, 8000, 8000))
-	tr := BuildZST(tk, geom.Pt(0, 0), sinks, Options{})
+	tr := buildZST(t, tk, geom.Pt(0, 0), sinks, Options{})
 	found := map[string]bool{}
 	for _, s := range tr.Sinks() {
 		found[s.Name] = true
@@ -71,7 +83,7 @@ func TestWirelengthSanity(t *testing.T) {
 	tk := tech.Default45()
 	rng := rand.New(rand.NewSource(3))
 	sinks := randomSinks(rng, 100, geom.NewRect(0, 0, 10000, 10000))
-	tr := BuildZST(tk, geom.Pt(5000, 0), sinks, Options{})
+	tr := buildZST(t, tk, geom.Pt(5000, 0), sinks, Options{})
 	wl := tr.Wirelength()
 
 	var star float64
@@ -94,8 +106,8 @@ func TestNNBeatsOrMatchesMMMOnSmall(t *testing.T) {
 	tk := tech.Default45()
 	rng := rand.New(rand.NewSource(4))
 	sinks := randomSinks(rng, 64, geom.NewRect(0, 0, 4000, 4000))
-	nn := BuildZST(tk, geom.Pt(0, 0), sinks, Options{Topology: "nn"})
-	mmm := BuildZST(tk, geom.Pt(0, 0), sinks, Options{Topology: "mmm"})
+	nn := buildZST(t, tk, geom.Pt(0, 0), sinks, Options{Topology: "nn"})
+	mmm := buildZST(t, tk, geom.Pt(0, 0), sinks, Options{Topology: "mmm"})
 	if nn.Wirelength() > 1.5*mmm.Wirelength() {
 		t.Errorf("nn wirelength %v vs mmm %v: ratio too high", nn.Wirelength(), mmm.Wirelength())
 	}
@@ -120,9 +132,9 @@ func TestExtensionSolvesBalance(t *testing.T) {
 func TestMergeBalancesAsymmetricLoads(t *testing.T) {
 	tk := tech.Default45()
 	w := tk.Wires[0]
-	a := &mnode{loc: geom.Pt(0, 0), cap: 500, delay: 0}   // heavy
-	b := &mnode{loc: geom.Pt(1000, 0), cap: 20, delay: 0} // light
-	m := merge(a, b, w, Options{})
+	a := subtree{loc: geom.Pt(0, 0), cap: 500, delay: 0}   // heavy
+	b := subtree{loc: geom.Pt(1000, 0), cap: 20, delay: 0} // light
+	m := mergeKernel(a, b, w, Options{})
 	// Tap must sit closer to the heavy side.
 	if m.loc.Manhattan(a.loc) >= m.loc.Manhattan(b.loc) {
 		t.Errorf("tap %v should favor the heavy subtree at %v", m.loc, a.loc)
@@ -141,9 +153,9 @@ func TestMergeSnakesWhenOneSideTooFast(t *testing.T) {
 	tk := tech.Default45()
 	w := tk.Wires[0]
 	// a is much slower: even tapping at a, b needs extra wire.
-	a := &mnode{loc: geom.Pt(0, 0), cap: 100, delay: 500}
-	b := &mnode{loc: geom.Pt(100, 0), cap: 100, delay: 0}
-	m := merge(a, b, w, Options{})
+	a := subtree{loc: geom.Pt(0, 0), cap: 100, delay: 500}
+	b := subtree{loc: geom.Pt(100, 0), cap: 100, delay: 0}
+	m := mergeKernel(a, b, w, Options{})
 	if m.loc != a.loc {
 		t.Errorf("tap should collapse onto the slow side, got %v", m.loc)
 	}
@@ -164,7 +176,7 @@ func TestCoincidentSinks(t *testing.T) {
 		{Loc: geom.Pt(100, 100), Cap: 35, Name: "b"},
 		{Loc: geom.Pt(100, 100), Cap: 20, Name: "c"},
 	}
-	tr := BuildZST(tk, geom.Pt(0, 0), sinks, Options{})
+	tr := buildZST(t, tk, geom.Pt(0, 0), sinks, Options{})
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +190,7 @@ func TestCoincidentSinks(t *testing.T) {
 
 func TestSingleSink(t *testing.T) {
 	tk := tech.Default45()
-	tr := BuildZST(tk, geom.Pt(0, 0), []Sink{{Loc: geom.Pt(500, 700), Cap: 35, Name: "only"}}, Options{})
+	tr := buildZST(t, tk, geom.Pt(0, 0), []Sink{{Loc: geom.Pt(500, 700), Cap: 35, Name: "only"}}, Options{})
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +206,7 @@ func TestLargeMMMScales(t *testing.T) {
 	tk := tech.Default45()
 	rng := rand.New(rand.NewSource(5))
 	sinks := randomSinks(rng, 20000, geom.NewRect(0, 0, 4200, 3000))
-	tr := BuildZST(tk, geom.Pt(0, 0), sinks, Options{})
+	tr := buildZST(t, tk, geom.Pt(0, 0), sinks, Options{})
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -75,13 +75,6 @@ type Options struct {
 	// the incremental per-stage cache — the reference path the incremental
 	// engine is validated against. Identical results, much slower.
 	FullEval bool
-	// PointerBuild forces the construction passes (zst, legalize, buffer,
-	// polarity) onto the original pointer-tree path instead of the default
-	// arena-native construction. The two paths produce bit-identical trees
-	// (pinned by the construction property tests), so this is a debug and
-	// ablation knob only; like Parallelism it never participates in
-	// result-cache keys.
-	PointerBuild bool
 	// Log receives progress lines when non-nil.
 	Log func(format string, args ...interface{})
 	// SpanHook, when non-nil, brackets instrumented flow phases: it is

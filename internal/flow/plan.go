@@ -190,7 +190,9 @@ func ResolvePlan(nameOrSpec string) (Plan, error) {
 //
 // Pass names must be registered; rounds and count are positive integers;
 // cycle groups cannot nest. A spec naming no construction pass
-// (zst/legalize/buffer/polarity) gets the construction prelude prepended.
+// (zst/legalize/buffer/polarity/eco) gets the construction prelude
+// prepended. Construction steps must precede the cascade: none may be
+// gated, sit in a cycle group, or follow a step that arms the evaluator.
 func ParsePlan(spec string) (Plan, error) {
 	steps, err := parseSteps(spec)
 	if err != nil {
@@ -199,10 +201,46 @@ func ParsePlan(spec string) (Plan, error) {
 	if len(steps) == 0 {
 		return Plan{}, fmt.Errorf("flow: empty plan spec")
 	}
+	if err := checkConstructionOrder(steps); err != nil {
+		return Plan{}, err
+	}
 	if !hasConstruction(steps) {
 		steps = append(preludeSteps(), steps...)
 	}
 	return Plan{Name: "custom", Steps: steps}, nil
+}
+
+// checkConstructionOrder rejects construction steps that would run after
+// the evaluator is armed. Arming materializes the pointer tree the cascade
+// works on, and construction only builds the arena before that point. A
+// pass registered with NeedsEval, a gated step and a cycle group all arm
+// the evaluator before they run.
+func checkConstructionOrder(steps []Step) error {
+	armedBy := ""
+	for _, st := range steps {
+		if st.Cycle != nil {
+			for _, in := range st.Cycle {
+				if constructionPasses[in.Pass] {
+					return fmt.Errorf("flow: construction pass %q cannot run in a cycle group", in.Pass)
+				}
+			}
+			armedBy = st.String()
+			continue
+		}
+		reg, _ := Lookup(st.Pass)
+		if constructionPasses[st.Pass] {
+			switch {
+			case armedBy != "":
+				return fmt.Errorf("flow: construction pass %q cannot follow cascade step %q", st.Pass, armedBy)
+			case st.Gate != nil:
+				return fmt.Errorf("flow: construction pass %q cannot be gated (a gate evaluates the finished tree)", st.Pass)
+			}
+		}
+		if reg.NeedsEval || st.Gate != nil {
+			armedBy = st.String()
+		}
+	}
+	return nil
 }
 
 func parseSteps(spec string) ([]Step, error) {

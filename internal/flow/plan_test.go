@@ -108,6 +108,13 @@ func TestParsePlanInvalid(t *testing.T) {
 		"cycle(wire)x0",          // cycle count must be positive
 		"cycle(cycle(wire)x2)x2", // nested groups
 		"tu ne",                  // whitespace inside a name
+		// Construction after the evaluator is armed.
+		"tune,zst,legalize,buffer,polarity",
+		"zst,legalize,buffer,polarity,tune,polarity",
+		"zst,legalize,buffer,polarity,cycle(wire),buffer",
+		"zst,legalize,buffer,polarity,wire?skew>1,legalize",
+		"zst?skew>5,legalize,buffer,polarity",
+		"zst,legalize,buffer,polarity,cycle(wire,polarity)",
 	} {
 		if p, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted: %v", spec, p)

@@ -31,15 +31,14 @@ type State struct {
 	Opts  Options // resolved options (Options.Resolve)
 	Bench *bench.Benchmark
 
-	// Tree is the pointer-form clock tree. During arena-native construction
-	// (the default) it stays nil while the construction passes build Arena;
-	// MaterializeTree converts exactly once, right before the first consumer
-	// that needs pointer nodes (arming the evaluator, or finishing a
-	// construction-only run).
+	// Tree is the pointer-form clock tree. It stays nil while the
+	// construction passes build Arena; MaterializeTree converts exactly
+	// once, right before the first consumer that needs pointer nodes
+	// (arming the evaluator, or finishing a construction-only run).
 	Tree *ctree.Tree
 	// Arena is the SoA form the construction passes build into. Once Tree
-	// has been materialized, Tree is authoritative and construction passes
-	// fall back to it.
+	// has been materialized, Tree is authoritative; ParsePlan rejects plans
+	// that would run a construction pass after that point.
 	Arena *ctree.Arena
 	Obs   *geom.ObstacleSet
 	// Opt is the optimization-pass context around the accurate evaluator.
@@ -92,18 +91,10 @@ func (s *State) Progressf(format string, args ...interface{}) {
 // progress event (emitted by Progressf).
 func IsProgressLine(line string) bool { return strings.HasPrefix(line, ProgressPrefix) }
 
-// BuildInArena reports whether construction passes should build into the
-// SoA arena: the arena path is on (default), and the pointer tree has not
-// been materialized yet (a custom plan that interleaves cascade and
-// construction passes keeps mutating the authoritative representation).
-func (s *State) BuildInArena() bool {
-	return !s.Opts.PointerBuild && s.Tree == nil
-}
-
 // MaterializeTree converts the arena-built tree to pointer form exactly
 // once: the arena's span arrays are compacted (dropping construction
 // garbage) and ToTree rebuilds the node graph. A no-op when the tree
-// already exists or construction ran on the pointer path.
+// already exists or no construction pass ran.
 func (s *State) MaterializeTree() error {
 	if s.Tree != nil || s.Arena == nil {
 		return nil

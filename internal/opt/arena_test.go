@@ -23,7 +23,10 @@ func TestTrunkArenaMatchesPointer(t *testing.T) {
 		}
 		// A far-away source gives the long boundary-to-center trunk the
 		// helper exists for.
-		tr := dme.BuildZST(tk, geom.Pt(0, 0), sinks, dme.Options{})
+		tr, err := dme.BuildZSTArena(tk, geom.Pt(0, 0), sinks, dme.Options{}).ToTree()
+		if err != nil {
+			t.Fatal(err)
+		}
 		a := ctree.FromTree(tr)
 		want := Trunk(tr)
 		got := TrunkArena(a)

@@ -28,13 +28,17 @@ func smallNetwork(t *testing.T) (*Context, *tech.Tech) {
 		{Loc: geom.Pt(4100, 400), Cap: 30, Name: "e"},
 		{Loc: geom.Pt(2500, 2000), Cap: 30, Name: "f"},
 	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 2000), sinks, dme.Options{})
-	tr.SourceR = 0.1
+	a := dme.BuildZSTArena(tk, geom.Pt(0, 2000), sinks, dme.Options{})
+	a.SourceR = 0.1
 	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
-	if _, err := buffering.BalancedInsert(tr, comp, buffering.Options{}); err != nil {
+	if _, err := buffering.BalancedInsertArena(a, comp, buffering.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	buffering.CorrectPolarity(tr, comp, nil)
+	buffering.CorrectPolarityArena(a, comp, nil)
+	tr, err := a.ToTree()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Imbalance: snake one sink edge hard.
 	tr.AddSnake(tr.Sinks()[0], 1500)
 	cx := &Context{Tree: tr, Eng: spice.New(), CapLimit: 1e9, MaxRounds: 6}

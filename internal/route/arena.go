@@ -8,15 +8,9 @@ import (
 	"contango/internal/geom"
 )
 
-// Arena-native legalization: LegalizeArena mirrors Legalize pass for pass on
-// ctree.Arena slot indices — the same L-flip selection, the same compound
-// capture analysis and contour detours, the same maze reroutes, applied in
-// the same traversal order — so a legalized arena round-trips ToTree
-// bit-identical to the pointer-legalized tree.
-
 // LegalizeArena repairs all obstacle violations in the arena. It mutates the
-// arena and returns a report identical to what Legalize would produce on the
-// equivalent pointer tree.
+// arena and returns a report. The die rectangle bounds detour contours and
+// the maze.
 func LegalizeArena(a *ctree.Arena, obs *geom.ObstacleSet, die geom.Rect, opt Options) (*Report, error) {
 	rep := &Report{}
 	if obs == nil || obs.Len() == 0 {
@@ -98,7 +92,9 @@ func LegalizeArena(a *ctree.Arena, obs *geom.ObstacleSet, die geom.Rect, opt Opt
 	return rep, a.Validate()
 }
 
-// CheckLegalArena is CheckLegal on an arena, returning offending slots.
+// CheckLegalArena reports slots whose edges still cross obstacles while
+// carrying more downstream load than a single buffer can safely drive. An
+// empty slice means the tree is buffering-legal.
 func CheckLegalArena(a *ctree.Arena, obs *geom.ObstacleSet, safeCap float64) []int32 {
 	var bad []int32
 	if obs == nil {
@@ -115,7 +111,9 @@ func CheckLegalArena(a *ctree.Arena, obs *geom.ObstacleSet, safeCap float64) []i
 	return bad
 }
 
-// detourCompoundArena mirrors detourCompound on slot indices.
+// detourCompoundArena implements the paper's Step 2/3 for one compound
+// obstacle: find subtrees captured inside it, keep the ones a single buffer
+// can drive, and rebuild the rest along the compound's contour ring.
 func detourCompoundArena(a *ctree.Arena, obs *geom.ObstacleSet, ci int, die geom.Rect,
 	maze *geom.Maze, opt Options, rep *Report) error {
 
@@ -129,6 +127,8 @@ func detourCompoundArena(a *ctree.Arena, obs *geom.ObstacleSet, ci int, die geom
 		}
 	})
 	for _, top := range tops {
+		// The whole enclosed subtree may be fine if one buffer placed just
+		// before the obstacle can drive it (paper Step 2).
 		if a.LoadCap(top) <= opt.SafeCap {
 			continue
 		}
@@ -140,16 +140,16 @@ func detourCompoundArena(a *ctree.Arena, obs *geom.ObstacleSet, ci int, die geom
 	return nil
 }
 
-// aRingProj is ringProj with a slot-index subtree root.
+// aRingProj is an attachment on the contour ring.
 type aRingProj struct {
 	pt     geom.Point
-	s      float64
-	node   int32
+	s      float64 // arc-length parameter along the ring
+	node   int32   // the outside subtree root (or captured sink) to hang here
 	isSink bool
 }
 
-// detourSubtreeArena mirrors detourSubtree: rebuild the captured subtree
-// rooted at top along the compound's contour ring.
+// detourSubtreeArena rebuilds the captured subtree rooted at top along the
+// compound's contour ring.
 func detourSubtreeArena(a *ctree.Arena, obs *geom.ObstacleSet, ci int, top int32,
 	die geom.Rect, maze *geom.Maze) error {
 
@@ -206,9 +206,11 @@ func detourSubtreeArena(a *ctree.Arena, obs *geom.ObstacleSet, ci int, top int32
 	}
 	sort.Slice(projs, func(i, j int) bool { return rel(projs[i].s) < rel(projs[j].s) })
 
-	// Choose the ring arc to remove, minimizing the longest
-	// source-to-attachment contour distance (same cost model as the pointer
-	// path).
+	// Choose the ring arc to remove: between consecutive attachments
+	// (including the entry boundary gaps), minimizing the longest
+	// source-to-attachment contour distance max(δ_k, perim − δ_{k+1}).
+	// Cutting before the first attachment serves everyone counter-clockwise;
+	// cutting after the last serves everyone clockwise.
 	bestCut, bestCost := 0, math.Inf(1)
 	m := len(projs)
 	for k := 0; k <= m; k++ {
@@ -278,7 +280,8 @@ func detourSubtreeArena(a *ctree.Arena, obs *geom.ObstacleSet, ci int, top int32
 	return nil
 }
 
-// widthOfArena mirrors widthOf on slots.
+// widthOfArena picks the wire index of the first re-attached subtree so the
+// detour does not bottleneck it; defaults to 0.
 func widthOfArena(a *ctree.Arena, exits, sinks []int32) int {
 	for _, n := range exits {
 		return int(a.WidthIdx[n])

@@ -11,41 +11,25 @@ import (
 	"contango/internal/tech"
 )
 
-// legalizeBoth runs the pointer legalizer on tr and the arena legalizer on a
-// flattened copy, then checks both reports and trees agree exactly.
-func legalizeBoth(t *testing.T, name string, tr *ctree.Tree, obs *geom.ObstacleSet, die geom.Rect, opt Options) {
+// legalizeGolden legalizes tr's arena form and compares the result, the
+// report and the remaining heavy-crossing count against the digest in
+// testdata/legalize.golden. The digests were recorded while the pointer
+// legalizer still existed and produced the identical trees.
+func legalizeGolden(t *testing.T, name string, tr *ctree.Tree, obs *geom.ObstacleSet, die geom.Rect, opt Options) {
 	t.Helper()
-	a := ctree.FromTree(tr)
-	want, err := Legalize(tr, obs, die, opt)
-	if err != nil {
+	a, back, rep := legalize(t, tr, obs, die, opt)
+	if err := back.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	got, err := LegalizeArena(a, obs, die, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *want != *got {
-		t.Fatalf("report %v != %v", got, want)
-	}
-	back, err := a.ToTree()
-	if err != nil {
-		t.Fatalf("ToTree: %v", err)
-	}
-	if err := ctree.Equal(tr, back); err != nil {
-		t.Fatal(err)
-	}
-	if len(CheckLegal(tr, obs, opt.SafeCap)) != len(CheckLegalArena(a, obs, opt.SafeCap)) {
-		t.Fatal("CheckLegal disagreement between representations")
 	}
 	ctreetest.RequireAMD64(t)
 	ctreetest.Check(t, ctreetest.Golden(t, "testdata/legalize.golden"), name,
-		ctreetest.Digest(back, got, len(CheckLegalArena(a, obs, opt.SafeCap))))
+		ctreetest.Digest(back, rep, len(CheckLegalArena(a, obs, opt.SafeCap))))
 }
 
 func TestLegalizeArenaMatchesPointerDetour(t *testing.T) {
 	tk := tech.Default45()
 	tr, obs, die := buildEnclosedScenario(tk)
-	legalizeBoth(t, "detour", tr, obs, die, Options{SafeCap: 300})
+	legalizeGolden(t, "detour", tr, obs, die, Options{SafeCap: 300})
 }
 
 func TestLegalizeArenaMatchesPointerCapturedSink(t *testing.T) {
@@ -59,7 +43,7 @@ func TestLegalizeArenaMatchesPointerCapturedSink(t *testing.T) {
 	for k := 0; k < 20; k++ {
 		tr.AddSink(c, geom.Pt(3000+float64(20*k), 2100), 50, "")
 	}
-	legalizeBoth(t, "captured-sink", tr, obs, die, Options{SafeCap: 400})
+	legalizeGolden(t, "captured-sink", tr, obs, die, Options{SafeCap: 400})
 }
 
 func TestLegalizeArenaMatchesPointerOnDMETree(t *testing.T) {
@@ -79,8 +63,11 @@ func TestLegalizeArenaMatchesPointerOnDMETree(t *testing.T) {
 		}
 		sinks = append(sinks, dme.Sink{Loc: p, Cap: 20 + rng.Float64()*30})
 	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 4000), sinks, dme.Options{})
-	legalizeBoth(t, "dme-tree", tr, obs, die, Options{SafeCap: tk.SlewSafeCap})
+	tr, err := dme.BuildZSTArena(tk, geom.Pt(0, 4000), sinks, dme.Options{}).ToTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	legalizeGolden(t, "dme-tree", tr, obs, die, Options{SafeCap: tk.SlewSafeCap})
 }
 
 func TestLegalizeArenaNoObstaclesIsNoop(t *testing.T) {

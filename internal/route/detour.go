@@ -4,190 +4,8 @@ import (
 	"math"
 	"sort"
 
-	"contango/internal/ctree"
 	"contango/internal/geom"
 )
-
-// detourCompound implements the paper's Step 2/3 for one compound obstacle:
-// find subtrees captured inside it, keep the ones a single buffer can drive,
-// and rebuild the rest along the compound's contour ring.
-func detourCompound(tr *ctree.Tree, obs *geom.ObstacleSet, ci int, die geom.Rect,
-	maze *geom.Maze, opt Options, rep *Report) error {
-
-	captured := func(n *ctree.Node) bool { return obs.CompoundAt(n.Loc) == ci }
-
-	// Topmost captured nodes: captured with a non-captured parent.
-	var tops []*ctree.Node
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Parent != nil && captured(n) && !captured(n.Parent) {
-			tops = append(tops, n)
-		}
-	})
-	for _, top := range tops {
-		// The whole enclosed subtree may be fine if one buffer placed just
-		// before the obstacle can drive it (paper Step 2).
-		if tr.LoadCap(top) <= opt.SafeCap {
-			continue
-		}
-		if err := detourSubtree(tr, obs, ci, top, die, maze); err != nil {
-			return err
-		}
-		rep.Detours++
-	}
-	return nil
-}
-
-// ringProj is an attachment on the contour ring.
-type ringProj struct {
-	pt     geom.Point
-	s      float64     // arc-length parameter along the ring
-	node   *ctree.Node // the outside subtree root (or captured sink) to hang here
-	isSink bool
-}
-
-// detourSubtree rebuilds the captured subtree rooted at top along the
-// compound's contour.
-func detourSubtree(tr *ctree.Tree, obs *geom.ObstacleSet, ci int, top *ctree.Node,
-	die geom.Rect, maze *geom.Maze) error {
-
-	captured := func(n *ctree.Node) bool { return obs.CompoundAt(n.Loc) == ci }
-	parent := top.Parent
-	ring := geom.ClipRing(obs.Contour(ci), die)
-	perim := ring.Length()
-
-	// Collect exits (outside subtrees fed through the captured region) and
-	// captured sinks.
-	var exits []*ctree.Node
-	var inSinks []*ctree.Node
-	var walk func(n *ctree.Node)
-	walk = func(n *ctree.Node) {
-		if !captured(n) {
-			exits = append(exits, n)
-			return
-		}
-		if n.Kind == ctree.Sink {
-			inSinks = append(inSinks, n)
-			return
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(top)
-
-	// Entry: the ring point nearest the outside parent.
-	entryPt, entryS := projectOntoRing(ring, parent.Loc)
-
-	var projs []ringProj
-	for _, v := range exits {
-		pt, s := projectOntoRing(ring, v.Loc)
-		projs = append(projs, ringProj{pt: pt, s: s, node: v})
-	}
-	for _, v := range inSinks {
-		pt, s := projectOntoRing(ring, v.Loc)
-		projs = append(projs, ringProj{pt: pt, s: s, node: v, isSink: true})
-	}
-	if len(projs) == 0 {
-		// Nothing hangs off the captured region; just delete it.
-		tr.DeleteSubtree(top)
-		return nil
-	}
-
-	// Positions relative to the entry, in (0, perim].
-	rel := func(s float64) float64 {
-		d := math.Mod(s-entryS+perim, perim)
-		if d == 0 {
-			d = perim // coincident with entry: treat as a full loop away
-		}
-		return d
-	}
-	sort.Slice(projs, func(i, j int) bool { return rel(projs[i].s) < rel(projs[j].s) })
-
-	// Choose the ring arc to remove: between consecutive attachments
-	// (including the entry boundary gaps), minimizing the longest
-	// source-to-attachment contour distance max(δ_k, perim − δ_{k+1}).
-	// Cutting before the first attachment serves everyone counter-clockwise;
-	// cutting after the last serves everyone clockwise.
-	bestCut, bestCost := 0, math.Inf(1)
-	m := len(projs)
-	for k := 0; k <= m; k++ {
-		var cost float64
-		switch k {
-		case 0:
-			cost = perim - rel(projs[0].s)
-		case m:
-			cost = rel(projs[m-1].s)
-		default:
-			cost = math.Max(rel(projs[k-1].s), perim-rel(projs[k].s))
-		}
-		if cost < bestCost {
-			bestCut, bestCost = k, cost
-		}
-	}
-
-	// Detach outside subtrees, then discard the captured region.
-	for _, v := range exits {
-		tr.Detach(v)
-	}
-	for _, v := range inSinks {
-		tr.Detach(v)
-	}
-	tr.DeleteSubtree(top)
-
-	// Entry node on the ring, fed from the outside parent (maze-routed so
-	// the feed itself cannot cross the compound).
-	entry := tr.AddChild(parent, ctree.Internal, entryPt)
-	entry.WidthIdx = widthOf(exits, inSinks)
-	if feed, err := maze.Route(parent.Loc, entryPt); err == nil && !crossesAny(obs, feed) {
-		entry.Route = feed
-	}
-
-	// Clockwise chain: attachments before the cut, in increasing δ.
-	attach := func(prev *ctree.Node, pr ringProj, arc geom.Polyline) *ctree.Node {
-		n := tr.AddChild(prev, ctree.Internal, pr.pt)
-		n.WidthIdx = entry.WidthIdx
-		n.Route = arc
-		sub := pr.node
-		hop := geom.LShape(n.Loc, sub.Loc)[0]
-		// Captured sinks legitimately receive wire over the obstacle; for
-		// outside subtrees prefer a hop that stays clear.
-		if !pr.isSink && crossesAny(obs, hop) {
-			if alt := geom.LShape(n.Loc, sub.Loc)[1]; !crossesAny(obs, alt) {
-				hop = alt
-			} else if m, err := maze.Route(n.Loc, sub.Loc); err == nil {
-				hop = m
-			}
-		}
-		tr.Attach(sub, n, hop)
-		return n
-	}
-	prev, prevS := entry, entryS
-	for k := 0; k < bestCut; k++ {
-		arc := ringArc(ring, prevS, projs[k].s)
-		prev = attach(prev, projs[k], arc)
-		prevS = projs[k].s
-	}
-	// Counter-clockwise chain: attachments after the cut, in decreasing δ.
-	prev, prevS = entry, entryS
-	for k := m - 1; k >= bestCut; k-- {
-		arc := ringArc(ring, projs[k].s, prevS).Reverse()
-		prev = attach(prev, projs[k], arc)
-		prevS = projs[k].s
-	}
-	return nil
-}
-
-// widthOf picks the widest wire index used by the re-attached subtrees so
-// the detour does not bottleneck them; defaults to 0.
-func widthOf(exits, sinks []*ctree.Node) int {
-	for _, n := range exits {
-		return n.WidthIdx
-	}
-	for _, n := range sinks {
-		return n.WidthIdx
-	}
-	return 0
-}
 
 // projectOntoRing returns the closest point on the ring to p and its
 // arc-length parameter.

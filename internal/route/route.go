@@ -19,9 +19,7 @@ package route
 
 import (
 	"fmt"
-	"math"
 
-	"contango/internal/ctree"
 	"contango/internal/geom"
 )
 
@@ -40,8 +38,7 @@ type Options struct {
 	// slots (ECO mode passes the dirty subtrees of a delta application, so
 	// an incremental run never re-touches the legalized remainder of the
 	// tree). Nodes outside the scope keep their routes verbatim; the
-	// remaining-crossing count still reflects the whole tree. Only the
-	// arena path honors it — pointer-tree Legalize always runs whole-tree.
+	// remaining-crossing count still reflects the whole tree.
 	Scope map[int32]bool
 }
 
@@ -62,88 +59,6 @@ func (r Report) String() string {
 		r.LFlips, r.Reroutes, r.Detours, r.Crossing)
 }
 
-// Legalize repairs all obstacle violations in tr. It mutates the tree and
-// returns a report. The die rectangle bounds detour contours and the maze.
-func Legalize(tr *ctree.Tree, obs *geom.ObstacleSet, die geom.Rect, opt Options) (*Report, error) {
-	rep := &Report{}
-	if obs == nil || obs.Len() == 0 {
-		return rep, nil
-	}
-	if opt.MaxPasses == 0 {
-		opt.MaxPasses = 3
-	}
-	if opt.MazeStep == 0 {
-		opt.MazeStep = math.Max(die.W(), die.H()) / 256
-	}
-	maze := geom.NewMaze(die, opt.MazeStep, obs)
-
-	// Pass 1: cheap L-shape flips everywhere.
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Parent == nil || len(n.Route) > 3 {
-			return // only direct connections have a free alternate L
-		}
-		if !crossesAny(obs, n.Route) {
-			return
-		}
-		alt := geom.LShape(n.Parent.Loc, n.Loc)
-		best, bestOv := n.Route, overlap(obs, n.Route)
-		for _, cand := range alt {
-			if ov := overlap(obs, cand); ov < bestOv {
-				best, bestOv = cand, ov
-			}
-		}
-		if ov0 := overlap(obs, n.Route); bestOv < ov0 {
-			n.Route = best
-			rep.LFlips++
-		}
-	})
-
-	// Pass 2: per-compound capture analysis and detouring.
-	for ci := range obs.Compounds {
-		if err := detourCompound(tr, obs, ci, die, maze, opt, rep); err != nil {
-			return rep, err
-		}
-	}
-
-	// Pass 3: heavy point-to-point crossings -> maze reroute. Repeat a few
-	// times since a reroute can graze another obstacle.
-	for pass := 0; pass < opt.MaxPasses; pass++ {
-		changed := false
-		var bad []*ctree.Node
-		tr.PreOrder(func(n *ctree.Node) {
-			if n.Parent == nil || !crossesAny(obs, n.Route) {
-				return
-			}
-			if tr.LoadCap(n) > opt.SafeCap {
-				bad = append(bad, n)
-			}
-		})
-		for _, n := range bad {
-			pl, err := maze.Route(n.Parent.Loc, n.Loc)
-			if err != nil {
-				continue // unroutable: leave the crossing; flow will buffer before it
-			}
-			if crossesAny(obs, pl) {
-				continue
-			}
-			n.Route = pl
-			rep.Reroutes++
-			changed = true
-		}
-		if !changed {
-			break
-		}
-	}
-
-	// Count the crossings we deliberately left (slew-safe).
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Parent != nil && crossesAny(obs, n.Route) {
-			rep.Crossing++
-		}
-	})
-	return rep, tr.Validate()
-}
-
 func crossesAny(obs *geom.ObstacleSet, pl geom.Polyline) bool {
 	for i := 1; i < len(pl); i++ {
 		if obs.SegmentCrossesAny(pl[i-1], pl[i]) {
@@ -159,23 +74,4 @@ func overlap(obs *geom.ObstacleSet, pl geom.Polyline) float64 {
 		total += pl.OverlapWithRect(obs.Obstacles[i].Rect)
 	}
 	return total
-}
-
-// CheckLegal reports edges that still cross obstacles while carrying more
-// downstream load than a single buffer can safely drive. An empty slice
-// means the tree is buffering-legal.
-func CheckLegal(tr *ctree.Tree, obs *geom.ObstacleSet, safeCap float64) []*ctree.Node {
-	var bad []*ctree.Node
-	if obs == nil {
-		return nil
-	}
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Parent == nil {
-			return
-		}
-		if crossesAny(obs, n.Route) && tr.LoadCap(n) > safeCap {
-			bad = append(bad, n)
-		}
-	})
-	return bad
 }

@@ -11,6 +11,23 @@ import (
 	"contango/internal/tech"
 )
 
+// legalize runs LegalizeArena on tr's arena form and returns the arena, the
+// legalized tree (node IDs are arena slots, so they carry over) and the
+// report.
+func legalize(t *testing.T, tr *ctree.Tree, obs *geom.ObstacleSet, die geom.Rect, opt Options) (*ctree.Arena, *ctree.Tree, *Report) {
+	t.Helper()
+	a := ctree.FromTree(tr)
+	rep, err := LegalizeArena(a, obs, die, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := a.ToTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, out, rep
+}
+
 func TestLShapeFlipFixesCrossing(t *testing.T) {
 	tk := tech.Default45()
 	die := geom.NewRect(0, 0, 2000, 2000)
@@ -19,14 +36,11 @@ func TestLShapeFlipFixesCrossing(t *testing.T) {
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(400, -100, 600, 150)}})
 	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
 	tr.AddSink(tr.Root, geom.Pt(1000, 800), 35, "s")
-	rep, err := Legalize(tr, obs, die, Options{SafeCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _, rep := legalize(t, tr, obs, die, Options{SafeCap: 1})
 	if rep.LFlips != 1 {
 		t.Errorf("LFlips=%d want 1 (%v)", rep.LFlips, rep)
 	}
-	if len(CheckLegal(tr, obs, 1)) != 0 {
+	if len(CheckLegalArena(a, obs, 1)) != 0 {
 		t.Error("crossing should be gone after flip")
 	}
 }
@@ -38,10 +52,7 @@ func TestSafeCrossingLeftAlone(t *testing.T) {
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(400, -100, 600, 2100)}})
 	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
 	tr.AddSink(tr.Root, geom.Pt(1000, 1000), 35, "s")
-	rep, err := Legalize(tr, obs, die, Options{SafeCap: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, rep := legalize(t, tr, obs, die, Options{SafeCap: 10000})
 	if rep.Reroutes != 0 || rep.Detours != 0 {
 		t.Errorf("small load should not trigger repair: %v", rep)
 	}
@@ -60,14 +71,11 @@ func TestHeavyCrossingRerouted(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tr.AddSink(hub, geom.Pt(1200+float64(20*i), 600), 50, "")
 	}
-	rep, err := Legalize(tr, obs, die, Options{SafeCap: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, tr, rep := legalize(t, tr, obs, die, Options{SafeCap: 200})
 	if rep.Reroutes == 0 {
 		t.Fatalf("heavy crossing should be rerouted: %v", rep)
 	}
-	if bad := CheckLegal(tr, obs, 200); len(bad) != 0 {
+	if bad := CheckLegalArena(a, obs, 200); len(bad) != 0 {
 		t.Errorf("%d heavy crossings remain", len(bad))
 	}
 	if err := tr.Validate(); err != nil {
@@ -99,10 +107,7 @@ func TestContourDetourFigure2(t *testing.T) {
 	tk := tech.Default45()
 	tr, obs, die := buildEnclosedScenario(tk)
 	nSinks := len(tr.Sinks())
-	rep, err := Legalize(tr, obs, die, Options{SafeCap: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, tr, rep := legalize(t, tr, obs, die, Options{SafeCap: 300})
 	if rep.Detours != 1 {
 		t.Fatalf("want 1 detour, got %v", rep)
 	}
@@ -118,7 +123,7 @@ func TestContourDetourFigure2(t *testing.T) {
 			t.Errorf("node %d still inside obstacle at %v", n.ID, n.Loc)
 		}
 	})
-	if bad := CheckLegal(tr, obs, 300); len(bad) != 0 {
+	if bad := CheckLegalArena(a, obs, 300); len(bad) != 0 {
 		t.Errorf("%d heavy crossings remain after detour", len(bad))
 	}
 }
@@ -130,10 +135,7 @@ func TestDetourKeepsSmallEnclosedSubtree(t *testing.T) {
 	tr := ctree.New(tk, geom.Pt(0, 2000), 0.1)
 	hub := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(2000, 2000))
 	tr.AddSink(hub, geom.Pt(2600, 2000), 30, "s")
-	rep, err := Legalize(tr, obs, die, Options{SafeCap: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, rep := legalize(t, tr, obs, die, Options{SafeCap: 5000})
 	if rep.Detours != 0 {
 		t.Errorf("tiny enclosed subtree should be driveable by one buffer: %v", rep)
 	}
@@ -151,10 +153,7 @@ func TestDetourWithCapturedSink(t *testing.T) {
 	for k := 0; k < 20; k++ {
 		tr.AddSink(c, geom.Pt(3000+float64(20*k), 2100), 50, "")
 	}
-	rep, err := Legalize(tr, obs, die, Options{SafeCap: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tr, rep := legalize(t, tr, obs, die, Options{SafeCap: 400})
 	if rep.Detours != 1 {
 		t.Fatalf("expected detour: %v", rep)
 	}
@@ -195,16 +194,20 @@ func TestLegalizeOnDMETreeWithObstacles(t *testing.T) {
 		}
 		sinks = append(sinks, dme.Sink{Loc: p, Cap: 20 + rng.Float64()*30})
 	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 4000), sinks, dme.Options{})
+	a := dme.BuildZSTArena(tk, geom.Pt(0, 4000), sinks, dme.Options{})
 	safe := tk.SlewSafeCap
-	rep, err := Legalize(tr, obs, die, Options{SafeCap: safe})
+	rep, err := LegalizeArena(a, obs, die, Options{SafeCap: safe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := a.ToTree()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if bad := CheckLegal(tr, obs, safe); len(bad) != 0 {
+	if bad := CheckLegalArena(a, obs, safe); len(bad) != 0 {
 		t.Errorf("%d heavy crossings remain (%v)", len(bad), rep)
 	}
 	if got := len(tr.Sinks()); got != 120 {
@@ -265,10 +268,7 @@ func TestNoObstaclesNoOp(t *testing.T) {
 	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
 	tr.AddSink(tr.Root, geom.Pt(100, 100), 35, "s")
 	wl := tr.Wirelength()
-	rep, err := Legalize(tr, geom.NewObstacleSet(nil), geom.NewRect(0, 0, 200, 200), Options{SafeCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tr, rep := legalize(t, tr, geom.NewObstacleSet(nil), geom.NewRect(0, 0, 200, 200), Options{SafeCap: 1})
 	if rep.LFlips+rep.Reroutes+rep.Detours+rep.Crossing != 0 {
 		t.Errorf("no-op expected: %v", rep)
 	}

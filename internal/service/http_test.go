@@ -360,14 +360,20 @@ func TestHTTPCustomPlanWithPassEvents(t *testing.T) {
 
 func TestHTTPInvalidPlanRejected(t *testing.T) {
 	ts, _ := testServer(t, 1)
-	req := SubmitRequest{
-		BenchText: benchText(t, "http-badplan", 0),
-		Options:   OptionsWire{Plan: "cycle(twsz"},
-	}
-	var apiErr apiError
-	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusBadRequest, &apiErr)
-	if !strings.Contains(apiErr.Error, "cycle") {
-		t.Errorf("error %q does not mention the bad spec", apiErr.Error)
+	for _, tc := range []struct{ plan, want string }{
+		{"cycle(twsz", "cycle"},
+		// Construction after the cascade is refused at submit time.
+		{"zst,legalize,buffer,polarity,tbsz,polarity", "polarity"},
+	} {
+		req := SubmitRequest{
+			BenchText: benchText(t, "http-badplan", 0),
+			Options:   OptionsWire{Plan: tc.plan},
+		}
+		var apiErr apiError
+		decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusBadRequest, &apiErr)
+		if !strings.Contains(apiErr.Error, tc.want) {
+			t.Errorf("plan %q: error %q does not mention the bad spec", tc.plan, apiErr.Error)
+		}
 	}
 }
 

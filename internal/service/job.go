@@ -61,8 +61,8 @@ type Job struct {
 	// decides when a result arrives, never what it is.
 	features sched.Features
 	estimate time.Duration
-	// ticket is the job's claim in the packing scheduler's queue (nil
-	// under the fifo scheduler and for cache-hit jobs).
+	// ticket is the job's claim in the packing scheduler's queue (nil for
+	// cache-hit jobs).
 	ticket *sched.Ticket
 
 	svc  *Service

@@ -154,20 +154,10 @@ func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 	reg.GaugeFunc("contango_workers", "Size of the synthesis worker pool.",
 		func() float64 { return float64(s.cfg.Workers) })
 	reg.GaugeFunc("contango_queue_depth", "Jobs waiting for a free worker.",
-		func() float64 {
-			if s.pool != nil {
-				return float64(s.pool.Waiting())
-			}
-			return float64(len(s.queue))
-		})
+		func() float64 { return float64(s.pool.Waiting()) })
 	reg.GaugeFunc("contango_sched_backlog_seconds",
 		"Estimated time for the pack scheduler's queue to drain (0 with a free slot).",
-		func() float64 {
-			if s.pool == nil {
-				return 0
-			}
-			return s.pool.Backlog().Seconds()
-		})
+		func() float64 { return s.pool.Backlog().Seconds() })
 	reg.GaugeFunc("contango_jobs_inflight", "Jobs currently queued or running (in-flight dedup map size).",
 		func() float64 {
 			s.mu.Lock()

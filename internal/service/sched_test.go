@@ -33,15 +33,23 @@ func blockingOpts() (o core.Options, started chan struct{}, release chan struct{
 	return o, started, release
 }
 
-// The tentpole invariant: scheduling decides when a job runs, never what
-// it computes. The same submission must produce bit-identical encoded
-// results under the pack scheduler (with aggressive corner splitting) and
-// the fifo baseline.
-func TestPackFifoBitParity(t *testing.T) {
+// Scheduling decides when a job runs, never what it computes. The same
+// submission must produce bit-identical encoded results through the
+// service with aggressive corner splitting, through the service with
+// splitting off, and through a direct library call.
+func TestPackLibraryBitParity(t *testing.T) {
 	o := fastOpts()
 	o.Corners = "mc:6:1" // wide enough that SplitCorners=2 actually splits
 
-	run := func(cfg Config) []byte {
+	encode := func(res *core.Result) []byte {
+		res.Elapsed = 0 // wall-clock is the one field scheduling may change
+		var buf bytes.Buffer
+		if err := core.EncodeResult(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	viaService := func(cfg Config) []byte {
 		svc := New(cfg)
 		defer svc.Close()
 		j, err := svc.Submit(tinyBench("parity", 0), o)
@@ -52,28 +60,29 @@ func TestPackFifoBitParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Elapsed = 0 // wall-clock is the one field scheduling may change
-		var buf bytes.Buffer
-		if err := core.EncodeResult(&buf, res); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return encode(res)
 	}
 
-	pack := run(Config{Workers: 1, Scheduler: SchedulerPack, SplitCorners: 2})
-	fifo := run(Config{Workers: 1, Scheduler: SchedulerFIFO})
-	if !bytes.Equal(pack, fifo) {
-		t.Fatalf("pack and fifo produced different artifacts (%d vs %d bytes)", len(pack), len(fifo))
+	split := viaService(Config{Workers: 1, SplitCorners: 2})
+	unsplit := viaService(Config{Workers: 1, SplitCorners: -1})
+	res, err := core.Synthesize(tinyBench("parity", 0), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	library := encode(res)
+	if !bytes.Equal(split, unsplit) {
+		t.Fatalf("split and unsplit runs produced different artifacts (%d vs %d bytes)", len(split), len(unsplit))
+	}
+	if !bytes.Equal(split, library) {
+		t.Fatalf("service and library produced different artifacts (%d vs %d bytes)", len(split), len(library))
 	}
 }
 
 // Starvation demo: with one worker, a fast interactive job submitted
 // behind a large Monte Carlo sweep must borrow the slot at a corner-chunk
-// boundary and finish while the sweep is still running. The fifo baseline
-// below shows the contrast: there the interactive job waits out the whole
-// sweep.
+// boundary and finish while the sweep is still running.
 func TestPackInteractiveOvertakesSweep(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack, SplitCorners: 4})
+	svc := New(Config{Workers: 1, SplitCorners: 4})
 	defer svc.Close()
 
 	sweepOpts := fastOpts()
@@ -107,32 +116,8 @@ func TestPackInteractiveOvertakesSweep(t *testing.T) {
 	}
 }
 
-// Fifo control for the demo above: first-in-first-out on one worker means
-// the interactive job cannot start until the sweep is completely done.
-func TestFifoInteractiveWaitsForSweep(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerFIFO})
-	defer svc.Close()
-
-	sweepOpts := fastOpts()
-	sweepOpts.Corners = "mc:24:7"
-	sweep, err := svc.Submit(tinyBench("sweep", 0), sweepOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interactive, err := svc.Submit(tinyBench("interactive", 1), fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := interactive.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if sweep.State() != Done {
-		t.Fatalf("fifo: interactive finished while the sweep was still %s", sweep.State())
-	}
-}
-
 func TestPackAdmissionBacklogError(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack, MaxQueueWait: time.Millisecond})
+	svc := New(Config{Workers: 1, MaxQueueWait: time.Millisecond})
 	o, started, release := blockingOpts()
 	j, err := svc.Submit(tinyBench("hold", 0), o)
 	if err != nil {
@@ -166,7 +151,7 @@ func TestPackAdmissionBacklogError(t *testing.T) {
 }
 
 func TestPackAdmissionQueueFull(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack, QueueDepth: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 1})
 	o, started, release := blockingOpts()
 	j, err := svc.Submit(tinyBench("hold", 0), o)
 	if err != nil {
@@ -189,7 +174,7 @@ func TestPackAdmissionQueueFull(t *testing.T) {
 // Backpressure over HTTP: a submission rejected by the backlog bound is a
 // 429 with a Retry-After hint.
 func TestHTTPBackpressureRetryAfter(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack, MaxQueueWait: time.Millisecond})
+	svc := New(Config{Workers: 1, MaxQueueWait: time.Millisecond})
 	srv := NewServer(svc)
 
 	o, started, release := blockingOpts()
@@ -221,7 +206,7 @@ func TestHTTPBackpressureRetryAfter(t *testing.T) {
 }
 
 func TestDeadlineAccounting(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 
 	// Generous deadline: a hit.
@@ -267,7 +252,7 @@ func TestDeadlineAccounting(t *testing.T) {
 
 // Coalesced identical submissions settle on the earliest deadline.
 func TestCoalesceTightensDeadline(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack})
+	svc := New(Config{Workers: 1})
 	o, started, release := blockingOpts()
 	j1, err := svc.Submit(tinyBench("co", 0), o)
 	if err != nil {
@@ -292,7 +277,7 @@ func TestCoalesceTightensDeadline(t *testing.T) {
 }
 
 func TestQueueInfoPack(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack})
+	svc := New(Config{Workers: 1})
 	o, started, release := blockingOpts()
 	hold, err := svc.Submit(tinyBench("run", 0), o)
 	if err != nil {
@@ -331,7 +316,7 @@ func TestQueueInfoPack(t *testing.T) {
 }
 
 func TestQueueEndpointHTTP(t *testing.T) {
-	svc := New(Config{Workers: 2}) // default scheduler: pack
+	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	srv := NewServer(svc)
 
@@ -346,11 +331,5 @@ func TestQueueEndpointHTTP(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("queue response missing %s:\n%s", want, body)
 		}
-	}
-}
-
-func TestOpenRejectsUnknownScheduler(t *testing.T) {
-	if _, err := Open(Config{Scheduler: "lifo"}); err == nil {
-		t.Fatal("Open accepted an unknown scheduler")
 	}
 }
