@@ -154,7 +154,7 @@ func buildEnclosed(tk *tech.Tech) *ctree.Arena {
 	for _, l := range []geom.Point{{X: 3000, Y: 2000}, {X: 2000, Y: 3000}, {X: 2000, Y: 1000}} {
 		c := a.AddChildL(hub, ctree.Internal, l)
 		for k := 0; k < 8; k++ {
-			a.AddSinkL(c, geom.Pt(l.X+float64(30*k), l.Y+100), 40, "")
+			a.AddSink(c, geom.Pt(l.X+float64(30*k), l.Y+100), 40, "")
 		}
 	}
 	return a

@@ -193,20 +193,6 @@ func TestSlewDetection(t *testing.T) {
 	}
 }
 
-func TestWorstStageTau(t *testing.T) {
-	tk := tech.Default45()
-	tr := singleWire(tk)
-	net := Extract(tr, 100)
-	tau := WorstStageTau(net, fastCorner(tk))
-	if tau <= 0 {
-		t.Fatal("tau must be positive")
-	}
-	el, _ := (&Elmore{}).Evaluate(tr, fastCorner(tk))
-	if math.Abs(tau-el.Rise[tr.Sinks()[0].ID]) > 1e-9 {
-		t.Errorf("single-stage worst tau %v should equal sink Elmore %v", tau, el.Rise[tr.Sinks()[0].ID])
-	}
-}
-
 func TestResultHelpers(t *testing.T) {
 	r := &Result{
 		Rise: map[int]float64{1: 10, 2: 14, 3: 12},

@@ -11,13 +11,12 @@ import (
 // structure of arrays (R, C, Par in parent-before-child order), so the
 // corner dimension vectorizes naturally: one sweep over the topology
 // computes every corner's recurrence, with corner k's values in the
-// contiguous block out[k*n:(k+1)*n]. The loops are phase-ordered exactly
-// like the single-corner kernels (stageElmoreScaled, stageMomentsScaled)
-// and each corner only ever reads and writes its own block, so the
-// floating-point operation sequence per corner is identical to a serial
-// call with that corner's derates — batched results are bit-identical,
-// which is what lets pvt5 and mc:<n> corner sets cost one topology
-// traversal instead of N without perturbing a single cached result.
+// contiguous block out[k*n:(k+1)*n]. Each corner only ever reads and
+// writes its own block, so the floating-point operation sequence per corner
+// is identical to a one-corner call with that corner's derates — results do
+// not depend on which corners share a batch, which is what lets pvt5 and
+// mc:<n> corner sets cost one topology traversal instead of N without
+// perturbing a single cached result.
 
 // kernelScratch pools the transient float vectors of the stage kernels.
 type kernelScratch struct {
@@ -99,28 +98,18 @@ func stageMomentsBatchInto(s *Stage, rd, rs, cs, cdown, b, m1, m2 []float64) {
 
 // StageElmoreMaxAt returns the largest per-node Elmore delay of the stage
 // at the given corner — the time constant the transient engine sizes its
-// integration window from — without retaining the vectors. Scratch comes
-// from the kernel pool, so the call is allocation-free; the arithmetic and
-// the max scan order match StageElmoreAt exactly.
+// integration window from — without retaining the vectors. It runs the
+// batched kernel with one corner on pooled scratch, so the call is
+// allocation-free.
 func StageElmoreMaxAt(s *Stage, rd float64, corner tech.Corner) float64 {
 	n := len(s.R)
 	ks := kernelPool.Get().(*kernelScratch)
 	ks.a = growFloats(ks.a, n)
 	ks.b = growFloats(ks.b, n)
-	cdown, d := ks.a, ks.b
-	cs, rs := corner.CScale(), corner.RScale()
-	for i := 0; i < n; i++ {
-		cdown[i] = s.C[i] * cs
-	}
-	for i := n - 1; i >= 1; i-- {
-		cdown[s.Par[i]] += cdown[i]
-	}
-	d[0] = rd * cdown[0]
-	for i := 1; i < n; i++ {
-		d[i] = d[s.Par[i]] + s.R[i]*rs*cdown[i]
-	}
+	der := [3]float64{rd, corner.RScale(), corner.CScale()}
+	stageElmoreBatchInto(s, der[0:1], der[1:2], der[2:3], ks.a, ks.b)
 	m := 0.0
-	for _, v := range d {
+	for _, v := range ks.b {
 		if v > m {
 			m = v
 		}
@@ -140,9 +129,14 @@ func cornerDerates(net *Net, s *Stage, corners []tech.Corner, rd, rs, cs []float
 
 // EvaluateCorners implements CornerEvaluator for the plain Elmore
 // evaluator: one extraction, then every stage's corners computed by the
-// batched kernel. Results are bit-identical to looping Evaluate.
+// batched kernel.
 func (e *Elmore) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Result, error) {
-	net := Extract(tr, e.MaxSeg)
+	return elmoreCorners(Extract(tr, e.MaxSeg), corners), nil
+}
+
+// elmoreCorners runs the Elmore evaluation of every corner over an
+// extracted netlist.
+func elmoreCorners(net *Net, corners []tech.Corner) []*Result {
 	K := len(corners)
 	limit := net.Tree.Tech.SlewLimit
 	results := make([]*Result, K)
@@ -190,13 +184,18 @@ func (e *Elmore) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Resu
 		}
 	}
 	kernelPool.Put(ks)
-	return results, nil
+	return results
 }
 
 // EvaluateCorners implements CornerEvaluator for the plain TwoPole
 // evaluator with the batched moment kernel.
 func (e *TwoPole) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Result, error) {
-	net := Extract(tr, e.MaxSeg)
+	return twoPoleCorners(Extract(tr, e.MaxSeg), corners), nil
+}
+
+// twoPoleCorners runs the D2M evaluation of every corner over an extracted
+// netlist.
+func twoPoleCorners(net *Net, corners []tech.Corner) []*Result {
 	K := len(corners)
 	limit := net.Tree.Tech.SlewLimit
 	results := make([]*Result, K)
@@ -251,7 +250,7 @@ func (e *TwoPole) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Res
 	}
 	kernelPool.Put(ks)
 	kernelPool.Put(ks2)
-	return results, nil
+	return results
 }
 
 // newResult allocates an empty Result for one corner.

@@ -15,7 +15,7 @@ func TestDerateUnityBitIdentical(t *testing.T) {
 	tr := singleWire(tk)
 	bare := tech.Corner{Name: "fast@1.2V", Vdd: 1.2}
 	unity := tech.Corner{Name: "fast@1.2V", Vdd: 1.2, RDerate: 1, CDerate: 1}
-	for _, ev := range []Evaluator{&Elmore{}, &TwoPole{}, &IncrementalElmore{}, &IncrementalTwoPole{}} {
+	for _, ev := range []Evaluator{&Elmore{}, &TwoPole{}} {
 		a, err := ev.Evaluate(tr, bare)
 		if err != nil {
 			t.Fatal(err)

@@ -74,9 +74,10 @@ func (r *Result) Skew() float64 {
 }
 
 // Evaluator computes sink arrivals for a clock tree at one corner. The flow
-// treats evaluators uniformly: the Elmore and two-pole models guide cheap
-// construction steps, while the spice engine provides the accurate numbers
-// the optimization passes trust (the paper's CNE step).
+// treats evaluators uniformly: Elmore seeds buffer insertion during
+// construction, the spice engine provides the accurate numbers the
+// optimization passes trust (the paper's CNE step), and the two-pole (D2M)
+// model is a closed-form reference for comparing the two.
 type Evaluator interface {
 	Name() string
 	Evaluate(tr *ctree.Tree, corner tech.Corner) (*Result, error)

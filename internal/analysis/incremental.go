@@ -58,9 +58,6 @@ func NewIncrementalNet(tr *ctree.Tree, maxSeg float64) *IncrementalNet {
 	return &IncrementalNet{tree: tr, maxSeg: maxSeg, cache: make(map[int]*Stage)}
 }
 
-// Tree returns the tracked clock tree.
-func (inc *IncrementalNet) Tree() *ctree.Tree { return inc.tree }
-
 // driverKey maps a stage driver to its cache key (-1 for the source stage).
 func driverKey(driver *ctree.Node) int {
 	if driver == nil {

@@ -1,8 +1,8 @@
 package analysis
 
 import (
-	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"contango/internal/ctree"
@@ -143,48 +143,32 @@ func TestIncrementalNetSurvivesRestore(t *testing.T) {
 	netsEqual(t, Extract(tr, 0), inc.Sync())
 }
 
-// resultsClose compares evaluator results field by field within tol.
-func resultsClose(t *testing.T, name string, a, b *Result, tol float64) {
+// modelMatchesFresh requires a closed-form model run on the synced
+// incremental net to give results bit-identical to the same model on a
+// fresh extraction, at every corner of the tree's technology.
+func modelMatchesFresh(t *testing.T, name string, model func(*Net, []tech.Corner) []*Result, tr *ctree.Tree, inc *IncrementalNet) {
 	t.Helper()
-	check := func(what string, ma, mb map[int]float64) {
-		if len(ma) != len(mb) {
-			t.Fatalf("%s: %s size %d vs %d", name, what, len(ma), len(mb))
+	cs := tr.Tech.Corners
+	want := model(Extract(tr, 0), cs)
+	got := model(inc.Sync(), cs)
+	for k := range cs {
+		if !reflect.DeepEqual(want[k], got[k]) {
+			t.Fatalf("%s corner %q: incremental net result differs from fresh extraction", name, cs[k].Name)
 		}
-		for id, v := range ma {
-			if w, ok := mb[id]; !ok || math.Abs(v-w) > tol {
-				t.Fatalf("%s: %s[%d] = %v vs %v", name, what, id, v, w)
-			}
-		}
-	}
-	check("rise", a.Rise, b.Rise)
-	check("fall", a.Fall, b.Fall)
-	check("sinkSlew", a.SinkSlew, b.SinkSlew)
-	check("stageSlew", a.StageSlew, b.StageSlew)
-	if math.Abs(a.MaxSlew-b.MaxSlew) > tol || a.SlewViol != b.SlewViol {
-		t.Fatalf("%s: maxSlew %v/%v viol %d/%d", name, a.MaxSlew, b.MaxSlew, a.SlewViol, b.SlewViol)
 	}
 }
 
-// TestIncrementalElmoreParity: property-style — random moves, incremental
-// vs fresh full evaluation, every corner, within 1e-9 ps.
+// TestIncrementalElmoreParity: property-style — after every random move,
+// Elmore on the synced incremental net equals Elmore on a fresh
+// extraction, bit for bit.
 func TestIncrementalElmoreParity(t *testing.T) {
 	tk := tech.Default45()
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 6; iter++ {
 		tr := randomBufferedTree(rng, tk)
-		inc := &IncrementalElmore{}
+		inc := NewIncrementalNet(tr, 0)
 		for move := 0; move < 20; move++ {
-			for _, c := range tk.Corners {
-				got, err := inc.Evaluate(tr, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := (&Elmore{}).Evaluate(tr, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resultsClose(t, "elmore", want, got, 1e-9)
-			}
+			modelMatchesFresh(t, "elmore", elmoreCorners, tr, inc)
 			randomMove(rng, tr)
 		}
 	}
@@ -196,19 +180,9 @@ func TestIncrementalTwoPoleParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 6; iter++ {
 		tr := randomBufferedTree(rng, tk)
-		inc := &IncrementalTwoPole{}
+		inc := NewIncrementalNet(tr, 0)
 		for move := 0; move < 20; move++ {
-			for _, c := range tk.Corners {
-				got, err := inc.Evaluate(tr, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := (&TwoPole{}).Evaluate(tr, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resultsClose(t, "twopole", want, got, 1e-9)
-			}
+			modelMatchesFresh(t, "twopole", twoPoleCorners, tr, inc)
 			randomMove(rng, tr)
 		}
 	}
@@ -220,25 +194,13 @@ func TestIncrementalElmoreAfterRestore(t *testing.T) {
 	tk := tech.Default45()
 	rng := rand.New(rand.NewSource(11))
 	tr := randomBufferedTree(rng, tk)
-	inc := &IncrementalElmore{}
-	if _, err := inc.Evaluate(tr, tk.Reference()); err != nil {
-		t.Fatal(err)
-	}
+	inc := NewIncrementalNet(tr, 0)
+	modelMatchesFresh(t, "elmore", elmoreCorners, tr, inc)
 	snap := tr.Clone()
 	for i := 0; i < 4; i++ {
 		randomMove(rng, tr)
 	}
-	if _, err := inc.Evaluate(tr, tk.Reference()); err != nil {
-		t.Fatal(err)
-	}
+	modelMatchesFresh(t, "elmore", elmoreCorners, tr, inc)
 	*tr = *snap
-	got, err := inc.Evaluate(tr, tk.Reference())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := (&Elmore{}).Evaluate(tr, tk.Reference())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsClose(t, "elmore-restore", want, got, 1e-9)
+	modelMatchesFresh(t, "elmore", elmoreCorners, tr, inc)
 }

@@ -102,54 +102,6 @@ func TestMonotoneInCapacitance(t *testing.T) {
 	}
 }
 
-// TestOffsetExactAtCalibration: immediately after calibration, the hybrid
-// must reproduce the reference exactly at every sink.
-func TestOffsetExactAtCalibration(t *testing.T) {
-	tk := tech.Default45()
-	rng := rand.New(rand.NewSource(29))
-	tr := randomBufferedTree(rng, tk)
-	ref := &TwoPole{} // any evaluator can play the accurate role
-	off := NewOffset(&Elmore{})
-	refRes, err := off.Calibrate(tr, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci, corner := range tk.Corners {
-		got, err := off.Evaluate(tr, corner)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id, v := range refRes[ci].Rise {
-			if math.Abs(got.Rise[id]-v) > 1e-9 {
-				t.Fatalf("corner %s sink %d: hybrid %v ref %v", corner.Name, id, got.Rise[id], v)
-			}
-		}
-		for id, v := range refRes[ci].SinkSlew {
-			if math.Abs(got.SinkSlew[id]-v) > 1e-9*(1+v) {
-				t.Fatalf("corner %s sink %d slew: hybrid %v ref %v", corner.Name, id, got.SinkSlew[id], v)
-			}
-		}
-	}
-}
-
-// TestOffsetTracksEdits: after calibration, an edit shifts the hybrid in
-// the same direction as the base model.
-func TestOffsetTracksEdits(t *testing.T) {
-	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	s := tr.AddSink(tr.Root, geom.Pt(2000, 0), 35, "s")
-	off := NewOffset(&Elmore{})
-	if _, err := off.Calibrate(tr, &TwoPole{}); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := off.Evaluate(tr, tk.Reference())
-	s.Snake += 800
-	after, _ := off.Evaluate(tr, tk.Reference())
-	if after.Rise[s.ID] <= before.Rise[s.ID] {
-		t.Error("hybrid did not track a slow-down edit")
-	}
-}
-
 // TestStageSlewConsistency: the per-stage slews must cover the network max.
 func TestStageSlewConsistency(t *testing.T) {
 	tk := tech.Default45()

@@ -48,10 +48,10 @@ func randomBench(seed int64, n int) *bench.Benchmark {
 
 // TestArenaDirtyJournalParityRandom: an arena built natively by DME and the
 // arena flattened back from its pointer form (FromTree(ToTree())) must not
-// only agree on content — after an identical randomized mutation burst
-// their dirty journals must be identical too, so downstream incremental
-// consumers see the same invalidation set whichever way the arena was
-// produced.
+// only agree on content — after an identical randomized burst of the
+// structural edits ECO replay makes, their dirty journals must be identical
+// too, so downstream incremental consumers see the same invalidation set
+// whichever way the arena was produced.
 func TestArenaDirtyJournalParityRandom(t *testing.T) {
 	tk := tech.Default45()
 	for _, seed := range []int64{3, 11, 42} {
@@ -75,23 +75,13 @@ func TestArenaDirtyJournalParityRandom(t *testing.T) {
 				continue
 			}
 			switch op := rng.Intn(5); {
-			case op == 0:
-				w := rng.Intn(len(tk.Wires))
-				ptr.SetWidth(i, w)
-				arn.SetWidth(i, w)
-			case op == 1:
-				v := rng.Float64() * 40
-				ptr.SetSnake(i, v)
-				arn.SetSnake(i, v)
-			case op == 2:
-				dv := rng.Float64() * 10
-				ptr.AddSnake(i, dv)
-				arn.AddSnake(i, dv)
-			case op == 3 && ptr.BufN[i] > 0:
-				n := 1 + rng.Intn(4)
-				ptr.SetBufferSize(i, n)
-				arn.SetBufferSize(i, n)
-			case op == 4 && ptr.Parent[i] >= 0 && ptr.EdgeLen(i) > 1:
+			case op == 0 && ptr.Kind[i] != ctree.Sink:
+				loc := geom.Pt(ptr.Loc[i].X+rng.Float64()*200, ptr.Loc[i].Y+rng.Float64()*200)
+				cp := 10 + rng.Float64()*30
+				if pn, an := ptr.AddSink(i, loc, cp, ""), arn.AddSink(i, loc, cp, ""); pn != an {
+					t.Fatalf("seed %d: AddSink slot ids diverge: %d vs %d", seed, pn, an)
+				}
+			case op == 1 && ptr.Parent[i] >= 0 && ptr.EdgeLen(i) > 1:
 				d := rng.Float64() * ptr.EdgeLen(i)
 				pn := ptr.InsertOnEdge(i, d, ctree.Buffer)
 				an := arn.InsertOnEdge(i, d, ctree.Buffer)
@@ -100,6 +90,24 @@ func TestArenaDirtyJournalParityRandom(t *testing.T) {
 				}
 				ptr.SetBuf(pn, comp)
 				arn.SetBuf(an, comp)
+			case op == 2 && ptr.Parent[i] >= 0 && ptr.ChildLen[i] == 1 &&
+				(ptr.Kind[i] == ctree.Internal || ptr.Kind[i] == ctree.Buffer):
+				ptr.RemoveDegree2(i)
+				arn.RemoveDegree2(i)
+			case op == 3 && ptr.Kind[i] == ctree.Sink:
+				ptr.DeleteSubtree(i)
+				arn.DeleteSubtree(i)
+			case op == 4 && ptr.Kind[i] == ctree.Sink:
+				// Re-home the sink under the parent of a random live slot.
+				j := int32(rng.Intn(ptr.Len()))
+				if !ptr.Alive.Test(int(j)) || ptr.Parent[j] < 0 || j == i {
+					continue
+				}
+				p := ptr.Parent[j]
+				ptr.Detach(i)
+				arn.Detach(i)
+				ptr.Attach(i, p, nil)
+				arn.Attach(i, p, nil)
 			}
 		}
 		if !reflect.DeepEqual(ptr.DirtyIDs(), arn.DirtyIDs()) {

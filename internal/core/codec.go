@@ -121,43 +121,40 @@ func EncodeResult(w io.Writer, r *Result) error {
 	return nil
 }
 
-// encodeTree flattens the tree through the arena (SoA) form and serializes
-// slot by slot. FromTree maps node ID i to slot i and preserves child order
-// and routes exactly, so the envelope — Parent IDs, explicit child order,
-// null entries for dead IDs — is byte-identical to what a direct pointer
-// walk would produce; the codec tests pin that equivalence.
+// encodeTree serializes the tree node by node, dense by ID: Parent IDs,
+// explicit child order, and null entries for dead IDs.
 func encodeTree(tr *ctree.Tree) *treeEnvelope {
-	a := ctree.FromTree(tr)
 	env := &treeEnvelope{
-		SourceR: a.SourceR,
-		Tech:    a.Tech,
-		Nodes:   make([]*nodeEnvelope, a.Len()),
+		SourceR: tr.SourceR,
+		Tech:    tr.Tech,
+		Nodes:   make([]*nodeEnvelope, tr.MaxID()),
 	}
-	for id := 0; id < a.Len(); id++ {
-		if !a.Alive.Test(id) {
+	for id := range env.Nodes {
+		n := tr.Node(id)
+		if n == nil {
 			continue
 		}
-		i := int32(id)
 		ne := &nodeEnvelope{
-			Kind:     uint8(a.Kind[i]),
-			Loc:      a.Loc[i],
-			Parent:   int(a.Parent[i]),
-			Route:    a.Route(i),
-			WidthIdx: int(a.WidthIdx[i]),
-			Snake:    a.Snake[i],
-			SinkCap:  a.SinkCap[i],
-			Name:     a.Name[i],
+			Kind:     uint8(n.Kind),
+			Loc:      n.Loc,
+			Parent:   -1,
+			Route:    n.Route,
+			WidthIdx: n.WidthIdx,
+			Snake:    n.Snake,
+			Buf:      n.Buf,
+			SinkCap:  n.SinkCap,
+			Name:     n.Name,
 		}
-		if a.BufN[i] > 0 {
-			ne.Buf = &tech.Composite{Type: a.BufType[i], N: int(a.BufN[i])}
+		if n.Parent != nil {
+			ne.Parent = n.Parent.ID
 		}
-		if kids := a.Children(i); len(kids) > 0 {
+		if len(n.Children) > 0 {
 			// Child order is semantic (traversal and evaluation order):
 			// persist it explicitly rather than deriving it from parent
 			// links.
-			ne.Children = make([]int, len(kids))
-			for j, c := range kids {
-				ne.Children[j] = int(c)
+			ne.Children = make([]int, len(n.Children))
+			for j, c := range n.Children {
+				ne.Children[j] = c.ID
 			}
 		}
 		env.Nodes[id] = ne

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -114,10 +115,17 @@ func TestDecodeResultRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	env := buf.String()
+	bufN := regexp.MustCompile(`"N":[0-9]+`).FindStringIndex(env)
+	if bufN == nil || !strings.Contains(env, `"kind":1`) {
+		t.Fatal("fixture lacks a buffer or an internal node to damage")
+	}
 	cases := map[string]string{
-		"not json":        "{broken",
-		"wrong version":   strings.Replace(buf.String(), `"version":1`, `"version":99`, 1),
-		"dangling parent": strings.Replace(buf.String(), `"parent":0`, `"parent":99999`, 1),
+		"not json":           "{broken",
+		"wrong version":      strings.Replace(env, `"version":1`, `"version":99`, 1),
+		"dangling parent":    strings.Replace(env, `"parent":0`, `"parent":99999`, 1),
+		"buffer no inverter": env[:bufN[0]] + `"N":0` + env[bufN[1]:],
+		"unknown kind":       strings.Replace(env, `"kind":1`, `"kind":9`, 1),
 	}
 	for name, text := range cases {
 		if _, err := DecodeResult(strings.NewReader(text)); err == nil {

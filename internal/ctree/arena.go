@@ -19,14 +19,16 @@ import (
 // nil entries in its dense node table.
 //
 // The pointer tree's mutation journal (dirty.go) becomes a dirty-index
-// bitmap here: every journaling mutator sets the touched slot's bit in
-// Dirty, and the setter no-op conditions match the pointer tree's exactly,
-// so a mutation sequence mirrored onto both representations marks the
-// identical node set (the property test in arena_prop_test.go pins this).
+// bitmap here: every structural mutator sets the touched slots' bits in
+// Dirty, marking the same node set the pointer tree journals for the
+// mirrored operation (the property tests in arena_property_test.go pin
+// this).
 //
-// Construction (DME, routing, buffer insertion) stays pointer-based;
-// analysis-side consumers and the result codec move between the two forms
-// with the lossless FromTree/ToTree converters.
+// Construction (DME, legalization, buffer insertion, polarity) and ECO
+// delta replay build and edit the arena; extraction, the transient engine
+// and the optimization passes run on the pointer tree, which ToTree
+// materializes once construction is done. FromTree is the way back, for an
+// ECO restore of a decoded tree.
 type Arena struct {
 	Tech    *tech.Tech
 	SourceR float64
@@ -161,62 +163,13 @@ func (a *Arena) appendChild(i, c int32) {
 	a.ChildLen[i]++
 }
 
-// --- Journaling setters (mirror dirty.go exactly, including the no-op
-// conditions, so dirty sets stay identical between representations) ---
-
-// SetWidth changes the wire type of slot i's parent edge.
-func (a *Arena) SetWidth(i int32, idx int) {
-	if a.WidthIdx[i] == int32(idx) {
-		return
-	}
-	a.WidthIdx[i] = int32(idx)
-	a.touch(i)
-}
-
-// SetSnake sets the serpentine allowance (µm) of slot i's parent edge.
-func (a *Arena) SetSnake(i int32, v float64) {
-	if a.Snake[i] == v {
-		return
-	}
-	a.Snake[i] = v
-	a.touch(i)
-}
-
-// AddSnake adds dv µm of serpentine allowance to slot i's parent edge.
-func (a *Arena) AddSnake(i int32, dv float64) {
-	if dv == 0 {
-		return
-	}
-	a.Snake[i] += dv
-	a.touch(i)
-}
-
-// SetBufferSize changes the parallel-inverter count of a buffer slot.
-func (a *Arena) SetBufferSize(i int32, count int) {
-	if a.BufN[i] == 0 || a.BufN[i] == int32(count) {
-		return
-	}
-	a.BufN[i] = int32(count)
-	a.touch(i)
-}
-
 // --- Structural mutators (same geometry arithmetic as the Tree methods,
 // so mirrored edits produce bit-identical routes and snakes) ---
 
-// AddChild creates a node of the given kind under parent at loc with a
-// direct L-shaped route and the default wire width.
-func (a *Arena) AddChild(parent int32, kind Kind, loc geom.Point) int32 {
-	n := a.newSlot(kind, loc)
-	a.Parent[n] = parent
-	a.setRoute(n, geom.LShape(a.Loc[parent], loc)[0])
-	a.appendChild(parent, n)
-	a.touch(n)
-	return n
-}
-
-// AddSink creates a sink node under parent.
+// AddSink creates a sink node under parent with a direct L-shaped route
+// and the default wire width.
 func (a *Arena) AddSink(parent int32, loc geom.Point, cap float64, name string) int32 {
-	n := a.AddChild(parent, Sink, loc)
+	n := a.AddChildL(parent, Sink, loc)
 	a.SinkCap[n] = cap
 	a.Name[n] = name
 	return n
@@ -262,42 +215,6 @@ func (a *Arena) InsertOnEdge(n int32, d float64, kind Kind) int32 {
 	a.touch(mid)
 	a.touch(n)
 	return mid
-}
-
-// SlideDegree2 moves a one-child node to a new position along its combined
-// parent+child corridor, preserving total length and snaking.
-func (a *Arena) SlideDegree2(n int32, newDist float64) {
-	if a.Parent[n] < 0 || a.ChildLen[n] != 1 {
-		panic("ctree: SlideDegree2 needs a non-root node with one child")
-	}
-	child := a.Children(n)[0]
-	joined := append(append(geom.Polyline(nil), a.Route(n)...), a.Route(child)...)
-	joined = joined.Simplify()
-	if len(joined) < 2 {
-		// A fully zero-length corridor collapses to one point under
-		// Simplify; keep the 2-point route invariant.
-		joined = geom.Polyline{a.Loc[a.Parent[n]], a.Loc[child]}
-	}
-	totalSnake := a.Snake[n] + a.Snake[child]
-	total := joined.Length()
-	if newDist < 0 {
-		newDist = 0
-	}
-	if newDist > total {
-		newDist = total
-	}
-	upper, lower := joined.Split(newDist)
-	a.setRoute(n, upper)
-	a.Loc[n] = upper[len(upper)-1]
-	a.setRoute(child, lower)
-	if total > 0 {
-		a.Snake[n] = totalSnake * newDist / total
-	} else {
-		a.Snake[n] = 0
-	}
-	a.Snake[child] = totalSnake - a.Snake[n]
-	a.touch(n)
-	a.touch(child)
 }
 
 // RemoveDegree2 splices out an Internal or Buffer slot with exactly one

@@ -11,11 +11,11 @@ import (
 	"contango/internal/tech"
 )
 
-// The arena is only trustworthy if an arbitrary interleaving of journaling
-// setters and structural surgery leaves it indistinguishable from the
-// pointer tree: same reconstructed tree, same dirty set, bit-identical
-// evaluation results. This property test drives both representations with
-// mirrored random mutation sequences and checks all three.
+// The arena is only trustworthy if an arbitrary interleaving of structural
+// surgery leaves it indistinguishable from the pointer tree: same
+// reconstructed tree, same dirty set, bit-identical evaluation results.
+// This property test drives both representations with mirrored random
+// mutation sequences and checks all three.
 
 // propFixture seeds a tree with enough structure that every op class has
 // candidates: a buffer chain, branch points, and a handful of sinks.
@@ -66,7 +66,7 @@ func inSubtree(n, target *ctree.Node) bool {
 
 // mutateBoth applies one random mutation to the tree and mirrors it on the
 // arena; it returns false when the drawn op class had no candidate.
-func mutateBoth(rng *rand.Rand, tr *ctree.Tree, a *ctree.Arena, tk *tech.Tech) bool {
+func mutateBoth(rng *rand.Rand, tr *ctree.Tree, a *ctree.Arena) bool {
 	pick := func(ids []int) (int, bool) {
 		if len(ids) == 0 {
 			return 0, false
@@ -74,40 +74,19 @@ func mutateBoth(rng *rand.Rand, tr *ctree.Tree, a *ctree.Arena, tk *tech.Tech) b
 		return ids[rng.Intn(len(ids))], true
 	}
 	nonRoot := func(n *ctree.Node) bool { return n.Parent != nil }
-	switch rng.Intn(10) {
-	case 0: // width change
-		id, ok := pick(liveNodes(tr, nonRoot))
+	switch rng.Intn(6) {
+	case 0: // grow an internal node
+		id, ok := pick(liveNodes(tr, func(n *ctree.Node) bool { return n.Kind != ctree.Sink }))
 		if !ok {
 			return false
 		}
-		w := rng.Intn(len(tk.Wires))
-		tr.SetWidth(tr.Node(id), w)
-		a.SetWidth(int32(id), w)
-	case 1: // absolute snake
-		id, ok := pick(liveNodes(tr, nonRoot))
-		if !ok {
-			return false
+		p := tr.Node(id)
+		loc := geom.Pt(p.Loc.X+50+rng.Float64()*150, p.Loc.Y+rng.Float64()*150-75)
+		n := tr.AddChild(p, ctree.Internal, loc)
+		if an := a.AddChildL(int32(id), ctree.Internal, loc); int32(n.ID) != an {
+			panic("child slot diverged from node ID")
 		}
-		v := rng.Float64() * 40
-		tr.SetSnake(tr.Node(id), v)
-		a.SetSnake(int32(id), v)
-	case 2: // relative snake
-		id, ok := pick(liveNodes(tr, nonRoot))
-		if !ok {
-			return false
-		}
-		dv := rng.Float64() * 15
-		tr.AddSnake(tr.Node(id), dv)
-		a.AddSnake(int32(id), dv)
-	case 3: // buffer resize
-		id, ok := pick(liveNodes(tr, func(n *ctree.Node) bool { return n.Buf != nil }))
-		if !ok {
-			return false
-		}
-		k := 1 + rng.Intn(8)
-		tr.SetBufferSize(tr.Node(id), k)
-		a.SetBufferSize(int32(id), k)
-	case 4: // edge split
+	case 1: // edge split
 		id, ok := pick(liveNodes(tr, nonRoot))
 		if !ok {
 			return false
@@ -119,19 +98,7 @@ func mutateBoth(rng *rand.Rand, tr *ctree.Tree, a *ctree.Arena, tk *tech.Tech) b
 		if int32(mid.ID) != amid {
 			panic("insert slot diverged from node ID")
 		}
-	case 5: // slide a degree-2 node
-		id, ok := pick(liveNodes(tr, func(n *ctree.Node) bool {
-			return n.Parent != nil && len(n.Children) == 1
-		}))
-		if !ok {
-			return false
-		}
-		n := tr.Node(id)
-		total := n.EdgeLen() + n.Children[0].EdgeLen()
-		d := rng.Float64() * total
-		tr.SlideDegree2(n, d)
-		a.SlideDegree2(int32(id), d)
-	case 6: // splice out a degree-2 internal
+	case 2: // splice out a degree-2 internal
 		id, ok := pick(liveNodes(tr, func(n *ctree.Node) bool {
 			return n.Parent != nil && len(n.Children) == 1 && n.Kind == ctree.Internal
 		}))
@@ -140,7 +107,7 @@ func mutateBoth(rng *rand.Rand, tr *ctree.Tree, a *ctree.Arena, tk *tech.Tech) b
 		}
 		tr.RemoveDegree2(tr.Node(id))
 		a.RemoveDegree2(int32(id))
-	case 7: // grow a sink
+	case 3: // grow a sink
 		id, ok := pick(liveNodes(tr, func(n *ctree.Node) bool { return n.Kind != ctree.Sink }))
 		if !ok {
 			return false
@@ -153,7 +120,7 @@ func mutateBoth(rng *rand.Rand, tr *ctree.Tree, a *ctree.Arena, tk *tech.Tech) b
 		if int32(ns.ID) != ans {
 			panic("sink slot diverged from node ID")
 		}
-	case 8: // reparent a subtree
+	case 4: // reparent a subtree
 		id, ok := pick(liveNodes(tr, nonRoot))
 		if !ok {
 			return false
@@ -169,7 +136,7 @@ func mutateBoth(rng *rand.Rand, tr *ctree.Tree, a *ctree.Arena, tk *tech.Tech) b
 		a.Detach(int32(id))
 		tr.Attach(n, tr.Node(tid), nil)
 		a.Attach(int32(id), int32(tid), nil)
-	case 9: // prune a small subtree (keep the net evaluable)
+	case 5: // prune a small subtree (keep the net evaluable)
 		ids := liveNodes(tr, func(n *ctree.Node) bool {
 			return n.Parent != nil && len(n.Children) == 0 && n.Kind != ctree.Sink
 		})
@@ -331,7 +298,7 @@ func TestArenaPropertyRandomMutations(t *testing.T) {
 		gen0 := tr.Gen()
 		applied := 0
 		for step := 0; step < 80; step++ {
-			if mutateBoth(rng, tr, a, tk) {
+			if mutateBoth(rng, tr, a) {
 				applied++
 			}
 		}

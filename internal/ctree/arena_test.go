@@ -100,23 +100,14 @@ func TestArenaMutationsMirrorTree(t *testing.T) {
 	a := FromTree(tr)
 	gen0 := tr.Gen()
 
-	// Mirror a mixed mutation sequence on both representations.
+	// Mirror a mixed mutation sequence on both representations: insert a
+	// node, then splice it back out.
 	s1 := tr.Node(3)
-	tr.SetWidth(s1, 0)
-	a.SetWidth(3, 0)
-	tr.AddSnake(s1, 7.25)
-	a.AddSnake(3, 7.25)
-	b := tr.Node(2)
-	tr.SetBufferSize(b, 3)
-	a.SetBufferSize(2, 3)
-	// Insert a node, slide it, splice it back out.
 	mid := tr.InsertOnEdge(s1, 35, Internal)
 	amid := a.InsertOnEdge(3, 35, Internal)
 	if int32(mid.ID) != amid {
 		t.Fatalf("inserted slot %d != node ID %d", amid, mid.ID)
 	}
-	tr.SlideDegree2(mid, 52)
-	a.SlideDegree2(amid, 52)
 	tr.RemoveDegree2(mid)
 	a.RemoveDegree2(amid)
 	// Grow a fresh sink and move it under another parent.
@@ -177,7 +168,7 @@ func TestArenaDeleteSubtree(t *testing.T) {
 	a := FromTree(tr)
 	n := tr.AddChild(tr.Node(1), Internal, geom.Pt(150, 80))
 	tr.AddSink(n, geom.Pt(160, 90), 9, "doomed")
-	an := a.AddChild(1, Internal, geom.Pt(150, 80))
+	an := a.AddChildL(1, Internal, geom.Pt(150, 80))
 	a.AddSink(an, geom.Pt(160, 90), 9, "doomed")
 	tr.DeleteSubtree(n)
 	a.DeleteSubtree(an)
@@ -211,9 +202,9 @@ func TestBitset(t *testing.T) {
 	}
 }
 
-// A splice (or slide) over a corridor of zero-length edges — stacked
-// buffer chains produce them — must not let Simplify collapse the joined
-// route to a single point: every live edge keeps a 2-point route.
+// A splice over a corridor of zero-length edges — stacked buffer chains
+// produce them — must not let Simplify collapse the joined route to a
+// single point: every live edge keeps a 2-point route.
 func TestRemoveDegree2ZeroLengthEdges(t *testing.T) {
 	p := geom.Pt(50, 50)
 	tr := New(tech.Default45(), geom.Pt(0, 0), 0.05)
@@ -222,10 +213,9 @@ func TestRemoveDegree2ZeroLengthEdges(t *testing.T) {
 	buf := tr.AddChild(mid, Buffer, p)
 	buf.Buf = &tech.Composite{Type: tr.Tech.Inverters[1], N: 2}
 	tr.AddSink(buf, geom.Pt(60, 50), 9, "s")
+	tr.SlideDegree2(mid, 0)
 	a := FromTree(tr)
 
-	tr.SlideDegree2(mid, 0)
-	a.SlideDegree2(int32(mid.ID), 0)
 	tr.RemoveDegree2(mid)
 	a.RemoveDegree2(int32(mid.ID))
 	if err := tr.Validate(); err != nil {

@@ -10,8 +10,8 @@ import (
 // Bulk-construction API. The construction passes (DME merging, legalization,
 // buffer insertion, polarity correction) build straight into the arena: an
 // arena is created empty with capacity reserved up front from the
-// benchmark's sink count, nodes are appended through the same mutators the
-// incremental consumers use, and the shared span arrays (ChildIdx,
+// benchmark's sink count, nodes are appended through the same mutators ECO
+// delta replay uses, and the shared span arrays (ChildIdx,
 // RoutePts) grow append-only — each child list and route is written once,
 // at the tail, instead of being grown per node. Slot indices handed out
 // during construction are final: they match the node IDs the equivalent
@@ -55,7 +55,7 @@ func HintsForSinks(n int) BuildHints {
 
 // NewArena creates an arena holding a single Source slot at loc, with
 // capacity reserved per the hints. It is the arena analogue of New: the
-// returned arena is ready for AddChild/AddSink construction.
+// returned arena is ready for AddChildL/AddSink construction.
 func NewArena(t *tech.Tech, loc geom.Point, sourceR float64, h BuildHints) *Arena {
 	a := &Arena{Tech: t, SourceR: sourceR}
 	a.Reserve(h)
@@ -102,7 +102,7 @@ func growCap[T any](s []T, n int) []T {
 
 // SetBuf installs a composite on slot i (BufN parallel inverters of
 // BufType). Like assigning Node.Buf during pointer construction it does not
-// journal; sized mutations after construction go through SetBufferSize.
+// journal.
 func (a *Arena) SetBuf(i int32, comp tech.Composite) {
 	a.BufN[i] = int32(comp.N)
 	a.BufType[i] = comp.Type
@@ -128,8 +128,8 @@ func (a *Arena) ReplaceRoute(i int32, pl geom.Polyline) {
 // AddChildL creates a node of the given kind under parent at loc, writing
 // the horizontal-first L-shaped route directly into the shared point array
 // (no intermediate polyline allocation). The route is point-for-point what
-// geom.LShape(parent, loc)[0] produces, so AddChild and AddChildL build
-// identical arenas.
+// geom.LShape(parent, loc)[0] produces, the route Tree.AddChild gives the
+// mirrored pointer node.
 func (a *Arena) AddChildL(parent int32, kind Kind, loc geom.Point) int32 {
 	n := a.newSlot(kind, loc)
 	a.Parent[n] = parent
@@ -144,15 +144,6 @@ func (a *Arena) AddChildL(parent int32, kind Kind, loc geom.Point) int32 {
 	}
 	a.appendChild(parent, n)
 	a.touch(n)
-	return n
-}
-
-// AddSinkL creates a sink under parent with a direct L-route, like AddSink
-// but through the allocation-free route writer.
-func (a *Arena) AddSinkL(parent int32, loc geom.Point, cap float64, name string) int32 {
-	n := a.AddChildL(parent, Sink, loc)
-	a.SinkCap[n] = cap
-	a.Name[n] = name
 	return n
 }
 
@@ -301,8 +292,9 @@ func (a *Arena) Clone() *Arena {
 // Validate checks the arena's structural invariants directly on the SoA
 // form — the same conditions Tree.Validate enforces on the pointer form:
 // exactly one live Source (the root), parent/child spans consistent, routes
-// rectilinear and connecting parent to node, sinks childless, buffers
-// carrying a composite, every live slot reachable, no cycles.
+// rectilinear and connecting parent to node, every kind known, sinks
+// childless, buffers carrying at least one inverter, every live slot
+// reachable, no cycles.
 func (a *Arena) Validate() error {
 	n := a.Len()
 	if n == 0 || !a.Alive.Test(int(a.root)) || a.Kind[a.root] != Source || a.Parent[a.root] >= 0 {
@@ -366,7 +358,7 @@ func (a *Arena) Validate() error {
 				return
 			}
 		case Buffer:
-			if a.BufN[i] == 0 {
+			if a.BufN[i] < 1 {
 				err = fmt.Errorf("ctree: arena: buffer %d missing composite", i)
 				return
 			}
@@ -375,6 +367,10 @@ func (a *Arena) Validate() error {
 				err = fmt.Errorf("ctree: arena: extra source %d", i)
 				return
 			}
+		case Internal:
+		default:
+			err = fmt.Errorf("ctree: arena: slot %d has unknown kind %d", i, a.Kind[i])
+			return
 		}
 		for _, c := range a.Children(i) {
 			if c < 0 || int(c) >= n || a.Parent[c] != i {

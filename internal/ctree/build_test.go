@@ -41,7 +41,7 @@ func buildPair(t *testing.T, rng *rand.Rand) (*Tree, *Arena) {
 		default:
 			cp := 10 + rng.Float64()*30
 			n := tr.AddSink(tr.Node(pid), loc, cp, "s")
-			a.AddSinkL(int32(pid), loc, cp, "s")
+			a.AddSink(int32(pid), loc, cp, "s")
 			_ = n
 		}
 	}
@@ -115,7 +115,7 @@ func TestReserveAvoidsReallocation(t *testing.T) {
 		p := parents[rng.Intn(len(parents))]
 		s := a.AddChildL(p, Internal, geom.Pt(rng.Float64()*1000, rng.Float64()*1000))
 		parents = append(parents, s)
-		a.AddSinkL(s, geom.Pt(rng.Float64()*1000, rng.Float64()*1000), 20, "")
+		a.AddSink(s, geom.Pt(rng.Float64()*1000, rng.Float64()*1000), 20, "")
 	}
 	if &a.Kind[:1][0] != kindPtr {
 		t.Fatal("per-slot arrays reallocated despite Reserve")
@@ -138,8 +138,7 @@ func TestArenaCloneIsDeep(t *testing.T) {
 	}
 	// Mutate the clone heavily; the original must not move.
 	sinks := cp.Sinks()
-	cp.SetWidth(sinks[0], 1)
-	cp.SetSnake(sinks[0], 99)
+	cp.AddSink(cp.Root(), geom.Pt(7, 9), 12, "extra")
 	cp.InsertOnEdge(sinks[0], 1, Internal)
 	cp.DeleteSubtree(sinks[len(sinks)-1])
 	after, err := a.ToTree()
@@ -175,6 +174,22 @@ func TestArenaValidateCatchesDamage(t *testing.T) {
 	if err := bad2.Validate(); err == nil || !strings.Contains(err.Error(), "dead slot") {
 		t.Fatalf("dead-but-reachable slot not caught: %v", err)
 	}
+	// A negative inverter count and an unknown kind.
+	bad3 := a.Clone()
+	for i := range bad3.Kind {
+		if bad3.Kind[i] == Buffer && bad3.Alive.Test(i) {
+			bad3.BufN[i] = -1
+			break
+		}
+	}
+	if err := bad3.Validate(); err == nil || !strings.Contains(err.Error(), "missing composite") {
+		t.Fatalf("buffer without inverters not caught: %v", err)
+	}
+	bad4 := a.Clone()
+	bad4.Kind[bad4.Children(bad4.Root())[0]] = Sink + 6
+	if err := bad4.Validate(); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+		t.Fatalf("unknown kind not caught: %v", err)
+	}
 }
 
 func TestAddChildLMatchesAddChild(t *testing.T) {
@@ -186,12 +201,12 @@ func TestAddChildLMatchesAddChild(t *testing.T) {
 		{geom.Pt(5, 5), geom.Pt(5, 5)},     // degenerate
 	} {
 		a := NewArena(tk, pts[0], 0.1, BuildHints{})
-		b := NewArena(tk, pts[0], 0.1, BuildHints{})
+		tr := New(tk, pts[0], 0.1)
 		sa := a.AddChildL(a.Root(), Internal, pts[1])
-		sb := b.AddChild(b.Root(), Internal, pts[1])
-		if !reflect.DeepEqual(a.Route(sa), b.Route(sb)) {
-			t.Fatalf("%v->%v: AddChildL route %v != AddChild route %v",
-				pts[0], pts[1], a.Route(sa), b.Route(sb))
+		n := tr.AddChild(tr.Root, Internal, pts[1])
+		if !reflect.DeepEqual(a.Route(sa), n.Route) {
+			t.Fatalf("%v->%v: AddChildL route %v != Tree.AddChild route %v",
+				pts[0], pts[1], a.Route(sa), n.Route)
 		}
 	}
 }

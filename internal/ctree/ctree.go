@@ -546,8 +546,9 @@ func Restore(t *tech.Tech, sourceR float64, nodes []*Node) (*Tree, error) {
 
 // Validate checks structural invariants and returns the first violation:
 // exactly one root of kind Source; parent/child pointers consistent; every
-// route connects Parent.Loc to Loc with axis-parallel segments; sinks are
-// leaves; buffers carry a composite; no node is its own ancestor.
+// route connects Parent.Loc to Loc with axis-parallel segments; every kind
+// is known; sinks are leaves; buffers carry a composite of at least one
+// inverter; no node is its own ancestor.
 func (tr *Tree) Validate() error {
 	if tr.Root == nil || tr.Root.Kind != Source || tr.Root.Parent != nil {
 		return fmt.Errorf("ctree: bad root")
@@ -614,11 +615,19 @@ func (tr *Tree) Validate() error {
 				err = fmt.Errorf("ctree: buffer %d missing composite", n.ID)
 				return
 			}
+			if n.Buf.N < 1 {
+				err = fmt.Errorf("ctree: buffer %d has %d inverters", n.ID, n.Buf.N)
+				return
+			}
 		case Source:
 			if n != tr.Root {
 				err = fmt.Errorf("ctree: extra source %d", n.ID)
 				return
 			}
+		case Internal:
+		default:
+			err = fmt.Errorf("ctree: node %d has unknown kind %d", n.ID, n.Kind)
+			return
 		}
 		for _, c := range n.Children {
 			if c.Parent != n {

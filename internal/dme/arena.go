@@ -86,7 +86,7 @@ func materialize(a *ctree.Arena, segs []mseg, sinks []Sink, top int32, opt Optio
 		var n int32
 		if sg.sink >= 0 {
 			s := &sinks[sg.sink]
-			n = a.AddSinkL(parent, sg.loc, s.Cap, s.Name)
+			n = a.AddSink(parent, sg.loc, s.Cap, s.Name)
 		} else {
 			n = a.AddChildL(parent, ctree.Internal, sg.loc)
 		}

@@ -153,10 +153,6 @@ func (cx *Context) Baseline() ([]*analysis.Result, eval.Metrics, error) {
 // invalidate drops the CNE cache after an uncommitted tree mutation.
 func (cx *Context) invalidate() { cx.haveCNE = false }
 
-// Invalidate drops the cached evaluation; callers must use it after
-// recalibrating the evaluator or editing the tree outside a pass.
-func (cx *Context) Invalidate() { cx.invalidate() }
-
 // worse reports whether candidate metrics violate constraints more than the
 // baseline did: more slew violations, or capacitance newly/further over the
 // limit. Judging violations relatively lets the passes make progress on
@@ -170,17 +166,6 @@ func (cx *Context) worse(base, cand eval.Metrics) bool {
 		return true
 	}
 	return false
-}
-
-// LastMetrics returns the most recent cached CNE metrics; ok is false when
-// no evaluation has run since the last invalidation.
-func (cx *Context) LastMetrics() (m eval.Metrics, ok bool) {
-	return cx.lastMetrics, cx.haveCNE
-}
-
-// LastResults returns the most recent cached per-corner results.
-func (cx *Context) LastResults() ([]*analysis.Result, bool) {
-	return cx.lastResults, cx.haveCNE
 }
 
 // improveLoop runs mutate-evaluate-check rounds until the objective stops

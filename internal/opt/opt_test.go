@@ -63,7 +63,7 @@ func TestCNEAndBaselineCaching(t *testing.T) {
 	if !reflect.DeepEqual(m1, m2) {
 		t.Error("cached metrics differ")
 	}
-	cx.Invalidate()
+	cx.invalidate()
 	if _, _, err := cx.Baseline(); err != nil {
 		t.Fatal(err)
 	}

@@ -131,12 +131,6 @@ func (ie *Incremental) Reset() {
 	ie.bind(tr)
 }
 
-// Net returns the extractor's current staged netlist view (syncing it with
-// the tree first).
-func (ie *Incremental) Net() *analysis.Net {
-	return ie.inc.Sync()
-}
-
 // Evaluate implements analysis.Evaluator with per-stage caching and
 // parallel dirty-cone simulation.
 func (ie *Incremental) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.Result, error) {

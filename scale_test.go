@@ -146,7 +146,7 @@ func BenchmarkMillionSink(b *testing.B) {
 	b.Run("roundtrip", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The SoA layout must carry the full-size tree losslessly (the
-			// codec path runs on it).
+			// ECO restore path runs on it).
 			a := ctree.FromTree(tr)
 			if a.NumNodes() != tr.NumNodes() {
 				b.Fatalf("arena holds %d nodes, tree %d", a.NumNodes(), tr.NumNodes())
