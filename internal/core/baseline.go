@@ -48,6 +48,9 @@ func SynthesizeBaseline(b *bench.Benchmark, kind BaselineKind, o Options) (*Resu
 	if err := checkCornersApplied(o); err != nil {
 		return nil, err
 	}
+	if err := checkEngine(o.Engine); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	res := &Result{Benchmark: b}
 

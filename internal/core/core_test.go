@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -188,6 +189,51 @@ func TestCNEOnly(t *testing.T) {
 	}
 	if eng.Runs != len(rs) {
 		t.Errorf("runs=%d want %d", eng.Runs, len(rs))
+	}
+}
+
+// TestBadEngineIsAnError: engine settings the integrator cannot run with
+// (a zero timestep used to panic inside a stage-simulation worker and take
+// the whole process down) must come back as errors from every entry point.
+func TestBadEngineIsAnError(t *testing.T) {
+	base, err := SynthesizeBaseline(tinyBench(), BaselineNoOpt, Options{FastSim: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string]func(e *spice.Engine){
+		"unset Dt":          func(e *spice.Engine) { e.Dt = 0 },
+		"negative Dt":       func(e *spice.Engine) { e.Dt = -1 },
+		"NaN Dt":            func(e *spice.Engine) { e.Dt = nan },
+		"infinite Dt":       func(e *spice.Engine) { e.Dt = inf },
+		"zero SourceSlew":   func(e *spice.Engine) { e.SourceSlew = 0 },
+		"negative MaxSeg":   func(e *spice.Engine) { e.MaxSeg = -100 },
+		"NaN MaxSeg":        func(e *spice.Engine) { e.MaxSeg = nan },
+		"negative slew":     func(e *spice.Engine) { e.SourceSlew = -20 },
+		"infinite slew":     func(e *spice.Engine) { e.SourceSlew = inf },
+		"negative settle":   func(e *spice.Engine) { e.SettleTol = -0.1 },
+		"NaN settle":        func(e *spice.Engine) { e.SettleTol = nan },
+		"only MaxSeg given": func(e *spice.Engine) { *e = spice.Engine{MaxSeg: 100} },
+	}
+	for name, mutate := range bad {
+		eng := spice.New()
+		mutate(eng)
+		if _, err := Synthesize(tinyBench(), Options{Engine: eng}); err == nil {
+			t.Errorf("%s: Synthesize accepted the engine", name)
+		}
+		if _, err := SynthesizeBaseline(tinyBench(), BaselineNoOpt, Options{Engine: eng}); err == nil {
+			t.Errorf("%s: SynthesizeBaseline accepted the engine", name)
+		}
+		if _, _, err := CNEOnly(base.Tree, eng, 0); err == nil {
+			t.Errorf("%s: CNEOnly accepted the engine", name)
+		}
+	}
+	// Zero MaxSeg and SettleTol are legal: the extractor default and an
+	// exact-rail settle test.
+	eng := spice.New()
+	eng.MaxSeg, eng.SettleTol = 0, 0
+	if _, _, err := CNEOnly(base.Tree, eng, 0); err != nil {
+		t.Errorf("zero MaxSeg and SettleTol rejected: %v", err)
 	}
 }
 

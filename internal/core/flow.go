@@ -14,6 +14,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"contango/internal/analysis"
@@ -80,6 +81,9 @@ func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Res
 	// verbatim, so re-validating here turns it into a clean error instead
 	// of a silent fall-back to the default corners.
 	if err := checkCornersApplied(o); err != nil {
+		return nil, err
+	}
+	if err := checkEngine(o.Engine); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -202,11 +206,35 @@ func checkCornersApplied(o Options) error {
 	return nil
 }
 
+// checkEngine rejects transient-engine settings the integrator cannot run
+// with, so a bad Options.Engine is an error rather than a panic inside a
+// stage-simulation worker: the timestep Dt (it sizes every waveform) and
+// the source slew (the input ramp divides by it) must be positive and
+// finite; MaxSeg (0 selects the extractor default) and SettleTol must be
+// non-negative and finite.
+func checkEngine(eng *spice.Engine) error {
+	bad := func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) || x < 0 }
+	switch {
+	case bad(eng.Dt) || eng.Dt == 0:
+		return fmt.Errorf("core: engine timestep Dt = %v ps; want a positive finite value", eng.Dt)
+	case bad(eng.SourceSlew) || eng.SourceSlew == 0:
+		return fmt.Errorf("core: engine SourceSlew = %v ps; want a positive finite value", eng.SourceSlew)
+	case bad(eng.MaxSeg):
+		return fmt.Errorf("core: engine MaxSeg = %v µm; want a non-negative finite value", eng.MaxSeg)
+	case bad(eng.SettleTol):
+		return fmt.Errorf("core: engine SettleTol = %v; want a non-negative finite value", eng.SettleTol)
+	}
+	return nil
+}
+
 // CNEOnly evaluates an existing tree at all corners of its installed
 // corner set without modifying it (used by cmd/cnseval and tests).
 func CNEOnly(tr *ctree.Tree, eng *spice.Engine, capLimit float64) (eval.Metrics, []*analysis.Result, error) {
 	if eng == nil {
 		eng = spice.New()
+	}
+	if err := checkEngine(eng); err != nil {
+		return eval.Metrics{}, nil, err
 	}
 	rs, err := eng.EvaluateAll(tr)
 	if err != nil {

@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"contango/internal/corners"
+	"contango/internal/eval"
 	"contango/internal/spice"
+	"contango/internal/tech"
 )
 
 // TestPassesWithIncrementalEngine runs real optimization passes with the
@@ -38,6 +41,43 @@ func TestPassesWithIncrementalEngine(t *testing.T) {
 	ie := incr.Eng.(*spice.Incremental)
 	if ie.Stats.StagesHit == 0 {
 		t.Error("incremental engine never reused a stage transient")
+	}
+}
+
+// TestIncrementalCascadeParity: the cascade passes driven by the cached,
+// paired-edge incremental engine must end in exactly the tree metrics the
+// whole-tree engine reaches, across derated pvt5 corners and at every
+// worker budget — including the GOMAXPROCS default, so running the suite
+// under -cpu 1,2,4 exercises each scheduling shape.
+func TestIncrementalCascadeParity(t *testing.T) {
+	set, err := corners.Build("pvt5", tech.Default45())
+	if err != nil {
+		t.Fatal(err)
+	}
+	network := func() *Context {
+		cx, _ := smallNetwork(t)
+		cx.Tree.Tech = set.Apply(cx.Tree.Tech)
+		return cx
+	}
+	cascade := func(cx *Context) eval.Metrics {
+		for _, pass := range []func(*Context) error{TopDownWiresnaking, TopDownWiresizing, BufferSizing, BottomLevelTuning} {
+			if err := pass(cx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, m, err := cx.CNE()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want := cascade(network())
+	for _, par := range []int{0, 1, 3} {
+		cx := network()
+		cx.Eng = spice.NewIncremental(cx.Tree, spice.New(), par)
+		if got := cascade(cx); !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: incremental cascade ends at %v, whole-tree engine at %v", par, got, want)
+		}
 	}
 }
 

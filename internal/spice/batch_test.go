@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"contango/internal/corners"
+	"contango/internal/sched"
 	"contango/internal/tech"
 )
 
@@ -83,5 +84,44 @@ func TestIncrementalCornersMatchEngine(t *testing.T) {
 		if !reflect.DeepEqual(got2[i], want2[i]) {
 			t.Errorf("post-move corner %q: incremental differs from engine", cs.Corners[i].Name)
 		}
+	}
+}
+
+// TestIncrementalBatchHint: every corner is one task that pairs both launch
+// edges, so the hint is one corner per worker, and splitting a sweep into
+// hint-aligned chunks returns exactly what one unsplit call returns.
+func TestIncrementalBatchHint(t *testing.T) {
+	tk := tech.Default45()
+	tr := randomStagedTree(rand.New(rand.NewSource(31)), tk)
+	cs, err := corners.Build("mc:7:2", tk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New().EvaluateCorners(tr, cs.Corners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 3, 4} {
+		ie := NewIncremental(tr, New(), p)
+		if h := ie.BatchHint(); h != p {
+			t.Errorf("parallelism %d: BatchHint %d, want %d", p, h, p)
+		}
+		splits := 0
+		ch := &sched.Chunked{Eval: ie, Chunk: 1, OnSplit: func(n int) { splits = n }}
+		got, err := ch.EvaluateCorners(tr, cs.Corners)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantSplits := (len(cs.Corners) + p - 1) / p; p > 1 && splits != wantSplits {
+			t.Errorf("parallelism %d: %d chunks, want %d", p, splits, wantSplits)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: chunked evaluation differs from one engine call", p)
+		}
+	}
+	ie := NewIncremental(tr, New(), 4)
+	ie.SetParallelism(0)
+	if h := ie.BatchHint(); h != 1 {
+		t.Errorf("serial evaluator: BatchHint %d, want 1", h)
 	}
 }

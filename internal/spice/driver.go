@@ -1,30 +1,22 @@
 package spice
 
-// driver models the nonlinear (or linear) element injecting current into a
-// stage's root RC node. eval returns the current into the node (mA) and its
-// derivative with respect to the node voltage (mA/V = 1/kΩ); the derivative
-// must be non-positive so the Newton iteration stays monotone.
-type driver interface {
-	eval(vin, vout float64) (i, didv float64)
-}
-
-// resistorDriver is the clock source: a resistor from the ideal input ramp
-// to the network root.
-type resistorDriver struct {
-	r float64 // kΩ
-}
-
-func (d resistorDriver) eval(vin, vout float64) (float64, float64) {
-	g := 1 / d.r
-	return (vin - vout) * g, -g
-}
-
-// inverterDriver is a balanced square-law CMOS inverter: an nMOS pulling the
-// output to ground and a pMOS pulling it to vdd, both with transconductance
-// k (mA/V²) and threshold vt. Short-circuit current during the input
-// transition is modeled naturally because both devices conduct while the
-// input is mid-swing.
-type inverterDriver struct {
+// driver models the element injecting current into a stage's root RC node.
+// It is one concrete type, so the Newton loop in solveRoot calls eval
+// directly rather than through an interface. eval returns the current into
+// the node (mA) and its derivative with respect to the node voltage
+// (mA/V = 1/kΩ); the derivative is non-positive, so the Newton iteration
+// stays monotone.
+//
+// With inverter unset the driver is the clock source: a resistor r (kΩ)
+// from the ideal input ramp to the network root. With inverter set it is a
+// balanced square-law CMOS inverter: an nMOS pulling the output to ground
+// and a pMOS pulling it to vdd, both with transconductance k (mA/V²) and
+// threshold vt. Short-circuit current during the input transition is
+// modeled naturally because both devices conduct while the input is
+// mid-swing.
+type driver struct {
+	inverter   bool
+	r          float64
 	k, vdd, vt float64
 }
 
@@ -42,7 +34,11 @@ func mosfet(k, vov, vds float64) (i, didvds float64) {
 	return k * vov * vov, 0
 }
 
-func (d inverterDriver) eval(vin, vout float64) (float64, float64) {
+func (d *driver) eval(vin, vout float64) (float64, float64) {
+	if !d.inverter {
+		g := 1 / d.r
+		return (vin - vout) * g, -g
+	}
 	// nMOS: gate at vin, source at ground, drain at vout. Discharges node.
 	in, gn := mosfet(d.k, vin-d.vt, vout)
 	// pMOS: gate at vin, source at vdd, drain at vout. Charges node. In its
@@ -56,7 +52,7 @@ func (d inverterDriver) eval(vin, vout float64) (float64, float64) {
 // iteration. The equation is monotone in v (d0 > 0, dI/dv <= 0), so Newton
 // from the previous solution converges in a handful of iterations; a
 // bisection fallback guards pathological starts.
-func solveRoot(drv driver, vin, d0, b0, vPrev, vdd float64) float64 {
+func solveRoot(drv *driver, vin, d0, b0, vPrev, vdd float64) float64 {
 	v := vPrev
 	lo, hi := -0.5, vdd+0.5
 	for iter := 0; iter < 60; iter++ {

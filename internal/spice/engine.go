@@ -1,8 +1,6 @@
 package spice
 
 import (
-	"math"
-
 	"contango/internal/analysis"
 	"contango/internal/ctree"
 	"contango/internal/tech"
@@ -24,11 +22,6 @@ type Engine struct {
 
 	// Runs is the number of transient analyses performed so far.
 	Runs int
-
-	// LastWorstSlewDriver records, after each Evaluate, the tree-node ID of
-	// the driver whose stage contained the worst slew (-1 for the source
-	// stage). Diagnostic aid.
-	LastWorstSlewDriver int
 }
 
 // New returns an engine with production defaults: 100 µm RC segments, 1 ps
@@ -39,17 +32,6 @@ func New() *Engine {
 
 // Name implements analysis.Evaluator.
 func (e *Engine) Name() string { return "transient" }
-
-// launchResult aggregates one full-network transient for a single source
-// transition.
-type launchResult struct {
-	sinkT50     map[int]float64
-	sinkSlew    map[int]float64
-	stageSlew   map[int]float64
-	maxSlew     float64
-	viol        int
-	worstDriver int // tree-node ID of the worst-slew stage's driver, -1 = source
-}
 
 // Evaluate implements analysis.Evaluator: it runs two transients (rising and
 // falling source edges) at the given corner and reports 50% arrival times
@@ -71,264 +53,258 @@ func (e *Engine) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*anal
 }
 
 // evaluateOnNet runs both launch edges of one corner over an extracted
-// netlist.
+// netlist, serially and without a cache.
 func (e *Engine) evaluateOnNet(net *analysis.Net, corner tech.Corner) *analysis.Result {
-	res := &analysis.Result{
-		Corner:    corner,
-		Rise:      make(map[int]float64),
-		Fall:      make(map[int]float64),
-		SinkSlew:  make(map[int]float64),
-		StageSlew: make(map[int]float64),
-	}
-	worstSlew := -1.0
-	for _, rising := range []bool{true, false} {
-		lr := e.simulateLaunch(net, corner, rising)
-		if lr.maxSlew > worstSlew {
-			worstSlew = lr.maxSlew
-			e.LastWorstSlewDriver = lr.worstDriver
-		}
-		for id, t := range lr.sinkT50 {
-			if rising {
-				res.Rise[id] = t
-			} else {
-				res.Fall[id] = t
-			}
-		}
-		for id, s := range lr.sinkSlew {
-			if old, ok := res.SinkSlew[id]; !ok || s > old {
-				res.SinkSlew[id] = s
-			}
-		}
-		for id, s := range lr.stageSlew {
-			if old, ok := res.StageSlew[id]; !ok || s > old {
-				res.StageSlew[id] = s
-			}
-		}
-		if lr.maxSlew > res.MaxSlew {
-			res.MaxSlew = lr.maxSlew
-		}
-		res.SlewViol += lr.viol
-	}
+	res := e.simulateCorner(net, corner, nil, nil).res
 	e.Runs++
 	return res
 }
 
-// simulateLaunch propagates one source edge through every stage in
-// topological order.
-func (e *Engine) simulateLaunch(net *analysis.Net, corner tech.Corner, rising bool) launchResult {
-	vdd := corner.Vdd
-	dt := e.Dt
-	out := launchResult{
-		sinkT50:     make(map[int]float64),
-		sinkSlew:    make(map[int]float64),
-		stageSlew:   make(map[int]float64),
-		worstDriver: -1,
-	}
-	inputs := make([]*Waveform, len(net.Stages))
-	// dirs[i] is true when stage i's OUTPUT transition is rising.
-	dirs := make([]bool, len(net.Stages))
-	if rising {
-		inputs[0] = Ramp(0, vdd, e.SourceSlew, dt)
-	} else {
-		inputs[0] = Ramp(vdd, 0, e.SourceSlew, dt)
-	}
-	dirs[0] = rising // the source stage driver is non-inverting
-	srcT50 := e.SourceSlew / 2
+// launchEdges lists the launch edges in column order: column 0 is the rising
+// source edge, column 1 the falling one.
+var launchEdges = [2]bool{true, false}
 
-	tk := net.Tree.Tech
-	for _, s := range net.Stages {
-		vin := inputs[s.Index]
-		if vin == nil {
-			continue // upstream stage failed to produce a transition
+// cornerOutcome is one corner's merged measurements plus, for a cached
+// evaluation, the cache entries to commit per launch edge.
+type cornerOutcome struct {
+	res       *analysis.Result
+	entries   [2]map[int][]*stageEntry
+	simulated int // edge transients integrated
+	reused    int // edge transients served from the cache
+}
+
+// simulateCorner evaluates both launch edges of one corner, propagating
+// each source edge through the stages level by level. For every stage and
+// edge it first looks for a cached transient; a stage that misses on both
+// edges integrates them in one paired simStage call, a stage that misses
+// on one edge runs that column alone. Stages within a level are
+// independent, so their simulations run concurrently under sem (nil runs
+// them serially).
+//
+// prev is the previous cache generation per edge, or nil for an uncached
+// evaluation. It is only read here; the entries to commit come back in the
+// outcome, so concurrent corners never write shared state.
+func (e *Engine) simulateCorner(net *analysis.Net, corner tech.Corner, prev *[2]map[int][]*stageEntry, sem chan struct{}) cornerOutcome {
+	n := len(net.Stages)
+	cs := getCornerScratch(n)
+	defer putCornerScratch(cs)
+	var cache [2]map[int][]*stageEntry
+	if prev != nil {
+		cache = *prev
+	}
+
+	// Rising-launch output direction per stage (the source driver is
+	// non-inverting, every buffer stage inverts; the falling launch is the
+	// complement) and dependency levels for scheduling.
+	level, dirs := cs.level, cs.dirs
+	maxLevel := 0
+	for i, s := range net.Stages {
+		if s.Parent < 0 {
+			dirs[i] = true
+			continue
 		}
-		var drv driver
-		if s.Driver == nil {
-			drv = resistorDriver{r: net.DriverR(s, corner)}
-		} else {
-			drv = inverterDriver{k: tk.KDrive(*s.Driver.Buf), vdd: vdd, vt: tk.Vt}
-		}
-		st := e.simStage(s, drv, vin, dirs[s.Index], corner, net.DriverR(s, corner))
-		for _, m := range s.Sinks {
-			out.sinkT50[m.Sink.ID] = st.t50[m.Node] - srcT50
-			out.sinkSlew[m.Sink.ID] = st.slew[m.Node]
-		}
-		key := -1
-		if s.Driver != nil {
-			key = s.Driver.ID
-		}
-		for i := range st.slew {
-			if st.slew[i] > out.maxSlew {
-				out.maxSlew = st.slew[i]
-				out.worstDriver = key
-			}
-			if st.slew[i] > out.stageSlew[key] {
-				out.stageSlew[key] = st.slew[i]
-			}
-			if st.slew[i] > tk.SlewLimit {
-				out.viol++
-			}
-		}
-		// Hand each downstream stage the waveform recorded at its driver's
-		// input pin.
-		for _, ci := range s.Children {
-			child := net.Stages[ci]
-			if w, ok := st.loadWaves[child.InputNode]; ok {
-				inputs[ci] = w.Trim(0.002 * vdd)
-				dirs[ci] = !dirs[s.Index]
-			}
+		dirs[i] = !dirs[s.Parent]
+		level[i] = level[s.Parent] + 1
+		if level[i] > maxLevel {
+			maxLevel = level[i]
 		}
 	}
+
+	var out cornerOutcome
+	for lv := 0; lv <= maxLevel; lv++ {
+		work := cs.work[:0]
+		for i, s := range net.Stages {
+			if level[i] != lv {
+				continue
+			}
+			key := stageCacheKey(s)
+			miss := false
+			for c := range cs.edge {
+				es := &cs.edge[c]
+				var vin *Waveform
+				if s.Parent >= 0 {
+					pr := es.results[s.Parent]
+					if pr == nil {
+						continue // upstream never switched; neither do we
+					}
+					w, ok := pr.loadWaves[s.InputNode]
+					if !ok {
+						continue
+					}
+					vin = w.TrimInto(0.002*corner.Vdd, &es.trim[i])
+				}
+				es.inputs[i] = vin
+				// reusedHead: the stage was served from the previous
+				// generation's newest entry, so its output is identical to
+				// the last evaluation's and children may accept their own
+				// newest entry without comparing waveforms.
+				if ent := matchEntry(cache[c][key], s.Sig(), vin,
+					s.Parent < 0 || es.reusedHead[s.Parent]); ent != nil {
+					es.results[i] = &ent.res
+					es.chosen[i] = ent
+					es.reusedHead[i] = cache[c][key][0] == ent
+					out.reused++
+					continue
+				}
+				if vin == &es.trim[i] {
+					// Cache miss: the input enters a long-lived cache entry,
+					// so promote the scratch header to its own allocation
+					// (the samples stay shared with the upstream waveform).
+					h := *vin
+					es.inputs[i] = &h
+				}
+				es.need[i] = true
+				out.simulated++
+				miss = true
+			}
+			if miss {
+				work = append(work, i)
+			}
+		}
+		runLimited(sem, len(work), func(wi int) {
+			e.simEdges(net, corner, cs, work[wi])
+		})
+		cs.work = work // keep any growth for the next level
+	}
+
+	if prev != nil {
+		for c := range cs.edge {
+			out.entries[c] = commitEdge(net, cache[c], cs.edge[c].chosen)
+		}
+	}
+
+	nSinks := 0
+	for _, s := range net.Stages {
+		nSinks += len(s.Sinks)
+	}
+	res := &analysis.Result{
+		Corner:    corner,
+		Rise:      make(map[int]float64, nSinks),
+		Fall:      make(map[int]float64, nSinks),
+		SinkSlew:  make(map[int]float64, nSinks),
+		StageSlew: make(map[int]float64, n),
+	}
+	for c, rising := range launchEdges {
+		addLaunch(res, net, cs.edge[c].results, rising, e.SourceSlew/2)
+	}
+	out.res = res
 	return out
 }
 
-// stageResult holds per-RC-node measurements of one stage transient.
-type stageResult struct {
-	t50       []float64 // absolute 50% crossing, ps (+Inf if never)
-	slew      []float64 // 10-90% transition time, ps (+Inf if never)
-	loadWaves map[int]*Waveform
-}
-
-// simStage integrates one stage with Backward Euler. The RC tree is reduced
-// bottom-up to a Thevenin equivalent at the driver output each step; the
-// driver equation is solved by Newton; voltages back-substitute top-down.
-// The corner supplies the supply rail and the interconnect derates; for an
-// underated corner the conductance setup reduces to the exact legacy
-// arithmetic (scaling by 1.0 is exact in IEEE 754), keeping default-set
-// results bit-identical.
-func (e *Engine) simStage(s *analysis.Stage, drv driver, vin *Waveform, outRising bool, corner tech.Corner, rd float64) stageResult {
-	n := len(s.R)
-	dt := e.Dt
-	vdd := corner.Vdd
-	rScale, cScale := corner.RScale(), corner.CScale()
-	rail0, railF := vdd, 0.0
-	if outRising {
-		rail0, railF = 0.0, vdd
-	}
-
-	ss := stagePool.Get().(*stageScratch)
-	ss.grow(n)
-	g, gC := ss.g, ss.gC
-	g[0] = 0 // never read, but keep the vector deterministic across reuse
-	for i := 0; i < n; i++ {
-		gC[i] = s.C[i] * cScale / dt
-		if i > 0 {
-			g[i] = 1 / (s.R[i] * rScale)
+// simEdges integrates stage i for every edge that missed the cache, both in
+// one simStage call when both missed, and records fresh cache entries.
+// Concurrent calls touch disjoint stages.
+func (e *Engine) simEdges(net *analysis.Net, corner tech.Corner, cs *cornerScratch, i int) {
+	s := net.Stages[i]
+	tk := net.Tree.Tech
+	var in [2]stageIn
+	var col [2]int
+	w := 0
+	for c, rising := range launchEdges {
+		es := &cs.edge[c]
+		if !es.need[i] {
+			continue
 		}
-	}
-	// Constant elimination factors (caps and resistances are fixed). The
-	// pooled elim replaces make's zero-init explicitly: the += accumulation
-	// below must start from exact zeros to stay bit-identical.
-	d, elim := ss.d, ss.elim
-	for i := range elim {
-		elim[i] = 0
-	}
-	for i := n - 1; i >= 1; i-- {
-		d[i] = gC[i] + g[i] + elim[i]
-		elim[s.Par[i]] += g[i] - g[i]*g[i]/d[i]
-	}
-	d[0] = gC[0] + elim[0]
-	if d[0] <= 0 {
-		d[0] = 1e-12
-	}
-
-	V := ss.V
-	for i := range V {
-		V[i] = rail0
-	}
-	b, acc := ss.b, ss.acc
-
-	// Crossing trackers per node: 10%, 50%, 90% of vdd in the output
-	// direction. For falling outputs the 90% threshold is crossed first.
-	lo, mid, hi := ss.lo, ss.mid, ss.hi
-	for i := 0; i < n; i++ {
-		lo[i] = crossing{th: 0.1 * vdd, rising: outRising}
-		mid[i] = crossing{th: 0.5 * vdd, rising: outRising}
-		hi[i] = crossing{th: 0.9 * vdd, rising: outRising}
-	}
-
-	// Window: input transition plus several stage time constants, with a
-	// hard cap to stay live under degenerate drivers.
-	tauMax := 1.0
-	if m := analysis.StageElmoreMaxAt(s, rd, corner); m > tauMax {
-		tauMax = m
-	}
-	tEndMin := vin.End() + 5*tauMax + 50
-	tMax := tEndMin + 30*tauMax + 2000
-	tol := e.SettleTol * vdd
-
-	// Load waveforms escape into the stage result (and from there into the
-	// incremental cache), so they are real allocations; presizing them to the
-	// expected step count avoids the append regrowth churn.
-	steps := int((tEndMin-vin.T0)/dt) + 64
-	if steps > 1<<20 {
-		steps = 1 << 20
-	}
-	loadWaves := make(map[int]*Waveform, len(s.Loads))
-	for _, ld := range s.Loads {
-		v := make([]float64, 1, steps)
-		v[0] = rail0
-		loadWaves[ld.Node] = &Waveform{T0: vin.T0, Dt: dt, V: v, V0: rail0}
-	}
-
-	t := vin.T0
-	for {
-		t += dt
-		// Bottom-up: reduce to the root.
-		for i := 0; i < n; i++ {
-			b[i] = gC[i] * V[i]
-			acc[i] = 0
-		}
-		for i := n - 1; i >= 1; i-- {
-			b[i] += acc[i]
-			acc[s.Par[i]] += g[i] * b[i] / d[i]
-		}
-		b[0] += acc[0]
-		vPrev0 := V[0]
-		v0 := solveRoot(drv, vin.At(t), d[0], b[0], vPrev0, vdd)
-		// Top-down back-substitution, updating trackers inline.
-		lo[0].observe(t, dt, vPrev0, v0)
-		mid[0].observe(t, dt, vPrev0, v0)
-		hi[0].observe(t, dt, vPrev0, v0)
-		V[0] = v0
-		settled := abs(v0-railF) <= tol
-		for i := 1; i < n; i++ {
-			vPrev := V[i]
-			v := (b[i] + g[i]*V[s.Par[i]]) / d[i]
-			lo[i].observe(t, dt, vPrev, v)
-			mid[i].observe(t, dt, vPrev, v)
-			hi[i].observe(t, dt, vPrev, v)
-			V[i] = v
-			if abs(v-railF) > tol {
-				settled = false
+		vin := es.inputs[i]
+		if s.Parent < 0 {
+			if rising {
+				vin = Ramp(0, corner.Vdd, e.SourceSlew, e.Dt)
+			} else {
+				vin = Ramp(corner.Vdd, 0, e.SourceSlew, e.Dt)
 			}
 		}
-		for node, w := range loadWaves {
-			w.V = append(w.V, V[node])
-		}
-		if (t >= tEndMin && settled) || t >= tMax {
-			break
-		}
+		in[w] = stageIn{vin: vin, outRising: cs.dirs[i] == rising}
+		col[w] = c
+		w++
 	}
+	rd := net.DriverR(s, corner)
+	drv := driver{r: rd}
+	if s.Driver != nil {
+		drv = driver{inverter: true, k: tk.KDrive(*s.Driver.Buf), vdd: corner.Vdd, vt: tk.Vt}
+	}
+	res := e.simStage(s, &drv, rd, corner, in[:w])
+	for k := 0; k < w; k++ {
+		es := &cs.edge[col[k]]
+		ent := &stageEntry{sig: s.Sig(), input: es.inputs[i], res: res[k]}
+		es.chosen[i] = ent
+		es.results[i] = &ent.res
+	}
+}
 
-	res := stageResult{
-		t50:       make([]float64, n),
-		slew:      make([]float64, n),
-		loadWaves: loadWaves,
-	}
-	for i := 0; i < n; i++ {
-		if mid[i].done {
-			res.t50[i] = mid[i].t
-		} else {
-			res.t50[i] = math.Inf(1)
+// commitEdge builds one edge's next cache generation from the entries that
+// served or recorded each stage: newest entry first, plus the most recent
+// distinct predecessor. Two generations are enough to recover the
+// pre-mutation state when a probe or a rejected round is reverted.
+func commitEdge(net *analysis.Net, prev map[int][]*stageEntry, chosen []*stageEntry) map[int][]*stageEntry {
+	next := make(map[int][]*stageEntry, len(net.Stages))
+	for i, s := range net.Stages {
+		key := stageCacheKey(s)
+		old := prev[key]
+		if chosen[i] == nil {
+			if old != nil {
+				next[key] = old
+			}
+			continue
 		}
-		if lo[i].done && hi[i].done {
-			res.slew[i] = abs(hi[i].t - lo[i].t)
-		} else {
-			res.slew[i] = math.Inf(1)
+		if len(old) > 0 && old[0] == chosen[i] {
+			// Steady-state hit on the newest entry: the committed list is
+			// identical to the previous generation's (same head, same ≤1
+			// distinct predecessor), so reuse it instead of copying.
+			next[key] = old
+			continue
+		}
+		lst := append(make([]*stageEntry, 0, 2), chosen[i])
+		for _, ent := range old {
+			if ent != chosen[i] && len(lst) < 2 {
+				lst = append(lst, ent)
+			}
+		}
+		next[key] = lst
+	}
+	return next
+}
+
+// addLaunch folds one launch edge's stage results into res, walking the
+// stages in topological order: sink arrivals go to Rise or Fall, and slews
+// merge into the per-sink, per-stage and overall maxima and the violation
+// count.
+func addLaunch(res *analysis.Result, net *analysis.Net, results []*stageResult, rising bool, srcT50 float64) {
+	arrivals := res.Fall
+	if rising {
+		arrivals = res.Rise
+	}
+	slewLimit := net.Tree.Tech.SlewLimit
+	for i, s := range net.Stages {
+		st := results[i]
+		if st == nil {
+			continue
+		}
+		for _, m := range s.Sinks {
+			id := m.Sink.ID
+			arrivals[id] = st.t50[m.Node] - srcT50
+			if old, ok := res.SinkSlew[id]; !ok || st.slew[m.Node] > old {
+				res.SinkSlew[id] = st.slew[m.Node]
+			}
+		}
+		stageMax := 0.0
+		for _, sl := range st.slew {
+			if sl > stageMax {
+				stageMax = sl
+			}
+			if sl > res.MaxSlew {
+				res.MaxSlew = sl
+			}
+			if sl > slewLimit {
+				res.SlewViol++
+			}
+		}
+		if stageMax > 0 {
+			key := stageCacheKey(s)
+			if old, ok := res.StageSlew[key]; !ok || stageMax > old {
+				res.StageSlew[key] = stageMax
+			}
 		}
 	}
-	stagePool.Put(ss)
-	return res
 }
 
 var _ analysis.Evaluator = (*Engine)(nil)

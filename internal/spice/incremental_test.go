@@ -229,3 +229,40 @@ func TestIncrementalSurvivesRestore(t *testing.T) {
 		transientResultsClose(t, want, rs[ci], 1e-9)
 	}
 }
+
+// TestIncrementalOneEdgeMissMatchesEngine: when a stage misses the cache on
+// one launch edge only, the engine integrates that column alone and serves
+// the other edge from the cache; the merged result must still equal the
+// whole-tree engine's, and exactly one edge's stages are re-simulated.
+func TestIncrementalOneEdgeMissMatchesEngine(t *testing.T) {
+	tk := tech.Default45()
+	tr := randomStagedTree(rand.New(rand.NewSource(41)), tk)
+	want, err := New().EvaluateCorners(tr, tk.Corners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dropRising := range []bool{true, false} {
+		ie := NewIncremental(tr, New(), 0)
+		if _, err := ie.EvaluateCorners(tr, tk.Corners); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range tk.Corners {
+			delete(ie.launches, launchKey{c, dropRising})
+		}
+		sims, hits := ie.Stats.StagesSim, ie.Stats.StagesHit
+		got, err := ie.EvaluateCorners(tr, tk.Corners)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci := range got {
+			transientResultsClose(t, want[ci], got[ci], 0) // exactly equal
+		}
+		stages := ie.Stats.FullStages * len(tk.Corners)
+		if d := ie.Stats.StagesSim - sims; d != stages {
+			t.Errorf("dropped rising=%v: %d stage sims, want %d (one edge)", dropRising, d, stages)
+		}
+		if d := ie.Stats.StagesHit - hits; d != stages {
+			t.Errorf("dropped rising=%v: %d cache hits, want %d (the other edge)", dropRising, d, stages)
+		}
+	}
+}

@@ -6,7 +6,7 @@ import "sync"
 // capacity running at once. It is the same fixed-budget worker discipline as
 // the synthesis service's job pool, scaled down to stage granularity: the
 // semaphore is shared across every scheduling site of one evaluation (all
-// corners, both launch edges, every dependency level), so the total number
+// corner tasks, every dependency level), so the total number
 // of in-flight stage simulations never exceeds the configured parallelism
 // no matter how the work is nested.
 func runLimited(sem chan struct{}, n int, fn func(int)) {
@@ -14,17 +14,18 @@ func runLimited(sem chan struct{}, n int, fn func(int)) {
 		return
 	}
 	if cap(sem) <= 1 {
-		// Serial budget: the evaluator also runs its launches serially in
-		// this configuration, so no other goroutine contends for the slot.
+		// Serial budget: the evaluator also runs its corner tasks serially
+		// in this configuration, so no other goroutine contends for the
+		// slot.
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
 	if n == 1 {
-		// Run inline, but still hold a slot: concurrent launches each hit
-		// this path on sparse dependency levels, and the budget bounds the
-		// total across all of them.
+		// Run inline, but still hold a slot: concurrent corner tasks each
+		// hit this path on sparse dependency levels, and the budget bounds
+		// the total across all of them.
 		sem <- struct{}{}
 		defer func() { <-sem }()
 		fn(0)

@@ -3,34 +3,39 @@ package spice
 import "sync"
 
 // Scratch pools for the two allocation hot spots of the transient path:
-// the per-stage integration state of simStage and the per-launch slices of
-// Incremental.launch. Both are flat arrays sized by the stage/netlist at
-// hand; pooling them removes the dominant share of the evaluator's
-// allocations (the profile attributed ~46% of allocated objects to
-// simStage's make calls alone). Buffers that the legacy code relied on
-// make() zero-initializing are re-zeroed explicitly by the users, so
-// results stay bit-identical.
+// the per-stage integration state of simStage and the per-corner slices of
+// simulateCorner. Both are flat arrays sized by the stage/netlist at hand;
+// pooling them removes the dominant share of the evaluator's allocations.
+// simStage re-zeroes the accumulators it needs zeroed; the corner scratch
+// is zeroed when it is returned to its pool.
 
+// stageScratch is simStage's working state. The per-node factors g, gC, d
+// and elim are shared by both columns; V, b, acc and the crossing trackers
+// hold one interleaved entry per (RC node, column).
 type stageScratch struct {
-	g, gC, d, elim, V, b, acc []float64
-	lo, mid, hi               []crossing
+	g, gC, d, elim []float64
+	V, b, acc      []float64
+	lo, mid, hi    []crossing
+	loads          []int          // distinct load nodes, recorded every step
+	waves          [2][]*Waveform // per column, aligned with loads
 }
 
 var stagePool = sync.Pool{New: func() any { return new(stageScratch) }}
 
-// grow resizes every vector to n RC nodes without zeroing; simStage fully
-// overwrites them (and explicitly clears the accumulators that need it).
-func (ss *stageScratch) grow(n int) {
+// grow resizes the vectors to n RC nodes and w columns without zeroing;
+// simStage fully overwrites them (and explicitly clears the accumulators
+// that need it).
+func (ss *stageScratch) grow(n, w int) {
 	ss.g = growF(ss.g, n)
 	ss.gC = growF(ss.gC, n)
 	ss.d = growF(ss.d, n)
 	ss.elim = growF(ss.elim, n)
-	ss.V = growF(ss.V, n)
-	ss.b = growF(ss.b, n)
-	ss.acc = growF(ss.acc, n)
-	ss.lo = growC(ss.lo, n)
-	ss.mid = growC(ss.mid, n)
-	ss.hi = growC(ss.hi, n)
+	ss.V = growF(ss.V, n*w)
+	ss.b = growF(ss.b, n*w)
+	ss.acc = growF(ss.acc, n*w)
+	ss.lo = growC(ss.lo, n*w)
+	ss.mid = growC(ss.mid, n*w)
+	ss.hi = growC(ss.hi, n*w)
 }
 
 func growF(buf []float64, n int) []float64 {
@@ -47,51 +52,77 @@ func growC(buf []crossing, n int) []crossing {
 	return buf[:n]
 }
 
-// launchScratch holds Incremental.launch's per-netlist working slices.
-// Entries are cleared on checkout (stages skipped by the dirty-cone walk
-// must read zero values, exactly as freshly made slices would give).
-type launchScratch struct {
-	results    []*stageResult
+// cornerScratch holds simulateCorner's per-netlist working slices: the
+// stage levels and output directions both edges share, and one edgeScratch
+// per launch edge.
+type cornerScratch struct {
+	level []int
+	dirs  []bool // rising-launch output direction per stage
+	work  []int
+	edge  [2]edgeScratch
+}
+
+// edgeScratch is one launch edge's per-stage state. Every entry is zero
+// while the scratch sits in the pool: stages skipped by the dirty-cone walk
+// must read zero values, exactly as freshly made slices would give.
+type edgeScratch struct {
+	results    []*stageResult // nil = no input transition reached the stage
 	inputs     []*Waveform
 	reusedHead []bool
-	dirs       []bool
-	level      []int
-	work       []int
+	need       []bool // stage misses the cache and must be integrated
 	chosen     []*stageEntry
 	// trim holds per-stage trimmed-input headers (TrimInto targets). A
 	// header is cloned to the heap before it enters a cache entry, so
-	// nothing outlives the launch that wrote it.
+	// nothing outlives the evaluation that wrote it.
 	trim []Waveform
 }
 
-var launchPool = sync.Pool{New: func() any { return new(launchScratch) }}
+var cornerPool = sync.Pool{New: func() any { return new(cornerScratch) }}
 
-func getLaunchScratch(n int) *launchScratch {
-	ls := launchPool.Get().(*launchScratch)
-	if cap(ls.results) < n {
-		ls.results = make([]*stageResult, n)
-		ls.inputs = make([]*Waveform, n)
-		ls.reusedHead = make([]bool, n)
-		ls.dirs = make([]bool, n)
-		ls.level = make([]int, n)
-		ls.chosen = make([]*stageEntry, n)
-		ls.trim = make([]Waveform, n)
-	} else {
-		ls.results = ls.results[:n]
-		ls.inputs = ls.inputs[:n]
-		ls.reusedHead = ls.reusedHead[:n]
-		ls.dirs = ls.dirs[:n]
-		ls.level = ls.level[:n]
-		ls.chosen = ls.chosen[:n]
-		ls.trim = ls.trim[:n]
+func getCornerScratch(n int) *cornerScratch {
+	cs := cornerPool.Get().(*cornerScratch)
+	if cap(cs.level) < n {
+		cs.level = make([]int, n)
+		cs.dirs = make([]bool, n)
+		for c := range cs.edge {
+			cs.edge[c] = edgeScratch{
+				results:    make([]*stageResult, n),
+				inputs:     make([]*Waveform, n),
+				reusedHead: make([]bool, n),
+				need:       make([]bool, n),
+				chosen:     make([]*stageEntry, n),
+				trim:       make([]Waveform, n),
+			}
+		}
+		return cs
 	}
-	for i := 0; i < n; i++ {
-		ls.results[i] = nil
-		ls.inputs[i] = nil
-		ls.reusedHead[i] = false
-		ls.level[i] = 0
-		ls.chosen[i] = nil
+	cs.level, cs.dirs = cs.level[:n], cs.dirs[:n]
+	for c := range cs.edge {
+		es := &cs.edge[c]
+		es.results = es.results[:n]
+		es.inputs = es.inputs[:n]
+		es.reusedHead = es.reusedHead[:n]
+		es.need = es.need[:n]
+		es.chosen = es.chosen[:n]
+		es.trim = es.trim[:n]
 	}
-	ls.work = ls.work[:0]
-	return ls
+	return cs
+}
+
+// putCornerScratch zeroes what an evaluation wrote and pools the scratch.
+// Clearing here rather than on checkout also keeps pooled headers from
+// pinning waveforms the cache has already dropped.
+func putCornerScratch(cs *cornerScratch) {
+	clear(cs.level)
+	cs.work = cs.work[:0]
+	for c := range cs.edge {
+		es := &cs.edge[c]
+		clear(es.results)
+		clear(es.inputs)
+		clear(es.reusedHead)
+		clear(es.need)
+		clear(es.chosen)
+		clear(es.trim)
+	}
+	cornerPool.Put(cs)
 }

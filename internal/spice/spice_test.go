@@ -24,8 +24,9 @@ func TestWaveformAtAndTrim(t *testing.T) {
 	if w.End() != 14 {
 		t.Errorf("End=%v want 14", w.End())
 	}
-	tr := w.Trim(0.01)
-	if tr.T0 != 11 {
+	var dst Waveform
+	tr := w.TrimInto(0.01, &dst)
+	if tr != &dst || tr.T0 != 11 {
 		t.Errorf("Trim T0=%v want 11 (one quiet sample kept)", tr.T0)
 	}
 	if tr.At(12.5) != w.At(12.5) {
@@ -286,7 +287,7 @@ func TestSolveRootLinear(t *testing.T) {
 	// With a resistor driver the root equation is linear; Newton must land
 	// exactly: d0·v - b0 = (vin - v)/r.
 	d0, b0, vin, r := 2.0, 1.0, 1.2, 0.5
-	v := solveRoot(resistorDriver{r: r}, vin, d0, b0, 0, 1.2)
+	v := solveRoot(&driver{r: r}, vin, d0, b0, 0, 1.2)
 	want := (b0 + vin/r) / (d0 + 1/r)
 	if math.Abs(v-want) > 1e-9 {
 		t.Errorf("v=%v want %v", v, want)

@@ -58,17 +58,13 @@ func (w *Waveform) Last() float64 {
 	return w.V[len(w.V)-1]
 }
 
-// Trim drops leading samples that stay within tol of V0, keeping one sample
-// of margin, and returns the trimmed waveform. Trimming lets downstream
-// stages start their windows when their input actually begins to move.
-func (w *Waveform) Trim(tol float64) *Waveform {
-	return w.TrimInto(tol, new(Waveform))
-}
-
-// TrimInto is Trim writing its header into dst instead of allocating one;
-// it returns w itself when nothing is trimmed and dst otherwise (the
-// samples are shared with w either way). The incremental evaluator's hot
-// path trims into per-stage scratch so cache hits allocate nothing.
+// TrimInto drops leading samples that stay within tol of V0, keeping one
+// sample of margin, and returns the trimmed waveform. Trimming lets
+// downstream stages start their windows when their input actually begins
+// to move. It returns w itself when nothing is trimmed and otherwise writes
+// the trimmed header into dst and returns dst; the samples are shared with
+// w either way. The incremental evaluator trims into per-stage scratch so
+// cache hits allocate nothing.
 func (w *Waveform) TrimInto(tol float64, dst *Waveform) *Waveform {
 	first := len(w.V)
 	for i, v := range w.V {
