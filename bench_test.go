@@ -300,7 +300,7 @@ func BenchmarkEvalPhase(b *testing.B) {
 		eng := spice.New()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tr.AddSnake(sinks[i%len(sinks)], 25)
+			sinks[i%len(sinks)].Snake += 25
 			for _, c := range tr.Tech.Corners {
 				if _, err := eng.Evaluate(tr, c); err != nil {
 					b.Fatal(err)
@@ -317,7 +317,7 @@ func BenchmarkEvalPhase(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tr.AddSnake(sinks[i%len(sinks)], 25)
+			sinks[i%len(sinks)].Snake += 25
 			if _, err := ie.EvaluateCorners(tr, tr.Tech.Corners); err != nil {
 				b.Fatal(err)
 			}

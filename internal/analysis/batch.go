@@ -155,7 +155,7 @@ func elmoreCorners(net *Net, corners []tech.Corner) []*Result {
 		ks.a = growFloats(ks.a, K*n)
 		ks.b = growFloats(ks.b, K*n)
 		stageElmoreBatchInto(s, rd, rs, cs, ks.a, ks.b)
-		key := driverKey(s.Driver)
+		key := s.Key()
 		for k := range corners {
 			d := ks.b[k*n : (k+1)*n]
 			res := results[k]
@@ -218,7 +218,7 @@ func twoPoleCorners(net *Net, corners []tech.Corner) []*Result {
 		ks2.b = growFloats(ks2.b, K*n)
 		m1, m2 := ks2.a, ks2.b
 		stageMomentsBatchInto(s, rd, rs, cs, ks.a, ks.b, m1, m2)
-		key := driverKey(s.Driver)
+		key := s.Key()
 		for k := range corners {
 			m1k := m1[k*n : (k+1)*n]
 			m2k := m2[k*n : (k+1)*n]

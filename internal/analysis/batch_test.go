@@ -19,9 +19,9 @@ func batchFixture(tk *tech.Tech) *ctree.Tree {
 	b1 := tr.InsertOnEdge(m, 400, ctree.Buffer)
 	b1.Buf = &tech.Composite{Type: tk.Inverters[1], N: 4}
 	s1 := tr.AddSink(m, geom.Pt(1400, 300), 35, "s1")
-	tr.SetWidth(s1, 1)
+	s1.WidthIdx = 1
 	s2 := tr.AddSink(m, geom.Pt(1200, -500), 28, "s2")
-	tr.SetSnake(s2, 90)
+	s2.Snake = 90
 	far := tr.AddSink(m, geom.Pt(2600, 100), 40, "far")
 	b2 := tr.InsertOnEdge(far, 900, ctree.Buffer)
 	b2.Buf = &tech.Composite{Type: tk.Inverters[0], N: 2}

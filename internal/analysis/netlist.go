@@ -53,20 +53,24 @@ type Stage struct {
 	Sinks    []Meas
 	Children []int // downstream stage indices
 
-	// sig is a content signature over everything that determines the
-	// stage's electrical behavior (driver parameters, RC arrays, load and
-	// sink placement). The incremental extractor uses it to keep a Stage's
-	// pointer identity stable across rebuilds that did not change content;
-	// the incremental transient engine validates cached stage results
-	// against it. Zero on stages built by plain Extract.
+	// sig is the stage's content signature (stageSig).
 	sig uint64
 }
 
 // Sig returns the stage's content signature: equal signatures mean
 // electrically identical stages (same driver parameters, RC arrays, loads
-// and sinks). Zero means "unsigned" (the stage came from plain Extract)
-// and never matches anything. Signatures are assigned by IncrementalNet.
+// and sinks). The incremental transient engine validates cached stage
+// results against it.
 func (s *Stage) Sig() uint64 { return s.sig }
+
+// Key identifies the stage by its driver: the buffer's node ID, or -1 for
+// the source stage. Per-stage results and caches are keyed on it.
+func (s *Stage) Key() int {
+	if s.Driver == nil {
+		return -1
+	}
+	return s.Driver.ID
+}
 
 // TotalCap returns the sum of grounded capacitance in the stage (fF),
 // including buffer input pins and sink loads attached to it.
@@ -91,11 +95,7 @@ func Extract(tr *ctree.Tree, maxSeg float64) *Net {
 		maxSeg = DefaultMaxSeg
 	}
 	net := &Net{Tree: tr}
-	var place func(driver *ctree.Node, parentStage, inputNode int)
-	place = func(driver *ctree.Node, parentStage, inputNode int) {
-		buildStage(net, tr, maxSeg, driver, parentStage, inputNode, place)
-	}
-	place(nil, -1, -1)
+	buildStage(net, tr, maxSeg, nil, -1, -1)
 	return net
 }
 
@@ -127,11 +127,9 @@ func addEdgeSegs(s *Stage, tr *ctree.Tree, maxSeg float64, n *ctree.Node, at int
 }
 
 // buildStage extracts one stage of tr rooted at driver (nil for the source
-// stage), appends it to net, and returns it. Child stages discovered at
-// buffer inputs are handed to place at the same point in the traversal where
-// Extract would recurse, so the full and incremental extractors produce
-// stage orderings that match exactly.
-func buildStage(net *Net, tr *ctree.Tree, maxSeg float64, driver *ctree.Node, parentStage, inputNode int, place func(driver *ctree.Node, parentStage, inputNode int)) *Stage {
+// stage), appends it to net and signs it. Child stages discovered at buffer
+// inputs are built depth-first at the point the walk reaches them.
+func buildStage(net *Net, tr *ctree.Tree, maxSeg float64, driver *ctree.Node, parentStage, inputNode int) {
 	s := &Stage{
 		Driver:    driver,
 		Index:     len(net.Stages),
@@ -159,7 +157,7 @@ func buildStage(net *Net, tr *ctree.Tree, maxSeg float64, driver *ctree.Node, pa
 			case ctree.Buffer:
 				s.C[far] += c.Buf.Cin()
 				s.Loads = append(s.Loads, Load{Node: far, Buf: c})
-				place(c, s.Index, far)
+				buildStage(net, tr, maxSeg, c, s.Index, far)
 			case ctree.Sink:
 				s.C[far] += c.SinkCap
 				s.Sinks = append(s.Sinks, Meas{Node: far, Sink: c})
@@ -169,7 +167,53 @@ func buildStage(net *Net, tr *ctree.Tree, maxSeg float64, driver *ctree.Node, pa
 		}
 	}
 	walk(start, 0)
-	return s
+	s.sig = stageSig(s, tr)
+}
+
+// stageSig hashes everything that determines a stage's electrical behavior:
+// the driver (composite parameters, or the tree's source resistance), the
+// subdivided RC arrays, and the positions and identities of buffer loads and
+// sink measurement points. FNV-1a over the raw float bits — exact content
+// equality, no tolerance.
+func stageSig(s *Stage, tr *ctree.Tree) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	mix := func(x uint64) {
+		h ^= x
+		h *= prime
+	}
+	mixF := func(v float64) { mix(math.Float64bits(v)) }
+	if s.Driver == nil {
+		mix(0)
+		mixF(tr.SourceR)
+	} else {
+		mix(1)
+		mix(uint64(s.Driver.ID))
+		mix(uint64(s.Driver.Buf.N))
+		mixF(s.Driver.Buf.Type.Cin)
+		mixF(s.Driver.Buf.Type.Cout)
+		mixF(s.Driver.Buf.Type.Rout)
+	}
+	mix(uint64(len(s.R)))
+	for i := range s.R {
+		mixF(s.R[i])
+		mixF(s.C[i])
+		mix(uint64(s.Par[i] + 1))
+	}
+	mix(uint64(len(s.Loads)))
+	for _, ld := range s.Loads {
+		mix(uint64(ld.Node))
+		mix(uint64(ld.Buf.ID))
+	}
+	mix(uint64(len(s.Sinks)))
+	for _, m := range s.Sinks {
+		mix(uint64(m.Node))
+		mix(uint64(m.Sink.ID))
+	}
+	return h
 }
 
 // DriverR returns the effective driver resistance (kΩ) of stage s at the

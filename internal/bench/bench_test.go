@@ -142,6 +142,9 @@ func TestReadMalformed(t *testing.T) {
 		"name x\ndie 0 0 100 100", // no sinks
 		"sink s1 1 2 30",          // no die
 		"name x\ndie 0 0 100 100\nsourcer -1\nsink a 1 1 1", // bad resistance
+		"name x\ndie 0 0 NaN 100\nsink a 1 1 1",             // non-finite coordinate
+		"name x\ndie 0 0 100 100\nsink a 1 1 +Inf",          // non-finite cap
+		"name x y\ndie 0 0 100 100\nsink a 1 1 1",           // two names
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -21,7 +22,8 @@ import (
 //	sink <name> <x> <y> <cap_fF>
 //	obstacle <name> <minx> <miny> <maxx> <maxy>
 //
-// Lines starting with '#' are comments. All coordinates are µm.
+// Lines starting with '#' are comments. All coordinates are µm. An empty
+// name is written as a bare "name" line.
 func Write(w io.Writer, b *Benchmark) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# contango benchmark\nname %s\n", b.Name)
@@ -39,7 +41,7 @@ func Write(w io.Writer, b *Benchmark) error {
 	return bw.Flush()
 }
 
-// Read parses the text format written by Write.
+// Read parses the text format written by Write. Numbers must be finite.
 func Read(r io.Reader) (*Benchmark, error) {
 	b := &Benchmark{SourceR: 0.1}
 	sc := bufio.NewScanner(r)
@@ -62,13 +64,22 @@ func Read(r io.Reader) (*Benchmark, error) {
 		bad := func(why string) error {
 			return fmt.Errorf("bench: line %d: %s: %q", lineNo, why, line)
 		}
-		num := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+		num := func(s string) (float64, error) {
+			v, err := strconv.ParseFloat(s, 64)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("non-finite number %q", s)
+			}
+			return v, err
+		}
 		switch f[0] {
 		case "name":
-			if len(f) != 2 {
-				return nil, bad("name needs 1 argument")
+			if len(f) > 2 {
+				return nil, bad("name takes at most 1 argument")
 			}
-			b.Name = f[1]
+			b.Name = ""
+			if len(f) == 2 {
+				b.Name = f[1]
+			}
 		case "die":
 			if len(f) != 5 {
 				return nil, bad("die needs 4 coordinates")

@@ -454,11 +454,11 @@ func (ins *arenaInserter) prune(opts []aOption) []aOption {
 	} else {
 		out = out[:1] // keep the least-bad option; flagged later by CNE
 	}
-	if len(out) > ins.opt.MaxOptions {
+	if len(out) > maxOptions {
 		// Keep the extremes and evenly thin the middle.
-		kept := make([]aOption, 0, ins.opt.MaxOptions)
-		stridef := float64(len(out)-1) / float64(ins.opt.MaxOptions-1)
-		for i := 0; i < ins.opt.MaxOptions; i++ {
+		kept := make([]aOption, 0, maxOptions)
+		stridef := float64(len(out)-1) / float64(maxOptions-1)
+		for i := 0; i < maxOptions; i++ {
 			kept = append(kept, out[int(float64(i)*stridef+0.5)])
 		}
 		out = kept
@@ -675,17 +675,13 @@ func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit,
 	// where the fast corner may sit anywhere — evaluating the right one.
 	corner := a.Tech.Reference()
 
-	insert := InsertArena
-	if opt.Mode != "vg" {
-		insert = BalancedInsertArena
-	}
 	var best *SweepResult
 	var bestArena *ctree.Arena
 	bestViol := int(^uint(0) >> 1)
 	for i := len(ladder) - 1; i >= 0; i-- { // strongest first
 		comp := ladder[i]
 		work := a.Clone()
-		added, err := insert(work, comp, opt)
+		added, err := BalancedInsertArena(work, comp, opt)
 		if err != nil {
 			continue
 		}

@@ -64,7 +64,7 @@ func TestInsertArenaMatchesPointer(t *testing.T) {
 	comp := tech.Composite{Type: tk.Inverters[1], N: 4}
 	for _, n := range []int{5, 40, 150} {
 		a := randomZST(int64(100+n), n)
-		added, err := InsertArena(a, comp, Options{Mode: "vg"})
+		added, err := InsertArena(a, comp, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

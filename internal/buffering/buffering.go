@@ -23,28 +23,22 @@ import (
 
 // Options configures buffer insertion.
 type Options struct {
-	// Mode selects the inserter: "balanced" (default, bottom-up load
-	// threshold, stage-count balanced) or "vg" (van Ginneken DP, minimum
-	// worst delay).
-	Mode string
 	// Step is the candidate spacing along edges in µm (default 200).
 	Step float64
 	// Obs blocks candidate sites inside obstacles (may be nil).
 	Obs *geom.ObstacleSet
-	// MaxOptions caps the option list per point (default 24); smaller is
-	// faster and slightly less optimal — this is the fast-variant knob.
-	MaxOptions int
 	// MaxCap overrides the slew-safe load per driver (fF). 0 derives it
 	// from the technology slew limit and the composite strength.
 	MaxCap float64
 }
 
+// maxOptions caps the van Ginneken option list per point. It sets the fast
+// variant's trade: a smaller cap is faster and slightly less optimal.
+const maxOptions = 24
+
 func (o *Options) defaults() {
 	if o.Step == 0 {
 		o.Step = 200
-	}
-	if o.MaxOptions == 0 {
-		o.MaxOptions = 24
 	}
 }
 

@@ -137,6 +137,33 @@ func TestDecodeResultRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestResultCodecUnnamedBench: a benchmark without a name (inline bench
+// text with no name line) is written as a bare "name" line, which must
+// decode back to the empty name.
+func TestResultCodecUnnamedBench(t *testing.T) {
+	res := synthTiny(t)
+	res.Benchmark = res.Benchmark.Clone()
+	res.Benchmark.Name = ""
+	var buf bytes.Buffer
+	if err := EncodeResult(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeResult(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("decode of an unnamed benchmark's envelope: %v", err)
+	}
+	if got.Benchmark.Name != "" || got.Benchmark.Hash() != res.Benchmark.Hash() {
+		t.Errorf("benchmark drifted through the codec: name %q", got.Benchmark.Name)
+	}
+	var again bytes.Buffer
+	if err := EncodeResult(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Error("re-encoding the decoded result changed the envelope")
+	}
+}
+
 func TestResultClone(t *testing.T) {
 	res := synthTiny(t)
 	cp := res.Clone()

@@ -18,11 +18,12 @@ import (
 // allocated with their liveness bit cleared, mirroring the pointer tree's
 // nil entries in its dense node table.
 //
-// The pointer tree's mutation journal (dirty.go) becomes a dirty-index
-// bitmap here: every structural mutator sets the touched slots' bits in
-// Dirty, marking the same node set the pointer tree journals for the
-// mirrored operation (the property tests in arena_property_test.go pin
-// this).
+// Dirty is the arena's mutation journal: every structural mutator sets the
+// bit of each slot whose parent edge it creates or rewrites, and a Detach
+// sets the bit of the parent that lost the child. A parent whose child list
+// changes by substitution or append is covered by the gained child's bit.
+// eco.Apply reads the bitmap to scope its repair; the property tests in
+// arena_property_test.go check it against a content diff.
 //
 // Construction (DME, legalization, buffer insertion, polarity) and ECO
 // delta replay build and edit the arena; extraction, the transient engine
@@ -100,8 +101,7 @@ func (a *Arena) EdgeLen(i int32) float64 {
 }
 
 // DirtyIDs returns the journaled slot indices in ascending order (nil when
-// nothing is dirty). Indices of since-deleted slots may be included, as
-// with Tree.TouchedSince.
+// nothing is dirty). Indices of since-deleted slots may be included.
 func (a *Arena) DirtyIDs() []int {
 	var out []int
 	a.Dirty.ForEach(func(i int) { out = append(out, i) })

@@ -13,9 +13,10 @@ import (
 
 // The arena is only trustworthy if an arbitrary interleaving of structural
 // surgery leaves it indistinguishable from the pointer tree: same
-// reconstructed tree, same dirty set, bit-identical evaluation results.
-// This property test drives both representations with mirrored random
-// mutation sequences and checks all three.
+// reconstructed tree and bit-identical evaluation results, with every slot
+// the surgery changed marked dirty. This property test drives both
+// representations with mirrored random mutation sequences and checks all
+// three.
 
 // propFixture seeds a tree with enough structure that every op class has
 // candidates: a buffer chain, branch points, and a handful of sinks.
@@ -159,8 +160,8 @@ func mutateBoth(rng *rand.Rand, tr *ctree.Tree, a *ctree.Arena) bool {
 // both representations, returning how many actually applied. Unlike
 // mutateBoth's uniform mix, a burst hammers a single mutator — the access
 // pattern ECO replay produces (a wave of detaches, then a wave of
-// attachments, then edge splits) — which is what shakes out journal drift
-// between the pointer tree and the arena's span-based storage.
+// attachments, then edge splits) — which is what shakes out drift between
+// the pointer tree and the arena's span-based storage.
 func structuralBurst(rng *rand.Rand, tr *ctree.Tree, a *ctree.Arena, class, count int) int {
 	pick := func(ids []int) (int, bool) {
 		if len(ids) == 0 {
@@ -245,15 +246,15 @@ func structuralBurst(rng *rand.Rand, tr *ctree.Tree, a *ctree.Arena, class, coun
 
 // TestArenaPropertyStructuralBursts drives the pointer tree and the arena
 // with mirrored bursts of structural surgery — the ECO access pattern —
-// and requires, after every burst, a valid arena, and at the end equal
-// dirty journals and a lossless ToTree round-trip.
+// and requires, after every burst, a valid arena, and at the end a dirty
+// bitmap covering every changed slot and a lossless ToTree round-trip.
 func TestArenaPropertyStructuralBursts(t *testing.T) {
 	tk := tech.Default45()
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		tr := propFixture(rng, tk)
 		a := ctree.FromTree(tr)
-		gen0 := tr.Gen()
+		before := a.Clone()
 		applied := 0
 		for burst := 0; burst < 8; burst++ {
 			applied += structuralBurst(rng, tr, a, rng.Intn(5), 12)
@@ -267,16 +268,8 @@ func TestArenaPropertyStructuralBursts(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("seed %d: tree invalid after bursts: %v", seed, err)
 		}
-		want := map[int]bool{}
-		for _, id := range tr.TouchedSince(gen0) {
-			want[id] = true
-		}
-		got := map[int]bool{}
-		for _, id := range a.DirtyIDs() {
-			got[id] = true
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("seed %d: dirty sets differ:\n tree  %v\n arena %v", seed, want, got)
+		if missing := ctree.DirtyMissing(before, a); missing != nil {
+			t.Fatalf("seed %d: changed slots missing from the dirty bitmap: %v", seed, missing)
 		}
 		back, err := a.ToTree()
 		if err != nil {
@@ -295,7 +288,7 @@ func TestArenaPropertyRandomMutations(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := propFixture(rng, tk)
 		a := ctree.FromTree(tr)
-		gen0 := tr.Gen()
+		before := a.Clone()
 		applied := 0
 		for step := 0; step < 80; step++ {
 			if mutateBoth(rng, tr, a) {
@@ -315,17 +308,9 @@ func TestArenaPropertyRandomMutations(t *testing.T) {
 			t.Fatalf("seed %d: ToTree: %v", seed, err)
 		}
 
-		// 2. Journal equivalence: dirty bitmap == pointer journal.
-		want := map[int]bool{}
-		for _, id := range tr.TouchedSince(gen0) {
-			want[id] = true
-		}
-		got := map[int]bool{}
-		for _, id := range a.DirtyIDs() {
-			got[id] = true
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("seed %d: dirty sets differ:\n tree  %v\n arena %v", seed, want, got)
+		// 2. Journal coverage: every slot that changed is marked dirty.
+		if missing := ctree.DirtyMissing(before, a); missing != nil {
+			t.Fatalf("seed %d: changed slots missing from the dirty bitmap: %v", seed, missing)
 		}
 
 		// 3. Evaluation equivalence, bit for bit, on both closed-form models.

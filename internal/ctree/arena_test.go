@@ -2,6 +2,7 @@ package ctree
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"contango/internal/geom"
@@ -18,8 +19,8 @@ func buildArenaFixture(t *testing.T) *Tree {
 	b.Buf = &tech.Composite{Type: tr.Tech.Inverters[1], N: 2}
 	s1 := tr.AddSink(m, geom.Pt(180, 90), 22, "s1")
 	tr.AddSink(m, geom.Pt(140, -30), 31, "s2")
-	tr.SetWidth(s1, 1)
-	tr.SetSnake(s1, 12.5)
+	s1.WidthIdx = 1
+	s1.Snake = 12.5
 	// Leave a dead ID behind so converters must handle table holes.
 	tmp := tr.AddChild(m, Internal, geom.Pt(120, 50))
 	tr.AddSink(tmp, geom.Pt(130, 60), 5, "dead")
@@ -98,7 +99,7 @@ func TestArenaRoundTrip(t *testing.T) {
 func TestArenaMutationsMirrorTree(t *testing.T) {
 	tr := buildArenaFixture(t)
 	a := FromTree(tr)
-	gen0 := tr.Gen()
+	before := a.Clone()
 
 	// Mirror a mixed mutation sequence on both representations: insert a
 	// node, then splice it back out.
@@ -127,18 +128,55 @@ func TestArenaMutationsMirrorTree(t *testing.T) {
 	}
 	treesEqual(t, tr, back)
 
-	// Dirty bitmap must mark exactly the set the pointer journal touched.
-	want := map[int]bool{}
-	for _, id := range tr.TouchedSince(gen0) {
-		want[id] = true
+	if missing := DirtyMissing(before, a); missing != nil {
+		t.Fatalf("changed slots missing from the dirty bitmap: %v (dirty %v)", missing, a.DirtyIDs())
 	}
-	got := map[int]bool{}
-	for _, id := range a.DirtyIDs() {
-		got[id] = true
+}
+
+// DirtyMissing is the content-diff oracle for the arena journal. It returns
+// the live slots of after that changed since the snapshot before but are
+// not in after.Dirty. A slot has changed when it is new, or when its kind,
+// location, parent, edge parameters, buffer or route differ. A slot whose
+// child list differs counts as covered when it gained a dirty child (an
+// insert, splice or attach journals the gained child, not the parent).
+// The external property tests share it.
+func DirtyMissing(before, after *Arena) []int {
+	var out []int
+	for i := 0; i < after.Len(); i++ {
+		if !after.Alive.Test(i) || after.Dirty.Test(i) {
+			continue
+		}
+		s := int32(i)
+		if i >= before.Len() || slotChanged(before, after, s) {
+			out = append(out, i)
+			continue
+		}
+		old, kids := before.Children(s), after.Children(s)
+		if slices.Equal(old, kids) {
+			continue
+		}
+		covered := false
+		for _, c := range kids {
+			if !slices.Contains(old, c) && after.Dirty.Test(int(c)) {
+				covered = true
+			}
+		}
+		if !covered {
+			out = append(out, i)
+		}
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("dirty sets differ: tree %v, arena %v", want, got)
-	}
+	return out
+}
+
+// slotChanged reports whether slot i's own fields or route differ between
+// the two arenas.
+func slotChanged(a, b *Arena, i int32) bool {
+	return a.Alive.Test(int(i)) != b.Alive.Test(int(i)) ||
+		a.Kind[i] != b.Kind[i] || a.Loc[i] != b.Loc[i] || a.Parent[i] != b.Parent[i] ||
+		a.WidthIdx[i] != b.WidthIdx[i] || a.Snake[i] != b.Snake[i] ||
+		a.SinkCap[i] != b.SinkCap[i] || a.Name[i] != b.Name[i] ||
+		a.BufN[i] != b.BufN[i] || a.BufType[i] != b.BufType[i] ||
+		!slices.Equal(a.Route(i), b.Route(i))
 }
 
 func TestArenaCompact(t *testing.T) {

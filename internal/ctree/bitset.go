@@ -4,8 +4,7 @@ import "math/bits"
 
 // Bitset is a dense bit vector indexed by node slot. The arena uses one for
 // its liveness map and one for its dirty-index journal; at a million nodes
-// each costs 128 KB instead of the multi-megabyte map the pointer tree's
-// journal would grow to.
+// each costs 128 KB, where a map keyed by node ID would take megabytes.
 type Bitset []uint64
 
 // Set sets bit i, growing the set as needed.

@@ -119,8 +119,7 @@ func (a *Arena) Buf(i int32) (tech.Composite, bool) {
 // ReplaceRoute overwrites slot i's parent-edge route, appending the new
 // points at the tail of the shared array. It mirrors the pointer tree's
 // construction-phase `n.Route = pl` assignment and, like it, does not
-// journal: legalization rewrites routes before any incremental consumer has
-// synced. Compact reclaims the abandoned span.
+// journal. Compact reclaims the abandoned span.
 func (a *Arena) ReplaceRoute(i int32, pl geom.Polyline) {
 	a.setRoute(i, pl)
 }

@@ -95,12 +95,6 @@ type Tree struct {
 	SourceR float64
 
 	nodes []*Node // dense by ID; nil entries mark deleted nodes
-
-	// Mutation journal (see dirty.go): gen bumps on every recorded
-	// mutation, touched maps node IDs to the generation that last
-	// modified them.
-	gen     uint64
-	touched map[int]uint64
 }
 
 // New creates a tree with a single Source node at loc, driven by a source
@@ -148,7 +142,6 @@ func (tr *Tree) AddChild(parent *Node, kind Kind, loc geom.Point) *Node {
 	}
 	parent.Children = append(parent.Children, n)
 	tr.nodes = append(tr.nodes, n)
-	tr.touch(n)
 	return n
 }
 
@@ -202,8 +195,6 @@ func (tr *Tree) InsertOnEdge(n *Node, d float64, kind Kind) *Node {
 	}
 	n.Parent = mid
 	n.Route = lower
-	tr.touch(mid)
-	tr.touch(n)
 	return mid
 }
 
@@ -242,8 +233,6 @@ func (tr *Tree) SlideDegree2(n *Node, newDist float64) {
 		n.Snake = 0
 	}
 	child.Snake = totalSnake - n.Snake
-	tr.touch(n)
-	tr.touch(child)
 }
 
 // RemoveDegree2 splices out an Internal or Buffer node that has exactly one
@@ -273,7 +262,6 @@ func (tr *Tree) RemoveDegree2(n *Node) {
 	tr.nodes[n.ID] = nil
 	n.Parent = nil
 	n.Children = nil
-	tr.touch(child)
 }
 
 // Detach removes n from its parent's child list, leaving n (and its
@@ -291,7 +279,6 @@ func (tr *Tree) Detach(n *Node) {
 		}
 	}
 	n.Parent = nil
-	tr.touch(p)
 }
 
 // Attach re-homes a detached node n under parent with the given route
@@ -307,14 +294,13 @@ func (tr *Tree) Attach(n *Node, parent *Node, route geom.Polyline) {
 	n.Parent = parent
 	n.Route = route
 	parent.Children = append(parent.Children, n)
-	tr.touch(n)
 }
 
 // DeleteSubtree removes n and all its descendants from the tree. n is
 // detached from its parent first if still attached.
 func (tr *Tree) DeleteSubtree(n *Node) {
 	if n.Parent != nil {
-		tr.Detach(n) // journals the parent
+		tr.Detach(n)
 	}
 	var rec func(*Node)
 	rec = func(m *Node) {
@@ -473,13 +459,7 @@ func (tr *Tree) PathToRoot(n *Node) []*Node {
 // snaking, buffers and sink data are all copied; the copy shares only the
 // immutable Tech.
 func (tr *Tree) Clone() *Tree {
-	cp := &Tree{Tech: tr.Tech, SourceR: tr.SourceR, gen: tr.gen}
-	if tr.touched != nil {
-		cp.touched = make(map[int]uint64, len(tr.touched))
-		for id, g := range tr.touched {
-			cp.touched[id] = g
-		}
-	}
+	cp := &Tree{Tech: tr.Tech, SourceR: tr.SourceR}
 	cp.nodes = make([]*Node, len(tr.nodes))
 	for id, n := range tr.nodes {
 		if n == nil {

@@ -130,7 +130,7 @@ func BufferSizing(cx *Context) error {
 				continue
 			}
 			head -= addCap
-			cx.Tree.SetBufferSize(b, newN)
+			b.Buf.N = newN
 			changed++
 		}
 		if changed == 0 {
@@ -158,7 +158,7 @@ func BufferSizing(cx *Context) error {
 				continue
 			}
 			before := b.Buf.CapCost()
-			cx.Tree.SetBufferSize(b, b.Buf.N-batch)
+			b.Buf.N -= batch
 			borrowed += before - b.Buf.CapCost()
 		}
 		changed := 0
@@ -178,7 +178,7 @@ func BufferSizing(cx *Context) error {
 				head -= addCap - borrowed
 				borrowed = 0
 			}
-			cx.Tree.SetBufferSize(b, newN)
+			b.Buf.N = newN
 			changed++
 		}
 		cx.logf("tbsz-branch: sized %d branch buffers (borrowed bottom cap)", changed)
@@ -227,7 +227,7 @@ func SkewBufferSizing(cx *Context) error {
 					budget := slk.EdgeSlow[n.ID] - rs
 					newSlew := stageSlew[n.ID] * weaker.Rout() / n.Buf.Rout()
 					if est > 0 && est < budget*0.7 && newSlew < 0.88*limit {
-						cx.Tree.SetBufferSize(n, weaker.N)
+						n.Buf.N = weaker.N
 						rs += est
 						changed++
 					}

@@ -9,10 +9,11 @@
 // (Improvement- & Violation-Checking); otherwise the saved solution is
 // restored and the pass hands control to the next optimization.
 //
-// Passes mutate the tree exclusively through the ctree journaling setters
-// (SetWidth, SetSnake/AddSnake, SetBufferSize) and structural operations,
-// so an incremental evaluator installed as Context.Eng re-simulates only
-// each round's dirty cone instead of the whole network.
+// Passes write node fields (WidthIdx, Snake, Buf.N) directly and use the
+// ctree structural operations. An incremental evaluator installed as
+// Context.Eng finds each round's dirty cone from stage content, so any
+// mutation is seen, and it re-simulates only that cone instead of the whole
+// network.
 package opt
 
 import (
@@ -68,9 +69,6 @@ type Context struct {
 	// budget (spice.Incremental does); plain evaluators ignore it.
 	// Parallelism changes wall-clock time only, never results.
 	Parallelism int
-	// MinGain is the smallest objective improvement (ps) that counts
-	// (default 0.05).
-	MinGain float64
 	// Check, when non-nil, is consulted before every improvement round; a
 	// non-nil error aborts the pass immediately (context cancellation from
 	// the service layer, so killed jobs stop burning simulator runs).
@@ -84,6 +82,10 @@ type Context struct {
 	haveCNE     bool
 }
 
+// minGain is the smallest objective improvement (ps) an IVC round must
+// make to count.
+const minGain = 0.05
+
 // DefaultMaxRounds is the per-pass round budget used when MaxRounds is
 // unset (core.Options.Resolve makes it explicit).
 const DefaultMaxRounds = 16
@@ -93,13 +95,6 @@ func (cx *Context) rounds() int {
 		return DefaultMaxRounds
 	}
 	return cx.MaxRounds
-}
-
-func (cx *Context) minGain() float64 {
-	if cx.MinGain <= 0 {
-		return 0.05
-	}
-	return cx.MinGain
 }
 
 func (cx *Context) logf(format string, args ...interface{}) {
@@ -196,7 +191,7 @@ func (cx *Context) improveLoop(name string, obj Objective, mutate func(res []*an
 		if err != nil {
 			return err
 		}
-		if cx.worse(baseM, nm) || obj.value(nm) > best-cx.minGain() {
+		if cx.worse(baseM, nm) || obj.value(nm) > best-minGain {
 			// IVC fail: restore the saved solution and stop the pass.
 			*cx.Tree = *snap
 			cx.lastResults, cx.lastMetrics, cx.haveCNE = snapRes, snapM, true

@@ -40,7 +40,7 @@ func smallNetwork(t *testing.T) (*Context, *tech.Tech) {
 		t.Fatal(err)
 	}
 	// Imbalance: snake one sink edge hard.
-	tr.AddSnake(tr.Sinks()[0], 1500)
+	tr.Sinks()[0].Snake += 1500
 	cx := &Context{Tree: tr, Eng: spice.New(), CapLimit: 1e9, MaxRounds: 6}
 	return cx, tk
 }
@@ -85,7 +85,7 @@ func TestImproveLoopRevertsOnWorse(t *testing.T) {
 				worst, slowest = v, s
 			}
 		}
-		cx.Tree.AddSnake(slowest, 2000)
+		slowest.Snake += 2000
 		return true
 	})
 	if err != nil {

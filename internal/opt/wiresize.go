@@ -24,7 +24,7 @@ func EstimateTws(cx *Context) (float64, error) {
 	}
 	narrow := cx.narrowIdx()
 	for _, p := range probes {
-		cx.Tree.SetWidth(p, narrow)
+		p.WidthIdx = narrow
 	}
 	cx.invalidate()
 	after, _, err := cx.CNE()
@@ -51,7 +51,7 @@ func EstimateTws(cx *Context) (float64, error) {
 	// Revert probes and the CNE cache.
 	wide := cx.wideIdx()
 	for _, p := range probes {
-		cx.Tree.SetWidth(p, wide)
+		p.WidthIdx = wide
 	}
 	cx.invalidate()
 	return twsUnit, nil
@@ -154,7 +154,7 @@ func TopDownWiresizing(cx *Context) error {
 			if n.Parent != nil && n.WidthIdx == wide {
 				est := twsUnit * n.EdgeLen()
 				if budget := slk.EdgeSlow[n.ID] - rs; budget > est && est > 0 {
-					cx.Tree.SetWidth(n, narrow)
+					n.WidthIdx = narrow
 					rs += est
 					changed++
 				}

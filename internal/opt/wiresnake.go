@@ -46,7 +46,7 @@ func EstimateTwn(cx *Context, lwn float64, sinkEdges bool) (twn, twnSlew float64
 		return w.RPerUm * w.CPerUm * 100, 0.01, nil
 	}
 	for _, p := range probes {
-		cx.Tree.AddSnake(p, lwn)
+		p.Snake += lwn
 	}
 	cx.invalidate()
 	after, _, err := cx.CNE()
@@ -84,7 +84,7 @@ func EstimateTwn(cx *Context, lwn float64, sinkEdges bool) (twn, twnSlew float64
 		twnSlew = 1e-4
 	}
 	for _, p := range probes {
-		cx.Tree.AddSnake(p, -lwn)
+		p.Snake -= lwn
 	}
 	cx.invalidate()
 	return twn, twnSlew, nil
@@ -197,7 +197,7 @@ func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, twnSlew, lwn, saf
 					addLen = math.Floor(headroom/wireC/lwn) * lwn
 				}
 				if addLen > 0 {
-					cx.Tree.AddSnake(n, addLen)
+					n.Snake += addLen
 					stageSlew[drv] += slewCost(n, drv, addLen)
 					headroom -= addLen * wireC
 					rs += addLen * twn
@@ -271,7 +271,7 @@ func BottomLevelTuning(cx *Context) error {
 					continue
 				}
 				if slk.EdgeSlow[s.ID] > twsUnit*s.EdgeLen()*1.2 {
-					cx.Tree.SetWidth(s, narrow)
+					s.WidthIdx = narrow
 					changed++
 				}
 			}

@@ -8,6 +8,13 @@ import (
 	"contango/internal/geom"
 )
 
+// The maze grid pitch is the larger die side over mazePitchDiv, and the
+// maze-reroute pass runs at most maxRepairPasses times.
+const (
+	mazePitchDiv    = 256
+	maxRepairPasses = 3
+)
+
 // LegalizeArena repairs all obstacle violations in the arena. It mutates the
 // arena and returns a report. The die rectangle bounds detour contours and
 // the maze.
@@ -16,13 +23,7 @@ func LegalizeArena(a *ctree.Arena, obs *geom.ObstacleSet, die geom.Rect, opt Opt
 	if obs == nil || obs.Len() == 0 {
 		return rep, nil
 	}
-	if opt.MaxPasses == 0 {
-		opt.MaxPasses = 3
-	}
-	if opt.MazeStep == 0 {
-		opt.MazeStep = math.Max(die.W(), die.H()) / 256
-	}
-	maze := geom.NewMaze(die, opt.MazeStep, obs)
+	maze := geom.NewMaze(die, math.Max(die.W(), die.H())/mazePitchDiv, obs)
 
 	// Pass 1: cheap L-shape flips everywhere (in scope).
 	a.PreOrder(func(n int32) {
@@ -55,7 +56,7 @@ func LegalizeArena(a *ctree.Arena, obs *geom.ObstacleSet, die geom.Rect, opt Opt
 
 	// Pass 3: heavy point-to-point crossings -> maze reroute. Repeat a few
 	// times since a reroute can graze another obstacle.
-	for pass := 0; pass < opt.MaxPasses; pass++ {
+	for pass := 0; pass < maxRepairPasses; pass++ {
 		changed := false
 		var bad []int32
 		a.PreOrder(func(n int32) {

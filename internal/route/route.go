@@ -28,12 +28,6 @@ type Options struct {
 	// SafeCap is the slew-free capacitance (fF): the largest load a single
 	// buffer may drive over an obstacle without slew risk.
 	SafeCap float64
-	// MazeStep is the maze-router grid pitch in µm; 0 derives it from the
-	// die size.
-	MazeStep float64
-	// MaxPasses bounds the repair iterations (reroutes can graze other
-	// obstacles); 0 means 3.
-	MaxPasses int
 	// Scope, when non-nil, restricts LegalizeArena's repairs to the given
 	// slots (ECO mode passes the dirty subtrees of a delta application, so
 	// an incremental run never re-touches the legalized remainder of the

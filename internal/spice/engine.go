@@ -117,7 +117,7 @@ func (e *Engine) simulateCorner(net *analysis.Net, corner tech.Corner, prev *[2]
 			if level[i] != lv {
 				continue
 			}
-			key := stageCacheKey(s)
+			key := s.Key()
 			miss := false
 			for c := range cs.edge {
 				es := &cs.edge[c]
@@ -238,7 +238,7 @@ func (e *Engine) simEdges(net *analysis.Net, corner tech.Corner, cs *cornerScrat
 func commitEdge(net *analysis.Net, prev map[int][]*stageEntry, chosen []*stageEntry) map[int][]*stageEntry {
 	next := make(map[int][]*stageEntry, len(net.Stages))
 	for i, s := range net.Stages {
-		key := stageCacheKey(s)
+		key := s.Key()
 		old := prev[key]
 		if chosen[i] == nil {
 			if old != nil {
@@ -299,7 +299,7 @@ func addLaunch(res *analysis.Result, net *analysis.Net, results []*stageResult, 
 			}
 		}
 		if stageMax > 0 {
-			key := stageCacheKey(s)
+			key := s.Key()
 			if old, ok := res.StageSlew[key]; !ok || stageMax > old {
 				res.StageSlew[key] = stageMax
 			}

@@ -10,10 +10,12 @@ import (
 )
 
 // Incremental is the incremental, parallel form of the transient evaluator.
-// It keeps an analysis.IncrementalNet on the tree plus a per-(corner, edge)
-// cache of stage simulation results, so evaluating the network after a
-// candidate move re-simulates only the dirty cone: the stages the move
-// touched and everything downstream of them (whose input waveforms shift).
+// It keeps a per-(corner, edge) cache of stage simulation results, so
+// evaluating the network after a candidate move re-simulates only the dirty
+// cone: the stages the move changed and everything downstream of them
+// (whose input waveforms shift). Every evaluation extracts the whole tree
+// afresh; the cone is found by content alone, so any mutation — through
+// the ctree operations or a direct field write — is seen.
 //
 // A cached stage transient is reused when (a) the stage's content signature
 // matches — same driver parameters and RC arrays, as hashed by the
@@ -46,7 +48,6 @@ type Incremental struct {
 	Parallelism int
 
 	tree     *ctree.Tree
-	inc      *analysis.IncrementalNet
 	launches map[launchKey]map[int][]*stageEntry
 
 	// Stats counts evaluator work across the evaluator's lifetime.
@@ -95,12 +96,12 @@ func NewIncremental(tr *ctree.Tree, eng *Engine, parallelism int) *Incremental {
 // Name implements analysis.Evaluator.
 func (ie *Incremental) Name() string { return "transient-incremental" }
 
+// bind points the evaluator at tr, dropping the cache when the tree changes.
 func (ie *Incremental) bind(tr *ctree.Tree) {
-	if ie.inc != nil && ie.tree == tr {
+	if ie.launches != nil && ie.tree == tr {
 		return
 	}
 	ie.tree = tr
-	ie.inc = analysis.NewIncrementalNet(tr, ie.Eng.MaxSeg)
 	ie.launches = make(map[launchKey]map[int][]*stageEntry)
 }
 
@@ -126,12 +127,10 @@ func (ie *Incremental) BatchHint() int {
 	return ie.Parallelism
 }
 
-// Reset drops every cached stage result and the cached extraction. Call it
-// after changing Eng's integration parameters.
+// Reset drops every cached stage result. Call it after changing Eng's
+// integration parameters.
 func (ie *Incremental) Reset() {
-	tr := ie.tree
-	ie.inc = nil
-	ie.bind(tr)
+	ie.launches = make(map[launchKey]map[int][]*stageEntry)
 }
 
 // Evaluate implements analysis.Evaluator with per-stage caching and
@@ -144,13 +143,13 @@ func (ie *Incremental) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.R
 	return rs[0], nil
 }
 
-// EvaluateCorners implements analysis.CornerEvaluator: one extractor sync,
-// then one task per corner scheduled over the shared worker pool. A task
+// EvaluateCorners implements analysis.CornerEvaluator: one extraction, then
+// one task per corner scheduled over the shared worker pool. A task
 // runs both launch edges of its corner (Engine.simulateCorner); cache
 // matching, hits and commits stay per edge.
 func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
 	ie.bind(tr)
-	net := ie.inc.Sync()
+	net := analysis.Extract(tr, ie.Eng.MaxSeg)
 	ie.Stats.FullStages = len(net.Stages)
 
 	outs := make([]cornerOutcome, len(corners))
@@ -199,9 +198,6 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 // comparison for the newest entry when the upstream chain is known
 // unchanged (source stages, or a parent served from its own newest entry).
 func matchEntry(entries []*stageEntry, sig uint64, vin *Waveform, headFast bool) *stageEntry {
-	if sig == 0 {
-		return nil // unsigned stages never match
-	}
 	for gi, ent := range entries {
 		if ent.sig != sig {
 			continue
@@ -236,14 +232,6 @@ func waveEqual(a, b *Waveform) bool {
 		}
 	}
 	return true
-}
-
-// stageCacheKey mirrors the extractor's driver keying (-1 = source stage).
-func stageCacheKey(s *analysis.Stage) int {
-	if s.Driver == nil {
-		return -1
-	}
-	return s.Driver.ID
 }
 
 var _ analysis.CornerEvaluator = (*Incremental)(nil)

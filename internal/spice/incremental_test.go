@@ -3,6 +3,7 @@ package spice
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"contango/internal/analysis"
@@ -44,8 +45,9 @@ func randomStagedTree(rng *rand.Rand, tk *tech.Tech) *ctree.Tree {
 	return tr
 }
 
-// randomMove mutates the tree the way optimization rounds do, through the
-// journaling setters.
+// randomMove mutates the tree the way optimization rounds do: a direct
+// write to a wire width, a snake or a buffer size, or an inverter pair
+// inserted on an edge.
 func randomMove(rng *rand.Rand, tr *ctree.Tree) {
 	var edges, bufs []*ctree.Node
 	tr.PreOrder(func(n *ctree.Node) {
@@ -58,12 +60,12 @@ func randomMove(rng *rand.Rand, tr *ctree.Tree) {
 	})
 	switch rng.Intn(4) {
 	case 0:
-		tr.SetWidth(edges[rng.Intn(len(edges))], rng.Intn(len(tr.Tech.Wires)))
+		edges[rng.Intn(len(edges))].WidthIdx = rng.Intn(len(tr.Tech.Wires))
 	case 1:
-		tr.AddSnake(edges[rng.Intn(len(edges))], float64(1+rng.Intn(6))*25)
+		edges[rng.Intn(len(edges))].Snake += float64(1+rng.Intn(6)) * 25
 	case 2:
 		if len(bufs) > 0 {
-			tr.SetBufferSize(bufs[rng.Intn(len(bufs))], 2+rng.Intn(14))
+			bufs[rng.Intn(len(bufs))].Buf.N = 2 + rng.Intn(14)
 		}
 	case 3:
 		n := edges[rng.Intn(len(edges))]
@@ -127,6 +129,35 @@ func TestIncrementalTransientParity(t *testing.T) {
 	}
 }
 
+// TestIncrementalSeesDirectWrites: the incremental evaluator finds the
+// dirty cone from stage content, so bursts of direct field writes and edge
+// insertions between evaluations never leave a stale stage behind. Every
+// evaluation must equal the whole-tree Engine exactly.
+func TestIncrementalSeesDirectWrites(t *testing.T) {
+	tk := tech.Default45()
+	rng := rand.New(rand.NewSource(31))
+	for iter := 0; iter < 3; iter++ {
+		tr := randomStagedTree(rng, tk)
+		ie := NewIncremental(tr, New(), 2)
+		for round := 0; round < 6; round++ {
+			got, err := ie.EvaluateCorners(tr, tk.Corners)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := New().EvaluateCorners(tr, tk.Corners)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("iter %d round %d: incremental results differ from the whole-tree engine", iter, round)
+			}
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				randomMove(rng, tr)
+			}
+		}
+	}
+}
+
 // TestIncrementalReusesCleanStages: a second evaluation of an unchanged
 // tree must integrate nothing; a reverted probe must be served from the
 // two-generation cache rather than re-integrating the cone.
@@ -154,11 +185,11 @@ func TestIncrementalReusesCleanStages(t *testing.T) {
 			probe = n
 		}
 	})
-	tr.AddSnake(probe, 100)
+	probe.Snake += 100
 	if _, err := ie.EvaluateCorners(tr, tk.Corners); err != nil {
 		t.Fatal(err)
 	}
-	tr.AddSnake(probe, -100)
+	probe.Snake -= 100
 	base = ie.Stats
 	if _, err := ie.EvaluateCorners(tr, tk.Corners); err != nil {
 		t.Fatal(err)
