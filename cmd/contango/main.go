@@ -19,7 +19,6 @@ import (
 	"contango/internal/core"
 	"contango/internal/corners"
 	"contango/internal/eco"
-	"contango/internal/flow"
 	"contango/internal/obs"
 	"contango/internal/service"
 	"contango/internal/store"
@@ -36,7 +35,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the result as JSON (the contangod wire format)")
 	parallel := flag.Int("parallel", 0, "stage-simulation workers for the optimization cascade (0 = all CPUs, 1 = serial)")
 	fullEval := flag.Bool("full-eval", false, "disable the incremental evaluation cache (slow reference path, identical results)")
-	plan := flag.String("plan", "", "synthesis plan: a built-in name ("+strings.Join(flow.PlanNames(), ", ")+
+	plan := flag.String("plan", "", "synthesis plan: a built-in name ("+strings.Join(core.PlanNames(), ", ")+
 		") or a plan-spec string like 'tbsz:2,cycle(twsz,twsn)x2'")
 	listPlans := flag.Bool("plans", false, "list the built-in synthesis plans and exit")
 	cornerSpec := flag.String("corners", "", "PVT corner set: "+strings.Join(corners.Names(), ", ")+
@@ -48,8 +47,8 @@ func main() {
 	flag.Parse()
 
 	if *listPlans {
-		for _, n := range flow.PlanNames() {
-			spec, _ := flow.BuiltinSpec(n)
+		for _, n := range core.PlanNames() {
+			spec, _ := core.BuiltinSpec(n)
 			fmt.Printf("%-10s %s\n", n, spec)
 		}
 		return
@@ -67,7 +66,7 @@ func main() {
 		logger.Error(err.Error())
 		os.Exit(1)
 	}
-	if _, err := flow.ResolvePlan(*plan); err != nil {
+	if _, err := core.ResolvePlan(*plan); err != nil {
 		fail(err)
 	}
 	if err := corners.Validate(*cornerSpec); err != nil {

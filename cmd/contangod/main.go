@@ -37,8 +37,8 @@ import (
 	"syscall"
 	"time"
 
+	"contango/internal/core"
 	"contango/internal/corners"
-	"contango/internal/flow"
 	"contango/internal/obs"
 	"contango/internal/service"
 )
@@ -75,7 +75,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if _, err := flow.ResolvePlan(*plan); err != nil {
+	if _, err := core.ResolvePlan(*plan); err != nil {
 		fail(err)
 	}
 	if err := corners.Validate(*cornerSpec); err != nil {

@@ -51,11 +51,10 @@ import (
 	"contango/internal/core"
 	"contango/internal/corners"
 	"contango/internal/eval"
-	"contango/internal/flow"
 	"contango/internal/service"
 )
 
-// Options re-exports the flow configuration. The zero value gives the
+// Options re-exports the synthesis configuration. The zero value gives the
 // paper's contest setup: 45 nm technology, batches of 8 small inverters,
 // 10% capacitance reserve, transient-checked optimization rounds — with
 // the incremental evaluation engine on and its stage simulations spread
@@ -97,7 +96,7 @@ func Synthesize(b *bench.Benchmark, o Options) (*Result, error) { return core.Sy
 // PlanNames lists the built-in synthesis plans: "paper" (the default — the
 // paper's exact flow), "fast" (reduced round budgets, no convergence
 // cycles), "wire-only", "tune-only", and "no-cycles".
-func PlanNames() []string { return flow.PlanNames() }
+func PlanNames() []string { return core.PlanNames() }
 
 // ValidatePlan checks a plan name or plan-spec string without running it.
 // The spec grammar is a comma-separated pass list, each pass optionally
@@ -107,9 +106,9 @@ func PlanNames() []string { return flow.PlanNames() }
 //
 // Specs that name no construction pass get the construction prelude
 // (zst,legalize,buffer,polarity) prepended, so "tbsz:2,twsz" is a complete
-// plan. See the flow package for the full grammar.
+// plan. See core.ParsePlan for the full grammar.
 func ValidatePlan(nameOrSpec string) error {
-	_, err := flow.ResolvePlan(nameOrSpec)
+	_, err := core.ResolvePlan(nameOrSpec)
 	return err
 }
 

@@ -230,12 +230,3 @@ func (net *Net) DriverR(s *Stage, corner tech.Corner) float64 {
 	}
 	return t.RoutAt(*s.Driver.Buf, corner.Vdd)
 }
-
-// NumRCNodes returns the total RC node count across all stages.
-func (net *Net) NumRCNodes() int {
-	n := 0
-	for _, s := range net.Stages {
-		n += len(s.R)
-	}
-	return n
-}

@@ -141,6 +141,24 @@ func TestSkipStages(t *testing.T) {
 	}
 }
 
+// TestSkipStagesRejectsUnknown: only cascade passes can be skipped. A typo
+// or a construction pass is an error, not a full run under its own cache
+// key.
+func TestSkipStagesRejectsUnknown(t *testing.T) {
+	for _, name := range []string{"twzs", "zst", "eco", "INITIAL"} {
+		skip := map[string]bool{name: true}
+		if err := CheckSkipStages(skip); err == nil {
+			t.Errorf("CheckSkipStages accepted %q", name)
+		}
+		if _, err := Synthesize(tinyBench(), Options{SkipStages: skip}); err == nil || !strings.Contains(err.Error(), Canon(name)) {
+			t.Errorf("Synthesize with SkipStages{%q}: err = %v, want a rejection naming it", name, err)
+		}
+	}
+	if err := CheckSkipStages(map[string]bool{" TBSZ": true, "twsz": true, "bwsn": true, "zst": false}); err != nil {
+		t.Errorf("cascade passes rejected: %v", err)
+	}
+}
+
 func TestCyclesDisabled(t *testing.T) {
 	b := tinyBench()
 	res, err := Synthesize(b, Options{MaxRounds: 2, Cycles: -1})

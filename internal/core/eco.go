@@ -7,52 +7,45 @@ import (
 	"contango/internal/buffering"
 	"contango/internal/ctree"
 	"contango/internal/eco"
-	"contango/internal/flow"
 	"contango/internal/geom"
 )
 
-// The "eco" pass is the construction prelude of incremental re-synthesis
-// (the "eco" plan): instead of building a tree from scratch it restores
-// the base run's finished tree and replays an ECO delta against it with
-// locality-scoped repair. The tuning cascade then runs on the repaired
-// tree exactly as it would after a full construction.
-func init() {
-	flow.Register(flow.Registration{Pass: flow.NewPass("eco", passECO)})
-}
-
-// passECO restores Options.ECO's base tree into a fresh arena and applies
-// the delta. The submitted benchmark must be the delta-perturbed base
-// benchmark (eco.Delta.Perturb) — the pass cross-checks the sink count so
+// passECO is the construction prelude of incremental re-synthesis (the
+// "eco" plan): instead of building a tree from scratch it restores
+// Options.ECO's base tree into a fresh arena and replays the delta against
+// it with locality-scoped repair. The tuning cascade then runs on the
+// repaired tree exactly as it would after a full construction. The
+// submitted benchmark must be the delta-perturbed base benchmark (eco.Delta.Perturb) — the pass cross-checks the sink count so
 // a mismatched (base, delta, benchmark) triple fails loudly instead of
 // synthesizing against the wrong netlist.
-func passECO(ctx context.Context, s *flow.State) error {
-	spec := s.Opts.ECO
+func passECO(ctx context.Context, s *state) error {
+	spec := s.opts.ECO
 	if spec == nil || spec.Base == nil || spec.Delta == nil {
 		return fmt.Errorf("eco pass needs Options.ECO with a base tree and a delta")
 	}
-	if s.Tree != nil || s.Arena != nil {
+	if s.Tree != nil || s.arena != nil {
 		return fmt.Errorf("eco pass must be the first construction pass (a tree already exists)")
 	}
-	obs := geom.NewObstacleSet(s.Bench.Obstacles)
-	s.Obs = obs
+	obs := geom.NewObstacleSet(s.Benchmark.Obstacles)
+	s.obs = obs
 
 	// Restore: the base pointer tree (decoded from the result envelope)
 	// maps into a fresh arena; the cached base is never mutated.
-	endRestore := spanHook(s, "eco", "restore")
+	endRestore := s.opts.span("eco", "restore")
 	a := ctree.FromTree(spec.Base)
 	eco.ReserveFor(a, spec.Delta)
 	endRestore()
 
 	comp := spec.Composite
 	if comp.N == 0 {
-		comp = s.Opts.Ladder[0]
+		comp = s.opts.Ladder[0]
 	}
-	endApply := spanHook(s, "eco", "apply")
+	endApply := s.opts.span("eco", "apply")
 	rep, err := eco.Apply(a, spec.Delta, eco.Config{
 		Composite: comp,
 		Obs:       obs,
-		Die:       s.Bench.Die,
-		SafeCap:   buffering.SafeLoad(s.Opts.Tech, comp),
+		Die:       s.Benchmark.Die,
+		SafeCap:   buffering.SafeLoad(s.opts.Tech, comp),
 	})
 	endApply()
 	if err != nil {
@@ -65,24 +58,15 @@ func passECO(ctx context.Context, s *flow.State) error {
 			sinks++
 		}
 	}
-	if sinks != len(s.Bench.Sinks) {
+	if sinks != len(s.Benchmark.Sinks) {
 		return fmt.Errorf("eco: tree has %d sinks after the delta but the benchmark has %d (submit the delta-perturbed benchmark)",
-			sinks, len(s.Bench.Sinks))
+			sinks, len(s.Benchmark.Sinks))
 	}
 
-	s.Arena = a
+	s.arena = a
 	s.Composite = comp
 	s.Legalization = rep.Legalization
 	s.AddedInverters = rep.AddedInverters
-	s.Logf("%s: %s", s.Bench.Name, rep)
+	s.logf("%s: %s", s.Benchmark.Name, rep)
 	return nil
-}
-
-// spanHook brackets an instrumented eco phase through the options' span
-// hook (a no-op closure when none is installed).
-func spanHook(s *flow.State, kind, name string) func() {
-	if s.Opts.SpanHook == nil {
-		return func() {}
-	}
-	return s.Opts.SpanHook(kind, name)
 }

@@ -4,11 +4,14 @@
 // cascade — top-down buffer sizing (TBSZ), top-down wiresizing (TWSZ),
 // top-down wiresnaking (TWSN) and bottom-level fine-tuning (BWSZ/BWSN) —
 // each gated by Clock-Network Evaluation and Improvement- &
-// Violation-Checking. The phases are registered as passes in the
-// declarative pipeline engine (internal/flow); Synthesize resolves
-// Options.Plan to a pass pipeline ("paper" — the exact cascade above — by
-// default) and runs it. It also provides the contest-style baseline flows
-// used for the paper's Table IV comparison.
+// Violation-Checking. The phases are the entries of one static pass
+// table, and a Plan is an ordered list of pass steps with per-pass round
+// budgets, gate predicates and convergence cycle groups. Named built-in
+// plans ("paper" — the exact cascade above — "fast", "wire-only",
+// "tune-only", "no-cycles", "eco") plus a compact plan-spec grammar
+// (ParsePlan) express ablations and alternative cascades; Synthesize
+// resolves Options.Plan and runs it. The package also provides the
+// contest-style baseline flows used for the paper's Table IV comparison.
 package core
 
 import (
@@ -22,20 +25,10 @@ import (
 	"contango/internal/corners"
 	"contango/internal/ctree"
 	"contango/internal/eval"
-	"contango/internal/flow"
-	"contango/internal/opt"
 	"contango/internal/route"
 	"contango/internal/spice"
 	"contango/internal/tech"
 )
-
-// Options configures a synthesis run; it lives in internal/flow so the
-// pipeline engine and the passes share one type, and is re-exported here
-// for the public surface. The zero value is the paper's contest setup.
-type Options = flow.Options
-
-// StageRecord captures metrics after one flow stage (a Table III row).
-type StageRecord = flow.StageRecord
 
 // Result is the outcome of a synthesis run.
 type Result struct {
@@ -73,8 +66,11 @@ func Synthesize(b *bench.Benchmark, o Options) (*Result, error) {
 // discarded.
 func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Result, error) {
 	o = o.Resolve()
-	plan, err := flow.ResolvePlan(o.Plan)
+	plan, err := ResolvePlan(o.Plan)
 	if err != nil {
+		return nil, err
+	}
+	if err := CheckSkipStages(o.SkipStages); err != nil {
 		return nil, err
 	}
 	// Resolve installs valid corner sets; an invalid spec survives it
@@ -91,47 +87,10 @@ func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Res
 		return nil, err
 	}
 
-	// The SPICE-driven cascade passes (paper Fig. 1) check every IVC round
-	// with the accurate transient engine, exactly as the paper checks every
-	// round with SPICE. The incremental evaluator wraps the engine so each
-	// round re-simulates only the dirty cone of its mutations, with
-	// independent stages integrated concurrently — identical results, a
-	// fraction of the work. The pipeline arms it lazily, right before the
+	// The pipeline arms the accurate evaluator lazily, right before the
 	// first pass that needs evaluation, and records the INITIAL stage.
-	var inc *spice.Incremental
-	s := &flow.State{Opts: o, Bench: b}
-	s.ArmEval = func(ctx context.Context, s *flow.State) error {
-		// Arena-native construction materializes the pointer tree exactly
-		// here: the first consumer that needs node graphs is the evaluator.
-		if err := s.MaterializeTree(); err != nil {
-			return err
-		}
-		if s.Tree == nil {
-			// A mis-ordered custom plan (an evaluated or gated pass before
-			// zst) parses fine; fail the run cleanly instead of letting the
-			// evaluator dereference a nil tree.
-			return fmt.Errorf("plan needs a tree before pass evaluation (zst must run first)")
-		}
-		var cne analysis.Evaluator = o.Engine
-		if !o.FullEval {
-			inc = spice.NewIncremental(s.Tree, o.Engine, o.Parallelism)
-			cne = inc
-		}
-		if o.WrapEval != nil {
-			// Scheduling shims (corner chunking with cooperative slot
-			// yields) wrap the evaluator here; they must not change what is
-			// evaluated, only when.
-			cne = o.WrapEval(cne)
-		}
-		s.Opt = &opt.Context{
-			Tree: s.Tree, Eng: cne, Obs: s.Obs, CapLimit: b.CapLimit,
-			MaxRounds: o.MaxRounds, Parallelism: o.Parallelism,
-			Log: o.Log, Check: ctx.Err,
-		}
-		return s.Record("INITIAL")
-	}
-
-	if err := flow.Run(ctx, s, plan); err != nil {
+	s := &state{Result: Result{Benchmark: b}, opts: o}
+	if err := runPlan(ctx, s, plan); err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -139,7 +98,7 @@ func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Res
 	}
 	// A construction-only plan that never armed the evaluator still owes the
 	// caller a pointer tree.
-	if err := s.MaterializeTree(); err != nil {
+	if err := s.materializeTree(); err != nil {
 		return nil, err
 	}
 	if s.Tree == nil {
@@ -147,7 +106,7 @@ func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Res
 	}
 	if len(s.Stages) == 0 {
 		// Construction-only plans still report measured metrics.
-		if err := s.EnsureEval(ctx); err != nil {
+		if err := s.ensureEval(ctx); err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
@@ -155,30 +114,22 @@ func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Res
 		}
 	}
 
-	res := &Result{
-		Benchmark:      b,
-		Tree:           s.Tree,
-		Stages:         s.Stages,
-		Final:          s.Stages[len(s.Stages)-1].Metrics,
-		Runs:           o.Engine.Runs,
-		Legalization:   s.Legalization,
-		Composite:      s.Composite,
-		InvertedSinks:  s.InvertedSinks,
-		AddedInverters: s.AddedInverters,
-	}
-	if inc != nil {
+	res := s.Result
+	res.Final = s.Stages[len(s.Stages)-1].Metrics
+	res.Runs = o.Engine.Runs
+	if inc := s.inc; inc != nil {
 		res.StageSims = inc.Stats.StagesSim
 		res.StageReuses = inc.Stats.StagesHit
-		s.Logf("%s: incremental CNE: %d stage sims, %d cache hits (%.0f%% reused)",
+		s.logf("%s: incremental CNE: %d stage sims, %d cache hits (%.0f%% reused)",
 			b.Name, res.StageSims, res.StageReuses,
 			100*float64(res.StageReuses)/float64(max1(res.StageSims+res.StageReuses)))
 	}
 	res.Buffers = len(s.Tree.Buffers())
 	res.Elapsed = time.Since(start)
-	if err := s.Tree.Validate(); err != nil {
+	if err := res.Tree.Validate(); err != nil {
 		return nil, fmt.Errorf("final validation: %w", err)
 	}
-	return res, nil
+	return &res, nil
 }
 
 func max1(n int) int {

@@ -1,4 +1,4 @@
-package flow
+package core
 
 import (
 	"runtime"
@@ -11,8 +11,8 @@ import (
 	"contango/internal/tech"
 )
 
-// Options configures a synthesis run. core re-exports this type, so the
-// zero value keeps meaning the paper's contest setup.
+// Options configures a synthesis run. The zero value is the paper's
+// contest setup.
 type Options struct {
 	// Tech defaults to tech.Default45().
 	Tech *tech.Tech
@@ -56,8 +56,9 @@ type Options struct {
 	// fingerprint — appended to the fingerprint only when set, so default
 	// keys stay byte-identical.
 	ECO *eco.Spec
-	// SkipStages disables individual optional stages by canonical name
-	// ("tbsz", "twsz", "twsn", "bwsn") for ablations, whatever plan runs.
+	// SkipStages disables individual cascade passes by name ("tbsz",
+	// "twsz", "twsn", "bwsn") for ablations, whatever plan runs. Any other
+	// name is an error (CheckSkipStages).
 	SkipStages map[string]bool
 	// BufferStep is the candidate spacing for buffer insertion (µm);
 	// 0 = default.
@@ -102,6 +103,15 @@ const defaultCycles = 3
 // disabled". Resolve maps every negative Cycles to it so resolution is
 // idempotent: 0 means "defaulted" only on unresolved options.
 const noCycles = -1
+
+// span opens an instrumented phase through SpanHook and returns the func
+// that closes it (a no-op when no hook is installed).
+func (o *Options) span(kind, name string) func() {
+	if o.SpanHook == nil {
+		return func() {}
+	}
+	return o.SpanHook(kind, name)
+}
 
 // extraCycles returns the effective convergence-cycle budget: the default
 // when unset, zero when explicitly disabled.

@@ -1,7 +1,8 @@
-package flow
+package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -137,23 +138,18 @@ func BuiltinSpec(name string) (string, bool) {
 	return spec, ok
 }
 
-// constructionPasses are the tree-building prelude every plan needs; a
-// custom spec that names none of them gets the prelude prepended, so users
-// can type just the optimization cascade ("tbsz:2,cycle(twsz,twsn)x2").
-var constructionPasses = map[string]bool{
-	"zst": true, "legalize": true, "buffer": true, "polarity": true,
-	// "eco" replaces the whole construction prelude: it restores an
-	// already-built tree, so prepending zst before it would be wrong.
-	"eco": true,
-}
-
 func preludeSteps() []Step {
 	return []Step{{Pass: "zst"}, {Pass: "legalize"}, {Pass: "buffer"}, {Pass: "polarity"}}
 }
 
+// hasConstruction reports whether any step names a construction pass. A
+// custom spec that names none gets the construction prelude prepended, so
+// users can type just the optimization cascade ("tbsz:2,cycle(twsz,twsn)x2").
+// "eco" counts: it replaces the whole prelude by restoring an already-built
+// tree, so prepending zst before it would be wrong.
 func hasConstruction(steps []Step) bool {
 	for _, st := range steps {
-		if constructionPasses[st.Pass] || hasConstruction(st.Cycle) {
+		if isConstruction(st.Pass) || hasConstruction(st.Cycle) {
 			return true
 		}
 	}
@@ -188,7 +184,7 @@ func ResolvePlan(nameOrSpec string) (Plan, error) {
 //	cycle := "cycle(" plan ")" ["x" count]
 //	gate  := metric (">" | "<") number     metric := skew|clr|lat|slew|viol|cap
 //
-// Pass names must be registered; rounds and count are positive integers;
+// Pass names must be in the pass table; rounds and count are positive integers;
 // cycle groups cannot nest. A spec naming no construction pass
 // (zst/legalize/buffer/polarity/eco) gets the construction prelude
 // prepended. Construction steps must precede the cascade: none may be
@@ -199,7 +195,7 @@ func ParsePlan(spec string) (Plan, error) {
 		return Plan{}, err
 	}
 	if len(steps) == 0 {
-		return Plan{}, fmt.Errorf("flow: empty plan spec")
+		return Plan{}, fmt.Errorf("core: empty plan spec")
 	}
 	if err := checkConstructionOrder(steps); err != nil {
 		return Plan{}, err
@@ -213,30 +209,29 @@ func ParsePlan(spec string) (Plan, error) {
 // checkConstructionOrder rejects construction steps that would run after
 // the evaluator is armed. Arming materializes the pointer tree the cascade
 // works on, and construction only builds the arena before that point. A
-// pass registered with NeedsEval, a gated step and a cycle group all arm
-// the evaluator before they run.
+// cascade pass, a gated step and a cycle group all arm the evaluator
+// before they run.
 func checkConstructionOrder(steps []Step) error {
 	armedBy := ""
 	for _, st := range steps {
 		if st.Cycle != nil {
 			for _, in := range st.Cycle {
-				if constructionPasses[in.Pass] {
-					return fmt.Errorf("flow: construction pass %q cannot run in a cycle group", in.Pass)
+				if isConstruction(in.Pass) {
+					return fmt.Errorf("core: construction pass %q cannot run in a cycle group", in.Pass)
 				}
 			}
 			armedBy = st.String()
 			continue
 		}
-		reg, _ := Lookup(st.Pass)
-		if constructionPasses[st.Pass] {
+		if isConstruction(st.Pass) {
 			switch {
 			case armedBy != "":
-				return fmt.Errorf("flow: construction pass %q cannot follow cascade step %q", st.Pass, armedBy)
+				return fmt.Errorf("core: construction pass %q cannot follow cascade step %q", st.Pass, armedBy)
 			case st.Gate != nil:
-				return fmt.Errorf("flow: construction pass %q cannot be gated (a gate evaluates the finished tree)", st.Pass)
+				return fmt.Errorf("core: construction pass %q cannot be gated (a gate evaluates the finished tree)", st.Pass)
 			}
 		}
-		if reg.NeedsEval || st.Gate != nil {
+		if lookupPass(st.Pass).cascade || st.Gate != nil {
 			armedBy = st.String()
 		}
 	}
@@ -274,7 +269,7 @@ func splitTop(s string) ([]string, error) {
 		case ')':
 			depth--
 			if depth < 0 {
-				return nil, fmt.Errorf("flow: unbalanced ')' in plan spec %q", s)
+				return nil, fmt.Errorf("core: unbalanced ')' in plan spec %q", s)
 			}
 		case ',':
 			if depth == 0 {
@@ -284,7 +279,7 @@ func splitTop(s string) ([]string, error) {
 		}
 	}
 	if depth != 0 {
-		return nil, fmt.Errorf("flow: unclosed '(' in plan spec %q", s)
+		return nil, fmt.Errorf("core: unclosed '(' in plan spec %q", s)
 	}
 	return append(parts, s[start:]), nil
 }
@@ -307,22 +302,22 @@ func parseStep(tok string) (Step, error) {
 	if c := strings.IndexByte(rest, ':'); c >= 0 {
 		n, err := strconv.Atoi(strings.TrimSpace(rest[c+1:]))
 		if err != nil || n < 1 {
-			return Step{}, fmt.Errorf("flow: bad round budget in step %q (want a positive integer)", tok)
+			return Step{}, fmt.Errorf("core: bad round budget in step %q (want a positive integer)", tok)
 		}
 		rounds = n
 		rest = rest[:c]
 	}
 	name := Canon(rest)
 	if name == "" {
-		return Step{}, fmt.Errorf("flow: empty pass name in step %q", tok)
+		return Step{}, fmt.Errorf("core: empty pass name in step %q", tok)
 	}
 	for _, r := range name {
 		if (r < 'a' || r > 'z') && (r < '0' || r > '9') && r != '-' && r != '_' {
-			return Step{}, fmt.Errorf("flow: invalid pass name %q", name)
+			return Step{}, fmt.Errorf("core: invalid pass name %q", name)
 		}
 	}
-	if _, ok := Lookup(name); !ok {
-		return Step{}, fmt.Errorf("flow: unknown pass %q (registered: %s)", name, strings.Join(PassNames(), ", "))
+	if lookupPass(name) == nil {
+		return Step{}, fmt.Errorf("core: unknown pass %q (known: %s)", name, strings.Join(passNames(false), ", "))
 	}
 	return Step{Pass: name, Rounds: rounds, Gate: gate}, nil
 }
@@ -331,29 +326,29 @@ func parseCycle(tok string) (Step, error) {
 	open := strings.IndexByte(tok, '(')
 	closing := strings.LastIndexByte(tok, ')')
 	if closing < open {
-		return Step{}, fmt.Errorf("flow: unclosed cycle group in %q", tok)
+		return Step{}, fmt.Errorf("core: unclosed cycle group in %q", tok)
 	}
 	inner, err := parseSteps(tok[open+1 : closing])
 	if err != nil {
 		return Step{}, err
 	}
 	if len(inner) == 0 {
-		return Step{}, fmt.Errorf("flow: empty cycle group in %q", tok)
+		return Step{}, fmt.Errorf("core: empty cycle group in %q", tok)
 	}
 	for _, st := range inner {
 		if st.Cycle != nil {
-			return Step{}, fmt.Errorf("flow: nested cycle groups are not supported (%q)", tok)
+			return Step{}, fmt.Errorf("core: nested cycle groups are not supported (%q)", tok)
 		}
 	}
 	repeat := 0
 	if suffix := strings.TrimSpace(tok[closing+1:]); suffix != "" {
 		low := Canon(suffix)
 		if !strings.HasPrefix(low, "x") {
-			return Step{}, fmt.Errorf("flow: bad cycle suffix %q (want xN)", suffix)
+			return Step{}, fmt.Errorf("core: bad cycle suffix %q (want xN)", suffix)
 		}
 		n, err := strconv.Atoi(low[1:])
 		if err != nil || n < 1 {
-			return Step{}, fmt.Errorf("flow: bad cycle count %q (want a positive integer)", suffix)
+			return Step{}, fmt.Errorf("core: bad cycle count %q (want a positive integer)", suffix)
 		}
 		repeat = n
 	}
@@ -363,15 +358,35 @@ func parseCycle(tok string) (Step, error) {
 func parseGate(s string) (Gate, error) {
 	i := strings.IndexAny(s, "<>")
 	if i < 0 {
-		return Gate{}, fmt.Errorf("flow: bad gate %q (want metric>value or metric<value)", s)
+		return Gate{}, fmt.Errorf("core: bad gate %q (want metric>value or metric<value)", s)
 	}
 	metric := Canon(s[:i])
 	if _, ok := gateMetrics[metric]; !ok {
-		return Gate{}, fmt.Errorf("flow: unknown gate metric %q (want skew, clr, lat, slew, viol or cap)", metric)
+		return Gate{}, fmt.Errorf("core: unknown gate metric %q (want skew, clr, lat, slew, viol or cap)", metric)
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(s[i+1:]), 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		// A NaN gate would silently disable its pass (every comparison
+		// is false), and either value would enter the cache key.
+		err = fmt.Errorf("non-finite number")
+	}
 	if err != nil {
-		return Gate{}, fmt.Errorf("flow: bad gate value in %q: %v", s, err)
+		return Gate{}, fmt.Errorf("core: bad gate value in %q: %v", s, err)
 	}
 	return Gate{Metric: metric, Less: s[i] == '<', Value: v}, nil
+}
+
+// Canon returns the canonical form of a pass or stage name: trimmed and
+// ASCII-lowercased. It is the one normalization used everywhere a stage
+// name is compared — plan parsing, SkipStages lookups, cache-key
+// fingerprints, and the service wire layer.
+func Canon(s string) string {
+	s = strings.TrimSpace(s)
+	b := []byte(s)
+	for i, c := range b {
+		if c >= 'A' && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }

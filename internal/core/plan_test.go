@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"contango/internal/flow"
 )
 
 // sameRun asserts two synthesis results are bit-identical: same stage
@@ -44,16 +42,16 @@ func sameRun(t *testing.T, label string, a, b *Result) {
 // rendering is a fixpoint (parse(render(p)) == p), which is what lets the
 // service fingerprint plans by their expanded spec.
 func TestBuiltinPlansResolve(t *testing.T) {
-	names := flow.PlanNames()
-	if len(names) == 0 || names[0] != flow.DefaultPlanName {
+	names := PlanNames()
+	if len(names) == 0 || names[0] != DefaultPlanName {
 		t.Fatalf("PlanNames() = %v, want paper first", names)
 	}
 	for _, name := range names {
-		p, err := flow.ResolvePlan(name)
+		p, err := ResolvePlan(name)
 		if err != nil {
 			t.Fatalf("built-in %s: %v", name, err)
 		}
-		again, err := flow.ResolvePlan(p.String())
+		again, err := ResolvePlan(p.String())
 		if err != nil {
 			t.Fatalf("re-resolving %s (%q): %v", name, p.String(), err)
 		}
@@ -63,10 +61,142 @@ func TestBuiltinPlansResolve(t *testing.T) {
 	}
 	// Resolve canonicalizes Options.Plan to the expanded default spec.
 	r := (Options{}).Resolve()
-	want, _ := flow.ResolvePlan(flow.DefaultPlanName)
+	want, _ := ResolvePlan(DefaultPlanName)
 	if r.Plan != want.String() {
 		t.Errorf("resolved zero plan = %q, want %q", r.Plan, want.String())
 	}
+}
+
+// TestResolvePlanBuiltinsAndDefault: the empty plan resolves to the
+// default, every built-in resolves under its own name, and every pass a
+// built-in names is in the pass table.
+func TestResolvePlanBuiltinsAndDefault(t *testing.T) {
+	p, err := ResolvePlan("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Name != DefaultPlanName {
+		t.Errorf("default plan = %s", p.Name)
+	}
+	for name, spec := range builtinSpecs {
+		p, err := ResolvePlan(name)
+		if err != nil {
+			t.Fatalf("built-in %s: %v", name, err)
+		}
+		if p.Name != name {
+			t.Errorf("built-in %s resolved as %q", name, p.Name)
+		}
+		for _, tok := range strings.FieldsFunc(spec, func(r rune) bool { return strings.ContainsRune(",()", r) }) {
+			pass := strings.SplitN(tok, ":", 2)[0]
+			if pass == "cycle" || strings.HasPrefix(pass, "x") {
+				continue
+			}
+			if lookupPass(pass) == nil {
+				t.Errorf("built-in %s names %q, which is not in the pass table", name, pass)
+			}
+		}
+	}
+}
+
+func TestCanon(t *testing.T) {
+	for in, want := range map[string]string{
+		" TBSZ ": "tbsz", "TwSz": "twsz", "bwsn": "bwsn", "Cycle-1_a": "cycle-1_a",
+	} {
+		if got := Canon(in); got != want {
+			t.Errorf("Canon(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// The seed corpus of FuzzParsePlan (testdata/fuzz/FuzzParsePlan) holds
+// every spec of the two tables below.
+func TestParsePlanRoundTrip(t *testing.T) {
+	cases := []struct {
+		spec string
+		want string // canonical rendering; "" means same as spec
+	}{
+		{"zst,legalize,buffer,polarity,tbsz,twsz", ""},
+		{"zst,legalize,buffer,polarity,tbsz:4,cycle(twsz,twsn)x2", ""},
+		{"zst,legalize,buffer,polarity,twsz?skew>10.5,twsn?cap<2000", ""},
+		{"zst, Legalize , BUFFER,polarity, tbsz : 4", "zst,legalize,buffer,polarity,tbsz:4"},
+		{"cycle(twsz,twsn) X3,tbsz", "zst,legalize,buffer,polarity,cycle(twsz,twsn)x3,tbsz"},
+		// Construction prelude implied for pure-cascade specs.
+		{"tbsz:2,twsz", "zst,legalize,buffer,polarity,tbsz:2,twsz"},
+	}
+	for _, c := range cases {
+		p, err := ParsePlan(c.spec)
+		if err != nil {
+			t.Errorf("ParsePlan(%q): %v", c.spec, err)
+			continue
+		}
+		want := c.want
+		if want == "" {
+			want = c.spec
+		}
+		if p.String() != want {
+			t.Errorf("ParsePlan(%q).String() = %q, want %q", c.spec, p.String(), want)
+			continue
+		}
+		// Canonical rendering must be a parse fixpoint.
+		again, err := ParsePlan(p.String())
+		if err != nil {
+			t.Errorf("reparse %q: %v", p.String(), err)
+		} else if again.String() != p.String() {
+			t.Errorf("not a fixpoint: %q -> %q", p.String(), again.String())
+		}
+	}
+}
+
+func TestParsePlanInvalid(t *testing.T) {
+	for _, spec := range []string{
+		"",                       // empty
+		" , ,",                   // only separators
+		"nosuchpass",             // not in the pass table
+		"tbsz:0",                 // round budget must be positive
+		"tbsz:x",                 // non-numeric rounds
+		"tbsz?bogus>1",           // unknown gate metric
+		"tbsz?skew=1",            // bad gate operator
+		"tbsz?skew>abc",          // bad gate value
+		"twsz?skew>NaN",          // non-finite gate value
+		"twsz?skew<+Inf",         // non-finite gate value
+		"cycle(twsz",             // unclosed group
+		"cycle(twsz))",           // unbalanced
+		"cycle()x2",              // empty group
+		"cycle(twsz)y3",          // bad suffix
+		"cycle(twsz)x0",          // cycle count must be positive
+		"cycle(cycle(twsz)x2)x2", // nested groups
+		"tb sz",                  // whitespace inside a name
+		// Construction after the evaluator is armed.
+		"tbsz,zst,legalize,buffer,polarity",
+		"zst,legalize,buffer,polarity,tbsz,polarity",
+		"zst,legalize,buffer,polarity,cycle(twsz),buffer",
+		"zst,legalize,buffer,polarity,twsz?skew>1,legalize",
+		"zst?skew>5,legalize,buffer,polarity",
+		"zst,legalize,buffer,polarity,cycle(twsz,polarity)",
+	} {
+		if p, err := ParsePlan(spec); err == nil {
+			t.Errorf("ParsePlan(%q) accepted: %v", spec, p)
+		}
+	}
+}
+
+// FuzzParsePlan feeds arbitrary specs to ResolvePlan. It must never panic,
+// and any plan it accepts must render to a spec that resolves again to the
+// same rendering.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ResolvePlan(spec)
+		if err != nil {
+			return
+		}
+		again, err := ResolvePlan(p.String())
+		if err != nil {
+			t.Fatalf("rendering %q of %q does not resolve: %v", p.String(), spec, err)
+		}
+		if again.String() != p.String() {
+			t.Fatalf("rendering of %q is not canonical: %q -> %q", spec, p.String(), again.String())
+		}
+	})
 }
 
 // TestPaperPlanMatchesExplicitSpec is the plan-equivalence acceptance
@@ -129,7 +259,7 @@ func TestCustomPlanSpecEndToEnd(t *testing.T) {
 		MaxRounds: 2,
 		Plan:      "tbsz:2,twsz:2",
 		Log: func(format string, args ...interface{}) {
-			if flow.IsProgressLine(format) {
+			if IsProgressLine(format) {
 				progress++
 			} else {
 				logs++

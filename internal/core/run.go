@@ -1,4 +1,4 @@
-package flow
+package core
 
 import (
 	"context"
@@ -11,13 +11,13 @@ import (
 // deliver to earn another cycle — the paper's feedback-arrow stop rule.
 const cycleMinGain = 0.05
 
-// Run executes a plan over the shared state: passes run in order, optional
-// passes honor Options.SkipStages, gated passes consult their predicate,
-// and cycle groups repeat until the improvement check fails or the budget
-// runs out. Cancellation is checked between steps (and by the armed
+// runPlan executes a plan over the shared state: passes run in order,
+// cascade passes honor Options.SkipStages, gated passes consult their
+// predicate, and cycle groups repeat until the improvement check fails or
+// the budget runs out. Cancellation is checked between steps (and by the armed
 // evaluator before every improvement round); the context's error is
 // returned verbatim so callers can test against it.
-func Run(ctx context.Context, s *State, p Plan) error {
+func runPlan(ctx context.Context, s *state, p Plan) error {
 	total := len(p.Steps)
 	for i, st := range p.Steps {
 		if err := ctx.Err(); err != nil {
@@ -33,63 +33,58 @@ func Run(ctx context.Context, s *State, p Plan) error {
 // runStep executes one plan step. record=false suppresses the per-pass
 // StageRecord (used inside cycle groups, which record one CYCLE<n> row per
 // cycle instead).
-func runStep(ctx context.Context, s *State, st Step, idx, total int, record bool) error {
+func runStep(ctx context.Context, s *state, st Step, idx, total int, record bool) error {
 	if st.Cycle != nil {
 		return runCycle(ctx, s, st, idx, total)
 	}
-	reg, ok := Lookup(st.Pass)
-	if !ok {
-		return fmt.Errorf("flow: unknown pass %q", st.Pass)
+	p := lookupPass(st.Pass)
+	if p == nil {
+		return fmt.Errorf("core: unknown pass %q", st.Pass)
 	}
-	if reg.Optional && s.Opts.SkipStages[st.Pass] {
-		s.Progressf("%d/%d %s: skipped", idx, total, st.Pass)
+	if p.cascade && s.opts.SkipStages[st.Pass] {
+		s.progressf("%d/%d %s: skipped", idx, total, st.Pass)
 		return nil
 	}
-	if reg.NeedsEval || st.Gate != nil {
-		if err := s.EnsureEval(ctx); err != nil {
+	if p.cascade || st.Gate != nil {
+		if err := s.ensureEval(ctx); err != nil {
 			return err
 		}
 	}
 	if st.Gate != nil {
-		m, err := s.Calibrate()
+		m, err := s.metrics()
 		if err != nil {
 			return err
 		}
 		if !st.Gate.Admit(m) {
-			s.Progressf("%d/%d %s: gated off (%s)", idx, total, st.Pass, st.Gate)
+			s.progressf("%d/%d %s: gated off (%s)", idx, total, st.Pass, st.Gate)
 			return nil
 		}
 	}
-	if st.Rounds > 0 && s.Opt != nil {
-		saved := s.Opt.MaxRounds
-		s.Opt.MaxRounds = st.Rounds
-		defer func() { s.Opt.MaxRounds = saved }()
+	if st.Rounds > 0 && s.opt != nil {
+		saved := s.opt.MaxRounds
+		s.opt.MaxRounds = st.Rounds
+		defer func() { s.opt.MaxRounds = saved }()
 	}
-	s.Progressf("%d/%d %s: start", idx, total, st.Pass)
+	s.progressf("%d/%d %s: start", idx, total, st.Pass)
 	t0 := time.Now()
 	// The span brackets only the pass body: skipped and gated-off passes
 	// never reach here, and a failing pass still closes its span before
 	// the error propagates.
-	var endSpan func()
-	if s.Opts.SpanHook != nil {
-		endSpan = s.Opts.SpanHook("pass", st.Pass)
-	}
-	err := reg.Pass.Run(ctx, s)
-	if endSpan != nil {
-		endSpan()
-	}
+	end := s.opts.span("pass", st.Pass)
+	err := p.run(ctx, s)
+	end()
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		return fmt.Errorf("%s: %w", st.Pass, err)
 	}
-	if record && reg.Record {
-		if err := s.Record(strings.ToUpper(st.Pass)); err != nil {
+	if record && p.cascade {
+		if err := s.record(strings.ToUpper(st.Pass)); err != nil {
 			return err
 		}
 	}
-	s.Progressf("%d/%d %s: done in %s", idx, total, st.Pass, time.Since(t0).Round(time.Millisecond))
+	s.progressf("%d/%d %s: done in %s", idx, total, st.Pass, time.Since(t0).Round(time.Millisecond))
 	return nil
 }
 
@@ -97,28 +92,28 @@ func runStep(ctx context.Context, s *State, st Step, idx, total int, record bool
 // recalibrate (each recalibration re-anchors the hybrid, so the residual
 // model error shrinks geometrically), record the cycle as its own
 // CYCLE<n> stage, and stop once neither skew nor CLR improved.
-func runCycle(ctx context.Context, s *State, st Step, idx, total int) error {
-	if err := s.EnsureEval(ctx); err != nil {
+func runCycle(ctx context.Context, s *state, st Step, idx, total int) error {
+	if err := s.ensureEval(ctx); err != nil {
 		return err
 	}
 	budget := st.Repeat
 	if budget == 0 {
-		budget = s.Opts.extraCycles()
+		budget = s.opts.extraCycles()
 	}
 	label := st.String()
 	for cycle := 0; cycle < budget; cycle++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		before, ok := s.LastMetrics()
+		before, ok := s.lastMetrics()
 		if !ok {
-			m, err := s.Calibrate()
+			m, err := s.metrics()
 			if err != nil {
 				return err
 			}
 			before = m
 		}
-		s.Progressf("%d/%d %s: cycle %d/%d", idx, total, label, cycle+1, budget)
+		s.progressf("%d/%d %s: cycle %d/%d", idx, total, label, cycle+1, budget)
 		for _, inner := range st.Cycle {
 			if err := runStep(ctx, s, inner, idx, total, false); err != nil {
 				if ctx.Err() != nil {
@@ -127,7 +122,7 @@ func runCycle(ctx context.Context, s *State, st Step, idx, total int) error {
 				return fmt.Errorf("cycle %d: %w", cycle, err)
 			}
 		}
-		if err := s.Record(fmt.Sprintf("CYCLE%d", cycle+1)); err != nil {
+		if err := s.record(fmt.Sprintf("CYCLE%d", cycle+1)); err != nil {
 			return err
 		}
 		m := s.Stages[len(s.Stages)-1].Metrics

@@ -185,17 +185,6 @@ func (a *Arena) Sinks() []int32 {
 	return out
 }
 
-// NumBuffers counts buffer slots reachable from the root.
-func (a *Arena) NumBuffers() int {
-	n := 0
-	a.PreOrder(func(i int32) {
-		if a.Kind[i] == Buffer {
-			n++
-		}
-	})
-	return n
-}
-
 // EdgeRes returns the wire resistance (kΩ) of slot i's parent edge.
 func (a *Arena) EdgeRes(i int32) float64 {
 	if a.Parent[i] < 0 {

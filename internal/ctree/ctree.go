@@ -82,9 +82,6 @@ func (n *Node) EdgeLen() float64 {
 	return n.Route.Length() + n.Snake
 }
 
-// IsLeaf reports whether the node has no children.
-func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
-
 // Tree is a clock tree over a technology. The zero value is not usable; use
 // New.
 type Tree struct {

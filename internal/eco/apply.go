@@ -12,7 +12,7 @@ import (
 	"contango/internal/tech"
 )
 
-// Spec is the resolved input of one ECO run, carried on flow.Options: the
+// Spec is the resolved input of one ECO run, carried on core.Options: the
 // content key of the base result the run restores, the delta to replay,
 // and the restored base itself. Only BaseKey and the delta participate in
 // cache keys (via Fingerprint); the tree and timing ride along so the eco

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"contango/internal/bench"
+	"contango/internal/core"
 	"contango/internal/corners"
-	"contango/internal/flow"
 	"contango/internal/sched"
 	"contango/internal/store"
 	"contango/internal/tech"
@@ -381,7 +381,7 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 // logEventType routes one job log line to its SSE event type: pipeline
 // per-pass progress lines become "pass" events, everything else "log".
 func logEventType(line string) string {
-	if flow.IsProgressLine(line) {
+	if core.IsProgressLine(line) {
 		return "pass"
 	}
 	return "log"

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"contango/internal/flow"
+	"contango/internal/core"
 	"contango/internal/obs"
 )
 
@@ -170,7 +170,7 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 // TestLogEventType pins the SSE routing rule: pipeline progress lines
 // become "pass" events, everything else "log".
 func TestLogEventType(t *testing.T) {
-	if got := logEventType(flow.ProgressPrefix + "1/5 dme: start"); got != "pass" {
+	if got := logEventType(core.ProgressPrefix + "1/5 dme: start"); got != "pass" {
 		t.Errorf("progress line routed to %q, want pass", got)
 	}
 	if got := logEventType("tiny: [DME] skew=0.1ps"); got != "log" {
@@ -215,7 +215,7 @@ func TestSSEPassEvents(t *testing.T) {
 	}
 	// Every per-pass progress line rode the pass type, never log.
 	for _, frame := range strings.Split(body, "\n\n") {
-		if strings.Contains(frame, "data: "+flow.ProgressPrefix) && !strings.Contains(frame, "event: pass") {
+		if strings.Contains(frame, "data: "+core.ProgressPrefix) && !strings.Contains(frame, "event: pass") {
 			t.Errorf("progress frame not typed as pass:\n%s", frame)
 		}
 	}

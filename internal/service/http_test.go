@@ -377,6 +377,23 @@ func TestHTTPInvalidPlanRejected(t *testing.T) {
 	}
 }
 
+// TestHTTPInvalidSkipStagesRejected: a skip-stage name that is not a
+// cascade pass is a 400, not a full run under a cache key of its own.
+func TestHTTPInvalidSkipStagesRejected(t *testing.T) {
+	ts, _ := testServer(t, 1)
+	for _, name := range []string{"twzs", "zst"} {
+		req := SubmitRequest{
+			BenchText: benchText(t, "http-badskip", 0),
+			Options:   OptionsWire{SkipStages: []string{name}},
+		}
+		var apiErr apiError
+		decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusBadRequest, &apiErr)
+		if !strings.Contains(apiErr.Error, name) {
+			t.Errorf("skip stage %q: error %q does not name it", name, apiErr.Error)
+		}
+	}
+}
+
 // durableTestServer is testServer with a durable store attached.
 func durableTestServer(t *testing.T, workers int) (*httptest.Server, *Service, string) {
 	t.Helper()

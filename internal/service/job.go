@@ -297,6 +297,19 @@ func (j *Job) finishLocked(st State, res *core.Result, err error) {
 	j.result = res
 	j.err = err
 	j.finished = time.Now()
+	// A successful job's soft-deadline outcome is recorded and counted
+	// before done closes, so a waiter returning from Wait already sees
+	// both. Deadlines are advisory: a miss is counted and surfaced on the
+	// job, nothing is killed. Failed and canceled jobs have no meaningful
+	// deadline outcome.
+	if st == Done && !j.deadline.IsZero() {
+		j.deadlineMissed = j.finished.After(j.deadline)
+		outcome := "hit"
+		if j.deadlineMissed {
+			outcome = "miss"
+		}
+		j.svc.metrics.deadlines.With(outcome).Inc()
+	}
 	for id, c := range j.subs {
 		delete(j.subs, id)
 		close(c)

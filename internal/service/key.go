@@ -9,7 +9,6 @@ import (
 
 	"contango/internal/bench"
 	"contango/internal/core"
-	"contango/internal/flow"
 	"contango/internal/tech"
 )
 
@@ -104,7 +103,7 @@ func OptionsFingerprint(o core.Options) string {
 	var skips []string
 	for name, on := range r.SkipStages {
 		if on {
-			skips = append(skips, flow.Canon(name))
+			skips = append(skips, core.Canon(name))
 		}
 	}
 	sort.Strings(skips)

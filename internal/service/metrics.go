@@ -9,7 +9,6 @@ import (
 
 	"contango/internal/core"
 	"contango/internal/corners"
-	"contango/internal/flow"
 	"contango/internal/obs"
 	"contango/internal/store"
 )
@@ -184,7 +183,7 @@ func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 // planLabel maps an options plan spec to its metrics label.
 func planLabel(plan string) string {
 	if plan == "" {
-		return flow.DefaultPlanName
+		return core.DefaultPlanName
 	}
 	return plan
 }

@@ -27,7 +27,6 @@ import (
 	"contango/internal/bench"
 	"contango/internal/core"
 	"contango/internal/corners"
-	"contango/internal/flow"
 	"contango/internal/obs"
 	"contango/internal/sched"
 	"contango/internal/store"
@@ -316,10 +315,13 @@ func (s *Service) SubmitWith(b *bench.Benchmark, o core.Options, so SubmitOpts) 
 	if o.Corners == "" {
 		o.Corners = s.cfg.DefaultCorners
 	}
-	// Reject unparsable plan and corner-set specs up front: a bad spec
-	// would only fail after queueing, and its raw string would pollute the
-	// key space.
-	if _, err := flow.ResolvePlan(o.Plan); err != nil {
+	// Reject unparsable plan and corner-set specs and unknown skip-stage
+	// names up front: a bad spec would only fail after queueing, and its
+	// raw string would pollute the key space.
+	if _, err := core.ResolvePlan(o.Plan); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	if err := core.CheckSkipStages(o.SkipStages); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	if err := corners.Validate(o.Corners); err != nil {
@@ -541,31 +543,9 @@ func (s *Service) finishCacheHitLocked(b *bench.Benchmark, o core.Options, key s
 	j.mu.Lock()
 	j.finishLocked(Done, res, nil)
 	j.mu.Unlock()
-	s.accountDeadline(j)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	return j
-}
-
-// accountDeadline records a successfully finished job's soft-deadline
-// outcome (hit or miss). Deadlines are advisory: a miss is counted and
-// surfaced on the job, nothing is killed. Failed and canceled jobs are
-// not counted — they have no meaningful deadline outcome.
-func (s *Service) accountDeadline(j *Job) {
-	j.mu.Lock()
-	deadline, finished := j.deadline, j.finished
-	if deadline.IsZero() {
-		j.mu.Unlock()
-		return
-	}
-	missed := finished.After(deadline)
-	j.deadlineMissed = missed
-	j.mu.Unlock()
-	if missed {
-		s.metrics.deadlines.With("miss").Inc()
-	} else {
-		s.metrics.deadlines.With("hit").Inc()
-	}
 }
 
 func (s *Service) logCacheHit(j *Job) {
@@ -893,7 +873,6 @@ func (s *Service) run(j *Job) {
 		if j.estimate > 0 {
 			s.metrics.estRatio.Observe(elapsed.Seconds() / j.estimate.Seconds())
 		}
-		s.accountDeadline(j)
 	}
 	if err != nil {
 		s.logf("job %s: %s (%v)", j.id, st, err)

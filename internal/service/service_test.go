@@ -13,7 +13,6 @@ import (
 	"contango/internal/bench"
 	"contango/internal/core"
 	"contango/internal/dme"
-	"contango/internal/flow"
 	"contango/internal/geom"
 	"contango/internal/obs"
 	"contango/internal/spice"
@@ -553,7 +552,7 @@ func TestJobStreamsPassEvents(t *testing.T) {
 	}
 	var passes int
 	for _, line := range j.Logs() {
-		if flow.IsProgressLine(line) {
+		if core.IsProgressLine(line) {
 			passes++
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"contango/internal/core"
 	"contango/internal/eco"
 	"contango/internal/eval"
-	"contango/internal/flow"
 	"contango/internal/obs"
 )
 
@@ -272,7 +271,7 @@ func (o OptionsWire) Options() core.Options {
 	if len(o.SkipStages) > 0 {
 		out.SkipStages = make(map[string]bool, len(o.SkipStages))
 		for _, s := range o.SkipStages {
-			out.SkipStages[flow.Canon(s)] = true
+			out.SkipStages[core.Canon(s)] = true
 		}
 	}
 	if o.ECOBase != "" && o.ECODelta != "" {

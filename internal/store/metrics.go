@@ -36,7 +36,3 @@ func (j *Journal) SetMetrics(m *Metrics) {
 	j.metrics = m
 	m.JournalCompacted.Add(int64(j.compacted))
 }
-
-// CompactedRecords reports how many records the open-time compaction
-// dropped (terminal keys plus superseded transitions).
-func (j *Journal) CompactedRecords() int { return j.compacted }
