@@ -72,14 +72,20 @@ func randomGoldenCases() []goldenCase {
 // and returns the SHA-256 of the envelope.
 func envelopeDigest(t *testing.T, r *Result) string {
 	t.Helper()
+	sum := sha256.Sum256(encodeEnvelope(t, r))
+	return hex.EncodeToString(sum[:])
+}
+
+// encodeEnvelope encodes r with Elapsed zeroed.
+func encodeEnvelope(t *testing.T, r *Result) []byte {
+	t.Helper()
 	cp := *r
 	cp.Elapsed = 0
 	var buf bytes.Buffer
 	if err := EncodeResult(&buf, &cp); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
+	return buf.Bytes()
 }
 
 // checkGolden runs each case as a parallel subtest (named after the part
