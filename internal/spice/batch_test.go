@@ -87,9 +87,10 @@ func TestIncrementalCornersMatchEngine(t *testing.T) {
 	}
 }
 
-// TestIncrementalBatchHint: every corner is one task that pairs both launch
-// edges, so the hint is one corner per worker, and splitting a sweep into
-// hint-aligned chunks returns exactly what one unsplit call returns.
+// TestIncrementalBatchHint: Monte Carlo samples never share derates, so
+// every corner of a sweep is one task and the hint is one corner per
+// worker; splitting a sweep into hint-aligned chunks returns exactly what
+// one unsplit call returns.
 func TestIncrementalBatchHint(t *testing.T) {
 	tk := tech.Default45()
 	tr := randomStagedTree(rand.New(rand.NewSource(31)), tk)

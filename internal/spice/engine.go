@@ -37,32 +37,56 @@ func (e *Engine) Name() string { return "transient" }
 // falling source edges) at the given corner and reports 50% arrival times
 // and worst 10-90% slews at every sink.
 func (e *Engine) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.Result, error) {
-	net := analysis.Extract(tr, e.MaxSeg)
-	return e.evaluateOnNet(net, corner), nil
+	rs, err := e.EvaluateCorners(tr, []tech.Corner{corner})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // EvaluateCorners implements analysis.CornerEvaluator: the tree is extracted
-// once and the transients of every corner run over the shared netlist.
+// once and the transients of every corner run over the shared netlist, one
+// corner group (cornerGroups) at a time.
 func (e *Engine) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
 	net := analysis.Extract(tr, e.MaxSeg)
-	out := make([]*analysis.Result, len(corners))
-	for i, c := range corners {
-		out[i] = e.evaluateOnNet(net, c)
+	outs := make([]cornerOutcome, len(corners))
+	for _, g := range cornerGroups(corners) {
+		e.simulateCorners(net, corners[g.start:g.end], nil, nil, outs[g.start:g.end])
 	}
-	return out, nil
-}
-
-// evaluateOnNet runs both launch edges of one corner over an extracted
-// netlist, serially and without a cache.
-func (e *Engine) evaluateOnNet(net *analysis.Net, corner tech.Corner) *analysis.Result {
-	res := e.simulateCorner(net, corner, nil, nil).res
-	e.Runs++
-	return res
+	res := make([]*analysis.Result, len(corners))
+	for i := range outs {
+		res[i] = outs[i].res
+		e.Runs++
+	}
+	return res, nil
 }
 
 // launchEdges lists the launch edges in column order: column 0 is the rising
 // source edge, column 1 the falling one.
 var launchEdges = [2]bool{true, false}
+
+// cornerGroup is a range [start, end) of a corner list evaluated as one
+// task.
+type cornerGroup struct{ start, end int }
+
+// cornerGroups splits a corner list into kernel tasks. Two adjacent
+// corners whose interconnect derates are equal form one task: their
+// conductances and elimination factors are equal bit for bit, so one
+// simStage call integrates up to four columns (two corners × two edges)
+// over one RC set-up. Every other corner is a task of its own.
+func cornerGroups(corners []tech.Corner) []cornerGroup {
+	var groups []cornerGroup
+	for i := 0; i < len(corners); {
+		end := i + 1
+		if end < len(corners) && corners[i].RScale() == corners[end].RScale() &&
+			corners[i].CScale() == corners[end].CScale() {
+			end++
+		}
+		groups = append(groups, cornerGroup{i, end})
+		i = end
+	}
+	return groups
+}
 
 // cornerOutcome is one corner's merged measurements plus, for a cached
 // evaluation, the cache entries to commit per launch edge.
@@ -73,24 +97,26 @@ type cornerOutcome struct {
 	reused    int // edge transients served from the cache
 }
 
-// simulateCorner evaluates both launch edges of one corner, propagating
-// each source edge through the stages level by level. For every stage and
-// edge it first looks for a cached transient; a stage that misses on both
-// edges integrates them in one paired simStage call, a stage that misses
-// on one edge runs that column alone. Stages within a level are
-// independent, so their simulations run concurrently under sem (nil runs
-// them serially).
+// simulateCorners evaluates both launch edges of a corner group (one
+// corner, or two with equal derates; see cornerGroups), propagating each
+// source edge through the stages level by level. Corner k's launch edge c
+// is column 2k+c. For every stage and column it first looks for a cached
+// transient; the columns that miss integrate together in one simStage
+// call. Stages within a level are independent, so their simulations run
+// concurrently under sem (nil runs them serially).
 //
-// prev is the previous cache generation per edge, or nil for an uncached
-// evaluation. It is only read here; the entries to commit come back in the
-// outcome, so concurrent corners never write shared state.
-func (e *Engine) simulateCorner(net *analysis.Net, corner tech.Corner, prev *[2]map[int][]*stageEntry, sem chan struct{}) cornerOutcome {
+// prev holds the previous cache generation per corner and edge, or is nil
+// for an uncached evaluation. It is only read here; the entries to commit
+// come back in outs (one per corner), so concurrent tasks never write
+// shared state.
+func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev [][2]map[int][]*stageEntry, sem chan struct{}, outs []cornerOutcome) {
 	n := len(net.Stages)
+	ncol := 2 * len(group)
 	cs := getCornerScratch(n)
 	defer putCornerScratch(cs)
-	var cache [2]map[int][]*stageEntry
-	if prev != nil {
-		cache = *prev
+	var cache [4]map[int][]*stageEntry
+	for k := range prev {
+		cache[2*k], cache[2*k+1] = prev[k][0], prev[k][1]
 	}
 
 	// Rising-launch output direction per stage (the source driver is
@@ -110,7 +136,6 @@ func (e *Engine) simulateCorner(net *analysis.Net, corner tech.Corner, prev *[2]
 		}
 	}
 
-	var out cornerOutcome
 	for lv := 0; lv <= maxLevel; lv++ {
 		work := cs.work[:0]
 		for i, s := range net.Stages {
@@ -119,8 +144,9 @@ func (e *Engine) simulateCorner(net *analysis.Net, corner tech.Corner, prev *[2]
 			}
 			key := s.Key()
 			miss := false
-			for c := range cs.edge {
+			for c := 0; c < ncol; c++ {
 				es := &cs.edge[c]
+				out := &outs[c/2]
 				var vin *Waveform
 				if s.Parent >= 0 {
 					pr := es.results[s.Parent]
@@ -131,7 +157,7 @@ func (e *Engine) simulateCorner(net *analysis.Net, corner tech.Corner, prev *[2]
 					if !ok {
 						continue
 					}
-					vin = w.TrimInto(0.002*corner.Vdd, &es.trim[i])
+					vin = w.TrimInto(0.002*group[c/2].Vdd, &es.trim[i])
 				}
 				es.inputs[i] = vin
 				// reusedHead: the stage was served from the previous
@@ -162,67 +188,70 @@ func (e *Engine) simulateCorner(net *analysis.Net, corner tech.Corner, prev *[2]
 			}
 		}
 		runLimited(sem, len(work), func(wi int) {
-			e.simEdges(net, corner, cs, work[wi])
+			e.simColumns(net, group, cs, work[wi])
 		})
 		cs.work = work // keep any growth for the next level
-	}
-
-	if prev != nil {
-		for c := range cs.edge {
-			out.entries[c] = commitEdge(net, cache[c], cs.edge[c].chosen)
-		}
 	}
 
 	nSinks := 0
 	for _, s := range net.Stages {
 		nSinks += len(s.Sinks)
 	}
-	res := &analysis.Result{
-		Corner:    corner,
-		Rise:      make(map[int]float64, nSinks),
-		Fall:      make(map[int]float64, nSinks),
-		SinkSlew:  make(map[int]float64, nSinks),
-		StageSlew: make(map[int]float64, n),
-	}
-	for c, rising := range launchEdges {
-		addLaunch(res, net, cs.edge[c].results, rising, e.SourceSlew/2)
-	}
-	out.res = res
-	return out
-}
-
-// simEdges integrates stage i for every edge that missed the cache, both in
-// one simStage call when both missed, and records fresh cache entries.
-// Concurrent calls touch disjoint stages.
-func (e *Engine) simEdges(net *analysis.Net, corner tech.Corner, cs *cornerScratch, i int) {
-	s := net.Stages[i]
-	tk := net.Tree.Tech
-	var in [2]stageIn
-	var col [2]int
-	w := 0
-	for c, rising := range launchEdges {
-		es := &cs.edge[c]
-		if !es.need[i] {
-			continue
-		}
-		vin := es.inputs[i]
-		if s.Parent < 0 {
-			if rising {
-				vin = Ramp(0, corner.Vdd, e.SourceSlew, e.Dt)
-			} else {
-				vin = Ramp(corner.Vdd, 0, e.SourceSlew, e.Dt)
+	for k, corner := range group {
+		out := &outs[k]
+		if prev != nil {
+			for c := range launchEdges {
+				out.entries[c] = commitEdge(net, cache[2*k+c], cs.edge[2*k+c].chosen)
 			}
 		}
-		in[w] = stageIn{vin: vin, outRising: cs.dirs[i] == rising}
-		col[w] = c
-		w++
+		res := &analysis.Result{
+			Corner:    corner,
+			Rise:      make(map[int]float64, nSinks),
+			Fall:      make(map[int]float64, nSinks),
+			SinkSlew:  make(map[int]float64, nSinks),
+			StageSlew: make(map[int]float64, n),
+		}
+		for c, rising := range launchEdges {
+			addLaunch(res, net, cs.edge[2*k+c].results, rising, e.SourceSlew/2)
+		}
+		out.res = res
 	}
-	rd := net.DriverR(s, corner)
-	drv := driver{r: rd}
-	if s.Driver != nil {
-		drv = driver{inverter: true, k: tk.KDrive(*s.Driver.Buf), vdd: corner.Vdd, vt: tk.Vt}
+}
+
+// simColumns integrates stage i for every column of the group that missed
+// the cache, all in one simStage call, and records fresh cache entries.
+// Concurrent calls touch disjoint stages.
+func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerScratch, i int) {
+	s := net.Stages[i]
+	tk := net.Tree.Tech
+	var in [4]stageIn
+	var col [4]int
+	w := 0
+	for k, corner := range group {
+		rd := net.DriverR(s, corner)
+		drv := driver{r: rd}
+		if s.Driver != nil {
+			drv = driver{inverter: true, k: tk.KDrive(*s.Driver.Buf), vdd: corner.Vdd, vt: tk.Vt}
+		}
+		for c, rising := range launchEdges {
+			es := &cs.edge[2*k+c]
+			if !es.need[i] {
+				continue
+			}
+			vin := es.inputs[i]
+			if s.Parent < 0 {
+				if rising {
+					vin = Ramp(0, corner.Vdd, e.SourceSlew, e.Dt)
+				} else {
+					vin = Ramp(corner.Vdd, 0, e.SourceSlew, e.Dt)
+				}
+			}
+			in[w] = stageIn{vin: vin, outRising: cs.dirs[i] == rising, corner: corner, drv: drv, rd: rd}
+			col[w] = 2*k + c
+			w++
+		}
 	}
-	res := e.simStage(s, &drv, rd, corner, in[:w])
+	res := e.simStage(s, in[:w])
 	for k := 0; k < w; k++ {
 		es := &cs.edge[col[k]]
 		ent := &stageEntry{sig: s.Sig(), input: es.inputs[i], res: res[k]}

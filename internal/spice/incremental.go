@@ -27,15 +27,17 @@ import (
 // the revert's evaluation finds the pre-mutation generation and promotes
 // it instead of re-integrating the cone.
 //
-// Each supply corner is one task; it integrates the rising and falling
-// launch edges of a stage together in one paired kernel sweep whenever
-// both miss the cache. Independent stage simulations — across sibling
-// subtrees and supply corners — run on a bounded worker pool (Parallelism
-// goroutines, following the synthesis service's fixed-pool pattern).
-// Because each stage simulation is deterministic, an edge's arithmetic does
-// not depend on whether it ran paired, and stages only depend on their
-// upstream chain, results are bit-identical to the serial whole-tree
-// Engine at any parallelism level.
+// Each supply corner is one task, or two adjacent corners whose
+// interconnect derates are equal (the default ispd09 pair) share one: a
+// task integrates the rising and falling launch edges of every corner it
+// holds together in one kernel sweep over one RC set-up, whatever misses
+// the cache. Independent stage simulations — across sibling subtrees and
+// tasks — run on a bounded worker pool (Parallelism goroutines, following
+// the synthesis service's fixed-pool pattern). Because each stage
+// simulation is deterministic, a column's arithmetic does not depend on
+// which columns share its sweep, and stages only depend on their upstream
+// chain, results are bit-identical to the serial whole-tree Engine at any
+// parallelism level.
 //
 // An Incremental is not safe for concurrent Evaluate calls; the
 // parallelism is internal. Engine knobs (Dt, MaxSeg, SourceSlew, SettleTol)
@@ -116,10 +118,12 @@ func (ie *Incremental) SetParallelism(n int) {
 }
 
 // BatchHint reports the corner granularity that keeps the worker pool
-// occupied: each corner is one task that integrates both launch edges of a
-// stage in a single paired sweep, so a multiple of Parallelism corners
-// fills every worker. The sweep splitter aligns its chunk size to this;
-// chunking never changes results.
+// occupied: a multiple of Parallelism corners gives every worker a task.
+// The sweeps the splitter chunks are Monte Carlo sets, whose samples draw
+// their own derates, so there each corner is a task of its own; a set whose
+// adjacent corners pair up (ispd09, or fast and tt in pvt5) forms fewer,
+// wider tasks, but such sets are far below any chunk size. The sweep
+// splitter aligns its chunk size to this; chunking never changes results.
 func (ie *Incremental) BatchHint() int {
 	if ie.Parallelism < 1 {
 		return 1
@@ -144,35 +148,39 @@ func (ie *Incremental) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.R
 }
 
 // EvaluateCorners implements analysis.CornerEvaluator: one extraction, then
-// one task per corner scheduled over the shared worker pool. A task
-// runs both launch edges of its corner (Engine.simulateCorner); cache
-// matching, hits and commits stay per edge.
+// one task per corner group (cornerGroups) scheduled over the shared worker
+// pool. A task runs both launch edges of its one or two corners
+// (Engine.simulateCorners); cache matching, hits and commits stay per
+// (corner, edge).
 func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
 	ie.bind(tr)
 	net := analysis.Extract(tr, ie.Eng.MaxSeg)
 	ie.Stats.FullStages = len(net.Stages)
 
 	outs := make([]cornerOutcome, len(corners))
-	sem := make(chan struct{}, ie.Parallelism)
-	run := func(ci int) {
-		var prev [2]map[int][]*stageEntry
+	prev := make([][2]map[int][]*stageEntry, len(corners))
+	for ci, c := range corners {
 		for k, rising := range launchEdges {
-			prev[k] = ie.launches[launchKey{corners[ci], rising}]
+			prev[ci][k] = ie.launches[launchKey{c, rising}]
 		}
-		outs[ci] = ie.Eng.simulateCorner(net, corners[ci], &prev, sem)
+	}
+	groups := cornerGroups(corners)
+	sem := make(chan struct{}, ie.Parallelism)
+	run := func(g cornerGroup) {
+		ie.Eng.simulateCorners(net, corners[g.start:g.end], prev[g.start:g.end], sem, outs[g.start:g.end])
 	}
 	if ie.Parallelism <= 1 {
-		for ci := range corners {
-			run(ci)
+		for _, g := range groups {
+			run(g)
 		}
 	} else {
 		var wg sync.WaitGroup
-		wg.Add(len(corners))
-		for ci := range corners {
-			go func(ci int) {
+		wg.Add(len(groups))
+		for _, g := range groups {
+			go func(g cornerGroup) {
 				defer wg.Done()
-				run(ci)
-			}(ci)
+				run(g)
+			}(g)
 		}
 		wg.Wait()
 	}

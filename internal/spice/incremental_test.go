@@ -297,3 +297,57 @@ func TestIncrementalOneEdgeMissMatchesEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalCornerPairMatchesAlone: the ispd09 pair shares its
+// derates, so EvaluateCorners runs both corners as one four-column task.
+// Its results, cache behavior and Stats must equal those of evaluators that
+// see each corner alone — on a cold cache, a warm one, and after moves —
+// at every parallelism level.
+func TestIncrementalCornerPairMatchesAlone(t *testing.T) {
+	tk := tech.Default45()
+	if g := cornerGroups(tk.Corners); len(g) != 1 || g[0] != (cornerGroup{0, 2}) {
+		t.Fatalf("ispd09 corners grouped as %v, want one pair", g)
+	}
+	for _, par := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(17))
+		tr := randomStagedTree(rng, tk)
+		pair := NewIncremental(tr, New(), par)
+		alone := make([]*Incremental, len(tk.Corners))
+		for k := range alone {
+			alone[k] = NewIncremental(tr, New(), par)
+		}
+		for round := 0; round < 5; round++ {
+			got, err := pair.EvaluateCorners(tr, tk.Corners)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want IncrementalStats
+			runs := 0
+			for k, c := range tk.Corners {
+				r, err := alone[k].Evaluate(tr, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got[k], r) {
+					t.Fatalf("parallelism %d round %d: corner %q differs from its lone evaluation", par, round, c.Name)
+				}
+				st := alone[k].Stats
+				want.Evals += st.Evals
+				want.StagesSim += st.StagesSim
+				want.StagesHit += st.StagesHit
+				want.FullStages = st.FullStages
+				runs += alone[k].Eng.Runs
+			}
+			if pair.Stats != want || pair.Eng.Runs != runs {
+				t.Fatalf("parallelism %d round %d: stats %+v runs %d, lone corners %+v runs %d",
+					par, round, pair.Stats, pair.Eng.Runs, want, runs)
+			}
+			if round%2 == 1 {
+				randomMove(rng, tr)
+			}
+		}
+		if pair.Stats.StagesHit == 0 {
+			t.Errorf("parallelism %d: the cache never served a stage", par)
+		}
+	}
+}

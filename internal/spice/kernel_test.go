@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,11 +64,24 @@ func sameStageResult(t *testing.T, what string, a, b *stageResult) {
 	}
 }
 
+// stageDriver returns stage s's driver and driver resistance at corner.
+func stageDriver(net *analysis.Net, s *analysis.Stage, corner tech.Corner) (driver, float64) {
+	tk := net.Tree.Tech
+	rd := net.DriverR(s, corner)
+	if s.Driver != nil {
+		return driver{inverter: true, k: tk.KDrive(*s.Driver.Buf), vdd: corner.Vdd, vt: tk.Vt}, rd
+	}
+	return driver{r: rd}, rd
+}
+
 // TestPairedKernelMatchesOneColumn: integrating two edges in one paired
 // simStage call must give, for each column, exactly what a one-column call
 // gives — across source and inverter stages, derated pvt5 corners, random
 // inputs whose columns stop on different steps, and stalled inputs that
-// run one column to tMax.
+// run one column to tMax. Four columns from two equal-derate corners at
+// different supplies must match too, in every phase of the kernel (the
+// four-column sweep, the paired sweep of the first two survivors and the
+// one-column tail) and in several column orders, as must three columns.
 func TestPairedKernelMatchesOneColumn(t *testing.T) {
 	base := tech.Default45()
 	set, err := corners.Build("pvt5", base)
@@ -77,16 +91,15 @@ func TestPairedKernelMatchesOneColumn(t *testing.T) {
 	tk := set.Apply(base)
 	e := New()
 	var pairs, uneven, tmax, sources, inverters int
+	var quads, quadUneven, quadTmax int
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomStagedTree(rng, tk)
 		net := analysis.Extract(tr, e.MaxSeg)
-		for _, corner := range tk.Corners {
+		for ca, corner := range tk.Corners {
 			for _, s := range net.Stages {
-				rd := net.DriverR(s, corner)
-				drv := driver{r: rd}
+				drv, rd := stageDriver(net, s, corner)
 				if s.Driver != nil {
-					drv = driver{inverter: true, k: tk.KDrive(*s.Driver.Buf), vdd: corner.Vdd, vt: tk.Vt}
 					inverters++
 				} else {
 					sources++
@@ -96,12 +109,13 @@ func TestPairedKernelMatchesOneColumn(t *testing.T) {
 				for c := range in {
 					in[c].vin, stalled[c] = randomInput(rng, corner.Vdd, e.Dt)
 					in[c].outRising = rng.Intn(2) == 0
+					in[c].corner, in[c].drv, in[c].rd = corner, drv, rd
 				}
-				paired := e.simStage(s, &drv, rd, corner, in[:])
-				swapped := e.simStage(s, &drv, rd, corner, []stageIn{in[1], in[0]})
+				paired := e.simStage(s, in[:])
+				swapped := e.simStage(s, []stageIn{in[1], in[0]})
 				var lens [2]int
 				for c := range in {
-					alone := e.simStage(s, &drv, rd, corner, in[c:c+1])
+					alone := e.simStage(s, in[c:c+1])
 					sameStageResult(t, "paired vs one column", &paired[c], &alone[0])
 					sameStageResult(t, "swapped vs one column", &swapped[1-c], &alone[0])
 					for _, w := range alone[0].loadWaves {
@@ -122,8 +136,58 @@ func TestPairedKernelMatchesOneColumn(t *testing.T) {
 				if lens[0] != lens[1] {
 					uneven++
 				}
+
+				// Four columns: this corner's pair plus a later corner's
+				// pair, when the two corners share their derates.
+				for _, other := range tk.Corners[ca+1:] {
+					if other.RScale() != corner.RScale() || other.CScale() != corner.CScale() {
+						continue
+					}
+					odrv, ord := stageDriver(net, s, other)
+					quad := []stageIn{in[0], in[1], {}, {}}
+					qstalled := [4]bool{stalled[0], stalled[1]}
+					for c := 2; c < 4; c++ {
+						quad[c].vin, qstalled[c] = randomInput(rng, other.Vdd, e.Dt)
+						quad[c].outRising = rng.Intn(2) == 0
+						quad[c].corner, quad[c].drv, quad[c].rd = other, odrv, ord
+					}
+					var alone [4]stageResult
+					steps := map[int]bool{}
+					for c := range quad {
+						alone[c] = e.simStage(s, quad[c:c+1])[0]
+						for _, w := range alone[c].loadWaves {
+							steps[len(w.V)] = true
+							rail := 0.0
+							if quad[c].outRising {
+								rail = quad[c].corner.Vdd
+							}
+							if qstalled[c] && s.Driver != nil && abs(w.Last()-rail) > e.SettleTol*quad[c].corner.Vdd {
+								quadTmax++
+							}
+							break
+						}
+					}
+					for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {0, 2, 1, 3}, {2, 3, 0, 1}, {1, 3, 0, 2}, {0, 1, 2}, {3, 0, 2}} {
+						cols := make([]stageIn, len(order))
+						for k, c := range order {
+							cols[k] = quad[c]
+						}
+						got := e.simStage(s, cols)
+						for k, c := range order {
+							sameStageResult(t, fmt.Sprintf("columns %v, column %d vs one column", order, k), &got[k], &alone[c])
+						}
+					}
+					quads++
+					if len(steps) >= 3 {
+						quadUneven++
+					}
+				}
 			}
 		}
+	}
+	if quads == 0 || quadUneven < quads/2 || quadTmax == 0 {
+		t.Errorf("four-column coverage: %d quads, %d with three or more distinct stop steps, %d columns at tMax",
+			quads, quadUneven, quadTmax)
 	}
 	if sources == 0 || inverters == 0 {
 		t.Fatalf("coverage: %d source and %d inverter stage pairs", sources, inverters)
@@ -134,5 +198,94 @@ func TestPairedKernelMatchesOneColumn(t *testing.T) {
 	if tmax == 0 {
 		t.Error("no column ran to tMax")
 	}
-	t.Logf("%d pairs: %d source, %d inverter, %d uneven, %d columns at tMax", pairs, sources, inverters, uneven, tmax)
+	t.Logf("%d pairs: %d source, %d inverter, %d uneven, %d columns at tMax; %d quads, %d staggered, %d columns at tMax",
+		pairs, sources, inverters, uneven, tmax, quads, quadUneven, quadTmax)
+}
+
+// refCrossing is the reference the sequential tracker replaced: one
+// independent first-crossing tracker per threshold and direction.
+type refCrossing struct {
+	th     float64
+	rising bool
+	t      float64
+	done   bool
+}
+
+func (c *refCrossing) observe(t, dt, vPrev, v float64) {
+	if c.done {
+		return
+	}
+	if c.rising {
+		if vPrev < c.th && v >= c.th {
+			c.t = t - dt + dt*(c.th-vPrev)/(v-vPrev)
+			c.done = true
+		}
+	} else if vPrev > c.th && v <= c.th {
+		c.t = t - dt + dt*(vPrev-c.th)/(vPrev-v)
+		c.done = true
+	}
+}
+
+// TestSequentialTrackerMatchesIndependentKernel: on random non-monotone
+// waveforms that start at the pre-transition rail, one sign-folded
+// sequential tracker must report exactly the crossings of three
+// independent first-crossing trackers, bit for bit, in both directions,
+// including steps that cross several thresholds at once.
+func TestSequentialTrackerMatchesIndependentKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const dt = 0.5
+	var multi, partial int
+	for trial := 0; trial < 4000; trial++ {
+		vdd := 0.6 + rng.Float64()
+		rising := rng.Intn(2) == 0
+		v, sign := vdd, -1.0
+		th := [3]float64{-(0.9 * vdd), -(0.5 * vdd), -(0.1 * vdd)}
+		if rising {
+			v, sign = 0, 1
+			th = [3]float64{0.1 * vdd, 0.5 * vdd, 0.9 * vdd}
+		}
+		// ref[k] is the independent tracker of the level seq's t[k] holds:
+		// falling outputs cross 90% first.
+		levels := [3]float64{0.1, 0.5, 0.9}
+		if !rising {
+			levels = [3]float64{0.9, 0.5, 0.1}
+		}
+		var ref [3]refCrossing
+		for k := range ref {
+			ref[k] = refCrossing{th: levels[k] * vdd, rising: rising}
+		}
+		var seq tracker
+		drift := sign * vdd * (rng.Float64()*0.05 - 0.01)
+		tm := 0.0
+		for step := 0; step < 300; step++ {
+			tm += dt
+			nv := v + drift + vdd*0.1*rng.NormFloat64()
+			if rng.Intn(40) == 0 {
+				nv = v + sign*vdd*(rng.Float64()*1.6-0.3) // a jump, often across several levels
+			}
+			before := seq.next
+			for k := range ref {
+				ref[k].observe(tm, dt, v, nv)
+			}
+			seq.observe(tm, dt, sign*v, sign*nv, &th)
+			if seq.next-before > 1 {
+				multi++
+			}
+			v = nv
+		}
+		for k := range ref {
+			if ref[k].done != (seq.next > k) {
+				t.Fatalf("trial %d: threshold %d crossed=%v, sequential next=%d", trial, k, ref[k].done, seq.next)
+			}
+			if ref[k].done && math.Float64bits(ref[k].t) != math.Float64bits(seq.t[k]) {
+				t.Fatalf("trial %d: threshold %d at %v, sequential %v", trial, k, ref[k].t, seq.t[k])
+			}
+		}
+		if seq.next < 3 {
+			partial++
+		}
+	}
+	if multi == 0 || partial == 0 {
+		t.Errorf("coverage: %d multi-threshold steps, %d partial waveforms", multi, partial)
+	}
 }

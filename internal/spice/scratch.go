@@ -3,21 +3,21 @@ package spice
 import "sync"
 
 // Scratch pools for the two allocation hot spots of the transient path:
-// the per-stage integration state of simStage and the per-corner slices of
-// simulateCorner. Both are flat arrays sized by the stage/netlist at hand;
+// the per-stage integration state of simStage and the per-task slices of
+// simulateCorners. Both are flat arrays sized by the stage/netlist at hand;
 // pooling them removes the dominant share of the evaluator's allocations.
 // simStage re-zeroes the accumulators it needs zeroed; the corner scratch
 // is zeroed when it is returned to its pool.
 
 // stageScratch is simStage's working state. The per-node factors g, gC, d
-// and elim are shared by both columns; V, b, acc and the crossing trackers
+// and elim are shared by every column; V, b, acc and the crossing trackers
 // hold one interleaved entry per (RC node, column).
 type stageScratch struct {
 	g, gC, d, elim []float64
 	V, b, acc      []float64
-	lo, mid, hi    []crossing
+	tr             []tracker
 	loads          []int          // distinct load nodes, recorded every step
-	waves          [2][]*Waveform // per column, aligned with loads
+	waves          [4][]*Waveform // per column, aligned with loads
 }
 
 var stagePool = sync.Pool{New: func() any { return new(stageScratch) }}
@@ -33,9 +33,10 @@ func (ss *stageScratch) grow(n, w int) {
 	ss.V = growF(ss.V, n*w)
 	ss.b = growF(ss.b, n*w)
 	ss.acc = growF(ss.acc, n*w)
-	ss.lo = growC(ss.lo, n*w)
-	ss.mid = growC(ss.mid, n*w)
-	ss.hi = growC(ss.hi, n*w)
+	if cap(ss.tr) < n*w {
+		ss.tr = make([]tracker, n*w)
+	}
+	ss.tr = ss.tr[:n*w]
 }
 
 func growF(buf []float64, n int) []float64 {
@@ -45,24 +46,17 @@ func growF(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-func growC(buf []crossing, n int) []crossing {
-	if cap(buf) < n {
-		return make([]crossing, n)
-	}
-	return buf[:n]
-}
-
-// cornerScratch holds simulateCorner's per-netlist working slices: the
-// stage levels and output directions both edges share, and one edgeScratch
-// per launch edge.
+// cornerScratch holds simulateCorners' per-netlist working slices: the
+// stage levels and output directions every column shares, and one
+// edgeScratch per column (corner k's launch edge c is column 2k+c).
 type cornerScratch struct {
 	level []int
 	dirs  []bool // rising-launch output direction per stage
 	work  []int
-	edge  [2]edgeScratch
+	edge  [4]edgeScratch
 }
 
-// edgeScratch is one launch edge's per-stage state. Every entry is zero
+// edgeScratch is one (corner, launch edge) column's per-stage state. Every entry is zero
 // while the scratch sits in the pool: stages skipped by the dirty-cone walk
 // must read zero values, exactly as freshly made slices would give.
 type edgeScratch struct {

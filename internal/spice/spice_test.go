@@ -46,19 +46,29 @@ func TestRamp(t *testing.T) {
 }
 
 func TestCrossingTracker(t *testing.T) {
-	c := crossing{th: 0.5, rising: true}
-	c.observe(1, 1, 0.0, 0.4)
-	if c.done {
+	// Rising thresholds at 0.1, 0.5 and 0.9 of a 1 V swing.
+	th := [3]float64{0.1, 0.5, 0.9}
+	var c tracker
+	c.observe(1, 1, 0.0, 0.05, &th)
+	if c.next != 0 {
 		t.Fatal("no crossing yet")
 	}
-	c.observe(2, 1, 0.4, 0.6)
-	if !c.done || math.Abs(c.t-1.5) > 1e-12 {
-		t.Fatalf("crossing at %v want 1.5", c.t)
+	c.observe(2, 1, 0.05, 0.3, &th)
+	if c.next != 1 || math.Abs(c.t[0]-1.2) > 1e-12 {
+		t.Fatalf("10%% crossing %d at %v want 1.2", c.next, c.t[0])
 	}
-	f := crossing{th: 0.5, rising: false}
-	f.observe(1, 1, 1.0, 0.25)
-	if !f.done || math.Abs(f.t-(1-1+0.5/0.75)) > 1e-9 {
-		t.Fatalf("falling crossing at %v", f.t)
+	// One step crosses both remaining thresholds.
+	c.observe(3, 1, 0.3, 1.0, &th)
+	if c.next != 3 || math.Abs(c.t[1]-(2+0.2/0.7)) > 1e-12 || math.Abs(c.t[2]-(2+0.6/0.7)) > 1e-12 {
+		t.Fatalf("crossings %d at %v", c.next, c.t)
+	}
+	// A falling edge is fed sign-folded: -V against the negated levels in
+	// reverse order, so its 50% crossing sits at the same interpolation.
+	fth := [3]float64{-0.9, -0.5, -0.1}
+	var f tracker
+	f.observe(1, 1, -1.0, -0.25, &fth)
+	if f.next != 2 || math.Abs(f.t[1]-(1-1+0.5/0.75)) > 1e-9 {
+		t.Fatalf("falling crossing %d at %v", f.next, f.t[1])
 	}
 }
 

@@ -7,11 +7,16 @@ import (
 	"contango/internal/tech"
 )
 
-// stageIn is one source edge's view of a stage transient: the waveform at
-// the driver's input pin and the direction of the stage's output edge.
+// stageIn is one column of a stage transient: one source edge at one
+// corner. It carries the waveform at the driver's input pin, the direction
+// of the stage's output edge, and the corner's supply, driver and driver
+// resistance.
 type stageIn struct {
 	vin       *Waveform
 	outRising bool
+	corner    tech.Corner
+	drv       driver
+	rd        float64
 }
 
 // stageResult holds per-RC-node measurements of one stage transient.
@@ -21,39 +26,70 @@ type stageResult struct {
 	loadWaves map[int]*Waveform
 }
 
-// column is one edge's integration state inside simStage.
+// column is one edge's integration state inside simStage. Its crossing
+// thresholds are sign-folded: the trackers see sign·V, with sign +1 for a
+// rising output and -1 for a falling one, so both directions cross
+// th[0] < th[1] < th[2] upwards.
 type column struct {
 	vin           *Waveform
-	railF         float64
+	drv           driver
+	vdd, tol      float64
+	railF, sign   float64
+	th            [3]float64
 	t             float64
 	tEndMin, tMax float64
 	waves         []*Waveform // load waveforms, in the kernel's load-node order
 	stopped       bool
 }
 
-// simStage integrates one stage with Backward Euler for up to two source
-// edges of one corner at once. Each edge is a column of the interleaved
-// state vectors (V[w*i+c] for RC node i, column c, w = len(in)): the
-// conductances, the elimination factors and the driver are shared, while
-// each column keeps its own input, rails, time window and crossing
-// trackers. While both columns run, one paired sweep advances them in
-// lockstep, so their two divide-bound tree solves overlap in the pipeline.
-// Once either column stops, the tail loop finishes the other one alone;
-// with a single column the tail loop is the whole integration.
+// tracker records the interpolated times at which one node's sign-folded
+// voltage first crosses its column's three thresholds, in order.
+type tracker struct {
+	next int        // index of the next threshold to cross (3 = all crossed)
+	t    [3]float64 // crossing times of th[0..next)
+}
+
+// observe feeds one integration step (x at t, xPrev at t-dt) to the
+// tracker. A step may cross several thresholds at once. For a waveform
+// that starts below every threshold, the first upward crossing of th[k]
+// never precedes that of th[k-1], so checking only the next threshold
+// finds exactly the first crossing of each.
+func (k *tracker) observe(t, dt, xPrev, x float64, th *[3]float64) {
+	for k.next < 3 {
+		h := th[k.next]
+		if !(x >= h && xPrev < h) {
+			return
+		}
+		k.t[k.next] = t - dt + dt*(h-xPrev)/(x-xPrev)
+		k.next++
+	}
+}
+
+// simStage integrates one stage with Backward Euler for up to four columns
+// at once: the source edges of one or two corners whose interconnect
+// derates are equal (the caller groups them), so the conductances and the
+// elimination factors are shared. Each column is a slot of the interleaved
+// state vectors (V[w*i+c] for RC node i, column c, w = len(in)) and keeps
+// its own input, supply, driver, rails, time window and crossing trackers.
+//
+// The integration runs in up to three phases. While four columns run, one
+// four-column sweep advances them in lockstep, so four divide-bound tree
+// solves overlap in the pipeline. Once any column stops, a paired sweep
+// advances the first two survivors until either stops, and the tail loop
+// finishes every column still running, one at a time; with a single
+// column the tail loop is the whole integration.
 //
 // Every step reduces the RC tree bottom-up to a Thevenin equivalent at the
 // driver output, solves the driver equation by Newton and back-substitutes
 // top-down. A column's floating-point operations and their order do not
-// depend on whether it ran paired or alone, so its results are
-// bit-identical either way. The corner supplies the supply rail and the
-// interconnect derates; for an underated corner scaling by 1.0 is exact in
-// IEEE 754, so the derates change nothing there.
-func (e *Engine) simStage(s *analysis.Stage, drv *driver, rd float64, corner tech.Corner, in []stageIn) (out [2]stageResult) {
+// depend on the phase it runs in or on the other columns, so its results
+// are bit-identical to a one-column call. For an underated corner scaling
+// by 1.0 is exact in IEEE 754, so the derates change nothing there.
+func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) {
 	n := len(s.R)
 	w := len(in)
 	dt := e.Dt
-	vdd := corner.Vdd
-	rScale, cScale := corner.RScale(), corner.CScale()
+	rScale, cScale := in[0].corner.RScale(), in[0].corner.CScale()
 
 	ss := stagePool.Get().(*stageScratch)
 	ss.grow(n, w)
@@ -81,38 +117,42 @@ func (e *Engine) simStage(s *analysis.Stage, drv *driver, rd float64, corner tec
 		d[0] = 1e-12
 	}
 
-	// Window: input transition plus several stage time constants, with a
-	// hard cap to stay live under degenerate drivers.
-	tauMax := 1.0
-	if m := analysis.StageElmoreMaxAt(s, rd, corner); m > tauMax {
-		tauMax = m
-	}
-	tol := e.SettleTol * vdd
-
-	// Per-column set-up. Crossing trackers per node: 10%, 50%, 90% of vdd
-	// in the output direction (for falling outputs the 90% threshold is
-	// crossed first). The reduction accumulator starts at zero and every
-	// step leaves it at zero again.
-	V, b, acc := ss.V, ss.b, ss.acc
-	lo, mid, hi := ss.lo, ss.mid, ss.hi
+	// Per-column set-up. The reduction accumulator starts at zero and
+	// every step leaves it at zero again.
+	V, b, acc, tr := ss.V, ss.b, ss.acc, ss.tr
 	loads := ss.loads[:0]
-	var cols [2]column
+	var cols [4]column
+	tauMax := 0.0
 	for c, ci := range in {
+		// Window: input transition plus several stage time constants, with
+		// a hard cap to stay live under degenerate drivers. Both edges of
+		// a corner share the corner's time constant.
+		if c == 0 || ci.rd != in[c-1].rd || ci.corner != in[c-1].corner {
+			tauMax = 1.0
+			if m := analysis.StageElmoreMaxAt(s, ci.rd, ci.corner); m > tauMax {
+				tauMax = m
+			}
+		}
+		vdd := ci.corner.Vdd
+		col := &cols[c]
 		rail0, railF := vdd, 0.0
+		// Crossing thresholds at 10%, 50% and 90% of vdd in the output
+		// direction: a falling output crosses 90% first, so its folded
+		// thresholds are the negated levels in reverse order.
+		col.sign, col.th = -1, [3]float64{-(0.9 * vdd), -(0.5 * vdd), -(0.1 * vdd)}
 		if ci.outRising {
 			rail0, railF = 0.0, vdd
+			col.sign, col.th = 1, [3]float64{0.1 * vdd, 0.5 * vdd, 0.9 * vdd}
 		}
 		for i := 0; i < n; i++ {
 			j := w*i + c
 			V[j] = rail0
 			acc[j] = 0
-			lo[j] = crossing{th: 0.1 * vdd, rising: ci.outRising}
-			mid[j] = crossing{th: 0.5 * vdd, rising: ci.outRising}
-			hi[j] = crossing{th: 0.9 * vdd, rising: ci.outRising}
+			tr[j] = tracker{}
 		}
 		tEndMin := ci.vin.End() + 5*tauMax + 50
-		col := &cols[c]
-		*col = column{vin: ci.vin, railF: railF, t: ci.vin.T0, tEndMin: tEndMin, tMax: tEndMin + 30*tauMax + 2000}
+		col.vin, col.drv, col.vdd, col.tol, col.railF = ci.vin, ci.drv, vdd, e.SettleTol*vdd, railF
+		col.t, col.tEndMin, col.tMax = ci.vin.T0, tEndMin, tEndMin+30*tauMax+2000
 
 		// Load waveforms escape into the stage result (and from there into
 		// the incremental cache), so they are real allocations; presizing
@@ -143,60 +183,147 @@ func (e *Engine) simStage(s *analysis.Stage, drv *driver, rd float64, corner tec
 	}
 	ss.loads = loads
 
-	if w == 2 {
-		// Paired sweep: both columns step together until either stops.
-		c0, c1 := &cols[0], &cols[1]
-		t0, t1 := c0.t, c1.t
-		railF0, railF1 := c0.railF, c1.railF
+	if w == 4 {
+		// Four-column sweep: all columns step together until any stops.
+		c0, c1, c2, c3 := &cols[0], &cols[1], &cols[2], &cols[3]
+		t0, t1, t2, t3 := c0.t, c1.t, c2.t, c3.t
+		s0, s1, s2, s3 := c0.sign, c1.sign, c2.sign, c3.sign
 		for {
 			t0 += dt
 			t1 += dt
+			t2 += dt
+			t3 += dt
 			// Bottom-up: reduce to the root.
 			for i := n - 1; i >= 1; i-- {
-				j, p := 2*i, 2*par[i]
+				j, p := 4*i, 4*par[i]
 				b0 := gC[i]*V[j] + acc[j]
 				b1 := gC[i]*V[j+1] + acc[j+1]
-				b[j], b[j+1] = b0, b1
-				acc[j], acc[j+1] = 0, 0
+				b2 := gC[i]*V[j+2] + acc[j+2]
+				b3 := gC[i]*V[j+3] + acc[j+3]
+				b[j], b[j+1], b[j+2], b[j+3] = b0, b1, b2, b3
+				acc[j], acc[j+1], acc[j+2], acc[j+3] = 0, 0, 0, 0
 				acc[p] += g[i] * b0 / d[i]
 				acc[p+1] += g[i] * b1 / d[i]
+				acc[p+2] += g[i] * b2 / d[i]
+				acc[p+3] += g[i] * b3 / d[i]
 			}
 			b0 := gC[0]*V[0] + acc[0]
 			b1 := gC[0]*V[1] + acc[1]
-			acc[0], acc[1] = 0, 0
-			v0 := solveRoot(drv, c0.vin.At(t0), d[0], b0, V[0], vdd)
-			v1 := solveRoot(drv, c1.vin.At(t1), d[0], b1, V[1], vdd)
+			b2 := gC[0]*V[2] + acc[2]
+			b3 := gC[0]*V[3] + acc[3]
+			acc[0], acc[1], acc[2], acc[3] = 0, 0, 0, 0
+			v0 := solveRoot(&c0.drv, c0.vin.At(t0), d[0], b0, V[0], c0.vdd)
+			v1 := solveRoot(&c1.drv, c1.vin.At(t1), d[0], b1, V[1], c1.vdd)
+			v2 := solveRoot(&c2.drv, c2.vin.At(t2), d[0], b2, V[2], c2.vdd)
+			v3 := solveRoot(&c3.drv, c3.vin.At(t3), d[0], b3, V[3], c3.vdd)
 			// Top-down back-substitution, updating trackers inline.
-			lo[0].observe(t0, dt, V[0], v0)
-			mid[0].observe(t0, dt, V[0], v0)
-			hi[0].observe(t0, dt, V[0], v0)
-			lo[1].observe(t1, dt, V[1], v1)
-			mid[1].observe(t1, dt, V[1], v1)
-			hi[1].observe(t1, dt, V[1], v1)
-			V[0], V[1] = v0, v1
-			settled0 := abs(v0-railF0) <= tol
-			settled1 := abs(v1-railF1) <= tol
+			tr[0].observe(t0, dt, s0*V[0], s0*v0, &c0.th)
+			tr[1].observe(t1, dt, s1*V[1], s1*v1, &c1.th)
+			tr[2].observe(t2, dt, s2*V[2], s2*v2, &c2.th)
+			tr[3].observe(t3, dt, s3*V[3], s3*v3, &c3.th)
+			V[0], V[1], V[2], V[3] = v0, v1, v2, v3
+			settled0 := abs(v0-c0.railF) <= c0.tol
+			settled1 := abs(v1-c1.railF) <= c1.tol
+			settled2 := abs(v2-c2.railF) <= c2.tol
+			settled3 := abs(v3-c3.railF) <= c3.tol
 			for i := 1; i < n; i++ {
-				j, p := 2*i, 2*par[i]
+				j, p := 4*i, 4*par[i]
 				u0 := (b[j] + g[i]*V[p]) / d[i]
 				u1 := (b[j+1] + g[i]*V[p+1]) / d[i]
-				lo[j].observe(t0, dt, V[j], u0)
-				mid[j].observe(t0, dt, V[j], u0)
-				hi[j].observe(t0, dt, V[j], u0)
-				lo[j+1].observe(t1, dt, V[j+1], u1)
-				mid[j+1].observe(t1, dt, V[j+1], u1)
-				hi[j+1].observe(t1, dt, V[j+1], u1)
-				V[j], V[j+1] = u0, u1
-				if abs(u0-railF0) > tol {
+				u2 := (b[j+2] + g[i]*V[p+2]) / d[i]
+				u3 := (b[j+3] + g[i]*V[p+3]) / d[i]
+				tr[j].observe(t0, dt, s0*V[j], s0*u0, &c0.th)
+				tr[j+1].observe(t1, dt, s1*V[j+1], s1*u1, &c1.th)
+				tr[j+2].observe(t2, dt, s2*V[j+2], s2*u2, &c2.th)
+				tr[j+3].observe(t3, dt, s3*V[j+3], s3*u3, &c3.th)
+				V[j], V[j+1], V[j+2], V[j+3] = u0, u1, u2, u3
+				if abs(u0-c0.railF) > c0.tol {
 					settled0 = false
 				}
-				if abs(u1-railF1) > tol {
+				if abs(u1-c1.railF) > c1.tol {
+					settled1 = false
+				}
+				if abs(u2-c2.railF) > c2.tol {
+					settled2 = false
+				}
+				if abs(u3-c3.railF) > c3.tol {
+					settled3 = false
+				}
+			}
+			for k, node := range loads {
+				c0.waves[k].V = append(c0.waves[k].V, V[4*node])
+				c1.waves[k].V = append(c1.waves[k].V, V[4*node+1])
+				c2.waves[k].V = append(c2.waves[k].V, V[4*node+2])
+				c3.waves[k].V = append(c3.waves[k].V, V[4*node+3])
+			}
+			c0.stopped = (t0 >= c0.tEndMin && settled0) || t0 >= c0.tMax
+			c1.stopped = (t1 >= c1.tEndMin && settled1) || t1 >= c1.tMax
+			c2.stopped = (t2 >= c2.tEndMin && settled2) || t2 >= c2.tMax
+			c3.stopped = (t3 >= c3.tEndMin && settled3) || t3 >= c3.tMax
+			if c0.stopped || c1.stopped || c2.stopped || c3.stopped {
+				break
+			}
+		}
+		c0.t, c1.t, c2.t, c3.t = t0, t1, t2, t3
+	}
+
+	// Paired sweep: the first two columns still running step together
+	// until either stops.
+	pa, pb := -1, -1
+	for c := 0; c < w && pb < 0; c++ {
+		switch {
+		case cols[c].stopped:
+		case pa < 0:
+			pa = c
+		default:
+			pb = c
+		}
+	}
+	if pb >= 0 {
+		c0, c1 := &cols[pa], &cols[pb]
+		t0, t1 := c0.t, c1.t
+		s0, s1 := c0.sign, c1.sign
+		for {
+			t0 += dt
+			t1 += dt
+			for i := n - 1; i >= 1; i-- {
+				j, p := w*i, w*par[i]
+				j0, j1 := j+pa, j+pb
+				b0 := gC[i]*V[j0] + acc[j0]
+				b1 := gC[i]*V[j1] + acc[j1]
+				b[j0], b[j1] = b0, b1
+				acc[j0], acc[j1] = 0, 0
+				acc[p+pa] += g[i] * b0 / d[i]
+				acc[p+pb] += g[i] * b1 / d[i]
+			}
+			b0 := gC[0]*V[pa] + acc[pa]
+			b1 := gC[0]*V[pb] + acc[pb]
+			acc[pa], acc[pb] = 0, 0
+			v0 := solveRoot(&c0.drv, c0.vin.At(t0), d[0], b0, V[pa], c0.vdd)
+			v1 := solveRoot(&c1.drv, c1.vin.At(t1), d[0], b1, V[pb], c1.vdd)
+			tr[pa].observe(t0, dt, s0*V[pa], s0*v0, &c0.th)
+			tr[pb].observe(t1, dt, s1*V[pb], s1*v1, &c1.th)
+			V[pa], V[pb] = v0, v1
+			settled0 := abs(v0-c0.railF) <= c0.tol
+			settled1 := abs(v1-c1.railF) <= c1.tol
+			for i := 1; i < n; i++ {
+				j, p := w*i, w*par[i]
+				j0, j1 := j+pa, j+pb
+				u0 := (b[j0] + g[i]*V[p+pa]) / d[i]
+				u1 := (b[j1] + g[i]*V[p+pb]) / d[i]
+				tr[j0].observe(t0, dt, s0*V[j0], s0*u0, &c0.th)
+				tr[j1].observe(t1, dt, s1*V[j1], s1*u1, &c1.th)
+				V[j0], V[j1] = u0, u1
+				if abs(u0-c0.railF) > c0.tol {
+					settled0 = false
+				}
+				if abs(u1-c1.railF) > c1.tol {
 					settled1 = false
 				}
 			}
 			for k, node := range loads {
-				c0.waves[k].V = append(c0.waves[k].V, V[2*node])
-				c1.waves[k].V = append(c1.waves[k].V, V[2*node+1])
+				c0.waves[k].V = append(c0.waves[k].V, V[w*node+pa])
+				c1.waves[k].V = append(c1.waves[k].V, V[w*node+pb])
 			}
 			c0.stopped = (t0 >= c0.tEndMin && settled0) || t0 >= c0.tMax
 			c1.stopped = (t1 >= c1.tEndMin && settled1) || t1 >= c1.tMax
@@ -210,7 +337,7 @@ func (e *Engine) simStage(s *analysis.Stage, drv *driver, rd float64, corner tec
 	// Tail: finish every column still running, one at a time.
 	for c := 0; c < w; c++ {
 		col := &cols[c]
-		t, railF := col.t, col.railF
+		t, sc := col.t, col.sign
 		for stop := col.stopped; !stop; {
 			t += dt
 			for i := n - 1; i >= 1; i-- {
@@ -222,20 +349,16 @@ func (e *Engine) simStage(s *analysis.Stage, drv *driver, rd float64, corner tec
 			}
 			b0 := gC[0]*V[c] + acc[c]
 			acc[c] = 0
-			v0 := solveRoot(drv, col.vin.At(t), d[0], b0, V[c], vdd)
-			lo[c].observe(t, dt, V[c], v0)
-			mid[c].observe(t, dt, V[c], v0)
-			hi[c].observe(t, dt, V[c], v0)
+			v0 := solveRoot(&col.drv, col.vin.At(t), d[0], b0, V[c], col.vdd)
+			tr[c].observe(t, dt, sc*V[c], sc*v0, &col.th)
 			V[c] = v0
-			settled := abs(v0-railF) <= tol
+			settled := abs(v0-col.railF) <= col.tol
 			for i := 1; i < n; i++ {
 				j := w*i + c
 				v := (b[j] + g[i]*V[w*par[i]+c]) / d[i]
-				lo[j].observe(t, dt, V[j], v)
-				mid[j].observe(t, dt, V[j], v)
-				hi[j].observe(t, dt, V[j], v)
+				tr[j].observe(t, dt, sc*V[j], sc*v, &col.th)
 				V[j] = v
-				if abs(v-railF) > tol {
+				if abs(v-col.railF) > col.tol {
 					settled = false
 				}
 			}
@@ -251,16 +374,14 @@ func (e *Engine) simStage(s *analysis.Stage, drv *driver, rd float64, corner tec
 		r.t50 = make([]float64, n)
 		r.slew = make([]float64, n)
 		for i := 0; i < n; i++ {
-			j := w*i + c
-			if mid[j].done {
-				r.t50[i] = mid[j].t
-			} else {
-				r.t50[i] = math.Inf(1)
+			k := &tr[w*i+c]
+			r.t50[i] = math.Inf(1)
+			if k.next > 1 {
+				r.t50[i] = k.t[1]
 			}
-			if lo[j].done && hi[j].done {
-				r.slew[i] = abs(hi[j].t - lo[j].t)
-			} else {
-				r.slew[i] = math.Inf(1)
+			r.slew[i] = math.Inf(1)
+			if k.next == 3 {
+				r.slew[i] = abs(k.t[2] - k.t[0])
 			}
 		}
 		// The pool must not pin the waveforms past their owners' lifetime.

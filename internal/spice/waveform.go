@@ -112,30 +112,3 @@ func abs(x float64) float64 {
 	}
 	return x
 }
-
-// crossing tracks the interpolated time at which a signal first crosses a
-// threshold in the given direction.
-type crossing struct {
-	th     float64
-	rising bool
-	t      float64
-	done   bool
-}
-
-// observe feeds one integration step (vPrev at t-dt, v at t) to the tracker.
-func (c *crossing) observe(t, dt, vPrev, v float64) {
-	if c.done {
-		return
-	}
-	if c.rising {
-		if vPrev < c.th && v >= c.th {
-			c.t = t - dt + dt*(c.th-vPrev)/(v-vPrev)
-			c.done = true
-		}
-	} else {
-		if vPrev > c.th && v <= c.th {
-			c.t = t - dt + dt*(vPrev-c.th)/(vPrev-v)
-			c.done = true
-		}
-	}
-}
