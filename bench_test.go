@@ -267,6 +267,26 @@ func BenchmarkTransientEvaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkTransientCorners evaluates every corner of the default ispd09
+// pair in one call, as each CNE of the cascade does. The two corners share
+// their interconnect derates, so every stage runs both corners' rising and
+// falling edges as one four-column kernel task; BenchmarkTransientEvaluate
+// times one corner alone.
+func BenchmarkTransientCorners(b *testing.B) {
+	bm := trimmed("ispd09f22", 60)
+	res, err := core.SynthesizeBaseline(bm, core.BaselineNoOpt, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := spice.New()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.EvaluateAll(res.Tree); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkElmoreEvaluate(b *testing.B) {
 	bm := trimmed("ispd09f22", 60)
 	res, err := core.SynthesizeBaseline(bm, core.BaselineNoOpt, core.Options{})
