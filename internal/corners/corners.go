@@ -136,7 +136,8 @@ func parseSpec(raw string) (spec, error) {
 	sigmas := []*float64{&out.vSigma, &out.rSigma, &out.cSigma}
 	for i, p := range parts[3:] {
 		v, err := strconv.ParseFloat(p, 64)
-		if err != nil || v < 0 || v > 0.5 {
+		if err != nil || !(v >= 0 && v <= 0.5) { // NaN fails both comparisons
+
 			return spec{}, fmt.Errorf("corners: bad mc sigma %q (want 0..0.5)", p)
 		}
 		*sigmas[i] = v

@@ -22,6 +22,21 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFiniteSigma: a NaN sigma used to pass the range
+// check (every comparison with NaN is false) and turned every corner's
+// metrics into NaN.
+func TestValidateRejectsNonFiniteSigma(t *testing.T) {
+	for _, bad := range []string{"mc:2:1:NaN", "mc:2:1:nan", "mc:2:1:0.05:NaN", "mc:2:1:0.05:0.05:NaN",
+		"mc:2:1:Inf", "mc:2:1:+Inf", "mc:2:1:0.05:-Inf"} {
+		if err := Validate(bad); err == nil {
+			t.Errorf("Validate(%q) accepted", bad)
+		}
+		if _, err := Build(bad, tech.Default45()); err == nil {
+			t.Errorf("Build(%q) accepted", bad)
+		}
+	}
+}
+
 func TestCanon(t *testing.T) {
 	cases := map[string]string{
 		"":                       DefaultName,

@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,8 +102,8 @@ func (d *Delta) Fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ParseDelta reads the text form written by String. Blank lines and lines
-// starting with '#' are ignored. Each sink may appear in at most one
+// ParseDelta reads the text form written by String. Numbers must be
+// finite. Blank lines and lines starting with '#' are ignored. Each sink may appear in at most one
 // directive; a second mention is an error, as is a repeated caplimit.
 func ParseDelta(r io.Reader) (*Delta, error) {
 	d := &Delta{}
@@ -137,6 +138,9 @@ func ParseDelta(r io.Reader) (*Delta, error) {
 				v, err := strconv.ParseFloat(s, 64)
 				if err != nil {
 					return nil, bad("bad number")
+				}
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, bad("non-finite number")
 				}
 				out[i] = v
 			}

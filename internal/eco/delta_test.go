@@ -84,6 +84,24 @@ func TestParseDeltaErrors(t *testing.T) {
 	}
 }
 
+// TestParseDeltaRejectsNonFinite: NaN and infinite coordinates, caps and
+// budgets are errors, not deltas that poison the repair and the metrics.
+func TestParseDeltaRejectsNonFinite(t *testing.T) {
+	for _, in := range []string{
+		"caplimit NaN",
+		"caplimit +Inf",
+		"add zz NaN 0 1",
+		"add zz 0 0 NaN",
+		"add zz 0 -Inf 1",
+		"move a 0 Inf",
+		"move a nan 0",
+	} {
+		if _, err := eco.ParseDelta(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "non-finite number") {
+			t.Errorf("ParseDelta(%q) err = %v, want a non-finite number error", in, err)
+		}
+	}
+}
+
 func TestParseDeltaSkipsCommentsAndBlanks(t *testing.T) {
 	d, err := eco.ParseDelta(strings.NewReader("# an eco\n\n  move a 1 2  \n"))
 	if err != nil {

@@ -394,6 +394,23 @@ func TestHTTPInvalidSkipStagesRejected(t *testing.T) {
 	}
 }
 
+// TestHTTPNonFiniteCornerSigmaRejected: a Monte Carlo spec with a NaN or
+// infinite sigma is a bad request, not a job that reports NaN metrics.
+func TestHTTPNonFiniteCornerSigmaRejected(t *testing.T) {
+	ts, _ := testServer(t, 1)
+	for _, spec := range []string{"mc:2:1:NaN", "mc:2:1:0.05:+Inf"} {
+		req := SubmitRequest{
+			BenchText: benchText(t, "http-nancorner", 0),
+			Options:   OptionsWire{Corners: spec, FastSim: true},
+		}
+		var apiErr apiError
+		decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusBadRequest, &apiErr)
+		if !strings.Contains(apiErr.Error, "sigma") {
+			t.Errorf("corners %q: error %q does not name the bad sigma", spec, apiErr.Error)
+		}
+	}
+}
+
 // durableTestServer is testServer with a durable store attached.
 func durableTestServer(t *testing.T, workers int) (*httptest.Server, *Service, string) {
 	t.Helper()
