@@ -274,7 +274,7 @@ func TestSequentialTrackerMatchesIndependentKernel(t *testing.T) {
 			v = nv
 		}
 		for k := range ref {
-			if ref[k].done != (seq.next > k) {
+			if ref[k].done != (int(seq.next) > k) {
 				t.Fatalf("trial %d: threshold %d crossed=%v, sequential next=%d", trial, k, ref[k].done, seq.next)
 			}
 			if ref[k].done && math.Float64bits(ref[k].t) != math.Float64bits(seq.t[k]) {

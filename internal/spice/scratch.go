@@ -11,32 +11,34 @@ import "sync"
 
 // stageScratch is simStage's working state. The per-node factors g, gC, d
 // and elim are shared by every column; V, b, acc and the crossing trackers
-// hold one interleaved entry per (RC node, column).
+// hold one entry per RC node with a slot per column (V[i][c]), whatever
+// the column count, so the four-column sweep addresses a node's columns
+// with constant indices.
 type stageScratch struct {
 	g, gC, d, elim []float64
-	V, b, acc      []float64
-	tr             []tracker
+	V, b, acc      [][4]float64
+	tr             [][4]tracker
 	loads          []int          // distinct load nodes, recorded every step
 	waves          [4][]*Waveform // per column, aligned with loads
 }
 
 var stagePool = sync.Pool{New: func() any { return new(stageScratch) }}
 
-// grow resizes the vectors to n RC nodes and w columns without zeroing;
-// simStage fully overwrites them (and explicitly clears the accumulators
+// grow resizes the vectors to n RC nodes without zeroing; simStage fully
+// overwrites the columns it uses (and explicitly clears the accumulators
 // that need it).
-func (ss *stageScratch) grow(n, w int) {
+func (ss *stageScratch) grow(n int) {
 	ss.g = growF(ss.g, n)
 	ss.gC = growF(ss.gC, n)
 	ss.d = growF(ss.d, n)
 	ss.elim = growF(ss.elim, n)
-	ss.V = growF(ss.V, n*w)
-	ss.b = growF(ss.b, n*w)
-	ss.acc = growF(ss.acc, n*w)
-	if cap(ss.tr) < n*w {
-		ss.tr = make([]tracker, n*w)
+	if cap(ss.V) < n {
+		ss.V = make([][4]float64, n)
+		ss.b = make([][4]float64, n)
+		ss.acc = make([][4]float64, n)
+		ss.tr = make([][4]tracker, n)
 	}
-	ss.tr = ss.tr[:n*w]
+	ss.V, ss.b, ss.acc, ss.tr = ss.V[:n], ss.b[:n], ss.acc[:n], ss.tr[:n]
 }
 
 func growF(buf []float64, n int) []float64 {

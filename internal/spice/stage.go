@@ -45,7 +45,7 @@ type column struct {
 // tracker records the interpolated times at which one node's sign-folded
 // voltage first crosses its column's three thresholds, in order.
 type tracker struct {
-	next int        // index of the next threshold to cross (3 = all crossed)
+	next uint8      // index of the next threshold to cross (3 = all crossed)
 	t    [3]float64 // crossing times of th[0..next)
 }
 
@@ -55,22 +55,22 @@ type tracker struct {
 // never precedes that of th[k-1], so checking only the next threshold
 // finds exactly the first crossing of each.
 func (k *tracker) observe(t, dt, xPrev, x float64, th *[3]float64) {
-	for k.next < 3 {
-		h := th[k.next]
+	for i := k.next; i < 3; i++ {
+		h := th[i]
 		if !(x >= h && xPrev < h) {
 			return
 		}
-		k.t[k.next] = t - dt + dt*(h-xPrev)/(x-xPrev)
-		k.next++
+		k.t[i] = t - dt + dt*(h-xPrev)/(x-xPrev)
+		k.next = i + 1
 	}
 }
 
 // simStage integrates one stage with Backward Euler for up to four columns
 // at once: the source edges of one or two corners whose interconnect
 // derates are equal (the caller groups them), so the conductances and the
-// elimination factors are shared. Each column is a slot of the interleaved
-// state vectors (V[w*i+c] for RC node i, column c, w = len(in)) and keeps
-// its own input, supply, driver, rails, time window and crossing trackers.
+// elimination factors are shared. Each column is a slot of the state
+// vectors (V[i][c] for RC node i, column c) and keeps its own input,
+// supply, driver, rails, time window and crossing trackers.
 //
 // The integration runs in up to three phases. While four columns run, one
 // four-column sweep advances them in lockstep, so four divide-bound tree
@@ -92,8 +92,10 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 	rScale, cScale := in[0].corner.RScale(), in[0].corner.CScale()
 
 	ss := stagePool.Get().(*stageScratch)
-	ss.grow(n, w)
-	g, gC := ss.g, ss.gC
+	ss.grow(n)
+	// Every per-node slice is resliced to n so the compiler can prove the
+	// node loops' indices in range.
+	g, gC := ss.g[:n], ss.gC[:n]
 	g[0] = 0 // never read, but keep the vector deterministic across reuse
 	for i := 0; i < n; i++ {
 		gC[i] = s.C[i] * cScale / dt
@@ -103,11 +105,11 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 	}
 	// Constant elimination factors (caps and resistances are fixed). The
 	// += accumulation below must start from exact zeros.
-	d, elim := ss.d, ss.elim
+	d, elim := ss.d[:n], ss.elim[:n]
 	for i := range elim {
 		elim[i] = 0
 	}
-	par := s.Par
+	par := s.Par[:n]
 	for i := n - 1; i >= 1; i-- {
 		d[i] = gC[i] + g[i] + elim[i]
 		elim[par[i]] += g[i] - g[i]*g[i]/d[i]
@@ -119,7 +121,7 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 
 	// Per-column set-up. The reduction accumulator starts at zero and
 	// every step leaves it at zero again.
-	V, b, acc, tr := ss.V, ss.b, ss.acc, ss.tr
+	V, b, acc, tr := ss.V[:n], ss.b[:n], ss.acc[:n], ss.tr[:n]
 	loads := ss.loads[:0]
 	var cols [4]column
 	tauMax := 0.0
@@ -145,10 +147,9 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 			col.sign, col.th = 1, [3]float64{0.1 * vdd, 0.5 * vdd, 0.9 * vdd}
 		}
 		for i := 0; i < n; i++ {
-			j := w*i + c
-			V[j] = rail0
-			acc[j] = 0
-			tr[j] = tracker{}
+			V[i][c] = rail0
+			acc[i][c] = 0
+			tr[i][c] = tracker{}
 		}
 		tEndMin := ci.vin.End() + 5*tauMax + 50
 		col.vin, col.drv, col.vdd, col.tol, col.railF = ci.vin, ci.drv, vdd, e.SettleTol*vdd, railF
@@ -188,6 +189,8 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 		c0, c1, c2, c3 := &cols[0], &cols[1], &cols[2], &cols[3]
 		t0, t1, t2, t3 := c0.t, c1.t, c2.t, c3.t
 		s0, s1, s2, s3 := c0.sign, c1.sign, c2.sign, c3.sign
+		r0, r1, r2, r3 := c0.railF, c1.railF, c2.railF, c3.railF
+		tol0, tol1, tol2, tol3 := c0.tol, c1.tol, c2.tol, c3.tol
 		for {
 			t0 += dt
 			t1 += dt
@@ -195,66 +198,71 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 			t3 += dt
 			// Bottom-up: reduce to the root.
 			for i := n - 1; i >= 1; i-- {
-				j, p := 4*i, 4*par[i]
-				b0 := gC[i]*V[j] + acc[j]
-				b1 := gC[i]*V[j+1] + acc[j+1]
-				b2 := gC[i]*V[j+2] + acc[j+2]
-				b3 := gC[i]*V[j+3] + acc[j+3]
-				b[j], b[j+1], b[j+2], b[j+3] = b0, b1, b2, b3
-				acc[j], acc[j+1], acc[j+2], acc[j+3] = 0, 0, 0, 0
-				acc[p] += g[i] * b0 / d[i]
-				acc[p+1] += g[i] * b1 / d[i]
-				acc[p+2] += g[i] * b2 / d[i]
-				acc[p+3] += g[i] * b3 / d[i]
+				gi, di, gCi := g[i], d[i], gC[i]
+				vj, aj, ap := &V[i], &acc[i], &acc[par[i]]
+				b0 := gCi*vj[0] + aj[0]
+				b1 := gCi*vj[1] + aj[1]
+				b2 := gCi*vj[2] + aj[2]
+				b3 := gCi*vj[3] + aj[3]
+				b[i] = [4]float64{b0, b1, b2, b3}
+				*aj = [4]float64{}
+				ap[0] += gi * b0 / di
+				ap[1] += gi * b1 / di
+				ap[2] += gi * b2 / di
+				ap[3] += gi * b3 / di
 			}
-			b0 := gC[0]*V[0] + acc[0]
-			b1 := gC[0]*V[1] + acc[1]
-			b2 := gC[0]*V[2] + acc[2]
-			b3 := gC[0]*V[3] + acc[3]
-			acc[0], acc[1], acc[2], acc[3] = 0, 0, 0, 0
-			v0 := solveRoot(&c0.drv, c0.vin.At(t0), d[0], b0, V[0], c0.vdd)
-			v1 := solveRoot(&c1.drv, c1.vin.At(t1), d[0], b1, V[1], c1.vdd)
-			v2 := solveRoot(&c2.drv, c2.vin.At(t2), d[0], b2, V[2], c2.vdd)
-			v3 := solveRoot(&c3.drv, c3.vin.At(t3), d[0], b3, V[3], c3.vdd)
+			v, a := &V[0], &acc[0]
+			b0 := gC[0]*v[0] + a[0]
+			b1 := gC[0]*v[1] + a[1]
+			b2 := gC[0]*v[2] + a[2]
+			b3 := gC[0]*v[3] + a[3]
+			*a = [4]float64{}
+			v0 := solveRoot(&c0.drv, c0.vin.At(t0), d[0], b0, v[0], c0.vdd)
+			v1 := solveRoot(&c1.drv, c1.vin.At(t1), d[0], b1, v[1], c1.vdd)
+			v2 := solveRoot(&c2.drv, c2.vin.At(t2), d[0], b2, v[2], c2.vdd)
+			v3 := solveRoot(&c3.drv, c3.vin.At(t3), d[0], b3, v[3], c3.vdd)
 			// Top-down back-substitution, updating trackers inline.
-			tr[0].observe(t0, dt, s0*V[0], s0*v0, &c0.th)
-			tr[1].observe(t1, dt, s1*V[1], s1*v1, &c1.th)
-			tr[2].observe(t2, dt, s2*V[2], s2*v2, &c2.th)
-			tr[3].observe(t3, dt, s3*V[3], s3*v3, &c3.th)
-			V[0], V[1], V[2], V[3] = v0, v1, v2, v3
-			settled0 := abs(v0-c0.railF) <= c0.tol
-			settled1 := abs(v1-c1.railF) <= c1.tol
-			settled2 := abs(v2-c2.railF) <= c2.tol
-			settled3 := abs(v3-c3.railF) <= c3.tol
+			k := &tr[0]
+			k[0].observe(t0, dt, s0*v[0], s0*v0, &c0.th)
+			k[1].observe(t1, dt, s1*v[1], s1*v1, &c1.th)
+			k[2].observe(t2, dt, s2*v[2], s2*v2, &c2.th)
+			k[3].observe(t3, dt, s3*v[3], s3*v3, &c3.th)
+			*v = [4]float64{v0, v1, v2, v3}
+			settled0 := abs(v0-r0) <= tol0
+			settled1 := abs(v1-r1) <= tol1
+			settled2 := abs(v2-r2) <= tol2
+			settled3 := abs(v3-r3) <= tol3
 			for i := 1; i < n; i++ {
-				j, p := 4*i, 4*par[i]
-				u0 := (b[j] + g[i]*V[p]) / d[i]
-				u1 := (b[j+1] + g[i]*V[p+1]) / d[i]
-				u2 := (b[j+2] + g[i]*V[p+2]) / d[i]
-				u3 := (b[j+3] + g[i]*V[p+3]) / d[i]
-				tr[j].observe(t0, dt, s0*V[j], s0*u0, &c0.th)
-				tr[j+1].observe(t1, dt, s1*V[j+1], s1*u1, &c1.th)
-				tr[j+2].observe(t2, dt, s2*V[j+2], s2*u2, &c2.th)
-				tr[j+3].observe(t3, dt, s3*V[j+3], s3*u3, &c3.th)
-				V[j], V[j+1], V[j+2], V[j+3] = u0, u1, u2, u3
-				if abs(u0-c0.railF) > c0.tol {
+				gi, di := g[i], d[i]
+				vj, vp, bj, kj := &V[i], &V[par[i]], &b[i], &tr[i]
+				u0 := (bj[0] + gi*vp[0]) / di
+				u1 := (bj[1] + gi*vp[1]) / di
+				u2 := (bj[2] + gi*vp[2]) / di
+				u3 := (bj[3] + gi*vp[3]) / di
+				kj[0].observe(t0, dt, s0*vj[0], s0*u0, &c0.th)
+				kj[1].observe(t1, dt, s1*vj[1], s1*u1, &c1.th)
+				kj[2].observe(t2, dt, s2*vj[2], s2*u2, &c2.th)
+				kj[3].observe(t3, dt, s3*vj[3], s3*u3, &c3.th)
+				*vj = [4]float64{u0, u1, u2, u3}
+				if abs(u0-r0) > tol0 {
 					settled0 = false
 				}
-				if abs(u1-c1.railF) > c1.tol {
+				if abs(u1-r1) > tol1 {
 					settled1 = false
 				}
-				if abs(u2-c2.railF) > c2.tol {
+				if abs(u2-r2) > tol2 {
 					settled2 = false
 				}
-				if abs(u3-c3.railF) > c3.tol {
+				if abs(u3-r3) > tol3 {
 					settled3 = false
 				}
 			}
 			for k, node := range loads {
-				c0.waves[k].V = append(c0.waves[k].V, V[4*node])
-				c1.waves[k].V = append(c1.waves[k].V, V[4*node+1])
-				c2.waves[k].V = append(c2.waves[k].V, V[4*node+2])
-				c3.waves[k].V = append(c3.waves[k].V, V[4*node+3])
+				vn := &V[node]
+				c0.waves[k].V = append(c0.waves[k].V, vn[0])
+				c1.waves[k].V = append(c1.waves[k].V, vn[1])
+				c2.waves[k].V = append(c2.waves[k].V, vn[2])
+				c3.waves[k].V = append(c3.waves[k].V, vn[3])
 			}
 			c0.stopped = (t0 >= c0.tEndMin && settled0) || t0 >= c0.tMax
 			c1.stopped = (t1 >= c1.tEndMin && settled1) || t1 >= c1.tMax
@@ -280,50 +288,54 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 		}
 	}
 	if pb >= 0 {
+		pa, pb := pa&3, pb&3 // in range already; the mask lets the compiler drop slot bounds checks
 		c0, c1 := &cols[pa], &cols[pb]
 		t0, t1 := c0.t, c1.t
 		s0, s1 := c0.sign, c1.sign
+		r0, r1 := c0.railF, c1.railF
+		tol0, tol1 := c0.tol, c1.tol
 		for {
 			t0 += dt
 			t1 += dt
 			for i := n - 1; i >= 1; i-- {
-				j, p := w*i, w*par[i]
-				j0, j1 := j+pa, j+pb
-				b0 := gC[i]*V[j0] + acc[j0]
-				b1 := gC[i]*V[j1] + acc[j1]
-				b[j0], b[j1] = b0, b1
-				acc[j0], acc[j1] = 0, 0
-				acc[p+pa] += g[i] * b0 / d[i]
-				acc[p+pb] += g[i] * b1 / d[i]
+				gi, di, gCi := g[i], d[i], gC[i]
+				vj, aj, ap := &V[i], &acc[i], &acc[par[i]]
+				b0 := gCi*vj[pa] + aj[pa]
+				b1 := gCi*vj[pb] + aj[pb]
+				b[i][pa], b[i][pb] = b0, b1
+				aj[pa], aj[pb] = 0, 0
+				ap[pa] += gi * b0 / di
+				ap[pb] += gi * b1 / di
 			}
-			b0 := gC[0]*V[pa] + acc[pa]
-			b1 := gC[0]*V[pb] + acc[pb]
-			acc[pa], acc[pb] = 0, 0
-			v0 := solveRoot(&c0.drv, c0.vin.At(t0), d[0], b0, V[pa], c0.vdd)
-			v1 := solveRoot(&c1.drv, c1.vin.At(t1), d[0], b1, V[pb], c1.vdd)
-			tr[pa].observe(t0, dt, s0*V[pa], s0*v0, &c0.th)
-			tr[pb].observe(t1, dt, s1*V[pb], s1*v1, &c1.th)
-			V[pa], V[pb] = v0, v1
-			settled0 := abs(v0-c0.railF) <= c0.tol
-			settled1 := abs(v1-c1.railF) <= c1.tol
+			v, a := &V[0], &acc[0]
+			b0 := gC[0]*v[pa] + a[pa]
+			b1 := gC[0]*v[pb] + a[pb]
+			a[pa], a[pb] = 0, 0
+			v0 := solveRoot(&c0.drv, c0.vin.At(t0), d[0], b0, v[pa], c0.vdd)
+			v1 := solveRoot(&c1.drv, c1.vin.At(t1), d[0], b1, v[pb], c1.vdd)
+			tr[0][pa].observe(t0, dt, s0*v[pa], s0*v0, &c0.th)
+			tr[0][pb].observe(t1, dt, s1*v[pb], s1*v1, &c1.th)
+			v[pa], v[pb] = v0, v1
+			settled0 := abs(v0-r0) <= tol0
+			settled1 := abs(v1-r1) <= tol1
 			for i := 1; i < n; i++ {
-				j, p := w*i, w*par[i]
-				j0, j1 := j+pa, j+pb
-				u0 := (b[j0] + g[i]*V[p+pa]) / d[i]
-				u1 := (b[j1] + g[i]*V[p+pb]) / d[i]
-				tr[j0].observe(t0, dt, s0*V[j0], s0*u0, &c0.th)
-				tr[j1].observe(t1, dt, s1*V[j1], s1*u1, &c1.th)
-				V[j0], V[j1] = u0, u1
-				if abs(u0-c0.railF) > c0.tol {
+				gi, di := g[i], d[i]
+				vj, vp, bj, kj := &V[i], &V[par[i]], &b[i], &tr[i]
+				u0 := (bj[pa] + gi*vp[pa]) / di
+				u1 := (bj[pb] + gi*vp[pb]) / di
+				kj[pa].observe(t0, dt, s0*vj[pa], s0*u0, &c0.th)
+				kj[pb].observe(t1, dt, s1*vj[pb], s1*u1, &c1.th)
+				vj[pa], vj[pb] = u0, u1
+				if abs(u0-r0) > tol0 {
 					settled0 = false
 				}
-				if abs(u1-c1.railF) > c1.tol {
+				if abs(u1-r1) > tol1 {
 					settled1 = false
 				}
 			}
 			for k, node := range loads {
-				c0.waves[k].V = append(c0.waves[k].V, V[w*node+pa])
-				c1.waves[k].V = append(c1.waves[k].V, V[w*node+pb])
+				c0.waves[k].V = append(c0.waves[k].V, V[node][pa])
+				c1.waves[k].V = append(c1.waves[k].V, V[node][pb])
 			}
 			c0.stopped = (t0 >= c0.tEndMin && settled0) || t0 >= c0.tMax
 			c1.stopped = (t1 >= c1.tEndMin && settled1) || t1 >= c1.tMax
@@ -336,34 +348,34 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 
 	// Tail: finish every column still running, one at a time.
 	for c := 0; c < w; c++ {
+		c := c & 3 // as in the paired sweep
 		col := &cols[c]
 		t, sc := col.t, col.sign
+		railF, tol := col.railF, col.tol
 		for stop := col.stopped; !stop; {
 			t += dt
 			for i := n - 1; i >= 1; i-- {
-				j := w*i + c
-				bi := gC[i]*V[j] + acc[j]
-				b[j] = bi
-				acc[j] = 0
-				acc[w*par[i]+c] += g[i] * bi / d[i]
+				bi := gC[i]*V[i][c] + acc[i][c]
+				b[i][c] = bi
+				acc[i][c] = 0
+				acc[par[i]][c] += g[i] * bi / d[i]
 			}
-			b0 := gC[0]*V[c] + acc[c]
-			acc[c] = 0
-			v0 := solveRoot(&col.drv, col.vin.At(t), d[0], b0, V[c], col.vdd)
-			tr[c].observe(t, dt, sc*V[c], sc*v0, &col.th)
-			V[c] = v0
-			settled := abs(v0-col.railF) <= col.tol
+			b0 := gC[0]*V[0][c] + acc[0][c]
+			acc[0][c] = 0
+			v0 := solveRoot(&col.drv, col.vin.At(t), d[0], b0, V[0][c], col.vdd)
+			tr[0][c].observe(t, dt, sc*V[0][c], sc*v0, &col.th)
+			V[0][c] = v0
+			settled := abs(v0-railF) <= tol
 			for i := 1; i < n; i++ {
-				j := w*i + c
-				v := (b[j] + g[i]*V[w*par[i]+c]) / d[i]
-				tr[j].observe(t, dt, sc*V[j], sc*v, &col.th)
-				V[j] = v
-				if abs(v-col.railF) > col.tol {
+				v := (b[i][c] + g[i]*V[par[i]][c]) / d[i]
+				tr[i][c].observe(t, dt, sc*V[i][c], sc*v, &col.th)
+				V[i][c] = v
+				if abs(v-railF) > tol {
 					settled = false
 				}
 			}
 			for k, node := range loads {
-				col.waves[k].V = append(col.waves[k].V, V[w*node+c])
+				col.waves[k].V = append(col.waves[k].V, V[node][c])
 			}
 			stop = (t >= col.tEndMin && settled) || t >= col.tMax
 		}
@@ -374,7 +386,7 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 		r.t50 = make([]float64, n)
 		r.slew = make([]float64, n)
 		for i := 0; i < n; i++ {
-			k := &tr[w*i+c]
+			k := &tr[i][c]
 			r.t50[i] = math.Inf(1)
 			if k.next > 1 {
 				r.t50[i] = k.t[1]
