@@ -223,16 +223,11 @@ func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev []
 // Concurrent calls touch disjoint stages.
 func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerScratch, i int) {
 	s := net.Stages[i]
-	tk := net.Tree.Tech
 	var in [4]stageIn
 	var col [4]int
 	w := 0
 	for k, corner := range group {
-		rd := net.DriverR(s, corner)
-		drv := driver{r: rd}
-		if s.Driver != nil {
-			drv = driver{inverter: true, k: tk.KDrive(*s.Driver.Buf), vdd: corner.Vdd, vt: tk.Vt}
-		}
+		drv, rd := stageDriver(net, s, corner)
 		for c, rising := range launchEdges {
 			es := &cs.edge[2*k+c]
 			if !es.need[i] {
@@ -258,6 +253,18 @@ func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerSc
 		es.chosen[i] = ent
 		es.results[i] = &ent.res
 	}
+}
+
+// stageDriver returns the driver of stage s at corner and its effective
+// resistance: the source resistor, or the stage's buffer as an inverter
+// on the corner's supply.
+func stageDriver(net *analysis.Net, s *analysis.Stage, corner tech.Corner) (driver, float64) {
+	rd := net.DriverR(s, corner)
+	if s.Driver == nil {
+		return driver{r: rd}, rd
+	}
+	tk := net.Tree.Tech
+	return driver{inverter: true, k: tk.KDrive(*s.Driver.Buf), vdd: corner.Vdd, vt: tk.Vt}, rd
 }
 
 // commitEdge builds one edge's next cache generation from the entries that

@@ -64,16 +64,6 @@ func sameStageResult(t *testing.T, what string, a, b *stageResult) {
 	}
 }
 
-// stageDriver returns stage s's driver and driver resistance at corner.
-func stageDriver(net *analysis.Net, s *analysis.Stage, corner tech.Corner) (driver, float64) {
-	tk := net.Tree.Tech
-	rd := net.DriverR(s, corner)
-	if s.Driver != nil {
-		return driver{inverter: true, k: tk.KDrive(*s.Driver.Buf), vdd: corner.Vdd, vt: tk.Vt}, rd
-	}
-	return driver{r: rd}, rd
-}
-
 // TestPairedKernelMatchesOneColumn: integrating two edges in one paired
 // simStage call must give, for each column, exactly what a one-column call
 // gives — across source and inverter stages, derated pvt5 corners, random
