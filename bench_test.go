@@ -8,6 +8,7 @@ package contango
 import (
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"contango/internal/analysis"
@@ -234,6 +235,29 @@ func BenchmarkAblation_InsertionModes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCompositeSweep times the flow's buffer pass alone: the Section
+// IV-C composite sweep (InsertBestCompositeArena) over the large-inverter
+// ladder on a 2000-sink TI sample, every candidate built and judged, with
+// the product's worker budget (GOMAXPROCS, so -cpu picks it). The ZST and
+// the per-iteration input clone are untimed.
+func BenchmarkCompositeSweep(b *testing.B) {
+	bm := bench.NewTIPool().Sample(2000, 1)
+	tk := tech.Default45()
+	ladder := tk.BatchLadder("Large", 1)
+	zst := dme.BuildZSTArena(tk, bm.Source, bm.Sinks, dme.Options{})
+	zst.SourceR = bm.SourceR
+	opt := buffering.Options{Parallelism: runtime.GOMAXPROCS(0)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		a := zst.Clone()
+		b.StartTimer()
+		if _, err := buffering.InsertBestCompositeArena(a, ladder, bm.CapLimit, 0.10, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

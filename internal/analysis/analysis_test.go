@@ -51,10 +51,10 @@ func TestExtractStagesAtBuffers(t *testing.T) {
 		t.Fatalf("stages=%d want 2", len(net.Stages))
 	}
 	src, drv := net.Stages[0], net.Stages[1]
-	if len(src.Loads) != 1 || src.Loads[0].Buf != b {
+	if len(src.Loads) != 1 || src.Loads[0].Slot != b.ID {
 		t.Error("source stage should end at the buffer input")
 	}
-	if drv.Driver != b || drv.Parent != 0 || drv.InputNode != src.Loads[0].Node {
+	if drv.Driver != b.ID || drv.Buf != comp || drv.Parent != 0 || drv.InputNode != src.Loads[0].Node {
 		t.Error("buffer stage linkage wrong")
 	}
 	// Buffer output cap at the stage root (plus the first wire π half-cap).

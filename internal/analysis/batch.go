@@ -18,9 +18,12 @@ import (
 // mc:<n> corner sets cost one topology traversal instead of N without
 // perturbing a single cached result.
 
-// kernelScratch pools the transient float vectors of the stage kernels.
+// kernelScratch pools the transient float vectors of the stage kernels:
+// two K·n stage vectors, and elmoreStages' per-corner derates and stage
+// arrivals.
 type kernelScratch struct {
-	a, b []float64
+	a, b     []float64
+	der, arr []float64
 }
 
 var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
@@ -137,54 +140,91 @@ func (e *Elmore) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Resu
 // elmoreCorners runs the Elmore evaluation of every corner over an
 // extracted netlist.
 func elmoreCorners(net *Net, corners []tech.Corner) []*Result {
-	K := len(corners)
-	limit := net.Tree.Tech.SlewLimit
-	results := make([]*Result, K)
-	arrivals := make([][]float64, K)
+	limit := net.Tech.SlewLimit
+	results := make([]*Result, len(corners))
 	for k, c := range corners {
 		results[k] = newResult(c)
-		arrivals[k] = make([]float64, len(net.Stages))
 	}
-	rd := make([]float64, K)
-	rs := make([]float64, K)
-	cs := make([]float64, K)
+	elmoreStages(net, corners, func(s *Stage, k int, base float64, d []float64) {
+		res := results[k]
+		key := s.Key()
+		for _, m := range s.Sinks {
+			t := base + d[m.Node]
+			res.Rise[m.Slot] = t
+			res.Fall[m.Slot] = t
+			res.SinkSlew[m.Slot] = ln9 * d[m.Node]
+		}
+		for i := range d {
+			slew := ln9 * d[i]
+			if slew > res.MaxSlew {
+				res.MaxSlew = slew
+			}
+			if slew > res.StageSlew[key] {
+				res.StageSlew[key] = slew
+			}
+			if slew > limit {
+				res.SlewViol++
+			}
+		}
+	})
+	return results
+}
+
+// ElmoreWorst returns, at one corner, the two numbers of an Elmore Result
+// the composite sweep judges a candidate by: the latest sink arrival (the
+// max of Result.MinMaxRise, 0 without sinks) and SlewViol. It runs the
+// same recurrence as Elmore.Evaluate, bit for bit, without building the
+// per-sink maps.
+func ElmoreWorst(net *Net, corner tech.Corner) (worst float64, slewViol int) {
+	limit := net.Tech.SlewLimit
+	first := true
+	elmoreStages(net, []tech.Corner{corner}, func(s *Stage, _ int, base float64, d []float64) {
+		for _, m := range s.Sinks {
+			if t := base + d[m.Node]; first || t > worst {
+				worst, first = t, false
+			}
+		}
+		for i := range d {
+			if ln9*d[i] > limit {
+				slewViol++
+			}
+		}
+	})
+	return worst, slewViol
+}
+
+// elmoreStages runs the Elmore recurrence of every corner over net: one
+// batched kernel sweep per stage, in topological order, with each stage's
+// input arrival propagated to its child stages. visit sees stage s at
+// corner k with its input arrival base and its RC nodes' delays d (a view
+// into pooled scratch, valid during the call).
+func elmoreStages(net *Net, corners []tech.Corner, visit func(s *Stage, k int, base float64, d []float64)) {
+	K := len(corners)
+	ns := len(net.Stages)
 	ks := kernelPool.Get().(*kernelScratch)
+	ks.der = growFloats(ks.der, 3*K)
+	rd, rs, cs := ks.der[:K], ks.der[K:2*K], ks.der[2*K:]
+	ks.arr = growFloats(ks.arr, K*ns)
+	for k := 0; k < K; k++ {
+		ks.arr[k*ns] = 0 // the source stage launches at t = 0
+	}
 	for _, s := range net.Stages {
 		n := len(s.R)
 		cornerDerates(net, s, corners, rd, rs, cs)
 		ks.a = growFloats(ks.a, K*n)
 		ks.b = growFloats(ks.b, K*n)
 		stageElmoreBatchInto(s, rd, rs, cs, ks.a, ks.b)
-		key := s.Key()
-		for k := range corners {
+		for k := 0; k < K; k++ {
 			d := ks.b[k*n : (k+1)*n]
-			res := results[k]
-			base := arrivals[k][s.Index]
+			arrivals := ks.arr[k*ns : (k+1)*ns]
+			base := arrivals[s.Index]
 			for _, ci := range s.Children {
-				arrivals[k][ci] = base + d[net.Stages[ci].InputNode]
+				arrivals[ci] = base + d[net.Stages[ci].InputNode]
 			}
-			for _, m := range s.Sinks {
-				t := base + d[m.Node]
-				res.Rise[m.Sink.ID] = t
-				res.Fall[m.Sink.ID] = t
-				res.SinkSlew[m.Sink.ID] = ln9 * d[m.Node]
-			}
-			for i := range d {
-				slew := ln9 * d[i]
-				if slew > res.MaxSlew {
-					res.MaxSlew = slew
-				}
-				if slew > res.StageSlew[key] {
-					res.StageSlew[key] = slew
-				}
-				if slew > limit {
-					res.SlewViol++
-				}
-			}
+			visit(s, k, base, d)
 		}
 	}
 	kernelPool.Put(ks)
-	return results
 }
 
 // EvaluateCorners implements CornerEvaluator for the plain TwoPole
@@ -197,7 +237,7 @@ func (e *TwoPole) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Res
 // netlist.
 func twoPoleCorners(net *Net, corners []tech.Corner) []*Result {
 	K := len(corners)
-	limit := net.Tree.Tech.SlewLimit
+	limit := net.Tech.SlewLimit
 	results := make([]*Result, K)
 	arrivals := make([][]float64, K)
 	for k, c := range corners {
@@ -230,9 +270,9 @@ func twoPoleCorners(net *Net, corners []tech.Corner) []*Result {
 			}
 			for _, m := range s.Sinks {
 				t := base + d2m(m1k[m.Node], m2k[m.Node])
-				res.Rise[m.Sink.ID] = t
-				res.Fall[m.Sink.ID] = t
-				res.SinkSlew[m.Sink.ID] = slewFromMoments(m1k[m.Node], m2k[m.Node])
+				res.Rise[m.Slot] = t
+				res.Fall[m.Slot] = t
+				res.SinkSlew[m.Slot] = slewFromMoments(m1k[m.Node], m2k[m.Node])
 			}
 			for i := range m1k {
 				slew := slewFromMoments(m1k[i], m2k[i])

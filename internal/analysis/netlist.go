@@ -6,6 +6,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 
 	"contango/internal/ctree"
@@ -24,14 +25,14 @@ const minR = 1e-9
 
 // Load marks a stage-boundary node: the input pin of a downstream buffer.
 type Load struct {
-	Node int         // RC node index within the stage
-	Buf  *ctree.Node // the buffer whose input sits here
+	Node int // RC node index within the stage
+	Slot int // tree slot of the buffer whose input sits here
 }
 
 // Meas marks a sink measurement node.
 type Meas struct {
-	Node int
-	Sink *ctree.Node
+	Node int // RC node index within the stage
+	Slot int // tree slot of the sink
 }
 
 // Stage is one driver (the clock source or a buffer) plus the RC tree it
@@ -39,9 +40,10 @@ type Meas struct {
 // stored in parent-before-child order; node 0 is the driver output, and
 // R[0] is a placeholder (the driver is modeled separately by evaluators).
 type Stage struct {
-	Driver *ctree.Node // nil for the source stage
-	Index  int         // position in Net.Stages
-	Parent int         // index of the upstream stage, -1 for the source stage
+	Driver int            // driver slot, -1 for the source stage
+	Buf    tech.Composite // the driver's composite (zero for the source stage)
+	Index  int            // position in Net.Stages
+	Parent int            // index of the upstream stage, -1 for the source stage
 	// InputNode is the RC node (in the parent stage) where this stage's
 	// driver input pin sits; -1 for the source stage.
 	InputNode int
@@ -63,14 +65,10 @@ type Stage struct {
 // results against it.
 func (s *Stage) Sig() uint64 { return s.sig }
 
-// Key identifies the stage by its driver: the buffer's node ID, or -1 for
-// the source stage. Per-stage results and caches are keyed on it.
-func (s *Stage) Key() int {
-	if s.Driver == nil {
-		return -1
-	}
-	return s.Driver.ID
-}
+// Key identifies the stage by its driver: the buffer's slot (its
+// pointer-tree node ID), or -1 for the source stage. Per-stage results and
+// caches are keyed on it.
+func (s *Stage) Key() int { return s.Driver }
 
 // TotalCap returns the sum of grounded capacitance in the stage (fF),
 // including buffer input pins and sink loads attached to it.
@@ -82,31 +80,107 @@ func (s *Stage) TotalCap() float64 {
 	return c
 }
 
-// Net is the staged RC netlist of a clock tree.
+// Net is the staged RC netlist of a clock tree. A Net can be extracted
+// into again and again (ExtractTree, ExtractArena): each extraction reuses
+// the stage storage of the last one, so a caller that keeps its Net pays
+// the RC-array growth once, not per evaluation.
 type Net struct {
-	Tree   *ctree.Tree
-	Stages []*Stage // topologically ordered, Stages[0] is the source stage
+	Tech    *tech.Tech
+	SourceR float64  // clock source output resistance, kΩ
+	Stages  []*Stage // topologically ordered, Stages[0] is the source stage
 }
 
 // Extract builds the staged RC netlist for tr, subdividing wires into
 // π-segments of at most maxSeg µm (DefaultMaxSeg when maxSeg <= 0).
 func Extract(tr *ctree.Tree, maxSeg float64) *Net {
-	if maxSeg <= 0 {
-		maxSeg = DefaultMaxSeg
-	}
-	net := &Net{Tree: tr}
-	buildStage(net, tr, maxSeg, nil, -1, -1)
+	net := new(Net)
+	net.ExtractTree(tr, maxSeg)
 	return net
 }
 
-// addEdgeSegs subdivides the wire of tree node n (edge parent->n) into the
-// stage, starting at RC node 'at', and returns the far-end RC node.
-func addEdgeSegs(s *Stage, tr *ctree.Tree, maxSeg float64, n *ctree.Node, at int) int {
-	length := n.EdgeLen()
-	w := tr.Tech.Wires[n.WidthIdx]
+// ExtractTree re-extracts net from the pointer tree tr. A tree that passes
+// Validate always extracts; a structurally broken one is a programming
+// error and panics.
+func (net *Net) ExtractTree(tr *ctree.Tree, maxSeg float64) {
+	if err := net.extract(tr, tr.Tech, tr.SourceR, maxSeg); err != nil {
+		panic(err)
+	}
+}
+
+// ExtractArena re-extracts net straight from an arena, with the stages,
+// keys and signatures ExtractTree gives for the arena's ToTree. A dead or
+// dangling child slot, a child whose parent slot disagrees, or a buffer
+// without a composite is an error, the checks Restore makes on a
+// materialized tree.
+func (net *Net) ExtractArena(a *ctree.Arena, maxSeg float64) error {
+	return net.extract(a, a.Tech, a.SourceR, maxSeg)
+}
+
+// treeView is the read-only slot walk extraction runs on. Both tree forms
+// provide it, with a pointer tree's node ID i as slot i.
+type treeView interface {
+	RootSlot() int32
+	NumChildren(i int32) int
+	Child(i int32, j int) int32
+	// Slot reports ok false for a slot that is out of range or dead.
+	Slot(i int32) (ctree.SlotInfo, bool)
+}
+
+var (
+	_ treeView = (*ctree.Tree)(nil)
+	_ treeView = (*ctree.Arena)(nil)
+)
+
+// extract is the one stage builder behind both forms.
+func (net *Net) extract(v treeView, t *tech.Tech, sourceR, maxSeg float64) error {
+	if maxSeg <= 0 {
+		maxSeg = DefaultMaxSeg
+	}
+	net.Tech, net.SourceR = t, sourceR
+	net.Stages = net.Stages[:0]
+	b := stageBuilder{net: net, v: v, maxSeg: maxSeg}
+	root := v.RootSlot()
+	if _, ok := v.Slot(root); !ok {
+		return fmt.Errorf("analysis: extract: dead root slot %d", root)
+	}
+	return b.stage(root, -1, tech.Composite{}, -1, -1)
+}
+
+// stageBuilder walks a treeView into a Net's stages.
+type stageBuilder struct {
+	net    *Net
+	v      treeView
+	maxSeg float64
+}
+
+// newStage returns the next stage of the net, recycling a stage the last
+// extraction left behind the slice's length.
+func (b *stageBuilder) newStage() *Stage {
+	net := b.net
+	i := len(net.Stages)
+	if i < cap(net.Stages) {
+		net.Stages = net.Stages[:i+1]
+		if s := net.Stages[i]; s != nil {
+			s.R, s.C, s.Par = s.R[:0], s.C[:0], s.Par[:0]
+			s.Loads, s.Sinks, s.Children = s.Loads[:0], s.Sinks[:0], s.Children[:0]
+			return s
+		}
+	} else {
+		net.Stages = append(net.Stages, nil)
+	}
+	s := new(Stage)
+	net.Stages[i] = s
+	return s
+}
+
+// addEdgeSegs subdivides the parent-edge wire of slot si into the stage,
+// starting at RC node 'at', and returns the far-end RC node.
+func (b *stageBuilder) addEdgeSegs(s *Stage, si ctree.SlotInfo, at int) int {
+	length := si.EdgeLen
+	w := b.net.Tech.Wires[si.WidthIdx]
 	rTot := w.RPerUm * length
 	cTot := w.CPerUm * length
-	k := int(math.Ceil(length / maxSeg))
+	k := int(math.Ceil(length / b.maxSeg))
 	if k < 1 {
 		k = 1
 	}
@@ -126,48 +200,61 @@ func addEdgeSegs(s *Stage, tr *ctree.Tree, maxSeg float64, n *ctree.Node, at int
 	return cur
 }
 
-// buildStage extracts one stage of tr rooted at driver (nil for the source
-// stage), appends it to net and signs it. Child stages discovered at buffer
-// inputs are built depth-first at the point the walk reaches them.
-func buildStage(net *Net, tr *ctree.Tree, maxSeg float64, driver *ctree.Node, parentStage, inputNode int) {
-	s := &Stage{
-		Driver:    driver,
-		Index:     len(net.Stages),
-		Parent:    parentStage,
-		InputNode: inputNode,
-	}
-	rootCap := 0.0
-	start := tr.Root
-	if driver != nil {
-		rootCap = driver.Buf.Cout()
-		start = driver
-	}
+// stage extracts the stage whose RC tree starts at slot start, driven by
+// the composite buf of the buffer at slot driver (driver -1 and a zero
+// composite for the source stage, which starts at the root), appends it to
+// the net and signs it. Child stages discovered at buffer inputs are built
+// depth-first at the point the walk reaches them.
+func (b *stageBuilder) stage(start int32, driver int, buf tech.Composite, parentStage, inputNode int) error {
+	net := b.net
+	s := b.newStage()
+	s.Driver, s.Buf = driver, buf
+	s.Index, s.Parent, s.InputNode = len(net.Stages)-1, parentStage, inputNode
 	s.R = append(s.R, 0)
-	s.C = append(s.C, rootCap)
+	s.C = append(s.C, buf.Cout())
 	s.Par = append(s.Par, -1)
-	net.Stages = append(net.Stages, s)
 	if parentStage >= 0 {
 		net.Stages[parentStage].Children = append(net.Stages[parentStage].Children, s.Index)
 	}
-	var walk func(n *ctree.Node, at int)
-	walk = func(n *ctree.Node, at int) {
-		for _, c := range n.Children {
-			far := addEdgeSegs(s, tr, maxSeg, c, at)
-			switch c.Kind {
-			case ctree.Buffer:
-				s.C[far] += c.Buf.Cin()
-				s.Loads = append(s.Loads, Load{Node: far, Buf: c})
-				buildStage(net, tr, maxSeg, c, s.Index, far)
-			case ctree.Sink:
-				s.C[far] += c.SinkCap
-				s.Sinks = append(s.Sinks, Meas{Node: far, Sink: c})
-			default:
-				walk(c, far)
+	if err := b.walk(s, start, 0); err != nil {
+		return err
+	}
+	s.sig = stageSig(s, net.SourceR)
+	return nil
+}
+
+// walk appends the subtree below slot n, whose RC node in s is at.
+func (b *stageBuilder) walk(s *Stage, n int32, at int) error {
+	for j, nc := 0, b.v.NumChildren(n); j < nc; j++ {
+		c := b.v.Child(n, j)
+		si, ok := b.v.Slot(c)
+		switch {
+		case !ok:
+			return fmt.Errorf("analysis: extract: slot %d has dangling child %d", n, c)
+		case si.Parent != n:
+			return fmt.Errorf("analysis: extract: child %d of slot %d has parent %d", c, n, si.Parent)
+		}
+		far := b.addEdgeSegs(s, si, at)
+		switch si.Kind {
+		case ctree.Buffer:
+			if si.Buf.N < 1 {
+				return fmt.Errorf("analysis: extract: buffer %d missing composite", c)
+			}
+			s.C[far] += si.Buf.Cin()
+			s.Loads = append(s.Loads, Load{Node: far, Slot: int(c)})
+			if err := b.stage(c, int(c), si.Buf, s.Index, far); err != nil {
+				return err
+			}
+		case ctree.Sink:
+			s.C[far] += si.SinkCap
+			s.Sinks = append(s.Sinks, Meas{Node: far, Slot: int(c)})
+		default:
+			if err := b.walk(s, c, far); err != nil {
+				return err
 			}
 		}
 	}
-	walk(start, 0)
-	s.sig = stageSig(s, tr)
+	return nil
 }
 
 // stageSig hashes everything that determines a stage's electrical behavior:
@@ -175,7 +262,7 @@ func buildStage(net *Net, tr *ctree.Tree, maxSeg float64, driver *ctree.Node, pa
 // subdivided RC arrays, and the positions and identities of buffer loads and
 // sink measurement points. FNV-1a over the raw float bits — exact content
 // equality, no tolerance.
-func stageSig(s *Stage, tr *ctree.Tree) uint64 {
+func stageSig(s *Stage, sourceR float64) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -186,16 +273,16 @@ func stageSig(s *Stage, tr *ctree.Tree) uint64 {
 		h *= prime
 	}
 	mixF := func(v float64) { mix(math.Float64bits(v)) }
-	if s.Driver == nil {
+	if s.Driver < 0 {
 		mix(0)
-		mixF(tr.SourceR)
+		mixF(sourceR)
 	} else {
 		mix(1)
-		mix(uint64(s.Driver.ID))
-		mix(uint64(s.Driver.Buf.N))
-		mixF(s.Driver.Buf.Type.Cin)
-		mixF(s.Driver.Buf.Type.Cout)
-		mixF(s.Driver.Buf.Type.Rout)
+		mix(uint64(s.Driver))
+		mix(uint64(s.Buf.N))
+		mixF(s.Buf.Type.Cin)
+		mixF(s.Buf.Type.Cout)
+		mixF(s.Buf.Type.Rout)
 	}
 	mix(uint64(len(s.R)))
 	for i := range s.R {
@@ -206,12 +293,12 @@ func stageSig(s *Stage, tr *ctree.Tree) uint64 {
 	mix(uint64(len(s.Loads)))
 	for _, ld := range s.Loads {
 		mix(uint64(ld.Node))
-		mix(uint64(ld.Buf.ID))
+		mix(uint64(ld.Slot))
 	}
 	mix(uint64(len(s.Sinks)))
 	for _, m := range s.Sinks {
 		mix(uint64(m.Node))
-		mix(uint64(m.Sink.ID))
+		mix(uint64(m.Slot))
 	}
 	return h
 }
@@ -220,13 +307,13 @@ func stageSig(s *Stage, tr *ctree.Tree) uint64 {
 // given corner. The source driver and buffer composites weaken identically
 // as supply drops (reduced gate overdrive).
 func (net *Net) DriverR(s *Stage, corner tech.Corner) float64 {
-	t := net.Tree.Tech
+	t := net.Tech
 	scale := (t.VddRef - t.Vt) / (corner.Vdd - t.Vt)
 	if corner.Vdd <= t.Vt {
 		return 1e12
 	}
-	if s.Driver == nil {
-		return net.Tree.SourceR * scale
+	if s.Driver < 0 {
+		return net.SourceR * scale
 	}
-	return t.RoutAt(*s.Driver.Buf, corner.Vdd)
+	return t.RoutAt(s.Buf, corner.Vdd)
 }

@@ -66,11 +66,11 @@ func sameStage(a, b *Stage, ta, tb *ctree.Tree) bool {
 	if a.Key() != b.Key() {
 		return false
 	}
-	if a.Driver == nil {
+	if a.Driver < 0 {
 		if ta.SourceR != tb.SourceR {
 			return false
 		}
-	} else if *a.Driver.Buf != *b.Driver.Buf {
+	} else if a.Buf != b.Buf {
 		return false
 	}
 	if !slices.Equal(a.R, b.R) || !slices.Equal(a.C, b.C) || !slices.Equal(a.Par, b.Par) ||
@@ -78,12 +78,12 @@ func sameStage(a, b *Stage, ta, tb *ctree.Tree) bool {
 		return false
 	}
 	for j := range a.Loads {
-		if a.Loads[j].Node != b.Loads[j].Node || a.Loads[j].Buf.ID != b.Loads[j].Buf.ID {
+		if a.Loads[j].Node != b.Loads[j].Node || a.Loads[j].Slot != b.Loads[j].Slot {
 			return false
 		}
 	}
 	for j := range a.Sinks {
-		if a.Sinks[j].Node != b.Sinks[j].Node || a.Sinks[j].Sink.ID != b.Sinks[j].Sink.ID {
+		if a.Sinks[j].Node != b.Sinks[j].Node || a.Sinks[j].Slot != b.Sinks[j].Slot {
 			return false
 		}
 	}

@@ -1,9 +1,12 @@
 package buffering
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"contango/internal/analysis"
 	"contango/internal/ctree"
@@ -41,6 +44,10 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 		n    int32
 		load float64
 	}
+	// pending holds a copy of the child list of every node on the
+	// recursion path, innermost last: processing a child edits its
+	// parent's span, so each level walks its own copy.
+	var pending []int32
 	// process returns the unbuffered load at the TOP of n's parent edge
 	// after placing any buffers this subtree needs, together with the slot
 	// that now sits directly under the edge top (the last inserted buffer,
@@ -54,15 +61,21 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 		case ctree.Sink:
 			load = a.SinkCap[n]
 		default:
-			var kids []kid
-			for _, c := range append([]int32(nil), a.Children(n)...) {
-				kload, ktop := process(c)
+			base := len(pending)
+			pending = append(pending, a.Children(n)...)
+			end := len(pending)
+			kids := make([]kid, 0, end-base)
+			for i := base; i < end; i++ {
+				kload, ktop := process(pending[i])
 				kids = append(kids, kid{ktop, kload})
 				load += kload
 			}
+			pending = pending[:base]
 			// Repair 1: decouple heavy child edges with a buffer at the
 			// merge point so the merge's own driver no longer sees them.
-			sort.Slice(kids, func(i, j int) bool { return kids[i].load > kids[j].load })
+			// Heaviest first. The sort is not stable: the order of equal
+			// loads is pdqsort's, and the construction goldens pin it.
+			slices.SortFunc(kids, func(x, y kid) int { return cmp.Compare(y.load, x.load) })
 			for i := range kids {
 				if load <= threshold {
 					break
@@ -660,11 +673,19 @@ func InvertedSinksArena(a *ctree.Arena) []int32 {
 // reserve (10% in the paper) is left for the downstream SPICE-driven
 // optimizations.
 //
-// The arena is replaced by the winning solution. Candidates are tried from
-// strongest to weakest on flat-copy clones, so the first admissible one
-// wins; ties in strength never occur because the ladder is strictly
-// ordered. Only the Elmore judging of each candidate materializes a pointer
-// tree.
+// The arena is replaced by the winning solution. Candidates are judged
+// strongest first, so the first admissible one wins; ties in strength
+// never occur because the ladder is strictly ordered. Each candidate is
+// built in a recycled work arena and judged straight from it: its netlist
+// is extracted from the arena and the Elmore recurrence yields the worst
+// latency and the slew-violation count, so no candidate becomes a pointer
+// tree. A candidate whose insertion fails or whose arena does not extract
+// is skipped.
+//
+// With opt.Parallelism > 1 on a tree of at least sweepParMin slots, the
+// ladder is judged in blocks of that many candidates at once. Each block
+// is reduced in ladder order, so the winner, the fallback and the arena
+// left behind are the serial sweep's.
 func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit, gamma float64, opt Options) (*SweepResult, error) {
 	if len(ladder) == 0 {
 		return nil, fmt.Errorf("buffering: empty composite ladder")
@@ -674,36 +695,61 @@ func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit,
 	// through the role accessor (not index 0) keeps custom corner sets —
 	// where the fast corner may sit anywhere — evaluating the right one.
 	corner := a.Tech.Reference()
+	par := opt.Parallelism
+	if par < 1 || a.Len() < sweepParMin {
+		par = 1
+	}
+	if par > len(ladder) {
+		par = len(ladder)
+	}
+	workers := make([]sweepWorker, par)
+	for w := range workers {
+		workers[w].arena = new(ctree.Arena)
+	}
 
 	var best *SweepResult
 	var bestArena *ctree.Arena
 	bestViol := int(^uint(0) >> 1)
-	for i := len(ladder) - 1; i >= 0; i-- { // strongest first
-		comp := ladder[i]
-		work := a.Clone()
-		added, err := BalancedInsertArena(work, comp, opt)
-		if err != nil {
-			continue
+	for top := len(ladder) - 1; top >= 0; top -= par {
+		block := workers[:min(par, top+1)]
+		judge := func(w int) {
+			block[w].judge(a, ladder[top-w], opt, corner)
 		}
-		workTree, err := work.ToTree()
-		if err != nil {
-			continue
+		if len(block) == 1 {
+			judge(0)
+		} else {
+			var wg sync.WaitGroup
+			wg.Add(len(block))
+			for w := range block {
+				go func(w int) {
+					defer wg.Done()
+					judge(w)
+				}(w)
+			}
+			wg.Wait()
 		}
-		res, err := (&analysis.Elmore{}).Evaluate(workTree, corner)
-		if err != nil {
-			continue
-		}
-		_, worst := res.MinMaxRise()
-		cand := &SweepResult{Composite: comp, Added: added, TotalCap: work.TotalCap(), WorstLat: worst}
-		if cand.TotalCap <= budget && res.SlewViol == 0 {
-			best, bestArena = cand, work
-			break
-		}
-		// Remember the least-bad fallback in case nothing fits: fewest
-		// slew violations first, then lowest worst latency.
-		if best == nil || res.SlewViol < bestViol ||
-			(res.SlewViol == bestViol && cand.WorstLat < best.WorstLat) {
-			best, bestArena, bestViol = cand, work, res.SlewViol
+		for w := range block { // strongest first, as the serial sweep
+			sw := &block[w]
+			if !sw.ok {
+				continue
+			}
+			cand := sw.res
+			if cand.TotalCap <= budget && sw.viol == 0 {
+				*a = *sw.arena
+				return &cand, nil
+			}
+			// Remember the least-bad fallback in case nothing fits: fewest
+			// slew violations first, then lowest worst latency. The
+			// fallback keeps the worker's arena; the worker takes over the
+			// previous fallback's as its next work arena.
+			if best == nil || sw.viol < bestViol ||
+				(sw.viol == bestViol && cand.WorstLat < best.WorstLat) {
+				best, bestViol = &cand, sw.viol
+				if bestArena == nil {
+					bestArena = new(ctree.Arena)
+				}
+				bestArena, sw.arena = sw.arena, bestArena
+			}
 		}
 	}
 	if bestArena == nil {
@@ -711,6 +757,39 @@ func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit,
 	}
 	*a = *bestArena
 	return best, nil
+}
+
+// sweepParMin is the smallest arena (in slots) whose composite sweep runs
+// in parallel blocks; below it a candidate costs less than the goroutine
+// hand-off.
+const sweepParMin = 256
+
+// sweepWorker judges one sweep candidate at a time, recycling its work
+// arena and netlist across candidates.
+type sweepWorker struct {
+	arena *ctree.Arena
+	net   analysis.Net
+	ok    bool // the candidate was built and extracted
+	res   SweepResult
+	viol  int
+}
+
+// judge builds the candidate for comp on a copy of base and judges it at
+// corner.
+func (sw *sweepWorker) judge(base *ctree.Arena, comp tech.Composite, opt Options, corner tech.Corner) {
+	sw.ok = false
+	sw.arena.CopyFrom(base)
+	added, err := BalancedInsertArena(sw.arena, comp, opt)
+	if err != nil {
+		return
+	}
+	if err := sw.net.ExtractArena(sw.arena, 0); err != nil {
+		return
+	}
+	worst, viol := analysis.ElmoreWorst(&sw.net, corner)
+	sw.res = SweepResult{Composite: comp, Added: added, TotalCap: sw.arena.TotalCap(), WorstLat: worst}
+	sw.viol = viol
+	sw.ok = true
 }
 
 // StageLoadArena returns the capacitive load the driver at n sees: its

@@ -30,6 +30,10 @@ type Options struct {
 	// MaxCap overrides the slew-safe load per driver (fF). 0 derives it
 	// from the technology slew limit and the composite strength.
 	MaxCap float64
+	// Parallelism bounds the composite-sweep candidates judged at once
+	// (InsertBestCompositeArena); values below 2 judge them one by one.
+	// Results never depend on it.
+	Parallelism int
 }
 
 // maxOptions caps the van Ginneken option list per point. It sets the fast

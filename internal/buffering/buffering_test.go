@@ -105,11 +105,11 @@ func TestEveryStageWithinSafeLoad(t *testing.T) {
 	safe := SafeLoad(tk, comp)
 	net := analysis.Extract(tr, 0)
 	for _, s := range net.Stages {
-		if s.Driver == nil {
+		if s.Driver < 0 {
 			continue
 		}
-		if got := s.TotalCap() - s.Driver.Buf.Cout(); got > safe*1.001 {
-			t.Errorf("stage driven by buffer %d carries %v fF > safe %v", s.Driver.ID, got, safe)
+		if got := s.TotalCap() - s.Buf.Cout(); got > safe*1.001 {
+			t.Errorf("stage driven by buffer %d carries %v fF > safe %v", s.Driver, got, safe)
 		}
 	}
 }

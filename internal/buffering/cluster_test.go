@@ -23,15 +23,15 @@ func TestSinkClusterSplit(t *testing.T) {
 	net := analysis.Extract(tr, 0)
 	for _, s := range net.Stages {
 		drv := "source"
-		if s.Driver != nil {
+		if s.Driver >= 0 {
 			drv = "buf"
 		}
 		driven := s.TotalCap()
-		if s.Driver != nil {
-			driven -= s.Driver.Buf.Cout()
+		if s.Driver >= 0 {
+			driven -= s.Buf.Cout()
 		}
 		t.Logf("stage %d driver=%s driven=%.1f", s.Index, drv, driven)
-		if s.Driver != nil && driven > safe {
+		if s.Driver >= 0 && driven > safe {
 			t.Errorf("stage %d overloaded: %.1f > %.1f", s.Index, driven, safe)
 		}
 	}

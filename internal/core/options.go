@@ -69,7 +69,8 @@ type Options struct {
 	// zero value, which keeps the paper's default.
 	Cycles int
 	// Parallelism is the worker budget for concurrent stage simulations in
-	// the optimization cascade's incremental evaluator (0 = GOMAXPROCS,
+	// the optimization cascade's incremental evaluator, for DME subtree
+	// merging and for the composite sweep's candidates (0 = GOMAXPROCS,
 	// 1 = serial). It changes wall-clock time only, never results.
 	Parallelism int
 	// FullEval forces whole-tree re-evaluation for every CNE instead of

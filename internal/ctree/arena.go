@@ -26,7 +26,9 @@ import (
 // arena_property_test.go check it against a content diff.
 //
 // Construction (DME, legalization, buffer insertion, polarity) and ECO
-// delta replay build and edit the arena; extraction, the transient engine
+// delta replay build and edit the arena, and the composite sweep extracts
+// its candidates' netlists straight from it through the slot view both
+// forms share (RootSlot, NumChildren, Child, Slot). The transient engine
 // and the optimization passes run on the pointer tree, which ToTree
 // materializes once construction is done. FromTree is the way back, for an
 // ECO restore of a decoded tree.

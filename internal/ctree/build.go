@@ -277,6 +277,33 @@ func (a *Arena) Clone() *Arena {
 	return cp
 }
 
+// CopyFrom makes a a deep copy of src, reusing a's backing arrays where
+// they are large enough. Every field ends up equal to what src.Clone()
+// holds, span offsets included: appendChild grows a span in place only at
+// the tail of ChildIdx, so a copy with different offsets would build a
+// different arena from the same edits. The composite sweep recycles one
+// work arena per worker through it.
+func (a *Arena) CopyFrom(src *Arena) {
+	a.Tech, a.SourceR, a.root = src.Tech, src.SourceR, src.root
+	a.Kind = append(a.Kind[:0], src.Kind...)
+	a.Loc = append(a.Loc[:0], src.Loc...)
+	a.Parent = append(a.Parent[:0], src.Parent...)
+	a.WidthIdx = append(a.WidthIdx[:0], src.WidthIdx...)
+	a.Snake = append(a.Snake[:0], src.Snake...)
+	a.SinkCap = append(a.SinkCap[:0], src.SinkCap...)
+	a.Name = append(a.Name[:0], src.Name...)
+	a.BufN = append(a.BufN[:0], src.BufN...)
+	a.BufType = append(a.BufType[:0], src.BufType...)
+	a.ChildOff = append(a.ChildOff[:0], src.ChildOff...)
+	a.ChildLen = append(a.ChildLen[:0], src.ChildLen...)
+	a.ChildIdx = append(a.ChildIdx[:0], src.ChildIdx...)
+	a.RouteOff = append(a.RouteOff[:0], src.RouteOff...)
+	a.RouteLen = append(a.RouteLen[:0], src.RouteLen...)
+	a.RoutePts = append(a.RoutePts[:0], src.RoutePts...)
+	a.Alive = append(a.Alive[:0], src.Alive...)
+	a.Dirty = append(a.Dirty[:0], src.Dirty...)
+}
+
 // Validate checks the arena's structural invariants directly on the SoA
 // form — the same conditions Tree.Validate enforces on the pointer form:
 // exactly one live Source (the root), parent/child spans consistent, routes

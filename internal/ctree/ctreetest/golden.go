@@ -1,6 +1,6 @@
-// Package ctreetest holds the helpers the construction golden tests share:
-// a canonical clock-tree digest and a reader for golden files of
-// "<case> <sha256>" lines.
+// Package ctreetest holds the helpers the construction tests share: a
+// canonical clock-tree digest, a reader for golden files of
+// "<case> <sha256>" lines, and a field-by-field arena comparison.
 package ctreetest
 
 import (
@@ -9,6 +9,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -107,5 +108,30 @@ func Check(t testing.TB, golden map[string]string, name, got string) {
 		t.Fatalf("no golden digest for %s", name)
 	case got != want:
 		t.Fatalf("%s: digest %s, golden %s", name, got, want)
+	}
+}
+
+// RequireSameArena fails the test unless got and want agree in their root
+// and in every exported field, span offsets and span garbage included. An
+// empty slice equals a nil one: Clone returns nil where a recycled arena
+// keeps an empty backing array.
+func RequireSameArena(t testing.TB, label string, got, want *ctree.Arena) {
+	t.Helper()
+	if got.Root() != want.Root() {
+		t.Fatalf("%s: root %d != %d", label, got.Root(), want.Root())
+	}
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		f := gv.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		g, w := gv.Field(i), wv.Field(i)
+		if g.Kind() == reflect.Slice && g.Len() == 0 && w.Len() == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(g.Interface(), w.Interface()) {
+			t.Fatalf("%s: arena field %s differs", label, f.Name)
+		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 // Engine is the transient clock-network evaluator (the flow's CNE step).
 // It implements analysis.Evaluator. Runs counts Evaluate invocations, which
 // is how the paper counts SPICE runs in its scalability study.
+// An Engine is not safe for concurrent evaluations: it counts Runs and
+// extracts into one retained netlist.
 type Engine struct {
 	// MaxSeg is the RC subdivision length in µm (0 = analysis default).
 	MaxSeg float64
@@ -22,6 +24,10 @@ type Engine struct {
 
 	// Runs is the number of transient analyses performed so far.
 	Runs int
+
+	// net is the netlist the last evaluation extracted into; keeping it
+	// lets the next extraction reuse its stage storage.
+	net analysis.Net
 }
 
 // New returns an engine with production defaults: 100 µm RC segments, 1 ps
@@ -45,10 +51,11 @@ func (e *Engine) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.Result,
 }
 
 // EvaluateCorners implements analysis.CornerEvaluator: the tree is extracted
-// once and the transients of every corner run over the shared netlist, one
-// corner group (cornerGroups) at a time.
+// once, into the engine's retained netlist, and the transients of every
+// corner run over it, one corner group (cornerGroups) at a time.
 func (e *Engine) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
-	net := analysis.Extract(tr, e.MaxSeg)
+	net := &e.net
+	net.ExtractTree(tr, e.MaxSeg)
 	outs := make([]cornerOutcome, len(corners))
 	for _, g := range cornerGroups(corners) {
 		e.simulateCorners(net, corners[g.start:g.end], nil, nil, outs[g.start:g.end])
@@ -260,11 +267,11 @@ func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerSc
 // on the corner's supply.
 func stageDriver(net *analysis.Net, s *analysis.Stage, corner tech.Corner) (driver, float64) {
 	rd := net.DriverR(s, corner)
-	if s.Driver == nil {
+	if s.Driver < 0 {
 		return driver{r: rd}, rd
 	}
-	tk := net.Tree.Tech
-	return driver{inverter: true, k: tk.KDrive(*s.Driver.Buf), vdd: corner.Vdd, vt: tk.Vt}, rd
+	tk := net.Tech
+	return driver{inverter: true, k: tk.KDrive(s.Buf), vdd: corner.Vdd, vt: tk.Vt}, rd
 }
 
 // commitEdge builds one edge's next cache generation from the entries that
@@ -309,14 +316,14 @@ func addLaunch(res *analysis.Result, net *analysis.Net, results []*stageResult, 
 	if rising {
 		arrivals = res.Rise
 	}
-	slewLimit := net.Tree.Tech.SlewLimit
+	slewLimit := net.Tech.SlewLimit
 	for i, s := range net.Stages {
 		st := results[i]
 		if st == nil {
 			continue
 		}
 		for _, m := range s.Sinks {
-			id := m.Sink.ID
+			id := m.Slot
 			arrivals[id] = st.t50[m.Node] - srcT50
 			if old, ok := res.SinkSlew[id]; !ok || st.slew[m.Node] > old {
 				res.SinkSlew[id] = st.slew[m.Node]

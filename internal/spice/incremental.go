@@ -51,6 +51,8 @@ type Incremental struct {
 
 	tree     *ctree.Tree
 	launches map[launchKey]map[int][]*stageEntry
+	// net is re-extracted in place by every evaluation.
+	net analysis.Net
 
 	// Stats counts evaluator work across the evaluator's lifetime.
 	Stats IncrementalStats
@@ -154,7 +156,8 @@ func (ie *Incremental) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.R
 // (corner, edge).
 func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
 	ie.bind(tr)
-	net := analysis.Extract(tr, ie.Eng.MaxSeg)
+	net := &ie.net
+	net.ExtractTree(tr, ie.Eng.MaxSeg)
 	ie.Stats.FullStages = len(net.Stages)
 
 	outs := make([]cornerOutcome, len(corners))

@@ -89,7 +89,7 @@ func TestPairedKernelMatchesOneColumn(t *testing.T) {
 		for ca, corner := range tk.Corners {
 			for _, s := range net.Stages {
 				drv, rd := stageDriver(net, s, corner)
-				if s.Driver != nil {
+				if s.Driver >= 0 {
 					inverters++
 				} else {
 					sources++
@@ -116,7 +116,7 @@ func TestPairedKernelMatchesOneColumn(t *testing.T) {
 						if in[c].outRising {
 							rail = corner.Vdd
 						}
-						if stalled[c] && s.Driver != nil && abs(w.Last()-rail) > e.SettleTol*corner.Vdd {
+						if stalled[c] && s.Driver >= 0 && abs(w.Last()-rail) > e.SettleTol*corner.Vdd {
 							tmax++
 						}
 						break
@@ -151,7 +151,7 @@ func TestPairedKernelMatchesOneColumn(t *testing.T) {
 							if quad[c].outRising {
 								rail = quad[c].corner.Vdd
 							}
-							if qstalled[c] && s.Driver != nil && abs(w.Last()-rail) > e.SettleTol*quad[c].corner.Vdd {
+							if qstalled[c] && s.Driver >= 0 && abs(w.Last()-rail) > e.SettleTol*quad[c].corner.Vdd {
 								quadTmax++
 							}
 							break
