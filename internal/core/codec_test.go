@@ -205,3 +205,35 @@ func resultFingerprint(r *Result) map[string]interface{} {
 		"wl":     r.Tree.Wirelength(),
 	}
 }
+
+// FuzzDecodeResult feeds arbitrary bytes to DecodeResult, whose
+// ctree.Restore is the structural check on every tree that arrives from
+// outside. It must never panic, and an envelope it accepts must encode to
+// a fixed point: decoding the re-encoded bytes and encoding again gives
+// the same bytes. The seed corpus (testdata/fuzz/FuzzDecodeResult) holds
+// the envelope of TestResultCodecRoundTrip, the unnamed-benchmark envelope
+// of TestResultCodecUnnamedBench and every damaged case of
+// TestDecodeResultRejectsDamage.
+func FuzzDecodeResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := DecodeResult(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := EncodeResult(&first, res); err != nil {
+			t.Fatalf("accepted envelope does not re-encode: %v", err)
+		}
+		again, err := DecodeResult(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded envelope does not decode: %v", err)
+		}
+		var second bytes.Buffer
+		if err := EncodeResult(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encoding is not byte-stable:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -2,9 +2,10 @@
 // instance data path is timed phase by phase — streaming load of a generated
 // TI-scale case, arena-native DME construction, arena buffering, the batched
 // multi-corner closed-form kernels, and the arena/pointer round-trip — and
-// every phase reports peak RSS next to the standard ns/B/allocs columns so a
-// memory blowup fails the bench gate rather than only the CI runner. A
-// gated full-million construction row measures the top of the curve.
+// every phase reports its own peak RSS next to the standard ns/B/allocs
+// columns so a memory blowup fails the bench gate rather than only the CI
+// runner. A gated full-million construction row measures the top of the
+// curve.
 package contango
 
 import (
@@ -32,6 +33,8 @@ const scaleSinks = 250_000
 // millionSinks is the gated top-of-curve size (set CONTANGO_SCALE_1M=1).
 const millionSinks = 1_000_000
 
+// reportPeakRSS reports the phase's peak RSS; each phase's b.Run is
+// preceded by resetPeakRSS, so the figure covers that phase alone.
 func reportPeakRSS(b *testing.B) {
 	if rss := peakRSSMB(); rss > 0 {
 		b.ReportMetric(rss, "peak-rss-MB")
@@ -61,6 +64,7 @@ func BenchmarkMillionSink(b *testing.B) {
 	// sub-benchmark times exactly one phase of the pipeline. When -bench
 	// filters skip an earlier phase its fixture is rebuilt untimed.
 	var bm *bench.Benchmark
+	resetPeakRSS()
 	b.Run("load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bm, err = bench.Load(path)
@@ -83,6 +87,7 @@ func BenchmarkMillionSink(b *testing.B) {
 	// reserved up front from the sink count, so construction is near
 	// allocation-free per node.
 	var built *ctree.Arena
+	resetPeakRSS()
 	b.Run("dme", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			built = dme.BuildZSTArena(tk, bm.Source, bm.Sinks, dme.Options{})
@@ -95,7 +100,11 @@ func BenchmarkMillionSink(b *testing.B) {
 		built.SourceR = bm.SourceR
 	}
 
+	// The buffering row times one BalancedInsertArena with a fixed
+	// composite, not the composite sweep the flow's buffer pass runs;
+	// BenchmarkCompositeSweep times that.
 	var buffered *ctree.Arena
+	resetPeakRSS()
 	b.Run("buffering", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -120,6 +129,7 @@ func BenchmarkMillionSink(b *testing.B) {
 		b.Fatal(err)
 	}
 
+	resetPeakRSS()
 	b.Run("eval", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Batched closed-form evaluation: all five corners in one
@@ -143,6 +153,7 @@ func BenchmarkMillionSink(b *testing.B) {
 		reportPeakRSS(b)
 	})
 
+	resetPeakRSS()
 	b.Run("roundtrip", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The SoA layout must carry the full-size tree losslessly (the
@@ -167,6 +178,7 @@ func BenchmarkMillionSink(b *testing.B) {
 	// slow for every CI bench pass; the scale-smoke job runs it under
 	// GOMEMLIMIT, where peak RSS growing sub-linearly vs the 250k phases is
 	// the acceptance signal.
+	resetPeakRSS()
 	b.Run("1M", func(b *testing.B) {
 		if os.Getenv("CONTANGO_SCALE_1M") == "" {
 			b.Skip("set CONTANGO_SCALE_1M=1 to run the full million-sink construction row")
@@ -262,6 +274,7 @@ func BenchmarkECO(b *testing.B) {
 	}
 
 	var fullNs float64
+	resetPeakRSS()
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			construct(perturbed)
@@ -270,6 +283,7 @@ func BenchmarkECO(b *testing.B) {
 		reportPeakRSS(b)
 	})
 
+	resetPeakRSS()
 	b.Run("eco", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
