@@ -682,10 +682,10 @@ func InvertedSinksArena(a *ctree.Arena) []int32 {
 // tree. A candidate whose insertion fails or whose arena does not extract
 // is skipped.
 //
-// With opt.Parallelism > 1 on a tree of at least sweepParMin slots, the
-// ladder is judged in blocks of that many candidates at once. Each block
-// is reduced in ladder order, so the winner, the fallback and the arena
-// left behind are the serial sweep's.
+// With opt.Parallelism > 1 the ladder is judged in blocks of up to that
+// many candidates at once (sweepWorkers bounds the block by tree size and
+// memory). Each block is reduced in ladder order, so the winner, the
+// fallback and the arena left behind are the serial sweep's.
 func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit, gamma float64, opt Options) (*SweepResult, error) {
 	if len(ladder) == 0 {
 		return nil, fmt.Errorf("buffering: empty composite ladder")
@@ -695,13 +695,7 @@ func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit,
 	// through the role accessor (not index 0) keeps custom corner sets —
 	// where the fast corner may sit anywhere — evaluating the right one.
 	corner := a.Tech.Reference()
-	par := opt.Parallelism
-	if par < 1 || a.Len() < sweepParMin {
-		par = 1
-	}
-	if par > len(ladder) {
-		par = len(ladder)
-	}
+	par := sweepWorkers(a.Len(), opt.Parallelism, len(ladder))
 	workers := make([]sweepWorker, par)
 	for w := range workers {
 		workers[w].arena = new(ctree.Arena)
@@ -759,10 +753,39 @@ func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit,
 	return best, nil
 }
 
+// sweepWorkers is the composite sweep's block size for an arena of slots
+// slots: the worker budget par, at most one worker per rung, serial below
+// sweepParMin slots, and no more workers than sweepScratchMax holds.
+func sweepWorkers(slots, par, rungs int) int {
+	if par < 1 || slots < sweepParMin {
+		return 1
+	}
+	return max(1, min(par, rungs, sweepScratchMax/(slots*sweepWorkerSlotBytes)))
+}
+
 // sweepParMin is the smallest arena (in slots) whose composite sweep runs
-// in parallel blocks; below it a candidate costs less than the goroutine
-// hand-off.
+// in parallel blocks. Timed on 2 vCPUs (medians of 7, two workers against
+// serial) with the 64-rung Large ladder, where 57-62 candidates are
+// tried: 0.92-1.14x the serial time on TI samples of 60-200 slots,
+// 0.75-0.87x from 300 slots up (0.63x at 10k). With the 8-rung Small
+// ladder the winner is among the first 1-6 candidates and two workers
+// gain nothing at any size (0.98-1.14x on the 185-660-slot contest
+// designs). Service jobs of 30-100 sinks (60-200 slots) stay serial.
 const sweepParMin = 256
+
+// A sweep worker retains a work arena and a netlist of about
+// sweepWorkerSlotBytes per input slot (280-291 B measured on 5k- and
+// 50k-sink TI trees). sweepScratchMax caps the block's combined scratch,
+// so peak memory does not grow with the worker budget: the 250k-sink case
+// (500k slots) keeps two workers, and its wire-only synthesis through the
+// buffer pass peaks at 1008-1084 MiB for GOMAXPROCS 2, 4 and 8 (medians
+// of three on 2 vCPUs), where one worker per rung up to GOMAXPROCS peaked
+// at 1451 MiB with 4 and 1959 MiB with 8. From about 290k sinks the sweep
+// runs serial.
+const (
+	sweepWorkerSlotBytes = 288
+	sweepScratchMax      = 320 << 20
+)
 
 // sweepWorker judges one sweep candidate at a time, recycling its work
 // arena and netlist across candidates.

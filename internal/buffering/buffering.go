@@ -31,8 +31,9 @@ type Options struct {
 	// from the technology slew limit and the composite strength.
 	MaxCap float64
 	// Parallelism bounds the composite-sweep candidates judged at once
-	// (InsertBestCompositeArena); values below 2 judge them one by one.
-	// Results never depend on it.
+	// (InsertBestCompositeArena); values below 2 judge them one by one,
+	// and small or very large trees use fewer workers. Results never
+	// depend on it.
 	Parallelism int
 }
 

@@ -114,3 +114,21 @@ func TestCompositeSweepRejectsDanglingChild(t *testing.T) {
 		ctreetest.RequireSameArena(t, fmt.Sprintf("par %d", par), a, before)
 	}
 }
+
+// TestSweepWorkers: the sweep's block size follows the worker budget on
+// mid-size trees and is capped by the ladder, by sweepParMin below and by
+// sweepScratchMax above: two workers at 250k sinks, serial at a million.
+func TestSweepWorkers(t *testing.T) {
+	for _, c := range []struct{ slots, par, rungs, want int }{
+		{10_000, 8, 64, 8},
+		{10_000, 8, 4, 4},
+		{10_000, 0, 64, 1},
+		{sweepParMin - 1, 8, 64, 1},
+		{500_000, 64, 64, 2},
+		{2_000_000, 64, 64, 1},
+	} {
+		if got := sweepWorkers(c.slots, c.par, c.rungs); got != c.want {
+			t.Errorf("sweepWorkers(%d, %d, %d) = %d, want %d", c.slots, c.par, c.rungs, got, c.want)
+		}
+	}
+}

@@ -252,37 +252,19 @@ func (a *Arena) LoadCap(i int32) float64 {
 }
 
 // Clone returns a deep copy of the arena: all per-slot arrays, both span
-// arrays, liveness and dirty bitmaps. Clones share only the immutable Tech,
-// so a composite sweep can fan out candidate insertions over cheap
-// flat-copy clones instead of per-node pointer clones.
+// arrays, liveness and dirty bitmaps.
 func (a *Arena) Clone() *Arena {
-	cp := &Arena{Tech: a.Tech, SourceR: a.SourceR, root: a.root}
-	cp.Kind = append([]Kind(nil), a.Kind...)
-	cp.Loc = append([]geom.Point(nil), a.Loc...)
-	cp.Parent = append([]int32(nil), a.Parent...)
-	cp.WidthIdx = append([]int32(nil), a.WidthIdx...)
-	cp.Snake = append([]float64(nil), a.Snake...)
-	cp.SinkCap = append([]float64(nil), a.SinkCap...)
-	cp.Name = append([]string(nil), a.Name...)
-	cp.BufN = append([]int32(nil), a.BufN...)
-	cp.BufType = append([]tech.InverterType(nil), a.BufType...)
-	cp.ChildOff = append([]int32(nil), a.ChildOff...)
-	cp.ChildLen = append([]int32(nil), a.ChildLen...)
-	cp.ChildIdx = append([]int32(nil), a.ChildIdx...)
-	cp.RouteOff = append([]int32(nil), a.RouteOff...)
-	cp.RouteLen = append([]int32(nil), a.RouteLen...)
-	cp.RoutePts = append([]geom.Point(nil), a.RoutePts...)
-	cp.Alive = append(Bitset(nil), a.Alive...)
-	cp.Dirty = append(Bitset(nil), a.Dirty...)
+	cp := new(Arena)
+	cp.CopyFrom(a)
 	return cp
 }
 
 // CopyFrom makes a a deep copy of src, reusing a's backing arrays where
-// they are large enough. Every field ends up equal to what src.Clone()
-// holds, span offsets included: appendChild grows a span in place only at
-// the tail of ChildIdx, so a copy with different offsets would build a
-// different arena from the same edits. The composite sweep recycles one
-// work arena per worker through it.
+// they are large enough. The copy shares only the immutable Tech with src.
+// Every field ends up equal to src's, span offsets included: appendChild
+// grows a span in place only at the tail of ChildIdx, so a copy with
+// different offsets would build a different arena from the same edits.
+// The composite sweep recycles one work arena per worker through it.
 func (a *Arena) CopyFrom(src *Arena) {
 	a.Tech, a.SourceR, a.root = src.Tech, src.SourceR, src.root
 	a.Kind = append(a.Kind[:0], src.Kind...)
