@@ -130,7 +130,7 @@ func cornerDerates(net *Net, s *Stage, corners []tech.Corner, rd, rs, cs []float
 	}
 }
 
-// EvaluateCorners implements CornerEvaluator for the plain Elmore
+// EvaluateCorners implements Evaluator for the plain Elmore
 // evaluator: one extraction, then every stage's corners computed by the
 // batched kernel.
 func (e *Elmore) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Result, error) {
@@ -227,7 +227,7 @@ func elmoreStages(net *Net, corners []tech.Corner, visit func(s *Stage, k int, b
 	kernelPool.Put(ks)
 }
 
-// EvaluateCorners implements CornerEvaluator for the plain TwoPole
+// EvaluateCorners implements Evaluator for the plain TwoPole
 // evaluator with the batched moment kernel.
 func (e *TwoPole) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Result, error) {
 	return twoPoleCorners(Extract(tr, e.MaxSeg), corners), nil
@@ -305,6 +305,6 @@ func newResult(c tech.Corner) *Result {
 }
 
 var (
-	_ CornerEvaluator = (*Elmore)(nil)
-	_ CornerEvaluator = (*TwoPole)(nil)
+	_ Evaluator = (*Elmore)(nil)
+	_ Evaluator = (*TwoPole)(nil)
 )

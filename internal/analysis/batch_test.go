@@ -48,7 +48,7 @@ func TestBatchedCornersBitIdentical(t *testing.T) {
 	tk := tech.Default45()
 	tr := batchFixture(tk)
 	for setName, cs := range batchCornerSets(t, tk) {
-		for _, ev := range []CornerEvaluator{&Elmore{}, &TwoPole{}} {
+		for _, ev := range []Evaluator{&Elmore{}, &TwoPole{}} {
 			var want []*Result
 			for _, c := range cs {
 				r, err := ev.Evaluate(tr, c)

@@ -73,22 +73,23 @@ func (r *Result) Skew() float64 {
 	return rs
 }
 
-// Evaluator computes sink arrivals for a clock tree at one corner. The flow
-// treats evaluators uniformly: Elmore seeds buffer insertion during
-// construction, the spice engine provides the accurate numbers the
-// optimization passes trust (the paper's CNE step), and the two-pole (D2M)
-// model is a closed-form reference for comparing the two.
+// Evaluator computes sink arrivals for a clock tree. The flow treats
+// evaluators uniformly: Elmore seeds buffer insertion during construction,
+// the spice engine provides the accurate numbers the optimization passes
+// trust (the paper's CNE step), and the two-pole (D2M) model is a
+// closed-form reference for comparing the two.
+//
+// EvaluateCorners evaluates several corners in one call and returns one
+// result per corner, in input order, each identical to what Evaluate
+// returns for that corner alone. Implementations share netlist extraction
+// between the corners and (the incremental transient engine) schedule the
+// independent per-corner simulations concurrently.
 type Evaluator interface {
 	Name() string
 	Evaluate(tr *ctree.Tree, corner tech.Corner) (*Result, error)
-}
-
-// CornerEvaluator is an Evaluator that can evaluate several corners in one
-// call, sharing netlist extraction between them and (for implementations
-// with a worker pool, like the incremental transient engine) scheduling the
-// independent per-corner simulations concurrently. The optimization passes
-// prefer this interface when the configured evaluator provides it.
-type CornerEvaluator interface {
-	Evaluator
 	EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Result, error)
 }
+
+// CornerEvaluator is an alias of Evaluator, kept because the end-to-end
+// benchmark module (benchmark/trace.go) still type-asserts to it.
+type CornerEvaluator = Evaluator

@@ -79,7 +79,7 @@ func SynthesizeBaseline(b *bench.Benchmark, kind BaselineKind, o Options) (*Resu
 		ladder = []tech.Composite{o.Ladder[len(o.Ladder)/2]}
 	}
 	sweep, err := buffering.InsertBestCompositeArena(a, ladder, b.CapLimit, o.Gamma,
-		buffering.Options{Obs: obs, Step: o.BufferStep, Parallelism: o.Parallelism})
+		buffering.Options{Obs: obs, Parallelism: o.Parallelism})
 	if err != nil {
 		return nil, fmt.Errorf("buffering: %w", err)
 	}

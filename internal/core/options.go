@@ -60,9 +60,6 @@ type Options struct {
 	// "twsz", "twsn", "bwsn") for ablations, whatever plan runs. Any other
 	// name is an error (CheckSkipStages).
 	SkipStages map[string]bool
-	// BufferStep is the candidate spacing for buffer insertion (µm);
-	// 0 = default.
-	BufferStep float64
 	// Cycles is the number of extra wire-pass convergence cycles after the
 	// named cascade (0 = default 3; each costs one recalibration). A
 	// negative value disables convergence cycles entirely — unlike the
@@ -91,9 +88,18 @@ type Options struct {
 	// engine, or Engine itself under FullEval) right before the optimization
 	// context is armed. The service's packing scheduler uses it to install a
 	// corner-chunking shim that yields the worker slot between chunks of a
-	// large sweep. Wrappers must preserve evaluation semantics exactly —
-	// same results for the same calls — which is why, like Log and SpanHook,
-	// WrapEval never participates in result-cache keys.
+	// large sweep. The contract:
+	//   - the returned Evaluator must give the same results for the same
+	//     calls, in corner order: a wrapper may split, time or trace
+	//     evaluations but never change them;
+	//   - every cascade CNE reaches it through EvaluateCorners, with all
+	//     of the tree's corners in one call;
+	//   - it is called once per run, on the run's goroutine, and the
+	//     evaluator it returns is never called concurrently;
+	//   - the worker budget is already set on the wrapped evaluator
+	//     (Parallelism), so a wrapper has nothing to pass along.
+	// Like Log and SpanHook, WrapEval never participates in result-cache
+	// keys.
 	WrapEval func(analysis.Evaluator) analysis.Evaluator
 }
 

@@ -138,7 +138,7 @@ func passBuffer(ctx context.Context, s *state) error {
 	}
 	b := s.Benchmark
 	sweep, err := buffering.InsertBestCompositeArena(a, s.opts.Ladder, b.CapLimit, s.opts.Gamma,
-		buffering.Options{Obs: s.obs, Step: s.opts.BufferStep, Parallelism: s.opts.Parallelism})
+		buffering.Options{Obs: s.obs, Parallelism: s.opts.Parallelism})
 	if err != nil {
 		return err
 	}

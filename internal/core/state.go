@@ -143,8 +143,7 @@ func (s *state) arm(ctx context.Context) error {
 	}
 	s.opt = &opt.Context{
 		Tree: s.Tree, Eng: cne, Obs: s.obs, CapLimit: s.Benchmark.CapLimit,
-		MaxRounds: o.MaxRounds, Parallelism: o.Parallelism,
-		Log: o.Log, Check: ctx.Err,
+		MaxRounds: o.MaxRounds, Log: o.Log, Check: ctx.Err,
 	}
 	return s.record("INITIAL")
 }

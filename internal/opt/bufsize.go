@@ -196,47 +196,32 @@ func SkewBufferSizing(cx *Context) error {
 	limit := tk.SlewLimit
 	return cx.improveLoop("sbsz", MinSkew, func(res []*analysis.Result) bool {
 		slk := slack.Compute(cx.Tree, res)
-		stageSlew := map[int]float64{}
-		for _, r := range res {
-			for id, v := range r.StageSlew {
-				if v > stageSlew[id] {
-					stageSlew[id] = v
-				}
-			}
-		}
+		stageSlew := worstStageSlew(res)
 		changed := 0
-		type item struct {
-			n  *ctree.Node
-			rs float64
-		}
-		queue := []item{{cx.Tree.Root, 0}}
-		for len(queue) > 0 {
-			it := queue[0]
-			queue = queue[1:]
-			n, rs := it.n, it.rs
-			if n.Kind == ctree.Buffer {
-				batch := batchOf(*n.Buf)
-				if n.Buf.N > batch {
-					weaker := tech.Composite{Type: n.Buf.Type, N: n.Buf.N - batch}
-					var load float64
-					for _, c := range n.Children {
-						load += cx.Tree.LoadCap(c)
-					}
-					load += n.Buf.Cout()
-					est := (weaker.Rout() - n.Buf.Rout()) * load * 1.5
-					budget := slk.EdgeSlow[n.ID] - rs
-					newSlew := stageSlew[n.ID] * weaker.Rout() / n.Buf.Rout()
-					if est > 0 && est < budget*0.7 && newSlew < 0.88*limit {
-						n.Buf.N = weaker.N
-						rs += est
-						changed++
-					}
-				}
+		topDown(cx.Tree, func(n *ctree.Node, used float64) float64 {
+			if n.Kind != ctree.Buffer {
+				return used
 			}
+			batch := batchOf(*n.Buf)
+			if n.Buf.N <= batch {
+				return used
+			}
+			weaker := tech.Composite{Type: n.Buf.Type, N: n.Buf.N - batch}
+			var load float64
 			for _, c := range n.Children {
-				queue = append(queue, item{c, rs})
+				load += cx.Tree.LoadCap(c)
 			}
-		}
+			load += n.Buf.Cout()
+			est := (weaker.Rout() - n.Buf.Rout()) * load * 1.5
+			budget := slk.EdgeSlow[n.ID] - used
+			newSlew := stageSlew[n.ID] * weaker.Rout() / n.Buf.Rout()
+			if est > 0 && est < budget*0.7 && newSlew < 0.88*limit {
+				n.Buf.N = weaker.N
+				used += est
+				changed++
+			}
+			return used
+		})
 		cx.logf("sbsz: downsized %d buffers", changed)
 		return changed > 0
 	})

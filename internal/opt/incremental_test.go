@@ -81,8 +81,8 @@ func TestIncrementalCascadeParity(t *testing.T) {
 	}
 }
 
-// TestCNEUsesCornerEvaluator: Context.CNE must hand all corners to a
-// CornerEvaluator in one call (one Runs increment per corner either way,
+// TestCNEUsesCornerEvaluator: Context.CNE must hand all corners to the
+// evaluator in one EvaluateCorners call (one Runs increment per corner,
 // shared extraction inside).
 func TestCNEUsesCornerEvaluator(t *testing.T) {
 	cx, tk := smallNetwork(t)

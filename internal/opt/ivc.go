@@ -63,12 +63,6 @@ type Context struct {
 	CapLimit float64 // hard capacitance limit, fF (0 = unlimited)
 	// MaxRounds bounds the improvement loop of each pass (default 10).
 	MaxRounds int
-	// Parallelism is the stage-simulation worker budget for evaluation
-	// (≤1 = serial, 0 = leave the evaluator's own setting). Before each
-	// CNE the context pushes it onto Eng when the evaluator accepts a
-	// budget (spice.Incremental does); plain evaluators ignore it.
-	// Parallelism changes wall-clock time only, never results.
-	Parallelism int
 	// Check, when non-nil, is consulted before every improvement round; a
 	// non-nil error aborts the pass immediately (context cancellation from
 	// the service layer, so killed jobs stop burning simulator runs).
@@ -103,31 +97,13 @@ func (cx *Context) logf(format string, args ...interface{}) {
 	}
 }
 
-// CNE runs the accurate evaluator at every corner and caches the results.
-// Evaluators that implement analysis.CornerEvaluator (the incremental
-// engines) get all corners in one call, so extraction is shared and the
-// per-corner simulations can be scheduled over one worker pool.
+// CNE runs the accurate evaluator at every corner in one call, so
+// extraction is shared and the per-corner simulations can be scheduled over
+// one worker pool, and caches the results.
 func (cx *Context) CNE() ([]*analysis.Result, eval.Metrics, error) {
-	if cx.Parallelism > 0 {
-		if pe, ok := cx.Eng.(interface{ SetParallelism(int) }); ok {
-			pe.SetParallelism(cx.Parallelism)
-		}
-	}
-	var rs []*analysis.Result
-	if ce, ok := cx.Eng.(analysis.CornerEvaluator); ok {
-		var err error
-		rs, err = ce.EvaluateCorners(cx.Tree, cx.Tree.Tech.Corners)
-		if err != nil {
-			return nil, eval.Metrics{}, err
-		}
-	} else {
-		for _, c := range cx.Tree.Tech.Corners {
-			r, err := cx.Eng.Evaluate(cx.Tree, c)
-			if err != nil {
-				return nil, eval.Metrics{}, err
-			}
-			rs = append(rs, r)
-		}
+	rs, err := cx.Eng.EvaluateCorners(cx.Tree, cx.Tree.Tech.Corners)
+	if err != nil {
+		return nil, eval.Metrics{}, err
 	}
 	m, err := eval.FromResults(cx.Tree, corners.FromTech(cx.Tree.Tech), rs, cx.CapLimit)
 	if err != nil {
@@ -219,4 +195,42 @@ func (cx *Context) capHeadroom() float64 {
 		return math.Inf(1)
 	}
 	return cx.CapLimit - cx.Tree.TotalCap()
+}
+
+// topDown walks the tree breadth-first from the root's children, passing
+// each node the slow-down slack that moves on its ancestor edges have
+// consumed; visit returns the consumed slack the node's children inherit.
+// Children are read after visit returns, so nodes a move inserts above the
+// visited one (repeater pairs) are not walked.
+func topDown(tr *ctree.Tree, visit func(n *ctree.Node, used float64) float64) {
+	type item struct {
+		n    *ctree.Node
+		used float64
+	}
+	var queue []item
+	for _, c := range tr.Root.Children {
+		queue = append(queue, item{c, 0})
+	}
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		used := visit(it.n, it.used)
+		for _, c := range it.n.Children {
+			queue = append(queue, item{c, used})
+		}
+	}
+}
+
+// worstStageSlew maps each stage driver to the worst slew inside its stage
+// over every corner's result.
+func worstStageSlew(res []*analysis.Result) map[int]float64 {
+	out := map[int]float64{}
+	for _, r := range res {
+		for id, v := range r.StageSlew {
+			if v > out[id] {
+				out[id] = v
+			}
+		}
+	}
+	return out
 }

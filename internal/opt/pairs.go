@@ -9,8 +9,6 @@ import (
 	"contango/internal/tech"
 )
 
-// analysis.Result flows through the improve-loop callbacks below.
-
 // EstimateTpair measures the delay of one repeater pair (two cascaded
 // inverters, polarity preserving) inserted mid-tree: one accurate
 // evaluation against the cached baseline, probes reverted. Pair delay is
@@ -41,17 +39,7 @@ func EstimateTpair(cx *Context) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	worst := 0.0
-	for _, s := range sinksUnder(p) {
-		for vi := range base {
-			if d := after[vi].Rise[s.ID] - base[vi].Rise[s.ID]; d > worst {
-				worst = d
-			}
-			if d := after[vi].Fall[s.ID] - base[vi].Fall[s.ID]; d > worst {
-				worst = d
-			}
-		}
-	}
+	worst, _ := probeDelta(base, after, p)
 	cx.Tree.RemoveDegree2(b2)
 	cx.Tree.RemoveDegree2(b1)
 	cx.invalidate()
@@ -97,55 +85,44 @@ func PairInsertion(cx *Context) error {
 		slk := slack.Compute(cx.Tree, res)
 		headroom := cx.capHeadroom()
 		changed := 0
-		type item struct {
-			n  *ctree.Node
-			rs float64
-		}
-		var queue []item
-		for _, c := range cx.Tree.Root.Children {
-			queue = append(queue, item{c, 0})
-		}
-		for len(queue) > 0 {
-			it := queue[0]
-			queue = queue[1:]
-			n, rs := it.n, it.rs
-			if n.Parent != nil && n.Route.Length() > 60 {
-				budget := (slk.EdgeSlow[n.ID] - rs) * 0.8
-				k := int(math.Floor(budget / tpair))
-				if k > 2 {
-					k = 2 // at most two pairs per edge per round
-				}
-				if k >= 1 {
-					comp := nearestComposite(cx.Tree, n)
-					if comp != nil {
-						pairCap := 2 * comp.CapCost()
-						for i := 0; i < k && pairCap <= headroom; i++ {
-							d := n.Route.Length() * 0.5
-							if cx.Obs != nil {
-								for d > 0 && cx.Obs.BlocksPoint(n.Route.At(d)) {
-									d -= 25
-								}
-								if d <= 10 {
-									break
-								}
-							}
-							b1 := cx.Tree.InsertOnEdge(n, d, ctree.Buffer)
-							c1 := *comp
-							b1.Buf = &c1
-							b2 := cx.Tree.InsertOnEdge(n, 5, ctree.Buffer)
-							c2 := *comp
-							b2.Buf = &c2
-							headroom -= pairCap
-							rs += tpair
-							changed++
-						}
+		topDown(cx.Tree, func(n *ctree.Node, used float64) float64 {
+			if n.Route.Length() <= 60 {
+				return used
+			}
+			k := int(math.Floor((slk.EdgeSlow[n.ID] - used) * 0.8 / tpair))
+			if k > 2 {
+				k = 2 // at most two pairs per edge per round
+			}
+			if k < 1 {
+				return used
+			}
+			comp := nearestComposite(cx.Tree, n)
+			if comp == nil {
+				return used
+			}
+			pairCap := 2 * comp.CapCost()
+			for i := 0; i < k && pairCap <= headroom; i++ {
+				d := n.Route.Length() * 0.5
+				if cx.Obs != nil {
+					for d > 0 && cx.Obs.BlocksPoint(n.Route.At(d)) {
+						d -= 25
+					}
+					if d <= 10 {
+						break
 					}
 				}
+				b1 := cx.Tree.InsertOnEdge(n, d, ctree.Buffer)
+				c1 := *comp
+				b1.Buf = &c1
+				b2 := cx.Tree.InsertOnEdge(n, 5, ctree.Buffer)
+				c2 := *comp
+				b2.Buf = &c2
+				headroom -= pairCap
+				used += tpair
+				changed++
 			}
-			for _, c := range n.Children {
-				queue = append(queue, item{c, rs})
-			}
-		}
+			return used
+		})
 		cx.logf("pair: inserted %d pairs", changed)
 		return changed > 0
 	})

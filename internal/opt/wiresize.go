@@ -33,17 +33,7 @@ func EstimateTws(cx *Context) (float64, error) {
 	}
 	twsUnit := 0.0
 	for _, p := range probes {
-		worst := 0.0
-		for _, s := range sinksUnder(p) {
-			for vi := range base {
-				if d := after[vi].Rise[s.ID] - base[vi].Rise[s.ID]; d > worst {
-					worst = d
-				}
-				if d := after[vi].Fall[s.ID] - base[vi].Fall[s.ID]; d > worst {
-					worst = d
-				}
-			}
-		}
+		worst, _ := probeDelta(base, after, p)
 		if u := worst / p.EdgeLen(); u > twsUnit {
 			twsUnit = u
 		}
@@ -104,19 +94,31 @@ func pickProbes(tr *ctree.Tree, wide, k int) []*ctree.Node {
 	return out
 }
 
-func sinksUnder(n *ctree.Node) []*ctree.Node {
-	var out []*ctree.Node
-	var rec func(*ctree.Node)
-	rec = func(m *ctree.Node) {
+// probeDelta returns the worst latency increase (over both launch edges)
+// and the worst slew increase that the sinks below probe n see between the
+// base and after evaluations, over every corner. Both are at least 0.
+func probeDelta(base, after []*analysis.Result, n *ctree.Node) (lat, slew float64) {
+	var walk func(m *ctree.Node)
+	walk = func(m *ctree.Node) {
 		if m.Kind == ctree.Sink {
-			out = append(out, m)
+			for vi := range base {
+				b, a := base[vi], after[vi]
+				for _, d := range [2]float64{a.Rise[m.ID] - b.Rise[m.ID], a.Fall[m.ID] - b.Fall[m.ID]} {
+					if d > lat {
+						lat = d
+					}
+				}
+				if d := a.SinkSlew[m.ID] - b.SinkSlew[m.ID]; d > slew {
+					slew = d
+				}
+			}
 		}
 		for _, c := range m.Children {
-			rec(c)
+			walk(c)
 		}
 	}
-	rec(n)
-	return out
+	walk(n)
+	return lat, slew
 }
 
 // TopDownWiresizing is Algorithm 1 of the paper: repeatedly compute wire
@@ -139,30 +141,18 @@ func TopDownWiresizing(cx *Context) error {
 	return cx.improveLoop("twsz", MinSkew, func(res []*analysis.Result) bool {
 		slk := slack.Compute(cx.Tree, res)
 		changed := 0
-		type item struct {
-			n      *ctree.Node
-			rslack float64
-		}
-		queue := []item{}
-		for _, c := range cx.Tree.Root.Children {
-			queue = append(queue, item{c, 0})
-		}
-		for len(queue) > 0 {
-			it := queue[0]
-			queue = queue[1:]
-			n, rs := it.n, it.rslack
-			if n.Parent != nil && n.WidthIdx == wide {
-				est := twsUnit * n.EdgeLen()
-				if budget := slk.EdgeSlow[n.ID] - rs; budget > est && est > 0 {
-					n.WidthIdx = narrow
-					rs += est
-					changed++
-				}
+		topDown(cx.Tree, func(n *ctree.Node, used float64) float64 {
+			if n.WidthIdx != wide {
+				return used
 			}
-			for _, c := range n.Children {
-				queue = append(queue, item{c, rs})
+			est := twsUnit * n.EdgeLen()
+			if budget := slk.EdgeSlow[n.ID] - used; budget > est && est > 0 {
+				n.WidthIdx = narrow
+				used += est
+				changed++
 			}
-		}
+			return used
+		})
 		cx.logf("twsz: downsized %d edges", changed)
 		return changed > 0
 	})

@@ -54,20 +54,7 @@ func EstimateTwn(cx *Context, lwn float64, sinkEdges bool) (twn, twnSlew float64
 		return 0, 0, err
 	}
 	for _, p := range probes {
-		worst, worstSlew := 0.0, 0.0
-		for _, s := range sinksUnder(p) {
-			for vi := range base {
-				if d := after[vi].Rise[s.ID] - base[vi].Rise[s.ID]; d > worst {
-					worst = d
-				}
-				if d := after[vi].Fall[s.ID] - base[vi].Fall[s.ID]; d > worst {
-					worst = d
-				}
-				if d := after[vi].SinkSlew[s.ID] - base[vi].SinkSlew[s.ID]; d > worstSlew {
-					worstSlew = d
-				}
-			}
-		}
+		worst, worstSlew := probeDelta(base, after, p)
 		if u := worst / lwn; u > twn {
 			twn = u
 		}
@@ -95,7 +82,7 @@ func EstimateTwn(cx *Context, lwn float64, sinkEdges bool) (twn, twnSlew float64
 // error; onlySinkEdges restricts the pass to bottom-level wires; maxStep
 // caps the snake added to one edge in one round — the linear Twn model only
 // holds for small increments (the paper snakes "a small amount" per round).
-func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, twnSlew, lwn, safety float64, onlySinkEdges bool, maxStep, capShare float64) int {
+func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, lwn, safety float64, onlySinkEdges bool, maxStep, capShare float64) int {
 	slk := slack.Compute(cx.Tree, res)
 	tk := cx.Tree.Tech
 	wireC := tk.Wires[cx.narrowIdx()].CPerUm
@@ -104,14 +91,7 @@ func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, twnSlew, lwn, saf
 	// Per-stage measured slews (worst over corners): snake on an edge only
 	// degrades the slews of its own stage, so each stage's remaining
 	// headroom bounds how much snake its edges can absorb this round.
-	stageSlew := map[int]float64{}
-	for _, r := range res {
-		for id, v := range r.StageSlew {
-			if v > stageSlew[id] {
-				stageSlew[id] = v
-			}
-		}
-	}
+	stageSlew := worstStageSlew(res)
 	// Analytic slew impact of snaking edge n by x µm, at the slow corner:
 	//   Δslew ≈ 2.2·[Rd·c·x + r·x·(c·x/2 + Cdown)]
 	// — the stage driver charging the extra capacitance plus the snake's
@@ -147,7 +127,6 @@ func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, twnSlew, lwn, saf
 		c0 := room / 2.2
 		return (-bq + math.Sqrt(bq*bq+4*a*c0)) / (2 * a)
 	}
-	_ = twnSlew
 	changed := 0
 	// driverOf maps every tree node to its stage driver (-1 = source).
 	driverOf := map[int]int{}
@@ -163,52 +142,36 @@ func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, twnSlew, lwn, saf
 		}
 	}
 	mark(cx.Tree.Root, -1)
-	type item struct {
-		n      *ctree.Node
-		rslack float64
-	}
-	var queue []item
-	for _, c := range cx.Tree.Root.Children {
-		queue = append(queue, item{c, 0})
-	}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		n, rs := it.n, it.rslack
-		eligible := n.Parent != nil
-		if onlySinkEdges {
-			eligible = eligible && n.Kind == ctree.Sink
+	topDown(cx.Tree, func(n *ctree.Node, used float64) float64 {
+		if onlySinkEdges && n.Kind != ctree.Sink {
+			return used
 		}
-		if eligible {
-			budget := (slk.EdgeSlow[n.ID] - rs) * safety
-			if budget > twn*lwn {
-				addLen := math.Floor(budget/(twn*lwn)) * lwn
-				if addLen > maxStep {
-					addLen = math.Floor(maxStep/lwn) * lwn
-				}
-				// Brake against the owning stage's slew headroom.
-				drv := driverOf[n.ID]
-				room := 0.88*limit - stageSlew[drv]
-				if lim := slewRoomLen(n, drv, room); addLen > lim {
-					addLen = math.Floor(lim/lwn) * lwn
-				}
-				// Respect the capacitance limit.
-				if addCap := addLen * wireC; addCap > headroom {
-					addLen = math.Floor(headroom/wireC/lwn) * lwn
-				}
-				if addLen > 0 {
-					n.Snake += addLen
-					stageSlew[drv] += slewCost(n, drv, addLen)
-					headroom -= addLen * wireC
-					rs += addLen * twn
-					changed++
-				}
+		budget := (slk.EdgeSlow[n.ID] - used) * safety
+		if budget > twn*lwn {
+			addLen := math.Floor(budget/(twn*lwn)) * lwn
+			if addLen > maxStep {
+				addLen = math.Floor(maxStep/lwn) * lwn
+			}
+			// Brake against the owning stage's slew headroom.
+			drv := driverOf[n.ID]
+			room := 0.88*limit - stageSlew[drv]
+			if lim := slewRoomLen(n, drv, room); addLen > lim {
+				addLen = math.Floor(lim/lwn) * lwn
+			}
+			// Respect the capacitance limit.
+			if addCap := addLen * wireC; addCap > headroom {
+				addLen = math.Floor(headroom/wireC/lwn) * lwn
+			}
+			if addLen > 0 {
+				n.Snake += addLen
+				stageSlew[drv] += slewCost(n, drv, addLen)
+				headroom -= addLen * wireC
+				used += addLen * twn
+				changed++
 			}
 		}
-		for _, c := range n.Children {
-			queue = append(queue, item{c, rs})
-		}
-	}
+		return used
+	})
 	return changed
 }
 
@@ -232,7 +195,7 @@ func TopDownWiresnaking(cx *Context) error {
 	for _, step := range []float64{400, 150, 50} {
 		step := step
 		if err := cx.improveLoop("twsn", MinSkew, func(res []*analysis.Result) bool {
-			changed := snakeBudgetPass(cx, res, twn, twnSlew, lwn, 0.85, false, step, 1.0)
+			changed := snakeBudgetPass(cx, res, twn, lwn, 0.85, false, step, 1.0)
 			cx.logf("twsn: snaked %d edges (step %.0f)", changed, step)
 			return changed > 0
 		}); err != nil {
@@ -249,7 +212,7 @@ func TopDownWiresnaking(cx *Context) error {
 // skew.
 func BottomLevelTuning(cx *Context) error {
 	lwn := DefaultLwn / 2.5 // finer quantum at the bottom level
-	twn, twnSlew, err := EstimateTwn(cx, lwn, true)
+	twn, _, err := EstimateTwn(cx, lwn, true)
 	if err != nil {
 		return err
 	}
@@ -287,7 +250,7 @@ func BottomLevelTuning(cx *Context) error {
 	for _, step := range []float64{150, 50} {
 		step := step
 		if err := cx.improveLoop("bwsn", MinBoth, func(res []*analysis.Result) bool {
-			changed := snakeBudgetPass(cx, res, twn, twnSlew, lwn, 0.7, true, step, 0.4)
+			changed := snakeBudgetPass(cx, res, twn, lwn, 0.7, true, step, 0.4)
 			cx.logf("bwsn: snaked %d sink edges (step %.0f)", changed, step)
 			return changed > 0
 		}); err != nil {

@@ -21,6 +21,8 @@ type Chunked struct {
 	Eval analysis.Evaluator
 	// Chunk is the maximum corners evaluated per slot tenure; calls with
 	// that many corners or fewer (and any Chunk <= 0) pass through whole.
+	// The service sets it to a multiple of the job's worker budget, so no
+	// tenure ends on a ragged, under-filled batch of corner tasks.
 	Chunk int
 	// Yield, when non-nil, runs between chunks. A non-nil error aborts the
 	// evaluation (scheduler shut down, run context canceled).
@@ -30,7 +32,7 @@ type Chunked struct {
 	OnSplit func(chunks int)
 }
 
-var _ analysis.CornerEvaluator = (*Chunked)(nil)
+var _ analysis.Evaluator = (*Chunked)(nil)
 
 // Name returns the wrapped evaluator's name.
 func (c *Chunked) Name() string { return c.Eval.Name() }
@@ -40,43 +42,12 @@ func (c *Chunked) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.Result
 	return c.Eval.Evaluate(tr, corner)
 }
 
-// SetParallelism forwards the per-job worker budget to the wrapped
-// evaluator (the optimization context pushes it through this interface).
-func (c *Chunked) SetParallelism(n int) {
-	if pe, ok := c.Eval.(interface{ SetParallelism(int) }); ok {
-		pe.SetParallelism(n)
-	}
-}
-
-// BatchHinter is implemented by evaluators whose EvaluateCorners runs most
-// efficiently on corner counts that are a multiple of some internal batch
-// width (e.g. the incremental transient engine's worker-pool occupancy).
-// Chunked rounds its chunk size up to the hint so no slot tenure ends on a
-// ragged, under-filled kernel batch.
-type BatchHinter interface {
-	BatchHint() int
-}
-
-// effectiveChunk is Chunk aligned up to the wrapped evaluator's batch hint.
-func (c *Chunked) effectiveChunk() int {
-	chunk := c.Chunk
-	if chunk <= 0 {
-		return chunk
-	}
-	if bh, ok := c.Eval.(BatchHinter); ok {
-		if h := bh.BatchHint(); h > 1 && chunk%h != 0 {
-			chunk += h - chunk%h
-		}
-	}
-	return chunk
-}
-
 // EvaluateCorners evaluates the corner list in chunks, yielding between
 // them, and returns the concatenated per-corner results in input order.
 func (c *Chunked) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
-	chunk := c.effectiveChunk()
+	chunk := c.Chunk
 	if chunk <= 0 || len(corners) <= chunk {
-		return c.evalRange(tr, corners)
+		return c.Eval.EvaluateCorners(tr, corners)
 	}
 	if c.OnSplit != nil {
 		c.OnSplit((len(corners) + chunk - 1) / chunk)
@@ -92,30 +63,11 @@ func (c *Chunked) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*ana
 		if end > len(corners) {
 			end = len(corners)
 		}
-		rs, err := c.evalRange(tr, corners[start:end])
+		rs, err := c.Eval.EvaluateCorners(tr, corners[start:end])
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, rs...)
-	}
-	return out, nil
-}
-
-// evalRange evaluates one corner range: in a single call when the wrapped
-// evaluator batches corners, otherwise with the same per-corner loop the
-// optimization context itself falls back to — either way the results are
-// what the unwrapped evaluator would have produced.
-func (c *Chunked) evalRange(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
-	if ce, ok := c.Eval.(analysis.CornerEvaluator); ok {
-		return ce.EvaluateCorners(tr, corners)
-	}
-	out := make([]*analysis.Result, 0, len(corners))
-	for _, corner := range corners {
-		r, err := c.Eval.Evaluate(tr, corner)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
 	}
 	return out, nil
 }

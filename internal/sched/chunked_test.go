@@ -10,22 +10,17 @@ import (
 	"contango/internal/tech"
 )
 
-// fakeCornerEval is a CornerEvaluator that returns one canned result
+// fakeCornerEval is an Evaluator that returns one canned result
 // pointer per corner name and records call shapes, so tests can assert
 // chunk boundaries and that reassembly preserves order and identity.
 type fakeCornerEval struct {
-	results     map[string]*analysis.Result
-	batchCalls  [][]string // corner names per EvaluateCorners call
-	singleCalls []string
-	parallelism int
+	results    map[string]*analysis.Result
+	batchCalls [][]string // corner names per EvaluateCorners call
 }
 
 func (f *fakeCornerEval) Name() string { return "fake" }
 
-func (f *fakeCornerEval) SetParallelism(n int) { f.parallelism = n }
-
 func (f *fakeCornerEval) Evaluate(tr *ctree.Tree, c tech.Corner) (*analysis.Result, error) {
-	f.singleCalls = append(f.singleCalls, c.Name)
 	return f.results[c.Name], nil
 }
 
@@ -38,19 +33,6 @@ func (f *fakeCornerEval) EvaluateCorners(tr *ctree.Tree, cs []tech.Corner) ([]*a
 	}
 	f.batchCalls = append(f.batchCalls, names)
 	return out, nil
-}
-
-// plainEval is an Evaluator without corner batching (no EvaluateCorners
-// method), to exercise the per-corner fallback loop.
-type plainEval struct {
-	results     map[string]*analysis.Result
-	singleCalls []string
-}
-
-func (p *plainEval) Name() string { return "plain" }
-func (p *plainEval) Evaluate(tr *ctree.Tree, c tech.Corner) (*analysis.Result, error) {
-	p.singleCalls = append(p.singleCalls, c.Name)
-	return p.results[c.Name], nil
 }
 
 func makeCorners(n int) ([]tech.Corner, map[string]*analysis.Result) {
@@ -78,6 +60,9 @@ func TestChunkedPassthroughSmallCalls(t *testing.T) {
 	}
 	if yields != 0 {
 		t.Fatalf("small call yielded %d times", yields)
+	}
+	if c.Name() != "fake" {
+		t.Fatalf("name not forwarded: %q", c.Name())
 	}
 	for i, r := range out {
 		if r != rs[cs[i].Name] {
@@ -131,81 +116,5 @@ func TestChunkedYieldErrorAborts(t *testing.T) {
 	}
 	if len(inner.batchCalls) != 1 {
 		t.Fatalf("evaluation continued after yield error: %v", inner.batchCalls)
-	}
-}
-
-// Wrapping an evaluator without corner batching falls back to the same
-// per-corner loop the optimization context uses.
-func TestChunkedPlainEvaluatorFallback(t *testing.T) {
-	cs, rs := makeCorners(5)
-	inner := &plainEval{results: rs}
-	c := &Chunked{Eval: inner, Chunk: 2, Yield: func() error { return nil }}
-	out, err := c.EvaluateCorners(nil, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inner.singleCalls) != 5 {
-		t.Fatalf("per-corner fallback made %d calls, want 5", len(inner.singleCalls))
-	}
-	for i, r := range out {
-		if r != rs[cs[i].Name] {
-			t.Fatalf("fallback result %d out of order", i)
-		}
-	}
-}
-
-func TestChunkedForwardsParallelism(t *testing.T) {
-	inner := &fakeCornerEval{results: map[string]*analysis.Result{}}
-	c := &Chunked{Eval: inner, Chunk: 4}
-	c.SetParallelism(7)
-	if inner.parallelism != 7 {
-		t.Fatalf("parallelism not forwarded: %d", inner.parallelism)
-	}
-	if c.Name() != "fake" {
-		t.Fatalf("name not forwarded: %q", c.Name())
-	}
-}
-
-// hintedEval is a fakeCornerEval that also advertises a batch width.
-type hintedEval struct {
-	fakeCornerEval
-	hint int
-}
-
-func (h *hintedEval) BatchHint() int { return h.hint }
-
-func TestChunkedAlignsToBatchHint(t *testing.T) {
-	cs, rs := makeCorners(10)
-	fe := &hintedEval{fakeCornerEval: fakeCornerEval{results: rs}, hint: 4}
-	c := &Chunked{Eval: fe, Chunk: 3}
-	out, err := c.EvaluateCorners(nil, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(cs) {
-		t.Fatalf("got %d results, want %d", len(out), len(cs))
-	}
-	for i := range cs {
-		if out[i] != rs[cs[i].Name] {
-			t.Fatalf("result %d not identity-preserved", i)
-		}
-	}
-	// Chunk 3 rounds up to the hint's multiple 4: calls of 4, 4, 2.
-	want := [][]int{{4, 4, 2}}
-	var sizes []int
-	for _, call := range fe.batchCalls {
-		sizes = append(sizes, len(call))
-	}
-	if len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 2 {
-		t.Fatalf("chunk sizes %v, want %v", sizes, want[0])
-	}
-	// A hint of 1 (or a non-hinting evaluator) leaves Chunk untouched.
-	fe2 := &hintedEval{fakeCornerEval: fakeCornerEval{results: rs}, hint: 1}
-	c2 := &Chunked{Eval: fe2, Chunk: 3}
-	if _, err := c2.EvaluateCorners(nil, cs); err != nil {
-		t.Fatal(err)
-	}
-	if len(fe2.batchCalls) != 4 {
-		t.Fatalf("hint 1: %d calls, want 4", len(fe2.batchCalls))
 	}
 }

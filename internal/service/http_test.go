@@ -238,6 +238,17 @@ func TestHTTPErrors(t *testing.T) {
 	// Batch naming no benchmarks.
 	decode(t, postJSON(t, ts.URL+"/api/v1/batches", BatchRequest{}), http.StatusBadRequest, nil)
 
+	// Negative worker budget: refused, not run on every core past the
+	// per-job budget.
+	var apiErr apiError
+	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{
+		BenchText: benchText(t, "http-negpar", 0),
+		Options:   OptionsWire{Parallelism: -2},
+	}), http.StatusBadRequest, &apiErr)
+	if !strings.Contains(apiErr.Error, "parallelism") {
+		t.Errorf("negative parallelism: error %q does not name it", apiErr.Error)
+	}
+
 	// Method checks.
 	resp, err = http.Get(ts.URL + "/api/v1/batches")
 	if err != nil {

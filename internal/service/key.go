@@ -85,8 +85,10 @@ func OptionsFingerprint(o core.Options) string {
 	techSum := sha256.Sum256([]byte(techFingerprint(r.Tech)))
 	fmt.Fprintf(&b, "tech=%s", hex.EncodeToString(techSum[:8]))
 	fmt.Fprintf(&b, ";eng=%g,%g,%g,%g", r.Engine.MaxSeg, r.Engine.Dt, r.Engine.SourceSlew, r.Engine.SettleTol)
-	fmt.Fprintf(&b, ";gamma=%g;rounds=%d;cycles=%d;bufstep=%g;fulleval=%t",
-		r.Gamma, r.MaxRounds, r.Cycles, r.BufferStep, r.FullEval)
+	// bufstep=0 stands for a since-removed buffer-spacing knob whose
+	// default was 0; the literal keeps default keys byte-identical.
+	fmt.Fprintf(&b, ";gamma=%g;rounds=%d;cycles=%d;bufstep=0;fulleval=%t",
+		r.Gamma, r.MaxRounds, r.Cycles, r.FullEval)
 	// Resolve canonicalized the plan to its expanded spec, so a named plan
 	// and its spelled-out equivalent share one cache slot while any two
 	// different cascades address differently.

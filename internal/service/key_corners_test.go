@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -32,6 +33,23 @@ func TestDefaultFingerprintUnchangedSinceSeed(t *testing.T) {
 	}
 	if got := JobKey(b, core.Options{}); got != seedDefaultJobKey {
 		t.Errorf("default job key drifted: got %s want %s", got, seedDefaultJobKey)
+	}
+}
+
+// TestLegacyBufferStepGetsDefaultKey: the removed buffer_step wire field
+// did nothing, so a request that still sends it decodes (unknown fields are
+// ignored) and addresses the default cache slot.
+func TestLegacyBufferStepGetsDefaultKey(t *testing.T) {
+	var w OptionsWire
+	if err := json.Unmarshal([]byte(`{"buffer_step": 150}`), &w); err != nil {
+		t.Fatal(err)
+	}
+	b, err := bench.ISPD09("ispd09f22")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := JobKey(b, w.Options()); got != seedDefaultJobKey {
+		t.Errorf("legacy buffer_step request keyed %s, want the default %s", got, seedDefaultJobKey)
 	}
 }
 

@@ -254,7 +254,6 @@ func optionsToWire(o core.Options) OptionsWire {
 		LargeInverters: o.LargeInverters,
 		MaxRounds:      o.MaxRounds,
 		Cycles:         o.Cycles,
-		BufferStep:     o.BufferStep,
 		Parallelism:    o.Parallelism,
 		FullEval:       o.FullEval,
 	}

@@ -12,8 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"contango/internal/analysis"
 	"contango/internal/core"
+	"contango/internal/ctree"
 	"contango/internal/sched"
+	"contango/internal/tech"
 )
 
 // blockingOpts returns options whose first flow span parks the job until
@@ -75,6 +78,55 @@ func TestPackLibraryBitParity(t *testing.T) {
 	}
 	if !bytes.Equal(split, library) {
 		t.Fatalf("service and library produced different artifacts (%d vs %d bytes)", len(split), len(library))
+	}
+}
+
+// cornerCounter wraps an evaluator and records the corner count of every
+// EvaluateCorners call it forwards.
+type cornerCounter struct {
+	analysis.Evaluator
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (c *cornerCounter) EvaluateCorners(tr *ctree.Tree, cs []tech.Corner) ([]*analysis.Result, error) {
+	c.mu.Lock()
+	c.sizes = append(c.sizes, len(cs))
+	c.mu.Unlock()
+	return c.Evaluator.EvaluateCorners(tr, cs)
+}
+
+// The sweep splitter's chunk is SplitCorners rounded up to a multiple of
+// the job's worker budget, so every slot tenure gives each stage-simulation
+// worker whole corners: at parallelism 4, a split size of 10 runs each
+// mc:24 evaluation as two chunks of 12.
+func TestSplitCornersAlignsToJobParallelism(t *testing.T) {
+	svc := New(Config{Workers: 1, SplitCorners: 10})
+	defer svc.Close()
+	o := fastOpts()
+	o.Corners = "mc:24:1"
+	o.Parallelism = 4
+	counter := &cornerCounter{}
+	o.WrapEval = func(ev analysis.Evaluator) analysis.Evaluator {
+		counter.Evaluator = ev
+		return counter
+	}
+	j, err := svc.Submit(tinyBench("align", 0), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	counter.mu.Lock()
+	defer counter.mu.Unlock()
+	if len(counter.sizes) == 0 || len(counter.sizes)%2 != 0 {
+		t.Fatalf("chunk sizes %v, want pairs of chunks", counter.sizes)
+	}
+	for _, n := range counter.sizes {
+		if n != 12 {
+			t.Fatalf("chunk sizes %v, want every chunk 12 corners", counter.sizes)
+		}
 	}
 }
 

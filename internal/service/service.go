@@ -327,6 +327,9 @@ func (s *Service) SubmitWith(b *bench.Benchmark, o core.Options, so SubmitOpts) 
 	if err := corners.Validate(o.Corners); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
+	if o.Parallelism < 0 {
+		return nil, fmt.Errorf("service: negative parallelism %d", o.Parallelism)
+	}
 	key := JobKey(b, o)
 	lookupStart := time.Now()
 	var deadline time.Time
@@ -754,9 +757,13 @@ func (s *Service) run(j *Job) {
 	// between them: a waiting job (an urgent or short one, by the pool's
 	// ranking) borrows the slot while a big sweep is mid-flight. The shim
 	// changes only when simulations run, never which — results and cache
-	// keys are bit-identical with and without it.
+	// keys are bit-identical with and without it. Each Monte Carlo corner
+	// is one task for the job's o.Parallelism stage-simulation workers, so
+	// the chunk is rounded up to a multiple of that budget: no slot tenure
+	// ends on a ragged, under-filled batch.
 	if s.cfg.SplitCorners > 0 {
 		tk := j.ticket
+		chunk := (s.cfg.SplitCorners + o.Parallelism - 1) / o.Parallelism * o.Parallelism
 		userWrap := o.WrapEval
 		o.WrapEval = func(ev analysis.Evaluator) analysis.Evaluator {
 			if userWrap != nil {
@@ -764,7 +771,7 @@ func (s *Service) run(j *Job) {
 			}
 			return &sched.Chunked{
 				Eval:  ev,
-				Chunk: s.cfg.SplitCorners,
+				Chunk: chunk,
 				Yield: func() error {
 					yielded, yerr := s.pool.Yield(tk, ctx.Done())
 					if yielded {

@@ -221,10 +221,9 @@ type OptionsWire struct {
 	// Cycles is the wire-pass convergence budget: 0 keeps the default (3),
 	// a negative value disables convergence cycles entirely.
 	Cycles     int      `json:"cycles,omitempty"`
-	BufferStep float64  `json:"buffer_step,omitempty"`
 	SkipStages []string `json:"skip_stages,omitempty"`
 	// Parallelism is the per-job stage-simulation worker budget (0 = the
-	// service default, 1 = serial). It affects wall-clock time only — the
+	// service default, 1 = serial; negative is rejected). It affects wall-clock time only — the
 	// incremental evaluator produces identical results at any setting —
 	// so it does not participate in result-cache keys.
 	Parallelism int `json:"parallelism,omitempty"`
@@ -264,7 +263,6 @@ func (o OptionsWire) Options() core.Options {
 		LargeInverters: o.LargeInverters,
 		MaxRounds:      o.MaxRounds,
 		Cycles:         o.Cycles,
-		BufferStep:     o.BufferStep,
 		Parallelism:    o.Parallelism,
 		FullEval:       o.FullEval,
 	}

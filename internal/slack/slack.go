@@ -1,7 +1,7 @@
-// Package slack implements the paper's slow-down and speed-up slack notions
-// (Section III): per-sink slacks derived from measured latencies, edge
-// slacks aggregated over downstream sinks (Lemma 1), and the per-edge Δ
-// budgets of Proposition 1 that drive the top-down wire optimizations.
+// Package slack implements the paper's slow-down slack (Section III):
+// per-sink slacks derived from measured latencies (Definition 1) and edge
+// slacks aggregated over downstream sinks (Lemma 1), which budget every
+// top-down optimization pass.
 //
 // Slacks are computed separately for rising and falling transitions and for
 // every supply corner; an edge's usable slack is the conservative minimum
@@ -16,90 +16,62 @@ import (
 	"contango/internal/ctree"
 )
 
-// Slacks holds the slack state of a tree for one set of measurements.
-// All maps are keyed by tree-node ID; edge quantities live on the edge's
-// lower node (the edge from n.Parent to n is keyed by n.ID).
+// Slacks holds the slow-down slacks of a tree for one set of measurements.
 type Slacks struct {
-	// SinkSlow[s] = Tmax − Ts, SinkFast[s] = Ts − Tmin (Definition 1),
-	// minimized over transitions and corners.
-	SinkSlow, SinkFast map[int]float64
-	// EdgeSlow/EdgeFast are Definition 2 edge slacks via Lemma 1.
-	EdgeSlow, EdgeFast map[int]float64
-	// DeltaSlow/DeltaFast are Proposition 1 budgets:
-	// Δe = Slack_e − Slack_parent(e) (parent slack taken as 0 for edges
-	// whose parent is the root).
-	DeltaSlow, DeltaFast map[int]float64
+	// EdgeSlow is keyed by tree-node ID; the edge from n.Parent to n is
+	// keyed by n.ID. A sink's entry is its own slack Tmax − Ts
+	// (Definition 1); any other edge's is the least over the sinks below it
+	// (Definition 2 via Lemma 1). Both are minimized over transitions and
+	// corners.
+	EdgeSlow map[int]float64
+	// scale is the largest finite EdgeSlow, Gradient's green end.
+	scale float64
 }
 
 // Compute derives slacks from one or more evaluation results (one per
 // corner). Each result contributes rising and falling latencies; the
 // conservative minimum over all of them is kept per sink and per edge.
 func Compute(tr *ctree.Tree, results []*analysis.Result) *Slacks {
-	s := &Slacks{
-		SinkSlow:  map[int]float64{},
-		SinkFast:  map[int]float64{},
-		EdgeSlow:  map[int]float64{},
-		EdgeFast:  map[int]float64{},
-		DeltaSlow: map[int]float64{},
-		DeltaFast: map[int]float64{},
-	}
-	type view struct{ lat map[int]float64 }
-	var views []view
+	s := &Slacks{EdgeSlow: map[int]float64{}}
+	var views []map[int]float64
 	for _, r := range results {
 		if len(r.Rise) > 0 {
-			views = append(views, view{lat: r.Rise})
+			views = append(views, r.Rise)
 		}
 		if len(r.Fall) > 0 {
-			views = append(views, view{lat: r.Fall})
+			views = append(views, r.Fall)
 		}
 	}
 	sinks := tr.Sinks()
 	for _, sk := range sinks {
-		s.SinkSlow[sk.ID] = math.Inf(1)
-		s.SinkFast[sk.ID] = math.Inf(1)
+		s.EdgeSlow[sk.ID] = math.Inf(1)
 	}
-	for _, v := range views {
-		tmin, tmax := math.Inf(1), math.Inf(-1)
+	for _, lat := range views {
+		tmax := math.Inf(-1)
 		for _, sk := range sinks {
-			t := v.lat[sk.ID]
-			tmin = math.Min(tmin, t)
-			tmax = math.Max(tmax, t)
+			tmax = math.Max(tmax, lat[sk.ID])
 		}
 		for _, sk := range sinks {
-			t := v.lat[sk.ID]
-			s.SinkSlow[sk.ID] = math.Min(s.SinkSlow[sk.ID], tmax-t)
-			s.SinkFast[sk.ID] = math.Min(s.SinkFast[sk.ID], t-tmin)
+			s.EdgeSlow[sk.ID] = math.Min(s.EdgeSlow[sk.ID], tmax-lat[sk.ID])
 		}
 	}
 	// Lemma 1: edge slack = min over downstream sinks, computable in O(n)
 	// bottom-up.
 	tr.PostOrder(func(n *ctree.Node) {
 		if n.Kind == ctree.Sink {
-			s.EdgeSlow[n.ID] = s.SinkSlow[n.ID]
-			s.EdgeFast[n.ID] = s.SinkFast[n.ID]
 			return
 		}
-		slow, fast := math.Inf(1), math.Inf(1)
+		slow := math.Inf(1)
 		for _, c := range n.Children {
 			slow = math.Min(slow, s.EdgeSlow[c.ID])
-			fast = math.Min(fast, s.EdgeFast[c.ID])
 		}
 		s.EdgeSlow[n.ID] = slow
-		s.EdgeFast[n.ID] = fast
 	})
-	// Proposition 1 budgets.
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Parent == nil {
-			return
+	for _, v := range s.EdgeSlow {
+		if !math.IsInf(v, 1) && v > s.scale {
+			s.scale = v
 		}
-		pSlow, pFast := 0.0, 0.0
-		if n.Parent.Parent != nil {
-			pSlow = s.EdgeSlow[n.Parent.ID]
-			pFast = s.EdgeFast[n.Parent.ID]
-		}
-		s.DeltaSlow[n.ID] = s.EdgeSlow[n.ID] - pSlow
-		s.DeltaFast[n.ID] = s.EdgeFast[n.ID] - pFast
-	})
+	}
 	return s
 }
 
@@ -107,18 +79,12 @@ func Compute(tr *ctree.Tree, results []*analysis.Result) *Slacks {
 // 0 = no slow-down slack (critical, drawn red), 1 = the largest slack in the
 // tree (drawn green). Used to reproduce the paper's Figure 3 coloring.
 func (s *Slacks) Gradient(id int) float64 {
-	max := 0.0
-	for _, v := range s.EdgeSlow {
-		if !math.IsInf(v, 1) && v > max {
-			max = v
-		}
-	}
-	if max == 0 {
+	if s.scale == 0 {
 		return 0
 	}
 	v := s.EdgeSlow[id]
 	if math.IsInf(v, 1) {
 		return 1
 	}
-	return math.Max(0, math.Min(1, v/max))
+	return math.Max(0, math.Min(1, v/s.scale))
 }

@@ -87,11 +87,10 @@ func TestIncrementalCornersMatchEngine(t *testing.T) {
 	}
 }
 
-// TestIncrementalBatchHint: Monte Carlo samples never share derates, so
-// every corner of a sweep is one task and the hint is one corner per
-// worker; splitting a sweep into hint-aligned chunks returns exactly what
-// one unsplit call returns.
-func TestIncrementalBatchHint(t *testing.T) {
+// TestIncrementalChunkedMatchesOneCall: splitting a Monte Carlo sweep into
+// chunks of one worker budget's corners returns exactly what one unsplit
+// engine call returns, at every budget.
+func TestIncrementalChunkedMatchesOneCall(t *testing.T) {
 	tk := tech.Default45()
 	tr := randomStagedTree(rand.New(rand.NewSource(31)), tk)
 	cs, err := corners.Build("mc:7:2", tk)
@@ -104,25 +103,17 @@ func TestIncrementalBatchHint(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 3, 4} {
 		ie := NewIncremental(tr, New(), p)
-		if h := ie.BatchHint(); h != p {
-			t.Errorf("parallelism %d: BatchHint %d, want %d", p, h, p)
-		}
 		splits := 0
-		ch := &sched.Chunked{Eval: ie, Chunk: 1, OnSplit: func(n int) { splits = n }}
+		ch := &sched.Chunked{Eval: ie, Chunk: p, OnSplit: func(n int) { splits = n }}
 		got, err := ch.EvaluateCorners(tr, cs.Corners)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantSplits := (len(cs.Corners) + p - 1) / p; p > 1 && splits != wantSplits {
+		if wantSplits := (len(cs.Corners) + p - 1) / p; splits != wantSplits {
 			t.Errorf("parallelism %d: %d chunks, want %d", p, splits, wantSplits)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("parallelism %d: chunked evaluation differs from one engine call", p)
 		}
-	}
-	ie := NewIncremental(tr, New(), 4)
-	ie.SetParallelism(0)
-	if h := ie.BatchHint(); h != 1 {
-		t.Errorf("serial evaluator: BatchHint %d, want 1", h)
 	}
 }

@@ -50,7 +50,7 @@ func (e *Engine) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.Result,
 	return rs[0], nil
 }
 
-// EvaluateCorners implements analysis.CornerEvaluator: the tree is extracted
+// EvaluateCorners implements analysis.Evaluator: the tree is extracted
 // once, into the engine's retained netlist, and the transients of every
 // corner run over it, one corner group (cornerGroups) at a time.
 func (e *Engine) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
@@ -357,5 +357,3 @@ var _ analysis.Evaluator = (*Engine)(nil)
 func (e *Engine) EvaluateAll(tr *ctree.Tree) ([]*analysis.Result, error) {
 	return e.EvaluateCorners(tr, tr.Tech.Corners)
 }
-
-var _ analysis.CornerEvaluator = (*Engine)(nil)

@@ -109,30 +109,6 @@ func (ie *Incremental) bind(tr *ctree.Tree) {
 	ie.launches = make(map[launchKey]map[int][]*stageEntry)
 }
 
-// SetParallelism adjusts the stage-simulation worker budget (values < 1
-// select serial). Safe between evaluations; results never depend on it.
-// opt.Context applies its configured Parallelism through this method.
-func (ie *Incremental) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	ie.Parallelism = n
-}
-
-// BatchHint reports the corner granularity that keeps the worker pool
-// occupied: a multiple of Parallelism corners gives every worker a task.
-// The sweeps the splitter chunks are Monte Carlo sets, whose samples draw
-// their own derates, so there each corner is a task of its own; a set whose
-// adjacent corners pair up (ispd09, or fast and tt in pvt5) forms fewer,
-// wider tasks, but such sets are far below any chunk size. The sweep
-// splitter aligns its chunk size to this; chunking never changes results.
-func (ie *Incremental) BatchHint() int {
-	if ie.Parallelism < 1 {
-		return 1
-	}
-	return ie.Parallelism
-}
-
 // Reset drops every cached stage result. Call it after changing Eng's
 // integration parameters.
 func (ie *Incremental) Reset() {
@@ -149,7 +125,7 @@ func (ie *Incremental) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.R
 	return rs[0], nil
 }
 
-// EvaluateCorners implements analysis.CornerEvaluator: one extraction, then
+// EvaluateCorners implements analysis.Evaluator: one extraction, then
 // one task per corner group (cornerGroups) scheduled over the shared worker
 // pool. A task runs both launch edges of its one or two corners
 // (Engine.simulateCorners); cache matching, hits and commits stay per
@@ -245,4 +221,4 @@ func waveEqual(a, b *Waveform) bool {
 	return true
 }
 
-var _ analysis.CornerEvaluator = (*Incremental)(nil)
+var _ analysis.Evaluator = (*Incremental)(nil)

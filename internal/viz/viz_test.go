@@ -2,8 +2,11 @@ package viz
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"contango/internal/analysis"
 	"contango/internal/ctree"
@@ -96,5 +99,31 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "<svg") {
 		t.Error("even an empty tree should render a valid document")
+	}
+}
+
+// TestWriteSVGColorsLargeTreeFast: slack colouring is linear in the tree,
+// so a 20k-edge tree renders in well under a second (the SVG endpoint
+// colours every wire of a finished job).
+func TestWriteSVGColorsLargeTreeFast(t *testing.T) {
+	tr := ctree.New(tech.Default45(), geom.Pt(0, 0), 0.1)
+	lat := map[int]float64{}
+	for i := 0; i < 100; i++ {
+		mid := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(float64(50*i), 1000))
+		for j := 0; j < 199; j++ {
+			s := tr.AddSink(mid, geom.Pt(float64(50*i+j%10), float64(1100+j)), 30, fmt.Sprintf("s%d_%d", i, j))
+			lat[s.ID] = float64((i*199 + j) % 97)
+		}
+	}
+	if n := tr.NumNodes() - 1; n != 20000 {
+		t.Fatalf("tree has %d edges, want 20000", n)
+	}
+	start := time.Now()
+	slk := slack.Compute(tr, []*analysis.Result{{Rise: lat, Fall: lat}})
+	if err := WriteSVG(io.Discard, tr, Options{Slacks: slk}); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("colouring a 20k-edge tree took %v, want under 1s", d)
 	}
 }
