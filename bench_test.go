@@ -171,17 +171,18 @@ func BenchmarkFigure3_Render(b *testing.B) {
 	}
 	eng := spice.New()
 	var rs []*analysis.Result
-	for _, c := range res.Tree.Tech.Corners {
+	for _, c := range res.Tree.Arena().Tech.Corners {
 		r, err := eng.Evaluate(res.Tree, c)
 		if err != nil {
 			b.Fatal(err)
 		}
 		rs = append(rs, r)
 	}
-	slk := slack.Compute(res.Tree, rs)
+	a := res.Tree.Arena()
+	slk := slack.Compute(a, rs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := viz.WriteSVG(io.Discard, res.Tree, viz.Options{
+		err := viz.WriteSVG(io.Discard, a, viz.Options{
 			Slacks: slk, Obstacles: bm.Obstacles, Die: bm.Die,
 		})
 		if err != nil {
@@ -285,7 +286,7 @@ func BenchmarkTransientEvaluate(b *testing.B) {
 	eng := spice.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Evaluate(res.Tree, res.Tree.Tech.Reference()); err != nil {
+		if _, err := eng.Evaluate(res.Tree, res.Tree.Arena().Tech.Reference()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,7 +321,7 @@ func BenchmarkElmoreEvaluate(b *testing.B) {
 	e := &analysis.Elmore{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Evaluate(res.Tree, res.Tree.Tech.Reference()); err != nil {
+		if _, err := e.Evaluate(res.Tree, res.Tree.Arena().Tech.Reference()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -340,12 +341,13 @@ func BenchmarkEvalPhase(b *testing.B) {
 	}
 	b.Run("full", func(b *testing.B) {
 		tr := seed.Tree.Clone()
-		sinks := tr.Sinks()
+		a := tr.Arena()
+		sinks := a.Sinks()
 		eng := spice.New()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sinks[i%len(sinks)].Snake += 25
-			for _, c := range tr.Tech.Corners {
+			a.Snake[sinks[i%len(sinks)]] += 25
+			for _, c := range a.Tech.Corners {
 				if _, err := eng.Evaluate(tr, c); err != nil {
 					b.Fatal(err)
 				}
@@ -354,15 +356,16 @@ func BenchmarkEvalPhase(b *testing.B) {
 	})
 	b.Run("incremental", func(b *testing.B) {
 		tr := seed.Tree.Clone()
-		sinks := tr.Sinks()
+		a := tr.Arena()
+		sinks := a.Sinks()
 		ie := spice.NewIncremental(tr, spice.New(), 1)
-		if _, err := ie.EvaluateCorners(tr, tr.Tech.Corners); err != nil {
+		if _, err := ie.EvaluateCorners(tr, a.Tech.Corners); err != nil {
 			b.Fatal(err) // warm the cache: steady-state cost is what matters
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sinks[i%len(sinks)].Snake += 25
-			if _, err := ie.EvaluateCorners(tr, tr.Tech.Corners); err != nil {
+			a.Snake[sinks[i%len(sinks)]] += 25
+			if _, err := ie.EvaluateCorners(tr, a.Tech.Corners); err != nil {
 				b.Fatal(err)
 			}
 		}

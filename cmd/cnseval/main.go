@@ -50,10 +50,11 @@ func main() {
 
 	if *models {
 		tr := res.Tree
-		corner := tr.Tech.Reference()
+		a := tr.Arena()
+		corner := a.Tech.Reference()
 		evals := []analysis.Evaluator{&analysis.Elmore{}, &analysis.TwoPole{}, spice.New()}
 		var rows [][]string
-		sinks := tr.Sinks()
+		sinks := a.Sinks()
 		if len(sinks) > 8 {
 			sinks = sinks[:8]
 		}
@@ -68,10 +69,10 @@ func main() {
 		}
 		for _, s := range sinks {
 			rows = append(rows, []string{
-				s.Name,
-				fmt.Sprintf("%.1f", results["elmore"].Rise[s.ID]),
-				fmt.Sprintf("%.1f", results["twopole"].Rise[s.ID]),
-				fmt.Sprintf("%.1f", results["transient"].Rise[s.ID]),
+				a.Name[s],
+				fmt.Sprintf("%.1f", results["elmore"].Rise[int(s)]),
+				fmt.Sprintf("%.1f", results["twopole"].Rise[int(s)]),
+				fmt.Sprintf("%.1f", results["transient"].Rise[int(s)]),
 			})
 		}
 		fmt.Println("\nPer-sink rising latency (ps) by evaluator:")

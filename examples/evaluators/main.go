@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tr := res.Tree
-	corner := tr.Tech.Reference()
+	corner := tr.Arena().Tech.Reference()
 
 	evaluators := []analysis.Evaluator{&analysis.Elmore{}, &analysis.TwoPole{}, spice.New()}
 	results := map[string]*analysis.Result{}

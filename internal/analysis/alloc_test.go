@@ -14,7 +14,7 @@ import (
 // entries at random, hence the build tag.)
 func TestStageElmoreMaxAtAllocFree(t *testing.T) {
 	tk := tech.Default45()
-	net := Extract(batchFixture(tk), 100)
+	net := extract(t, batchFixture(tk).Arena(), 100)
 	c := tech.Corner{Name: "b", Vdd: 1.0, RDerate: 1.17, CDerate: 0.93}
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, s := range net.Stages {

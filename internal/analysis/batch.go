@@ -134,7 +134,11 @@ func cornerDerates(net *Net, s *Stage, corners []tech.Corner, rd, rs, cs []float
 // evaluator: one extraction, then every stage's corners computed by the
 // batched kernel.
 func (e *Elmore) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Result, error) {
-	return elmoreCorners(Extract(tr, e.MaxSeg), corners), nil
+	var net Net
+	if err := net.Extract(tr.Arena(), e.MaxSeg); err != nil {
+		return nil, err
+	}
+	return elmoreCorners(&net, corners), nil
 }
 
 // elmoreCorners runs the Elmore evaluation of every corner over an
@@ -230,7 +234,11 @@ func elmoreStages(net *Net, corners []tech.Corner, visit func(s *Stage, k int, b
 // EvaluateCorners implements Evaluator for the plain TwoPole
 // evaluator with the batched moment kernel.
 func (e *TwoPole) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Result, error) {
-	return twoPoleCorners(Extract(tr, e.MaxSeg), corners), nil
+	var net Net
+	if err := net.Extract(tr.Arena(), e.MaxSeg); err != nil {
+		return nil, err
+	}
+	return twoPoleCorners(&net, corners), nil
 }
 
 // twoPoleCorners runs the D2M evaluation of every corner over an extracted

@@ -14,18 +14,16 @@ import (
 // mixed widths, so the batched kernels see multi-stage arrival chaining,
 // load pins, and sink maps.
 func batchFixture(tk *tech.Tech) *ctree.Tree {
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	m := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(800, 0))
-	b1 := tr.InsertOnEdge(m, 400, ctree.Buffer)
-	b1.Buf = &tech.Composite{Type: tk.Inverters[1], N: 4}
-	s1 := tr.AddSink(m, geom.Pt(1400, 300), 35, "s1")
-	s1.WidthIdx = 1
-	s2 := tr.AddSink(m, geom.Pt(1200, -500), 28, "s2")
-	s2.Snake = 90
-	far := tr.AddSink(m, geom.Pt(2600, 100), 40, "far")
-	b2 := tr.InsertOnEdge(far, 900, ctree.Buffer)
-	b2.Buf = &tech.Composite{Type: tk.Inverters[0], N: 2}
-	return tr
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	m := a.AddChildL(a.Root(), ctree.Internal, geom.Pt(800, 0))
+	a.SetBuf(a.InsertOnEdge(m, 400, ctree.Buffer), tech.Composite{Type: tk.Inverters[1], N: 4})
+	s1 := a.AddSink(m, geom.Pt(1400, 300), 35, "s1")
+	a.WidthIdx[s1] = 1
+	s2 := a.AddSink(m, geom.Pt(1200, -500), 28, "s2")
+	a.Snake[s2] = 90
+	far := a.AddSink(m, geom.Pt(2600, 100), 40, "far")
+	a.SetBuf(a.InsertOnEdge(far, 900, ctree.Buffer), tech.Composite{Type: tk.Inverters[0], N: 2})
+	return ctree.NewTree(a)
 }
 
 func batchCornerSets(t *testing.T, tk *tech.Tech) map[string][]tech.Corner {
@@ -79,7 +77,7 @@ func TestBatchedCornersBitIdentical(t *testing.T) {
 func TestBatchKernelsMatchSerial(t *testing.T) {
 	tk := tech.Default45()
 	tr := batchFixture(tk)
-	net := Extract(tr, 100)
+	net := extract(t, tr.Arena(), 100)
 	cs := []tech.Corner{
 		{Name: "a", Vdd: 1.1},
 		{Name: "b", Vdd: 1.0, RDerate: 1.17, CDerate: 0.93},

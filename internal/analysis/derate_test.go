@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"contango/internal/ctree"
 	"contango/internal/tech"
 )
 
@@ -12,7 +13,7 @@ import (
 // for every evaluator.
 func TestDerateUnityBitIdentical(t *testing.T) {
 	tk := tech.Default45()
-	tr := singleWire(tk)
+	tr := ctree.NewTree(singleWire(tk))
 	bare := tech.Corner{Name: "fast@1.2V", Vdd: 1.2}
 	unity := tech.Corner{Name: "fast@1.2V", Vdd: 1.2, RDerate: 1, CDerate: 1}
 	for _, ev := range []Evaluator{&Elmore{}, &TwoPole{}} {
@@ -36,7 +37,7 @@ func TestDerateUnityBitIdentical(t *testing.T) {
 // every sink latency under both closed-form models.
 func TestDerateSlowsNetwork(t *testing.T) {
 	tk := tech.Default45()
-	tr := singleWire(tk)
+	tr := ctree.NewTree(singleWire(tk))
 	base := tech.Corner{Name: "base", Vdd: 1.2}
 	for _, ev := range []Evaluator{&Elmore{}, &TwoPole{}} {
 		b, err := ev.Evaluate(tr, base)

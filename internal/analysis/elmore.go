@@ -25,7 +25,11 @@ func (e *Elmore) Name() string { return "elmore" }
 
 // Evaluate implements Evaluator as a one-corner EvaluateCorners call.
 func (e *Elmore) Evaluate(tr *ctree.Tree, corner tech.Corner) (*Result, error) {
-	return elmoreCorners(Extract(tr, e.MaxSeg), []tech.Corner{corner})[0], nil
+	rs, err := e.EvaluateCorners(tr, []tech.Corner{corner})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // TwoPole is the D2M (delay with two moments) evaluator: a closed-form
@@ -41,7 +45,11 @@ func (e *TwoPole) Name() string { return "twopole" }
 
 // Evaluate implements Evaluator as a one-corner EvaluateCorners call.
 func (e *TwoPole) Evaluate(tr *ctree.Tree, corner tech.Corner) (*Result, error) {
-	return twoPoleCorners(Extract(tr, e.MaxSeg), []tech.Corner{corner})[0], nil
+	rs, err := e.EvaluateCorners(tr, []tech.Corner{corner})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // d2m converts first and second moments into a 50% delay estimate.

@@ -6,7 +6,7 @@ import (
 )
 
 // Result holds per-sink arrival times and slews for one corner. Rise[id] is
-// the arrival time (ps) at the sink with tree-node ID id of the edge
+// the arrival time (ps) at the sink in arena slot id of the edge
 // launched by a rising source transition; Fall[id] is for a falling source
 // transition. Evaluators that do not distinguish transitions (Elmore,
 // two-pole) report identical values.
@@ -17,7 +17,7 @@ type Result struct {
 	SinkSlew map[int]float64 // worst-case 10-90% slew at each sink, ps
 	MaxSlew  float64         // worst slew anywhere in the network, ps
 	SlewViol int             // number of nodes exceeding the tech slew limit
-	// StageSlew maps each stage driver (buffer tree-node ID, or -1 for the
+	// StageSlew maps each stage driver (buffer slot, or -1 for the
 	// clock source) to the worst slew inside the stage it drives, ps. The
 	// wire passes use it to budget how much capacitance each region can
 	// still absorb.

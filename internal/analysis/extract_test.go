@@ -104,24 +104,14 @@ func requireSameNet(t *testing.T, label string, got, want *analysis.Net) {
 	}
 }
 
-// TestExtractArenaMatchesTree: extracting an arena gives the netlist
-// extracting its ToTree gives, bit for bit, on obstructed and open trees
-// with dead slots and span garbage, at two segment lengths.
-func TestExtractArenaMatchesTree(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		a := randomArena(t, seed, seed%2 == 0)
-		tr, err := a.ToTree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, maxSeg := range []float64{0, 37} {
-			var net analysis.Net
-			if err := net.ExtractArena(a, maxSeg); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			requireSameNet(t, fmt.Sprintf("seed %d maxSeg %v", seed, maxSeg), &net, analysis.Extract(tr, maxSeg))
-		}
+// extract extracts a fresh netlist from a.
+func extract(t *testing.T, a *ctree.Arena) *analysis.Net {
+	t.Helper()
+	var net analysis.Net
+	if err := net.Extract(a, 0); err != nil {
+		t.Fatal(err)
 	}
+	return &net
 }
 
 // TestExtractIntoReusedNetMatchesFresh: a Net that held a large tree and is
@@ -137,26 +127,16 @@ func TestExtractIntoReusedNetMatchesFresh(t *testing.T) {
 			small = a
 		}
 	}
-	bigTree, err := big.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallTree, err := small.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var net analysis.Net
-	net.ExtractTree(bigTree, 0)
-	net.ExtractTree(smallTree, 0)
-	requireSameNet(t, "tree big→small", &net, analysis.Extract(smallTree, 0))
-	if err := net.ExtractArena(big, 0); err != nil {
-		t.Fatal(err)
+	for _, step := range []struct {
+		label string
+		a     *ctree.Arena
+	}{{"big", big}, {"big→small", small}, {"small→big", big}, {"big→small again", small}} {
+		if err := net.Extract(step.a, 0); err != nil {
+			t.Fatal(err)
+		}
+		requireSameNet(t, step.label, &net, extract(t, step.a))
 	}
-	requireSameNet(t, "arena small→big", &net, analysis.Extract(bigTree, 0))
-	if err := net.ExtractArena(small, 0); err != nil {
-		t.Fatal(err)
-	}
-	requireSameNet(t, "arena big→small", &net, analysis.Extract(smallTree, 0))
 }
 
 // TestExtractArenaRejectsBrokenSlots: a dead or out-of-range child slot, a
@@ -185,7 +165,7 @@ func TestExtractArenaRejectsBrokenSlots(t *testing.T) {
 		a := base.Clone()
 		damage(a)
 		var net analysis.Net
-		if err := net.ExtractArena(a, 0); err == nil {
+		if err := net.Extract(a, 0); err == nil {
 			t.Errorf("%s: extraction succeeded", name)
 		}
 	}
@@ -197,8 +177,8 @@ func parentOfKind(a *ctree.Arena, i int32, kind ctree.Kind) bool {
 }
 
 // TestElmoreWorstMatchesEvaluate: the sweep's judge reads the same worst
-// arrival and slew-violation count as a full Elmore evaluation of the
-// materialized tree, bit for bit, at every corner of pvt5.
+// arrival and slew-violation count as a full Elmore evaluation through the
+// tree handle, bit for bit, at every corner of pvt5.
 func TestElmoreWorstMatchesEvaluate(t *testing.T) {
 	set, err := corners.Build("pvt5", tech.Default45())
 	if err != nil {
@@ -206,21 +186,15 @@ func TestElmoreWorstMatchesEvaluate(t *testing.T) {
 	}
 	for seed := int64(40); seed < 46; seed++ {
 		a := randomArena(t, seed, seed%2 == 1)
-		tr, err := a.ToTree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var net analysis.Net
-		if err := net.ExtractArena(a, 0); err != nil {
-			t.Fatal(err)
-		}
+		tr := ctree.NewTree(a)
+		net := extract(t, a)
 		for _, c := range set.Corners {
 			res, err := (&analysis.Elmore{}).Evaluate(tr, c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, want := res.MinMaxRise()
-			worst, viol := analysis.ElmoreWorst(&net, c)
+			worst, viol := analysis.ElmoreWorst(net, c)
 			if math.Float64bits(worst) != math.Float64bits(want) || viol != res.SlewViol {
 				t.Fatalf("seed %d corner %v: judge (%v, %d), evaluate (%v, %d)", seed, c.Name, worst, viol, want, res.SlewViol)
 			}

@@ -65,8 +65,8 @@ type Stage struct {
 // results against it.
 func (s *Stage) Sig() uint64 { return s.sig }
 
-// Key identifies the stage by its driver: the buffer's slot (its
-// pointer-tree node ID), or -1 for the source stage. Per-stage results and
+// Key identifies the stage by its driver: the buffer's slot, or -1 for
+// the source stage. Per-stage results and
 // caches are keyed on it.
 func (s *Stage) Key() int { return s.Driver }
 
@@ -81,76 +81,44 @@ func (s *Stage) TotalCap() float64 {
 }
 
 // Net is the staged RC netlist of a clock tree. A Net can be extracted
-// into again and again (ExtractTree, ExtractArena): each extraction reuses
-// the stage storage of the last one, so a caller that keeps its Net pays
-// the RC-array growth once, not per evaluation.
+// into again and again: each Extract reuses the stage storage of the last
+// one, so a caller that keeps its Net pays the RC-array growth once, not
+// per evaluation.
 type Net struct {
 	Tech    *tech.Tech
 	SourceR float64  // clock source output resistance, kΩ
 	Stages  []*Stage // topologically ordered, Stages[0] is the source stage
 }
 
-// Extract builds the staged RC netlist for tr, subdividing wires into
-// π-segments of at most maxSeg µm (DefaultMaxSeg when maxSeg <= 0).
-func Extract(tr *ctree.Tree, maxSeg float64) *Net {
-	net := new(Net)
-	net.ExtractTree(tr, maxSeg)
-	return net
-}
-
-// ExtractTree re-extracts net from the pointer tree tr. A tree that passes
-// Validate always extracts; a structurally broken one is a programming
-// error and panics.
-func (net *Net) ExtractTree(tr *ctree.Tree, maxSeg float64) {
-	if err := net.extract(tr, tr.Tech, tr.SourceR, maxSeg); err != nil {
-		panic(err)
-	}
-}
-
-// ExtractArena re-extracts net straight from an arena, with the stages,
-// keys and signatures ExtractTree gives for the arena's ToTree. A dead or
-// dangling child slot, a child whose parent slot disagrees, or a buffer
-// without a composite is an error, the checks Restore makes on a
-// materialized tree.
-func (net *Net) ExtractArena(a *ctree.Arena, maxSeg float64) error {
-	return net.extract(a, a.Tech, a.SourceR, maxSeg)
-}
-
-// treeView is the read-only slot walk extraction runs on. Both tree forms
-// provide it, with a pointer tree's node ID i as slot i.
-type treeView interface {
-	RootSlot() int32
-	NumChildren(i int32) int
-	Child(i int32, j int) int32
-	// Slot reports ok false for a slot that is out of range or dead.
-	Slot(i int32) (ctree.SlotInfo, bool)
-}
-
-var (
-	_ treeView = (*ctree.Tree)(nil)
-	_ treeView = (*ctree.Arena)(nil)
-)
-
-// extract is the one stage builder behind both forms.
-func (net *Net) extract(v treeView, t *tech.Tech, sourceR, maxSeg float64) error {
+// Extract re-extracts net from the arena a, subdividing wires into
+// π-segments of at most maxSeg µm (DefaultMaxSeg when maxSeg <= 0). A dead
+// root, a dead or dangling child slot, a child whose parent slot disagrees,
+// or a buffer without a composite is an error; an arena that passes
+// Validate always extracts.
+func (net *Net) Extract(a *ctree.Arena, maxSeg float64) error {
 	if maxSeg <= 0 {
 		maxSeg = DefaultMaxSeg
 	}
-	net.Tech, net.SourceR = t, sourceR
+	net.Tech, net.SourceR = a.Tech, a.SourceR
 	net.Stages = net.Stages[:0]
-	b := stageBuilder{net: net, v: v, maxSeg: maxSeg}
-	root := v.RootSlot()
-	if _, ok := v.Slot(root); !ok {
+	b := stageBuilder{net: net, a: a, maxSeg: maxSeg}
+	root := a.Root()
+	if !b.live(root) {
 		return fmt.Errorf("analysis: extract: dead root slot %d", root)
 	}
 	return b.stage(root, -1, tech.Composite{}, -1, -1)
 }
 
-// stageBuilder walks a treeView into a Net's stages.
+// stageBuilder walks an arena into a Net's stages.
 type stageBuilder struct {
 	net    *Net
-	v      treeView
+	a      *ctree.Arena
 	maxSeg float64
+}
+
+// live reports whether slot i is in range and alive.
+func (b *stageBuilder) live(i int32) bool {
+	return i >= 0 && int(i) < b.a.Len() && b.a.Alive.Test(int(i))
 }
 
 // newStage returns the next stage of the net, recycling a stage the last
@@ -173,11 +141,11 @@ func (b *stageBuilder) newStage() *Stage {
 	return s
 }
 
-// addEdgeSegs subdivides the parent-edge wire of slot si into the stage,
+// addEdgeSegs subdivides the parent-edge wire of slot c into the stage,
 // starting at RC node 'at', and returns the far-end RC node.
-func (b *stageBuilder) addEdgeSegs(s *Stage, si ctree.SlotInfo, at int) int {
-	length := si.EdgeLen
-	w := b.net.Tech.Wires[si.WidthIdx]
+func (b *stageBuilder) addEdgeSegs(s *Stage, c int32, at int) int {
+	length := b.a.EdgeLen(c)
+	w := b.net.Tech.Wires[b.a.WidthIdx[c]]
 	rTot := w.RPerUm * length
 	cTot := w.CPerUm * length
 	k := int(math.Ceil(length / b.maxSeg))
@@ -225,28 +193,28 @@ func (b *stageBuilder) stage(start int32, driver int, buf tech.Composite, parent
 
 // walk appends the subtree below slot n, whose RC node in s is at.
 func (b *stageBuilder) walk(s *Stage, n int32, at int) error {
-	for j, nc := 0, b.v.NumChildren(n); j < nc; j++ {
-		c := b.v.Child(n, j)
-		si, ok := b.v.Slot(c)
+	a := b.a
+	for _, c := range a.Children(n) {
 		switch {
-		case !ok:
+		case !b.live(c):
 			return fmt.Errorf("analysis: extract: slot %d has dangling child %d", n, c)
-		case si.Parent != n:
-			return fmt.Errorf("analysis: extract: child %d of slot %d has parent %d", c, n, si.Parent)
+		case a.Parent[c] != n:
+			return fmt.Errorf("analysis: extract: child %d of slot %d has parent %d", c, n, a.Parent[c])
 		}
-		far := b.addEdgeSegs(s, si, at)
-		switch si.Kind {
+		far := b.addEdgeSegs(s, c, at)
+		switch a.Kind[c] {
 		case ctree.Buffer:
-			if si.Buf.N < 1 {
+			comp, ok := a.Buf(c)
+			if !ok {
 				return fmt.Errorf("analysis: extract: buffer %d missing composite", c)
 			}
-			s.C[far] += si.Buf.Cin()
+			s.C[far] += comp.Cin()
 			s.Loads = append(s.Loads, Load{Node: far, Slot: int(c)})
-			if err := b.stage(c, int(c), si.Buf, s.Index, far); err != nil {
+			if err := b.stage(c, int(c), comp, s.Index, far); err != nil {
 				return err
 			}
 		case ctree.Sink:
-			s.C[far] += si.SinkCap
+			s.C[far] += a.SinkCap[c]
 			s.Sinks = append(s.Sinks, Meas{Node: far, Slot: int(c)})
 		default:
 			if err := b.walk(s, c, far); err != nil {

@@ -13,28 +13,27 @@ import (
 // randomBufferedTree builds a random tree with random buffers for
 // property-based checks.
 func randomBufferedTree(rng *rand.Rand, tk *tech.Tech) *ctree.Tree {
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.05+rng.Float64()*0.2)
-	parents := []*ctree.Node{tr.Root}
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.05+rng.Float64()*0.2, ctree.BuildHints{})
+	parents := []int32{a.Root()}
 	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
 	for i := 0; i < 20+rng.Intn(30); i++ {
 		p := parents[rng.Intn(len(parents))]
 		loc := geom.Pt(rng.Float64()*4000, rng.Float64()*4000)
 		switch rng.Intn(4) {
 		case 0:
-			tr.AddSink(p, loc, 15+rng.Float64()*40, "")
+			a.AddSink(p, loc, 15+rng.Float64()*40, "")
 		case 1:
-			b := tr.AddChild(p, ctree.Buffer, loc)
-			c := comp
-			b.Buf = &c
+			b := a.AddChildL(p, ctree.Buffer, loc)
+			a.SetBuf(b, comp)
 			parents = append(parents, b)
 		default:
-			parents = append(parents, tr.AddChild(p, ctree.Internal, loc))
+			parents = append(parents, a.AddChildL(p, ctree.Internal, loc))
 		}
 	}
-	if len(tr.Sinks()) == 0 {
-		tr.AddSink(tr.Root, geom.Pt(100, 100), 30, "fallback")
+	if len(a.Sinks()) == 0 {
+		a.AddSink(a.Root(), geom.Pt(100, 100), 30, "fallback")
 	}
-	return tr
+	return ctree.NewTree(a)
 }
 
 // TestElmoreSubdivisionInvariance: the Elmore delay of a distributed wire is
@@ -89,10 +88,10 @@ func TestMonotoneInCapacitance(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 15; iter++ {
 		tr := randomBufferedTree(rng, tk)
-		sinks := tr.Sinks()
+		sinks := tr.Arena().Sinks()
 		before, _ := (&Elmore{}).Evaluate(tr, tk.Reference())
 		victim := sinks[rng.Intn(len(sinks))]
-		victim.SinkCap += 100
+		tr.Arena().SinkCap[victim] += 100
 		after, _ := (&Elmore{}).Evaluate(tr, tk.Reference())
 		for id, v := range before.Rise {
 			if after.Rise[id] < v-1e-9 {

@@ -13,10 +13,10 @@ import (
 // randomMove applies one random sizing/snaking/buffer mutation by direct
 // field writes (plus occasional structural edits), mirroring what the
 // optimization passes do between evaluations.
-func randomMove(rng *rand.Rand, tr *ctree.Tree) {
-	var nodes []*ctree.Node
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Parent != nil {
+func randomMove(rng *rand.Rand, a *ctree.Arena) {
+	var nodes []int32
+	a.PreOrder(func(n int32) {
+		if a.Parent[n] >= 0 {
 			nodes = append(nodes, n)
 		}
 	})
@@ -26,35 +26,31 @@ func randomMove(rng *rand.Rand, tr *ctree.Tree) {
 	n := nodes[rng.Intn(len(nodes))]
 	switch rng.Intn(5) {
 	case 0:
-		n.WidthIdx = rng.Intn(len(tr.Tech.Wires))
+		a.WidthIdx[n] = int32(rng.Intn(len(a.Tech.Wires)))
 	case 1:
-		n.Snake += float64(rng.Intn(8)) * 25
+		a.Snake[n] += float64(rng.Intn(8)) * 25
 	case 2:
-		if n.Snake >= 25 {
-			n.Snake -= 25
+		if a.Snake[n] >= 25 {
+			a.Snake[n] -= 25
 		} else {
-			n.Snake = 50
+			a.Snake[n] = 50
 		}
 	case 3:
-		var bufs []*ctree.Node
+		var bufs []int32
 		for _, m := range nodes {
-			if m.Kind == ctree.Buffer {
+			if a.Kind[m] == ctree.Buffer {
 				bufs = append(bufs, m)
 			}
 		}
 		if len(bufs) > 0 {
-			bufs[rng.Intn(len(bufs))].Buf.N = 1 + rng.Intn(16)
+			a.BufN[bufs[rng.Intn(len(bufs))]] = int32(1 + rng.Intn(16))
 		}
 	case 4:
-		if n.Route.Length() > 100 {
-			comp := tech.Composite{Type: tr.Tech.Inverters[1], N: 8}
+		if l := a.Route(n).Length(); l > 100 {
+			comp := tech.Composite{Type: a.Tech.Inverters[1], N: 8}
 			// Insert a polarity-preserving inverter pair mid-edge.
-			b1 := tr.InsertOnEdge(n, n.Route.Length()/2, ctree.Buffer)
-			c1 := comp
-			b1.Buf = &c1
-			b2 := tr.InsertOnEdge(n, 10, ctree.Buffer)
-			c2 := comp
-			b2.Buf = &c2
+			a.SetBuf(a.InsertOnEdge(n, l/2, ctree.Buffer), comp)
+			a.SetBuf(a.InsertOnEdge(n, 10, ctree.Buffer), comp)
 		}
 	}
 }
@@ -62,7 +58,7 @@ func randomMove(rng *rand.Rand, tr *ctree.Tree) {
 // sameStage reports whether two stages are electrically identical: same
 // driver (ID and composite, or source resistance), RC arrays, loads and
 // sinks. It is the field-by-field statement of what stageSig hashes.
-func sameStage(a, b *Stage, ta, tb *ctree.Tree) bool {
+func sameStage(a, b *Stage, ta, tb *ctree.Arena) bool {
 	if a.Key() != b.Key() {
 		return false
 	}
@@ -107,24 +103,24 @@ func TestStageSigTracksContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	kept, changed := 0, 0
 	for iter := 0; iter < 10; iter++ {
-		tr := randomBufferedTree(rng, tk)
-		snap := tr.Clone()
-		base := sigsByKey(Extract(tr, 0))
+		a := randomBufferedTree(rng, tk).Arena()
+		snap := a.Clone()
+		base := sigsByKey(extract(t, a, 0))
 		for move := 0; move < 25; move++ {
-			// Extract a clone: the moves write node fields in place.
-			before := tr.Clone()
-			prev := Extract(before, 0)
-			randomMove(rng, tr)
+			// Extract a clone: the moves write slot fields in place.
+			before := a.Clone()
+			prev := extract(t, before, 0)
+			randomMove(rng, a)
 			old := map[int]*Stage{}
 			for _, s := range prev.Stages {
 				old[s.Key()] = s
 			}
-			for _, s := range Extract(tr, 0).Stages {
+			for _, s := range extract(t, a, 0).Stages {
 				o := old[s.Key()]
 				if o == nil {
 					continue
 				}
-				same := sameStage(o, s, before, tr)
+				same := sameStage(o, s, before, a)
 				if same != (o.Sig() == s.Sig()) {
 					t.Fatalf("iter %d move %d stage %d: content equal %v, signatures %x vs %x",
 						iter, move, s.Key(), same, o.Sig(), s.Sig())
@@ -136,8 +132,8 @@ func TestStageSigTracksContent(t *testing.T) {
 				}
 			}
 		}
-		*tr = *snap
-		if got := sigsByKey(Extract(tr, 0)); !reflect.DeepEqual(got, base) {
+		a.CopyFrom(snap)
+		if got := sigsByKey(extract(t, a, 0)); !reflect.DeepEqual(got, base) {
 			t.Fatalf("iter %d: signatures after restore differ from the snapshot's", iter)
 		}
 	}

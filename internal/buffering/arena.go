@@ -678,8 +678,7 @@ func InvertedSinksArena(a *ctree.Arena) []int32 {
 // never occur because the ladder is strictly ordered. Each candidate is
 // built in a recycled work arena and judged straight from it: its netlist
 // is extracted from the arena and the Elmore recurrence yields the worst
-// latency and the slew-violation count, so no candidate becomes a pointer
-// tree. A candidate whose insertion fails or whose arena does not extract
+// latency and the slew-violation count. A candidate whose insertion fails or whose arena does not extract
 // is skipped.
 //
 // With opt.Parallelism > 1 the ladder is judged in blocks of up to that
@@ -806,7 +805,7 @@ func (sw *sweepWorker) judge(base *ctree.Arena, comp tech.Composite, opt Options
 	if err != nil {
 		return
 	}
-	if err := sw.net.ExtractArena(sw.arena, 0); err != nil {
+	if err := sw.net.Extract(sw.arena, 0); err != nil {
 		return
 	}
 	worst, viol := analysis.ElmoreWorst(&sw.net, corner)

@@ -13,7 +13,7 @@ import (
 )
 
 // The *MatchesPointer tests pin each buffering pass against the digests in
-// testdata/arena.golden. They were recorded while the pointer twins of
+// testdata/arena.golden. They were recorded while pointer-tree twins of
 // these passes still existed and produced the identical trees.
 
 // randomZST builds a seeded random zero-skew tree in the arena.
@@ -38,12 +38,8 @@ func expectGolden(t *testing.T, label string, a *ctree.Arena, outcome interface{
 	if err := a.Validate(); err != nil {
 		t.Fatalf("%s: arena invalid: %v", label, err)
 	}
-	got, err := a.ToTree()
-	if err != nil {
-		t.Fatalf("%s: ToTree: %v", label, err)
-	}
 	ctreetest.RequireAMD64(t)
-	ctreetest.Check(t, ctreetest.Golden(t, "testdata/arena.golden"), label, ctreetest.Digest(got, outcome))
+	ctreetest.Check(t, ctreetest.Golden(t, "testdata/arena.golden"), label, ctreetest.Digest(a, outcome))
 }
 
 func TestBalancedInsertArenaMatchesPointer(t *testing.T) {

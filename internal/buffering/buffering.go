@@ -1,14 +1,21 @@
 // Package buffering inserts clock buffers into obstacle-legal trees and
 // corrects sink polarity.
 //
-// The inserter is a van Ginneken-style bottom-up dynamic program: candidate
-// option lists (downstream capacitance, worst downstream delay) propagate
-// from the sinks toward the root, buffers may be placed at evenly spaced
-// legal candidate sites along edges, and dominated options are pruned. With
-// pruning plus an option-count cap the behavior matches the fast
-// O(n log n)-flavoured variant of [Shi & Li 2005] that the paper adopts: it
-// minimizes worst source-to-sink delay and naturally spares buffers on fast
-// paths, which keeps skew low when the initial tree is Elmore-balanced.
+// The flow's inserter is BalancedInsertArena: a bottom-up walk that places
+// a buffer wherever the unbuffered load a driver would carry reaches a
+// fixed fraction of the slew-safe capacitance, so source-to-sink paths get
+// practically the same number of buffers (the paper's Section IV-C
+// argument). InsertBestCompositeArena runs it for every composite of the
+// sizing ladder and keeps the strongest one that fits the power budget.
+//
+// A van Ginneken-style bottom-up dynamic program (InsertArena) is kept
+// beside it: candidate option lists (downstream capacitance, worst
+// downstream delay) propagate from the sinks toward the root, buffers may
+// be placed at evenly spaced legal candidate sites along edges, and
+// dominated options are pruned, after the fast variant of [Shi & Li 2005]
+// the paper adopts. The flow does not insert with it. Its machinery serves
+// RebufferSinkArena, the ECO repair of one re-attached sink's stage, and
+// the insertion ablation bench compares it with the balanced inserter.
 //
 // Because clock inverters flip polarity, insertion is followed by the
 // paper's provably-minimal sink-polarity correction (Proposition 2).

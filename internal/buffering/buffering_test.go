@@ -16,77 +16,65 @@ func comp8(tk *tech.Tech) tech.Composite {
 	return tech.Composite{Type: tk.Inverters[1], N: 8}
 }
 
-// zst builds a zero-skew tree in the arena and returns its pointer form.
-func zst(t *testing.T, tk *tech.Tech, source geom.Point, sinks []dme.Sink) *ctree.Tree {
+// zst builds a zero-skew tree.
+func zst(t *testing.T, tk *tech.Tech, source geom.Point, sinks []dme.Sink) *ctree.Arena {
 	t.Helper()
-	tr, err := dme.BuildZSTArena(tk, source, sinks, dme.Options{}).ToTree()
+	return dme.BuildZSTArena(tk, source, sinks, dme.Options{})
+}
+
+// insert runs the van Ginneken inserter on a.
+func insert(t *testing.T, a *ctree.Arena, comp tech.Composite, opt Options) int {
+	t.Helper()
+	n, err := InsertArena(a, comp, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return n
 }
 
-// arenaPass runs pass on tr's arena form and returns the resulting tree
-// (node IDs are arena slots, so they carry over) and the pass's count.
-func arenaPass(t *testing.T, tr *ctree.Tree, pass func(*ctree.Arena) (int, error)) (*ctree.Tree, int) {
-	t.Helper()
-	a := ctree.FromTree(tr)
-	n, err := pass(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := a.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out, n
-}
-
-// insert runs the van Ginneken inserter.
-func insert(t *testing.T, tr *ctree.Tree, comp tech.Composite, opt Options) (*ctree.Tree, int) {
-	t.Helper()
-	return arenaPass(t, tr, func(a *ctree.Arena) (int, error) { return InsertArena(a, comp, opt) })
-}
-
-// correctPolarity runs the polarity fixup.
-func correctPolarity(t *testing.T, tr *ctree.Tree, inv tech.Composite) (*ctree.Tree, int) {
-	t.Helper()
-	return arenaPass(t, tr, func(a *ctree.Arena) (int, error) { return CorrectPolarityArena(a, inv, nil), nil })
-}
-
-// invertedSinks returns tr's inverted sinks, in pre-order.
-func invertedSinks(tr *ctree.Tree) []*ctree.Node {
-	var out []*ctree.Node
-	for _, slot := range InvertedSinksArena(ctree.FromTree(tr)) {
-		out = append(out, tr.Node(int(slot)))
-	}
+// buffers returns a's buffer slots in pre-order.
+func buffers(a *ctree.Arena) []int32 {
+	var out []int32
+	a.PreOrder(func(i int32) {
+		if a.Kind[i] == ctree.Buffer {
+			out = append(out, i)
+		}
+	})
 	return out
+}
+
+// elmore evaluates a at the reference corner.
+func elmore(t *testing.T, a *ctree.Arena) *analysis.Result {
+	t.Helper()
+	res, err := (&analysis.Elmore{}).Evaluate(ctree.NewTree(a), a.Tech.Reference())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestInsertFixesSlewOnLongLine(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	tr.AddSink(tr.Root, geom.Pt(12000, 0), 35, "far")
-	res0, _ := (&analysis.Elmore{}).Evaluate(tr, tk.Reference())
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	far := int(a.AddSink(a.Root(), geom.Pt(12000, 0), 35, "far"))
+	res0 := elmore(t, a)
 	if res0.SlewViol == 0 {
 		t.Fatal("test needs an initial slew violation")
 	}
-	tr, added := insert(t, tr, comp8(tk), Options{})
-	if added == 0 {
+	if added := insert(t, a, comp8(tk), Options{}); added == 0 {
 		t.Fatal("no buffers inserted on a 12 mm line")
 	}
-	if err := tr.Validate(); err != nil {
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res1, _ := (&analysis.Elmore{}).Evaluate(tr, tk.Reference())
+	res1 := elmore(t, a)
 	if res1.SlewViol != 0 {
 		t.Errorf("slew violations remain: %d (max %v)", res1.SlewViol, res1.MaxSlew)
 	}
 	// Buffering a long resistive line must also cut the latency (the
 	// classic quadratic-to-linear improvement).
-	if res1.Rise[tr.Sinks()[0].ID] >= res0.Rise[tr.Sinks()[0].ID] {
-		t.Errorf("latency did not improve: %v -> %v",
-			res0.Rise[tr.Sinks()[0].ID], res1.Rise[tr.Sinks()[0].ID])
+	if res1.Rise[far] >= res0.Rise[far] {
+		t.Errorf("latency did not improve: %v -> %v", res0.Rise[far], res1.Rise[far])
 	}
 }
 
@@ -101,9 +89,13 @@ func TestEveryStageWithinSafeLoad(t *testing.T) {
 		})
 	}
 	comp := comp8(tk)
-	tr, _ := insert(t, zst(t, tk, geom.Pt(0, 4500), sinks), comp, Options{})
+	a := zst(t, tk, geom.Pt(0, 4500), sinks)
+	insert(t, a, comp, Options{})
 	safe := SafeLoad(tk, comp)
-	net := analysis.Extract(tr, 0)
+	var net analysis.Net
+	if err := net.Extract(a, 0); err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range net.Stages {
 		if s.Driver < 0 {
 			continue
@@ -117,39 +109,37 @@ func TestEveryStageWithinSafeLoad(t *testing.T) {
 func TestBuffersAvoidObstacles(t *testing.T) {
 	tk := tech.Default45()
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(2000, -500, 9000, 500)}})
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	tr.AddSink(tr.Root, geom.Pt(11000, 0), 35, "far") // wire runs straight over the macro
-	tr, added := insert(t, tr, comp8(tk), Options{Obs: obs})
-	if added == 0 {
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	a.AddSink(a.Root(), geom.Pt(11000, 0), 35, "far") // wire runs straight over the macro
+	if added := insert(t, a, comp8(tk), Options{Obs: obs}); added == 0 {
 		t.Fatal("expected buffers")
 	}
-	for _, b := range tr.Buffers() {
-		if obs.BlocksPoint(b.Loc) {
-			t.Errorf("buffer %d placed inside obstacle at %v", b.ID, b.Loc)
+	for _, b := range buffers(a) {
+		if obs.BlocksPoint(a.Loc[b]) {
+			t.Errorf("buffer %d placed inside obstacle at %v", b, a.Loc[b])
 		}
 	}
 }
 
 func TestMultipleBuffersOneEdgeOrdered(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	s := tr.AddSink(tr.Root, geom.Pt(20000, 0), 35, "far")
-	tr, _ = insert(t, tr, comp8(tk), Options{})
-	s = tr.Node(s.ID)
-	if err := tr.Validate(); err != nil {
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	s := a.AddSink(a.Root(), geom.Pt(20000, 0), 35, "far")
+	insert(t, a, comp8(tk), Options{})
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Walking from the sink upward must reach the root, visiting each
 	// buffer once, with strictly increasing distance-to-sink.
 	n := 0
-	for cur := s; cur.Parent != nil; cur = cur.Parent {
+	for cur := s; a.Parent[cur] >= 0; cur = a.Parent[cur] {
 		n++
 		if n > 1000 {
 			t.Fatal("cycle")
 		}
 	}
-	if len(tr.Buffers()) < 3 {
-		t.Errorf("20 mm line should need several buffers, got %d", len(tr.Buffers()))
+	if got := len(buffers(a)); got < 3 {
+		t.Errorf("20 mm line should need several buffers, got %d", got)
 	}
 }
 
@@ -165,15 +155,16 @@ func TestInsertPreservesSinksProperty(t *testing.T) {
 				Cap: 15 + rng.Float64()*40,
 			})
 		}
-		tr, _ := insert(t, zst(t, tk, geom.Pt(0, 0), sinks), comp8(tk), Options{})
-		if err := tr.Validate(); err != nil {
+		a := zst(t, tk, geom.Pt(0, 0), sinks)
+		insert(t, a, comp8(tk), Options{})
+		if err := a.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		if got := len(tr.Sinks()); got != n {
+		if got := len(a.Sinks()); got != n {
 			t.Fatalf("iter %d: sinks %d -> %d", iter, n, got)
 		}
-		for _, b := range tr.Buffers() {
-			if b.Buf == nil {
+		for _, b := range buffers(a) {
+			if _, ok := a.Buf(b); !ok {
 				t.Fatal("buffer without composite")
 			}
 		}
@@ -191,25 +182,24 @@ func TestInsertBestCompositePicksStrongestFitting(t *testing.T) {
 		})
 	}
 	ladder := tk.BatchLadder("Small", 8)
-	sweep := func(capLimit float64) (*ctree.Tree, *SweepResult) {
-		var res *SweepResult
-		tr, _ := arenaPass(t, zst(t, tk, geom.Pt(0, 3000), sinks), func(a *ctree.Arena) (int, error) {
-			var err error
-			res, err = InsertBestCompositeArena(a, ladder, capLimit, 0.10, Options{})
-			return 0, err
-		})
-		return tr, res
+	sweep := func(capLimit float64) (*ctree.Arena, *SweepResult) {
+		a := zst(t, tk, geom.Pt(0, 3000), sinks)
+		res, err := InsertBestCompositeArena(a, ladder, capLimit, 0.10, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, res
 	}
 	capLimit := zst(t, tk, geom.Pt(0, 3000), sinks).TotalCap() * 4
-	tr, res := sweep(capLimit)
+	a, res := sweep(capLimit)
 	if res.TotalCap > 0.9*capLimit {
 		t.Errorf("cap %v exceeds 90%% budget of %v", res.TotalCap, capLimit)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Buffers()) != res.Added {
-		t.Errorf("added=%d but tree has %d buffers", res.Added, len(tr.Buffers()))
+	if got := len(buffers(a)); got != res.Added {
+		t.Errorf("added=%d but tree has %d buffers", res.Added, got)
 	}
 	// A tighter budget must pick a weaker (or equal) composite.
 	_, res2 := sweep(capLimit / 3)
@@ -228,17 +218,18 @@ func TestPolarityCorrection(t *testing.T) {
 			Cap: 20 + rng.Float64()*30,
 		})
 	}
-	tr, _ := insert(t, zst(t, tk, geom.Pt(0, 0), sinks), comp8(tk), Options{})
-	inverted := len(invertedSinks(tr))
-	buffersBefore := map[int]bool{}
-	for _, b := range tr.Buffers() {
-		buffersBefore[b.ID] = true
+	a := zst(t, tk, geom.Pt(0, 0), sinks)
+	insert(t, a, comp8(tk), Options{})
+	inverted := len(InvertedSinksArena(a))
+	buffersBefore := map[int32]bool{}
+	for _, b := range buffers(a) {
+		buffersBefore[b] = true
 	}
-	tr, added := correctPolarity(t, tr, tech.Composite{Type: tk.Inverters[1], N: 2})
-	if err := tr.Validate(); err != nil {
+	added := CorrectPolarityArena(a, tech.Composite{Type: tk.Inverters[1], N: 2}, nil)
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(invertedSinks(tr)); got != 0 {
+	if got := len(InvertedSinksArena(a)); got != 0 {
 		t.Fatalf("%d sinks still inverted after correction", got)
 	}
 	if inverted > 0 && added == 0 {
@@ -248,15 +239,15 @@ func TestPolarityCorrection(t *testing.T) {
 		t.Errorf("added %d inverters for %d inverted sinks (worse than naive)", added, inverted)
 	}
 	// At most one ADDED inverter on any root-to-sink path.
-	for _, s := range tr.Sinks() {
+	for _, s := range a.Sinks() {
 		cnt := 0
-		for cur := s; cur != nil; cur = cur.Parent {
-			if cur.Kind == ctree.Buffer && !buffersBefore[cur.ID] {
+		for cur := s; cur >= 0; cur = a.Parent[cur] {
+			if a.Kind[cur] == ctree.Buffer && !buffersBefore[cur] {
 				cnt++
 			}
 		}
 		if cnt > 1 {
-			t.Errorf("sink %d has %d added inverters on its path", s.ID, cnt)
+			t.Errorf("sink %d has %d added inverters on its path", s, cnt)
 		}
 	}
 }
@@ -269,38 +260,37 @@ func TestPolarityMinimalityVsBruteForce(t *testing.T) {
 	inv := tech.Composite{Type: tk.Inverters[1], N: 1}
 	for iter := 0; iter < 60; iter++ {
 		// Random tree with random buffers (possibly creating odd parities).
-		tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-		nodes := []*ctree.Node{tr.Root}
+		a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+		nodes := []int32{a.Root()}
 		nSinks := 0
 		for len(nodes) < 10 {
 			p := nodes[rng.Intn(len(nodes))]
-			if p.Kind == ctree.Sink {
+			if a.Kind[p] == ctree.Sink {
 				continue
 			}
 			loc := geom.Pt(float64(rng.Intn(2000)), float64(rng.Intn(2000)))
-			var n *ctree.Node
+			var n int32
 			switch rng.Intn(3) {
 			case 0:
-				n = tr.AddSink(p, loc, 30, "")
+				n = a.AddSink(p, loc, 30, "")
 				nSinks++
 			case 1:
-				n = tr.AddChild(p, ctree.Internal, loc)
+				n = a.AddChildL(p, ctree.Internal, loc)
 			default:
-				n = tr.AddChild(p, ctree.Buffer, loc)
-				c := inv
-				n.Buf = &c
+				n = a.AddChildL(p, ctree.Buffer, loc)
+				a.SetBuf(n, inv)
 			}
 			nodes = append(nodes, n)
 		}
 		if nSinks == 0 {
 			continue
 		}
-		want := bruteForceMinInverters(tr)
-		fixed, got := correctPolarity(t, tr, inv)
+		want := bruteForceMinInverters(a)
+		got := CorrectPolarityArena(a, inv, nil)
 		if got != want {
 			t.Fatalf("iter %d: algorithm added %d, brute force needs %d", iter, got, want)
 		}
-		if len(invertedSinks(fixed)) != 0 {
+		if len(InvertedSinksArena(a)) != 0 {
 			t.Fatalf("iter %d: sinks remain inverted", iter)
 		}
 	}
@@ -309,16 +299,16 @@ func TestPolarityMinimalityVsBruteForce(t *testing.T) {
 // bruteForceMinInverters finds the minimum number of insert-above-node
 // actions that flips exactly the inverted sinks, with at most one action per
 // root-to-sink path.
-func bruteForceMinInverters(tr *ctree.Tree) int {
-	var all []*ctree.Node
-	tr.PreOrder(func(n *ctree.Node) { all = append(all, n) })
-	sinks := tr.Sinks()
-	wrong := map[int]bool{}
-	for _, s := range invertedSinks(tr) {
-		wrong[s.ID] = true
+func bruteForceMinInverters(a *ctree.Arena) int {
+	var all []int32
+	a.PreOrder(func(n int32) { all = append(all, n) })
+	sinks := a.Sinks()
+	wrong := map[int32]bool{}
+	for _, s := range InvertedSinksArena(a) {
+		wrong[s] = true
 	}
-	inSubtree := func(root, n *ctree.Node) bool {
-		for cur := n; cur != nil; cur = cur.Parent {
+	inSubtree := func(root, n int32) bool {
+		for cur := n; cur >= 0; cur = a.Parent[cur] {
 			if cur == root {
 				return true
 			}
@@ -340,7 +330,7 @@ func bruteForceMinInverters(tr *ctree.Tree) int {
 					flips++
 				}
 			}
-			if flips > 1 || (flips == 1) != wrong[s.ID] {
+			if flips > 1 || (flips == 1) != wrong[s] {
 				ok = false
 				break
 			}
@@ -363,17 +353,14 @@ func popcount(x int) int {
 
 func TestInvertedSinksCounts(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	a := tr.AddSink(tr.Root, geom.Pt(100, 0), 30, "a")
-	b := tr.AddSink(tr.Root, geom.Pt(0, 100), 30, "b")
-	inv := tech.Composite{Type: tk.Inverters[1], N: 1}
-	bb := tr.InsertOnEdge(a, 50, ctree.Buffer)
-	bb.Buf = &inv
-	got := invertedSinks(tr)
+	tr := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	a := tr.AddSink(tr.Root(), geom.Pt(100, 0), 30, "a")
+	tr.AddSink(tr.Root(), geom.Pt(0, 100), 30, "b")
+	tr.SetBuf(tr.InsertOnEdge(a, 50, ctree.Buffer), tech.Composite{Type: tk.Inverters[1], N: 1})
+	got := InvertedSinksArena(tr)
 	if len(got) != 1 || got[0] != a {
 		t.Errorf("InvertedSinks=%v want [a]", got)
 	}
-	_ = b
 }
 
 func TestSafeLoadScalesWithStrength(t *testing.T) {

@@ -11,16 +11,22 @@ import (
 
 func TestSinkClusterSplit(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	hub := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(3000, 0))
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	hub := a.AddChildL(a.Root(), ctree.Internal, geom.Pt(3000, 0))
 	for i := 0; i < 20; i++ {
-		tr.AddSink(hub, geom.Pt(3000+float64(i), 0), 35, "")
+		a.AddSink(hub, geom.Pt(3000+float64(i), 0), 35, "")
 	}
 	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
-	tr, added := arenaPass(t, tr, func(a *ctree.Arena) (int, error) { return BalancedInsertArena(a, comp, Options{}) })
+	added, err := BalancedInsertArena(a, comp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("added %d buffers", added)
 	safe := SafeLoad(tk, comp)
-	net := analysis.Extract(tr, 0)
+	var net analysis.Net
+	if err := net.Extract(a, 0); err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range net.Stages {
 		drv := "source"
 		if s.Driver >= 0 {

@@ -8,6 +8,7 @@ import (
 
 	"contango/internal/bench"
 	"contango/internal/ctree"
+	"contango/internal/ctree/ctreetest"
 	"contango/internal/dme"
 	"contango/internal/geom"
 	"contango/internal/tech"
@@ -46,84 +47,78 @@ func randomBench(seed int64, n int) *bench.Benchmark {
 	return b
 }
 
-// TestArenaDirtyJournalParityRandom: an arena built natively by DME and the
-// arena flattened back from its pointer form (FromTree(ToTree())) must not
-// only agree on content — after an identical randomized burst of the
-// structural edits ECO replay makes, their dirty journals must be identical
-// too, so downstream incremental consumers see the same invalidation set
-// whichever way the arena was produced.
+// TestArenaDirtyJournalParityRandom: an arena built natively by DME and
+// the same arena read back through the result codec (the form an ECO base
+// arrives in) must not only agree on content — after an identical
+// randomized burst of the structural edits ECO replay makes, their dirty
+// journals must be identical too, so downstream incremental consumers see
+// the same invalidation set whichever way the arena was produced.
 func TestArenaDirtyJournalParityRandom(t *testing.T) {
 	tk := tech.Default45()
 	for _, seed := range []int64{3, 11, 42} {
 		rng := rand.New(rand.NewSource(seed))
 		b := randomBench(seed, 60)
 		arn := dme.BuildZSTArena(tk, b.Source, b.Sinks, dme.Options{})
-		tr, err := arn.ToTree()
+		decoded, err := decodeTree(encodeTree(arn))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ptr := ctree.FromTree(tr)
-		if arn.Len() != ptr.Len() {
-			t.Fatalf("seed %d: arena sizes differ: %d vs %d", seed, arn.Len(), ptr.Len())
+		dec := decoded.Arena()
+		if arn.Len() != dec.Len() || ctreetest.Digest(arn) != ctreetest.Digest(dec) {
+			t.Fatalf("seed %d: decoded arena differs from the built one", seed)
 		}
-		ptr.ClearDirty()
-		arn.ClearDirty()
+		arn.Dirty.Reset()
+		if len(dec.DirtyIDs()) != 0 {
+			t.Fatalf("seed %d: decoded arena starts with a dirty journal", seed)
+		}
 		comp := tech.Composite{Type: tk.Inverters[0], N: 2}
 		for burst := 0; burst < 200; burst++ {
-			i := int32(rng.Intn(ptr.Len()))
-			if !ptr.Alive.Test(int(i)) {
+			i := int32(rng.Intn(dec.Len()))
+			if !dec.Alive.Test(int(i)) {
 				continue
 			}
 			switch op := rng.Intn(5); {
-			case op == 0 && ptr.Kind[i] != ctree.Sink:
-				loc := geom.Pt(ptr.Loc[i].X+rng.Float64()*200, ptr.Loc[i].Y+rng.Float64()*200)
+			case op == 0 && dec.Kind[i] != ctree.Sink:
+				loc := geom.Pt(dec.Loc[i].X+rng.Float64()*200, dec.Loc[i].Y+rng.Float64()*200)
 				cp := 10 + rng.Float64()*30
-				if pn, an := ptr.AddSink(i, loc, cp, ""), arn.AddSink(i, loc, cp, ""); pn != an {
-					t.Fatalf("seed %d: AddSink slot ids diverge: %d vs %d", seed, pn, an)
+				if dn, an := dec.AddSink(i, loc, cp, ""), arn.AddSink(i, loc, cp, ""); dn != an {
+					t.Fatalf("seed %d: AddSink slot ids diverge: %d vs %d", seed, dn, an)
 				}
-			case op == 1 && ptr.Parent[i] >= 0 && ptr.EdgeLen(i) > 1:
-				d := rng.Float64() * ptr.EdgeLen(i)
-				pn := ptr.InsertOnEdge(i, d, ctree.Buffer)
+			case op == 1 && dec.Parent[i] >= 0 && dec.EdgeLen(i) > 1:
+				d := rng.Float64() * dec.EdgeLen(i)
+				dn := dec.InsertOnEdge(i, d, ctree.Buffer)
 				an := arn.InsertOnEdge(i, d, ctree.Buffer)
-				if pn != an {
-					t.Fatalf("seed %d: InsertOnEdge slot ids diverge: %d vs %d", seed, pn, an)
+				if dn != an {
+					t.Fatalf("seed %d: InsertOnEdge slot ids diverge: %d vs %d", seed, dn, an)
 				}
-				ptr.SetBuf(pn, comp)
+				dec.SetBuf(dn, comp)
 				arn.SetBuf(an, comp)
-			case op == 2 && ptr.Parent[i] >= 0 && ptr.ChildLen[i] == 1 &&
-				(ptr.Kind[i] == ctree.Internal || ptr.Kind[i] == ctree.Buffer):
-				ptr.RemoveDegree2(i)
+			case op == 2 && dec.Parent[i] >= 0 && dec.ChildLen[i] == 1 &&
+				(dec.Kind[i] == ctree.Internal || dec.Kind[i] == ctree.Buffer):
+				dec.RemoveDegree2(i)
 				arn.RemoveDegree2(i)
-			case op == 3 && ptr.Kind[i] == ctree.Sink:
-				ptr.DeleteSubtree(i)
+			case op == 3 && dec.Kind[i] == ctree.Sink:
+				dec.DeleteSubtree(i)
 				arn.DeleteSubtree(i)
-			case op == 4 && ptr.Kind[i] == ctree.Sink:
+			case op == 4 && dec.Kind[i] == ctree.Sink:
 				// Re-home the sink under the parent of a random live slot.
-				j := int32(rng.Intn(ptr.Len()))
-				if !ptr.Alive.Test(int(j)) || ptr.Parent[j] < 0 || j == i {
+				j := int32(rng.Intn(dec.Len()))
+				if !dec.Alive.Test(int(j)) || dec.Parent[j] < 0 || j == i {
 					continue
 				}
-				p := ptr.Parent[j]
-				ptr.Detach(i)
+				p := dec.Parent[j]
+				dec.Detach(i)
 				arn.Detach(i)
-				ptr.Attach(i, p, nil)
+				dec.Attach(i, p, nil)
 				arn.Attach(i, p, nil)
 			}
 		}
-		if !reflect.DeepEqual(ptr.DirtyIDs(), arn.DirtyIDs()) {
-			t.Fatalf("seed %d: dirty journals diverge:\n  pointer: %v\n  arena:   %v",
-				seed, ptr.DirtyIDs(), arn.DirtyIDs())
+		if !reflect.DeepEqual(dec.DirtyIDs(), arn.DirtyIDs()) {
+			t.Fatalf("seed %d: dirty journals diverge:\n  decoded: %v\n  built:   %v",
+				seed, dec.DirtyIDs(), arn.DirtyIDs())
 		}
-		pt, err := ptr.ToTree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		at, err := arn.ToTree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ctree.Equal(pt, at); err != nil {
-			t.Fatalf("seed %d: trees diverge after burst: %v", seed, err)
+		if ctreetest.Digest(dec) != ctreetest.Digest(arn) {
+			t.Fatalf("seed %d: trees diverge after burst", seed)
 		}
 	}
 }

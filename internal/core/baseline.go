@@ -6,6 +6,7 @@ import (
 
 	"contango/internal/bench"
 	"contango/internal/buffering"
+	"contango/internal/ctree"
 	"contango/internal/dme"
 	"contango/internal/geom"
 	"contango/internal/route"
@@ -90,20 +91,16 @@ func SynthesizeBaseline(b *bench.Benchmark, kind BaselineKind, o Options) (*Resu
 		return nil, fmt.Errorf("baseline %v: %w", kind, err)
 	}
 	a.Compact()
-	tr, err := a.ToTree()
-	if err != nil {
-		return nil, err
-	}
-	res.Tree = tr
+	res.Tree = ctree.NewTree(a)
 
-	m, _, err := CNEOnly(tr, o.Engine, b.CapLimit)
+	m, _, err := CNEOnly(res.Tree, o.Engine, b.CapLimit)
 	if err != nil {
 		return nil, err
 	}
 	res.Stages = []StageRecord{{Name: "BASELINE-" + kind.String(), Metrics: m, Runs: o.Engine.Runs}}
 	res.Final = m
 	res.Runs = o.Engine.Runs
-	res.Buffers = len(tr.Buffers())
+	res.Buffers = countBuffers(a)
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -43,8 +44,8 @@ const codecVersion = 1
 // resultEnvelope is the persisted JSON shape of a Result. The benchmark
 // rides along as its canonical text serialization (bench.Write) — the
 // same bytes its content hash is computed over — and the tree as a flat
-// node table, so decoding rebuilds a Result whose wire rendering is
-// bit-identical to the original's.
+// node table (slot i as node i), so decoding rebuilds a Result whose wire
+// rendering is bit-identical to the original's.
 type resultEnvelope struct {
 	Version        int            `json:"version"`
 	Bench          string         `json:"bench"`
@@ -112,7 +113,7 @@ func EncodeResult(w io.Writer, r *Result) error {
 		env.Bench = bb.String()
 	}
 	if r.Tree != nil {
-		env.Tree = encodeTree(r.Tree)
+		env.Tree = encodeTree(r.Tree.Arena())
 	}
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(&env); err != nil {
@@ -121,40 +122,40 @@ func EncodeResult(w io.Writer, r *Result) error {
 	return nil
 }
 
-// encodeTree serializes the tree node by node, dense by ID: Parent IDs,
-// explicit child order, and null entries for dead IDs.
-func encodeTree(tr *ctree.Tree) *treeEnvelope {
+// encodeTree serializes the arena slot by slot, slot i as node i: parent
+// slots, explicit child order, and null entries for dead slots.
+func encodeTree(a *ctree.Arena) *treeEnvelope {
 	env := &treeEnvelope{
-		SourceR: tr.SourceR,
-		Tech:    tr.Tech,
-		Nodes:   make([]*nodeEnvelope, tr.MaxID()),
+		SourceR: a.SourceR,
+		Tech:    a.Tech,
+		Nodes:   make([]*nodeEnvelope, a.Len()),
 	}
 	for id := range env.Nodes {
-		n := tr.Node(id)
-		if n == nil {
+		if !a.Alive.Test(id) {
 			continue
 		}
+		i := int32(id)
 		ne := &nodeEnvelope{
-			Kind:     uint8(n.Kind),
-			Loc:      n.Loc,
-			Parent:   -1,
-			Route:    n.Route,
-			WidthIdx: n.WidthIdx,
-			Snake:    n.Snake,
-			Buf:      n.Buf,
-			SinkCap:  n.SinkCap,
-			Name:     n.Name,
+			Kind:     uint8(a.Kind[i]),
+			Loc:      a.Loc[i],
+			Parent:   int(a.Parent[i]),
+			Route:    a.Route(i),
+			WidthIdx: int(a.WidthIdx[i]),
+			Snake:    a.Snake[i],
+			SinkCap:  a.SinkCap[i],
+			Name:     a.Name[i],
 		}
-		if n.Parent != nil {
-			ne.Parent = n.Parent.ID
+		if comp, ok := a.Buf(i); ok {
+			ne.Buf = new(tech.Composite)
+			*ne.Buf = comp
 		}
-		if len(n.Children) > 0 {
+		if kids := a.Children(i); len(kids) > 0 {
 			// Child order is semantic (traversal and evaluation order):
 			// persist it explicitly rather than deriving it from parent
 			// links.
-			ne.Children = make([]int, len(n.Children))
-			for j, c := range n.Children {
-				ne.Children[j] = c.ID
+			ne.Children = make([]int, len(kids))
+			for j, c := range kids {
+				ne.Children[j] = int(c)
 			}
 		}
 		env.Nodes[id] = ne
@@ -205,47 +206,89 @@ func DecodeResult(rd io.Reader) (*Result, error) {
 	return res, nil
 }
 
+// decodeTree rebuilds the arena straight from the node table, node i as
+// slot i, and validates it (Arena.Validate): a tree read back from disk is
+// trusted exactly as far as a freshly synthesized one.
 func decodeTree(env *treeEnvelope) (*ctree.Tree, error) {
 	if env.Tech == nil {
 		return nil, fmt.Errorf("core: decode tree: missing technology model")
 	}
-	nodes := make([]*ctree.Node, len(env.Nodes))
-	for id, ne := range env.Nodes {
-		if ne == nil {
-			continue
-		}
-		nodes[id] = &ctree.Node{
-			ID:       id,
-			Kind:     ctree.Kind(ne.Kind),
-			Loc:      ne.Loc,
-			Route:    ne.Route,
-			WidthIdx: ne.WidthIdx,
-			Snake:    ne.Snake,
-			Buf:      ne.Buf,
-			SinkCap:  ne.SinkCap,
-			Name:     ne.Name,
+	n := len(env.Nodes)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("core: decode tree: %d nodes", n)
+	}
+	nPts, nKids := 0, 0
+	for _, ne := range env.Nodes {
+		if ne != nil {
+			nPts += len(ne.Route)
+			nKids += len(ne.Children)
 		}
 	}
+	a := &ctree.Arena{
+		Tech:     env.Tech,
+		SourceR:  env.SourceR,
+		Kind:     make([]ctree.Kind, n),
+		Loc:      make([]geom.Point, n),
+		Parent:   make([]int32, n),
+		WidthIdx: make([]int32, n),
+		Snake:    make([]float64, n),
+		SinkCap:  make([]float64, n),
+		Name:     make([]string, n),
+		BufN:     make([]int32, n),
+		BufType:  make([]tech.InverterType, n),
+		ChildOff: make([]int32, n),
+		ChildLen: make([]int32, n),
+		ChildIdx: make([]int32, 0, nKids),
+		RouteOff: make([]int32, n),
+		RouteLen: make([]int32, n),
+		RoutePts: make([]geom.Point, 0, nPts),
+	}
+	live := func(id int) bool { return id >= 0 && id < n && env.Nodes[id] != nil }
+	root := -1
 	for id, ne := range env.Nodes {
+		a.Parent[id] = -1
 		if ne == nil {
 			continue
 		}
-		n := nodes[id]
+		i := int32(id)
+		switch {
+		case ne.Parent >= 0 && !live(ne.Parent):
+			return nil, fmt.Errorf("core: decode tree: node %d has dangling parent %d", id, ne.Parent)
+		case int(int32(ne.WidthIdx)) != ne.WidthIdx:
+			return nil, fmt.Errorf("core: decode tree: node %d bad width index %d", id, ne.WidthIdx)
+		case ne.Buf != nil && (ne.Buf.N < 1 || ne.Buf.N > math.MaxInt32):
+			return nil, fmt.Errorf("core: decode tree: node %d has a composite of %d inverters", id, ne.Buf.N)
+		case ctree.Kind(ne.Kind) == ctree.Source && root >= 0:
+			return nil, fmt.Errorf("core: decode tree: two source nodes (%d and %d)", root, id)
+		}
+		if ctree.Kind(ne.Kind) == ctree.Source {
+			root = id
+		}
+		a.Alive.Set(id)
+		a.Kind[i], a.Loc[i], a.WidthIdx[i] = ctree.Kind(ne.Kind), ne.Loc, int32(ne.WidthIdx)
+		a.Snake[i], a.SinkCap[i], a.Name[i] = ne.Snake, ne.SinkCap, ne.Name
 		if ne.Parent >= 0 {
-			if ne.Parent >= len(nodes) || nodes[ne.Parent] == nil {
-				return nil, fmt.Errorf("core: decode tree: node %d has dangling parent %d", id, ne.Parent)
-			}
-			n.Parent = nodes[ne.Parent]
+			a.Parent[i] = int32(ne.Parent)
 		}
-		if len(ne.Children) > 0 {
-			n.Children = make([]*ctree.Node, len(ne.Children))
-			for i, cid := range ne.Children {
-				if cid < 0 || cid >= len(nodes) || nodes[cid] == nil {
-					return nil, fmt.Errorf("core: decode tree: node %d has dangling child %d", id, cid)
-				}
-				n.Children[i] = nodes[cid]
+		if ne.Buf != nil {
+			a.SetBuf(i, *ne.Buf)
+		}
+		a.RouteOff[i], a.RouteLen[i] = int32(len(a.RoutePts)), int32(len(ne.Route))
+		a.RoutePts = append(a.RoutePts, ne.Route...)
+		a.ChildOff[i], a.ChildLen[i] = int32(len(a.ChildIdx)), int32(len(ne.Children))
+		for _, c := range ne.Children {
+			if !live(c) {
+				return nil, fmt.Errorf("core: decode tree: node %d has dangling child %d", id, c)
 			}
+			a.ChildIdx = append(a.ChildIdx, int32(c))
 		}
 	}
-	return ctree.Restore(env.Tech, env.SourceR, nodes)
+	if root < 0 {
+		return nil, fmt.Errorf("core: decode tree: no source node")
+	}
+	a.SetRoot(int32(root))
+	if err := a.Validate(); err != nil {
+		return nil, fmt.Errorf("core: decode tree: %w", err)
+	}
+	return ctree.NewTree(a), nil
 }

@@ -3,10 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"contango/internal/ctree"
+	"contango/internal/ctree/ctreetest"
 )
 
 // synthTiny runs a cheap cascade for codec tests.
@@ -55,33 +61,15 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	if err := got.Tree.Validate(); err != nil {
 		t.Fatalf("decoded tree invalid: %v", err)
 	}
-	if got.Tree.MaxID() != res.Tree.MaxID() || got.Tree.NumNodes() != res.Tree.NumNodes() {
-		t.Fatalf("node table drifted: %d/%d vs %d/%d",
-			got.Tree.MaxID(), got.Tree.NumNodes(), res.Tree.MaxID(), res.Tree.NumNodes())
+	ga, ra := got.Tree.Arena(), res.Tree.Arena()
+	if ga.Len() != ra.Len() || ga.NumNodes() != ra.NumNodes() {
+		t.Fatalf("node table drifted: %d/%d vs %d/%d", ga.Len(), ga.NumNodes(), ra.Len(), ra.NumNodes())
 	}
-	if got.Tree.Wirelength() != res.Tree.Wirelength() || got.Tree.TotalCap() != res.Tree.TotalCap() {
+	if ga.Wirelength() != ra.Wirelength() || ga.TotalCap() != ra.TotalCap() {
 		t.Error("tree electrical totals drifted through the codec")
 	}
-	for id := 0; id < res.Tree.MaxID(); id++ {
-		a, b := res.Tree.Node(id), got.Tree.Node(id)
-		if (a == nil) != (b == nil) {
-			t.Fatalf("node %d liveness drifted", id)
-		}
-		if a == nil {
-			continue
-		}
-		if a.Kind != b.Kind || a.Loc != b.Loc || a.WidthIdx != b.WidthIdx ||
-			a.Snake != b.Snake || a.SinkCap != b.SinkCap || a.Name != b.Name {
-			t.Fatalf("node %d fields drifted", id)
-		}
-		if len(a.Children) != len(b.Children) {
-			t.Fatalf("node %d child count drifted", id)
-		}
-		for i := range a.Children {
-			if a.Children[i].ID != b.Children[i].ID {
-				t.Fatalf("node %d child order drifted", id)
-			}
-		}
+	if ctreetest.Digest(ga) != ctreetest.Digest(ra) {
+		t.Fatal("slot fields, routes or child order drifted through the codec")
 	}
 
 	// Re-encoding the decoded result is byte-identical: the codec is a
@@ -137,6 +125,68 @@ func TestDecodeResultRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestTreeViewWritesReachEncode edits decoded results through the tree
+// handle the way the end-to-end benchmark module corrupts envelopes: a
+// Kind/Buf write on a PreOrder view reaches EncodeResult, DeleteSubtree on
+// a view drops the sink, and a view write that breaks validity fails
+// Validate.
+func TestTreeViewWritesReachEncode(t *testing.T) {
+	var env bytes.Buffer
+	if err := EncodeResult(&env, synthTiny(t)); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(b []byte) *Result {
+		t.Helper()
+		r, err := DecodeResult(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	reencode := func(r *Result) *Result {
+		t.Helper()
+		var out bytes.Buffer
+		if err := EncodeResult(&out, r); err != nil {
+			t.Fatal(err)
+		}
+		return decode(out.Bytes())
+	}
+	first := func(r *Result, kind ctree.Kind) *ctree.Node {
+		var found *ctree.Node
+		r.Tree.PreOrder(func(n *ctree.Node) {
+			if found == nil && n.Kind == kind {
+				found = n
+			}
+		})
+		if found == nil {
+			t.Fatalf("fixture has no %v node", kind)
+		}
+		return found
+	}
+
+	r := decode(env.Bytes())
+	n := first(r, ctree.Buffer)
+	n.Kind, n.Buf = ctree.Internal, nil
+	a := reencode(r).Tree.Arena()
+	if a.Kind[n.ID] != ctree.Internal || a.BufN[n.ID] != 0 {
+		t.Errorf("inverter removed through a view still encodes as %v with %d inverters", a.Kind[n.ID], a.BufN[n.ID])
+	}
+
+	r = decode(env.Bytes())
+	sinks := len(r.Tree.Arena().Sinks())
+	s := first(r, ctree.Sink)
+	r.Tree.DeleteSubtree(s)
+	if a := reencode(r).Tree.Arena(); len(a.Sinks()) != sinks-1 || a.Alive.Test(s.ID) {
+		t.Errorf("DeleteSubtree(view) left %d of %d sinks", len(a.Sinks()), sinks)
+	}
+
+	r = decode(env.Bytes())
+	first(r, ctree.Internal).Kind = ctree.Buffer
+	if err := r.Tree.Validate(); err == nil {
+		t.Error("a view turned into a buffer without a composite passed Validate")
+	}
+}
+
 // TestResultCodecUnnamedBench: a benchmark without a name (inline bench
 // text with no name line) is written as a bare "name" line, which must
 // decode back to the empty name.
@@ -178,7 +228,9 @@ func TestResultClone(t *testing.T) {
 	cp.Final.Skew = -123
 	cp.Stages[0].Runs = -1
 	cp.Benchmark.Sinks[0].Cap = -1
-	cp.Tree.Root.Children[0].Snake = 999
+	ca := cp.Tree.Arena()
+	top := ca.Children(ca.Root())[0]
+	ca.Snake[top] = 999
 
 	if res.Final.Skew == -123 || res.Stages[0].Runs == -1 {
 		t.Error("clone shares scalar/stage storage with the original")
@@ -186,7 +238,7 @@ func TestResultClone(t *testing.T) {
 	if res.Benchmark.Sinks[0].Cap == -1 {
 		t.Error("clone shares the benchmark sink slice")
 	}
-	if res.Tree.Root.Children[0].Snake == 999 {
+	if res.Tree.Arena().Snake[top] == 999 {
 		t.Error("clone shares tree nodes")
 	}
 	if (*Result)(nil).Clone() != nil {
@@ -201,19 +253,53 @@ func resultFingerprint(r *Result) map[string]interface{} {
 		"stages": r.Stages,
 		"runs":   r.Runs,
 		"bench":  r.Benchmark.Hash(),
-		"nodes":  r.Tree.NumNodes(),
-		"wl":     r.Tree.Wirelength(),
+		"nodes":  r.Tree.Arena().NumNodes(),
+		"wl":     r.Tree.Arena().Wirelength(),
 	}
 }
 
-// FuzzDecodeResult feeds arbitrary bytes to DecodeResult, whose
-// ctree.Restore is the structural check on every tree that arrives from
-// outside. It must never panic, and an envelope it accepts must encode to
+// TestDecodeResultRejectsSeedCorpus: every FuzzDecodeResult seed except
+// the two accepted envelopes is damage DecodeResult must reject with the
+// reason the seed is named after.
+func TestDecodeResultRejectsSeedCorpus(t *testing.T) {
+	want := map[string]string{
+		"not-json":                "decode result",
+		"wrong-version":           "unsupported version",
+		"dangling-parent":         "dangling parent",
+		"dangling-child":          "dangling child",
+		"buffer-no-inverter":      "inverters",
+		"unknown-kind":            "unknown kind",
+		"two-sources":             "two source nodes",
+		"child-under-two-parents": "wrong parent",
+		"parent-child-disagree":   "wrong parent",
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeResult")
+	for name, msg := range want {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitN(string(raw), "\n", 3)
+		lit := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+		env, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := DecodeResult(strings.NewReader(env)); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("%s: DecodeResult error %v, want one mentioning %q", name, err, msg)
+		}
+	}
+}
+
+// FuzzDecodeResult feeds arbitrary bytes to DecodeResult, whose arena
+// decoder and Arena.Validate are the structural check on every tree that
+// arrives from outside. It must never panic, and an envelope it accepts must encode to
 // a fixed point: decoding the re-encoded bytes and encoding again gives
 // the same bytes. The seed corpus (testdata/fuzz/FuzzDecodeResult) holds
 // the envelope of TestResultCodecRoundTrip, the unnamed-benchmark envelope
-// of TestResultCodecUnnamedBench and every damaged case of
-// TestDecodeResultRejectsDamage.
+// of TestResultCodecUnnamedBench, every damaged case of
+// TestDecodeResultRejectsDamage, and the node-table damage the arena
+// decoder rejects (TestDecodeResultRejectsSeedCorpus).
 func FuzzDecodeResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResult(bytes.NewReader(data))

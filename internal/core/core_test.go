@@ -9,7 +9,6 @@ import (
 
 	"contango/internal/bench"
 	"contango/internal/buffering"
-	"contango/internal/ctree"
 	"contango/internal/dme"
 	"contango/internal/geom"
 	"contango/internal/route"
@@ -50,8 +49,8 @@ func TestSynthesizeEndToEnd(t *testing.T) {
 	if err := res.Tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tree.Sinks()) != len(b.Sinks) {
-		t.Fatalf("sink count changed: %d", len(res.Tree.Sinks()))
+	if len(res.Tree.Arena().Sinks()) != len(b.Sinks) {
+		t.Fatalf("sink count changed: %d", len(res.Tree.Arena().Sinks()))
 	}
 	if res.Buffers == 0 {
 		t.Error("no buffers inserted")
@@ -79,12 +78,12 @@ func TestSynthesizeEndToEnd(t *testing.T) {
 		t.Errorf("final cap %v over limit %v", final.TotalCap, b.CapLimit)
 	}
 	// Polarity must be correct at every sink.
-	if got := len(buffering.InvertedSinksArena(ctree.FromTree(res.Tree))); got != 0 {
+	if got := len(buffering.InvertedSinksArena(res.Tree.Arena())); got != 0 {
 		t.Errorf("%d sinks inverted in final tree", got)
 	}
 	// No heavy crossings remain.
 	obs := geomObstacles(b)
-	if bad := route.CheckLegalArena(ctree.FromTree(res.Tree), obs, 1e9); len(bad) != 0 {
+	if bad := route.CheckLegalArena(res.Tree.Arena(), obs, 1e9); len(bad) != 0 {
 		t.Errorf("unexpected crossing load")
 	}
 	if res.Runs == 0 {
@@ -110,7 +109,7 @@ func TestBaselinesRunAndLoseToContango(t *testing.T) {
 		if err := base.Tree.Validate(); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		if len(base.Tree.Sinks()) != len(b.Sinks) {
+		if len(base.Tree.Arena().Sinks()) != len(b.Sinks) {
 			t.Fatalf("%v: sinks lost", kind)
 		}
 		// The optimized flow must beat every one-shot baseline on skew
@@ -199,7 +198,7 @@ func TestCNEOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != len(res.Tree.Tech.Corners) {
+	if len(rs) != len(res.Tree.Arena().Tech.Corners) {
 		t.Fatalf("results=%d", len(rs))
 	}
 	if m.Skew <= 0 || m.CLR <= 0 {

@@ -62,7 +62,7 @@ func TestPVT5Synthesis(t *testing.T) {
 	var ss, slow float64
 	for _, c := range m.PerCorner {
 		switch c.Name {
-		case res.Tree.Tech.Worst().Name:
+		case res.Tree.Arena().Tech.Worst().Name:
 			ss = c.MaxLat
 		case "slow@1.0V":
 			slow = c.MaxLat
@@ -168,7 +168,7 @@ func TestCodecRoundTripCornerSet(t *testing.T) {
 	if !reflect.DeepEqual(got.Final, res.Final) {
 		t.Errorf("final metrics drifted:\n got %+v\nwant %+v", got.Final, res.Final)
 	}
-	tk, want := got.Tree.Tech, res.Tree.Tech
+	tk, want := got.Tree.Arena().Tech, res.Tree.Arena().Tech
 	if !reflect.DeepEqual(tk.Corners, want.Corners) {
 		t.Error("corner list (incl. derates) drifted through the codec")
 	}

@@ -12,8 +12,8 @@ import (
 
 // passECO is the construction prelude of incremental re-synthesis (the
 // "eco" plan): instead of building a tree from scratch it restores
-// Options.ECO's base tree into a fresh arena and replays the delta against
-// it with locality-scoped repair. The tuning cascade then runs on the
+// a copy of Options.ECO's base tree and replays the delta against it with
+// locality-scoped repair. The tuning cascade then runs on the
 // repaired tree exactly as it would after a full construction. The
 // submitted benchmark must be the delta-perturbed base benchmark (eco.Delta.Perturb) — the pass cross-checks the sink count so
 // a mismatched (base, delta, benchmark) triple fails loudly instead of
@@ -23,16 +23,18 @@ func passECO(ctx context.Context, s *state) error {
 	if spec == nil || spec.Base == nil || spec.Delta == nil {
 		return fmt.Errorf("eco pass needs Options.ECO with a base tree and a delta")
 	}
-	if s.Tree != nil || s.arena != nil {
+	if s.Tree != nil {
 		return fmt.Errorf("eco pass must be the first construction pass (a tree already exists)")
 	}
 	obs := geom.NewObstacleSet(s.Benchmark.Obstacles)
 	s.obs = obs
 
-	// Restore: the base pointer tree (decoded from the result envelope)
-	// maps into a fresh arena; the cached base is never mutated.
+	// Restore: copy the base tree (decoded from the result envelope) with a
+	// clean mutation journal, so the journal scopes exactly the delta's
+	// edits; the cached base is never mutated.
 	endRestore := s.opts.span("eco", "restore")
-	a := ctree.FromTree(spec.Base)
+	a := spec.Base.Arena().Clone()
+	a.Dirty.Reset()
 	eco.ReserveFor(a, spec.Delta)
 	endRestore()
 
@@ -63,7 +65,7 @@ func passECO(ctx context.Context, s *state) error {
 			sinks, len(s.Benchmark.Sinks))
 	}
 
-	s.arena = a
+	s.Tree = ctree.NewTree(a)
 	s.Composite = comp
 	s.Legalization = rep.Legalization
 	s.AddedInverters = rep.AddedInverters

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"contango/internal/buffering"
-	"contango/internal/ctree"
 	"contango/internal/eco"
 	"contango/internal/route"
 )
@@ -57,13 +56,13 @@ func TestECOFlowRepairsAndStaysLegal(t *testing.T) {
 	if err := res.Tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Tree.Sinks()); got != len(perturbed.Sinks) {
+	if got := len(res.Tree.Arena().Sinks()); got != len(perturbed.Sinks) {
 		t.Fatalf("%d sinks, want %d", got, len(perturbed.Sinks))
 	}
-	if got := len(buffering.InvertedSinksArena(ctree.FromTree(res.Tree))); got != 0 {
+	if got := len(buffering.InvertedSinksArena(res.Tree.Arena())); got != 0 {
 		t.Errorf("%d sinks inverted after eco repair", got)
 	}
-	if bad := route.CheckLegalArena(ctree.FromTree(res.Tree), geomObstacles(b), 1e9); len(bad) != 0 {
+	if bad := route.CheckLegalArena(res.Tree.Arena(), geomObstacles(b), 1e9); len(bad) != 0 {
 		t.Errorf("%d illegal edges after eco", len(bad))
 	}
 	if res.Final.SlewViol > 0 {
@@ -73,7 +72,7 @@ func TestECOFlowRepairsAndStaysLegal(t *testing.T) {
 	if err := base.Tree.Validate(); err != nil {
 		t.Fatalf("eco run corrupted the cached base tree: %v", err)
 	}
-	if got := len(base.Tree.Sinks()); got != len(b.Sinks) {
+	if got := len(base.Tree.Arena().Sinks()); got != len(b.Sinks) {
 		t.Fatalf("base tree lost sinks: %d, want %d", got, len(b.Sinks))
 	}
 }

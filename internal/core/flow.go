@@ -96,11 +96,6 @@ func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Res
 		}
 		return nil, err
 	}
-	// A construction-only plan that never armed the evaluator still owes the
-	// caller a pointer tree.
-	if err := s.materializeTree(); err != nil {
-		return nil, err
-	}
 	if s.Tree == nil {
 		return nil, fmt.Errorf("plan %q built no tree", plan.Name)
 	}
@@ -124,12 +119,23 @@ func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Res
 			b.Name, res.StageSims, res.StageReuses,
 			100*float64(res.StageReuses)/float64(max1(res.StageSims+res.StageReuses)))
 	}
-	res.Buffers = len(s.Tree.Buffers())
+	res.Buffers = countBuffers(s.Tree.Arena())
 	res.Elapsed = time.Since(start)
 	if err := res.Tree.Validate(); err != nil {
 		return nil, fmt.Errorf("final validation: %w", err)
 	}
 	return &res, nil
+}
+
+// countBuffers returns the number of buffers in the tree a.
+func countBuffers(a *ctree.Arena) int {
+	n := 0
+	a.PreOrder(func(i int32) {
+		if a.Kind[i] == ctree.Buffer {
+			n++
+		}
+	})
+	return n
 }
 
 func max1(n int) int {
@@ -191,7 +197,8 @@ func CNEOnly(tr *ctree.Tree, eng *spice.Engine, capLimit float64) (eval.Metrics,
 	if err != nil {
 		return eval.Metrics{}, nil, err
 	}
-	m, err := eval.FromResults(tr, corners.FromTech(tr.Tech), rs, capLimit)
+	a := tr.Arena()
+	m, err := eval.FromResults(a, corners.FromTech(a.Tech), rs, capLimit)
 	if err != nil {
 		return eval.Metrics{}, nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"contango/internal/buffering"
+	"contango/internal/ctree"
 	"contango/internal/dme"
 	"contango/internal/geom"
 	"contango/internal/opt"
@@ -100,7 +101,7 @@ func passZST(ctx context.Context, s *state) error {
 	a := dme.BuildZSTArena(s.opts.Tech, b.Source, b.Sinks,
 		dme.Options{Parallelism: s.opts.Parallelism})
 	a.SourceR = b.SourceR
-	s.arena = a
+	s.Tree = ctree.NewTree(a)
 	s.logf("%s: ZST built (arena), %d sinks, wirelength %.0f µm", b.Name, len(b.Sinks), a.Wirelength())
 	return nil
 }
@@ -113,7 +114,7 @@ var errNoTree = errors.New("no tree yet (the zst pass must run first)")
 // for the detour decision matches the workhorse composite the insertion
 // phase will actually place (the ladder's first rung).
 func passLegalize(ctx context.Context, s *state) error {
-	a := s.arena
+	a := s.arena()
 	if a == nil {
 		return errNoTree
 	}
@@ -132,7 +133,7 @@ func passLegalize(ctx context.Context, s *state) error {
 // passBuffer runs composite buffer insertion with sizing (90% of the power
 // budget).
 func passBuffer(ctx context.Context, s *state) error {
-	a := s.arena
+	a := s.arena()
 	if a == nil {
 		return errNoTree
 	}
@@ -152,7 +153,7 @@ func passBuffer(ctx context.Context, s *state) error {
 // inverters use a half-strength composite: their input capacitance lands
 // on stages already near their load target.
 func passPolarity(ctx context.Context, s *state) error {
-	a := s.arena
+	a := s.arena()
 	if a == nil {
 		return errNoTree
 	}

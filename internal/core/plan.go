@@ -207,10 +207,10 @@ func ParsePlan(spec string) (Plan, error) {
 }
 
 // checkConstructionOrder rejects construction steps that would run after
-// the evaluator is armed. Arming materializes the pointer tree the cascade
-// works on, and construction only builds the arena before that point. A
-// cascade pass, a gated step and a cycle group all arm the evaluator
-// before they run.
+// the evaluator is armed. Arming records the INITIAL metrics of the
+// finished construction, which every later stage record and cycle check
+// compares against. A cascade pass, a gated step and a cycle group all arm
+// the evaluator before they run.
 func checkConstructionOrder(steps []Step) error {
 	armedBy := ""
 	for _, st := range steps {

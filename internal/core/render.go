@@ -17,8 +17,9 @@ func RenderSVG(w io.Writer, res *Result) error {
 	if err != nil {
 		return err
 	}
-	slk := slack.Compute(res.Tree, rs)
-	return viz.WriteSVG(w, res.Tree, viz.Options{
+	a := res.Tree.Arena()
+	slk := slack.Compute(a, rs)
+	return viz.WriteSVG(w, a, viz.Options{
 		Slacks:    slk,
 		Obstacles: res.Benchmark.Obstacles,
 		Die:       res.Benchmark.Die,

@@ -26,20 +26,14 @@ type StageRecord struct {
 // state is the synthesis state shared by every pass in a pipeline. The
 // embedded Result collects what the run reports: the benchmark, the tree,
 // the stage-metric history and the construction counters. Around it sit
-// the construction arena, the obstacle set and the armed optimization
-// context (accurate evaluator).
+// the obstacle set and the armed optimization context (accurate
+// evaluator). Tree stays nil until the first construction pass (zst or
+// eco) builds it; every later pass edits the same arena.
 type state struct {
 	Result
 	opts Options // resolved options (Options.Resolve)
 
-	// arena is the SoA form the construction passes build into. Tree stays
-	// nil until materializeTree converts exactly once, right before the
-	// first consumer that needs pointer nodes (arming the evaluator, or
-	// finishing a construction-only run); from then on Tree is
-	// authoritative, and ParsePlan rejects plans that would run a
-	// construction pass after that point.
-	arena *ctree.Arena
-	obs   *geom.ObstacleSet
+	obs *geom.ObstacleSet
 	// opt is the optimization-pass context around the accurate evaluator.
 	// It is nil until ensureEval arms it, before the first cascade pass.
 	opt *opt.Context
@@ -74,21 +68,13 @@ func (s *state) progressf(format string, args ...interface{}) {
 // progress event.
 func IsProgressLine(line string) bool { return strings.HasPrefix(line, ProgressPrefix) }
 
-// materializeTree converts the arena-built tree to pointer form exactly
-// once: the arena's span arrays are compacted (dropping construction
-// garbage) and ToTree rebuilds the node graph. A no-op when the tree
-// already exists or no construction pass ran.
-func (s *state) materializeTree() error {
-	if s.Tree != nil || s.arena == nil {
+// arena returns the tree's arena, or nil before a construction pass built
+// the tree.
+func (s *state) arena() *ctree.Arena {
+	if s.Tree == nil {
 		return nil
 	}
-	s.arena.Compact()
-	tr, err := s.arena.ToTree()
-	if err != nil {
-		return err
-	}
-	s.Tree = tr
-	return nil
+	return s.Tree.Arena()
 }
 
 // ensureEval arms the accurate evaluator exactly once. Cascade passes,
@@ -118,17 +104,15 @@ func (s *state) ensureEval(ctx context.Context) error {
 // cone of its mutations, with independent stages integrated concurrently —
 // identical results, a fraction of the work.
 func (s *state) arm(ctx context.Context) error {
-	// Arena-native construction materializes the pointer tree exactly
-	// here: the first consumer that needs node graphs is the evaluator.
-	if err := s.materializeTree(); err != nil {
-		return err
-	}
 	if s.Tree == nil {
 		// A mis-ordered custom plan (an evaluated or gated pass before
 		// zst) parses fine; fail the run cleanly instead of letting the
 		// evaluator dereference a nil tree.
 		return fmt.Errorf("plan needs a tree before pass evaluation (zst must run first)")
 	}
+	// Construction is done: drop the span garbage its edits left behind
+	// before the cascade starts copying the arena into IVC snapshots.
+	s.Tree.Arena().Compact()
 	o := &s.opts
 	var cne analysis.Evaluator = o.Engine
 	if !o.FullEval {

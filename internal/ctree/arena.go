@@ -1,22 +1,20 @@
 package ctree
 
 import (
-	"fmt"
-
 	"contango/internal/geom"
 	"contango/internal/tech"
 )
 
-// Arena is the structure-of-arrays form of a clock tree: every per-node
-// field lives in its own parallel slice indexed by the node's slot, and
-// variable-length data (child lists, routes) lives in shared backing arrays
-// addressed by (offset, length) spans. Slot indices are stable — a node
-// keeps its slot for the arena's whole life, mutations never reshuffle
-// existing slots, and FromTree assigns slot i to pointer-tree node ID i —
-// so slots can be persisted, diffed and used as cache keys exactly like
-// pointer-tree IDs. Dead slots (spliced-out or deleted nodes) stay
-// allocated with their liveness bit cleared, mirroring the pointer tree's
-// nil entries in its dense node table.
+// Arena is the clock tree: the one form every pass, evaluator and encoder
+// reads and writes. Every per-node field lives in its own parallel slice
+// indexed by the node's slot, and variable-length data (child lists,
+// routes) lives in shared backing arrays addressed by (offset, length)
+// spans. Slot indices are stable — a node keeps its slot for the arena's
+// whole life and mutations never reshuffle existing slots — so slots can be
+// persisted, diffed and used as cache keys: the result codec writes slot i
+// as node i, and evaluation results are keyed by slot. Dead slots
+// (spliced-out or deleted nodes) stay allocated with their liveness bit
+// cleared.
 //
 // Dirty is the arena's mutation journal: every structural mutator sets the
 // bit of each slot whose parent edge it creates or rewrites, and a Detach
@@ -25,13 +23,8 @@ import (
 // eco.Apply reads the bitmap to scope its repair; the property tests in
 // arena_property_test.go check it against a content diff.
 //
-// Construction (DME, legalization, buffer insertion, polarity) and ECO
-// delta replay build and edit the arena, and the composite sweep extracts
-// its candidates' netlists straight from it through the slot view both
-// forms share (RootSlot, NumChildren, Child, Slot). The transient engine
-// and the optimization passes run on the pointer tree, which ToTree
-// materializes once construction is done. FromTree is the way back, for an
-// ECO restore of a decoded tree.
+// Outside this package the arena travels inside a Tree handle, the type the
+// end-to-end benchmark module (benchmark/) names; Tree.Arena reaches it.
 type Arena struct {
 	Tech    *tech.Tech
 	SourceR float64
@@ -70,8 +63,7 @@ type Arena struct {
 	root int32
 }
 
-// Len returns the slot count (the analogue of Tree.MaxID: dead slots
-// included).
+// Len returns the slot count, dead slots included.
 func (a *Arena) Len() int { return len(a.Kind) }
 
 // Root returns the root (Source) slot.
@@ -109,9 +101,6 @@ func (a *Arena) DirtyIDs() []int {
 	a.Dirty.ForEach(func(i int) { out = append(out, i) })
 	return out
 }
-
-// ClearDirty resets the journal bitmap.
-func (a *Arena) ClearDirty() { a.Dirty.Reset() }
 
 func (a *Arena) touch(i int32) { a.Dirty.Set(int(i)) }
 
@@ -165,8 +154,7 @@ func (a *Arena) appendChild(i, c int32) {
 	a.ChildLen[i]++
 }
 
-// --- Structural mutators (same geometry arithmetic as the Tree methods,
-// so mirrored edits produce bit-identical routes and snakes) ---
+// --- Structural mutators ---
 
 // AddSink creates a sink node under parent with a direct L-shaped route
 // and the default wire width.
@@ -178,8 +166,10 @@ func (a *Arena) AddSink(parent int32, loc geom.Point, cap float64, name string) 
 }
 
 // InsertOnEdge splits slot n's parent edge at route distance d from the
-// parent and inserts a new node of the given kind there, dividing the
-// snaking pro-rata exactly as Tree.InsertOnEdge does.
+// parent and inserts a new node of the given kind there. The new node
+// inherits the edge's width; the snaking allowance is divided pro-rata
+// between the two halves (snake is modeled as uniformly distributed extra
+// length).
 func (a *Arena) InsertOnEdge(n int32, d float64, kind Kind) int32 {
 	parent := a.Parent[n]
 	if parent < 0 {
@@ -217,6 +207,45 @@ func (a *Arena) InsertOnEdge(n int32, d float64, kind Kind) int32 {
 	a.touch(mid)
 	a.touch(n)
 	return mid
+}
+
+// SlideDegree2 moves slot n, which has exactly one child, along the
+// corridor its parent edge and its child's edge form: newDist is the route
+// distance from the (unchanged) parent. Used for buffer sliding — the
+// corridor's length and total snaking are preserved, only the split point
+// moves.
+func (a *Arena) SlideDegree2(n int32, newDist float64) {
+	if a.Parent[n] < 0 || a.ChildLen[n] != 1 {
+		panic("ctree: SlideDegree2 needs a non-root node with one child")
+	}
+	child := a.Children(n)[0]
+	joined := append(append(geom.Polyline(nil), a.Route(n)...), a.Route(child)...)
+	joined = joined.Simplify()
+	if len(joined) < 2 {
+		// A fully zero-length corridor collapses to one point under
+		// Simplify; keep the 2-point route invariant.
+		joined = geom.Polyline{a.Loc[a.Parent[n]], a.Loc[child]}
+	}
+	totalSnake := a.Snake[n] + a.Snake[child]
+	total := joined.Length()
+	if newDist < 0 {
+		newDist = 0
+	}
+	if newDist > total {
+		newDist = total
+	}
+	upper, lower := joined.Split(newDist)
+	a.setRoute(n, upper)
+	a.Loc[n] = upper[len(upper)-1]
+	a.setRoute(child, lower)
+	if total > 0 {
+		a.Snake[n] = totalSnake * newDist / total
+	} else {
+		a.Snake[n] = 0
+	}
+	a.Snake[child] = totalSnake - a.Snake[n]
+	a.touch(n)
+	a.touch(child)
 }
 
 // RemoveDegree2 splices out an Internal or Buffer slot with exactly one
@@ -339,128 +368,4 @@ func (a *Arena) Compact() {
 	}
 	a.ChildIdx = childIdx
 	a.RoutePts = routePts
-}
-
-// FromTree flattens a pointer tree into a fresh arena. Node ID i lands in
-// slot i (dead IDs become dead slots), child order and routes are
-// preserved, and the journal starts clean — the converters carry the tree's
-// structure, not its mutation history.
-func FromTree(tr *Tree) *Arena {
-	n := tr.MaxID()
-	a := &Arena{
-		Tech:     tr.Tech,
-		SourceR:  tr.SourceR,
-		Kind:     make([]Kind, n),
-		Loc:      make([]geom.Point, n),
-		Parent:   make([]int32, n),
-		WidthIdx: make([]int32, n),
-		Snake:    make([]float64, n),
-		SinkCap:  make([]float64, n),
-		Name:     make([]string, n),
-		BufN:     make([]int32, n),
-		BufType:  make([]tech.InverterType, n),
-		ChildOff: make([]int32, n),
-		ChildLen: make([]int32, n),
-		RouteOff: make([]int32, n),
-		RouteLen: make([]int32, n),
-	}
-	nPts, nKids := 0, 0
-	for id := 0; id < n; id++ {
-		if nd := tr.Node(id); nd != nil {
-			nPts += len(nd.Route)
-			nKids += len(nd.Children)
-		}
-	}
-	a.RoutePts = make([]geom.Point, 0, nPts)
-	a.ChildIdx = make([]int32, 0, nKids)
-	for id := 0; id < n; id++ {
-		nd := tr.Node(id)
-		if nd == nil {
-			a.Parent[id] = -1
-			continue
-		}
-		i := int32(id)
-		a.Alive.Set(id)
-		a.Kind[i] = nd.Kind
-		a.Loc[i] = nd.Loc
-		a.WidthIdx[i] = int32(nd.WidthIdx)
-		a.Snake[i] = nd.Snake
-		a.SinkCap[i] = nd.SinkCap
-		a.Name[i] = nd.Name
-		if nd.Buf != nil {
-			a.BufN[i] = int32(nd.Buf.N)
-			a.BufType[i] = nd.Buf.Type
-		}
-		if nd.Parent != nil {
-			a.Parent[i] = int32(nd.Parent.ID)
-		} else {
-			a.Parent[i] = -1
-		}
-		a.RouteOff[i] = int32(len(a.RoutePts))
-		a.RouteLen[i] = int32(len(nd.Route))
-		a.RoutePts = append(a.RoutePts, nd.Route...)
-		a.ChildOff[i] = int32(len(a.ChildIdx))
-		a.ChildLen[i] = int32(len(nd.Children))
-		for _, c := range nd.Children {
-			a.ChildIdx = append(a.ChildIdx, int32(c.ID))
-		}
-		if nd.Kind == Source {
-			a.root = i
-		}
-	}
-	return a
-}
-
-// ToTree rebuilds a pointer tree from the arena — the exact inverse of
-// FromTree: slot i becomes node ID i, with copied routes and child order.
-// The result is validated through Restore, so a structurally damaged arena
-// (dangling spans, orphan slots) is an error rather than a corrupt tree.
-func (a *Arena) ToTree() (*Tree, error) {
-	n := a.Len()
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		if !a.Alive.Test(i) {
-			continue
-		}
-		s := int32(i)
-		nd := &Node{
-			ID:       i,
-			Kind:     a.Kind[s],
-			Loc:      a.Loc[s],
-			WidthIdx: int(a.WidthIdx[s]),
-			Snake:    a.Snake[s],
-			SinkCap:  a.SinkCap[s],
-			Name:     a.Name[s],
-		}
-		if rl := a.RouteLen[s]; rl > 0 {
-			nd.Route = append(geom.Polyline(nil), a.Route(s)...)
-		}
-		if a.BufN[s] > 0 {
-			nd.Buf = &tech.Composite{Type: a.BufType[s], N: int(a.BufN[s])}
-		}
-		nodes[i] = nd
-	}
-	for i := 0; i < n; i++ {
-		nd := nodes[i]
-		if nd == nil {
-			continue
-		}
-		s := int32(i)
-		if p := a.Parent[s]; p >= 0 {
-			if int(p) >= n || nodes[p] == nil {
-				return nil, fmt.Errorf("ctree: arena slot %d has dangling parent %d", i, p)
-			}
-			nd.Parent = nodes[p]
-		}
-		if kids := a.Children(s); len(kids) > 0 {
-			nd.Children = make([]*Node, len(kids))
-			for j, c := range kids {
-				if int(c) >= n || nodes[c] == nil {
-					return nil, fmt.Errorf("ctree: arena slot %d has dangling child %d", i, c)
-				}
-				nd.Children[j] = nodes[c]
-			}
-		}
-	}
-	return Restore(a.Tech, a.SourceR, nodes)
 }

@@ -1,6 +1,7 @@
 package ctree
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -9,127 +10,52 @@ import (
 	"contango/internal/tech"
 )
 
-// buildArenaFixture grows a small buffered tree with every node flavor:
-// internal merge points, a buffer, sinks, a snaked edge, a deleted node.
-func buildArenaFixture(t *testing.T) *Tree {
+// buildArenaFixture grows a small buffered arena with every node flavor:
+// internal merge points, a buffer, sinks, a snaked edge, a deleted slot.
+func buildArenaFixture(t *testing.T) *Arena {
 	t.Helper()
-	tr := New(tech.Default45(), geom.Pt(0, 0), 0.05)
-	m := tr.AddChild(tr.Root, Internal, geom.Pt(100, 40))
-	b := tr.InsertOnEdge(m, 60, Buffer)
-	b.Buf = &tech.Composite{Type: tr.Tech.Inverters[1], N: 2}
-	s1 := tr.AddSink(m, geom.Pt(180, 90), 22, "s1")
-	tr.AddSink(m, geom.Pt(140, -30), 31, "s2")
-	s1.WidthIdx = 1
-	s1.Snake = 12.5
-	// Leave a dead ID behind so converters must handle table holes.
-	tmp := tr.AddChild(m, Internal, geom.Pt(120, 50))
-	tr.AddSink(tmp, geom.Pt(130, 60), 5, "dead")
-	tr.DeleteSubtree(tmp)
-	if err := tr.Validate(); err != nil {
+	a := NewArena(tech.Default45(), geom.Pt(0, 0), 0.05, BuildHints{})
+	m := a.AddChildL(a.Root(), Internal, geom.Pt(100, 40))
+	b := a.InsertOnEdge(m, 60, Buffer)
+	a.SetBuf(b, tech.Composite{Type: a.Tech.Inverters[1], N: 2})
+	s1 := a.AddSink(m, geom.Pt(180, 90), 22, "s1")
+	a.AddSink(m, geom.Pt(140, -30), 31, "s2")
+	a.WidthIdx[s1] = 1
+	a.Snake[s1] = 12.5
+	// Leave a dead slot behind so walks must skip table holes.
+	tmp := a.AddChildL(m, Internal, geom.Pt(120, 50))
+	a.AddSink(tmp, geom.Pt(130, 60), 5, "dead")
+	a.DeleteSubtree(tmp)
+	if err := a.Validate(); err != nil {
 		t.Fatalf("fixture invalid: %v", err)
 	}
-	return tr
+	return a
 }
 
-// treesEqual compares two trees node by node (IDs, kinds, geometry, edge
-// parameters, buffers, child order).
-func treesEqual(t *testing.T, a, b *Tree) {
+// sameContent compares two arenas slot by slot (liveness, kinds, geometry,
+// edge parameters, buffers, routes, child order), ignoring where the spans
+// sit in the shared backing arrays.
+func sameContent(t *testing.T, a, b *Arena) {
 	t.Helper()
-	if a.SourceR != b.SourceR {
-		t.Fatalf("SourceR %v != %v", a.SourceR, b.SourceR)
+	if a.SourceR != b.SourceR || a.Root() != b.Root() {
+		t.Fatalf("source %v/%d != %v/%d", a.SourceR, a.Root(), b.SourceR, b.Root())
 	}
-	if a.MaxID() != b.MaxID() {
-		t.Fatalf("MaxID %d != %d", a.MaxID(), b.MaxID())
+	if a.Len() != b.Len() {
+		t.Fatalf("Len %d != %d", a.Len(), b.Len())
 	}
-	for id := 0; id < a.MaxID(); id++ {
-		na, nb := a.Node(id), b.Node(id)
-		if (na == nil) != (nb == nil) {
-			t.Fatalf("node %d liveness mismatch", id)
+	for i := int32(0); int(i) < a.Len(); i++ {
+		if a.Alive.Test(int(i)) != b.Alive.Test(int(i)) {
+			t.Fatalf("slot %d liveness mismatch", i)
 		}
-		if na == nil {
+		if !a.Alive.Test(int(i)) {
 			continue
 		}
-		if na.Kind != nb.Kind || na.Loc != nb.Loc || na.WidthIdx != nb.WidthIdx ||
-			na.Snake != nb.Snake || na.SinkCap != nb.SinkCap || na.Name != nb.Name {
-			t.Fatalf("node %d scalar fields differ: %+v vs %+v", id, na, nb)
+		if slotChanged(a, b, i) {
+			t.Fatalf("slot %d fields differ", i)
 		}
-		if !reflect.DeepEqual(na.Route, nb.Route) {
-			t.Fatalf("node %d route differs: %v vs %v", id, na.Route, nb.Route)
+		if !slices.Equal(a.Children(i), b.Children(i)) {
+			t.Fatalf("slot %d child order differs: %v vs %v", i, a.Children(i), b.Children(i))
 		}
-		if (na.Buf == nil) != (nb.Buf == nil) {
-			t.Fatalf("node %d buffer presence differs", id)
-		}
-		if na.Buf != nil && *na.Buf != *nb.Buf {
-			t.Fatalf("node %d buffer differs: %+v vs %+v", id, *na.Buf, *nb.Buf)
-		}
-		pa, pb := -1, -1
-		if na.Parent != nil {
-			pa = na.Parent.ID
-		}
-		if nb.Parent != nil {
-			pb = nb.Parent.ID
-		}
-		if pa != pb {
-			t.Fatalf("node %d parent %d != %d", id, pa, pb)
-		}
-		if len(na.Children) != len(nb.Children) {
-			t.Fatalf("node %d child count differs", id)
-		}
-		for i := range na.Children {
-			if na.Children[i].ID != nb.Children[i].ID {
-				t.Fatalf("node %d child order differs", id)
-			}
-		}
-	}
-}
-
-func TestArenaRoundTrip(t *testing.T) {
-	tr := buildArenaFixture(t)
-	a := FromTree(tr)
-	if a.NumNodes() != tr.NumNodes() {
-		t.Fatalf("NumNodes %d != %d", a.NumNodes(), tr.NumNodes())
-	}
-	back, err := a.ToTree()
-	if err != nil {
-		t.Fatalf("ToTree: %v", err)
-	}
-	treesEqual(t, tr, back)
-}
-
-func TestArenaMutationsMirrorTree(t *testing.T) {
-	tr := buildArenaFixture(t)
-	a := FromTree(tr)
-	before := a.Clone()
-
-	// Mirror a mixed mutation sequence on both representations: insert a
-	// node, then splice it back out.
-	s1 := tr.Node(3)
-	mid := tr.InsertOnEdge(s1, 35, Internal)
-	amid := a.InsertOnEdge(3, 35, Internal)
-	if int32(mid.ID) != amid {
-		t.Fatalf("inserted slot %d != node ID %d", amid, mid.ID)
-	}
-	tr.RemoveDegree2(mid)
-	a.RemoveDegree2(amid)
-	// Grow a fresh sink and move it under another parent.
-	ns := tr.AddSink(tr.Node(1), geom.Pt(90, 70), 14, "moved")
-	ans := a.AddSink(1, geom.Pt(90, 70), 14, "moved")
-	if int32(ns.ID) != ans {
-		t.Fatalf("new sink slot %d != node ID %d", ans, ns.ID)
-	}
-	tr.Detach(ns)
-	a.Detach(ans)
-	tr.Attach(ns, tr.Node(2), nil)
-	a.Attach(ans, 2, nil)
-
-	back, err := a.ToTree()
-	if err != nil {
-		t.Fatalf("ToTree after mutations: %v", err)
-	}
-	treesEqual(t, tr, back)
-
-	if missing := DirtyMissing(before, a); missing != nil {
-		t.Fatalf("changed slots missing from the dirty bitmap: %v (dirty %v)", missing, a.DirtyIDs())
 	}
 }
 
@@ -180,41 +106,41 @@ func slotChanged(a, b *Arena, i int32) bool {
 }
 
 func TestArenaCompact(t *testing.T) {
-	tr := buildArenaFixture(t)
-	a := FromTree(tr)
+	a := buildArenaFixture(t)
 	// Churn the spans: inserts relocate child lists and routes to the tail.
 	a.InsertOnEdge(3, 20, Internal)
 	a.InsertOnEdge(4, 10, Internal)
-	before, err := a.ToTree()
-	if err != nil {
-		t.Fatalf("ToTree: %v", err)
-	}
+	before := a.Clone()
 	grew := len(a.RoutePts)
 	a.Compact()
 	if len(a.RoutePts) >= grew {
 		t.Fatalf("Compact did not shrink route storage (%d >= %d)", len(a.RoutePts), grew)
 	}
-	after, err := a.ToTree()
-	if err != nil {
-		t.Fatalf("ToTree after Compact: %v", err)
+	if err := a.Validate(); err != nil {
+		t.Fatalf("after Compact: %v", err)
 	}
-	treesEqual(t, before, after)
+	sameContent(t, before, a)
 }
 
 func TestArenaDeleteSubtree(t *testing.T) {
-	tr := buildArenaFixture(t)
-	a := FromTree(tr)
-	n := tr.AddChild(tr.Node(1), Internal, geom.Pt(150, 80))
-	tr.AddSink(n, geom.Pt(160, 90), 9, "doomed")
-	an := a.AddChildL(1, Internal, geom.Pt(150, 80))
-	a.AddSink(an, geom.Pt(160, 90), 9, "doomed")
-	tr.DeleteSubtree(n)
-	a.DeleteSubtree(an)
-	back, err := a.ToTree()
-	if err != nil {
-		t.Fatalf("ToTree: %v", err)
+	a := buildArenaFixture(t)
+	n := a.AddChildL(1, Internal, geom.Pt(150, 80))
+	s := a.AddSink(n, geom.Pt(160, 90), 9, "doomed")
+	before := a.NumNodes()
+	a.Dirty.Reset()
+	a.DeleteSubtree(n)
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	treesEqual(t, tr, back)
+	if a.NumNodes() != before-2 || a.Alive.Test(int(n)) || a.Alive.Test(int(s)) {
+		t.Fatalf("subtree slots still live (%d nodes, was %d)", a.NumNodes(), before)
+	}
+	if slices.Contains(a.Children(1), n) || a.Parent[n] != -1 {
+		t.Fatal("deleted slot still linked to its parent")
+	}
+	if !reflect.DeepEqual(a.DirtyIDs(), []int{1}) {
+		t.Fatalf("dirty %v, want the parent that lost the child", a.DirtyIDs())
+	}
 }
 
 func TestBitset(t *testing.T) {
@@ -245,29 +171,74 @@ func TestBitset(t *testing.T) {
 // single point: every live edge keeps a 2-point route.
 func TestRemoveDegree2ZeroLengthEdges(t *testing.T) {
 	p := geom.Pt(50, 50)
-	tr := New(tech.Default45(), geom.Pt(0, 0), 0.05)
-	hub := tr.AddChild(tr.Root, Internal, p)
-	mid := tr.AddChild(hub, Internal, p)
-	buf := tr.AddChild(mid, Buffer, p)
-	buf.Buf = &tech.Composite{Type: tr.Tech.Inverters[1], N: 2}
-	tr.AddSink(buf, geom.Pt(60, 50), 9, "s")
-	tr.SlideDegree2(mid, 0)
-	a := FromTree(tr)
-
-	tr.RemoveDegree2(mid)
-	a.RemoveDegree2(int32(mid.ID))
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("tree after zero-length splice: %v", err)
-	}
+	a := NewArena(tech.Default45(), geom.Pt(0, 0), 0.05, BuildHints{})
+	hub := a.AddChildL(a.Root(), Internal, p)
+	mid := a.AddChildL(hub, Internal, p)
+	buf := a.AddChildL(mid, Buffer, p)
+	a.SetBuf(buf, tech.Composite{Type: a.Tech.Inverters[1], N: 2})
+	a.AddSink(buf, geom.Pt(60, 50), 9, "s")
+	a.SlideDegree2(mid, 0)
+	a.RemoveDegree2(mid)
 	if err := a.Validate(); err != nil {
 		t.Fatalf("arena after zero-length splice: %v", err)
 	}
-	if len(buf.Route) < 2 {
-		t.Fatalf("spliced child route collapsed: %v", buf.Route)
+	if len(a.Route(buf)) < 2 {
+		t.Fatalf("spliced child route collapsed: %v", a.Route(buf))
 	}
-	back, err := a.ToTree()
-	if err != nil {
-		t.Fatalf("ToTree: %v", err)
+}
+
+// TestSlideDegree2ConservesCorridor: sliding a degree-2 node moves only the
+// split point — the corridor's length and its total snake are conserved,
+// the snake is divided pro-rata, and both edges are journaled.
+func TestSlideDegree2ConservesCorridor(t *testing.T) {
+	a := NewArena(tech.Default45(), geom.Pt(0, 0), 0.05, BuildHints{})
+	s := a.AddSink(a.Root(), geom.Pt(300, 100), 20, "s")
+	b := a.InsertOnEdge(s, 100, Buffer)
+	a.SetBuf(b, tech.Composite{Type: a.Tech.Inverters[1], N: 2})
+	a.Snake[b], a.Snake[s] = 30, 10
+	length := a.Route(b).Length() + a.Route(s).Length()
+	for _, d := range []float64{0, 50, 250, 400, 1e9, -5} {
+		a.Dirty.Reset()
+		a.SlideDegree2(b, d)
+		if err := a.Validate(); err != nil {
+			t.Fatalf("slide to %v: %v", d, err)
+		}
+		want := math.Max(0, math.Min(d, length))
+		if got := a.Route(b).Length(); math.Abs(got-want) > 1e-9 {
+			t.Errorf("slide to %v: upper edge %v, want %v", d, got, want)
+		}
+		if got := a.Route(b).Length() + a.Route(s).Length(); math.Abs(got-length) > 1e-9 {
+			t.Errorf("slide to %v: corridor length %v, want %v", d, got, length)
+		}
+		if got := a.Snake[b] + a.Snake[s]; math.Abs(got-40) > 1e-9 {
+			t.Errorf("slide to %v: total snake %v, want 40", d, got)
+		}
+		if got := a.Snake[b]; math.Abs(got-40*want/length) > 1e-9 {
+			t.Errorf("slide to %v: upper snake %v, want %v", d, got, 40*want/length)
+		}
+		if !a.Dirty.Test(int(b)) || !a.Dirty.Test(int(s)) {
+			t.Errorf("slide to %v: dirty %v misses the rewritten edges", d, a.DirtyIDs())
+		}
 	}
-	treesEqual(t, tr, back)
+}
+
+// TestSlideDegree2ZeroLengthCorridor: a corridor of stacked nodes keeps a
+// 2-point route on both edges and puts all the snake below.
+func TestSlideDegree2ZeroLengthCorridor(t *testing.T) {
+	p := geom.Pt(40, 40)
+	a := NewArena(tech.Default45(), geom.Pt(0, 0), 0.05, BuildHints{})
+	hub := a.AddChildL(a.Root(), Internal, p)
+	mid := a.AddChildL(hub, Internal, p)
+	s := a.AddSink(mid, p, 9, "s")
+	a.Snake[mid], a.Snake[s] = 4, 6
+	a.SlideDegree2(mid, 10)
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Route(mid)) != 2 || len(a.Route(s)) != 2 {
+		t.Fatalf("zero-length corridor routes %v / %v, want 2 points each", a.Route(mid), a.Route(s))
+	}
+	if a.Loc[mid] != p || a.Snake[mid] != 0 || a.Snake[s] != 10 {
+		t.Fatalf("loc %v snake %v/%v, want %v and 0/10", a.Loc[mid], a.Snake[mid], a.Snake[s], p)
+	}
 }

@@ -14,11 +14,8 @@ import (
 // delta replay uses, and the shared span arrays (ChildIdx,
 // RoutePts) grow append-only — each child list and route is written once,
 // at the tail, instead of being grown per node. Slot indices handed out
-// during construction are final: they match the node IDs the equivalent
-// pointer-tree construction would have assigned (the arena-construction
-// property tests pin this), so everything downstream — dirty journals,
-// persisted artifacts, cache signatures — is unaffected by which path built
-// the tree.
+// during construction are final, so everything downstream — dirty
+// journals, persisted artifacts, cache signatures — can key on them.
 
 // BuildHints sizes an arena for bulk construction. Zero fields mean "no
 // hint"; construction still works, it just pays append-doubling.
@@ -53,9 +50,10 @@ func HintsForSinks(n int) BuildHints {
 	}
 }
 
-// NewArena creates an arena holding a single Source slot at loc, with
-// capacity reserved per the hints. It is the arena analogue of New: the
-// returned arena is ready for AddChildL/AddSink construction.
+// NewArena creates an arena holding a single Source slot at loc, driven by
+// a source with the given output resistance (kΩ), with capacity reserved
+// per the hints. The returned arena is ready for AddChildL/AddSink
+// construction.
 func NewArena(t *tech.Tech, loc geom.Point, sourceR float64, h BuildHints) *Arena {
 	a := &Arena{Tech: t, SourceR: sourceR}
 	a.Reserve(h)
@@ -63,6 +61,11 @@ func NewArena(t *tech.Tech, loc geom.Point, sourceR float64, h BuildHints) *Aren
 	a.root = root
 	return a
 }
+
+// SetRoot names slot i the root. A decoder that fills the columns of a
+// persisted arena directly sets its Source slot with it; Validate then
+// checks the whole arena.
+func (a *Arena) SetRoot(i int32) { a.root = i }
 
 // Reserve grows the arena's backing capacity so that at least h.Nodes total
 // slots, h.RoutePts route points and h.Children child references fit
@@ -101,8 +104,7 @@ func growCap[T any](s []T, n int) []T {
 }
 
 // SetBuf installs a composite on slot i (BufN parallel inverters of
-// BufType). Like assigning Node.Buf during pointer construction it does not
-// journal.
+// BufType); a zero composite clears it. It does not journal.
 func (a *Arena) SetBuf(i int32, comp tech.Composite) {
 	a.BufN[i] = int32(comp.N)
 	a.BufType[i] = comp.Type
@@ -110,16 +112,15 @@ func (a *Arena) SetBuf(i int32, comp tech.Composite) {
 
 // Buf returns slot i's composite; ok is false on non-buffer slots.
 func (a *Arena) Buf(i int32) (tech.Composite, bool) {
-	if a.BufN[i] == 0 {
+	if a.BufN[i] <= 0 {
 		return tech.Composite{}, false
 	}
 	return tech.Composite{Type: a.BufType[i], N: int(a.BufN[i])}, true
 }
 
 // ReplaceRoute overwrites slot i's parent-edge route, appending the new
-// points at the tail of the shared array. It mirrors the pointer tree's
-// construction-phase `n.Route = pl` assignment and, like it, does not
-// journal. Compact reclaims the abandoned span.
+// points at the tail of the shared array. It does not journal. Compact
+// reclaims the abandoned span.
 func (a *Arena) ReplaceRoute(i int32, pl geom.Polyline) {
 	a.setRoute(i, pl)
 }
@@ -127,8 +128,7 @@ func (a *Arena) ReplaceRoute(i int32, pl geom.Polyline) {
 // AddChildL creates a node of the given kind under parent at loc, writing
 // the horizontal-first L-shaped route directly into the shared point array
 // (no intermediate polyline allocation). The route is point-for-point what
-// geom.LShape(parent, loc)[0] produces, the route Tree.AddChild gives the
-// mirrored pointer node.
+// geom.LShape(parent, loc)[0] produces.
 func (a *Arena) AddChildL(parent int32, kind Kind, loc geom.Point) int32 {
 	n := a.newSlot(kind, loc)
 	a.Parent[n] = parent
@@ -147,9 +147,8 @@ func (a *Arena) AddChildL(parent int32, kind Kind, loc geom.Point) int32 {
 }
 
 // PreOrder visits every slot reachable from the root, parents before
-// children, in the same order Tree.PreOrder visits the equivalent pointer
-// tree — aggregate accessors below depend on that order so their
-// floating-point sums are bit-identical across representations.
+// children, each child list in order. The aggregate accessors below sum in
+// this order; persisted results pin their floating-point sums to it.
 func (a *Arena) PreOrder(visit func(i int32)) {
 	var rec func(int32)
 	rec = func(i int32) {
@@ -202,7 +201,7 @@ func (a *Arena) EdgeCap(i int32) float64 {
 }
 
 // Wirelength returns the total routed wirelength including snaking (µm),
-// summed in pre-order exactly like Tree.Wirelength.
+// summed in pre-order.
 func (a *Arena) Wirelength() float64 {
 	var wl float64
 	a.PreOrder(func(i int32) { wl += a.EdgeLen(i) })
@@ -229,13 +228,15 @@ func (a *Arena) BufferCap() float64 {
 	return c
 }
 
-// TotalCap is wire plus buffer capacitance, matching Tree.TotalCap term
-// order.
+// TotalCap is the capacitance charged against the benchmark's limit: wire
+// plus buffers. Sink pin capacitance is part of the design, not the clock
+// network, and is excluded (as in the contest).
 func (a *Arena) TotalCap() float64 { return a.WireCap() + a.BufferCap() }
 
 // LoadCap returns the capacitance (fF) a driver sees looking into slot i's
-// parent edge, with the same shielding rules and accumulation order as
-// Tree.LoadCap.
+// parent edge: the edge's wire capacitance plus i's load. Buffer inputs
+// shield everything below them; sinks contribute their pin capacitance;
+// other slots recurse into their children.
 func (a *Arena) LoadCap(i int32) float64 {
 	c := a.EdgeCap(i)
 	switch a.Kind[i] {
@@ -286,9 +287,8 @@ func (a *Arena) CopyFrom(src *Arena) {
 	a.Dirty = append(a.Dirty[:0], src.Dirty...)
 }
 
-// Validate checks the arena's structural invariants directly on the SoA
-// form — the same conditions Tree.Validate enforces on the pointer form:
-// exactly one live Source (the root), parent/child spans consistent, routes
+// Validate checks the arena's structural invariants and returns the first
+// violation: exactly one live Source (the root), parent/child spans consistent, routes
 // rectilinear and connecting parent to node, every kind known, sinks
 // childless, buffers carrying at least one inverter, every live slot
 // reachable, no cycles.

@@ -10,97 +10,139 @@ import (
 	"contango/internal/tech"
 )
 
-// buildPair grows a pointer tree and an arena through mirrored construction
-// calls and returns both.
-func buildPair(t *testing.T, rng *rand.Rand) (*Tree, *Arena) {
+// refNode is one node of the test's reference model: the plain
+// parent/children/route record a bulk construction is expected to leave.
+type refNode struct {
+	kind   Kind
+	parent int
+	kids   []int
+	route  geom.Polyline
+	buf    tech.Composite
+	cap    float64
+}
+
+// buildArena grows an arena through random construction calls and records
+// the same construction in the reference model.
+func buildArena(t *testing.T, rng *rand.Rand) (*Arena, []refNode) {
 	t.Helper()
 	tk := tech.Default45()
-	tr := New(tk, geom.Pt(0, 0), 0.1)
 	a := NewArena(tk, geom.Pt(0, 0), 0.1, HintsForSinks(16))
 	comp := tech.Composite{Type: tk.Inverters[1], N: 4}
-
+	ref := []refNode{{kind: Source, parent: -1}}
+	add := func(pid int, kind Kind, loc geom.Point, s int32) {
+		if int(s) != len(ref) {
+			t.Fatalf("slot %d, want the next index %d", s, len(ref))
+		}
+		ref[pid].kids = append(ref[pid].kids, int(s))
+		ref = append(ref, refNode{kind: kind, parent: pid, route: geom.LShape(a.Loc[pid], loc)[0]})
+	}
 	parents := []int{0}
 	for i := 0; i < 40; i++ {
 		pid := parents[rng.Intn(len(parents))]
 		loc := geom.Pt(rng.Float64()*4000, rng.Float64()*3000)
 		switch rng.Intn(3) {
 		case 0:
-			n := tr.AddChild(tr.Node(pid), Internal, loc)
 			s := a.AddChildL(int32(pid), Internal, loc)
-			if int32(n.ID) != s {
-				t.Fatalf("slot %d != id %d", s, n.ID)
-			}
-			parents = append(parents, n.ID)
+			add(pid, Internal, loc, s)
+			parents = append(parents, int(s))
 		case 1:
-			n := tr.AddChild(tr.Node(pid), Buffer, loc)
-			c := comp
-			n.Buf = &c
 			s := a.AddChildL(int32(pid), Buffer, loc)
 			a.SetBuf(s, comp)
-			parents = append(parents, n.ID)
+			add(pid, Buffer, loc, s)
+			ref[s].buf = comp
+			parents = append(parents, int(s))
 		default:
 			cp := 10 + rng.Float64()*30
-			n := tr.AddSink(tr.Node(pid), loc, cp, "s")
-			a.AddSink(int32(pid), loc, cp, "s")
-			_ = n
+			s := a.AddSink(int32(pid), loc, cp, "s")
+			add(pid, Sink, loc, s)
+			ref[s].cap = cp
 		}
 	}
-	return tr, a
+	return a, ref
 }
 
+// TestBulkConstructionMatchesPointerPath: bulk construction leaves exactly
+// the reference model's slots, L-shaped routes and child order, and the
+// aggregate accessors equal sums taken over the model in pre-order.
 func TestBulkConstructionMatchesPointerPath(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr, a := buildPair(t, rng)
+		a, ref := buildArena(t, rng)
 		if err := a.Validate(); err != nil {
 			t.Fatalf("seed %d: arena invalid: %v", seed, err)
 		}
-		back, err := a.ToTree()
-		if err != nil {
-			t.Fatalf("seed %d: ToTree: %v", seed, err)
+		if a.Len() != len(ref) || a.NumNodes() != len(ref) {
+			t.Fatalf("seed %d: %d slots, %d live, want %d", seed, a.Len(), a.NumNodes(), len(ref))
 		}
-		treesEqual(t, tr, back)
+		var pre, post []int
+		var visit func(i int)
+		visit = func(i int) {
+			pre = append(pre, i)
+			for _, c := range ref[i].kids {
+				visit(c)
+			}
+			post = append(post, i)
+		}
+		visit(0)
+		var wl, wc, bc float64
+		for _, i := range pre {
+			n, s := ref[i], int32(i)
+			if a.Kind[s] != n.kind || int(a.Parent[s]) != n.parent || a.SinkCap[s] != n.cap {
+				t.Fatalf("seed %d: slot %d fields differ from the model", seed, i)
+			}
+			if b, _ := a.Buf(s); b != n.buf {
+				t.Fatalf("seed %d: slot %d composite %+v, want %+v", seed, i, b, n.buf)
+			}
+			if !reflect.DeepEqual(a.Route(s), n.route) && (len(n.route) > 0 || a.RouteLen[s] > 0) {
+				t.Fatalf("seed %d: slot %d route %v, want %v", seed, i, a.Route(s), n.route)
+			}
+			if got := a.Children(s); len(got) != len(n.kids) || (len(got) > 0 && !reflect.DeepEqual(toInts(got), n.kids)) {
+				t.Fatalf("seed %d: slot %d children %v, want %v", seed, i, got, n.kids)
+			}
+			if n.parent >= 0 {
+				l := n.route.Length()
+				wl += l
+				wc += a.Tech.Wires[0].CPerUm * l
+				if got, want := a.EdgeRes(s), a.Tech.Wires[0].RPerUm*l; got != want {
+					t.Fatalf("seed %d: edgeres(%d) %v != %v", seed, i, got, want)
+				}
+			}
+			if n.buf.N > 0 {
+				bc += n.buf.CapCost()
+			}
+		}
+		if got := a.Wirelength(); got != wl {
+			t.Fatalf("seed %d: wirelength %v != %v", seed, got, wl)
+		}
+		if got := a.WireCap(); got != wc {
+			t.Fatalf("seed %d: wirecap %v != %v", seed, got, wc)
+		}
+		if got := a.BufferCap(); got != bc {
+			t.Fatalf("seed %d: buffercap %v != %v", seed, got, bc)
+		}
+		if got := a.TotalCap(); got != wc+bc {
+			t.Fatalf("seed %d: totalcap %v != %v", seed, got, wc+bc)
+		}
 
-		// Aggregate accessors agree bit for bit with the pointer tree's.
-		if got, want := a.Wirelength(), tr.Wirelength(); got != want {
-			t.Fatalf("seed %d: wirelength %v != %v", seed, got, want)
-		}
-		if got, want := a.WireCap(), tr.WireCap(); got != want {
-			t.Fatalf("seed %d: wirecap %v != %v", seed, got, want)
-		}
-		if got, want := a.BufferCap(), tr.BufferCap(); got != want {
-			t.Fatalf("seed %d: buffercap %v != %v", seed, got, want)
-		}
-		if got, want := a.TotalCap(), tr.TotalCap(); got != want {
-			t.Fatalf("seed %d: totalcap %v != %v", seed, got, want)
-		}
-		for id := 0; id < tr.MaxID(); id++ {
-			n := tr.Node(id)
-			if n == nil || n.Parent == nil {
-				continue
-			}
-			if got, want := a.LoadCap(int32(id)), tr.LoadCap(n); got != want {
-				t.Fatalf("seed %d: loadcap(%d) %v != %v", seed, id, got, want)
-			}
-			if got, want := a.EdgeRes(int32(id)), tr.EdgeRes(n); got != want {
-				t.Fatalf("seed %d: edgeres(%d) %v != %v", seed, id, got, want)
-			}
-		}
-
-		// Pre/post-order visit sequences match the pointer traversals.
-		var wantPre, gotPre []int
-		tr.PreOrder(func(n *Node) { wantPre = append(wantPre, n.ID) })
+		// Pre/post-order visit sequences match the model's traversals.
+		var gotPre, gotPost []int
 		a.PreOrder(func(i int32) { gotPre = append(gotPre, int(i)) })
-		if !reflect.DeepEqual(wantPre, gotPre) {
+		a.PostOrder(func(i int32) { gotPost = append(gotPost, int(i)) })
+		if !reflect.DeepEqual(pre, gotPre) {
 			t.Fatalf("seed %d: preorder differs", seed)
 		}
-		var wantPost, gotPost []int
-		tr.PostOrder(func(n *Node) { wantPost = append(wantPost, n.ID) })
-		a.PostOrder(func(i int32) { gotPost = append(gotPost, int(i)) })
-		if !reflect.DeepEqual(wantPost, gotPost) {
+		if !reflect.DeepEqual(post, gotPost) {
 			t.Fatalf("seed %d: postorder differs", seed)
 		}
 	}
+}
+
+func toInts(s []int32) []int {
+	out := make([]int, len(s))
+	for i, v := range s {
+		out[i] = int(v)
+	}
+	return out
 }
 
 func TestReserveAvoidsReallocation(t *testing.T) {
@@ -130,22 +172,15 @@ func TestReserveAvoidsReallocation(t *testing.T) {
 
 func TestArenaCloneIsDeep(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	_, a := buildPair(t, rng)
+	a, _ := buildArena(t, rng)
 	cp := a.Clone()
-	before, err := a.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := a.Clone()
 	// Mutate the clone heavily; the original must not move.
 	sinks := cp.Sinks()
 	cp.AddSink(cp.Root(), geom.Pt(7, 9), 12, "extra")
 	cp.InsertOnEdge(sinks[0], 1, Internal)
 	cp.DeleteSubtree(sinks[len(sinks)-1])
-	after, err := a.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	treesEqual(t, before, after)
+	sameContent(t, before, a)
 	if reflect.DeepEqual(a.DirtyIDs(), cp.DirtyIDs()) {
 		t.Fatal("clone mutations journaled on the original")
 	}
@@ -153,7 +188,7 @@ func TestArenaCloneIsDeep(t *testing.T) {
 
 func TestArenaValidateCatchesDamage(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	_, a := buildPair(t, rng)
+	a, _ := buildArena(t, rng)
 	if err := a.Validate(); err != nil {
 		t.Fatalf("fresh arena invalid: %v", err)
 	}
@@ -192,6 +227,8 @@ func TestArenaValidateCatchesDamage(t *testing.T) {
 	}
 }
 
+// TestAddChildLMatchesAddChild: AddChildL writes point for point the
+// horizontal-first L-shape geom.LShape gives.
 func TestAddChildLMatchesAddChild(t *testing.T) {
 	tk := tech.Default45()
 	for _, pts := range [][2]geom.Point{
@@ -201,12 +238,10 @@ func TestAddChildLMatchesAddChild(t *testing.T) {
 		{geom.Pt(5, 5), geom.Pt(5, 5)},     // degenerate
 	} {
 		a := NewArena(tk, pts[0], 0.1, BuildHints{})
-		tr := New(tk, pts[0], 0.1)
 		sa := a.AddChildL(a.Root(), Internal, pts[1])
-		n := tr.AddChild(tr.Root, Internal, pts[1])
-		if !reflect.DeepEqual(a.Route(sa), n.Route) {
-			t.Fatalf("%v->%v: AddChildL route %v != Tree.AddChild route %v",
-				pts[0], pts[1], a.Route(sa), n.Route)
+		if want := geom.LShape(pts[0], pts[1])[0]; !reflect.DeepEqual(a.Route(sa), want) {
+			t.Fatalf("%v->%v: AddChildL route %v != LShape route %v",
+				pts[0], pts[1], a.Route(sa), want)
 		}
 	}
 }

@@ -13,10 +13,9 @@ import (
 // copyFixture returns an arena after a random burst of mutations, with
 // the span garbage, dead slots and journal bits they leave.
 func copyFixture(rng *rand.Rand) *ctree.Arena {
-	tr := propFixture(rng, tech.Default45())
-	a := ctree.FromTree(tr)
+	a := propFixture(rng, tech.Default45())
 	for i := 0; i < 40; i++ {
-		mutateBoth(rng, tr, a)
+		mutate(rng, a)
 	}
 	return a
 }

@@ -35,28 +35,31 @@ type node struct {
 	Name     string
 }
 
-// Digest returns the SHA-256 of tr's canonical form: every live node in ID
-// order (kind, location, parent, children, route, wire width, snake,
+// Digest returns the SHA-256 of a's canonical form: every live slot in
+// index order (kind, location, parent, children, route, wire width, snake,
 // buffer, sink cap, name), the source resistance, and any extra values the
 // caller wants pinned with the tree (counters, reports).
-func Digest(tr *ctree.Tree, extra ...interface{}) string {
+func Digest(a *ctree.Arena, extra ...interface{}) string {
 	var nodes []node
-	for id := 0; id < tr.MaxID(); id++ {
-		n := tr.Node(id)
-		if n == nil {
+	for id := 0; id < a.Len(); id++ {
+		if !a.Alive.Test(id) {
 			continue
 		}
-		cn := node{ID: id, Kind: n.Kind, Loc: n.Loc, Parent: -1, Route: n.Route,
-			WidthIdx: n.WidthIdx, Snake: n.Snake, Buf: n.Buf, SinkCap: n.SinkCap, Name: n.Name}
-		if n.Parent != nil {
-			cn.Parent = n.Parent.ID
+		i := int32(id)
+		cn := node{ID: id, Kind: a.Kind[i], Loc: a.Loc[i], Parent: int(a.Parent[i]),
+			WidthIdx: int(a.WidthIdx[i]), Snake: a.Snake[i], SinkCap: a.SinkCap[i], Name: a.Name[i]}
+		if rl := a.RouteLen[i]; rl > 0 {
+			cn.Route = a.Route(i)
 		}
-		for _, c := range n.Children {
-			cn.Children = append(cn.Children, c.ID)
+		if comp, ok := a.Buf(i); ok {
+			cn.Buf = &comp
+		}
+		for _, c := range a.Children(i) {
+			cn.Children = append(cn.Children, int(c))
 		}
 		nodes = append(nodes, cn)
 	}
-	b, err := json.Marshal([]interface{}{nodes, tr.SourceR, extra})
+	b, err := json.Marshal([]interface{}{nodes, a.SourceR, extra})
 	if err != nil {
 		panic(err) // plain data: marshaling cannot fail
 	}

@@ -4,15 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"contango/internal/ctree"
 	"contango/internal/ctree/ctreetest"
 	"contango/internal/geom"
 	"contango/internal/tech"
 )
 
 // TestArenaBuildMatchesPointerPath pins BuildZSTArena against the digests in
-// testdata/zst.golden, recorded while the pointer construction path still
-// existed and produced the identical trees.
+// testdata/zst.golden, recorded while a pointer-tree construction path
+// still existed beside the arena and produced the identical trees.
 func TestArenaBuildMatchesPointerPath(t *testing.T) {
 	ctreetest.RequireAMD64(t)
 	golden := ctreetest.Golden(t, "testdata/zst.golden")
@@ -46,11 +45,7 @@ func TestArenaBuildMatchesPointerPath(t *testing.T) {
 			if err := a.Validate(); err != nil {
 				t.Fatalf("arena invalid: %v", err)
 			}
-			got, err := a.ToTree()
-			if err != nil {
-				t.Fatalf("ToTree: %v", err)
-			}
-			ctreetest.Check(t, golden, tc.name, ctreetest.Digest(got))
+			ctreetest.Check(t, golden, tc.name, ctreetest.Digest(a))
 		})
 	}
 }
@@ -59,19 +54,11 @@ func TestArenaBuildParallelBitIdentical(t *testing.T) {
 	tk := tech.Default45()
 	rng := rand.New(rand.NewSource(11))
 	sinks := randomSinks(rng, 6000, geom.NewRect(0, 0, 9000, 9000))
-	serial := BuildZSTArena(tk, geom.Pt(0, 0), sinks, Options{})
+	want := ctreetest.Digest(BuildZSTArena(tk, geom.Pt(0, 0), sinks, Options{}))
 	for _, par := range []int{2, 4, 8} {
 		parallel := BuildZSTArena(tk, geom.Pt(0, 0), sinks, Options{Parallelism: par})
-		wantTree, err := serial.ToTree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTree, err := parallel.ToTree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ctree.Equal(wantTree, gotTree); err != nil {
-			t.Fatalf("parallelism=%d: %v", par, err)
+		if got := ctreetest.Digest(parallel); got != want {
+			t.Fatalf("parallelism=%d: tree digest %s, serial %s", par, got, want)
 		}
 	}
 }
@@ -85,14 +72,10 @@ func TestArenaScratchReuse(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		n := 50 + round*400
 		sinks := randomSinks(rng, n, geom.NewRect(0, 0, 5000, 5000))
-		want := buildZST(t, tk, geom.Pt(0, 0), sinks, Options{})
-		a := BuildZSTArenaScratch(tk, geom.Pt(0, 0), sinks, Options{}, &sc)
-		got, err := a.ToTree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ctree.Equal(want, got); err != nil {
-			t.Fatalf("round %d (n=%d): %v", round, n, err)
+		want := ctreetest.Digest(BuildZSTArena(tk, geom.Pt(0, 0), sinks, Options{}))
+		got := ctreetest.Digest(BuildZSTArenaScratch(tk, geom.Pt(0, 0), sinks, Options{}, &sc))
+		if got != want {
+			t.Fatalf("round %d (n=%d): tree digest %s, fresh build %s", round, n, got, want)
 		}
 	}
 }

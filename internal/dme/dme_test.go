@@ -24,15 +24,11 @@ func randomSinks(rng *rand.Rand, n int, die geom.Rect) []Sink {
 	return out
 }
 
-// buildZST constructs a zero-skew tree in the arena and returns its pointer
-// form for the Elmore analyses.
+// buildZST constructs a zero-skew tree and returns its handle for the
+// Elmore analyses.
 func buildZST(t *testing.T, tk *tech.Tech, source geom.Point, sinks []Sink, opt Options) *ctree.Tree {
 	t.Helper()
-	tr, err := BuildZSTArena(tk, source, sinks, opt).ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return ctree.NewTree(BuildZSTArena(tk, source, sinks, opt))
 }
 
 func TestZeroElmoreSkewProperty(t *testing.T) {
@@ -46,7 +42,7 @@ func TestZeroElmoreSkewProperty(t *testing.T) {
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("%s/%d: %v", topo, n, err)
 			}
-			if got := len(tr.Sinks()); got != n {
+			if got := len(tr.Arena().Sinks()); got != n {
 				t.Fatalf("%s/%d: %d sinks in tree", topo, n, got)
 			}
 			res, err := (&analysis.Elmore{}).Evaluate(tr, tk.Reference())
@@ -67,8 +63,9 @@ func TestAllSinksPreserved(t *testing.T) {
 	sinks := randomSinks(rng, 60, geom.NewRect(0, 0, 8000, 8000))
 	tr := buildZST(t, tk, geom.Pt(0, 0), sinks, Options{})
 	found := map[string]bool{}
-	for _, s := range tr.Sinks() {
-		found[s.Name] = true
+	a := tr.Arena()
+	for _, s := range a.Sinks() {
+		found[a.Name[s]] = true
 	}
 	for _, s := range sinks {
 		if !found[s.Name] {
@@ -84,7 +81,7 @@ func TestWirelengthSanity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sinks := randomSinks(rng, 100, geom.NewRect(0, 0, 10000, 10000))
 	tr := buildZST(t, tk, geom.Pt(5000, 0), sinks, Options{})
-	wl := tr.Wirelength()
+	wl := tr.Arena().Wirelength()
 
 	var star float64
 	center := geom.Pt(5000, 5000)
@@ -108,11 +105,11 @@ func TestNNBeatsOrMatchesMMMOnSmall(t *testing.T) {
 	sinks := randomSinks(rng, 64, geom.NewRect(0, 0, 4000, 4000))
 	nn := buildZST(t, tk, geom.Pt(0, 0), sinks, Options{Topology: "nn"})
 	mmm := buildZST(t, tk, geom.Pt(0, 0), sinks, Options{Topology: "mmm"})
-	if nn.Wirelength() > 1.5*mmm.Wirelength() {
-		t.Errorf("nn wirelength %v vs mmm %v: ratio too high", nn.Wirelength(), mmm.Wirelength())
+	if nn.Arena().Wirelength() > 1.5*mmm.Arena().Wirelength() {
+		t.Errorf("nn wirelength %v vs mmm %v: ratio too high", nn.Arena().Wirelength(), mmm.Arena().Wirelength())
 	}
-	if mmm.Wirelength() > 1.5*nn.Wirelength() {
-		t.Errorf("mmm wirelength %v vs nn %v: ratio too high", mmm.Wirelength(), nn.Wirelength())
+	if mmm.Arena().Wirelength() > 1.5*nn.Arena().Wirelength() {
+		t.Errorf("mmm wirelength %v vs nn %v: ratio too high", mmm.Arena().Wirelength(), nn.Arena().Wirelength())
 	}
 }
 
@@ -194,8 +191,8 @@ func TestSingleSink(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Wirelength() != 1200 {
-		t.Errorf("wirelength=%v want 1200", tr.Wirelength())
+	if wl := tr.Arena().Wirelength(); wl != 1200 {
+		t.Errorf("wirelength=%v want 1200", wl)
 	}
 }
 

@@ -239,9 +239,10 @@ func Apply(a *ctree.Arena, d *Delta, cfg Config) (*Report, error) {
 // ReserveFor pre-grows the arena for the slots, route points and child
 // references replaying d can create (edge splits, added sinks, repair
 // inverters and buffers), so the SoA columns never reallocate mid-apply.
-// It belongs with restoring the base tree: FromTree and Clone size their
-// columns exactly, and growing a quarter-million-slot column copies all of
-// it — paid once here instead of scattered through the replay.
+// It belongs with restoring the base tree: the result decoder and
+// Arena.Clone size the columns exactly, and growing a quarter-million-slot
+// column copies all of it — paid once here instead of scattered through
+// the replay.
 func ReserveFor(a *ctree.Arena, d *Delta) {
 	grow := 6*d.Size() + 8
 	a.Reserve(ctree.BuildHints{Nodes: a.Len() + grow,

@@ -90,12 +90,8 @@ func TestApplyMoveAddRemove(t *testing.T) {
 	if rep.DirtySlots == 0 {
 		t.Fatal("apply left an empty mutation journal")
 	}
-	// The tree reconstructs losslessly and stays consistent.
-	tr, err := a.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
+	// The tree stays consistent.
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -194,13 +190,13 @@ func TestApplyErrors(t *testing.T) {
 // the branch itself (no topology garbage accumulates across ECO rounds).
 func TestApplyPrunesDeadChain(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	hubA := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(400, 0))
-	hubB := tr.AddChild(hubA, ctree.Internal, geom.Pt(400, 300))
-	tr.AddSink(hubB, geom.Pt(500, 400), 20, "s1") // hubB's only child
-	tr.AddSink(hubA, geom.Pt(800, 0), 20, "keep1")
-	tr.AddSink(tr.Root, geom.Pt(0, 500), 20, "keep2")
-	a := ctree.FromTree(tr)
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	hubA := a.AddChildL(a.Root(), ctree.Internal, geom.Pt(400, 0))
+	hubB := a.AddChildL(hubA, ctree.Internal, geom.Pt(400, 300))
+	a.AddSink(hubB, geom.Pt(500, 400), 20, "s1") // hubB's only child
+	a.AddSink(hubA, geom.Pt(800, 0), 20, "keep1")
+	a.AddSink(a.Root(), geom.Pt(0, 500), 20, "keep2")
+	a.Dirty.Reset()
 	d := &eco.Delta{Removed: []string{"s1"}}
 	eco.ReserveFor(a, d)
 	rep, err := eco.Apply(a, d, eco.Config{Die: geom.NewRect(0, 0, 1000, 1000)})
@@ -210,7 +206,7 @@ func TestApplyPrunesDeadChain(t *testing.T) {
 	if rep.Pruned == 0 {
 		t.Fatalf("dead branch survived: %+v", rep)
 	}
-	if a.Alive.Test(int(int32(hubB.ID))) {
+	if a.Alive.Test(int(hubB)) {
 		t.Fatal("childless hub still alive")
 	}
 	if err := a.Validate(); err != nil {

@@ -18,9 +18,8 @@ import (
 // cornerArena builds a tiny tree whose one edge reaches the far corner of
 // the die, so its bucketed cell rectangle ends at the maximum cell index.
 func cornerArena(tk *tech.Tech, die geom.Rect) (*ctree.Arena, int32) {
-	tr := ctree.New(tk, geom.Pt(die.MinX, die.MinY), 0.1)
-	s := tr.AddSink(tr.Root, geom.Pt(die.MaxX, die.MaxY), 20, "corner")
-	return ctree.FromTree(tr), int32(s.ID)
+	a := ctree.NewArena(tk, geom.Pt(die.MinX, die.MinY), 0.1, ctree.BuildHints{})
+	return a, a.AddSink(a.Root(), geom.Pt(die.MaxX, die.MaxY), 20, "corner")
 }
 
 func TestEdgeIndexMaxCellTerminates(t *testing.T) {
@@ -69,14 +68,13 @@ func TestNewEdgeIndexCoversCornerEdge(t *testing.T) {
 
 func TestAttachTargetDeterministic(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
+	a1 := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
 	for i := 0; i < 5; i++ {
-		tr.AddSink(tr.Root, geom.Pt(100+float64(i)*200, 300), 20, "")
+		a1.AddSink(a1.Root(), geom.Pt(100+float64(i)*200, 300), 20, "")
 	}
 	die := geom.NewRect(0, 0, 1200, 600)
 	q := geom.Pt(430, 180)
-	a1 := ctree.FromTree(tr)
-	a2 := ctree.FromTree(tr)
+	a2 := a1.Clone()
 	t1 := newEdgeIndex(a1, die).attachTarget(a1, q, nil)
 	t2 := newEdgeIndex(a2, die).attachTarget(a2, q, nil)
 	if t1 != t2 {

@@ -81,14 +81,14 @@ func minMax(r *analysis.Result) (min, max float64) {
 	return math.Min(minR, minF), math.Max(maxR, maxF)
 }
 
-// FromResults computes metrics from per-corner results aligned with the
-// corner set (results[i] evaluated at set.Corners[i]). Corner roles come
+// FromResults computes metrics for the tree a from per-corner results
+// aligned with the corner set (results[i] evaluated at set.Corners[i]). Corner roles come
 // from the set — never from slice positions — so any number of corners
 // with any role assignment reports correctly. capLimit may be zero. It
 // returns an error when results and set disagree (missing or extra
 // corners, nil entries) rather than mis-attributing a corner.
-func FromResults(tr *ctree.Tree, set *corners.Set, results []*analysis.Result, capLimit float64) (Metrics, error) {
-	m := Metrics{TotalCap: tr.TotalCap()}
+func FromResults(a *ctree.Arena, set *corners.Set, results []*analysis.Result, capLimit float64) (Metrics, error) {
+	m := Metrics{TotalCap: a.TotalCap()}
 	if capLimit > 0 {
 		m.CapPct = 100 * m.TotalCap / capLimit
 	}

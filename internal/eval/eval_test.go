@@ -12,11 +12,11 @@ import (
 	"contango/internal/tech"
 )
 
-func twoSinkTree(tk *tech.Tech) (*ctree.Tree, int, int) {
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	a := tr.AddSink(tr.Root, geom.Pt(100, 0), 30, "a")
-	b := tr.AddSink(tr.Root, geom.Pt(0, 100), 30, "b")
-	return tr, a.ID, b.ID
+func twoSinkTree(tk *tech.Tech) (*ctree.Arena, int, int) {
+	tr := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	a := tr.AddSink(tr.Root(), geom.Pt(100, 0), 30, "a")
+	b := tr.AddSink(tr.Root(), geom.Pt(0, 100), 30, "b")
+	return tr, int(a), int(b)
 }
 
 func TestFromResults(t *testing.T) {

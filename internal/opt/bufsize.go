@@ -9,28 +9,28 @@ import (
 	"contango/internal/tech"
 )
 
-// Trunk returns the chain of nodes from the root's child down to (and
-// excluding) the first node with more than one child — the long wire DME
+// Trunk returns the chain of slots from the root's child down to (and
+// excluding) the first slot with more than one child — the long wire DME
 // trees drive from the chip boundary to the center, which the paper notes
 // carries 1/3 to 1/2 of the total insertion delay (Section IV-H).
-func Trunk(tr *ctree.Tree) []*ctree.Node {
-	var out []*ctree.Node
-	if len(tr.Root.Children) != 1 {
+func Trunk(a *ctree.Arena) []int32 {
+	var out []int32
+	if a.ChildLen[a.Root()] != 1 {
 		return out
 	}
-	cur := tr.Root.Children[0]
-	for cur != nil && len(cur.Children) == 1 {
+	cur := a.Children(a.Root())[0]
+	for a.ChildLen[cur] == 1 {
 		out = append(out, cur)
-		cur = cur.Children[0]
+		cur = a.Children(cur)[0]
 	}
 	return out
 }
 
-// trunkBuffers filters the trunk chain to its buffer nodes.
-func trunkBuffers(tr *ctree.Tree) []*ctree.Node {
-	var out []*ctree.Node
-	for _, n := range Trunk(tr) {
-		if n.Kind == ctree.Buffer {
+// trunkBuffers filters the trunk chain to its buffer slots.
+func trunkBuffers(a *ctree.Arena) []int32 {
+	var out []int32
+	for _, n := range Trunk(a) {
+		if a.Kind[n] == ctree.Buffer {
 			out = append(out, n)
 		}
 	}
@@ -41,39 +41,36 @@ func trunkBuffers(tr *ctree.Tree) []*ctree.Node {
 // trunk (the region the paper sizes up with capacitance borrowing), and the
 // bottom-level buffers (those whose subtree contains no further buffers) the
 // borrowing downsizes.
-func branchBuffers(tr *ctree.Tree, levels int) (upper, bottom []*ctree.Node) {
-	trunk := map[int]bool{}
-	for _, n := range Trunk(tr) {
-		trunk[n.ID] = true
+func branchBuffers(a *ctree.Arena, levels int) (upper, bottom []int32) {
+	trunk := map[int32]bool{}
+	for _, n := range Trunk(a) {
+		trunk[n] = true
 	}
-	var walk func(n *ctree.Node, depth int)
-	walk = func(n *ctree.Node, depth int) {
-		d := depth
-		if n.Kind == ctree.Buffer && !trunk[n.ID] {
-			var scan func(m *ctree.Node) bool
-			scan = func(m *ctree.Node) bool {
-				for _, c := range m.Children {
-					if c.Kind == ctree.Buffer {
-						return true
-					}
-					if scan(c) {
-						return true
-					}
-				}
-				return false
+	var hasBuffer func(m int32) bool
+	hasBuffer = func(m int32) bool {
+		for _, c := range a.Children(m) {
+			if a.Kind[c] == ctree.Buffer || hasBuffer(c) {
+				return true
 			}
-			if !scan(n) {
+		}
+		return false
+	}
+	var walk func(n int32, depth int)
+	walk = func(n int32, depth int) {
+		d := depth
+		if a.Kind[n] == ctree.Buffer && !trunk[n] {
+			if !hasBuffer(n) {
 				bottom = append(bottom, n)
 			} else if depth <= levels {
 				upper = append(upper, n)
 			}
 			d = depth + 1
 		}
-		for _, c := range n.Children {
+		for _, c := range a.Children(n) {
 			walk(c, d)
 		}
 	}
-	walk(tr.Root, 0)
+	walk(a.Root(), 0)
 	return upper, bottom
 }
 
@@ -105,32 +102,34 @@ func maxGapFor(t *tech.Tech, c tech.Composite, widthIdx int) float64 {
 // (capacitance borrowing). The objective is CLR; the paper accepts that
 // nominal skew may rise slightly, to be recovered by the wire passes.
 func BufferSizing(cx *Context) error {
+	a := cx.arena()
 	iter := 0
 	if err := cx.improveLoop("tbsz-trunk", MinCLR, func(res []*analysis.Result) bool {
 		iter++
 		p := 1.0 / float64(iter+3) // p_i = 100/(i+3)%
-		bufs := trunkBuffers(cx.Tree)
+		bufs := trunkBuffers(a)
 		if len(bufs) == 0 {
 			return false
 		}
 		changed := 0
 		head := cx.capHeadroom()
 		for _, b := range bufs {
-			batch := batchOf(*b.Buf)
-			grow := int(math.Ceil(float64(b.Buf.N) * p / float64(batch)))
+			buf, _ := a.Buf(b)
+			batch := batchOf(buf)
+			grow := int(math.Ceil(float64(buf.N) * p / float64(batch)))
 			if grow < 1 {
 				grow = 1
 			}
-			newN := b.Buf.N + grow*batch
-			if newN > cx.Tree.Tech.MaxParallel {
+			newN := buf.N + grow*batch
+			if newN > a.Tech.MaxParallel {
 				continue
 			}
-			addCap := (tech.Composite{Type: b.Buf.Type, N: newN}).CapCost() - b.Buf.CapCost()
+			addCap := (tech.Composite{Type: buf.Type, N: newN}).CapCost() - buf.CapCost()
 			if addCap > head {
 				continue
 			}
 			head -= addCap
-			b.Buf.N = newN
+			a.BufN[b] = int32(newN)
 			changed++
 		}
 		if changed == 0 {
@@ -145,7 +144,7 @@ func BufferSizing(cx *Context) error {
 
 	// Branch sizing with capacitance borrowing.
 	return cx.improveLoop("tbsz-branch", MinCLR, func(res []*analysis.Result) bool {
-		upper, bottom := branchBuffers(cx.Tree, 4)
+		upper, bottom := branchBuffers(a, 4)
 		if len(upper) == 0 {
 			return false
 		}
@@ -153,22 +152,25 @@ func BufferSizing(cx *Context) error {
 		var borrowed float64
 		// Borrow: shrink bottom-level buffers by one batch where possible.
 		for _, b := range bottom {
-			batch := batchOf(*b.Buf)
-			if b.Buf.N <= batch {
+			buf, _ := a.Buf(b)
+			batch := batchOf(buf)
+			if buf.N <= batch {
 				continue
 			}
-			before := b.Buf.CapCost()
-			b.Buf.N -= batch
-			borrowed += before - b.Buf.CapCost()
+			before := buf.CapCost()
+			buf.N -= batch
+			a.BufN[b] = int32(buf.N)
+			borrowed += before - buf.CapCost()
 		}
 		changed := 0
 		for _, b := range upper {
-			batch := batchOf(*b.Buf)
-			newN := b.Buf.N + batch
-			if newN > cx.Tree.Tech.MaxParallel {
+			buf, _ := a.Buf(b)
+			batch := batchOf(buf)
+			newN := buf.N + batch
+			if newN > a.Tech.MaxParallel {
 				continue
 			}
-			addCap := (tech.Composite{Type: b.Buf.Type, N: newN}).CapCost() - b.Buf.CapCost()
+			addCap := (tech.Composite{Type: buf.Type, N: newN}).CapCost() - buf.CapCost()
 			if addCap > head+borrowed {
 				continue
 			}
@@ -178,7 +180,7 @@ func BufferSizing(cx *Context) error {
 				head -= addCap - borrowed
 				borrowed = 0
 			}
-			b.Buf.N = newN
+			a.BufN[b] = int32(newN)
 			changed++
 		}
 		cx.logf("tbsz-branch: sized %d branch buffers (borrowed bottom cap)", changed)
@@ -192,31 +194,32 @@ func BufferSizing(cx *Context) error {
 // Consumed slack is tracked along each root-to-sink path so stacked
 // downsizings do not overshoot.
 func SkewBufferSizing(cx *Context) error {
-	tk := cx.Tree.Tech
-	limit := tk.SlewLimit
+	a := cx.arena()
+	limit := a.Tech.SlewLimit
 	return cx.improveLoop("sbsz", MinSkew, func(res []*analysis.Result) bool {
-		slk := slack.Compute(cx.Tree, res)
+		slk := slack.Compute(a, res)
 		stageSlew := worstStageSlew(res)
 		changed := 0
-		topDown(cx.Tree, func(n *ctree.Node, used float64) float64 {
-			if n.Kind != ctree.Buffer {
+		topDown(a, func(n int32, used float64) float64 {
+			if a.Kind[n] != ctree.Buffer {
 				return used
 			}
-			batch := batchOf(*n.Buf)
-			if n.Buf.N <= batch {
+			buf, _ := a.Buf(n)
+			batch := batchOf(buf)
+			if buf.N <= batch {
 				return used
 			}
-			weaker := tech.Composite{Type: n.Buf.Type, N: n.Buf.N - batch}
+			weaker := tech.Composite{Type: buf.Type, N: buf.N - batch}
 			var load float64
-			for _, c := range n.Children {
-				load += cx.Tree.LoadCap(c)
+			for _, c := range a.Children(n) {
+				load += a.LoadCap(c)
 			}
-			load += n.Buf.Cout()
-			est := (weaker.Rout() - n.Buf.Rout()) * load * 1.5
-			budget := slk.EdgeSlow[n.ID] - used
-			newSlew := stageSlew[n.ID] * weaker.Rout() / n.Buf.Rout()
+			load += buf.Cout()
+			est := (weaker.Rout() - buf.Rout()) * load * 1.5
+			budget := slk.EdgeSlow[int(n)] - used
+			newSlew := stageSlew[int(n)] * weaker.Rout() / buf.Rout()
 			if est > 0 && est < budget*0.7 && newSlew < 0.88*limit {
-				n.Buf.N = weaker.N
+				a.BufN[n] = int32(weaker.N)
 				used += est
 				changed++
 			}
@@ -232,45 +235,46 @@ func SkewBufferSizing(cx *Context) error {
 // inserts repeater pairs when two consecutive drivers drift too far apart.
 // Pairs keep the inversion parity of every sink unchanged.
 func slideAndInterleave(cx *Context) {
-	tr := cx.Tree
-	for _, b := range trunkBuffers(tr) {
-		if len(b.Children) != 1 {
+	a := cx.arena()
+	for _, b := range trunkBuffers(a) {
+		if a.ChildLen[b] != 1 {
 			continue
 		}
-		up := b.Route.Length()
-		maxUp := maxGapFor(tr.Tech, *b.Buf, b.WidthIdx)
+		route := a.Route(b)
+		up := route.Length()
+		buf, _ := a.Buf(b)
+		maxUp := maxGapFor(a.Tech, buf, int(a.WidthIdx[b]))
 		if up > maxUp {
 			newDist := maxUp * 0.9
 			if cx.Obs != nil {
 				// Keep the slid buffer off obstacles: walk further up in
 				// small steps until the site is legal.
-				for newDist > 0 && cx.Obs.BlocksPoint(b.Route.At(newDist)) {
+				for newDist > 0 && cx.Obs.BlocksPoint(route.At(newDist)) {
 					newDist -= 25
 				}
 				if newDist < 0 {
 					newDist = 0
 				}
 			}
-			tr.SlideDegree2(b, newDist)
+			a.SlideDegree2(b, newDist)
 		}
 	}
 	// Interleave: inspect trunk edges for over-long driver gaps.
-	for _, n := range Trunk(tr) {
-		if n.Kind != ctree.Buffer || len(n.Children) != 1 {
+	for _, n := range Trunk(a) {
+		if a.Kind[n] != ctree.Buffer || a.ChildLen[n] != 1 {
 			continue
 		}
-		child := n.Children[0]
-		gap := child.Route.Length()
-		maxGap := maxGapFor(tr.Tech, *n.Buf, child.WidthIdx)
+		child := a.Children(n)[0]
+		gap := a.Route(child).Length()
+		buf, _ := a.Buf(n)
+		maxGap := maxGapFor(a.Tech, buf, int(a.WidthIdx[child]))
 		if gap <= maxGap {
 			continue
 		}
 		// Insert an inverter pair at thirds of the gap: parity preserved.
-		comp1 := *n.Buf
-		b1 := tr.InsertOnEdge(child, gap/3, ctree.Buffer)
-		b1.Buf = &comp1
-		comp2 := *n.Buf
-		b2 := tr.InsertOnEdge(child, gap/3, ctree.Buffer) // now relative to the lower segment
-		b2.Buf = &comp2
+		b1 := a.InsertOnEdge(child, gap/3, ctree.Buffer)
+		a.SetBuf(b1, buf)
+		b2 := a.InsertOnEdge(child, gap/3, ctree.Buffer) // now relative to the lower segment
+		a.SetBuf(b2, buf)
 	}
 }

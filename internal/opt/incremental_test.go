@@ -56,7 +56,8 @@ func TestIncrementalCascadeParity(t *testing.T) {
 	}
 	network := func() *Context {
 		cx, _ := smallNetwork(t)
-		cx.Tree.Tech = set.Apply(cx.Tree.Tech)
+		a := cx.Tree.Arena()
+		a.Tech = set.Apply(a.Tech)
 		return cx
 	}
 	cascade := func(cx *Context) eval.Metrics {

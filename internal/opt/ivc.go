@@ -9,11 +9,13 @@
 // (Improvement- & Violation-Checking); otherwise the saved solution is
 // restored and the pass hands control to the next optimization.
 //
-// Passes write node fields (WidthIdx, Snake, Buf.N) directly and use the
-// ctree structural operations. An incremental evaluator installed as
-// Context.Eng finds each round's dirty cone from stage content, so any
-// mutation is seen, and it re-simulates only that cone instead of the whole
-// network.
+// Passes read and write the tree's arena by slot: they set slot fields
+// (WidthIdx, Snake, BufN) directly and use the arena's structural mutators
+// (InsertOnEdge, RemoveDegree2, SlideDegree2). The IVC snapshot is a copy
+// into one spare arena per Context, restored in place on a rejected round.
+// An incremental evaluator installed as Context.Eng finds each round's
+// dirty cone from stage content, so any mutation is seen, and it
+// re-simulates only that cone instead of the whole network.
 package opt
 
 import (
@@ -74,7 +76,13 @@ type Context struct {
 	lastResults []*analysis.Result
 	lastMetrics eval.Metrics
 	haveCNE     bool
+	// spare holds the IVC snapshot of the arena each round is judged
+	// against.
+	spare ctree.Arena
 }
+
+// arena returns the tree's arena, the form every pass edits.
+func (cx *Context) arena() *ctree.Arena { return cx.Tree.Arena() }
 
 // minGain is the smallest objective improvement (ps) an IVC round must
 // make to count.
@@ -101,11 +109,12 @@ func (cx *Context) logf(format string, args ...interface{}) {
 // extraction is shared and the per-corner simulations can be scheduled over
 // one worker pool, and caches the results.
 func (cx *Context) CNE() ([]*analysis.Result, eval.Metrics, error) {
-	rs, err := cx.Eng.EvaluateCorners(cx.Tree, cx.Tree.Tech.Corners)
+	a := cx.arena()
+	rs, err := cx.Eng.EvaluateCorners(cx.Tree, a.Tech.Corners)
 	if err != nil {
 		return nil, eval.Metrics{}, err
 	}
-	m, err := eval.FromResults(cx.Tree, corners.FromTech(cx.Tree.Tech), rs, cx.CapLimit)
+	m, err := eval.FromResults(a, corners.FromTech(a.Tech), rs, cx.CapLimit)
 	if err != nil {
 		return nil, eval.Metrics{}, err
 	}
@@ -142,7 +151,8 @@ func (cx *Context) worse(base, cand eval.Metrics) bool {
 // improveLoop runs mutate-evaluate-check rounds until the objective stops
 // improving, a violation appears, or the round budget is exhausted. Each
 // round's mutate callback returns false when it has nothing left to try.
-// The tree always ends in the best state seen.
+// The tree always ends in the best state seen: each round first copies the
+// arena into the spare, and a rejected round copies it back.
 func (cx *Context) improveLoop(name string, obj Objective, mutate func(res []*analysis.Result) bool) error {
 	res, m, err := cx.Baseline()
 	if err != nil {
@@ -150,13 +160,14 @@ func (cx *Context) improveLoop(name string, obj Objective, mutate func(res []*an
 	}
 	best := obj.value(m)
 	baseM := m
+	a := cx.arena()
 	for round := 0; round < cx.rounds(); round++ {
 		if cx.Check != nil {
 			if err := cx.Check(); err != nil {
 				return err
 			}
 		}
-		snap := cx.Tree.Clone()
+		cx.spare.CopyFrom(a)
 		snapRes, snapM := cx.lastResults, cx.lastMetrics
 		if !mutate(res) {
 			break
@@ -169,7 +180,7 @@ func (cx *Context) improveLoop(name string, obj Objective, mutate func(res []*an
 		}
 		if cx.worse(baseM, nm) || obj.value(nm) > best-minGain {
 			// IVC fail: restore the saved solution and stop the pass.
-			*cx.Tree = *snap
+			a.CopyFrom(&cx.spare)
 			cx.lastResults, cx.lastMetrics, cx.haveCNE = snapRes, snapM, true
 			cx.logf("%s: round %d rejected (%.3f -> %.3f, worse=%v, viol %d->%d, maxslew %.1f->%.1f, cap %.0f->%.0f)",
 				name, round, best, obj.value(nm), cx.worse(baseM, nm),
@@ -185,8 +196,8 @@ func (cx *Context) improveLoop(name string, obj Objective, mutate func(res []*an
 }
 
 // wideIdx/narrowIdx are cached per call sites for clarity.
-func (cx *Context) wideIdx() int   { return cx.Tree.Tech.Wide() }
-func (cx *Context) narrowIdx() int { return cx.Tree.Tech.Narrow() }
+func (cx *Context) wideIdx() int   { return cx.arena().Tech.Wide() }
+func (cx *Context) narrowIdx() int { return cx.arena().Tech.Narrow() }
 
 // capHeadroom returns how much capacitance (fF) may still be added before
 // hitting the limit; +Inf when unlimited.
@@ -194,28 +205,28 @@ func (cx *Context) capHeadroom() float64 {
 	if cx.CapLimit <= 0 {
 		return math.Inf(1)
 	}
-	return cx.CapLimit - cx.Tree.TotalCap()
+	return cx.CapLimit - cx.arena().TotalCap()
 }
 
-// topDown walks the tree breadth-first from the root's children, passing
-// each node the slow-down slack that moves on its ancestor edges have
-// consumed; visit returns the consumed slack the node's children inherit.
-// Children are read after visit returns, so nodes a move inserts above the
+// topDown walks the arena breadth-first from the root's children, passing
+// each slot the slow-down slack that moves on its ancestor edges have
+// consumed; visit returns the consumed slack the slot's children inherit.
+// Children are read after visit returns, so slots a move inserts above the
 // visited one (repeater pairs) are not walked.
-func topDown(tr *ctree.Tree, visit func(n *ctree.Node, used float64) float64) {
+func topDown(a *ctree.Arena, visit func(n int32, used float64) float64) {
 	type item struct {
-		n    *ctree.Node
+		n    int32
 		used float64
 	}
 	var queue []item
-	for _, c := range tr.Root.Children {
+	for _, c := range a.Children(a.Root()) {
 		queue = append(queue, item{c, 0})
 	}
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
 		used := visit(it.n, it.used)
-		for _, c := range it.n.Children {
+		for _, c := range a.Children(it.n) {
 			queue = append(queue, item{c, used})
 		}
 	}

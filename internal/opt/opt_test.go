@@ -35,13 +35,9 @@ func smallNetwork(t *testing.T) (*Context, *tech.Tech) {
 		t.Fatal(err)
 	}
 	buffering.CorrectPolarityArena(a, comp, nil)
-	tr, err := a.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Imbalance: snake one sink edge hard.
-	tr.Sinks()[0].Snake += 1500
-	cx := &Context{Tree: tr, Eng: spice.New(), CapLimit: 1e9, MaxRounds: 6}
+	a.Snake[a.Sinks()[0]] += 1500
+	cx := &Context{Tree: ctree.NewTree(a), Eng: spice.New(), CapLimit: 1e9, MaxRounds: 6}
 	return cx, tk
 }
 
@@ -75,23 +71,24 @@ func TestCNEAndBaselineCaching(t *testing.T) {
 func TestImproveLoopRevertsOnWorse(t *testing.T) {
 	cx, _ := smallNetwork(t)
 	_, m0, _ := cx.CNE()
-	wlBefore := cx.Tree.Wirelength()
+	a := cx.arena()
+	wlBefore := a.Wirelength()
 	// A mutation that can only hurt: snake the slowest sink further.
 	err := cx.improveLoop("test", MinSkew, func(res []*analysis.Result) bool {
-		slowest := cx.Tree.Sinks()[0]
+		slowest := a.Sinks()[0]
 		worst := -1.0
-		for _, s := range cx.Tree.Sinks() {
-			if v := res[0].Rise[s.ID]; v > worst {
+		for _, s := range a.Sinks() {
+			if v := res[0].Rise[int(s)]; v > worst {
 				worst, slowest = v, s
 			}
 		}
-		slowest.Snake += 2000
+		a.Snake[slowest] += 2000
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cx.Tree.Wirelength() != wlBefore {
+	if a.Wirelength() != wlBefore {
 		t.Error("harmful mutation was not reverted")
 	}
 	_, m1, _ := cx.Baseline()
@@ -127,18 +124,20 @@ func TestEstimateTwsPositive(t *testing.T) {
 		t.Errorf("Tws=%v must be non-negative", tws)
 	}
 	// Probes must be reverted: everything back at the wide width.
-	wide := cx.Tree.Tech.Wide()
-	cx.Tree.PreOrder(func(n *ctree.Node) {
-		if n.Parent != nil && n.WidthIdx != wide {
-			t.Errorf("probe not reverted on node %d", n.ID)
+	a := cx.arena()
+	wide := int32(a.Tech.Wide())
+	a.PreOrder(func(n int32) {
+		if a.Parent[n] >= 0 && a.WidthIdx[n] != wide {
+			t.Errorf("probe not reverted on node %d", n)
 		}
 	})
 }
 
 func TestEstimateTwnAndPairRevert(t *testing.T) {
 	cx, _ := smallNetwork(t)
-	wl := cx.Tree.Wirelength()
-	nodes := cx.Tree.NumNodes()
+	a := cx.arena()
+	wl := a.Wirelength()
+	nodes := a.NumNodes()
 	twn, twnSlew, err := EstimateTwn(cx, 25, false)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +145,7 @@ func TestEstimateTwnAndPairRevert(t *testing.T) {
 	if twn <= 0 || twnSlew <= 0 {
 		t.Errorf("twn=%v twnSlew=%v must be positive", twn, twnSlew)
 	}
-	if math.Abs(cx.Tree.Wirelength()-wl) > 1e-9 {
+	if math.Abs(a.Wirelength()-wl) > 1e-9 {
 		t.Error("snake probes not reverted")
 	}
 	tpair, err := EstimateTpair(cx)
@@ -156,7 +155,7 @@ func TestEstimateTwnAndPairRevert(t *testing.T) {
 	if tpair <= 0 {
 		t.Errorf("tpair=%v must be positive", tpair)
 	}
-	if cx.Tree.NumNodes() != nodes {
+	if a.NumNodes() != nodes {
 		t.Error("pair probe not removed")
 	}
 	if err := cx.Tree.Validate(); err != nil {
@@ -184,16 +183,26 @@ func TestWiresnakingReducesSkew(t *testing.T) {
 
 func TestPairInsertionPreservesPolarity(t *testing.T) {
 	cx, _ := smallNetwork(t)
-	parity := map[int]int{}
-	for _, s := range cx.Tree.Sinks() {
-		parity[s.ID] = cx.Tree.InversionParity(s)
+	a := cx.arena()
+	parity := func(s int32) int {
+		p := 0
+		for cur := s; cur >= 0; cur = a.Parent[cur] {
+			if a.Kind[cur] == ctree.Buffer {
+				p ^= 1
+			}
+		}
+		return p
+	}
+	before := map[int32]int{}
+	for _, s := range a.Sinks() {
+		before[s] = parity(s)
 	}
 	if err := PairInsertion(cx); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range cx.Tree.Sinks() {
-		if cx.Tree.InversionParity(s) != parity[s.ID] {
-			t.Fatalf("pair insertion changed polarity of sink %d", s.ID)
+	for _, s := range a.Sinks() {
+		if parity(s) != before[s] {
+			t.Fatalf("pair insertion changed polarity of sink %d", s)
 		}
 	}
 	if err := cx.Tree.Validate(); err != nil {
@@ -245,9 +254,9 @@ func TestBottomLevelTuning(t *testing.T) {
 
 func TestTrunkDetection(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	a := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(1000, 0))
-	b := tr.AddChild(a, ctree.Internal, geom.Pt(2000, 0))
+	tr := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	a := tr.AddChildL(tr.Root(), ctree.Internal, geom.Pt(1000, 0))
+	b := tr.AddChildL(a, ctree.Internal, geom.Pt(2000, 0))
 	tr.AddSink(b, geom.Pt(3000, 100), 30, "x")
 	tr.AddSink(b, geom.Pt(3000, -100), 30, "y")
 	// b is the branching node (two children) and is excluded.
@@ -255,7 +264,6 @@ func TestTrunkDetection(t *testing.T) {
 	if len(trunk) != 1 || trunk[0] != a {
 		t.Errorf("trunk has %d nodes, want just the chain above the branch", len(trunk))
 	}
-	_ = b
 }
 
 func TestObjectiveValues(t *testing.T) {

@@ -18,49 +18,51 @@ func EstimateTpair(cx *Context) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	probes := pickProbes(cx.Tree, cx.wideIdx(), 1)
+	a := cx.arena()
+	probes := pickProbes(a, cx.wideIdx(), 1)
 	if len(probes) == 0 {
 		return 0, nil
 	}
 	p := probes[0]
-	comp := nearestComposite(cx.Tree, p)
-	if comp == nil {
+	comp, ok := nearestComposite(a, p)
+	if !ok {
 		return 0, nil
 	}
-	mid := p.Route.Length() / 2
-	b1 := cx.Tree.InsertOnEdge(p, mid, ctree.Buffer)
-	c1 := *comp
-	b1.Buf = &c1
-	b2 := cx.Tree.InsertOnEdge(p, 10, ctree.Buffer)
-	c2 := *comp
-	b2.Buf = &c2
+	mid := a.Route(p).Length() / 2
+	b1 := a.InsertOnEdge(p, mid, ctree.Buffer)
+	a.SetBuf(b1, comp)
+	b2 := a.InsertOnEdge(p, 10, ctree.Buffer)
+	a.SetBuf(b2, comp)
 	cx.invalidate()
 	after, _, err := cx.CNE()
 	if err != nil {
 		return 0, err
 	}
-	worst, _ := probeDelta(base, after, p)
-	cx.Tree.RemoveDegree2(b2)
-	cx.Tree.RemoveDegree2(b1)
+	worst, _ := probeDelta(a, base, after, p)
+	a.RemoveDegree2(b2)
+	a.RemoveDegree2(b1)
 	cx.invalidate()
 	return worst, nil
 }
 
 // nearestComposite returns the composite of the closest buffer ancestor of
-// n (the natural strength for repeaters in that region), or any buffer's
-// composite as a fallback.
-func nearestComposite(tr *ctree.Tree, n *ctree.Node) *tech.Composite {
-	for cur := n; cur != nil; cur = cur.Parent {
-		if cur.Buf != nil {
-			c := *cur.Buf
-			return &c
+// slot n (the natural strength for repeaters in that region), or the first
+// buffer's composite in pre-order as a fallback; ok is false when the tree
+// has no buffer.
+func nearestComposite(a *ctree.Arena, n int32) (tech.Composite, bool) {
+	for cur := n; cur >= 0; cur = a.Parent[cur] {
+		if comp, ok := a.Buf(cur); ok {
+			return comp, true
 		}
 	}
-	for _, b := range tr.Buffers() {
-		c := *b.Buf
-		return &c
-	}
-	return nil
+	var comp tech.Composite
+	found := false
+	a.PreOrder(func(i int32) {
+		if !found && a.Kind[i] == ctree.Buffer {
+			comp, found = a.Buf(i)
+		}
+	})
+	return comp, found
 }
 
 // PairInsertion slows fast subtrees down by inserting polarity-preserving
@@ -82,41 +84,41 @@ func PairInsertion(cx *Context) error {
 	}
 	cx.logf("pair: Tpair=%.2f ps", tpair)
 	return cx.improveLoop("pair", MinSkew, func(res []*analysis.Result) bool {
-		slk := slack.Compute(cx.Tree, res)
+		a := cx.arena()
+		slk := slack.Compute(a, res)
 		headroom := cx.capHeadroom()
 		changed := 0
-		topDown(cx.Tree, func(n *ctree.Node, used float64) float64 {
-			if n.Route.Length() <= 60 {
+		topDown(a, func(n int32, used float64) float64 {
+			if a.Route(n).Length() <= 60 {
 				return used
 			}
-			k := int(math.Floor((slk.EdgeSlow[n.ID] - used) * 0.8 / tpair))
+			k := int(math.Floor((slk.EdgeSlow[int(n)] - used) * 0.8 / tpair))
 			if k > 2 {
 				k = 2 // at most two pairs per edge per round
 			}
 			if k < 1 {
 				return used
 			}
-			comp := nearestComposite(cx.Tree, n)
-			if comp == nil {
+			comp, ok := nearestComposite(a, n)
+			if !ok {
 				return used
 			}
 			pairCap := 2 * comp.CapCost()
 			for i := 0; i < k && pairCap <= headroom; i++ {
-				d := n.Route.Length() * 0.5
+				route := a.Route(n)
+				d := route.Length() * 0.5
 				if cx.Obs != nil {
-					for d > 0 && cx.Obs.BlocksPoint(n.Route.At(d)) {
+					for d > 0 && cx.Obs.BlocksPoint(route.At(d)) {
 						d -= 25
 					}
 					if d <= 10 {
 						break
 					}
 				}
-				b1 := cx.Tree.InsertOnEdge(n, d, ctree.Buffer)
-				c1 := *comp
-				b1.Buf = &c1
-				b2 := cx.Tree.InsertOnEdge(n, 5, ctree.Buffer)
-				c2 := *comp
-				b2.Buf = &c2
+				b1 := a.InsertOnEdge(n, d, ctree.Buffer)
+				a.SetBuf(b1, comp)
+				b2 := a.InsertOnEdge(n, 5, ctree.Buffer)
+				a.SetBuf(b2, comp)
 				headroom -= pairCap
 				used += tpair
 				changed++

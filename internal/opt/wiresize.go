@@ -18,13 +18,14 @@ func EstimateTws(cx *Context) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	probes := pickProbes(cx.Tree, cx.wideIdx(), 4)
+	a := cx.arena()
+	probes := pickProbes(a, cx.wideIdx(), 4)
 	if len(probes) == 0 {
 		return 0, nil
 	}
 	narrow := cx.narrowIdx()
 	for _, p := range probes {
-		p.WidthIdx = narrow
+		a.WidthIdx[p] = int32(narrow)
 	}
 	cx.invalidate()
 	after, _, err := cx.CNE()
@@ -33,15 +34,15 @@ func EstimateTws(cx *Context) (float64, error) {
 	}
 	twsUnit := 0.0
 	for _, p := range probes {
-		worst, _ := probeDelta(base, after, p)
-		if u := worst / p.EdgeLen(); u > twsUnit {
+		worst, _ := probeDelta(a, base, after, p)
+		if u := worst / a.EdgeLen(p); u > twsUnit {
 			twsUnit = u
 		}
 	}
 	// Revert probes and the CNE cache.
 	wide := cx.wideIdx()
 	for _, p := range probes {
-		p.WidthIdx = wide
+		a.WidthIdx[p] = int32(wide)
 	}
 	cx.invalidate()
 	return twsUnit, nil
@@ -49,30 +50,30 @@ func EstimateTws(cx *Context) (float64, error) {
 
 // pickProbes selects up to k long, wide, subtree-disjoint edges from the
 // middle of the tree (neither trunk nor sink edges).
-func pickProbes(tr *ctree.Tree, wide, k int) []*ctree.Node {
-	var cands []*ctree.Node
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Parent == nil || n.Parent.Parent == nil {
+func pickProbes(a *ctree.Arena, wide, k int) []int32 {
+	var cands []int32
+	a.PreOrder(func(n int32) {
+		if p := a.Parent[n]; p < 0 || a.Parent[p] < 0 {
 			return // root or trunk-top edges: affect all sinks
 		}
-		if n.Kind == ctree.Sink || n.WidthIdx != wide {
+		if a.Kind[n] == ctree.Sink || int(a.WidthIdx[n]) != wide {
 			return
 		}
-		if n.EdgeLen() < 100 {
+		if a.EdgeLen(n) < 100 {
 			return
 		}
 		cands = append(cands, n)
 	})
-	sort.Slice(cands, func(i, j int) bool { return cands[i].EdgeLen() > cands[j].EdgeLen() })
-	var out []*ctree.Node
-	taken := map[int]bool{}
+	sort.Slice(cands, func(i, j int) bool { return a.EdgeLen(cands[i]) > a.EdgeLen(cands[j]) })
+	var out []int32
+	taken := map[int32]bool{}
 	for _, c := range cands {
 		if len(out) == k {
 			break
 		}
 		conflict := false
-		for cur := c; cur != nil; cur = cur.Parent {
-			if taken[cur.ID] {
+		for cur := c; cur >= 0; cur = a.Parent[cur] {
+			if taken[cur] {
 				conflict = true
 				break
 			}
@@ -81,10 +82,10 @@ func pickProbes(tr *ctree.Tree, wide, k int) []*ctree.Node {
 			continue
 		}
 		// Mark the whole subtree as taken so probes stay independent.
-		var mark func(*ctree.Node)
-		mark = func(n *ctree.Node) {
-			taken[n.ID] = true
-			for _, ch := range n.Children {
+		var mark func(int32)
+		mark = func(n int32) {
+			taken[n] = true
+			for _, ch := range a.Children(n) {
 				mark(ch)
 			}
 		}
@@ -95,25 +96,26 @@ func pickProbes(tr *ctree.Tree, wide, k int) []*ctree.Node {
 }
 
 // probeDelta returns the worst latency increase (over both launch edges)
-// and the worst slew increase that the sinks below probe n see between the
-// base and after evaluations, over every corner. Both are at least 0.
-func probeDelta(base, after []*analysis.Result, n *ctree.Node) (lat, slew float64) {
-	var walk func(m *ctree.Node)
-	walk = func(m *ctree.Node) {
-		if m.Kind == ctree.Sink {
+// and the worst slew increase that the sinks below probe slot n see between
+// the base and after evaluations, over every corner. Both are at least 0.
+func probeDelta(a *ctree.Arena, base, after []*analysis.Result, n int32) (lat, slew float64) {
+	var walk func(m int32)
+	walk = func(m int32) {
+		if a.Kind[m] == ctree.Sink {
+			id := int(m)
 			for vi := range base {
-				b, a := base[vi], after[vi]
-				for _, d := range [2]float64{a.Rise[m.ID] - b.Rise[m.ID], a.Fall[m.ID] - b.Fall[m.ID]} {
+				b, r := base[vi], after[vi]
+				for _, d := range [2]float64{r.Rise[id] - b.Rise[id], r.Fall[id] - b.Fall[id]} {
 					if d > lat {
 						lat = d
 					}
 				}
-				if d := a.SinkSlew[m.ID] - b.SinkSlew[m.ID]; d > slew {
+				if d := r.SinkSlew[id] - b.SinkSlew[id]; d > slew {
 					slew = d
 				}
 			}
 		}
-		for _, c := range m.Children {
+		for _, c := range a.Children(m) {
 			walk(c)
 		}
 	}
@@ -139,15 +141,16 @@ func TopDownWiresizing(cx *Context) error {
 	cx.logf("twsz: Tws=%.4f ps/µm", twsUnit)
 	wide, narrow := cx.wideIdx(), cx.narrowIdx()
 	return cx.improveLoop("twsz", MinSkew, func(res []*analysis.Result) bool {
-		slk := slack.Compute(cx.Tree, res)
+		a := cx.arena()
+		slk := slack.Compute(a, res)
 		changed := 0
-		topDown(cx.Tree, func(n *ctree.Node, used float64) float64 {
-			if n.WidthIdx != wide {
+		topDown(a, func(n int32, used float64) float64 {
+			if int(a.WidthIdx[n]) != wide {
 				return used
 			}
-			est := twsUnit * n.EdgeLen()
-			if budget := slk.EdgeSlow[n.ID] - used; budget > est && est > 0 {
-				n.WidthIdx = narrow
+			est := twsUnit * a.EdgeLen(n)
+			if budget := slk.EdgeSlow[int(n)] - used; budget > est && est > 0 {
+				a.WidthIdx[n] = int32(narrow)
 				used += est
 				changed++
 			}

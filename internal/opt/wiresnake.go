@@ -25,10 +25,11 @@ func EstimateTwn(cx *Context, lwn float64, sinkEdges bool) (twn, twnSlew float64
 	if err != nil {
 		return 0, 0, err
 	}
-	var probes []*ctree.Node
+	a := cx.arena()
+	var probes []int32
 	if sinkEdges {
-		for _, s := range cx.Tree.Sinks() {
-			if s.EdgeLen() > 50 {
+		for _, s := range a.Sinks() {
+			if a.EdgeLen(s) > 50 {
 				probes = append(probes, s)
 			}
 			if len(probes) == 4 {
@@ -36,17 +37,17 @@ func EstimateTwn(cx *Context, lwn float64, sinkEdges bool) (twn, twnSlew float64
 			}
 		}
 	} else {
-		probes = pickProbes(cx.Tree, cx.wideIdx(), 3)
+		probes = pickProbes(a, cx.wideIdx(), 3)
 	}
 	if len(probes) == 0 {
 		// Degenerate trees: fall back to the wire model (r·c per µm against
 		// a typical downstream cap is unknowable without probes; use a tiny
 		// positive stand-in so callers can still budget).
-		w := cx.Tree.Tech.Wires[cx.wideIdx()]
+		w := a.Tech.Wires[cx.wideIdx()]
 		return w.RPerUm * w.CPerUm * 100, 0.01, nil
 	}
 	for _, p := range probes {
-		p.Snake += lwn
+		a.Snake[p] += lwn
 	}
 	cx.invalidate()
 	after, _, err := cx.CNE()
@@ -54,7 +55,7 @@ func EstimateTwn(cx *Context, lwn float64, sinkEdges bool) (twn, twnSlew float64
 		return 0, 0, err
 	}
 	for _, p := range probes {
-		worst, worstSlew := probeDelta(base, after, p)
+		worst, worstSlew := probeDelta(a, base, after, p)
 		if u := worst / lwn; u > twn {
 			twn = u
 		}
@@ -71,7 +72,7 @@ func EstimateTwn(cx *Context, lwn float64, sinkEdges bool) (twn, twnSlew float64
 		twnSlew = 1e-4
 	}
 	for _, p := range probes {
-		p.Snake -= lwn
+		a.Snake[p] -= lwn
 	}
 	cx.invalidate()
 	return twn, twnSlew, nil
@@ -83,8 +84,9 @@ func EstimateTwn(cx *Context, lwn float64, sinkEdges bool) (twn, twnSlew float64
 // caps the snake added to one edge in one round — the linear Twn model only
 // holds for small increments (the paper snakes "a small amount" per round).
 func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, lwn, safety float64, onlySinkEdges bool, maxStep, capShare float64) int {
-	slk := slack.Compute(cx.Tree, res)
-	tk := cx.Tree.Tech
+	a := cx.arena()
+	slk := slack.Compute(a, res)
+	tk := a.Tech
 	wireC := tk.Wires[cx.narrowIdx()].CPerUm
 	headroom := cx.capHeadroom() * capShare
 	limit := tk.SlewLimit
@@ -101,59 +103,59 @@ func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, lwn, safety float
 	slowV := tk.Worst().Vdd
 	driverR := func(driverID int) float64 {
 		if driverID < 0 {
-			return cx.Tree.SourceR * (tk.VddRef - tk.Vt) / (slowV - tk.Vt)
+			return a.SourceR * (tk.VddRef - tk.Vt) / (slowV - tk.Vt)
 		}
-		n := cx.Tree.Node(driverID)
-		if n == nil || n.Buf == nil {
+		buf, ok := a.Buf(int32(driverID))
+		if !ok {
 			return 1
 		}
-		return tk.RoutAt(*n.Buf, slowV)
+		return tk.RoutAt(buf, slowV)
 	}
-	slewCost := func(n *ctree.Node, driverID int, x float64) float64 {
-		w := tk.Wires[n.WidthIdx]
+	slewCost := func(n int32, driverID int, x float64) float64 {
+		w := tk.Wires[a.WidthIdx[n]]
 		rd := driverR(driverID)
-		cdown := cx.Tree.LoadCap(n)
+		cdown := a.LoadCap(n)
 		return 2.2 * (rd*w.CPerUm*x + w.RPerUm*x*(w.CPerUm*x/2+cdown))
 	}
-	slewRoomLen := func(n *ctree.Node, driverID int, room float64) float64 {
+	slewRoomLen := func(n int32, driverID int, room float64) float64 {
 		if room <= 0 {
 			return 0
 		}
-		w := tk.Wires[n.WidthIdx]
+		w := tk.Wires[a.WidthIdx[n]]
 		rd := driverR(driverID)
-		cdown := cx.Tree.LoadCap(n)
-		a := w.RPerUm * w.CPerUm / 2
+		cdown := a.LoadCap(n)
+		qa := w.RPerUm * w.CPerUm / 2
 		bq := rd*w.CPerUm + w.RPerUm*cdown
 		c0 := room / 2.2
-		return (-bq + math.Sqrt(bq*bq+4*a*c0)) / (2 * a)
+		return (-bq + math.Sqrt(bq*bq+4*qa*c0)) / (2 * qa)
 	}
 	changed := 0
-	// driverOf maps every tree node to its stage driver (-1 = source).
-	driverOf := map[int]int{}
-	var mark func(n *ctree.Node, drv int)
-	mark = func(n *ctree.Node, drv int) {
-		driverOf[n.ID] = drv
+	// driverOf maps every slot to its stage driver (-1 = source).
+	driverOf := make([]int, a.Len())
+	var mark func(n int32, drv int)
+	mark = func(n int32, drv int) {
+		driverOf[n] = drv
 		next := drv
-		if n.Kind == ctree.Buffer {
-			next = n.ID
+		if a.Kind[n] == ctree.Buffer {
+			next = int(n)
 		}
-		for _, c := range n.Children {
+		for _, c := range a.Children(n) {
 			mark(c, next)
 		}
 	}
-	mark(cx.Tree.Root, -1)
-	topDown(cx.Tree, func(n *ctree.Node, used float64) float64 {
-		if onlySinkEdges && n.Kind != ctree.Sink {
+	mark(a.Root(), -1)
+	topDown(a, func(n int32, used float64) float64 {
+		if onlySinkEdges && a.Kind[n] != ctree.Sink {
 			return used
 		}
-		budget := (slk.EdgeSlow[n.ID] - used) * safety
+		budget := (slk.EdgeSlow[int(n)] - used) * safety
 		if budget > twn*lwn {
 			addLen := math.Floor(budget/(twn*lwn)) * lwn
 			if addLen > maxStep {
 				addLen = math.Floor(maxStep/lwn) * lwn
 			}
 			// Brake against the owning stage's slew headroom.
-			drv := driverOf[n.ID]
+			drv := driverOf[n]
 			room := 0.88*limit - stageSlew[drv]
 			if lim := slewRoomLen(n, drv, room); addLen > lim {
 				addLen = math.Floor(lim/lwn) * lwn
@@ -163,7 +165,7 @@ func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, lwn, safety float
 				addLen = math.Floor(headroom/wireC/lwn) * lwn
 			}
 			if addLen > 0 {
-				n.Snake += addLen
+				a.Snake[n] += addLen
 				stageSlew[drv] += slewCost(n, drv, addLen)
 				headroom -= addLen * wireC
 				used += addLen * twn
@@ -227,14 +229,15 @@ func BottomLevelTuning(cx *Context) error {
 	wide, narrow := cx.wideIdx(), cx.narrowIdx()
 	if twsUnit > 0 {
 		if err := cx.improveLoop("bwsz", MinBoth, func(res []*analysis.Result) bool {
-			slk := slack.Compute(cx.Tree, res)
+			a := cx.arena()
+			slk := slack.Compute(a, res)
 			changed := 0
-			for _, s := range cx.Tree.Sinks() {
-				if s.WidthIdx != wide {
+			for _, s := range a.Sinks() {
+				if int(a.WidthIdx[s]) != wide {
 					continue
 				}
-				if slk.EdgeSlow[s.ID] > twsUnit*s.EdgeLen()*1.2 {
-					s.WidthIdx = narrow
+				if slk.EdgeSlow[int(s)] > twsUnit*a.EdgeLen(s)*1.2 {
+					a.WidthIdx[s] = int32(narrow)
 					changed++
 				}
 			}

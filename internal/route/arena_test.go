@@ -11,39 +11,40 @@ import (
 	"contango/internal/tech"
 )
 
-// legalizeGolden legalizes tr's arena form and compares the result, the
-// report and the remaining heavy-crossing count against the digest in
-// testdata/legalize.golden. The digests were recorded while the pointer
-// legalizer still existed and produced the identical trees.
-func legalizeGolden(t *testing.T, name string, tr *ctree.Tree, obs *geom.ObstacleSet, die geom.Rect, opt Options) {
+// legalizeGolden legalizes a and compares the result, the report and the
+// remaining heavy-crossing count against the digest in
+// testdata/legalize.golden. The digests were recorded while a pointer-tree
+// legalizer still existed beside the arena one and produced the identical
+// trees.
+func legalizeGolden(t *testing.T, name string, a *ctree.Arena, obs *geom.ObstacleSet, die geom.Rect, opt Options) {
 	t.Helper()
-	a, back, rep := legalize(t, tr, obs, die, opt)
-	if err := back.Validate(); err != nil {
+	rep := legalize(t, a, obs, die, opt)
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	ctreetest.RequireAMD64(t)
 	ctreetest.Check(t, ctreetest.Golden(t, "testdata/legalize.golden"), name,
-		ctreetest.Digest(back, rep, len(CheckLegalArena(a, obs, opt.SafeCap))))
+		ctreetest.Digest(a, rep, len(CheckLegalArena(a, obs, opt.SafeCap))))
 }
 
 func TestLegalizeArenaMatchesPointerDetour(t *testing.T) {
 	tk := tech.Default45()
-	tr, obs, die := buildEnclosedScenario(tk)
-	legalizeGolden(t, "detour", tr, obs, die, Options{SafeCap: 300})
+	a, obs, die := buildEnclosedScenario(tk)
+	legalizeGolden(t, "detour", a, obs, die, Options{SafeCap: 300})
 }
 
 func TestLegalizeArenaMatchesPointerCapturedSink(t *testing.T) {
 	tk := tech.Default45()
 	die := geom.NewRect(0, 0, 4000, 4000)
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(1500, 1500, 2500, 2500)}})
-	tr := ctree.New(tk, geom.Pt(0, 2000), 0.1)
-	hub := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(2000, 2000))
-	tr.AddSink(hub, geom.Pt(2200, 2200), 30, "captive")
-	c := tr.AddChild(hub, ctree.Internal, geom.Pt(3000, 2000))
+	a := ctree.NewArena(tk, geom.Pt(0, 2000), 0.1, ctree.BuildHints{})
+	hub := a.AddChildL(a.Root(), ctree.Internal, geom.Pt(2000, 2000))
+	a.AddSink(hub, geom.Pt(2200, 2200), 30, "captive")
+	c := a.AddChildL(hub, ctree.Internal, geom.Pt(3000, 2000))
 	for k := 0; k < 20; k++ {
-		tr.AddSink(c, geom.Pt(3000+float64(20*k), 2100), 50, "")
+		a.AddSink(c, geom.Pt(3000+float64(20*k), 2100), 50, "")
 	}
-	legalizeGolden(t, "captured-sink", tr, obs, die, Options{SafeCap: 400})
+	legalizeGolden(t, "captured-sink", a, obs, die, Options{SafeCap: 400})
 }
 
 func TestLegalizeArenaMatchesPointerOnDMETree(t *testing.T) {
@@ -63,11 +64,8 @@ func TestLegalizeArenaMatchesPointerOnDMETree(t *testing.T) {
 		}
 		sinks = append(sinks, dme.Sink{Loc: p, Cap: 20 + rng.Float64()*30})
 	}
-	tr, err := dme.BuildZSTArena(tk, geom.Pt(0, 4000), sinks, dme.Options{}).ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legalizeGolden(t, "dme-tree", tr, obs, die, Options{SafeCap: tk.SlewSafeCap})
+	a := dme.BuildZSTArena(tk, geom.Pt(0, 4000), sinks, dme.Options{})
+	legalizeGolden(t, "dme-tree", a, obs, die, Options{SafeCap: tk.SlewSafeCap})
 }
 
 func TestLegalizeArenaNoObstaclesIsNoop(t *testing.T) {
@@ -78,10 +76,7 @@ func TestLegalizeArenaNoObstaclesIsNoop(t *testing.T) {
 		sinks = append(sinks, dme.Sink{Loc: geom.Pt(rng.Float64()*2000, rng.Float64()*2000), Cap: 25})
 	}
 	a := dme.BuildZSTArena(tk, geom.Pt(0, 0), sinks, dme.Options{})
-	before, err := a.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := ctreetest.Digest(a)
 	rep, err := LegalizeArena(a, nil, geom.NewRect(0, 0, 2000, 2000), Options{SafeCap: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -89,11 +84,7 @@ func TestLegalizeArenaNoObstaclesIsNoop(t *testing.T) {
 	if *rep != (Report{}) {
 		t.Fatalf("no-obstacle legalization did work: %v", rep)
 	}
-	after, err := a.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctree.Equal(before, after); err != nil {
-		t.Fatal(err)
+	if after := ctreetest.Digest(a); after != before {
+		t.Fatal("no-obstacle legalization changed the tree")
 	}
 }

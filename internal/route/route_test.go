@@ -11,21 +11,14 @@ import (
 	"contango/internal/tech"
 )
 
-// legalize runs LegalizeArena on tr's arena form and returns the arena, the
-// legalized tree (node IDs are arena slots, so they carry over) and the
-// report.
-func legalize(t *testing.T, tr *ctree.Tree, obs *geom.ObstacleSet, die geom.Rect, opt Options) (*ctree.Arena, *ctree.Tree, *Report) {
+// legalize runs LegalizeArena on a and returns the report.
+func legalize(t *testing.T, a *ctree.Arena, obs *geom.ObstacleSet, die geom.Rect, opt Options) *Report {
 	t.Helper()
-	a := ctree.FromTree(tr)
 	rep, err := LegalizeArena(a, obs, die, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := a.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, out, rep
+	return rep
 }
 
 func TestLShapeFlipFixesCrossing(t *testing.T) {
@@ -34,9 +27,9 @@ func TestLShapeFlipFixesCrossing(t *testing.T) {
 	// Obstacle placed so the horizontal-first L crosses but vertical-first
 	// does not.
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(400, -100, 600, 150)}})
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	tr.AddSink(tr.Root, geom.Pt(1000, 800), 35, "s")
-	a, _, rep := legalize(t, tr, obs, die, Options{SafeCap: 1})
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	a.AddSink(a.Root(), geom.Pt(1000, 800), 35, "s")
+	rep := legalize(t, a, obs, die, Options{SafeCap: 1})
 	if rep.LFlips != 1 {
 		t.Errorf("LFlips=%d want 1 (%v)", rep.LFlips, rep)
 	}
@@ -50,9 +43,9 @@ func TestSafeCrossingLeftAlone(t *testing.T) {
 	die := geom.NewRect(0, 0, 2000, 2000)
 	// Obstacle blocks both L configurations (spans the whole corridor).
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(400, -100, 600, 2100)}})
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	tr.AddSink(tr.Root, geom.Pt(1000, 1000), 35, "s")
-	_, _, rep := legalize(t, tr, obs, die, Options{SafeCap: 10000})
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	a.AddSink(a.Root(), geom.Pt(1000, 1000), 35, "s")
+	rep := legalize(t, a, obs, die, Options{SafeCap: 10000})
 	if rep.Reroutes != 0 || rep.Detours != 0 {
 		t.Errorf("small load should not trigger repair: %v", rep)
 	}
@@ -65,62 +58,62 @@ func TestHeavyCrossingRerouted(t *testing.T) {
 	tk := tech.Default45()
 	die := geom.NewRect(0, 0, 2000, 2000)
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(400, -100, 600, 1800)}})
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	hub := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(1000, 500))
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	hub := a.AddChildL(a.Root(), ctree.Internal, geom.Pt(1000, 500))
 	// Heavy fan-out below the crossing edge.
 	for i := 0; i < 20; i++ {
-		tr.AddSink(hub, geom.Pt(1200+float64(20*i), 600), 50, "")
+		a.AddSink(hub, geom.Pt(1200+float64(20*i), 600), 50, "")
 	}
-	a, tr, rep := legalize(t, tr, obs, die, Options{SafeCap: 200})
+	rep := legalize(t, a, obs, die, Options{SafeCap: 200})
 	if rep.Reroutes == 0 {
 		t.Fatalf("heavy crossing should be rerouted: %v", rep)
 	}
 	if bad := CheckLegalArena(a, obs, 200); len(bad) != 0 {
 		t.Errorf("%d heavy crossings remain", len(bad))
 	}
-	if err := tr.Validate(); err != nil {
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // buildEnclosedScenario places a hub steiner point inside an obstacle with
 // several outside subtrees fed through it — the paper's Fig. 2 situation.
-func buildEnclosedScenario(tk *tech.Tech) (*ctree.Tree, *geom.ObstacleSet, geom.Rect) {
+func buildEnclosedScenario(tk *tech.Tech) (*ctree.Arena, *geom.ObstacleSet, geom.Rect) {
 	die := geom.NewRect(0, 0, 4000, 4000)
 	obs := geom.NewObstacleSet([]geom.Obstacle{
 		{Rect: geom.NewRect(1500, 1500, 2500, 2500), Name: "macro"},
 	})
-	tr := ctree.New(tk, geom.Pt(0, 2000), 0.1)
-	hub := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(2000, 2000)) // inside macro
+	a := ctree.NewArena(tk, geom.Pt(0, 2000), 0.1, ctree.BuildHints{})
+	hub := a.AddChildL(a.Root(), ctree.Internal, geom.Pt(2000, 2000)) // inside macro
 	// Four outside clusters fed from the captured hub.
 	locs := []geom.Point{{X: 3000, Y: 2000}, {X: 2000, Y: 3000}, {X: 2000, Y: 1000}, {X: 3200, Y: 3200}}
 	for _, l := range locs {
-		c := tr.AddChild(hub, ctree.Internal, l)
+		c := a.AddChildL(hub, ctree.Internal, l)
 		for k := 0; k < 8; k++ {
-			tr.AddSink(c, geom.Pt(l.X+float64(30*k), l.Y+100), 40, "")
+			a.AddSink(c, geom.Pt(l.X+float64(30*k), l.Y+100), 40, "")
 		}
 	}
-	return tr, obs, die
+	return a, obs, die
 }
 
 func TestContourDetourFigure2(t *testing.T) {
 	tk := tech.Default45()
-	tr, obs, die := buildEnclosedScenario(tk)
-	nSinks := len(tr.Sinks())
-	a, tr, rep := legalize(t, tr, obs, die, Options{SafeCap: 300})
+	a, obs, die := buildEnclosedScenario(tk)
+	nSinks := len(a.Sinks())
+	rep := legalize(t, a, obs, die, Options{SafeCap: 300})
 	if rep.Detours != 1 {
 		t.Fatalf("want 1 detour, got %v", rep)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tr.Sinks()); got != nSinks {
+	if got := len(a.Sinks()); got != nSinks {
 		t.Fatalf("sinks lost: %d -> %d", nSinks, got)
 	}
 	// No internal node may remain strictly inside the obstacle.
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Kind != ctree.Sink && obs.BlocksPoint(n.Loc) {
-			t.Errorf("node %d still inside obstacle at %v", n.ID, n.Loc)
+	a.PreOrder(func(n int32) {
+		if a.Kind[n] != ctree.Sink && obs.BlocksPoint(a.Loc[n]) {
+			t.Errorf("node %d still inside obstacle at %v", n, a.Loc[n])
 		}
 	})
 	if bad := CheckLegalArena(a, obs, 300); len(bad) != 0 {
@@ -132,10 +125,10 @@ func TestDetourKeepsSmallEnclosedSubtree(t *testing.T) {
 	tk := tech.Default45()
 	die := geom.NewRect(0, 0, 4000, 4000)
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(1500, 1500, 2500, 2500)}})
-	tr := ctree.New(tk, geom.Pt(0, 2000), 0.1)
-	hub := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(2000, 2000))
-	tr.AddSink(hub, geom.Pt(2600, 2000), 30, "s")
-	_, _, rep := legalize(t, tr, obs, die, Options{SafeCap: 5000})
+	a := ctree.NewArena(tk, geom.Pt(0, 2000), 0.1, ctree.BuildHints{})
+	hub := a.AddChildL(a.Root(), ctree.Internal, geom.Pt(2000, 2000))
+	a.AddSink(hub, geom.Pt(2600, 2000), 30, "s")
+	rep := legalize(t, a, obs, die, Options{SafeCap: 5000})
 	if rep.Detours != 0 {
 		t.Errorf("tiny enclosed subtree should be driveable by one buffer: %v", rep)
 	}
@@ -145,27 +138,27 @@ func TestDetourWithCapturedSink(t *testing.T) {
 	tk := tech.Default45()
 	die := geom.NewRect(0, 0, 4000, 4000)
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(1500, 1500, 2500, 2500)}})
-	tr := ctree.New(tk, geom.Pt(0, 2000), 0.1)
-	hub := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(2000, 2000))
-	tr.AddSink(hub, geom.Pt(2200, 2200), 30, "captive")
+	a := ctree.NewArena(tk, geom.Pt(0, 2000), 0.1, ctree.BuildHints{})
+	hub := a.AddChildL(a.Root(), ctree.Internal, geom.Pt(2000, 2000))
+	a.AddSink(hub, geom.Pt(2200, 2200), 30, "captive")
 	// Enough outside load to force a detour.
-	c := tr.AddChild(hub, ctree.Internal, geom.Pt(3000, 2000))
+	c := a.AddChildL(hub, ctree.Internal, geom.Pt(3000, 2000))
 	for k := 0; k < 20; k++ {
-		tr.AddSink(c, geom.Pt(3000+float64(20*k), 2100), 50, "")
+		a.AddSink(c, geom.Pt(3000+float64(20*k), 2100), 50, "")
 	}
-	_, tr, rep := legalize(t, tr, obs, die, Options{SafeCap: 400})
+	rep := legalize(t, a, obs, die, Options{SafeCap: 400})
 	if rep.Detours != 1 {
 		t.Fatalf("expected detour: %v", rep)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// The captured sink survives, reachable, still at its location.
 	found := false
-	for _, s := range tr.Sinks() {
-		if s.Name == "captive" {
+	for _, s := range a.Sinks() {
+		if a.Name[s] == "captive" {
 			found = true
-			if !s.Loc.Eq(geom.Pt(2200, 2200), 0) {
+			if !a.Loc[s].Eq(geom.Pt(2200, 2200), 0) {
 				t.Error("captured sink moved")
 			}
 		}
@@ -200,17 +193,13 @@ func TestLegalizeOnDMETreeWithObstacles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := a.ToTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if bad := CheckLegalArena(a, obs, safe); len(bad) != 0 {
 		t.Errorf("%d heavy crossings remain (%v)", len(bad), rep)
 	}
-	if got := len(tr.Sinks()); got != 120 {
+	if got := len(a.Sinks()); got != 120 {
 		t.Errorf("sink count changed: %d", got)
 	}
 }
@@ -265,14 +254,14 @@ func TestProjectOntoRing(t *testing.T) {
 
 func TestNoObstaclesNoOp(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	tr.AddSink(tr.Root, geom.Pt(100, 100), 35, "s")
-	wl := tr.Wirelength()
-	_, tr, rep := legalize(t, tr, geom.NewObstacleSet(nil), geom.NewRect(0, 0, 200, 200), Options{SafeCap: 1})
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	a.AddSink(a.Root(), geom.Pt(100, 100), 35, "s")
+	wl := a.Wirelength()
+	rep := legalize(t, a, geom.NewObstacleSet(nil), geom.NewRect(0, 0, 200, 200), Options{SafeCap: 1})
 	if rep.LFlips+rep.Reroutes+rep.Detours+rep.Crossing != 0 {
 		t.Errorf("no-op expected: %v", rep)
 	}
-	if tr.Wirelength() != wl {
+	if a.Wirelength() != wl {
 		t.Error("wirelength changed")
 	}
 }

@@ -41,7 +41,7 @@ func TestSubmitECOEndToEndAndCache(t *testing.T) {
 	if j.CacheHit() {
 		t.Error("first eco run must not be a cache hit")
 	}
-	if got := len(res.Tree.Sinks()); got != len(b.Sinks)-1 {
+	if got := len(res.Tree.Arena().Sinks()); got != len(b.Sinks)-1 {
 		t.Fatalf("eco result has %d sinks, want %d", got, len(b.Sinks)-1)
 	}
 	if err := res.Tree.Validate(); err != nil {
@@ -162,7 +162,7 @@ func TestECORecoveryHydratesBase(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recovered eco job: %v", err)
 		}
-		if got := len(res.Tree.Sinks()); got != len(b.Sinks)-1 {
+		if got := len(res.Tree.Arena().Sinks()); got != len(b.Sinks)-1 {
 			t.Fatalf("recovered eco result has %d sinks, want %d", got, len(b.Sinks)-1)
 		}
 		return

@@ -226,7 +226,15 @@ func TestShutdownJournalsPending(t *testing.T) {
 		defer close(done)
 		svc.Shutdown(ctx)
 	}()
-	// Unblock the running job so its cancellation can land.
+	// Release the running job only once its cancellation has landed, or
+	// the tiny job could finish first. CancelAll cancels jobs in submission
+	// order, so the queued job turning canceled means the running job's
+	// context is already canceled.
+	select {
+	case <-queued.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("Shutdown did not cancel the queued job")
+	}
 	close(release)
 	select {
 	case <-done:
@@ -379,12 +387,16 @@ func TestResultDefensiveCopies(t *testing.T) {
 	}
 	wantSkew := res1.Final.Skew
 	wantRuns := res1.Stages[0].Runs
-	wantSnake := res1.Tree.Root.Children[0].Snake
+	top := func(r *core.Result) *float64 {
+		a := r.Tree.Arena()
+		return &a.Snake[a.Children(a.Root())[0]]
+	}
+	wantSnake := *top(res1)
 
 	// Vandalize everything reachable from the returned result.
 	res1.Final.Skew = -777
 	res1.Stages[0].Runs = -777
-	res1.Tree.Root.Children[0].Snake = 777
+	*top(res1) = 777
 	res1.Benchmark.Sinks[0].Cap = 777
 
 	refetch, err := j1.Result()
@@ -392,7 +404,7 @@ func TestResultDefensiveCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	if refetch.Final.Skew != wantSkew || refetch.Stages[0].Runs != wantRuns ||
-		refetch.Tree.Root.Children[0].Snake != wantSnake {
+		*top(refetch) != wantSnake {
 		t.Error("mutations through a returned result leaked into the job")
 	}
 
@@ -409,7 +421,7 @@ func TestResultDefensiveCopies(t *testing.T) {
 		t.Fatal("resubmission should hit the cache")
 	}
 	if res2.Final.Skew != wantSkew || res2.Stages[0].Runs != wantRuns ||
-		res2.Tree.Root.Children[0].Snake != wantSnake {
+		*top(res2) != wantSnake {
 		t.Error("cache-hit result carries a caller's mutations")
 	}
 }

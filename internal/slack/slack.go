@@ -18,8 +18,8 @@ import (
 
 // Slacks holds the slow-down slacks of a tree for one set of measurements.
 type Slacks struct {
-	// EdgeSlow is keyed by tree-node ID; the edge from n.Parent to n is
-	// keyed by n.ID. A sink's entry is its own slack Tmax − Ts
+	// EdgeSlow is keyed by arena slot; the parent edge of slot n is keyed
+	// by n. A sink's entry is its own slack Tmax − Ts
 	// (Definition 1); any other edge's is the least over the sinks below it
 	// (Definition 2 via Lemma 1). Both are minimized over transitions and
 	// corners.
@@ -28,10 +28,10 @@ type Slacks struct {
 	scale float64
 }
 
-// Compute derives slacks from one or more evaluation results (one per
-// corner). Each result contributes rising and falling latencies; the
+// Compute derives the slacks of the tree a from one or more evaluation
+// results (one per corner). Each result contributes rising and falling latencies; the
 // conservative minimum over all of them is kept per sink and per edge.
-func Compute(tr *ctree.Tree, results []*analysis.Result) *Slacks {
+func Compute(a *ctree.Arena, results []*analysis.Result) *Slacks {
 	s := &Slacks{EdgeSlow: map[int]float64{}}
 	var views []map[int]float64
 	for _, r := range results {
@@ -42,30 +42,30 @@ func Compute(tr *ctree.Tree, results []*analysis.Result) *Slacks {
 			views = append(views, r.Fall)
 		}
 	}
-	sinks := tr.Sinks()
+	sinks := a.Sinks()
 	for _, sk := range sinks {
-		s.EdgeSlow[sk.ID] = math.Inf(1)
+		s.EdgeSlow[int(sk)] = math.Inf(1)
 	}
 	for _, lat := range views {
 		tmax := math.Inf(-1)
 		for _, sk := range sinks {
-			tmax = math.Max(tmax, lat[sk.ID])
+			tmax = math.Max(tmax, lat[int(sk)])
 		}
 		for _, sk := range sinks {
-			s.EdgeSlow[sk.ID] = math.Min(s.EdgeSlow[sk.ID], tmax-lat[sk.ID])
+			s.EdgeSlow[int(sk)] = math.Min(s.EdgeSlow[int(sk)], tmax-lat[int(sk)])
 		}
 	}
 	// Lemma 1: edge slack = min over downstream sinks, computable in O(n)
 	// bottom-up.
-	tr.PostOrder(func(n *ctree.Node) {
-		if n.Kind == ctree.Sink {
+	a.PostOrder(func(n int32) {
+		if a.Kind[n] == ctree.Sink {
 			return
 		}
 		slow := math.Inf(1)
-		for _, c := range n.Children {
-			slow = math.Min(slow, s.EdgeSlow[c.ID])
+		for _, c := range a.Children(n) {
+			slow = math.Min(slow, s.EdgeSlow[int(c)])
 		}
-		s.EdgeSlow[n.ID] = slow
+		s.EdgeSlow[int(n)] = slow
 	})
 	for _, v := range s.EdgeSlow {
 		if !math.IsInf(v, 1) && v > s.scale {
@@ -75,7 +75,7 @@ func Compute(tr *ctree.Tree, results []*analysis.Result) *Slacks {
 	return s
 }
 
-// Gradient returns a 0..1 visualization weight for the edge keyed by id:
+// Gradient returns a 0..1 visualization weight for the edge keyed by slot id:
 // 0 = no slow-down slack (critical, drawn red), 1 = the largest slack in the
 // tree (drawn green). Used to reproduce the paper's Figure 3 coloring.
 func (s *Slacks) Gradient(id int) float64 {

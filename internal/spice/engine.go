@@ -55,7 +55,9 @@ func (e *Engine) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.Result,
 // corner run over it, one corner group (cornerGroups) at a time.
 func (e *Engine) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
 	net := &e.net
-	net.ExtractTree(tr, e.MaxSeg)
+	if err := net.Extract(tr.Arena(), e.MaxSeg); err != nil {
+		return nil, err
+	}
 	outs := make([]cornerOutcome, len(corners))
 	for _, g := range cornerGroups(corners) {
 		e.simulateCorners(net, corners[g.start:g.end], nil, nil, outs[g.start:g.end])
@@ -355,5 +357,5 @@ var _ analysis.Evaluator = (*Engine)(nil)
 // EvaluateAll runs the engine at every corner of the tree's technology and
 // returns the results in corner order.
 func (e *Engine) EvaluateAll(tr *ctree.Tree) ([]*analysis.Result, error) {
-	return e.EvaluateCorners(tr, tr.Tech.Corners)
+	return e.EvaluateCorners(tr, tr.Arena().Tech.Corners)
 }

@@ -133,7 +133,9 @@ func (ie *Incremental) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.R
 func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
 	ie.bind(tr)
 	net := &ie.net
-	net.ExtractTree(tr, ie.Eng.MaxSeg)
+	if err := net.Extract(tr.Arena(), ie.Eng.MaxSeg); err != nil {
+		return nil, err
+	}
 	ie.Stats.FullStages = len(net.Stages)
 
 	outs := make([]cornerOutcome, len(corners))

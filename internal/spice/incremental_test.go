@@ -16,67 +16,62 @@ import (
 // chain with branch buffers and sinks hanging off it, enough stages for the
 // incremental cone logic to matter while keeping transients fast.
 func randomStagedTree(rng *rand.Rand, tk *tech.Tech) *ctree.Tree {
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
 	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
-	cur := tr.Root
+	cur := a.Root()
 	for i := 0; i < 2+rng.Intn(2); i++ {
-		b := tr.AddChild(cur, ctree.Buffer, geom.Pt(float64(i+1)*400, rng.Float64()*200))
-		c := comp
-		b.Buf = &c
+		b := a.AddChildL(cur, ctree.Buffer, geom.Pt(float64(i+1)*400, rng.Float64()*200))
+		a.SetBuf(b, comp)
 		cur = b
 	}
-	hubs := []*ctree.Node{cur}
+	hubs := []int32{cur}
 	for i := 0; i < 2+rng.Intn(3); i++ {
 		p := hubs[rng.Intn(len(hubs))]
-		loc := geom.Pt(p.Loc.X+200+rng.Float64()*600, p.Loc.Y+rng.Float64()*600-300)
+		loc := geom.Pt(a.Loc[p].X+200+rng.Float64()*600, a.Loc[p].Y+rng.Float64()*600-300)
 		if rng.Intn(2) == 0 {
-			b := tr.AddChild(p, ctree.Buffer, loc)
-			c := comp
-			b.Buf = &c
+			b := a.AddChildL(p, ctree.Buffer, loc)
+			a.SetBuf(b, comp)
 			hubs = append(hubs, b)
 		} else {
-			hubs = append(hubs, tr.AddChild(p, ctree.Internal, loc))
+			hubs = append(hubs, a.AddChildL(p, ctree.Internal, loc))
 		}
 	}
 	for i := 0; i < 4+rng.Intn(4); i++ {
 		p := hubs[rng.Intn(len(hubs))]
-		tr.AddSink(p, geom.Pt(p.Loc.X+100+rng.Float64()*300, p.Loc.Y+rng.Float64()*300), 20+rng.Float64()*30, "")
+		a.AddSink(p, geom.Pt(a.Loc[p].X+100+rng.Float64()*300, a.Loc[p].Y+rng.Float64()*300), 20+rng.Float64()*30, "")
 	}
-	return tr
+	return ctree.NewTree(a)
 }
 
 // randomMove mutates the tree the way optimization rounds do: a direct
 // write to a wire width, a snake or a buffer size, or an inverter pair
 // inserted on an edge.
 func randomMove(rng *rand.Rand, tr *ctree.Tree) {
-	var edges, bufs []*ctree.Node
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Parent != nil {
+	a := tr.Arena()
+	var edges, bufs []int32
+	a.PreOrder(func(n int32) {
+		if a.Parent[n] >= 0 {
 			edges = append(edges, n)
 		}
-		if n.Kind == ctree.Buffer {
+		if a.Kind[n] == ctree.Buffer {
 			bufs = append(bufs, n)
 		}
 	})
 	switch rng.Intn(4) {
 	case 0:
-		edges[rng.Intn(len(edges))].WidthIdx = rng.Intn(len(tr.Tech.Wires))
+		a.WidthIdx[edges[rng.Intn(len(edges))]] = int32(rng.Intn(len(a.Tech.Wires)))
 	case 1:
-		edges[rng.Intn(len(edges))].Snake += float64(1+rng.Intn(6)) * 25
+		a.Snake[edges[rng.Intn(len(edges))]] += float64(1+rng.Intn(6)) * 25
 	case 2:
 		if len(bufs) > 0 {
-			bufs[rng.Intn(len(bufs))].Buf.N = 2 + rng.Intn(14)
+			a.BufN[bufs[rng.Intn(len(bufs))]] = int32(2 + rng.Intn(14))
 		}
 	case 3:
 		n := edges[rng.Intn(len(edges))]
-		if n.Route.Length() > 150 {
-			comp := tech.Composite{Type: tr.Tech.Inverters[1], N: 8}
-			b1 := tr.InsertOnEdge(n, n.Route.Length()/2, ctree.Buffer)
-			c1 := comp
-			b1.Buf = &c1
-			b2 := tr.InsertOnEdge(n, 10, ctree.Buffer)
-			c2 := comp
-			b2.Buf = &c2
+		if l := a.Route(n).Length(); l > 150 {
+			comp := tech.Composite{Type: a.Tech.Inverters[1], N: 8}
+			a.SetBuf(a.InsertOnEdge(n, l/2, ctree.Buffer), comp)
+			a.SetBuf(a.InsertOnEdge(n, 10, ctree.Buffer), comp)
 		}
 	}
 }
@@ -179,17 +174,13 @@ func TestIncrementalReusesCleanStages(t *testing.T) {
 
 	// Probe: snake one sink edge, evaluate, revert, evaluate. The revert
 	// evaluation must find the pre-probe generation in the cache.
-	var probe *ctree.Node
-	tr.PreOrder(func(n *ctree.Node) {
-		if probe == nil && n.Kind == ctree.Sink {
-			probe = n
-		}
-	})
-	probe.Snake += 100
+	a := tr.Arena()
+	probe := a.Sinks()[0]
+	a.Snake[probe] += 100
 	if _, err := ie.EvaluateCorners(tr, tk.Corners); err != nil {
 		t.Fatal(err)
 	}
-	probe.Snake -= 100
+	a.Snake[probe] -= 100
 	base = ie.Stats
 	if _, err := ie.EvaluateCorners(tr, tk.Corners); err != nil {
 		t.Fatal(err)
@@ -226,8 +217,9 @@ func TestIncrementalParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestIncrementalSurvivesRestore: snapshot restore via struct assignment
-// (the IVC reject path) must invalidate correctly and stay at parity.
+// TestIncrementalSurvivesRestore: snapshot restore by copying the arena back
+// in place (the IVC reject path) must invalidate correctly and stay at
+// parity.
 func TestIncrementalSurvivesRestore(t *testing.T) {
 	tk := tech.Default45()
 	rng := rand.New(rand.NewSource(31))
@@ -236,14 +228,14 @@ func TestIncrementalSurvivesRestore(t *testing.T) {
 	if _, err := ie.EvaluateCorners(tr, tk.Corners); err != nil {
 		t.Fatal(err)
 	}
-	snap := tr.Clone()
+	snap := tr.Arena().Clone()
 	for i := 0; i < 3; i++ {
 		randomMove(rng, tr)
 	}
 	if _, err := ie.EvaluateCorners(tr, tk.Corners); err != nil {
 		t.Fatal(err)
 	}
-	*tr = *snap
+	tr.Arena().CopyFrom(snap)
 	base := ie.Stats
 	rs, err := ie.EvaluateCorners(tr, tk.Corners)
 	if err != nil {

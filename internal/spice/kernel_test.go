@@ -85,7 +85,10 @@ func TestPairedKernelMatchesOneColumn(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomStagedTree(rng, tk)
-		net := analysis.Extract(tr, e.MaxSeg)
+		net := new(analysis.Net)
+		if err := net.Extract(tr.Arena(), e.MaxSeg); err != nil {
+			t.Fatal(err)
+		}
 		for ca, corner := range tk.Corners {
 			for _, s := range net.Stages {
 				drv, rd := stageDriver(net, s, corner)

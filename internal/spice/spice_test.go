@@ -75,8 +75,9 @@ func TestCrossingTracker(t *testing.T) {
 // lumpedRC builds source(R=1kΩ) -> tiny wire -> sink(C). Using a very short
 // wire makes the analytic single-pole model accurate.
 func lumpedRC(tk *tech.Tech, r, c float64) *ctree.Tree {
-	tr := ctree.New(tk, geom.Pt(0, 0), r)
-	tr.AddSink(tr.Root, geom.Pt(1, 0), c, "s")
+	a := ctree.NewArena(tk, geom.Pt(0, 0), r, ctree.BuildHints{})
+	tr := ctree.NewTree(a)
+	a.AddSink(a.Root(), geom.Pt(1, 0), c, "s")
 	return tr
 }
 
@@ -90,7 +91,7 @@ func TestStepResponseMatchesAnalyticRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := tr.Sinks()[0].ID
+	sink := int(tr.Arena().Sinks()[0])
 	tau := r * (c + tk.Wires[0].CPerUm*1) // include the 1 µm wire cap
 	wantT50 := tau * math.Ln2
 	wantSlew := tau * math.Log(9)
@@ -109,7 +110,7 @@ func TestStepResponseMatchesAnalyticRC(t *testing.T) {
 func TestTimestepConvergence(t *testing.T) {
 	tk := tech.Default45()
 	tr := lumpedRC(tk, 0.5, 200)
-	sink := tr.Sinks()[0].ID
+	sink := int(tr.Arena().Sinks()[0])
 	e1 := New()
 	e1.Dt = 2
 	r1, _ := e1.Evaluate(tr, tk.Reference())
@@ -123,13 +124,14 @@ func TestTimestepConvergence(t *testing.T) {
 
 func TestInverterChainPolarityAndDelay(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	s := tr.AddSink(tr.Root, geom.Pt(3000, 0), 35, "s")
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	tr := ctree.NewTree(a)
+	s := a.AddSink(a.Root(), geom.Pt(3000, 0), 35, "s")
 	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
-	b1 := tr.InsertOnEdge(s, 1000, ctree.Buffer)
-	b1.Buf = &comp
-	b2 := tr.InsertOnEdge(s, 1000, ctree.Buffer) // now between b1 and s
-	b2.Buf = &comp
+	b1 := a.InsertOnEdge(s, 1000, ctree.Buffer)
+	a.SetBuf(b1, comp)
+	b2 := a.InsertOnEdge(s, 1000, ctree.Buffer) // now between b1 and s
+	a.SetBuf(b2, comp)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +140,14 @@ func TestInverterChainPolarityAndDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := res.Rise[s.ID]
+	lat := res.Rise[int(s)]
 	if math.IsInf(lat, 1) || lat <= 0 {
 		t.Fatalf("latency=%v", lat)
 	}
 	// Sanity: latency should be within a factor of three of the Elmore sum.
 	el, _ := (&analysis.Elmore{}).Evaluate(tr, tk.Reference())
-	if lat > 3*el.Rise[s.ID] || lat < el.Rise[s.ID]/3 {
-		t.Errorf("transient %v vs elmore %v out of band", lat, el.Rise[s.ID])
+	if lat > 3*el.Rise[int(s)] || lat < el.Rise[int(s)]/3 {
+		t.Errorf("transient %v vs elmore %v out of band", lat, el.Rise[int(s)])
 	}
 	if e.Runs != 1 {
 		t.Errorf("Runs=%d want 1", e.Runs)
@@ -154,13 +156,14 @@ func TestInverterChainPolarityAndDelay(t *testing.T) {
 
 func TestSymmetricTreeZeroSkew(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	s1 := tr.AddSink(tr.Root, geom.Pt(1500, 1000), 35, "a")
-	s2 := tr.AddSink(tr.Root, geom.Pt(1500, -1000), 35, "b")
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	tr := ctree.NewTree(a)
+	s1 := a.AddSink(a.Root(), geom.Pt(1500, 1000), 35, "a")
+	s2 := a.AddSink(a.Root(), geom.Pt(1500, -1000), 35, "b")
 	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
-	for _, s := range []*ctree.Node{s1, s2} {
-		b := tr.InsertOnEdge(s, 1200, ctree.Buffer)
-		b.Buf = &comp
+	for _, s := range []int32{s1, s2} {
+		b := a.InsertOnEdge(s, 1200, ctree.Buffer)
+		a.SetBuf(b, comp)
 	}
 	e := New()
 	res, err := e.Evaluate(tr, tk.Reference())
@@ -174,16 +177,17 @@ func TestSymmetricTreeZeroSkew(t *testing.T) {
 
 func TestLowVddSlower(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	s := tr.AddSink(tr.Root, geom.Pt(2000, 0), 35, "s")
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	tr := ctree.NewTree(a)
+	s := a.AddSink(a.Root(), geom.Pt(2000, 0), 35, "s")
 	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
-	b := tr.InsertOnEdge(s, 1000, ctree.Buffer)
-	b.Buf = &comp
+	b := a.InsertOnEdge(s, 1000, ctree.Buffer)
+	a.SetBuf(b, comp)
 	e := New()
 	fast, _ := e.Evaluate(tr, tk.Reference())
 	slow, _ := e.Evaluate(tr, tk.Worst())
-	if slow.Rise[s.ID] <= fast.Rise[s.ID] {
-		t.Errorf("1.0V (%v) must be slower than 1.2V (%v)", slow.Rise[s.ID], fast.Rise[s.ID])
+	if slow.Rise[int(s)] <= fast.Rise[int(s)] {
+		t.Errorf("1.0V (%v) must be slower than 1.2V (%v)", slow.Rise[int(s)], fast.Rise[int(s)])
 	}
 	if e.Runs != 2 {
 		t.Errorf("Runs=%d want 2", e.Runs)
@@ -193,14 +197,15 @@ func TestLowVddSlower(t *testing.T) {
 func TestStrongerBufferFaster(t *testing.T) {
 	tk := tech.Default45()
 	mk := func(n int) (float64, float64) {
-		tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-		s := tr.AddSink(tr.Root, geom.Pt(2000, 0), 35, "s")
+		a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+		tr := ctree.NewTree(a)
+		s := a.AddSink(a.Root(), geom.Pt(2000, 0), 35, "s")
 		comp := tech.Composite{Type: tk.Inverters[1], N: n}
-		b := tr.InsertOnEdge(s, 1000, ctree.Buffer)
-		b.Buf = &comp
+		b := a.InsertOnEdge(s, 1000, ctree.Buffer)
+		a.SetBuf(b, comp)
 		e := New()
 		res, _ := e.Evaluate(tr, tk.Reference())
-		return res.Rise[s.ID], res.SinkSlew[s.ID]
+		return res.Rise[int(s)], res.SinkSlew[int(s)]
 	}
 	lat8, slew8 := mk(8)
 	lat2, slew2 := mk(2)
@@ -216,11 +221,12 @@ func TestSlewToDelayCoupling(t *testing.T) {
 	// A slower input ramp must increase downstream latency — the effect the
 	// paper says Elmore-like models miss.
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	s := tr.AddSink(tr.Root, geom.Pt(2000, 0), 35, "s")
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	tr := ctree.NewTree(a)
+	s := a.AddSink(a.Root(), geom.Pt(2000, 0), 35, "s")
 	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
-	b := tr.InsertOnEdge(s, 1000, ctree.Buffer)
-	b.Buf = &comp
+	b := a.InsertOnEdge(s, 1000, ctree.Buffer)
+	a.SetBuf(b, comp)
 	eFast := New()
 	eFast.SourceSlew = 10
 	rFast, _ := eFast.Evaluate(tr, tk.Reference())
@@ -229,16 +235,17 @@ func TestSlewToDelayCoupling(t *testing.T) {
 	rSlow, _ := eSlow.Evaluate(tr, tk.Reference())
 	// Latencies are measured from the source 50% point, so pure Elmore
 	// would predict no difference; the nonlinear driver sees the slow ramp.
-	if rSlow.Rise[s.ID] <= rFast.Rise[s.ID] {
-		t.Errorf("slow input slew should add delay: %v vs %v", rSlow.Rise[s.ID], rFast.Rise[s.ID])
+	if rSlow.Rise[int(s)] <= rFast.Rise[int(s)] {
+		t.Errorf("slow input slew should add delay: %v vs %v", rSlow.Rise[int(s)], rFast.Rise[int(s)])
 	}
 }
 
 func TestSlewViolationDetected(t *testing.T) {
 	tk := tech.Default45()
 	// 6 mm unbuffered from a weak source: hopeless slew.
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.8)
-	tr.AddSink(tr.Root, geom.Pt(6000, 0), 35, "far")
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.8, ctree.BuildHints{})
+	tr := ctree.NewTree(a)
+	a.AddSink(a.Root(), geom.Pt(6000, 0), 35, "far")
 	e := New()
 	res, err := e.Evaluate(tr, tk.Reference())
 	if err != nil {
@@ -257,17 +264,18 @@ func TestResistiveShielding(t *testing.T) {
 	// branch fully, the transient sees shielding, so transient < Elmore at
 	// the near sink. This is the qualitative gap the paper exploits.
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.2)
-	mid := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(200, 0))
-	near := tr.AddSink(mid, geom.Pt(250, 0), 20, "near")
-	far := tr.AddSink(mid, geom.Pt(3200, 0), 20, "far")
-	far.WidthIdx = tk.Narrow()
+	a := ctree.NewArena(tk, geom.Pt(0, 0), 0.2, ctree.BuildHints{})
+	tr := ctree.NewTree(a)
+	mid := a.AddChildL(a.Root(), ctree.Internal, geom.Pt(200, 0))
+	near := a.AddSink(mid, geom.Pt(250, 0), 20, "near")
+	far := a.AddSink(mid, geom.Pt(3200, 0), 20, "far")
+	a.WidthIdx[far] = int32(tk.Narrow())
 	e := New()
 	res, _ := e.Evaluate(tr, tk.Reference())
 	el, _ := (&analysis.Elmore{}).Evaluate(tr, tk.Reference())
-	if res.Rise[near.ID] >= el.Rise[near.ID] {
+	if res.Rise[int(near)] >= el.Rise[int(near)] {
 		t.Errorf("near sink: transient %v should beat Elmore %v (shielding)",
-			res.Rise[near.ID], el.Rise[near.ID])
+			res.Rise[int(near)], el.Rise[int(near)])
 	}
 }
 

@@ -29,14 +29,14 @@ type Options struct {
 	Die geom.Rect
 }
 
-// WriteSVG renders the tree to w.
-func WriteSVG(w io.Writer, tr *ctree.Tree, opt Options) error {
+// WriteSVG renders the tree a to w.
+func WriteSVG(w io.Writer, a *ctree.Arena, opt Options) error {
 	if opt.WidthPx == 0 {
 		opt.WidthPx = 900
 	}
 	die := opt.Die
 	if die.Empty() {
-		die = treeExtent(tr).Inflate(200)
+		die = treeExtent(a).Inflate(200)
 	}
 	sx := opt.WidthPx / die.W()
 	hPx := die.H() * sx
@@ -59,16 +59,17 @@ func WriteSVG(w io.Writer, tr *ctree.Tree, opt Options) error {
 
 	// Wires, colored by slack.
 	var werr error
-	tr.PreOrder(func(n *ctree.Node) {
-		if werr != nil || n.Parent == nil || len(n.Route) < 2 {
+	a.PreOrder(func(n int32) {
+		route := a.Route(n)
+		if werr != nil || a.Parent[n] < 0 || len(route) < 2 {
 			return
 		}
 		color := "#000000"
 		if opt.Slacks != nil {
-			color = gradientColor(opt.Slacks.Gradient(n.ID))
+			color = gradientColor(opt.Slacks.Gradient(int(n)))
 		}
 		path := ""
-		for i, p := range n.Route {
+		for i, p := range route {
 			cmd := "L"
 			if i == 0 {
 				cmd = "M"
@@ -84,21 +85,22 @@ func WriteSVG(w io.Writer, tr *ctree.Tree, opt Options) error {
 	}
 
 	// Buffers: blue rectangles; sinks: crosses.
-	tr.PreOrder(func(n *ctree.Node) {
+	a.PreOrder(func(n int32) {
 		if werr != nil {
 			return
 		}
-		switch n.Kind {
+		loc := a.Loc[n]
+		switch a.Kind[n] {
 		case ctree.Buffer:
 			_, werr = fmt.Fprintf(w, `<rect x="%.1f" y="%.1f" width="5" height="5" fill="#3050d0"/>`+"\n",
-				X(n.Loc.X)-2.5, Y(n.Loc.Y)-2.5)
+				X(loc.X)-2.5, Y(loc.Y)-2.5)
 		case ctree.Sink:
-			x, y := X(n.Loc.X), Y(n.Loc.Y)
+			x, y := X(loc.X), Y(loc.Y)
 			_, werr = fmt.Fprintf(w,
 				`<path d="M%.1f %.1f L%.1f %.1f M%.1f %.1f L%.1f %.1f" stroke="#202020" stroke-width="1"/>`+"\n",
 				x-3, y-3, x+3, y+3, x-3, y+3, x+3, y-3)
 		case ctree.Source:
-			_, werr = fmt.Fprintf(w, `<circle cx="%.1f" cy="%.1f" r="5" fill="#c03030"/>`+"\n", x0(X, n), y0(Y, n))
+			_, werr = fmt.Fprintf(w, `<circle cx="%.1f" cy="%.1f" r="5" fill="#c03030"/>`+"\n", X(loc.X), Y(loc.Y))
 		}
 	})
 	if werr != nil {
@@ -108,9 +110,6 @@ func WriteSVG(w io.Writer, tr *ctree.Tree, opt Options) error {
 	return err
 }
 
-func x0(X func(float64) float64, n *ctree.Node) float64 { return X(n.Loc.X) }
-func y0(Y func(float64) float64, n *ctree.Node) float64 { return Y(n.Loc.Y) }
-
 // gradientColor maps slack weight 0..1 onto red→green.
 func gradientColor(t float64) string {
 	t = math.Max(0, math.Min(1, t))
@@ -119,19 +118,20 @@ func gradientColor(t float64) string {
 	return fmt.Sprintf("#%02x%02x30", r, g)
 }
 
-func treeExtent(tr *ctree.Tree) geom.Rect {
+func treeExtent(a *ctree.Arena) geom.Rect {
 	r := geom.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
-	tr.PreOrder(func(n *ctree.Node) {
-		for _, p := range n.Route {
+	a.PreOrder(func(n int32) {
+		for _, p := range a.Route(n) {
 			r.MinX = math.Min(r.MinX, p.X)
 			r.MinY = math.Min(r.MinY, p.Y)
 			r.MaxX = math.Max(r.MaxX, p.X)
 			r.MaxY = math.Max(r.MaxY, p.Y)
 		}
-		r.MinX = math.Min(r.MinX, n.Loc.X)
-		r.MinY = math.Min(r.MinY, n.Loc.Y)
-		r.MaxX = math.Max(r.MaxX, n.Loc.X)
-		r.MaxY = math.Max(r.MaxY, n.Loc.Y)
+		loc := a.Loc[n]
+		r.MinX = math.Min(r.MinX, loc.X)
+		r.MinY = math.Min(r.MinY, loc.Y)
+		r.MaxX = math.Max(r.MaxX, loc.X)
+		r.MaxY = math.Max(r.MaxY, loc.Y)
 	})
 	if r.Empty() {
 		return geom.NewRect(0, 0, 1, 1)

@@ -14,15 +14,13 @@ import (
 	"contango/internal/tech"
 )
 
-func testTree() *ctree.Tree {
+func testTree() *ctree.Arena {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	mid := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(500, 500))
+	tr := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
+	mid := tr.AddChildL(tr.Root(), ctree.Internal, geom.Pt(500, 500))
 	s1 := tr.AddSink(mid, geom.Pt(900, 500), 30, "a")
 	tr.AddSink(mid, geom.Pt(500, 900), 30, "b")
-	b := tr.InsertOnEdge(s1, 100, ctree.Buffer)
-	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
-	b.Buf = &comp
+	tr.SetBuf(tr.InsertOnEdge(s1, 100, ctree.Buffer), tech.Composite{Type: tk.Inverters[1], N: 8})
 	return tr
 }
 
@@ -53,7 +51,7 @@ func TestWriteSVGBasics(t *testing.T) {
 
 func TestWriteSVGWithSlackGradient(t *testing.T) {
 	tr := testTree()
-	res, err := (&analysis.Elmore{}).Evaluate(tr, tr.Tech.Reference())
+	res, err := (&analysis.Elmore{}).Evaluate(ctree.NewTree(tr), tr.Tech.Reference())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestGradientColorEndpoints(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	tk := tech.Default45()
-	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
+	tr := ctree.NewArena(tk, geom.Pt(0, 0), 0.1, ctree.BuildHints{})
 	var buf bytes.Buffer
 	if err := WriteSVG(&buf, tr, Options{}); err != nil {
 		t.Fatal(err)
@@ -105,21 +103,21 @@ func TestEmptyTree(t *testing.T) {
 // the wires of a 20k-edge tree get their colours in well under a second
 // (the SVG endpoint colours every wire of a finished job).
 func TestSlackColoursLargeTreeFast(t *testing.T) {
-	tr := ctree.New(tech.Default45(), geom.Pt(0, 0), 0.1)
+	tr := ctree.NewArena(tech.Default45(), geom.Pt(0, 0), 0.1, ctree.BuildHints{})
 	lat := map[int]float64{}
 	for i := 0; i < 100; i++ {
-		mid := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(float64(50*i), 1000))
+		mid := tr.AddChildL(tr.Root(), ctree.Internal, geom.Pt(float64(50*i), 1000))
 		for j := 0; j < 199; j++ {
 			s := tr.AddSink(mid, geom.Pt(float64(50*i+j%10), float64(1100+j)), 30, fmt.Sprintf("s%d_%d", i, j))
-			lat[s.ID] = float64((i*199 + j) % 97)
+			lat[int(s)] = float64((i*199 + j) % 97)
 		}
 	}
 	start := time.Now()
 	slk := slack.Compute(tr, []*analysis.Result{{Rise: lat, Fall: lat}})
 	colours := map[string]int{}
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Parent != nil {
-			colours[gradientColor(slk.Gradient(n.ID))]++
+	tr.PreOrder(func(n int32) {
+		if tr.Parent[n] >= 0 {
+			colours[gradientColor(slk.Gradient(int(n)))]++
 		}
 	})
 	if d := time.Since(start); d > time.Second {

@@ -1,7 +1,7 @@
 // Scale harness: the million-sink-class benchmark CI gates. The large-
 // instance data path is timed phase by phase — streaming load of a generated
 // TI-scale case, arena-native DME construction, arena buffering, the batched
-// multi-corner closed-form kernels, and the arena/pointer round-trip — and
+// multi-corner closed-form kernels, and the result codec's encode and decode — and
 // every phase reports its own peak RSS next to the standard ns/B/allocs
 // columns so a memory blowup fails the bench gate rather than only the CI
 // runner. A gated full-million construction row measures the top of the
@@ -9,6 +9,7 @@
 package contango
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,6 +18,7 @@ import (
 	"contango/internal/analysis"
 	"contango/internal/bench"
 	"contango/internal/buffering"
+	"contango/internal/core"
 	"contango/internal/corners"
 	"contango/internal/ctree"
 	"contango/internal/dme"
@@ -124,10 +126,7 @@ func BenchmarkMillionSink(b *testing.B) {
 		}
 	}
 	buffered.Compact()
-	tr, err := buffered.ToTree()
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := ctree.NewTree(buffered)
 
 	resetPeakRSS()
 	b.Run("eval", func(b *testing.B) {
@@ -153,21 +152,40 @@ func BenchmarkMillionSink(b *testing.B) {
 		reportPeakRSS(b)
 	})
 
+	// The codec rows time the result envelope of the buffered 250k-sink
+	// tree (benchmark text plus the slot-by-slot node table): EncodeResult
+	// writes it, DecodeResult reads it back into an arena and validates it
+	// — what the durable store and an ECO base restore pay.
+	res := &core.Result{Benchmark: bm, Tree: tr}
+	var env []byte
 	resetPeakRSS()
-	b.Run("roundtrip", func(b *testing.B) {
+	b.Run("encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			// The SoA layout must carry the full-size tree losslessly (the
-			// ECO restore path runs on it).
-			a := ctree.FromTree(tr)
-			if a.NumNodes() != tr.NumNodes() {
-				b.Fatalf("arena holds %d nodes, tree %d", a.NumNodes(), tr.NumNodes())
+			var buf bytes.Buffer
+			if err := core.EncodeResult(&buf, res); err != nil {
+				b.Fatal(err)
 			}
-			back, err := a.ToTree()
+			env = buf.Bytes()
+		}
+		reportPeakRSS(b)
+	})
+	if env == nil {
+		var buf bytes.Buffer
+		if err := core.EncodeResult(&buf, res); err != nil {
+			b.Fatal(err)
+		}
+		env = buf.Bytes()
+	}
+
+	resetPeakRSS()
+	b.Run("decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			got, err := core.DecodeResult(bytes.NewReader(env))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if back.NumNodes() != tr.NumNodes() {
-				b.Fatalf("round-trip lost nodes: %d vs %d", back.NumNodes(), tr.NumNodes())
+			if n := got.Tree.Arena().NumNodes(); n != buffered.NumNodes() {
+				b.Fatalf("decoded %d nodes, want %d", n, buffered.NumNodes())
 			}
 		}
 		reportPeakRSS(b)
