@@ -108,14 +108,17 @@ func cascadeCases() []cascadeCase {
 		ispdCascadeCase("ispd09f22", 48, "corners/pvt5/", Options{FastSim: true, Corners: "pvt5", Plan: "fast"}),
 		ispdCascadeCase("ispd09f22", 48, "corners/mc:4:1/", Options{FastSim: true, Corners: "mc:4:1", Plan: "fast"}),
 		ispdCascadeCase("ispd09f12", 32, "full-eval/", Options{FastSim: true, FullEval: true}),
+		// Full accuracy: the default engine (1 ps steps, 100 µm segments).
+		ispdCascadeCase("ispd09f22", 32, "full-accuracy/paper/", Options{}),
+		ispdCascadeCase("ispd09f12", 32, "full-accuracy/pvt5/", Options{Corners: "pvt5", Plan: "fast"}),
 	)
 	return append(cases, ecoCascadeCases()...)
 }
 
 // TestCascadeGolden pins the optimization cascade: the paper plan on every
 // ISPD'09 design (trimmed, see cascadeSinks), the pvt5 and Monte Carlo
-// corner sets, the eco plan on three deltas, and the whole-tree reference
-// evaluator. Each case runs serially and at GOMAXPROCS workers; the two
+// corner sets, the eco plan on three deltas, the whole-tree reference
+// evaluator, and two full-accuracy cases at the default engine settings. Each case runs serially and at GOMAXPROCS workers; the two
 // envelopes must be byte-identical before the digest is compared.
 func TestCascadeGolden(t *testing.T) {
 	ctreetest.RequireAMD64(t)
