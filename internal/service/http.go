@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -37,9 +38,13 @@ import (
 //	GET    /api/v1/stats         service counters -> Stats
 //	GET    /metrics              Prometheus text exposition of the same counters
 //	GET    /healthz              liveness probe
+//
+// A handler panic answers 500 with a JSON error and counts on
+// contango_http_panics_total; the server keeps serving.
 type Server struct {
-	svc *Service
-	mux *http.ServeMux
+	svc     *Service
+	mux     *http.ServeMux
+	handler http.Handler // mux behind recoverPanics
 }
 
 // NewServer wraps a Service in the contangod HTTP API.
@@ -61,11 +66,37 @@ func NewServer(svc *Service) *Server {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
+	s.handler = s.recoverPanics(s.mux)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
+
+// recoverPanics turns a panic in next into a JSON 500, counts it and logs
+// it with its stack, instead of letting net/http drop the connection.
+// http.ErrAbortHandler, the deliberate way to abort a response, passes
+// through.
+func (s *Server) recoverPanics(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			s.svc.metrics.httpPanics.Inc()
+			if l := s.svc.cfg.Logger; l != nil {
+				l.Error("http handler panic", "method", r.Method, "path", r.URL.Path,
+					"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+			}
+			writeError(w, http.StatusInternalServerError, "internal error serving %s %s", r.Method, r.URL.Path)
+		}()
+		next.ServeHTTP(w, r)
+	})
+}
 
 type apiError struct {
 	Error string `json:"error"`

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -370,4 +371,41 @@ func TestHTTPTraceInMemoryFallback(t *testing.T) {
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("GET result artifact without store: status %d, want 404", resp2.StatusCode)
 	}
+}
+
+// TestHTTPHandlerPanicRecovered: a panicking handler answers a JSON 500,
+// counts on contango_http_panics_total and leaves the server serving; a
+// deliberate http.ErrAbortHandler still aborts the response uncounted.
+func TestHTTPHandlerPanicRecovered(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	srv := NewServer(svc)
+	srv.mux.HandleFunc("/panic", func(http.ResponseWriter, *http.Request) { panic("handler bug") })
+	srv.mux.HandleFunc("/abort", func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) })
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
+
+	resp, err := http.Get(ts.URL + "/panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body apiError
+	decode(t, resp, http.StatusInternalServerError, &body)
+	if !strings.Contains(body.Error, "/panic") {
+		t.Errorf("error body %q does not name the path", body.Error)
+	}
+	if resp, err := http.Get(ts.URL + "/abort"); err == nil {
+		resp.Body.Close()
+		t.Error("an aborted handler still answered")
+	}
+	if got := scrapeMetrics(t, ts.URL)["contango_http_panics_total"]; got != 1 {
+		t.Errorf("contango_http_panics_total = %v, want 1", got)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode(t, resp, http.StatusOK, &map[string]string{})
 }

@@ -56,6 +56,8 @@ type serviceMetrics struct {
 	yields    *obs.Counter
 	rejected  *obs.Counter
 
+	httpPanics *obs.Counter
+
 	storeMetrics *store.Metrics
 }
 
@@ -125,6 +127,8 @@ func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 			"Worker-slot yields at chunk boundaries (the slot went to a waiting job)."),
 		rejected: reg.Counter("contango_sched_rejected_total",
 			"Submissions refused by admission control (queue saturated or estimated wait over the bound)."),
+		httpPanics: reg.Counter("contango_http_panics_total",
+			"HTTP handler panics recovered and answered with a 500."),
 	}
 	// Pre-create the tier children so both series exist from the first
 	// scrape and Stats can read them without conditioning.

@@ -204,7 +204,8 @@ func matchEntry(entries []*stageEntry, sig uint64, vin *Waveform, headFast bool)
 	return nil
 }
 
-// waveEqual reports exact sample-level equality of two waveforms.
+// waveEqual reports exact sample-level equality of two waveforms, however
+// each splits its samples between stored ones and the implicit tail.
 func waveEqual(a, b *Waveform) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -212,11 +213,13 @@ func waveEqual(a, b *Waveform) bool {
 	if a == b {
 		return true
 	}
-	if a.T0 != b.T0 || a.Dt != b.Dt || a.V0 != b.V0 || len(a.V) != len(b.V) {
+	if a.T0 != b.T0 || a.Dt != b.Dt || a.V0 != b.V0 || a.Len() != b.Len() {
 		return false
 	}
-	for i := range a.V {
-		if a.V[i] != b.V[i] {
+	// Past the longer stored part both repeat the last samples compared
+	// at its end.
+	for i, n := 0, max(len(a.V), len(b.V)); i < n; i++ {
+		if a.sample(i) != b.sample(i) {
 			return false
 		}
 	}

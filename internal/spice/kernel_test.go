@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"contango/internal/analysis"
@@ -27,6 +28,16 @@ func randomInput(rng *rand.Rand, vdd, dt float64) (vin *Waveform, stalled bool) 
 	vin = Ramp(v0, v1, 5+rng.Float64()*300, dt)
 	vin.T0 = math.Floor(rng.Float64() * 400)
 	return vin, stalled
+}
+
+// samples returns w's samples materialized: the stored ones followed by
+// the implicit tail.
+func samples(w *Waveform) []float64 {
+	v := slices.Clone(w.V)
+	for i := 0; i < w.Tail; i++ {
+		v = append(v, w.Last())
+	}
+	return v
 }
 
 // sameStageResult fails unless a and b agree bit for bit: every t50, every
@@ -53,12 +64,13 @@ func sameStageResult(t *testing.T, what string, a, b *stageResult) {
 			t.Fatalf("%s: load node %d missing", what, node)
 		}
 		if math.Float64bits(wa.T0) != math.Float64bits(wb.T0) || wa.Dt != wb.Dt ||
-			math.Float64bits(wa.V0) != math.Float64bits(wb.V0) || len(wa.V) != len(wb.V) {
-			t.Fatalf("%s: load node %d header or length differs (%d vs %d samples)", what, node, len(wa.V), len(wb.V))
+			math.Float64bits(wa.V0) != math.Float64bits(wb.V0) || wa.Len() != wb.Len() {
+			t.Fatalf("%s: load node %d header or length differs (%d vs %d samples)", what, node, wa.Len(), wb.Len())
 		}
-		for k := range wa.V {
-			if math.Float64bits(wa.V[k]) != math.Float64bits(wb.V[k]) {
-				t.Fatalf("%s: load node %d sample %d %v != %v", what, node, k, wa.V[k], wb.V[k])
+		va, vb := samples(wa), samples(wb)
+		for k := range va {
+			if math.Float64bits(va[k]) != math.Float64bits(vb[k]) {
+				t.Fatalf("%s: load node %d sample %d %v != %v", what, node, k, va[k], vb[k])
 			}
 		}
 	}
@@ -112,7 +124,7 @@ func TestPairedKernelMatchesOneColumn(t *testing.T) {
 					sameStageResult(t, "paired vs one column", &paired[c], &alone[0])
 					sameStageResult(t, "swapped vs one column", &swapped[1-c], &alone[0])
 					for _, w := range alone[0].loadWaves {
-						lens[c] = len(w.V)
+						lens[c] = w.Len()
 						// A stalled inverter never settles at its rail, so
 						// its column can only have stopped at tMax.
 						rail := 0.0
@@ -149,7 +161,7 @@ func TestPairedKernelMatchesOneColumn(t *testing.T) {
 					for c := range quad {
 						alone[c] = e.simStage(s, quad[c:c+1])[0]
 						for _, w := range alone[c].loadWaves {
-							steps[len(w.V)] = true
+							steps[w.Len()] = true
 							rail := 0.0
 							if quad[c].outRising {
 								rail = quad[c].corner.Vdd

@@ -18,8 +18,8 @@ type stageScratch struct {
 	g, gC, d, elim []float64
 	V, b, acc      [][4]float64
 	tr             [][4]tracker
-	loads          []int          // distinct load nodes, recorded every step
-	waves          [4][]*Waveform // per column, aligned with loads
+	loads          []int        // distinct load nodes, recorded every step
+	rec            [4][]float64 // per column: recorded load samples, row by row
 }
 
 var stagePool = sync.Pool{New: func() any { return new(stageScratch) }}

@@ -1,7 +1,9 @@
 package spice
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"contango/internal/analysis"
@@ -31,6 +33,138 @@ func TestWaveformAtAndTrim(t *testing.T) {
 	}
 	if tr.At(12.5) != w.At(12.5) {
 		t.Error("Trim must not change interpolated values")
+	}
+}
+
+// TestWaveformTailMatchesMaterialized: a waveform whose settled tail is
+// stored implicitly must answer At, End, Last, Len, TrimInto and waveEqual
+// exactly as the materialized trace does, including an empty tail, an empty
+// waveform, a trace that is quiet throughout (TrimInto keeps one sample),
+// the same content split at different stored lengths, and a non-dyadic
+// sample spacing, where interpolation inside the tail need not return the
+// tail's value.
+func TestWaveformTailMatchesMaterialized(t *testing.T) {
+	split := func(v []float64, stored int, t0, dt float64) *Waveform {
+		return &Waveform{T0: t0, Dt: dt, V: v[:stored], Tail: len(v) - stored, V0: v[0]}
+	}
+	rise := []float64{0, 0, 0.3, 0.6, 0.9, 0.9, 0.9, 0.9}
+	cases := []struct {
+		name  string
+		forms []*Waveform // equal content, different splits
+	}{
+		{"empty waveform", []*Waveform{{T0: 3, Dt: 1, V0: 0.4}}},
+		{"empty tail", []*Waveform{{T0: 10, Dt: 1, V: []float64{0, 0, 0.5, 1, 1}}}},
+		{"quiet throughout", []*Waveform{
+			{T0: 2, Dt: 1, V: []float64{0.2}, Tail: 6, V0: 0.2},
+			{T0: 2, Dt: 1, V: []float64{0.2, 0.2, 0.2}, Tail: 4, V0: 0.2},
+		}},
+		{"splits", []*Waveform{split(rise, 5, 4, 1), split(rise, 6, 4, 1), split(rise, 8, 4, 1)}},
+		{"non-dyadic spacing", []*Waveform{split(rise, 5, 0.35, 0.7), split(rise, 7, 0.35, 0.7)}},
+	}
+	var offGrid int // tail interpolations that do not return the tail value
+	for _, tc := range cases {
+		for fi, w := range tc.forms {
+			m := &Waveform{T0: w.T0, Dt: w.Dt, V: samples(w), V0: w.V0}
+			what := fmt.Sprintf("%s, form %d", tc.name, fi)
+			if w.Len() != len(m.V) || w.End() != m.End() || math.Float64bits(w.Last()) != math.Float64bits(m.Last()) {
+				t.Fatalf("%s: Len/End/Last %d/%v/%v, materialized %d/%v/%v", what, w.Len(), w.End(), w.Last(), len(m.V), m.End(), m.Last())
+			}
+			for tm := w.T0 - 1; tm < w.End()+3*w.Dt; tm += 0.037 {
+				got, want := w.At(tm), m.At(tm)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: At(%v) = %v, materialized %v", what, tm, got, want)
+				}
+				if len(w.V) > 0 && tm > w.T0+float64(len(w.V)-1)*w.Dt && tm < w.End() && got != w.Last() {
+					offGrid++
+				}
+			}
+			if !waveEqual(w, m) || !waveEqual(m, w) {
+				t.Fatalf("%s: not equal to its materialized form", what)
+			}
+			for _, o := range tc.forms {
+				if !waveEqual(w, o) {
+					t.Fatalf("%s: differs from an equal split", what)
+				}
+			}
+			if w.Len() > 0 {
+				longer := &Waveform{T0: w.T0, Dt: w.Dt, V: w.V, Tail: w.Tail + 1, V0: w.V0}
+				changed := &Waveform{T0: w.T0, Dt: w.Dt, V: append(samples(w)[:w.Len()-1], w.Last()+1), V0: w.V0}
+				if waveEqual(w, longer) || waveEqual(w, changed) {
+					t.Fatalf("%s: equal to a longer or changed trace", what)
+				}
+			}
+			for _, tol := range []float64{0.001, 0.5, 5} {
+				var dw, dm Waveform
+				tw, tmat := w.TrimInto(tol, &dw), m.TrimInto(tol, &dm)
+				if tw.T0 != tmat.T0 || !waveEqual(tw, tmat) {
+					t.Fatalf("%s: TrimInto(%v) T0 %v len %d, materialized T0 %v len %d", what, tol, tw.T0, tw.Len(), tmat.T0, tmat.Len())
+				}
+				if tw.Len() > 0 && len(tw.V) == 0 {
+					t.Fatalf("%s: TrimInto(%v) left a tail without a stored sample", what, tol)
+				}
+			}
+		}
+	}
+	if offGrid == 0 {
+		t.Error("no tail interpolation differed from the tail value")
+	}
+	var dst Waveform
+	if q := (&Waveform{T0: 2, Dt: 1, V: []float64{0.2}, Tail: 6, V0: 0.2}).TrimInto(0.01, &dst); q.Len() != 1 || q.T0 != 8 {
+		t.Errorf("quiet trace trimmed to %d samples at %v, want 1 at 8", q.Len(), q.T0)
+	}
+}
+
+// TestHeldInputMatchesAt: where exactGrid holds, every step time must be
+// a whole number of samples from the start. Once heldFrom reports an input
+// held at a step, At must return the last sample at that step and at
+// every later one,
+// stepping by repeated addition from the input's start as simStage does.
+// Step times land on the sample grid when the step equals the sample
+// spacing, both are dyadic and the start is integral; otherwise, and
+// always when the step differs from the spacing, they fall off it, and
+// the tail may only count as held past its end.
+func TestHeldInputMatchesAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	spacings := []float64{1, 2, 0.5, 0.7, 0.3}
+	var inTail, onGrid int
+	for trial := 0; trial < 3000; trial++ {
+		dt := spacings[rng.Intn(len(spacings))]
+		step := dt
+		if rng.Intn(2) == 0 {
+			step = spacings[rng.Intn(len(spacings))]
+		}
+		t0 := math.Floor(rng.Float64() * 400)
+		if rng.Intn(3) == 0 {
+			t0 = rng.Float64() * 400
+		}
+		v := make([]float64, 1+rng.Intn(6))
+		for i := range v {
+			v[i] = rng.Float64() * 1.3
+		}
+		w := &Waveform{T0: t0, Dt: dt, V: v, Tail: rng.Intn(40), V0: 0}
+		tMax := w.End() + 100*rng.Float64()
+		grid := step == dt && exactGrid(t0, dt, tMax)
+		if grid {
+			onGrid++
+		}
+		held := false
+		for tm := t0 + step; tm < tMax; tm += step {
+			if x := (tm - t0) / dt; grid && x != math.Trunc(x) {
+				t.Fatalf("trial %d: exactGrid holds, but step time %v is %v samples from %v", trial, tm, x, t0)
+			}
+			if !held && w.heldFrom(tm, grid) {
+				held = true
+				if tm < w.End() {
+					inTail++
+				}
+			}
+			if held && math.Float64bits(w.At(tm)) != math.Float64bits(w.Last()) {
+				t.Fatalf("trial %d: held at %v but At = %v, last %v (T0 %v, spacing %v, step %v)", trial, tm, w.At(tm), w.Last(), t0, dt, step)
+			}
+		}
+	}
+	if inTail == 0 || onGrid == 0 {
+		t.Errorf("coverage: %d held inside the tail, %d on-grid trials", inTail, onGrid)
 	}
 }
 

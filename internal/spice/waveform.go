@@ -13,33 +13,113 @@
 // reduction; the single nonlinear node (the driver output) is resolved by a
 // safeguarded 1-D Newton iteration. Full node waveforms propagate from stage
 // to stage, so downstream delays see realistic input slews.
+//
+// Each stage's window must cover its input's whole waveform plus its own
+// settling, so windows grow with depth, and most of a deep stage's window
+// comes after its last threshold crossing. There the state soon repeats
+// itself bit for bit. The kernel skips such quiet steps at O(1) cost each,
+// and a waveform stores its settled tail implicitly, as a count of repeats
+// of its last sample; both leave every result bit-identical to integrating
+// and storing every step.
 package spice
 
-// Waveform is a sampled voltage trace on a uniform time grid. Before T0 the
-// value is V0 (the pre-transition rail); past the last sample it is the last
-// sample's value.
+import (
+	"math"
+	"math/bits"
+)
+
+// Waveform is a sampled voltage trace on a uniform time grid: sample k sits
+// at T0 + k·Dt. Only the first len(V) samples are stored. The Tail samples
+// after them repeat the last stored one, so a trace that has settled costs
+// nothing per further step. Before T0 the value is V0 (the pre-transition
+// rail); past the last sample it is the last sample's value. Every method
+// returns exactly what it would return for the materialized trace, the
+// stored samples followed by Tail copies of the last.
 type Waveform struct {
-	T0 float64   // time of V[0], ps
-	Dt float64   // sample spacing, ps
-	V  []float64 // samples, V
-	V0 float64   // value for t < T0
+	T0   float64   // time of V[0], ps
+	Dt   float64   // sample spacing, ps
+	V    []float64 // stored samples, V
+	Tail int       // implicit samples past V, each equal to V[len(V)-1]
+	V0   float64   // value for t < T0
+}
+
+// Len returns the number of samples: the stored ones plus the tail.
+func (w *Waveform) Len() int { return len(w.V) + w.Tail }
+
+// sample returns sample i, 0 <= i < Len().
+func (w *Waveform) sample(i int) float64 {
+	if i < len(w.V) {
+		return w.V[i]
+	}
+	return w.V[len(w.V)-1]
 }
 
 // At returns the linearly interpolated voltage at time t.
 func (w *Waveform) At(t float64) float64 {
-	if len(w.V) == 0 {
-		return w.V0
-	}
-	if t <= w.T0 {
+	if len(w.V) == 0 || t <= w.T0 {
 		return w.V0
 	}
 	x := (t - w.T0) / w.Dt
 	i := int(x)
-	if i >= len(w.V)-1 {
-		return w.V[len(w.V)-1]
+	last := len(w.V) - 1
+	if i >= last+w.Tail {
+		return w.V[last]
 	}
 	f := x - float64(i)
+	if i >= last {
+		// Inside the tail both neighbours are the last sample. Interpolate
+		// anyway: c·(1-f) + c·f need not round to c.
+		c := w.V[last]
+		return c*(1-f) + c*f
+	}
 	return w.V[i]*(1-f) + w.V[i+1]*f
+}
+
+// heldFrom reports whether At returns the last sample at t and at every
+// later time the caller will ask for. That holds once t is past the
+// interval of the last sample. Inside the tail it holds when onGrid
+// promises that every such time falls exactly on a sample, so that
+// interpolation weighs the last sample by exactly 1 and 0, and the last
+// sample is finite.
+func (w *Waveform) heldFrom(t float64, onGrid bool) bool {
+	if len(w.V) == 0 {
+		return true
+	}
+	if t <= w.T0 {
+		return false
+	}
+	i := int((t - w.T0) / w.Dt)
+	last := len(w.V) - 1
+	if i >= last+w.Tail {
+		return true
+	}
+	c := w.V[last]
+	return onGrid && i >= last && !math.IsInf(c, 0) && !math.IsNaN(c)
+}
+
+// exactGrid reports whether the times t0 + dt, t0 + 2·dt, ... up to one
+// step past tMax, each computed by adding dt to the one before, are exactly
+// t0 + k·dt, so that (t - t0)/dt is exactly the integer k. That holds when
+// t0 and dt are whole multiples of one power of two 2^e and every time
+// stays below 2^(53+e) in magnitude: every sum is then representable, so
+// rounding leaves it exact.
+func exactGrid(t0, dt, tMax float64) bool {
+	if !(dt > 0) || math.IsInf(dt, 0) || math.IsInf(t0, 0) || math.IsNaN(t0) || math.IsNaN(tMax) {
+		return false
+	}
+	e := lowBit(dt)
+	if t0 != 0 {
+		e = min(e, lowBit(t0))
+	}
+	return math.Abs(t0)+math.Abs(tMax)+dt < math.Ldexp(1, 53+e)
+}
+
+// lowBit returns the exponent of the lowest set bit of finite, non-zero x:
+// x = m·2^e with m an odd integer.
+func lowBit(x float64) int {
+	frac, exp := math.Frexp(x)
+	m := uint64(math.Abs(frac) * (1 << 53)) // the 53-bit significand, exactly
+	return exp - 53 + bits.TrailingZeros64(m)
 }
 
 // End returns the time of the last sample.
@@ -47,7 +127,7 @@ func (w *Waveform) End() float64 {
 	if len(w.V) == 0 {
 		return w.T0
 	}
-	return w.T0 + float64(len(w.V)-1)*w.Dt
+	return w.T0 + float64(w.Len()-1)*w.Dt
 }
 
 // Last returns the final sampled value (or V0 when empty).
@@ -66,7 +146,9 @@ func (w *Waveform) Last() float64 {
 // w either way. The incremental evaluator trims into per-stage scratch so
 // cache hits allocate nothing.
 func (w *Waveform) TrimInto(tol float64, dst *Waveform) *Waveform {
-	first := len(w.V)
+	// The tail repeats the last stored sample, so if no stored sample
+	// leaves the band, no sample does.
+	first := w.Len()
 	for i, v := range w.V {
 		if abs(v-w.V0) > tol {
 			first = i
@@ -76,14 +158,14 @@ func (w *Waveform) TrimInto(tol float64, dst *Waveform) *Waveform {
 	if first == 0 {
 		return w
 	}
-	if first > 0 {
-		first-- // keep one quiet sample for interpolation
-	}
+	first-- // keep one quiet sample for interpolation
+	k := min(first, len(w.V)-1)
 	*dst = Waveform{
-		T0: w.T0 + float64(first)*w.Dt,
-		Dt: w.Dt,
-		V:  w.V[first:],
-		V0: w.V0,
+		T0:   w.T0 + float64(first)*w.Dt,
+		Dt:   w.Dt,
+		V:    w.V[k:],
+		Tail: w.Len() - first - (len(w.V) - k),
+		V0:   w.V0,
 	}
 	return dst
 }
