@@ -94,10 +94,10 @@ func (col *column) skip() {
 
 // replay finishes a held column: no later step can change its state or
 // read a new input, so each one only advances t, exactly as a full step
-// would, until the stop test passes.
+// would, until the column stops.
 func (col *column) replay(dt float64) {
 	t, n := col.t, 0
-	for !((t >= col.tEndMin && col.settled) || t >= col.tMax) {
+	for !col.stopsAt(t) {
 		t += dt
 		n++
 	}
@@ -126,10 +126,13 @@ func (col *column) commit(c int, moved, settled bool, b0, u float64, V [][4]floa
 	col.stop()
 }
 
-// stop ends the column once it is past its minimum window and settled, or
-// at its hard cap.
-func (col *column) stop() {
-	col.stopped = (col.t >= col.tEndMin && col.settled) || col.t >= col.tMax
+// stop ends the column if its step at col.t was its last.
+func (col *column) stop() { col.stopped = col.stopsAt(col.t) }
+
+// stopsAt reports whether a step ending at t is the column's last: it is
+// past its minimum window and settled, or at its hard cap.
+func (col *column) stopsAt(t float64) bool {
+	return (t >= col.tEndMin && col.settled) || t >= col.tMax
 }
 
 // loadWaves unpacks the recorded rows into one waveform per load node.
@@ -194,7 +197,8 @@ func (k *tracker) observe(t, dt, xPrev, x float64, th *[3]float64) {
 // solves overlap in the pipeline. Once any column stops, a paired sweep
 // advances the first two survivors until either stops, and the tail loop
 // finishes every column still running, one at a time; with a single
-// column the tail loop is the whole integration.
+// column the tail loop is the whole integration. A sweep whose columns
+// are all held (below) ends early, since none has work left.
 //
 // A full step reduces the RC tree bottom-up to a Thevenin equivalent at
 // the driver output, solves the driver equation by Newton and
@@ -204,8 +208,10 @@ func (k *tracker) observe(t, dt, xPrev, x float64, th *[3]float64) {
 // (column.isQuiet): if so, it skips the node loops, and the step costs
 // O(1). Otherwise all its columns take a full step, and each column
 // freezes or thaws by whether that step moved any of its nodes. A frozen
-// column whose input is held costs no input read either. Quiet steps add
-// no samples: they lengthen the load waveforms' implicit tails.
+// column whose input returns the same sample at every later step is held:
+// every step it has left is quiet, and the tail loop replays them as bare
+// time increments. Quiet steps add no samples: they lengthen the load
+// waveforms' implicit tails.
 //
 // A column's floating-point operations and their order do not depend on
 // the phase it runs in, on the other columns, or on which of its steps
@@ -485,7 +491,7 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 			col.t += dt
 			if col.isQuiet(d[0], V[0][c]) {
 				col.skip()
-				if col.held && !col.stopped {
+				if col.held {
 					col.replay(dt)
 				}
 				continue
