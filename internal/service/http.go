@@ -42,9 +42,8 @@ import (
 // A handler panic answers 500 with a JSON error and counts on
 // contango_http_panics_total; the server keeps serving.
 type Server struct {
-	svc     *Service
-	mux     *http.ServeMux
-	handler http.Handler // mux behind recoverPanics
+	svc *Service
+	mux *http.ServeMux
 }
 
 // NewServer wraps a Service in the contangod HTTP API.
@@ -66,36 +65,33 @@ func NewServer(svc *Service) *Server {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	s.handler = s.recoverPanics(s.mux)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	defer s.recoverPanic(w, r)
+	s.mux.ServeHTTP(w, r)
+}
 
-// recoverPanics turns a panic in next into a JSON 500, counts it and logs
-// it with its stack, instead of letting net/http drop the connection.
-// http.ErrAbortHandler, the deliberate way to abort a response, passes
-// through.
-func (s *Server) recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			v := recover()
-			if v == nil {
-				return
-			}
-			if v == http.ErrAbortHandler {
-				panic(v)
-			}
-			s.svc.metrics.httpPanics.Inc()
-			if l := s.svc.cfg.Logger; l != nil {
-				l.Error("http handler panic", "method", r.Method, "path", r.URL.Path,
-					"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
-			}
-			writeError(w, http.StatusInternalServerError, "internal error serving %s %s", r.Method, r.URL.Path)
-		}()
-		next.ServeHTTP(w, r)
-	})
+// recoverPanic, deferred around a handler, turns its panic into a JSON
+// 500, counts it and logs it with its stack, instead of letting net/http
+// drop the connection. http.ErrAbortHandler, the deliberate way to abort
+// a response, passes through.
+func (s *Server) recoverPanic(w http.ResponseWriter, r *http.Request) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	if v == http.ErrAbortHandler {
+		panic(v)
+	}
+	s.svc.metrics.httpPanics.Inc()
+	if l := s.svc.cfg.Logger; l != nil {
+		l.Error("http handler panic", "method", r.Method, "path", r.URL.Path,
+			"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+	}
+	writeError(w, http.StatusInternalServerError, "internal error serving %s %s", r.Method, r.URL.Path)
 }
 
 type apiError struct {
