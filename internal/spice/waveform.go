@@ -39,7 +39,7 @@ type Waveform struct {
 	T0   float64   // time of V[0], ps
 	Dt   float64   // sample spacing, ps
 	V    []float64 // stored samples, V
-	Tail int       // implicit samples past V, each equal to V[len(V)-1]
+	Tail int       // implicit samples past V, each equal to V[len(V)-1]; 0 when V is empty
 	V0   float64   // value for t < T0
 }
 
