@@ -15,11 +15,19 @@ import (
 )
 
 // cascadeGoldenPath holds one "<case> <sha256>" line per cascade case: the
-// SHA-256 of the case's EncodeResult envelope with Elapsed zeroed. The
-// envelope carries Runs, StageSims and StageReuses, so the digests pin the
+// SHA-256 of the case's EncodeResult envelope with Elapsed, StageSims and
+// StageReuses zeroed. The envelope carries Runs, so the digests pin the
 // optimization cascade (tbsz, twsz, twsn, bwsn and the convergence cycles)
-// and the evaluator's work counts bit for bit.
+// and its evaluation count bit for bit, whatever the evaluator's caches
+// serve.
 const cascadeGoldenPath = "testdata/cascade.golden"
+
+// cascadeWorkPath holds one "<case> transients=<n>,sims=<m>" line per
+// cascade case: the edge transients the cascade's evaluations stand for
+// (StageSims + StageReuses) and how many of them were integrated. The
+// first is a property of the cascade; the second moves only when the
+// evaluator's caching does.
+const cascadeWorkPath = "testdata/cascade_work.golden"
 
 // cascadeSinks trims the ISPD'09 designs for the paper-plan cases to their
 // first n sinks (zero keeps the full design), so the whole golden stays
@@ -118,16 +126,21 @@ func cascadeCases() []cascadeCase {
 // TestCascadeGolden pins the optimization cascade: the paper plan on every
 // ISPD'09 design (trimmed, see cascadeSinks), the pvt5 and Monte Carlo
 // corner sets, the eco plan on three deltas, the whole-tree reference
-// evaluator, and two full-accuracy cases at the default engine settings. Each case runs serially and at GOMAXPROCS workers; the two
-// envelopes must be byte-identical before the digest is compared.
+// evaluator, and two full-accuracy cases at the default engine settings.
+// Each case runs serially and at GOMAXPROCS workers; the two envelopes and
+// the two work counts must be identical before they are compared with the
+// golden files. The whole-tree reference keeps no stage cache, so its work
+// line reads zero.
 func TestCascadeGolden(t *testing.T) {
 	ctreetest.RequireAMD64(t)
 	golden := ctreetest.Golden(t, cascadeGoldenPath)
+	work := ctreetest.Golden(t, cascadeWorkPath)
 	for _, tc := range cascadeCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			var envs [2][]byte
+			var counts [2]string
 			for k, par := range []int{1, runtime.GOMAXPROCS(0)} {
 				o := tc.opts(t)
 				o.Parallelism = par
@@ -135,10 +148,15 @@ func TestCascadeGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				counts[k] = fmt.Sprintf("transients=%d,sims=%d", res.StageSims+res.StageReuses, res.StageSims)
+				res.StageSims, res.StageReuses = 0, 0
 				envs[k] = encodeEnvelope(t, res)
 			}
 			if !bytes.Equal(envs[0], envs[1]) {
 				t.Fatalf("envelope at parallelism 1 differs from parallelism %d", runtime.GOMAXPROCS(0))
+			}
+			if counts[0] != counts[1] {
+				t.Fatalf("work at parallelism 1 (%s) differs from parallelism %d (%s)", counts[0], runtime.GOMAXPROCS(0), counts[1])
 			}
 			if o := tc.opts(t); o.FullEval {
 				// The whole-tree reference must agree with the incremental
@@ -155,6 +173,7 @@ func TestCascadeGolden(t *testing.T) {
 			}
 			sum := sha256.Sum256(envs[0])
 			ctreetest.Check(t, golden, tc.name, hex.EncodeToString(sum[:]))
+			ctreetest.Check(t, work, tc.name, counts[0])
 		})
 	}
 }
