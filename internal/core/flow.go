@@ -115,9 +115,10 @@ func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Res
 	if inc := s.inc; inc != nil {
 		res.StageSims = inc.Stats.StagesSim
 		res.StageReuses = inc.Stats.StagesHit
-		s.logf("%s: incremental CNE: %d stage sims, %d cache hits (%.0f%% reused)",
+		s.logf("%s: incremental CNE: %d stage sims, %d cache hits (%.0f%% reused), %d of %d corner evaluations from the network memo",
 			b.Name, res.StageSims, res.StageReuses,
-			100*float64(res.StageReuses)/float64(max1(res.StageSims+res.StageReuses)))
+			100*float64(res.StageReuses)/float64(max1(res.StageSims+res.StageReuses)),
+			inc.Stats.NetHits, inc.Stats.Evals)
 	}
 	res.Buffers = countBuffers(s.Tree.Arena())
 	res.Elapsed = time.Since(start)

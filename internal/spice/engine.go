@@ -1,6 +1,8 @@
 package spice
 
 import (
+	"slices"
+
 	"contango/internal/analysis"
 	"contango/internal/ctree"
 	"contango/internal/tech"
@@ -62,9 +64,10 @@ func (e *Engine) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*anal
 	for _, g := range cornerGroups(corners) {
 		e.simulateCorners(net, corners[g.start:g.end], nil, nil, outs[g.start:g.end])
 	}
+	keys := resultKeysOf(net)
 	res := make([]*analysis.Result, len(corners))
-	for i := range outs {
-		res[i] = outs[i].res
+	for i, c := range corners {
+		res[i] = outs[i].flat.result(c, keys)
 		e.Runs++
 	}
 	return res, nil
@@ -100,7 +103,7 @@ func cornerGroups(corners []tech.Corner) []cornerGroup {
 // cornerOutcome is one corner's merged measurements plus, for a cached
 // evaluation, the cache entries to commit per launch edge.
 type cornerOutcome struct {
-	res       *analysis.Result
+	flat      flatResult
 	entries   [2]map[int][]*stageEntry
 	simulated int // edge transients integrated
 	reused    int // edge transients served from the cache
@@ -127,6 +130,7 @@ func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev []
 	for k := range prev {
 		cache[2*k], cache[2*k+1] = prev[k][0], prev[k][1]
 	}
+	cs.chain = chainKeys(net, cs.chain)
 
 	// Rising-launch output direction per stage (the source driver is
 	// non-inverting, every buffer stage inverts; the falling launch is the
@@ -158,26 +162,20 @@ func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev []
 				out := &outs[c/2]
 				var vin *Waveform
 				if s.Parent >= 0 {
-					pr := es.results[s.Parent]
-					if pr == nil {
+					up := es.chosen[s.Parent]
+					if up == nil {
 						continue // upstream never switched; neither do we
 					}
-					w, ok := pr.loadWaves[s.InputNode]
+					w, ok := up.res.loadWaves[s.InputNode]
 					if !ok {
 						continue
 					}
 					vin = w.TrimInto(0.002*group[c/2].Vdd, &es.trim[i])
 				}
 				es.inputs[i] = vin
-				// reusedHead: the stage was served from the previous
-				// generation's newest entry, so its output is identical to
-				// the last evaluation's and children may accept their own
-				// newest entry without comparing waveforms.
-				if ent := matchEntry(cache[c][key], s.Sig(), vin,
-					s.Parent < 0 || es.reusedHead[s.Parent]); ent != nil {
+				if ent := matchEntry(cache[c][key], s.Sig(), cs.chain[i], vin); ent != nil {
 					es.results[i] = &ent.res
 					es.chosen[i] = ent
-					es.reusedHead[i] = cache[c][key][0] == ent
 					out.reused++
 					continue
 				}
@@ -206,24 +204,17 @@ func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev []
 	for _, s := range net.Stages {
 		nSinks += len(s.Sinks)
 	}
-	for k, corner := range group {
+	for k := range group {
 		out := &outs[k]
 		if prev != nil {
 			for c := range launchEdges {
 				out.entries[c] = commitEdge(net, cache[2*k+c], cs.edge[2*k+c].chosen)
 			}
 		}
-		res := &analysis.Result{
-			Corner:    corner,
-			Rise:      make(map[int]float64, nSinks),
-			Fall:      make(map[int]float64, nSinks),
-			SinkSlew:  make(map[int]float64, nSinks),
-			StageSlew: make(map[int]float64, n),
-		}
+		out.flat = newFlatResult(nSinks, n)
 		for c, rising := range launchEdges {
-			addLaunch(res, net, cs.edge[2*k+c].results, rising, e.SourceSlew/2)
+			addLaunch(&out.flat, net, cs.edge[2*k+c].results, rising, e.SourceSlew/2)
 		}
-		out.res = res
 	}
 }
 
@@ -258,10 +249,32 @@ func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerSc
 	res := e.simStage(s, in[:w])
 	for k := 0; k < w; k++ {
 		es := &cs.edge[col[k]]
-		ent := &stageEntry{sig: s.Sig(), input: es.inputs[i], res: res[k]}
+		ent := &stageEntry{chain: cs.chain[i], sig: s.Sig(), input: es.inputs[i], res: res[k]}
 		es.chosen[i] = ent
 		es.results[i] = &ent.res
 	}
+}
+
+// chainKeys returns every stage's chain key in keys (resized to the
+// stage count): the stage's signature folded into its parent's chain key.
+// Equal chain keys mean equal signatures along the whole path from the
+// source, so within one (corner, edge) column the stage sees the same
+// input waveform: a cached transient recorded under the stage's chain key
+// is valid without comparing samples.
+func chainKeys(net *analysis.Net, keys []uint64) []uint64 {
+	keys = slices.Grow(keys[:0], len(net.Stages))[:len(net.Stages)]
+	for i, s := range net.Stages {
+		var up uint64
+		if s.Parent >= 0 {
+			up = keys[s.Parent]
+		}
+		// splitmix64 finalizer over the pair.
+		h := up*0x9e3779b97f4a7c15 ^ s.Sig()
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		keys[i] = h ^ h>>31
+	}
+	return keys
 }
 
 // stageDriver returns the driver of stage s at corner and its effective
@@ -309,47 +322,142 @@ func commitEdge(net *analysis.Net, prev map[int][]*stageEntry, chosen []*stageEn
 	return next
 }
 
-// addLaunch folds one launch edge's stage results into res, walking the
-// stages in topological order: sink arrivals go to Rise or Fall, and slews
+// flatResult is one corner's evaluation in compact form, the only form an
+// evaluation builds: per-sink arrivals and worst slews in the net's sink
+// order (stage by stage, each stage's Sinks in order) with presence bits,
+// and each stage's worst slew in stage order. result expands it into an
+// analysis.Result; the network memo stores it instead of the maps, which
+// cost several times the bytes.
+type flatResult struct {
+	rise, fall, slew []float64 // per sink
+	has              []uint8   // per sink: hasRise | hasFall
+	stageSlew        []float64 // per stage; 0 = no measured transition
+	maxSlew          float64
+	slewViol         int
+}
+
+// Presence bits of flatResult.has: the launch edges that reached a sink.
+const (
+	hasRise uint8 = 1 << iota
+	hasFall
+)
+
+// newFlatResult returns an empty flat result for nSinks sinks and nStages
+// stages, its float slices cut from one allocation.
+func newFlatResult(nSinks, nStages int) flatResult {
+	buf := make([]float64, 3*nSinks+nStages)
+	return flatResult{
+		rise:      buf[:nSinks:nSinks],
+		fall:      buf[nSinks : 2*nSinks : 2*nSinks],
+		slew:      buf[2*nSinks : 3*nSinks : 3*nSinks],
+		stageSlew: buf[3*nSinks:],
+		has:       make([]uint8, nSinks),
+	}
+}
+
+// bytes returns the memory f holds, for the network memo's budget.
+func (f *flatResult) bytes() int {
+	return 8*(len(f.rise)+len(f.fall)+len(f.slew)+len(f.stageSlew)) + len(f.has) + 128
+}
+
+// addLaunch folds one launch edge's stage results into f, walking the
+// stages in topological order: sink arrivals go to rise or fall, and slews
 // merge into the per-sink, per-stage and overall maxima and the violation
 // count.
-func addLaunch(res *analysis.Result, net *analysis.Net, results []*stageResult, rising bool, srcT50 float64) {
-	arrivals := res.Fall
+func addLaunch(f *flatResult, net *analysis.Net, results []*stageResult, rising bool, srcT50 float64) {
+	arrivals, bit := f.fall, hasFall
 	if rising {
-		arrivals = res.Rise
+		arrivals, bit = f.rise, hasRise
 	}
 	slewLimit := net.Tech.SlewLimit
+	j := 0 // sink index in net order
 	for i, s := range net.Stages {
 		st := results[i]
 		if st == nil {
+			j += len(s.Sinks)
 			continue
 		}
 		for _, m := range s.Sinks {
-			id := m.Slot
-			arrivals[id] = st.t50[m.Node] - srcT50
-			if old, ok := res.SinkSlew[id]; !ok || st.slew[m.Node] > old {
-				res.SinkSlew[id] = st.slew[m.Node]
+			arrivals[j] = st.t50[m.Node] - srcT50
+			if sl := st.slew[m.Node]; f.has[j] == 0 || sl > f.slew[j] {
+				f.slew[j] = sl
 			}
+			f.has[j] |= bit
+			j++
 		}
 		stageMax := 0.0
 		for _, sl := range st.slew {
 			if sl > stageMax {
 				stageMax = sl
 			}
-			if sl > res.MaxSlew {
-				res.MaxSlew = sl
+			if sl > f.maxSlew {
+				f.maxSlew = sl
 			}
 			if sl > slewLimit {
-				res.SlewViol++
+				f.slewViol++
 			}
 		}
-		if stageMax > 0 {
-			key := s.Key()
-			if old, ok := res.StageSlew[key]; !ok || stageMax > old {
-				res.StageSlew[key] = stageMax
-			}
+		if stageMax > f.stageSlew[i] {
+			f.stageSlew[i] = stageMax
 		}
 	}
+}
+
+// resultKeys lists the map keys of a network's results in net order: every
+// sink's slot, stage by stage, and every stage's Key.
+type resultKeys struct {
+	sinks, stages []int32
+}
+
+func resultKeysOf(net *analysis.Net) resultKeys {
+	var k resultKeys
+	k.stages = make([]int32, len(net.Stages))
+	n := 0
+	for i, s := range net.Stages {
+		k.stages[i] = int32(s.Key())
+		n += len(s.Sinks)
+	}
+	k.sinks = make([]int32, 0, n)
+	for _, s := range net.Stages {
+		for _, m := range s.Sinks {
+			k.sinks = append(k.sinks, int32(m.Slot))
+		}
+	}
+	return k
+}
+
+// result expands f into a fresh analysis.Result for corner, keyed by keys.
+// A stage enters StageSlew only if a transition was measured in it; a sink
+// enters SinkSlew if either edge reached it.
+func (f *flatResult) result(corner tech.Corner, keys resultKeys) *analysis.Result {
+	res := &analysis.Result{
+		Corner:    corner,
+		Rise:      make(map[int]float64, len(keys.sinks)),
+		Fall:      make(map[int]float64, len(keys.sinks)),
+		SinkSlew:  make(map[int]float64, len(keys.sinks)),
+		StageSlew: make(map[int]float64, len(keys.stages)),
+		MaxSlew:   f.maxSlew,
+		SlewViol:  f.slewViol,
+	}
+	for j, slot := range keys.sinks {
+		id := int(slot)
+		h := f.has[j]
+		if h&hasRise != 0 {
+			res.Rise[id] = f.rise[j]
+		}
+		if h&hasFall != 0 {
+			res.Fall[id] = f.fall[j]
+		}
+		if h != 0 {
+			res.SinkSlew[id] = f.slew[j]
+		}
+	}
+	for i, key := range keys.stages {
+		if f.stageSlew[i] > 0 {
+			res.StageSlew[int(key)] = f.stageSlew[i]
+		}
+	}
+	return res
 }
 
 var _ analysis.Evaluator = (*Engine)(nil)

@@ -1,7 +1,9 @@
 package spice
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"contango/internal/analysis"
@@ -51,8 +53,12 @@ type Incremental struct {
 
 	tree     *ctree.Tree
 	launches map[launchKey]map[int][]*stageEntry
-	// net is re-extracted in place by every evaluation.
-	net analysis.Net
+	memo     *netMemo
+	// net is re-extracted in place by every evaluation; sigs holds its
+	// stage signatures, the memo's lookup key, and chains its chain keys
+	// on a memo hit.
+	net          analysis.Net
+	sigs, chains []uint64
 
 	// Stats counts evaluator work across the evaluator's lifetime.
 	Stats IncrementalStats
@@ -61,8 +67,9 @@ type Incremental struct {
 // IncrementalStats counts incremental-evaluator work.
 type IncrementalStats struct {
 	Evals      int // corner evaluations performed
+	NetHits    int // corner evaluations served whole from the network memo
 	StagesSim  int // stage transients actually integrated
-	StagesHit  int // stage transients served from the cache
+	StagesHit  int // stage transients served from a cache (stage or network)
 	FullStages int // stage count at the last evaluation (cone-size context)
 }
 
@@ -77,6 +84,7 @@ type launchKey struct {
 // it was integrated for, the input waveform it was driven with (nil for the
 // source stage, whose ramp is deterministic), and the measurements.
 type stageEntry struct {
+	chain uint64 // the stage's chain key (chainKeys) when integrated
 	sig   uint64
 	input *Waveform
 	res   stageResult
@@ -100,19 +108,21 @@ func NewIncremental(tr *ctree.Tree, eng *Engine, parallelism int) *Incremental {
 // Name implements analysis.Evaluator.
 func (ie *Incremental) Name() string { return "transient-incremental" }
 
-// bind points the evaluator at tr, dropping the cache when the tree changes.
+// bind points the evaluator at tr, dropping the caches when the tree
+// changes.
 func (ie *Incremental) bind(tr *ctree.Tree) {
 	if ie.launches != nil && ie.tree == tr {
 		return
 	}
 	ie.tree = tr
-	ie.launches = make(map[launchKey]map[int][]*stageEntry)
+	ie.Reset()
 }
 
-// Reset drops every cached stage result. Call it after changing Eng's
-// integration parameters.
+// Reset drops every cached stage result and every memoized network. Call
+// it after changing Eng's integration parameters.
 func (ie *Incremental) Reset() {
 	ie.launches = make(map[launchKey]map[int][]*stageEntry)
+	ie.memo = newNetMemo(netMemoBudget)
 }
 
 // Evaluate implements analysis.Evaluator with per-stage caching and
@@ -137,6 +147,28 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 		return nil, err
 	}
 	ie.Stats.FullStages = len(net.Stages)
+	ie.sigs = ie.sigs[:0]
+	for _, s := range net.Stages {
+		ie.sigs = append(ie.sigs, s.Sig())
+	}
+	slewLimit := net.Tech.SlewLimit
+	hash := netHash(ie.sigs, corners, slewLimit)
+	if ent := ie.memo.lookup(hash, ie.sigs, corners, slewLimit); ent != nil {
+		ie.chains = chainKeys(net, ie.chains)
+		results := make([]*analysis.Result, len(corners))
+		for ci, c := range corners {
+			for _, rising := range launchEdges {
+				lk := launchKey{c, rising}
+				ie.launches[lk] = promote(net, ie.chains, ie.launches[lk])
+			}
+			results[ci] = ent.flats[ci].result(c, ent.keys)
+			ie.Stats.StagesHit += ent.transients[ci]
+			ie.Stats.NetHits++
+			ie.Stats.Evals++
+			ie.Eng.Runs++
+		}
+		return results, nil
+	}
 
 	outs := make([]cornerOutcome, len(corners))
 	prev := make([][2]map[int][]*stageEntry, len(corners))
@@ -166,7 +198,16 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 		wg.Wait()
 	}
 
-	// Commit caches and stats in corner order.
+	// Commit caches, stats and the memo entry in corner order.
+	ent := &netEntry{
+		hash:       hash,
+		sigs:       slices.Clone(ie.sigs),
+		corners:    slices.Clone(corners),
+		slewLimit:  slewLimit,
+		keys:       resultKeysOf(net),
+		flats:      make([]flatResult, len(corners)),
+		transients: make([]int, len(corners)),
+	}
 	results := make([]*analysis.Result, len(corners))
 	for ci, c := range corners {
 		out := &outs[ci]
@@ -177,27 +218,46 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 		ie.Stats.StagesHit += out.reused
 		ie.Eng.Runs++
 		ie.Stats.Evals++
-		results[ci] = out.res
+		ent.flats[ci] = out.flat
+		ent.transients[ci] = out.simulated + out.reused
+		results[ci] = out.flat.result(c, ent.keys)
 	}
+	ie.memo.add(ent)
 	return results, nil
 }
 
+// promote returns an edge's next cache generation after a network-memo
+// hit, given the network's chain keys: every stage whose cached list
+// holds an entry under the stage's chain key gets that entry as its
+// newest, exactly as the full evaluation would have committed it. A stage
+// whose entry has been dropped keeps its list; only an integration could
+// restore it.
+func promote(net *analysis.Net, chains []uint64, prev map[int][]*stageEntry) map[int][]*stageEntry {
+	chosen := make([]*stageEntry, len(net.Stages))
+	moved := false
+	for i, s := range net.Stages {
+		lst := prev[s.Key()]
+		if k := slices.IndexFunc(lst, func(ent *stageEntry) bool { return ent.chain == chains[i] }); k >= 0 {
+			chosen[i] = lst[k]
+			moved = moved || k > 0
+		}
+	}
+	if !moved {
+		return prev // every entry found is already its stage's newest
+	}
+	return commitEdge(net, prev, chosen)
+}
+
 // matchEntry finds a cached transient valid for a stage with the given
-// content signature and input waveform. headFast short-circuits the sample
-// comparison for the newest entry when the upstream chain is known
-// unchanged (source stages, or a parent served from its own newest entry).
-func matchEntry(entries []*stageEntry, sig uint64, vin *Waveform, headFast bool) *stageEntry {
-	for gi, ent := range entries {
+// content signature, chain key and input waveform (nil for the source
+// stage, whose ramp is deterministic). An entry recorded under the same
+// chain key saw the same input, so the sample comparison is skipped.
+func matchEntry(entries []*stageEntry, sig, chain uint64, vin *Waveform) *stageEntry {
+	for _, ent := range entries {
 		if ent.sig != sig {
 			continue
 		}
-		if vin == nil { // source stage: deterministic ramp
-			return ent
-		}
-		if headFast && gi == 0 {
-			return ent
-		}
-		if waveEqual(vin, ent.input) {
+		if vin == nil || ent.chain == chain || waveEqual(vin, ent.input) {
 			return ent
 		}
 	}
@@ -224,6 +284,124 @@ func waveEqual(a, b *Waveform) bool {
 		}
 	}
 	return true
+}
+
+// netMemoBudget bounds the bytes the network memo of one Incremental
+// retains. A memoized network costs about 14 KB on an ISPD'09 contest
+// design and 240 KB on a 5k-sink design, and the cascade revisits a
+// network at most a few dozen evaluations later, so the budget never binds
+// there; on a 250k-sink tree it keeps the last few networks.
+const netMemoBudget = 32 << 20
+
+// netEntry is one memoized network: its key (the stage signatures in
+// extraction order, the corner list and the slew limit) and, per corner,
+// the evaluation in flat form and the edge transients it stood for.
+type netEntry struct {
+	hash       uint64
+	sigs       []uint64
+	corners    []tech.Corner
+	slewLimit  float64
+	keys       resultKeys
+	flats      []flatResult
+	transients []int
+	size       int
+
+	newer, older *netEntry // recency list
+}
+
+// netMemo maps whole networks to their results, evicting the least
+// recently used once it holds more than budget bytes.
+type netMemo struct {
+	byHash         map[uint64][]*netEntry
+	newest, oldest *netEntry // ends of the recency list
+	bytes, budget  int
+}
+
+func newNetMemo(budget int) *netMemo {
+	return &netMemo{byHash: make(map[uint64][]*netEntry), budget: budget}
+}
+
+// netHash hashes a memo key (FNV-1a over its words); lookup compares the
+// full key.
+func netHash(sigs []uint64, corners []tech.Corner, slewLimit float64) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	mix := func(x uint64) {
+		h ^= x
+		h *= prime
+	}
+	for _, sig := range sigs {
+		mix(sig)
+	}
+	mix(uint64(len(corners)))
+	for _, c := range corners {
+		mix(math.Float64bits(c.Vdd))
+	}
+	mix(math.Float64bits(slewLimit))
+	return h
+}
+
+// lookup returns the memoized network with exactly this key, marking it
+// most recently used, or nil.
+func (m *netMemo) lookup(hash uint64, sigs []uint64, corners []tech.Corner, slewLimit float64) *netEntry {
+	for _, ent := range m.byHash[hash] {
+		if slices.Equal(ent.sigs, sigs) && slices.Equal(ent.corners, corners) && ent.slewLimit == slewLimit {
+			m.unlink(ent)
+			m.pushNewest(ent)
+			return ent
+		}
+	}
+	return nil
+}
+
+// add memoizes ent as the most recently used network, then evicts from
+// the least recently used end while the memo is over budget (never ent).
+func (m *netMemo) add(ent *netEntry) {
+	ent.size = 8*len(ent.sigs) + 4*(len(ent.keys.sinks)+len(ent.keys.stages)) + 256
+	for i := range ent.flats {
+		ent.size += ent.flats[i].bytes()
+	}
+	m.byHash[ent.hash] = append(m.byHash[ent.hash], ent)
+	m.pushNewest(ent)
+	m.bytes += ent.size
+	for m.bytes > m.budget && m.oldest != ent {
+		m.evict(m.oldest)
+	}
+}
+
+func (m *netMemo) evict(ent *netEntry) {
+	m.unlink(ent)
+	m.bytes -= ent.size
+	lst := slices.DeleteFunc(m.byHash[ent.hash], func(e *netEntry) bool { return e == ent })
+	if len(lst) == 0 {
+		delete(m.byHash, ent.hash)
+	} else {
+		m.byHash[ent.hash] = lst
+	}
+}
+
+func (m *netMemo) pushNewest(ent *netEntry) {
+	ent.older, ent.newer = m.newest, nil
+	if m.newest != nil {
+		m.newest.newer = ent
+	} else {
+		m.oldest = ent
+	}
+	m.newest = ent
+}
+
+func (m *netMemo) unlink(ent *netEntry) {
+	if ent.newer != nil {
+		ent.newer.older = ent.older
+	} else {
+		m.newest = ent.older
+	}
+	if ent.older != nil {
+		ent.older.newer = ent.newer
+	} else {
+		m.oldest = ent.newer
+	}
+	ent.newer, ent.older = nil, nil
 }
 
 var _ analysis.Evaluator = (*Incremental)(nil)

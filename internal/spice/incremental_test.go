@@ -272,6 +272,9 @@ func TestIncrementalOneEdgeMissMatchesEngine(t *testing.T) {
 		for _, c := range tk.Corners {
 			delete(ie.launches, launchKey{c, dropRising})
 		}
+		// The network memo would serve the unchanged tree whole; this
+		// test is about the per-edge stage cache.
+		ie.memo = newNetMemo(netMemoBudget)
 		sims, hits := ie.Stats.StagesSim, ie.Stats.StagesHit
 		got, err := ie.EvaluateCorners(tr, tk.Corners)
 		if err != nil {
@@ -325,6 +328,7 @@ func TestIncrementalCornerPairMatchesAlone(t *testing.T) {
 				}
 				st := alone[k].Stats
 				want.Evals += st.Evals
+				want.NetHits += st.NetHits
 				want.StagesSim += st.StagesSim
 				want.StagesHit += st.StagesHit
 				want.FullStages = st.FullStages

@@ -53,7 +53,8 @@ func growF(buf []float64, n int) []float64 {
 // edgeScratch per column (corner k's launch edge c is column 2k+c).
 type cornerScratch struct {
 	level []int
-	dirs  []bool // rising-launch output direction per stage
+	dirs  []bool   // rising-launch output direction per stage
+	chain []uint64 // chain key per stage (chainKeys)
 	work  []int
 	edge  [4]edgeScratch
 }
@@ -62,11 +63,10 @@ type cornerScratch struct {
 // while the scratch sits in the pool: stages skipped by the dirty-cone walk
 // must read zero values, exactly as freshly made slices would give.
 type edgeScratch struct {
-	results    []*stageResult // nil = no input transition reached the stage
-	inputs     []*Waveform
-	reusedHead []bool
-	need       []bool // stage misses the cache and must be integrated
-	chosen     []*stageEntry
+	results []*stageResult // nil = no input transition reached the stage
+	inputs  []*Waveform
+	need    []bool // stage misses the cache and must be integrated
+	chosen  []*stageEntry
 	// trim holds per-stage trimmed-input headers (TrimInto targets). A
 	// header is cloned to the heap before it enters a cache entry, so
 	// nothing outlives the evaluation that wrote it.
@@ -82,12 +82,11 @@ func getCornerScratch(n int) *cornerScratch {
 		cs.dirs = make([]bool, n)
 		for c := range cs.edge {
 			cs.edge[c] = edgeScratch{
-				results:    make([]*stageResult, n),
-				inputs:     make([]*Waveform, n),
-				reusedHead: make([]bool, n),
-				need:       make([]bool, n),
-				chosen:     make([]*stageEntry, n),
-				trim:       make([]Waveform, n),
+				results: make([]*stageResult, n),
+				inputs:  make([]*Waveform, n),
+				need:    make([]bool, n),
+				chosen:  make([]*stageEntry, n),
+				trim:    make([]Waveform, n),
 			}
 		}
 		return cs
@@ -97,7 +96,6 @@ func getCornerScratch(n int) *cornerScratch {
 		es := &cs.edge[c]
 		es.results = es.results[:n]
 		es.inputs = es.inputs[:n]
-		es.reusedHead = es.reusedHead[:n]
 		es.need = es.need[:n]
 		es.chosen = es.chosen[:n]
 		es.trim = es.trim[:n]
@@ -115,7 +113,6 @@ func putCornerScratch(cs *cornerScratch) {
 		es := &cs.edge[c]
 		clear(es.results)
 		clear(es.inputs)
-		clear(es.reusedHead)
 		clear(es.need)
 		clear(es.chosen)
 		clear(es.trim)
