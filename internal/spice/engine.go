@@ -174,7 +174,6 @@ func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev []
 				}
 				es.inputs[i] = vin
 				if ent := matchEntry(cache[c][key], s.Sig(), cs.chain[i], vin); ent != nil {
-					es.results[i] = &ent.res
 					es.chosen[i] = ent
 					out.reused++
 					continue
@@ -213,7 +212,7 @@ func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev []
 		}
 		out.flat = newFlatResult(nSinks, n)
 		for c, rising := range launchEdges {
-			addLaunch(&out.flat, net, cs.edge[2*k+c].results, rising, e.SourceSlew/2)
+			addLaunch(&out.flat, net, cs.edge[2*k+c].chosen, rising, e.SourceSlew/2)
 		}
 	}
 }
@@ -251,7 +250,6 @@ func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerSc
 		es := &cs.edge[col[k]]
 		ent := &stageEntry{chain: cs.chain[i], sig: s.Sig(), input: es.inputs[i], res: res[k]}
 		es.chosen[i] = ent
-		es.results[i] = &ent.res
 	}
 }
 
@@ -260,7 +258,8 @@ func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerSc
 // Equal chain keys mean equal signatures along the whole path from the
 // source, so within one (corner, edge) column the stage sees the same
 // input waveform: a cached transient recorded under the stage's chain key
-// is valid without comparing samples.
+// is valid without comparing samples. Like the signatures it folds, a
+// chain key is a 64-bit hash, trusted as they are.
 func chainKeys(net *analysis.Net, keys []uint64) []uint64 {
 	keys = slices.Grow(keys[:0], len(net.Stages))[:len(net.Stages)]
 	for i, s := range net.Stages {
@@ -364,7 +363,7 @@ func (f *flatResult) bytes() int {
 // stages in topological order: sink arrivals go to rise or fall, and slews
 // merge into the per-sink, per-stage and overall maxima and the violation
 // count.
-func addLaunch(f *flatResult, net *analysis.Net, results []*stageResult, rising bool, srcT50 float64) {
+func addLaunch(f *flatResult, net *analysis.Net, chosen []*stageEntry, rising bool, srcT50 float64) {
 	arrivals, bit := f.fall, hasFall
 	if rising {
 		arrivals, bit = f.rise, hasRise
@@ -372,11 +371,11 @@ func addLaunch(f *flatResult, net *analysis.Net, results []*stageResult, rising 
 	slewLimit := net.Tech.SlewLimit
 	j := 0 // sink index in net order
 	for i, s := range net.Stages {
-		st := results[i]
-		if st == nil {
+		if chosen[i] == nil {
 			j += len(s.Sinks)
 			continue
 		}
+		st := &chosen[i].res
 		for _, m := range s.Sinks {
 			arrivals[j] = st.t50[m.Node] - srcT50
 			if sl := st.slew[m.Node]; f.has[j] == 0 || sl > f.slew[j] {

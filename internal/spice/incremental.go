@@ -22,12 +22,35 @@ import (
 // A cached stage transient is reused when (a) the stage's content signature
 // matches — same driver parameters and RC arrays, as hashed by the
 // extractor — and (b) the stage sees the same input waveform it was
-// simulated with, either because the whole upstream chain was reused or by
-// direct sample comparison against the recorded input. Two generations of
-// results are kept per stage, which makes the cascade's characteristic
-// apply-evaluate-revert patterns (model probes, rejected IVC rounds) cheap:
-// the revert's evaluation finds the pre-mutation generation and promotes
-// it instead of re-integrating the cone.
+// simulated with, either because it was recorded under the same chain key
+// (the signatures of the stage and every stage upstream of it, folded into
+// one word; see chainKeys) or by direct sample comparison against the
+// recorded input. Two generations of results are kept per stage, which
+// makes the cascade's characteristic apply-evaluate-revert patterns (model
+// probes, rejected IVC rounds) cheap: the revert's evaluation finds the
+// pre-mutation generation and promotes it instead of re-integrating the
+// cone.
+//
+// Whole networks are memoized too. The cascade revisits networks it has
+// evaluated before: a baseline is evaluated again after every probe
+// revert, bottom-level probes repeat on an unchanged tree, and a
+// convergence cycle's wire passes replay trials the standalone passes
+// rejected, often after enough other trials that two stage generations no
+// longer hold them. After extraction, and before any stage is matched, an
+// evaluation looks its network up by the stage signatures in extraction
+// order, the corner list and the slew limit (which no signature covers);
+// the key trusts exactly what the stage cache trusts. A hit expands the
+// stored flat results into fresh maps without simulating or matching a
+// stage; it still counts one Eng.Runs per corner, and its stage
+// transients count as cache hits. A hit also promotes, per (corner, edge),
+// every stage entry still cached under the network's chain keys to its
+// stage's newest, as the full evaluation would have; stages whose entries
+// were dropped keep their lists. Promotion cannot make a match unsound,
+// because matching never relies on which generation an entry sits in: a
+// chain key or a sample comparison vouches for every entry it accepts.
+// The memo evicts least recently used networks beyond netMemoBudget
+// bytes and skips a network larger than that; Reset and a new tree clear
+// it with the stage cache.
 //
 // Each supply corner is one task, or two adjacent corners whose
 // interconnect derates are equal (the default ispd09 pair) share one: a
@@ -287,11 +310,15 @@ func waveEqual(a, b *Waveform) bool {
 }
 
 // netMemoBudget bounds the bytes the network memo of one Incremental
-// retains. A memoized network costs about 14 KB on an ISPD'09 contest
-// design and 240 KB on a 5k-sink design, and the cascade revisits a
-// network at most a few dozen evaluations later, so the budget never binds
-// there; on a 250k-sink tree it keeps the last few networks.
-const netMemoBudget = 32 << 20
+// retains. A memoized network costs about 56 bytes per sink at the ispd09
+// corner pair: 28 KB on the largest ISPD'09 contest design, 283 KB on a
+// 5k-sink design. The cascade's revisits come back within 14 networks on
+// the contest designs and within 3 on the 5k-sink scale plan, so 1 MiB
+// keeps every revisit of both while bounding what the memo adds to the
+// live heap (and so to peak RSS, which the garbage collector's pacing
+// makes about twice that). A network larger than the whole budget is not
+// memoized.
+const netMemoBudget = 1 << 20
 
 // netEntry is one memoized network: its key (the stage signatures in
 // extraction order, the corner list and the slew limit) and, per corner,
@@ -355,16 +382,20 @@ func (m *netMemo) lookup(hash uint64, sigs []uint64, corners []tech.Corner, slew
 }
 
 // add memoizes ent as the most recently used network, then evicts from
-// the least recently used end while the memo is over budget (never ent).
+// the least recently used end while the memo is over budget. A network
+// larger than the whole budget is not memoized.
 func (m *netMemo) add(ent *netEntry) {
 	ent.size = 8*len(ent.sigs) + 4*(len(ent.keys.sinks)+len(ent.keys.stages)) + 256
 	for i := range ent.flats {
 		ent.size += ent.flats[i].bytes()
 	}
+	if ent.size > m.budget {
+		return
+	}
 	m.byHash[ent.hash] = append(m.byHash[ent.hash], ent)
 	m.pushNewest(ent)
 	m.bytes += ent.size
-	for m.bytes > m.budget && m.oldest != ent {
+	for m.bytes > m.budget {
 		m.evict(m.oldest)
 	}
 }

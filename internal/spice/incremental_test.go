@@ -181,6 +181,9 @@ func TestIncrementalReusesCleanStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Snake[probe] -= 100
+	// The network memo would serve the revert whole; the stage cache
+	// must serve it on its own too.
+	ie.memo = newNetMemo(netMemoBudget)
 	base = ie.Stats
 	if _, err := ie.EvaluateCorners(tr, tk.Corners); err != nil {
 		t.Fatal(err)
@@ -236,6 +239,7 @@ func TestIncrementalSurvivesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Arena().CopyFrom(snap)
+	ie.memo = newNetMemo(netMemoBudget) // test the stage cache, not the memo
 	base := ie.Stats
 	rs, err := ie.EvaluateCorners(tr, tk.Corners)
 	if err != nil {

@@ -201,19 +201,17 @@ func memoEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Fatal("least recently used network 1 survived eviction")
 	}
 
-	// A budget below one network keeps only the newest.
-	memo.budget = 1
+	// A network larger than the whole budget is not memoized, and adding
+	// it leaves the others alone.
+	memo.budget = memo.bytes/2 - 1 // below one network's size
+	held := memo.bytes
 	state(3)
 	h.eval(tk.Corners)
-	if memo.newest != memo.oldest || len(memo.byHash) != 1 {
-		t.Fatal("a one-byte budget kept more than the newest network")
+	if memo.bytes != held {
+		t.Fatalf("memo holds %d bytes after an oversized network, want %d", memo.bytes, held)
 	}
 	state(3)
-	if _, hit := h.eval(tk.Corners); !hit {
-		t.Fatal("the newest network was evicted")
-	}
-	state(2)
 	if _, hit := h.eval(tk.Corners); hit {
-		t.Fatal("an older network survived a one-byte budget")
+		t.Fatal("a network larger than the budget was memoized")
 	}
 }

@@ -63,10 +63,11 @@ type cornerScratch struct {
 // while the scratch sits in the pool: stages skipped by the dirty-cone walk
 // must read zero values, exactly as freshly made slices would give.
 type edgeScratch struct {
-	results []*stageResult // nil = no input transition reached the stage
-	inputs  []*Waveform
-	need    []bool // stage misses the cache and must be integrated
-	chosen  []*stageEntry
+	inputs []*Waveform
+	need   []bool // stage misses the cache and must be integrated
+	// chosen is the cache entry that served or recorded the stage; nil =
+	// no input transition reached it.
+	chosen []*stageEntry
 	// trim holds per-stage trimmed-input headers (TrimInto targets). A
 	// header is cloned to the heap before it enters a cache entry, so
 	// nothing outlives the evaluation that wrote it.
@@ -82,11 +83,10 @@ func getCornerScratch(n int) *cornerScratch {
 		cs.dirs = make([]bool, n)
 		for c := range cs.edge {
 			cs.edge[c] = edgeScratch{
-				results: make([]*stageResult, n),
-				inputs:  make([]*Waveform, n),
-				need:    make([]bool, n),
-				chosen:  make([]*stageEntry, n),
-				trim:    make([]Waveform, n),
+				inputs: make([]*Waveform, n),
+				need:   make([]bool, n),
+				chosen: make([]*stageEntry, n),
+				trim:   make([]Waveform, n),
 			}
 		}
 		return cs
@@ -94,7 +94,6 @@ func getCornerScratch(n int) *cornerScratch {
 	cs.level, cs.dirs = cs.level[:n], cs.dirs[:n]
 	for c := range cs.edge {
 		es := &cs.edge[c]
-		es.results = es.results[:n]
 		es.inputs = es.inputs[:n]
 		es.need = es.need[:n]
 		es.chosen = es.chosen[:n]
@@ -111,7 +110,6 @@ func putCornerScratch(cs *cornerScratch) {
 	cs.work = cs.work[:0]
 	for c := range cs.edge {
 		es := &cs.edge[c]
-		clear(es.results)
 		clear(es.inputs)
 		clear(es.need)
 		clear(es.chosen)
