@@ -138,6 +138,12 @@ func replayFile(path string) []Record {
 	if err != nil {
 		return nil
 	}
+	return replay(raw)
+}
+
+// replay decodes journal frames from raw until its end or the first bad
+// frame.
+func replay(raw []byte) []Record {
 	var recs []Record
 	off := 0
 	for off+8 <= len(raw) {

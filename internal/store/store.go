@@ -144,10 +144,7 @@ func (s *Store) Put(key string, data []byte) error {
 	tmp := f.Name()
 	defer os.Remove(tmp) // no-op after a successful rename
 
-	var hdr [objHeaderLen]byte
-	copy(hdr[:8], objMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(data, crcTable))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(data)))
+	hdr := objHeader(data)
 	if _, err := f.Write(hdr[:]); err == nil {
 		_, err = f.Write(data)
 	}
@@ -199,6 +196,15 @@ func (s *Store) Get(key string) ([]byte, error) {
 	s.metrics.Reads.Inc()
 	s.metrics.ReadBytes.Add(int64(len(data)))
 	return data, nil
+}
+
+// objHeader returns the frame header of a blob with payload data.
+func objHeader(data []byte) [objHeaderLen]byte {
+	var hdr [objHeaderLen]byte
+	copy(hdr[:8], objMagic[:])
+	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(data, crcTable))
+	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(data)))
+	return hdr
 }
 
 // verifyFrame checks a framed blob and returns its payload, or a non-empty
