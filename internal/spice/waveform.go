@@ -21,6 +21,17 @@
 // and a waveform stores its settled tail implicitly, as a count of repeats
 // of its last sample; both leave every result bit-identical to integrating
 // and storing every step.
+//
+// Inside the optimization loop the incremental evaluator (Incremental)
+// caches stage transients, so a move re-integrates only the stages it
+// changed and their downstream cone. The paper's flow also returns to whole
+// networks it has judged before: a probe is reverted and the baseline
+// evaluated again, and a convergence cycle reruns the wire passes, whose
+// trials repeat the rejected trials of the standalone passes. The
+// evaluator therefore also memoizes whole-network results, keyed by the
+// stage signatures, and answers a revisited network without touching a
+// stage. The memo holds results in a compact flat form and is bounded by a
+// byte budget, evicting least recently used networks.
 package spice
 
 import (
