@@ -354,9 +354,10 @@ func newFlatResult(nSinks, nStages int) flatResult {
 	}
 }
 
-// bytes returns the memory f holds, for the network memo's budget.
+// bytes returns the memory f holds, slice headers included, for the
+// network memo's budget.
 func (f *flatResult) bytes() int {
-	return 8*(len(f.rise)+len(f.fall)+len(f.slew)+len(f.stageSlew)) + len(f.has) + 128
+	return 8*(len(f.rise)+len(f.fall)+len(f.slew)+len(f.stageSlew)) + len(f.has) + 5*24
 }
 
 // addLaunch folds one launch edge's stage results into f, walking the

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"container/list"
 	"math"
 	"runtime"
 	"slices"
@@ -158,11 +159,12 @@ func (ie *Incremental) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.R
 	return rs[0], nil
 }
 
-// EvaluateCorners implements analysis.Evaluator: one extraction, then
-// one task per corner group (cornerGroups) scheduled over the shared worker
-// pool. A task runs both launch edges of its one or two corners
-// (Engine.simulateCorners); cache matching, hits and commits stay per
-// (corner, edge).
+// EvaluateCorners implements analysis.Evaluator: one extraction, then a
+// network-memo lookup, and on a miss one task per corner group
+// (cornerGroups) scheduled over the shared worker pool. A task runs both
+// launch edges of its one or two corners (Engine.simulateCorners); cache
+// matching, hits and commits stay per (corner, edge). The evaluated
+// network then enters the memo.
 func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*analysis.Result, error) {
 	ie.bind(tr)
 	net := &ie.net
@@ -332,20 +334,18 @@ type netEntry struct {
 	flats      []flatResult
 	transients []int
 	size       int
-
-	newer, older *netEntry // recency list
 }
 
 // netMemo maps whole networks to their results, evicting the least
 // recently used once it holds more than budget bytes.
 type netMemo struct {
-	byHash         map[uint64][]*netEntry
-	newest, oldest *netEntry // ends of the recency list
-	bytes, budget  int
+	byHash        map[uint64][]*list.Element // elements of lru
+	lru           *list.List                 // *netEntry, most recently used first
+	bytes, budget int
 }
 
 func newNetMemo(budget int) *netMemo {
-	return &netMemo{byHash: make(map[uint64][]*netEntry), budget: budget}
+	return &netMemo{byHash: make(map[uint64][]*list.Element), lru: list.New(), budget: budget}
 }
 
 // netHash hashes a memo key (FNV-1a over its words); lookup compares the
@@ -371,10 +371,10 @@ func netHash(sigs []uint64, corners []tech.Corner, slewLimit float64) uint64 {
 // lookup returns the memoized network with exactly this key, marking it
 // most recently used, or nil.
 func (m *netMemo) lookup(hash uint64, sigs []uint64, corners []tech.Corner, slewLimit float64) *netEntry {
-	for _, ent := range m.byHash[hash] {
+	for _, el := range m.byHash[hash] {
+		ent := el.Value.(*netEntry)
 		if slices.Equal(ent.sigs, sigs) && slices.Equal(ent.corners, corners) && ent.slewLimit == slewLimit {
-			m.unlink(ent)
-			m.pushNewest(ent)
+			m.lru.MoveToFront(el)
 			return ent
 		}
 	}
@@ -385,6 +385,7 @@ func (m *netMemo) lookup(hash uint64, sigs []uint64, corners []tech.Corner, slew
 // the least recently used end while the memo is over budget. A network
 // larger than the whole budget is not memoized.
 func (m *netMemo) add(ent *netEntry) {
+	// Slice headers and the entry itself: 256 bytes.
 	ent.size = 8*len(ent.sigs) + 4*(len(ent.keys.sinks)+len(ent.keys.stages)) + 256
 	for i := range ent.flats {
 		ent.size += ent.flats[i].bytes()
@@ -392,47 +393,22 @@ func (m *netMemo) add(ent *netEntry) {
 	if ent.size > m.budget {
 		return
 	}
-	m.byHash[ent.hash] = append(m.byHash[ent.hash], ent)
-	m.pushNewest(ent)
+	m.byHash[ent.hash] = append(m.byHash[ent.hash], m.lru.PushFront(ent))
 	m.bytes += ent.size
 	for m.bytes > m.budget {
-		m.evict(m.oldest)
+		m.evict(m.lru.Back())
 	}
 }
 
-func (m *netMemo) evict(ent *netEntry) {
-	m.unlink(ent)
+func (m *netMemo) evict(el *list.Element) {
+	ent := m.lru.Remove(el).(*netEntry)
 	m.bytes -= ent.size
-	lst := slices.DeleteFunc(m.byHash[ent.hash], func(e *netEntry) bool { return e == ent })
+	lst := slices.DeleteFunc(m.byHash[ent.hash], func(e *list.Element) bool { return e == el })
 	if len(lst) == 0 {
 		delete(m.byHash, ent.hash)
 	} else {
 		m.byHash[ent.hash] = lst
 	}
-}
-
-func (m *netMemo) pushNewest(ent *netEntry) {
-	ent.older, ent.newer = m.newest, nil
-	if m.newest != nil {
-		m.newest.newer = ent
-	} else {
-		m.oldest = ent
-	}
-	m.newest = ent
-}
-
-func (m *netMemo) unlink(ent *netEntry) {
-	if ent.newer != nil {
-		ent.newer.older = ent.older
-	} else {
-		m.newest = ent.older
-	}
-	if ent.older != nil {
-		ent.older.newer = ent.newer
-	} else {
-		m.oldest = ent.newer
-	}
-	ent.newer, ent.older = nil, nil
 }
 
 var _ analysis.Evaluator = (*Incremental)(nil)
