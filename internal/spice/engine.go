@@ -111,11 +111,14 @@ type cornerOutcome struct {
 
 // simulateCorners evaluates both launch edges of a corner group (one
 // corner, or two with equal derates; see cornerGroups), propagating each
-// source edge through the stages level by level. Corner k's launch edge c
-// is column 2k+c. For every stage and column it first looks for a cached
-// transient; the columns that miss integrate together in one simStage
-// call. Stages within a level are independent, so their simulations run
-// concurrently under sem (nil runs them serially).
+// source edge from stage to stage. Corner k's launch edge c is column
+// 2k+c. For every stage and column it first looks for a cached transient
+// (matchStage); the columns that miss integrate together in one simStage
+// call. A stage needs only its parent's transients, so walkStages starts
+// each stage as soon as its parent is done, and at most cap(sem) stage
+// integrations run at once across every group of the evaluation (a
+// capacity of at most 1, or a nil sem, runs the stages serially in index
+// order).
 //
 // prev holds the previous cache generation per corner and edge, or is nil
 // for an uncached evaluation. It is only read here; the entries to commit
@@ -123,7 +126,6 @@ type cornerOutcome struct {
 // shared state.
 func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev [][2]map[int][]*stageEntry, sem chan struct{}, outs []cornerOutcome) {
 	n := len(net.Stages)
-	ncol := 2 * len(group)
 	cs := getCornerScratch(n)
 	defer putCornerScratch(cs)
 	var cache [4]map[int][]*stageEntry
@@ -132,72 +134,32 @@ func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev []
 	}
 	cs.chain = chainKeys(net, cs.chain)
 
-	// Rising-launch output direction per stage (the source driver is
-	// non-inverting, every buffer stage inverts; the falling launch is the
-	// complement) and dependency levels for scheduling.
-	level, dirs := cs.level, cs.dirs
-	maxLevel := 0
+	// Rising-launch output direction per stage: the source driver is
+	// non-inverting, every buffer stage inverts, and the falling launch is
+	// the complement. The chain keys, the directions and the serial walk
+	// all rely on extraction putting every parent before its children.
+	dirs := cs.dirs
 	for i, s := range net.Stages {
+		if s.Parent >= i {
+			panic("spice: stage extracted before its parent")
+		}
 		if s.Parent < 0 {
 			dirs[i] = true
 			continue
 		}
 		dirs[i] = !dirs[s.Parent]
-		level[i] = level[s.Parent] + 1
-		if level[i] > maxLevel {
-			maxLevel = level[i]
-		}
 	}
 
-	for lv := 0; lv <= maxLevel; lv++ {
-		work := cs.work[:0]
-		for i, s := range net.Stages {
-			if level[i] != lv {
-				continue
-			}
-			key := s.Key()
-			miss := false
-			for c := 0; c < ncol; c++ {
-				es := &cs.edge[c]
-				out := &outs[c/2]
-				var vin *Waveform
-				if s.Parent >= 0 {
-					up := es.chosen[s.Parent]
-					if up == nil {
-						continue // upstream never switched; neither do we
-					}
-					w, ok := up.res.loadWaves[s.InputNode]
-					if !ok {
-						continue
-					}
-					vin = w.TrimInto(0.002*group[c/2].Vdd, &es.trim[i])
-				}
-				es.inputs[i] = vin
-				if ent := matchEntry(cache[c][key], s.Sig(), cs.chain[i], vin); ent != nil {
-					es.chosen[i] = ent
-					out.reused++
-					continue
-				}
-				if vin == &es.trim[i] {
-					// Cache miss: the input enters a long-lived cache entry,
-					// so promote the scratch header to its own allocation
-					// (the samples stay shared with the upstream waveform).
-					h := *vin
-					es.inputs[i] = &h
-				}
-				es.need[i] = true
-				out.simulated++
-				miss = true
-			}
-			if miss {
-				work = append(work, i)
-			}
+	walkStages(net, cap(sem), func(i int) {
+		if !matchStage(net, group, cache, cs, i) {
+			return
 		}
-		runLimited(sem, len(work), func(wi int) {
-			e.simColumns(net, group, cs, work[wi])
-		})
-		cs.work = work // keep any growth for the next level
-	}
+		if cap(sem) > 1 {
+			sem <- struct{}{}
+			defer func() { <-sem }()
+		}
+		e.simColumns(net, group, cs, i)
+	})
 
 	nSinks := 0
 	for _, s := range net.Stages {
@@ -205,9 +167,18 @@ func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev []
 	}
 	for k := range group {
 		out := &outs[k]
-		if prev != nil {
-			for c := range launchEdges {
-				out.entries[c] = commitEdge(net, cache[2*k+c], cs.edge[2*k+c].chosen)
+		for c := range launchEdges {
+			es := &cs.edge[2*k+c]
+			for i := 0; i < n; i++ {
+				switch {
+				case es.need[i]:
+					out.simulated++
+				case es.chosen[i] != nil:
+					out.reused++
+				}
+			}
+			if prev != nil {
+				out.entries[c] = commitEdge(net, cache[2*k+c], es.chosen)
 			}
 		}
 		out.flat = newFlatResult(nSinks, n)
@@ -215,6 +186,47 @@ func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev []
 			addLaunch(&out.flat, net, cs.edge[2*k+c].chosen, rising, e.SourceSlew/2)
 		}
 	}
+}
+
+// matchStage looks up stage i's transient in the cache for every column
+// of the group whose upstream stage switched, and marks the columns that
+// miss. It reports whether any column missed. It reads only the parent's
+// entries and writes only stage i's, so stages whose parents are done can
+// be matched concurrently.
+func matchStage(net *analysis.Net, group []tech.Corner, cache [4]map[int][]*stageEntry, cs *cornerScratch, i int) bool {
+	s := net.Stages[i]
+	key := s.Key()
+	miss := false
+	for c := 0; c < 2*len(group); c++ {
+		es := &cs.edge[c]
+		var vin *Waveform
+		if s.Parent >= 0 {
+			up := es.chosen[s.Parent]
+			if up == nil {
+				continue // upstream never switched; neither do we
+			}
+			w, ok := up.res.loadWaves[s.InputNode]
+			if !ok {
+				continue
+			}
+			vin = w.TrimInto(0.002*group[c/2].Vdd, &es.trim[i])
+		}
+		es.inputs[i] = vin
+		if ent := matchEntry(cache[c][key], s.Sig(), cs.chain[i], vin); ent != nil {
+			es.chosen[i] = ent
+			continue
+		}
+		if vin == &es.trim[i] {
+			// Cache miss: the input enters a long-lived cache entry,
+			// so promote the scratch header to its own allocation
+			// (the samples stay shared with the upstream waveform).
+			h := *vin
+			es.inputs[i] = &h
+		}
+		es.need[i] = true
+		miss = true
+	}
+	return miss
 }
 
 // simColumns integrates stage i for every column of the group that missed

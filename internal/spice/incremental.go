@@ -57,13 +57,14 @@ import (
 // interconnect derates are equal (the default ispd09 pair) share one: a
 // task integrates the rising and falling launch edges of every corner it
 // holds together in one kernel sweep over one RC set-up, whatever misses
-// the cache. Independent stage simulations — across sibling subtrees and
-// tasks — run on a bounded worker pool (Parallelism goroutines, following
-// the synthesis service's fixed-pool pattern). Because each stage
-// simulation is deterministic, a column's arithmetic does not depend on
-// which columns share its sweep, and stages only depend on their upstream
-// chain, results are bit-identical to the serial whole-tree Engine at any
-// parallelism level.
+// the cache. Within a task a stage starts as soon as its parent's
+// transient is known: Parallelism workers per task take stages from a
+// ready queue, and at most Parallelism stage integrations run at once
+// across all tasks (the synthesis service's fixed-budget pattern).
+// Because each stage simulation is deterministic, a column's arithmetic
+// does not depend on which columns share its sweep, and stages only depend
+// on their upstream chain, results are bit-identical to the serial
+// whole-tree Engine at any parallelism level.
 //
 // An Incremental is not safe for concurrent Evaluate calls; the
 // parallelism is internal. Engine knobs (Dt, MaxSeg, SourceSlew, SettleTol)
@@ -161,7 +162,7 @@ func (ie *Incremental) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.R
 
 // EvaluateCorners implements analysis.Evaluator: one extraction, then a
 // network-memo lookup, and on a miss one task per corner group
-// (cornerGroups) scheduled over the shared worker pool. A task runs both
+// (cornerGroups), the tasks sharing one integration budget. A task runs both
 // launch edges of its one or two corners (Engine.simulateCorners); cache
 // matching, hits and commits stay per (corner, edge). The evaluated
 // network then enters the memo.

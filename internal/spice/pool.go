@@ -1,45 +1,54 @@
 package spice
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
 
-// runLimited executes fn(0..n-1) concurrently, with at most the semaphore's
-// capacity running at once. It is the same fixed-budget worker discipline as
-// the synthesis service's job pool, scaled down to stage granularity: the
-// semaphore is shared across every scheduling site of one evaluation (all
-// corner tasks, every dependency level), so the total number
-// of in-flight stage simulations never exceeds the configured parallelism
-// no matter how the work is nested.
-func runLimited(sem chan struct{}, n int, fn func(int)) {
-	if n == 0 {
-		return
-	}
-	if cap(sem) <= 1 {
-		// Serial budget: the evaluator also runs its corner tasks serially
-		// in this configuration, so no other goroutine contends for the
-		// slot.
+	"contango/internal/analysis"
+)
+
+// walkStages calls visit once for every stage of net, each after its
+// parent's call has returned. With at most one worker it visits the
+// stages in index order, which extraction makes parents-first. Otherwise
+// it starts that many workers on a ready queue: the source stages start
+// it, and a worker queues a stage's children as soon as it has visited
+// the stage, so no stage waits for unrelated stages of its depth. The
+// caller bounds the expensive part of a visit, stage integration, with
+// the evaluation's semaphore, which every corner group's walk shares, so
+// the workers of all groups together run at most its capacity of
+// integrations at once, the same fixed-budget discipline as the
+// synthesis service's job pool.
+func walkStages(net *analysis.Net, workers int, visit func(int)) {
+	n := len(net.Stages)
+	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			visit(i)
 		}
 		return
 	}
-	if n == 1 {
-		// Run inline, but still hold a slot: concurrent corner tasks each
-		// hit this path on sparse dependency levels, and the budget bounds
-		// the total across all of them.
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		fn(0)
-		return
+	ready := make(chan int, n) // every stage is queued exactly once
+	for i, s := range net.Stages {
+		if s.Parent < 0 {
+			ready <- i
+		}
 	}
+	var left atomic.Int64 // stages not yet visited
+	left.Store(int64(n))
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
+			for i := range ready {
+				visit(i)
+				for _, c := range net.Stages[i].Children {
+					ready <- c
+				}
+				if left.Add(-1) == 0 {
+					close(ready)
+				}
+			}
+		}()
 	}
 	wg.Wait()
 }

@@ -15,11 +15,11 @@ import "sync"
 // the column count, so the four-column sweep addresses a node's columns
 // with constant indices.
 type stageScratch struct {
-	g, gC, d, elim []float64
-	V, b, acc      [][4]float64
-	tr             [][4]tracker
-	loads          []int        // distinct load nodes, recorded every step
-	rec            [4][]float64 // per column: recorded load samples, row by row
+	g, gC, d, elim  []float64
+	V, prev, b, acc [][4]float64 // prev: the state before a tracked step
+	tr              [][4]tracker
+	loads           []int        // distinct load nodes, recorded every step
+	rec             [4][]float64 // per column: recorded load samples, row by row
 }
 
 var stagePool = sync.Pool{New: func() any { return new(stageScratch) }}
@@ -34,11 +34,12 @@ func (ss *stageScratch) grow(n int) {
 	ss.elim = growF(ss.elim, n)
 	if cap(ss.V) < n {
 		ss.V = make([][4]float64, n)
+		ss.prev = make([][4]float64, n)
 		ss.b = make([][4]float64, n)
 		ss.acc = make([][4]float64, n)
 		ss.tr = make([][4]tracker, n)
 	}
-	ss.V, ss.b, ss.acc, ss.tr = ss.V[:n], ss.b[:n], ss.acc[:n], ss.tr[:n]
+	ss.V, ss.prev, ss.b, ss.acc, ss.tr = ss.V[:n], ss.prev[:n], ss.b[:n], ss.acc[:n], ss.tr[:n]
 }
 
 func growF(buf []float64, n int) []float64 {
@@ -49,13 +50,11 @@ func growF(buf []float64, n int) []float64 {
 }
 
 // cornerScratch holds simulateCorners' per-netlist working slices: the
-// stage levels and output directions every column shares, and one
+// stage output directions and chain keys every column shares, and one
 // edgeScratch per column (corner k's launch edge c is column 2k+c).
 type cornerScratch struct {
-	level []int
 	dirs  []bool   // rising-launch output direction per stage
 	chain []uint64 // chain key per stage (chainKeys)
-	work  []int
 	edge  [4]edgeScratch
 }
 
@@ -78,8 +77,7 @@ var cornerPool = sync.Pool{New: func() any { return new(cornerScratch) }}
 
 func getCornerScratch(n int) *cornerScratch {
 	cs := cornerPool.Get().(*cornerScratch)
-	if cap(cs.level) < n {
-		cs.level = make([]int, n)
+	if cap(cs.dirs) < n {
 		cs.dirs = make([]bool, n)
 		for c := range cs.edge {
 			cs.edge[c] = edgeScratch{
@@ -91,7 +89,7 @@ func getCornerScratch(n int) *cornerScratch {
 		}
 		return cs
 	}
-	cs.level, cs.dirs = cs.level[:n], cs.dirs[:n]
+	cs.dirs = cs.dirs[:n]
 	for c := range cs.edge {
 		es := &cs.edge[c]
 		es.inputs = es.inputs[:n]
@@ -106,8 +104,6 @@ func getCornerScratch(n int) *cornerScratch {
 // Clearing here rather than on checkout also keeps pooled headers from
 // pinning waveforms the cache has already dropped.
 func putCornerScratch(cs *cornerScratch) {
-	clear(cs.level)
-	cs.work = cs.work[:0]
 	for c := range cs.edge {
 		es := &cs.edge[c]
 		clear(es.inputs)

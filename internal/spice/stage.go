@@ -40,8 +40,18 @@ type column struct {
 	th            [3]float64
 	t             float64
 	tEndMin, tMax float64
-	// onGrid: every step time lies exactly on vin's sample grid (exactGrid).
+	// onGrid: every step time lies exactly on vin's sample grid (exactGrid),
+	// so the step at t is sample k of vin.
 	onGrid bool
+	k      int
+
+	// V[i][slot] is the column's state at RC node i.
+	V    [][4]float64
+	slot int
+
+	// pending counts the nodes with a threshold still to cross; the
+	// trackers run only while it is positive.
+	pending int
 
 	// rec holds the recorded load samples, one row of len(loads) values
 	// per recorded step, starting with the initial rail. quiet counts the
@@ -56,7 +66,36 @@ type column struct {
 	frozen, held bool
 	b0, u        float64
 
-	settled, stopped bool
+	// settled is the settle flag of the current state, valid while
+	// settleKnown; a full step that moves a node invalidates it.
+	settled, settleKnown, stopped bool
+}
+
+// advance moves the column to its next step time.
+func (col *column) advance(dt float64) {
+	col.t += dt
+	col.k++
+}
+
+// input returns vin at the column's step time. On the exact grid that
+// time is T0 + k·Dt, so At's index is k and its interpolation weight f is
+// exactly 0; the interpolation is kept, with f = 0, so that -0, Inf and
+// NaN samples give what At gives. Off the grid it is At.
+func (col *column) input() float64 {
+	w := col.vin
+	if !col.onGrid || len(w.V) == 0 {
+		return w.At(col.t)
+	}
+	k, last := col.k, len(w.V)-1
+	if k >= last+w.Tail {
+		return w.V[last]
+	}
+	f := 0.0
+	if k >= last {
+		c := w.V[last]
+		return c*(1-f) + c*f
+	}
+	return w.V[k]*(1-f) + w.V[k+1]*f
 }
 
 // isQuiet reports whether the column's step at col.t provably leaves its
@@ -67,15 +106,16 @@ type column struct {
 // cached right-hand side returns the root's voltage bit for bit, since the
 // back-substitution then repeats the freezing step's. The input is read
 // only until it is held.
-func (col *column) isQuiet(d0, v0 float64) bool {
+func (col *column) isQuiet(d0 float64) bool {
 	if !col.frozen {
 		return false
 	}
 	if col.held {
 		return true
 	}
-	u := col.vin.At(col.t)
+	u := col.input()
 	if math.Float64bits(u) != math.Float64bits(col.u) {
+		v0 := col.V[0][col.slot]
 		if math.Float64bits(solveRoot(&col.drv, u, d0, col.b0, v0, col.vdd)) != math.Float64bits(v0) {
 			return false
 		}
@@ -97,27 +137,54 @@ func (col *column) skip() {
 // would, until the column stops.
 func (col *column) replay(dt float64) {
 	t, n := col.t, 0
-	for !col.stopsAt(t) {
-		t += dt
-		n++
+	if col.onGrid {
+		n = col.gridStepsToStop(dt)
+		t += float64(n) * dt
+	} else {
+		for ; !col.stopsAt(t); t += dt {
+			n++
+		}
 	}
-	col.t, col.quiet, col.stopped = t, col.quiet+n, true
+	col.t, col.k, col.quiet, col.stopped = t, col.k+n, col.quiet+n, true
 }
 
-// commit books a full step of column c with input u and root right-hand
-// side b0. moved reports whether any node changed a bit; if none did, the
-// column freezes, and otherwise it records the step's load samples after
-// writing out the quiet steps before them.
-func (col *column) commit(c int, moved, settled bool, b0, u float64, V [][4]float64, loads []int) {
-	col.settled = settled
+// gridStepsToStop returns, for a column on the exact grid whose state no
+// longer changes, the smallest n >= 0 with stopsAt(t + n·dt). On the grid
+// t + n·dt is exact, and so equal to the time n repeated additions of dt
+// reach. The stop threshold is tEndMin if the state is settled and tMax
+// otherwise, so n follows from one division; stopsAt is monotone in t, so
+// checking n-1 and n corrects the division's rounding.
+func (col *column) gridStepsToStop(dt float64) int {
+	t, n := col.t, 0
+	thr := col.tMax
+	if col.isSettled() {
+		thr = min(col.tEndMin, thr)
+	}
+	if r := (thr - t) / dt; r > 0 {
+		n = int(math.Ceil(r))
+	}
+	for n > 0 && col.stopsAt(t+float64(n-1)*dt) {
+		n--
+	}
+	for !col.stopsAt(t + float64(n)*dt) {
+		n++
+	}
+	return n
+}
+
+// commit books a full step with input u and root right-hand side b0.
+// moved reports whether any node changed a bit; if none did, the column
+// freezes, and otherwise it records the step's load samples after writing
+// out the quiet steps before them.
+func (col *column) commit(moved bool, b0, u float64, loads []int) {
 	if moved {
-		col.frozen, col.held = false, false
+		col.frozen, col.held, col.settleKnown = false, false, false
 		nl := len(loads)
 		for ; col.quiet > 0; col.quiet-- {
 			col.rec = append(col.rec, col.rec[len(col.rec)-nl:]...)
 		}
 		for _, node := range loads {
-			col.rec = append(col.rec, V[node][c])
+			col.rec = append(col.rec, col.V[node][col.slot])
 		}
 	} else {
 		col.frozen, col.b0, col.u = true, b0, u
@@ -126,13 +193,47 @@ func (col *column) commit(c int, moved, settled bool, b0, u float64, V [][4]floa
 	col.stop()
 }
 
+// track feeds the full step that led from prev to the current state to
+// the trackers of the nodes with a threshold still to cross.
+func (col *column) track(prev [][4]float64, tr [][4]tracker, dt float64) {
+	c, V := col.slot&3, col.V
+	prev, tr = prev[:len(V)], tr[:len(V)]
+	for i := range V {
+		k := &tr[i][c]
+		if k.next == 3 {
+			continue
+		}
+		k.observe(col.t, dt, col.sign*prev[i][c], col.sign*V[i][c], &col.th)
+		if k.next == 3 {
+			col.pending--
+		}
+	}
+}
+
 // stop ends the column if its step at col.t was its last.
 func (col *column) stop() { col.stopped = col.stopsAt(col.t) }
 
 // stopsAt reports whether a step ending at t is the column's last: it is
 // past its minimum window and settled, or at its hard cap.
 func (col *column) stopsAt(t float64) bool {
-	return (t >= col.tEndMin && col.settled) || t >= col.tMax
+	return (t >= col.tEndMin && col.isSettled()) || t >= col.tMax
+}
+
+// isSettled reports whether every node of the column lies within tol of
+// its final rail. Only stopsAt reads the flag, and only from tEndMin on;
+// quiet steps leave the state as the last full step left it, so the flag
+// computed on demand from the current state is the one that step would
+// have computed.
+func (col *column) isSettled() bool {
+	if !col.settleKnown {
+		c, V, railF, tol := col.slot&3, col.V, col.railF, col.tol
+		s := abs(V[0][c]-railF) <= tol
+		for i := 1; s && i < len(V); i++ {
+			s = !(abs(V[i][c]-railF) > tol)
+		}
+		col.settled, col.settleKnown = s, true
+	}
+	return col.settled
 }
 
 // loadWaves unpacks the recorded rows into one waveform per load node.
@@ -200,17 +301,31 @@ func (k *tracker) observe(t, dt, xPrev, x float64, th *[3]float64) {
 // column the tail loop is the whole integration. A sweep whose columns
 // are all held (below) ends early, since none has work left.
 //
-// A full step reduces the RC tree bottom-up to a Thevenin equivalent at
-// the driver output, solves the driver equation by Newton and
-// back-substitutes top-down. Most of a stage's window comes after its
-// last threshold crossing, and there the state soon stops changing bit
-// for bit. So each sweep first asks whether every column it runs is quiet
-// (column.isQuiet): if so, it skips the node loops, and the step costs
-// O(1). Otherwise all its columns take a full step, and each column
-// freezes or thaws by whether that step moved any of its nodes. A frozen
-// column whose input returns the same sample at every later step is held:
-// every step it has left is quiet, and the tail loop replays them as bare
-// time increments. Quiet steps add no samples: they lengthen the load
+// A full step is the solve alone: it reduces the RC tree bottom-up to a
+// Thevenin equivalent at the driver output, solves the driver equation by
+// Newton, back-substitutes top-down and gathers the bits each column's
+// nodes change. Most stage nodes hang from the node just before them
+// (par[i] == i-1), so each sweep is a chain of dependent divides, and the
+// solve carries the chain in registers: a node's contribution to such a
+// parent is the last one added to the parent's accumulator, since
+// children have larger indices and the reduction walks downward, so it is
+// added from a register in the same order, and the back-substitution
+// reuses the value just computed for node i-1. Only branch points go
+// through memory. The crossing trackers run as a separate pass, and only
+// while a column still has a node with a threshold to cross; the pass
+// reads a copy of the state from before the step. The settle flag is read
+// only from tEndMin on, and computed on demand then (column.isSettled).
+// On the exact grid the input sample is read by step index (column.input).
+//
+// Most of a stage's window comes after its last threshold crossing, and
+// there the state soon stops changing bit for bit. So each sweep first
+// asks whether every column it runs is quiet (column.isQuiet): if so, it
+// skips the solve, and the step costs O(1). Otherwise all its columns take
+// a full step, and each column freezes or thaws by whether that step moved
+// any of its nodes. A frozen column whose input returns the same sample at
+// every later step is held: every step it has left is quiet, and the tail
+// loop replays them as bare time increments, counted in closed form on
+// the exact grid. Quiet steps add no samples: they lengthen the load
 // waveforms' implicit tails.
 //
 // A column's floating-point operations and their order do not depend on
@@ -262,8 +377,9 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 	ss.loads = loads
 
 	// Per-column set-up. The reduction accumulator starts at zero and
-	// every step leaves it at zero again.
-	V, b, acc, tr := ss.V[:n], ss.b[:n], ss.acc[:n], ss.tr[:n]
+	// every step leaves it at zero again, so it never holds -0: adding a
+	// carried +0 to it changes no bit.
+	V, prev, b, acc, tr := ss.V[:n], ss.prev[:n], ss.b[:n], ss.acc[:n], ss.tr[:n]
 	var cols [4]column
 	tauMax := 0.0
 	for c, ci := range in {
@@ -297,6 +413,7 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 		col.rail0, col.railF = rail0, railF
 		col.t, col.tEndMin, col.tMax = ci.vin.T0, tEndMin, tEndMin+30*tauMax+2000
 		col.onGrid = ci.vin.Dt == dt && exactGrid(col.t, dt, col.tMax)
+		col.V, col.slot, col.pending = V, c, n
 		// Row 0: every load starts at the initial rail.
 		rec := ss.rec[c][:0]
 		for range loads {
@@ -309,16 +426,12 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 		// Four-column sweep: all columns step together until any stops or
 		// all are held.
 		c0, c1, c2, c3 := &cols[0], &cols[1], &cols[2], &cols[3]
-		s0, s1, s2, s3 := c0.sign, c1.sign, c2.sign, c3.sign
-		r0, r1, r2, r3 := c0.railF, c1.railF, c2.railF, c3.railF
-		tol0, tol1, tol2, tol3 := c0.tol, c1.tol, c2.tol, c3.tol
 		for !(c0.stopped || c1.stopped || c2.stopped || c3.stopped) {
-			c0.t += dt
-			c1.t += dt
-			c2.t += dt
-			c3.t += dt
-			v, a := &V[0], &acc[0]
-			if c0.isQuiet(d[0], v[0]) && c1.isQuiet(d[0], v[1]) && c2.isQuiet(d[0], v[2]) && c3.isQuiet(d[0], v[3]) {
+			c0.advance(dt)
+			c1.advance(dt)
+			c2.advance(dt)
+			c3.advance(dt)
+			if c0.isQuiet(d[0]) && c1.isQuiet(d[0]) && c2.isQuiet(d[0]) && c3.isQuiet(d[0]) {
 				c0.skip()
 				c1.skip()
 				c2.skip()
@@ -328,81 +441,78 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 				}
 				continue
 			}
-			t0, t1, t2, t3 := c0.t, c1.t, c2.t, c3.t
-			// Bottom-up: reduce to the root.
+			tracking := c0.pending|c1.pending|c2.pending|c3.pending != 0
+			if tracking {
+				copy(prev, V)
+			}
+			// Bottom-up: reduce to the root. x0..x3 carry node i's
+			// contribution while its parent is i-1.
+			var x0, x1, x2, x3 float64
 			for i := n - 1; i >= 1; i-- {
 				gi, di, gCi := g[i], d[i], gC[i]
-				vj, aj, ap := &V[i], &acc[i], &acc[par[i]]
-				b0 := gCi*vj[0] + aj[0]
-				b1 := gCi*vj[1] + aj[1]
-				b2 := gCi*vj[2] + aj[2]
-				b3 := gCi*vj[3] + aj[3]
+				vj, aj := &V[i], &acc[i]
+				b0 := gCi*vj[0] + (aj[0] + x0)
+				b1 := gCi*vj[1] + (aj[1] + x1)
+				b2 := gCi*vj[2] + (aj[2] + x2)
+				b3 := gCi*vj[3] + (aj[3] + x3)
 				b[i] = [4]float64{b0, b1, b2, b3}
 				*aj = [4]float64{}
-				ap[0] += gi * b0 / di
-				ap[1] += gi * b1 / di
-				ap[2] += gi * b2 / di
-				ap[3] += gi * b3 / di
+				x0, x1, x2, x3 = gi*b0/di, gi*b1/di, gi*b2/di, gi*b3/di
+				if p := par[i]; p != i-1 {
+					ap := &acc[p]
+					ap[0] += x0
+					ap[1] += x1
+					ap[2] += x2
+					ap[3] += x3
+					x0, x1, x2, x3 = 0, 0, 0, 0
+				}
 			}
-			b0 := gC[0]*v[0] + a[0]
-			b1 := gC[0]*v[1] + a[1]
-			b2 := gC[0]*v[2] + a[2]
-			b3 := gC[0]*v[3] + a[3]
+			v, a := &V[0], &acc[0]
+			b0 := gC[0]*v[0] + (a[0] + x0)
+			b1 := gC[0]*v[1] + (a[1] + x1)
+			b2 := gC[0]*v[2] + (a[2] + x2)
+			b3 := gC[0]*v[3] + (a[3] + x3)
 			*a = [4]float64{}
-			in0, in1, in2, in3 := c0.vin.At(t0), c1.vin.At(t1), c2.vin.At(t2), c3.vin.At(t3)
-			v0 := solveRoot(&c0.drv, in0, d[0], b0, v[0], c0.vdd)
-			v1 := solveRoot(&c1.drv, in1, d[0], b1, v[1], c1.vdd)
-			v2 := solveRoot(&c2.drv, in2, d[0], b2, v[2], c2.vdd)
-			v3 := solveRoot(&c3.drv, in3, d[0], b3, v[3], c3.vdd)
-			// Top-down back-substitution, updating trackers inline. m0..m3
-			// gather the bits each column's nodes change.
-			k := &tr[0]
-			k[0].observe(t0, dt, s0*v[0], s0*v0, &c0.th)
-			k[1].observe(t1, dt, s1*v[1], s1*v1, &c1.th)
-			k[2].observe(t2, dt, s2*v[2], s2*v2, &c2.th)
-			k[3].observe(t3, dt, s3*v[3], s3*v3, &c3.th)
-			m0 := math.Float64bits(v0) ^ math.Float64bits(v[0])
-			m1 := math.Float64bits(v1) ^ math.Float64bits(v[1])
-			m2 := math.Float64bits(v2) ^ math.Float64bits(v[2])
-			m3 := math.Float64bits(v3) ^ math.Float64bits(v[3])
-			*v = [4]float64{v0, v1, v2, v3}
-			settled0 := abs(v0-r0) <= tol0
-			settled1 := abs(v1-r1) <= tol1
-			settled2 := abs(v2-r2) <= tol2
-			settled3 := abs(v3-r3) <= tol3
+			in0, in1, in2, in3 := c0.input(), c1.input(), c2.input(), c3.input()
+			u0 := solveRoot(&c0.drv, in0, d[0], b0, v[0], c0.vdd)
+			u1 := solveRoot(&c1.drv, in1, d[0], b1, v[1], c1.vdd)
+			u2 := solveRoot(&c2.drv, in2, d[0], b2, v[2], c2.vdd)
+			u3 := solveRoot(&c3.drv, in3, d[0], b3, v[3], c3.vdd)
+			// Top-down back-substitution. u0..u3 hold node i-1's new
+			// voltages; m0..m3 gather the bits each column's nodes change.
+			m0 := math.Float64bits(u0) ^ math.Float64bits(v[0])
+			m1 := math.Float64bits(u1) ^ math.Float64bits(v[1])
+			m2 := math.Float64bits(u2) ^ math.Float64bits(v[2])
+			m3 := math.Float64bits(u3) ^ math.Float64bits(v[3])
+			*v = [4]float64{u0, u1, u2, u3}
 			for i := 1; i < n; i++ {
 				gi, di := g[i], d[i]
-				vj, vp, bj, kj := &V[i], &V[par[i]], &b[i], &tr[i]
-				u0 := (bj[0] + gi*vp[0]) / di
-				u1 := (bj[1] + gi*vp[1]) / di
-				u2 := (bj[2] + gi*vp[2]) / di
-				u3 := (bj[3] + gi*vp[3]) / di
-				kj[0].observe(t0, dt, s0*vj[0], s0*u0, &c0.th)
-				kj[1].observe(t1, dt, s1*vj[1], s1*u1, &c1.th)
-				kj[2].observe(t2, dt, s2*vj[2], s2*u2, &c2.th)
-				kj[3].observe(t3, dt, s3*vj[3], s3*u3, &c3.th)
+				if p := par[i]; p != i-1 {
+					vp := &V[p]
+					u0, u1, u2, u3 = vp[0], vp[1], vp[2], vp[3]
+				}
+				vj, bj := &V[i], &b[i]
+				u0 = (bj[0] + gi*u0) / di
+				u1 = (bj[1] + gi*u1) / di
+				u2 = (bj[2] + gi*u2) / di
+				u3 = (bj[3] + gi*u3) / di
 				m0 |= math.Float64bits(u0) ^ math.Float64bits(vj[0])
 				m1 |= math.Float64bits(u1) ^ math.Float64bits(vj[1])
 				m2 |= math.Float64bits(u2) ^ math.Float64bits(vj[2])
 				m3 |= math.Float64bits(u3) ^ math.Float64bits(vj[3])
 				*vj = [4]float64{u0, u1, u2, u3}
-				if abs(u0-r0) > tol0 {
-					settled0 = false
-				}
-				if abs(u1-r1) > tol1 {
-					settled1 = false
-				}
-				if abs(u2-r2) > tol2 {
-					settled2 = false
-				}
-				if abs(u3-r3) > tol3 {
-					settled3 = false
+			}
+			if tracking {
+				for _, col := range [4]*column{c0, c1, c2, c3} {
+					if col.pending > 0 {
+						col.track(prev, tr, dt)
+					}
 				}
 			}
-			c0.commit(0, m0 != 0, settled0, b0, in0, V, loads)
-			c1.commit(1, m1 != 0, settled1, b1, in1, V, loads)
-			c2.commit(2, m2 != 0, settled2, b2, in2, V, loads)
-			c3.commit(3, m3 != 0, settled3, b3, in3, V, loads)
+			c0.commit(m0 != 0, b0, in0, loads)
+			c1.commit(m1 != 0, b1, in1, loads)
+			c2.commit(m2 != 0, b2, in2, loads)
+			c3.commit(m3 != 0, b3, in3, loads)
 		}
 	}
 
@@ -421,14 +531,10 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 	if pb >= 0 {
 		pa, pb := pa&3, pb&3 // in range already; the mask lets the compiler drop slot bounds checks
 		c0, c1 := &cols[pa], &cols[pb]
-		s0, s1 := c0.sign, c1.sign
-		r0, r1 := c0.railF, c1.railF
-		tol0, tol1 := c0.tol, c1.tol
 		for !(c0.stopped || c1.stopped) {
-			c0.t += dt
-			c1.t += dt
-			v, a := &V[0], &acc[0]
-			if c0.isQuiet(d[0], v[pa]) && c1.isQuiet(d[0], v[pb]) {
+			c0.advance(dt)
+			c1.advance(dt)
+			if c0.isQuiet(d[0]) && c1.isQuiet(d[0]) {
 				c0.skip()
 				c1.skip()
 				if c0.held && c1.held {
@@ -436,49 +542,58 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 				}
 				continue
 			}
-			t0, t1 := c0.t, c1.t
+			tracking := c0.pending|c1.pending != 0
+			if tracking {
+				copy(prev, V)
+			}
+			var x0, x1 float64
 			for i := n - 1; i >= 1; i-- {
 				gi, di, gCi := g[i], d[i], gC[i]
-				vj, aj, ap := &V[i], &acc[i], &acc[par[i]]
-				b0 := gCi*vj[pa] + aj[pa]
-				b1 := gCi*vj[pb] + aj[pb]
+				vj, aj := &V[i], &acc[i]
+				b0 := gCi*vj[pa] + (aj[pa] + x0)
+				b1 := gCi*vj[pb] + (aj[pb] + x1)
 				b[i][pa], b[i][pb] = b0, b1
 				aj[pa], aj[pb] = 0, 0
-				ap[pa] += gi * b0 / di
-				ap[pb] += gi * b1 / di
+				x0, x1 = gi*b0/di, gi*b1/di
+				if p := par[i]; p != i-1 {
+					ap := &acc[p]
+					ap[pa] += x0
+					ap[pb] += x1
+					x0, x1 = 0, 0
+				}
 			}
-			b0 := gC[0]*v[pa] + a[pa]
-			b1 := gC[0]*v[pb] + a[pb]
+			v, a := &V[0], &acc[0]
+			b0 := gC[0]*v[pa] + (a[pa] + x0)
+			b1 := gC[0]*v[pb] + (a[pb] + x1)
 			a[pa], a[pb] = 0, 0
-			in0, in1 := c0.vin.At(t0), c1.vin.At(t1)
-			v0 := solveRoot(&c0.drv, in0, d[0], b0, v[pa], c0.vdd)
-			v1 := solveRoot(&c1.drv, in1, d[0], b1, v[pb], c1.vdd)
-			tr[0][pa].observe(t0, dt, s0*v[pa], s0*v0, &c0.th)
-			tr[0][pb].observe(t1, dt, s1*v[pb], s1*v1, &c1.th)
-			m0 := math.Float64bits(v0) ^ math.Float64bits(v[pa])
-			m1 := math.Float64bits(v1) ^ math.Float64bits(v[pb])
-			v[pa], v[pb] = v0, v1
-			settled0 := abs(v0-r0) <= tol0
-			settled1 := abs(v1-r1) <= tol1
+			in0, in1 := c0.input(), c1.input()
+			u0 := solveRoot(&c0.drv, in0, d[0], b0, v[pa], c0.vdd)
+			u1 := solveRoot(&c1.drv, in1, d[0], b1, v[pb], c1.vdd)
+			m0 := math.Float64bits(u0) ^ math.Float64bits(v[pa])
+			m1 := math.Float64bits(u1) ^ math.Float64bits(v[pb])
+			v[pa], v[pb] = u0, u1
 			for i := 1; i < n; i++ {
 				gi, di := g[i], d[i]
-				vj, vp, bj, kj := &V[i], &V[par[i]], &b[i], &tr[i]
-				u0 := (bj[pa] + gi*vp[pa]) / di
-				u1 := (bj[pb] + gi*vp[pb]) / di
-				kj[pa].observe(t0, dt, s0*vj[pa], s0*u0, &c0.th)
-				kj[pb].observe(t1, dt, s1*vj[pb], s1*u1, &c1.th)
+				if p := par[i]; p != i-1 {
+					vp := &V[p]
+					u0, u1 = vp[pa], vp[pb]
+				}
+				vj, bj := &V[i], &b[i]
+				u0 = (bj[pa] + gi*u0) / di
+				u1 = (bj[pb] + gi*u1) / di
 				m0 |= math.Float64bits(u0) ^ math.Float64bits(vj[pa])
 				m1 |= math.Float64bits(u1) ^ math.Float64bits(vj[pb])
 				vj[pa], vj[pb] = u0, u1
-				if abs(u0-r0) > tol0 {
-					settled0 = false
-				}
-				if abs(u1-r1) > tol1 {
-					settled1 = false
+			}
+			if tracking {
+				for _, col := range [2]*column{c0, c1} {
+					if col.pending > 0 {
+						col.track(prev, tr, dt)
+					}
 				}
 			}
-			c0.commit(pa, m0 != 0, settled0, b0, in0, V, loads)
-			c1.commit(pb, m1 != 0, settled1, b1, in1, V, loads)
+			c0.commit(m0 != 0, b0, in0, loads)
+			c1.commit(m1 != 0, b1, in1, loads)
 		}
 	}
 
@@ -486,41 +601,48 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 	for c := 0; c < w; c++ {
 		c := c & 3 // as in the paired sweep
 		col := &cols[c]
-		sc, railF, tol := col.sign, col.railF, col.tol
 		for !col.stopped {
-			col.t += dt
-			if col.isQuiet(d[0], V[0][c]) {
+			col.advance(dt)
+			if col.isQuiet(d[0]) {
 				col.skip()
 				if col.held {
 					col.replay(dt)
 				}
 				continue
 			}
-			t := col.t
+			tracking := col.pending > 0
+			if tracking {
+				copy(prev, V)
+			}
+			x := 0.0
 			for i := n - 1; i >= 1; i-- {
-				bi := gC[i]*V[i][c] + acc[i][c]
+				bi := gC[i]*V[i][c] + (acc[i][c] + x)
 				b[i][c] = bi
 				acc[i][c] = 0
-				acc[par[i]][c] += g[i] * bi / d[i]
-			}
-			b0 := gC[0]*V[0][c] + acc[0][c]
-			acc[0][c] = 0
-			u := col.vin.At(t)
-			v0 := solveRoot(&col.drv, u, d[0], b0, V[0][c], col.vdd)
-			tr[0][c].observe(t, dt, sc*V[0][c], sc*v0, &col.th)
-			m := math.Float64bits(v0) ^ math.Float64bits(V[0][c])
-			V[0][c] = v0
-			settled := abs(v0-railF) <= tol
-			for i := 1; i < n; i++ {
-				v := (b[i][c] + g[i]*V[par[i]][c]) / d[i]
-				tr[i][c].observe(t, dt, sc*V[i][c], sc*v, &col.th)
-				m |= math.Float64bits(v) ^ math.Float64bits(V[i][c])
-				V[i][c] = v
-				if abs(v-railF) > tol {
-					settled = false
+				x = g[i] * bi / d[i]
+				if p := par[i]; p != i-1 {
+					acc[p][c] += x
+					x = 0
 				}
 			}
-			col.commit(c, m != 0, settled, b0, u, V, loads)
+			b0 := gC[0]*V[0][c] + (acc[0][c] + x)
+			acc[0][c] = 0
+			in := col.input()
+			u := solveRoot(&col.drv, in, d[0], b0, V[0][c], col.vdd)
+			m := math.Float64bits(u) ^ math.Float64bits(V[0][c])
+			V[0][c] = u
+			for i := 1; i < n; i++ {
+				if p := par[i]; p != i-1 {
+					u = V[p][c]
+				}
+				u = (b[i][c] + g[i]*u) / d[i]
+				m |= math.Float64bits(u) ^ math.Float64bits(V[i][c])
+				V[i][c] = u
+			}
+			if tracking {
+				col.track(prev, tr, dt)
+			}
+			col.commit(m != 0, b0, in, loads)
 		}
 	}
 

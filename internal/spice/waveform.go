@@ -20,7 +20,12 @@
 // itself bit for bit. The kernel skips such quiet steps at O(1) cost each,
 // and a waveform stores its settled tail implicitly, as a count of repeats
 // of its last sample; both leave every result bit-identical to integrating
-// and storing every step.
+// and storing every step. The steps it does take are the bare tree solve:
+// crossing trackers run only while a node has a threshold left to cross,
+// the settle check only where the stop test reads it, chains of RC nodes
+// carry their values in registers, and on the exact time grid the input
+// is read by step index and a held column's remaining steps are counted in
+// closed form.
 //
 // Inside the optimization loop the incremental evaluator (Incremental)
 // caches stage transients, so a move re-integrates only the stages it
@@ -31,7 +36,10 @@
 // evaluator therefore also memoizes whole-network results, keyed by the
 // stage signatures, and answers a revisited network without touching a
 // stage. The memo holds results in a compact flat form and is bounded by a
-// byte budget, evicting least recently used networks.
+// byte budget, evicting least recently used networks. Stages are
+// scheduled by dependency: a stage starts as soon as its parent's
+// transient is known, with at most the evaluator's Parallelism stage
+// integrations running at once.
 package spice
 
 import (
