@@ -69,6 +69,10 @@ type column struct {
 	// settled is the settle flag of the current state, valid while
 	// settleKnown; a full step that moves a node invalidates it.
 	settled, settleKnown, stopped bool
+
+	// leaf: the stage has no loads, so nothing reads the column's steps
+	// and its results are final once every node has crossed.
+	leaf bool
 }
 
 // advance moves the column to its next step time.
@@ -210,8 +214,9 @@ func (col *column) track(prev [][4]float64, tr [][4]tracker, dt float64) {
 	}
 }
 
-// stop ends the column if its step at col.t was its last.
-func (col *column) stop() { col.stopped = col.stopsAt(col.t) }
+// stop ends the column if its step at col.t was its last: the eager stop
+// rule, or the last crossing of a leaf stage's column.
+func (col *column) stop() { col.stopped = col.stopsAt(col.t) || (col.leaf && col.pending == 0) }
 
 // stopsAt reports whether a step ending at t is the column's last: it is
 // past its minimum window and settled, or at its hard cap.
@@ -414,6 +419,7 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 		col.t, col.tEndMin, col.tMax = ci.vin.T0, tEndMin, tEndMin+30*tauMax+2000
 		col.onGrid = ci.vin.Dt == dt && exactGrid(col.t, dt, col.tMax)
 		col.V, col.slot, col.pending = V, c, n
+		col.leaf = len(loads) == 0
 		// Row 0: every load starts at the initial rail.
 		rec := ss.rec[c][:0]
 		for range loads {
