@@ -190,9 +190,11 @@ func (e *Engine) simulateCorners(net *analysis.Net, group []tech.Corner, prev []
 
 // matchStage looks up stage i's transient in the cache for every column
 // of the group whose upstream stage switched, and marks the columns that
-// miss. It reports whether any column missed. It reads only the parent's
-// entries and writes only stage i's, so stages whose parents are done can
-// be matched concurrently.
+// miss. A column that misses gets, as its ahead steps, about how far its
+// stage's newest cached transient has been read. It reports whether any
+// column missed. It reads only the parent's entries and stage i's cached
+// ones and writes only stage i's scratch, so stages whose parents are
+// done can be matched concurrently.
 func matchStage(net *analysis.Net, group []tech.Corner, cache [4]map[int][]*stageEntry, cs *cornerScratch, i int) bool {
 	s := net.Stages[i]
 	key := s.Key()
@@ -215,6 +217,13 @@ func matchStage(net *analysis.Net, group []tech.Corner, cache [4]map[int][]*stag
 		if ent := matchEntry(cache[c][key], s.Sig(), cs.chain[i], vin); ent != nil {
 			es.chosen[i] = ent
 			continue
+		}
+		if old := cache[c][key]; len(old) > 0 {
+			// Run about as far as the stage's children read its last
+			// transient. A little less, so that the reach follows a subtree
+			// that has become faster; pulls make up any shortfall.
+			ext := old[0].res.extent()
+			es.ahead[i] = ext - ext/8
 		}
 		if vin == &es.trim[i] {
 			// Cache miss: the input enters a long-lived cache entry,
@@ -252,7 +261,7 @@ func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerSc
 					vin = Ramp(corner.Vdd, 0, e.SourceSlew, e.Dt)
 				}
 			}
-			in[w] = stageIn{vin: vin, outRising: cs.dirs[i] == rising, corner: corner, drv: drv, rd: rd}
+			in[w] = stageIn{vin: vin, outRising: cs.dirs[i] == rising, corner: corner, drv: drv, rd: rd, ahead: es.ahead[i]}
 			col[w] = 2*k + c
 			w++
 		}

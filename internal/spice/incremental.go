@@ -291,7 +291,10 @@ func matchEntry(entries []*stageEntry, sig, chain uint64, vin *Waveform) *stageE
 }
 
 // waveEqual reports exact sample-level equality of two waveforms, however
-// each splits its samples between stored ones and the implicit tail.
+// each splits its samples between stored ones and the implicit tail. It
+// compares finished waveforms only: an unfinished one matches nothing but
+// itself, since comparing it would mean integrating its producer to the
+// end, and the chain keys catch the matches that count.
 func waveEqual(a, b *Waveform) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -299,6 +302,12 @@ func waveEqual(a, b *Waveform) bool {
 	if a == b {
 		return true
 	}
+	fa, okA := a.final()
+	fb, okB := b.final()
+	if !okA || !okB {
+		return false
+	}
+	a, b = &fa, &fb
 	if a.T0 != b.T0 || a.Dt != b.Dt || a.V0 != b.V0 || a.Len() != b.Len() {
 		return false
 	}

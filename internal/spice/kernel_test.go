@@ -31,11 +31,12 @@ func randomInput(rng *rand.Rand, vdd, dt float64) (vin *Waveform, stalled bool) 
 }
 
 // samples returns w's samples materialized: the stored ones followed by
-// the implicit tail.
+// the implicit tail, pulling an unfinished waveform to its end.
 func samples(w *Waveform) []float64 {
-	v := slices.Clone(w.V)
-	for i := 0; i < w.Tail; i++ {
-		v = append(v, w.Last())
+	c := w.complete()
+	v := slices.Clone(c.V)
+	for i := 0; i < c.Tail; i++ {
+		v = append(v, c.Last())
 	}
 	return v
 }

@@ -144,11 +144,11 @@ func checkAgainstReference(t *testing.T, what string, e *Engine, s *analysis.Sta
 	for c := range in {
 		want, run := refStage(e, s, in[c])
 		sameStageResult(t, fmt.Sprintf("%s, column %d of %d", what, c, len(in)), &got[c], &want)
-		if in[c].vin.Tail > 0 {
+		if vin := in[c].vin.complete(); vin.Tail > 0 {
 			cov.tailInputs++
 		}
 		for _, w := range got[c].loadWaves {
-			if w.Tail > 0 {
+			if w := w.complete(); w.Tail > 0 {
 				cov.tailOuts++
 			}
 		}
@@ -524,7 +524,7 @@ func TestGridInputMatchesAt(t *testing.T) {
 		for k, v := range traces {
 			for _, tail := range []int{0, 3} {
 				w := &Waveform{T0: 4 * dt, Dt: dt, V: v, Tail: tail, V0: 0.1}
-				col := column{vin: w, t: w.T0, tMax: w.End() + 10*dt}
+				col := column{vin: *w, t: w.T0, tMax: w.End() + 10*dt}
 				col.onGrid = exactGrid(col.t, dt, col.tMax)
 				if !col.onGrid {
 					t.Fatalf("trace %d: not on the exact grid", k)

@@ -18,8 +18,7 @@ type stageScratch struct {
 	g, gC, d, elim  []float64
 	V, prev, b, acc [][4]float64 // prev: the state before a tracked step
 	tr              [][4]tracker
-	loads           []int        // distinct load nodes, recorded every step
-	rec             [4][]float64 // per column: recorded load samples, row by row
+	loads           []int // distinct load nodes, recorded every step
 }
 
 var stagePool = sync.Pool{New: func() any { return new(stageScratch) }}
@@ -64,6 +63,7 @@ type cornerScratch struct {
 type edgeScratch struct {
 	inputs []*Waveform
 	need   []bool // stage misses the cache and must be integrated
+	ahead  []int  // steps to take before suspending (stageIn.ahead)
 	// chosen is the cache entry that served or recorded the stage; nil =
 	// no input transition reached it.
 	chosen []*stageEntry
@@ -83,6 +83,7 @@ func getCornerScratch(n int) *cornerScratch {
 			cs.edge[c] = edgeScratch{
 				inputs: make([]*Waveform, n),
 				need:   make([]bool, n),
+				ahead:  make([]int, n),
 				chosen: make([]*stageEntry, n),
 				trim:   make([]Waveform, n),
 			}
@@ -94,6 +95,7 @@ func getCornerScratch(n int) *cornerScratch {
 		es := &cs.edge[c]
 		es.inputs = es.inputs[:n]
 		es.need = es.need[:n]
+		es.ahead = es.ahead[:n]
 		es.chosen = es.chosen[:n]
 		es.trim = es.trim[:n]
 	}
@@ -108,6 +110,7 @@ func putCornerScratch(cs *cornerScratch) {
 		es := &cs.edge[c]
 		clear(es.inputs)
 		clear(es.need)
+		clear(es.ahead)
 		clear(es.chosen)
 		clear(es.trim)
 	}

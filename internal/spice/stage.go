@@ -3,6 +3,8 @@ package spice
 import (
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"contango/internal/analysis"
 	"contango/internal/tech"
@@ -18,6 +20,9 @@ type stageIn struct {
 	corner    tech.Corner
 	drv       driver
 	rd        float64
+	// ahead is the number of steps the column takes before it suspends,
+	// at least: how far the stage's children read its previous transient.
+	ahead int
 }
 
 // stageResult holds per-RC-node measurements of one stage transient.
@@ -32,13 +37,18 @@ type stageResult struct {
 // rising output and -1 for a falling one, so both directions cross
 // th[0] < th[1] < th[2] upwards.
 type column struct {
-	vin           *Waveform
+	// vin is the column's own view of its input: the samples computed so
+	// far while the input's producer is unfinished (vin.feed non-nil), and
+	// the final waveform once it has stopped.
+	vin           Waveform
 	drv           driver
 	vdd, tol      float64
 	rail0, railF  float64
 	sign          float64
 	th            [3]float64
-	t             float64
+	tau           float64 // the stage time constant the window is sized by
+	dt            float64 // the step
+	t0, t         float64 // the first sample's time (vin.T0) and the step time
 	tEndMin, tMax float64
 	// onGrid: every step time lies exactly on vin's sample grid (exactGrid),
 	// so the step at t is sample k of vin.
@@ -53,11 +63,14 @@ type column struct {
 	// trackers run only while it is positive.
 	pending int
 
-	// rec holds the recorded load samples, one row of len(loads) values
-	// per recorded step, starting with the initial rail. quiet counts the
-	// steps since the last row; each of them repeated it.
-	rec   []float64
-	quiet int
+	// rec holds the recorded load samples load by load: load l's samples,
+	// starting with the initial rail, fill the first rows entries of
+	// rec[l*stride:(l+1)*stride]. quiet counts the steps since the last
+	// recorded row; each of them repeated it. A row is written in place,
+	// so readers of the rows before it never race with the writer.
+	rec          []float64
+	stride, rows int
+	quiet        int
 
 	// frozen: the last full step left every node of the column
 	// bit-unchanged. b0 is the root's right-hand side in that state and u
@@ -73,6 +86,12 @@ type column struct {
 	// leaf: the stage has no loads, so nothing reads the column's steps
 	// and its results are final once every node has crossed.
 	leaf bool
+
+	// halt: the column takes no further step in this sweep. It has
+	// stopped, or every node has crossed and it has reached step goal,
+	// past which nothing has asked for its load samples yet.
+	halt bool
+	goal int
 }
 
 // advance moves the column to its next step time.
@@ -81,17 +100,52 @@ func (col *column) advance(dt float64) {
 	col.k++
 }
 
+// window sets the column's stop window and grid mode from its input. Both
+// follow from the input's end, so they wait for the input's producer to
+// finish. Until then the column cannot stop: it reads its input at its own
+// step time, so the final input end, and with it tEndMin, lies past t. And
+// it reads the input by step index only while the grid stays exact up to
+// the samples computed so far.
+func (col *column) window(dt float64) {
+	w := &col.vin
+	if w.feed != nil {
+		col.tEndMin, col.tMax = math.Inf(1), math.Inf(1)
+		col.onGrid = w.Dt == dt && exactGrid(col.t0, dt, col.t0+float64(w.known())*dt)
+		return
+	}
+	// Input transition plus several stage time constants, with a hard cap
+	// to stay live under degenerate drivers.
+	col.tEndMin = w.End() + 5*col.tau + 50
+	col.tMax = col.tEndMin + 30*col.tau + 2000
+	col.onGrid = w.Dt == dt && exactGrid(col.t0, dt, col.tMax)
+}
+
+// refresh pulls the column's input until it covers m samples or its
+// producer finishes, and updates the window.
+func (col *column) refresh(m int) {
+	col.vin = col.vin.pull(m)
+	col.window(col.dt)
+}
+
 // input returns vin at the column's step time. On the exact grid that
 // time is T0 + k·Dt, so At's index is k and its interpolation weight f is
 // exactly 0; the interpolation is kept, with f = 0, so that -0, Inf and
-// NaN samples give what At gives. Off the grid it is At.
+// NaN samples give what At gives. Off the grid it is At. A read past the
+// samples computed so far pulls the input first.
 func (col *column) input() float64 {
-	w := col.vin
+	w := &col.vin
 	if !col.onGrid || len(w.V) == 0 {
-		return w.At(col.t)
+		if m := w.atNeeds(col.t); w.feed != nil && w.known() < m {
+			col.refresh(m)
+		}
+		return w.at(col.t)
 	}
 	k, last := col.k, len(w.V)-1
 	if k >= last+w.Tail {
+		if w.feed != nil {
+			col.refresh(k + 2)
+			return col.input()
+		}
 		return w.V[last]
 	}
 	f := 0.0
@@ -130,7 +184,7 @@ func (col *column) isQuiet(d0 float64) bool {
 }
 
 // skip books a quiet step: nothing moves, so the trackers and the settled
-// flag hold, and the load samples repeat the last row.
+// flag hold, and the load samples repeat the last one.
 func (col *column) skip() {
 	col.quiet++
 	col.stop()
@@ -149,7 +203,7 @@ func (col *column) replay(dt float64) {
 			n++
 		}
 	}
-	col.t, col.k, col.quiet, col.stopped = t, col.k+n, col.quiet+n, true
+	col.t, col.k, col.quiet, col.stopped, col.halt = t, col.k+n, col.quiet+n, true, true
 }
 
 // gridStepsToStop returns, for a column on the exact grid whose state no
@@ -183,13 +237,21 @@ func (col *column) gridStepsToStop(dt float64) int {
 func (col *column) commit(moved bool, b0, u float64, loads []int) {
 	if moved {
 		col.frozen, col.held, col.settleKnown = false, false, false
-		nl := len(loads)
-		for ; col.quiet > 0; col.quiet-- {
-			col.rec = append(col.rec, col.rec[len(col.rec)-nl:]...)
+		if len(loads) > 0 {
+			rows := col.rows + col.quiet + 1
+			if rows > col.stride {
+				col.growRec(rows, len(loads))
+			}
+			for l, node := range loads {
+				seg := col.rec[l*col.stride : l*col.stride+rows]
+				for i := col.rows; i < rows-1; i++ {
+					seg[i] = seg[col.rows-1]
+				}
+				seg[rows-1] = col.V[node][col.slot]
+			}
+			col.rows = rows
 		}
-		for _, node := range loads {
-			col.rec = append(col.rec, col.V[node][col.slot])
-		}
+		col.quiet = 0
 	} else {
 		col.frozen, col.b0, col.u = true, b0, u
 		col.quiet++
@@ -215,8 +277,12 @@ func (col *column) track(prev [][4]float64, tr [][4]tracker, dt float64) {
 }
 
 // stop ends the column if its step at col.t was its last: the eager stop
-// rule, or the last crossing of a leaf stage's column.
-func (col *column) stop() { col.stopped = col.stopsAt(col.t) || (col.leaf && col.pending == 0) }
+// rule, or the last crossing of a leaf stage's column. It halts the
+// column too once every node has crossed and the step reached goal.
+func (col *column) stop() {
+	col.stopped = col.stopsAt(col.t) || (col.leaf && col.pending == 0)
+	col.halt = col.stopped || (col.pending == 0 && col.k >= col.goal)
+}
 
 // stopsAt reports whether a step ending at t is the column's last: it is
 // past its minimum window and settled, or at its hard cap.
@@ -241,31 +307,35 @@ func (col *column) isSettled() bool {
 	return col.settled
 }
 
-// loadWaves unpacks the recorded rows into one waveform per load node.
-// Each stores its samples up to its own last change; the rows that repeat
-// it and the quiet steps after the last row form its tail.
-func (col *column) loadWaves(loads []int, dt float64) map[int]*Waveform {
-	nl := len(loads)
-	waves := make(map[int]*Waveform, nl)
-	if nl == 0 {
-		return waves
+// growRec makes room for rows rows of nl loads, keeping the rows
+// recorded so far. The old buffer is left to the readers that still hold
+// views of it.
+func (col *column) growRec(rows, nl int) {
+	stride := max(2*col.stride, rows, 2*extendChunk)
+	rec := make([]float64, nl*stride)
+	for l := 0; l < nl; l++ {
+		copy(rec[l*stride:], col.rec[l*col.stride:l*col.stride+col.rows])
 	}
-	rec := col.rec
-	rows := len(rec) / nl
-	ws := make([]Waveform, nl)
-	for k, node := range loads {
-		keep := rows
-		for keep > 1 && math.Float64bits(rec[(keep-1)*nl+k]) == math.Float64bits(rec[(keep-2)*nl+k]) {
-			keep--
-		}
-		v := make([]float64, keep)
-		for i := range v {
-			v[i] = rec[i*nl+k]
-		}
-		ws[k] = Waveform{T0: col.vin.T0, Dt: dt, V: v, Tail: rows - keep + col.quiet, V0: col.rail0}
-		waves[node] = &ws[k]
+	col.rec, col.stride = rec, stride
+}
+
+// recorded returns load l's recorded rows.
+func (col *column) recorded(l int) []float64 {
+	i := l * col.stride
+	return col.rec[i : i+col.rows : i+col.rows]
+}
+
+// finalWave returns a stopped column's load waveform l: a copy of the
+// recorded rows up to the last change, so that the recording and its
+// spare rows can go, and the rows that repeat it plus the quiet steps
+// after the last row as its tail.
+func (col *column) finalWave(l int, dt float64) Waveform {
+	v := col.recorded(l)
+	keep := len(v)
+	for keep > 1 && math.Float64bits(v[keep-1]) == math.Float64bits(v[keep-2]) {
+		keep--
 	}
-	return waves
+	return Waveform{T0: col.t0, Dt: dt, V: slices.Clone(v[:keep]), Tail: len(v) - keep + col.quiet, V0: col.rail0}
 }
 
 // tracker records the interpolated times at which one node's sign-folded
@@ -298,13 +368,26 @@ func (k *tracker) observe(t, dt, xPrev, x float64, th *[3]float64) {
 // vectors (V[i][c] for RC node i, column c) and keeps its own input,
 // supply, driver, rails, time window and crossing trackers.
 //
-// The integration runs in up to three phases. While four columns run, one
-// four-column sweep advances them in lockstep, so four divide-bound tree
-// solves overlap in the pipeline. Once any column stops, a paired sweep
-// advances the first two survivors until either stops, and the tail loop
-// finishes every column still running, one at a time; with a single
-// column the tail loop is the whole integration. A sweep whose columns
-// are all held (below) ends early, since none has work left.
+// A column integrates only as far as something reads it. Its t50 and slew
+// are final once every node has crossed all three thresholds. A leaf
+// stage, one without loads, then stops. A stage with loads suspends there,
+// or after stageIn.ahead steps if that is later: once every column has
+// crossed and taken its ahead steps, or has stopped, simStage returns with
+// the unfinished columns kept in a stageRun. Their load waveforms are
+// unfinished views that extend the run when a child stage reads past the
+// samples computed so far (stageRun.extend). A column's input may itself
+// be such a view; the column pulls it as it steps. The caller sets ahead
+// to about as far as the stage's children read its previous transient, so
+// that the stage mostly computes what they will read before they start,
+// rather than in small pulls from every child at once.
+//
+// The steps run in up to three phases (stageKernel.sweep). While four
+// columns run, one four-column sweep advances them in lockstep, so four
+// divide-bound tree solves overlap in the pipeline. Once any column halts,
+// a paired sweep advances the first two survivors until either halts, and
+// the tail loop finishes every column still running, one at a time; with a
+// single column the tail loop is the whole integration. A sweep whose
+// columns are all held (below) ends early, since none has work left.
 //
 // A full step is the solve alone: it reduces the RC tree bottom-up to a
 // Thevenin equivalent at the driver output, solves the driver equation by
@@ -322,22 +405,22 @@ func (k *tracker) observe(t, dt, xPrev, x float64, th *[3]float64) {
 // only from tEndMin on, and computed on demand then (column.isSettled).
 // On the exact grid the input sample is read by step index (column.input).
 //
-// Most of a stage's window comes after its last threshold crossing, and
-// there the state soon stops changing bit for bit. So each sweep first
-// asks whether every column it runs is quiet (column.isQuiet): if so, it
-// skips the solve, and the step costs O(1). Otherwise all its columns take
-// a full step, and each column freezes or thaws by whether that step moved
-// any of its nodes. A frozen column whose input returns the same sample at
-// every later step is held: every step it has left is quiet, and the tail
-// loop replays them as bare time increments, counted in closed form on
-// the exact grid. Quiet steps add no samples: they lengthen the load
-// waveforms' implicit tails.
+// Past its last crossing a column's state soon stops changing bit for bit.
+// So each sweep first asks whether every column it runs is quiet
+// (column.isQuiet): if so, it skips the solve, and the step costs O(1).
+// Otherwise all its columns take a full step, and each column freezes or
+// thaws by whether that step moved any of its nodes. A frozen column whose
+// input returns the same sample at every later step is held: every step it
+// has left is quiet, and the tail loop replays them as bare time
+// increments, counted in closed form on the exact grid. Quiet steps add no
+// samples: they lengthen the load waveforms' implicit tails.
 //
 // A column's floating-point operations and their order do not depend on
-// the phase it runs in, on the other columns, or on which of its steps
-// are skipped, so its results are bit-identical to a one-column call that
-// takes every step in full. For an underated corner scaling by 1.0 is
-// exact in IEEE 754, so the derates change nothing there.
+// the phase it runs in, on the other columns, on which of its steps are
+// skipped or on when they are taken, so its results, and every sample of
+// its load waveforms, are bit-identical to a one-column call that takes
+// every step in full up to the eager stop. For an underated corner scaling
+// by 1.0 is exact in IEEE 754, so the derates change nothing there.
 func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) {
 	n := len(s.R)
 	w := len(in)
@@ -384,13 +467,14 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 	// Per-column set-up. The reduction accumulator starts at zero and
 	// every step leaves it at zero again, so it never holds -0: adding a
 	// carried +0 to it changes no bit.
-	V, prev, b, acc, tr := ss.V[:n], ss.prev[:n], ss.b[:n], ss.acc[:n], ss.tr[:n]
+	k := stageKernel{g: g, gC: gC, d: d, par: par, V: ss.V[:n], prev: ss.prev[:n], b: ss.b[:n], acc: ss.acc[:n], tr: ss.tr[:n], loads: loads, dt: dt}
+	V, acc, tr := k.V, k.acc, k.tr
 	var cols [4]column
 	tauMax := 0.0
 	for c, ci := range in {
-		// Window: input transition plus several stage time constants, with
-		// a hard cap to stay live under degenerate drivers. Both edges of
-		// a corner share the corner's time constant.
+		// The window covers the input transition plus several stage time
+		// constants (column.window). Both edges of a corner share the
+		// corner's time constant.
 		if c == 0 || ci.rd != in[c-1].rd || ci.corner != in[c-1].corner {
 			tauMax = 1.0
 			if m := analysis.StageElmoreMaxAt(s, ci.rd, ci.corner); m > tauMax {
@@ -413,26 +497,103 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 			acc[i][c] = 0
 			tr[i][c] = tracker{}
 		}
-		tEndMin := ci.vin.End() + 5*tauMax + 50
-		col.vin, col.drv, col.vdd, col.tol = ci.vin, ci.drv, vdd, e.SettleTol*vdd
+		col.vin = ci.vin.pull(2)
+		col.drv, col.vdd, col.tol = ci.drv, vdd, e.SettleTol*vdd
 		col.rail0, col.railF = rail0, railF
-		col.t, col.tEndMin, col.tMax = ci.vin.T0, tEndMin, tEndMin+30*tauMax+2000
-		col.onGrid = ci.vin.Dt == dt && exactGrid(col.t, dt, col.tMax)
+		col.tau, col.dt = tauMax, dt
+		col.t0, col.t = col.vin.T0, col.vin.T0
+		col.window(dt)
 		col.V, col.slot, col.pending = V, c, n
 		col.leaf = len(loads) == 0
-		// Row 0: every load starts at the initial rail.
-		rec := ss.rec[c][:0]
-		for range loads {
-			rec = append(rec, rail0)
+		col.goal = ci.ahead
+		// Every load starts at the initial rail. The recording is sized
+		// for the steps the column is expected to take, so that it rarely
+		// grows; a suspended column keeps it.
+		if nl := len(loads); nl > 0 {
+			col.stride = ci.ahead + ci.ahead/8 + 2*extendChunk
+			col.rec = make([]float64, nl*col.stride)
+			for l := 0; l < nl; l++ {
+				col.rec[l*col.stride] = rail0
+			}
+			col.rows = 1
 		}
-		col.rec = rec
 	}
 
+	k.sweep(&cols, w)
+
+	var run *stageRun
+	for c := 0; c < w; c++ {
+		if !cols[c].stopped {
+			run = newStageRun(&k, &cols, w)
+			break
+		}
+	}
+	for c := 0; c < w; c++ {
+		r := &out[c]
+		r.t50 = make([]float64, n)
+		r.slew = make([]float64, n)
+		for i := 0; i < n; i++ {
+			k := &tr[i][c]
+			r.t50[i] = math.Inf(1)
+			if k.next > 1 {
+				r.t50[i] = k.t[1]
+			}
+			r.slew[i] = math.Inf(1)
+			if k.next == 3 {
+				r.slew[i] = abs(k.t[2] - k.t[0])
+			}
+		}
+		r.loadWaves = make(map[int]*Waveform, len(loads))
+		if len(loads) == 0 {
+			continue
+		}
+		ws := make([]Waveform, len(loads))
+		col := &cols[c]
+		for l, node := range loads {
+			if col.stopped {
+				ws[l] = col.finalWave(l, dt)
+			} else {
+				ws[l] = Waveform{T0: col.t0, Dt: dt, V0: col.rail0, feed: &run.feeds[c][l]}
+			}
+			r.loadWaves[node] = &ws[l]
+		}
+	}
+	stagePool.Put(ss)
+	return out
+}
+
+// stageKernel is what a transient's steps work on: the per-node
+// conductances g, capacitive conductances gC and elimination factors d,
+// the tree (par), the state V of up to four columns, the per-step scratch
+// (prev, b, acc, tr) and the distinct load nodes.
+type stageKernel struct {
+	g, gC, d        []float64
+	par             []int
+	V, prev, b, acc [][4]float64
+	tr              [][4]tracker
+	loads           []int
+	dt              float64
+}
+
+// stepCounter, when set, receives the number of full column-steps each
+// sweep takes. Tests set it to measure how much integration a change
+// saves.
+var stepCounter *atomic.Int64
+
+// sweep advances the first w columns until each halts, in the phases
+// simStage describes.
+func (k *stageKernel) sweep(cols *[4]column, w int) {
+	n, dt := len(k.V), k.dt
+	g, gC, d, par := k.g[:n], k.gC[:n], k.d[:n], k.par[:n]
+	V, prev, b, acc, tr := k.V[:n], k.prev[:n], k.b[:n], k.acc[:n], k.tr[:n]
+	loads := k.loads
+	full := 0 // full column-steps taken
+
 	if w == 4 {
-		// Four-column sweep: all columns step together until any stops or
+		// Four-column sweep: all columns step together until any halts or
 		// all are held.
 		c0, c1, c2, c3 := &cols[0], &cols[1], &cols[2], &cols[3]
-		for !(c0.stopped || c1.stopped || c2.stopped || c3.stopped) {
+		for !(c0.halt || c1.halt || c2.halt || c3.halt) {
 			c0.advance(dt)
 			c1.advance(dt)
 			c2.advance(dt)
@@ -447,6 +608,7 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 				}
 				continue
 			}
+			full += 4
 			tracking := c0.pending|c1.pending|c2.pending|c3.pending != 0
 			if tracking {
 				copy(prev, V)
@@ -523,11 +685,11 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 	}
 
 	// Paired sweep: the first two columns still running step together
-	// until either stops or both are held.
+	// until either halts or both are held.
 	pa, pb := -1, -1
 	for c := 0; c < w && pb < 0; c++ {
 		switch {
-		case cols[c].stopped:
+		case cols[c].halt:
 		case pa < 0:
 			pa = c
 		default:
@@ -537,7 +699,7 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 	if pb >= 0 {
 		pa, pb := pa&3, pb&3 // in range already; the mask lets the compiler drop slot bounds checks
 		c0, c1 := &cols[pa], &cols[pb]
-		for !(c0.stopped || c1.stopped) {
+		for !(c0.halt || c1.halt) {
 			c0.advance(dt)
 			c1.advance(dt)
 			if c0.isQuiet(d[0]) && c1.isQuiet(d[0]) {
@@ -548,6 +710,7 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 				}
 				continue
 			}
+			full += 2
 			tracking := c0.pending|c1.pending != 0
 			if tracking {
 				copy(prev, V)
@@ -607,7 +770,7 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 	for c := 0; c < w; c++ {
 		c := c & 3 // as in the paired sweep
 		col := &cols[c]
-		for !col.stopped {
+		for !col.halt {
 			col.advance(dt)
 			if col.isQuiet(d[0]) {
 				col.skip()
@@ -616,6 +779,7 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 				}
 				continue
 			}
+			full++
 			tracking := col.pending > 0
 			if tracking {
 				copy(prev, V)
@@ -651,25 +815,154 @@ func (e *Engine) simStage(s *analysis.Stage, in []stageIn) (out [4]stageResult) 
 			col.commit(m != 0, b0, in, loads)
 		}
 	}
-
-	for c := 0; c < w; c++ {
-		r := &out[c]
-		r.t50 = make([]float64, n)
-		r.slew = make([]float64, n)
-		for i := 0; i < n; i++ {
-			k := &tr[i][c]
-			r.t50[i] = math.Inf(1)
-			if k.next > 1 {
-				r.t50[i] = k.t[1]
-			}
-			r.slew[i] = math.Inf(1)
-			if k.next == 3 {
-				r.slew[i] = abs(k.t[2] - k.t[0])
-			}
-		}
-		r.loadWaves = cols[c].loadWaves(loads, dt)
-		ss.rec[c] = cols[c].rec[:0] // keep any growth for the next call
+	if sc := stepCounter; sc != nil {
+		sc.Add(int64(full))
 	}
+}
+
+// extent returns the steps the column of a transient that r belongs to
+// has taken: as far as its children have read it so far, or to its stop.
+// A result without load waveforms has never been read.
+func (r *stageResult) extent() int {
+	for _, w := range r.loadWaves {
+		if fin, ok := w.final(); ok {
+			return fin.known() - 1
+		}
+		run := w.feed.run
+		run.mu.Lock()
+		k := run.cols[w.feed.c].k
+		run.mu.Unlock()
+		return k
+	}
+	return 0
+}
+
+// extendChunk is the fewest steps an extension advances the column asked
+// for, so that a child stage reading its input one sample at a time pulls
+// its parent once per chunk rather than once per step.
+const extendChunk = 16
+
+// allSamples asks pull for every sample: the producer runs to its stop.
+const allSamples = math.MaxInt / 4
+
+// stageRun is a suspended stage transient: what the steps of its
+// unfinished columns need, which is the conductances and elimination
+// factors, a copy of the tree, the state V and the column structs with
+// their recorded load samples, plus one feed per load of each unfinished
+// column. It is kept until every column has stopped and then releases
+// everything but the feeds' final waveforms. The per-step scratch goes
+// back to the pool at suspension, since the reduction accumulators are
+// zero between steps and the right-hand sides are rebuilt every step, and
+// so do the trackers, since an unfinished column has no threshold left to
+// cross. mu guards the columns and the feeds' progress.
+type stageRun struct {
+	mu       sync.Mutex
+	g, gC, d []float64
+	par      []int
+	V        [][4]float64
+	loads    []int
+	dt       float64
+	cols     [4]column
+	w        int
+	feeds    [4][]feed
+}
+
+// feed is one load waveform of one unfinished column of a stageRun. fin is
+// its final form, valid once done is set.
+type feed struct {
+	run  *stageRun
+	c, l int
+	done atomic.Bool
+	fin  Waveform
+}
+
+// newStageRun suspends the unfinished columns of a sweep: it copies what
+// their steps need out of the scratch and the extracted stage, both of
+// which are recycled, and makes their feeds. The recordings move over.
+func newStageRun(k *stageKernel, cols *[4]column, w int) *stageRun {
+	n := len(k.V)
+	gcd := make([]float64, 3*n)
+	r := &stageRun{
+		g:     gcd[:n:n],
+		gC:    gcd[n : 2*n : 2*n],
+		d:     gcd[2*n:],
+		par:   slices.Clone(k.par),
+		V:     slices.Clone(k.V),
+		loads: slices.Clone(k.loads),
+		dt:    k.dt,
+		cols:  *cols,
+		w:     w,
+	}
+	copy(r.g, k.g)
+	copy(r.gC, k.gC)
+	copy(r.d, k.d)
+	for c := 0; c < w; c++ {
+		col := &r.cols[c]
+		col.V = r.V
+		nl := len(k.loads)
+		if col.stopped || nl == 0 {
+			col.rec = nil // simStage returns its final waveforms
+			continue
+		}
+		r.feeds[c] = make([]feed, nl)
+		for l := range r.feeds[c] {
+			r.feeds[c][l] = feed{run: r, c: c, l: l}
+		}
+	}
+	return r
+}
+
+// extend advances the run until column c has computed at least m samples
+// of each load, or has stopped. It advances every unfinished column of
+// the run by the same number of steps, at least extendChunk, so that they
+// step in lockstep through the four-column sweep, and since the children
+// reading the other columns read them at about the same times. Steps past
+// a column's eager stop are never taken. It runs in the caller's
+// integration slot, and its columns may pull their own inputs, locking the
+// runs upstream: locks are always taken from child to parent, so they
+// cannot cycle. The caller holds r.mu.
+func (r *stageRun) extend(c, m int) {
+	col := &r.cols[c]
+	if col.stopped || col.k+1 >= m {
+		return
+	}
+	steps := max(m-1-col.k, extendChunk)
+	for o := 0; o < r.w; o++ {
+		if oc := &r.cols[o]; !oc.stopped {
+			oc.goal, oc.halt = oc.k+steps, false
+		}
+	}
+
+	n := len(r.V)
+	ss := stagePool.Get().(*stageScratch)
+	ss.grow(n)
+	clear(ss.acc)
+	k := stageKernel{g: r.g, gC: r.gC, d: r.d, par: r.par, V: r.V, prev: ss.prev, b: ss.b, acc: ss.acc, tr: ss.tr, loads: r.loads, dt: r.dt}
+	k.sweep(&r.cols, r.w)
 	stagePool.Put(ss)
-	return out
+
+	open := false
+	for o := 0; o < r.w; o++ {
+		oc := &r.cols[o]
+		if !oc.stopped {
+			open = true
+			continue
+		}
+		if oc.rec == nil {
+			continue // finished earlier
+		}
+		for l := range r.feeds[o] {
+			f := &r.feeds[o][l]
+			f.fin = oc.finalWave(l, r.dt)
+			f.done.Store(true)
+		}
+		oc.rec = nil
+	}
+	if !open {
+		// Every column has stopped: keep only the feeds' final waveforms.
+		r.g, r.gC, r.d, r.par, r.V = nil, nil, nil, nil, nil
+		for o := range r.cols {
+			r.cols[o].vin, r.cols[o].V = Waveform{}, nil
+		}
+	}
 }

@@ -54,18 +54,85 @@ import (
 // rail); past the last sample it is the last sample's value. Every method
 // returns exactly what it would return for the materialized trace, the
 // stored samples followed by Tail copies of the last.
+//
+// A stage's load waveform may be unfinished: a view on a stage transient
+// that has suspended before its eager stop (stageRun), because nothing has
+// read that far yet. Such a view has feed set, and skip counts the samples
+// of the feed it drops at the front (TrimInto). Its methods pull the
+// producer as far as they read, and so still return what the finished
+// trace would: At up to the time asked for, TrimInto up to the first
+// sample that leaves the band, and Len, End and Last to the producer's
+// stop. A snapshot (pull) is a view that also carries the samples computed
+// so far in V and Tail; past them it must be pulled again.
 type Waveform struct {
 	T0   float64   // time of V[0], ps
 	Dt   float64   // sample spacing, ps
 	V    []float64 // stored samples, V
 	Tail int       // implicit samples past V, each equal to V[len(V)-1]; 0 when V is empty
 	V0   float64   // value for t < T0
+
+	feed *feed // the unfinished producer of the samples, nil once finished
+	skip int   // samples of feed before V[0]
 }
 
-// Len returns the number of samples: the stored ones plus the tail.
-func (w *Waveform) Len() int { return len(w.V) + w.Tail }
+// known returns the number of samples in V and Tail: all of them for a
+// finished waveform, the ones computed so far for a snapshot.
+func (w *Waveform) known() int { return len(w.V) + w.Tail }
 
-// sample returns sample i, 0 <= i < Len().
+// pull returns a snapshot of w that covers at least m samples, or w's final
+// form if its producer stops first. For a finished waveform it is w.
+func (w *Waveform) pull(m int) Waveform {
+	f := w.feed
+	if f == nil {
+		return *w
+	}
+	if !f.done.Load() {
+		r := f.run
+		r.mu.Lock()
+		r.extend(f.c, m+w.skip)
+		if !f.done.Load() {
+			col := &r.cols[f.c]
+			s := Waveform{T0: w.T0, Dt: w.Dt, V: col.recorded(f.l)[w.skip:], Tail: col.quiet, V0: w.V0, feed: f, skip: w.skip}
+			r.mu.Unlock()
+			return s
+		}
+		r.mu.Unlock()
+	}
+	return w.finalView()
+}
+
+// finalView returns w's final form once its feed is done: the feed's
+// final waveform with skip samples dropped, as TrimInto drops them.
+func (w *Waveform) finalView() Waveform {
+	fin := &w.feed.fin
+	k := min(w.skip, len(fin.V)-1)
+	return Waveform{T0: w.T0, Dt: w.Dt, V: fin.V[k:], Tail: fin.known() - w.skip - (len(fin.V) - k), V0: w.V0}
+}
+
+// final returns w's final form without pulling, and whether it has one.
+func (w *Waveform) final() (Waveform, bool) {
+	switch {
+	case w.feed == nil:
+		return *w, true
+	case w.feed.done.Load():
+		return w.finalView(), true
+	}
+	return Waveform{}, false
+}
+
+// complete returns w's final form, pulling its producer to its stop.
+func (w *Waveform) complete() Waveform { return w.pull(allSamples) }
+
+// Len returns the number of samples: the stored ones plus the tail.
+func (w *Waveform) Len() int {
+	if w.feed != nil {
+		c := w.complete()
+		return c.known()
+	}
+	return len(w.V) + w.Tail
+}
+
+// sample returns sample i, 0 <= i < Len(), of a finished waveform.
 func (w *Waveform) sample(i int) float64 {
 	if i < len(w.V) {
 		return w.V[i]
@@ -73,8 +140,25 @@ func (w *Waveform) sample(i int) float64 {
 	return w.V[len(w.V)-1]
 }
 
+// atNeeds returns how many samples At(t) reads: up to the one after t's.
+func (w *Waveform) atNeeds(t float64) int {
+	if t <= w.T0 {
+		return 0
+	}
+	return int((t-w.T0)/w.Dt) + 2
+}
+
 // At returns the linearly interpolated voltage at time t.
 func (w *Waveform) At(t float64) float64 {
+	if m := w.atNeeds(t); w.feed != nil && w.known() < m {
+		s := w.pull(m)
+		return s.at(t)
+	}
+	return w.at(t)
+}
+
+// at is At on a waveform that is finished or covers atNeeds(t) samples.
+func (w *Waveform) at(t float64) float64 {
 	if len(w.V) == 0 || t <= w.T0 {
 		return w.V0
 	}
@@ -99,8 +183,12 @@ func (w *Waveform) At(t float64) float64 {
 // interval of the last sample. Inside the tail it holds when onGrid
 // promises that every such time falls exactly on a sample, so that
 // interpolation weighs the last sample by exactly 1 and 0, and the last
-// sample is finite.
+// sample is finite. An unfinished waveform may still change, so it is
+// never held.
 func (w *Waveform) heldFrom(t float64, onGrid bool) bool {
+	if w.feed != nil {
+		return false
+	}
 	if len(w.V) == 0 {
 		return true
 	}
@@ -143,6 +231,10 @@ func lowBit(x float64) int {
 
 // End returns the time of the last sample.
 func (w *Waveform) End() float64 {
+	if w.feed != nil {
+		c := w.complete()
+		return c.End()
+	}
 	if len(w.V) == 0 {
 		return w.T0
 	}
@@ -151,6 +243,10 @@ func (w *Waveform) End() float64 {
 
 // Last returns the final sampled value (or V0 when empty).
 func (w *Waveform) Last() float64 {
+	if w.feed != nil {
+		c := w.complete()
+		return c.Last()
+	}
 	if len(w.V) == 0 {
 		return w.V0
 	}
@@ -163,8 +259,38 @@ func (w *Waveform) Last() float64 {
 // to move. It returns w itself when nothing is trimmed and otherwise writes
 // the trimmed header into dst and returns dst; the samples are shared with
 // w either way. The incremental evaluator trims into per-stage scratch so
-// cache hits allocate nothing.
+// cache hits allocate nothing. An unfinished waveform is pulled until a
+// sample leaves the band; its trimmed form is an unfinished view too. A
+// suspended stage transient has one among the samples it has computed,
+// since every node has crossed 10% of the swing.
 func (w *Waveform) TrimInto(tol float64, dst *Waveform) *Waveform {
+	if w.feed != nil {
+		s := w.pull(1)
+		for i := 0; ; {
+			for ; i < len(s.V); i++ {
+				if abs(s.V[i]-s.V0) > tol {
+					break
+				}
+			}
+			if s.feed == nil {
+				// Finished first: trim the final form.
+				fin := s
+				if fin.TrimInto(tol, dst) == &fin {
+					return w
+				}
+				return dst
+			}
+			if i < len(s.V) {
+				if i == 0 {
+					return w
+				}
+				first := i - 1 // keep one quiet sample for interpolation
+				*dst = Waveform{T0: w.T0 + float64(first)*w.Dt, Dt: w.Dt, V0: w.V0, feed: w.feed, skip: w.skip + first}
+				return dst
+			}
+			s = w.pull(s.known() + extendChunk)
+		}
+	}
 	// The tail repeats the last stored sample, so if no stored sample
 	// leaves the band, no sample does.
 	first := w.Len()
