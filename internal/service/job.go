@@ -133,6 +133,16 @@ func (j *Job) CacheTier() string {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
+// terminal reports whether the job has reached a terminal state.
+func (j *Job) terminal() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Estimate returns the cost model's predicted runtime for the job, fixed
 // at submission (zero for cache-hit jobs, which never needed one).
 func (j *Job) Estimate() time.Duration { return j.estimate }

@@ -147,7 +147,7 @@ type Stats struct {
 	Workers        int    `json:"workers"`
 	Scheduler      string `json:"scheduler"`
 	QueueLen       int    `json:"queue_len"`
-	Jobs           int    `json:"jobs"`
+	Jobs           int    `json:"jobs"` // retained jobs (retainedJobs)
 	Submitted      int    `json:"submitted"`
 	Coalesced      int    `json:"coalesced"`       // submissions joined to an in-flight identical job
 	CacheHits      int    `json:"cache_hits"`      // submissions served from the result cache (either tier)
@@ -188,7 +188,17 @@ type Service struct {
 	jobs     map[string]*Job // by ID
 	order    []*Job          // submission order
 	inflight map[string]*Job // by content key, queued or running
+	// retain bounds the jobs kept in jobs and order (retainedJobs).
+	retain int
 }
+
+// retainedJobs is the number of jobs a Service keeps by ID. Past it,
+// each submission forgets the oldest finished jobs, so a long-running
+// service holds neither their results nor their traces and logs. A
+// forgotten job's ID is unknown from then on; its result stays reachable
+// by content through the result cache and the store. In-flight jobs are
+// never forgotten.
+const retainedJobs = 4096
 
 // Open starts a Service. With cfg.DataDir set it opens the durable store
 // and journal, starts the worker pool, and then replays the journal:
@@ -208,6 +218,7 @@ func Open(cfg Config) (*Service, error) {
 		est:      sched.NewEstimator(sched.DefaultPriors()),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
+		retain:   retainedJobs,
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -479,8 +490,7 @@ func (s *Service) SubmitWith(b *bench.Benchmark, o core.Options, so SubmitOpts) 
 	}
 	j.ticket = tk
 	s.metrics.submitted.Inc()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
+	s.addJobLocked(j)
 	s.inflight[key] = j
 	s.wg.Add(1)
 	s.mu.Unlock()
@@ -546,9 +556,30 @@ func (s *Service) finishCacheHitLocked(b *bench.Benchmark, o core.Options, key s
 	j.mu.Lock()
 	j.finishLocked(Done, res, nil)
 	j.mu.Unlock()
+	s.addJobLocked(j)
+	return j
+}
+
+// addJobLocked registers j by ID and in submission order, then forgets
+// the oldest finished jobs past the retain bound. Called with s.mu held.
+func (s *Service) addJobLocked(j *Job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	return j
+	excess := len(s.order) - s.retain
+	if excess <= 0 {
+		return
+	}
+	kept := s.order[:0]
+	for _, o := range s.order {
+		if excess > 0 && o.terminal() {
+			delete(s.jobs, o.id)
+			excess--
+			continue
+		}
+		kept = append(kept, o)
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
 }
 
 func (s *Service) logCacheHit(j *Job) {
@@ -604,7 +635,7 @@ func (s *Service) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns all jobs in submission order.
+// Jobs returns the retained jobs (retainedJobs) in submission order.
 func (s *Service) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -706,7 +737,8 @@ func (s *Service) closeJournal() {
 	}
 }
 
-// CancelAll cancels every queued or running job.
+// CancelAll cancels every queued or running job. In-flight jobs are
+// always retained, so it reaches all of them.
 func (s *Service) CancelAll() {
 	for _, j := range s.Jobs() {
 		j.Cancel()

@@ -578,3 +578,75 @@ func TestSkipStagesCaseKeyConsistency(t *testing.T) {
 		t.Error("Resolve mutated the caller's map")
 	}
 }
+
+// TestFinishedJobsForgotten: past the retain bound, a submission forgets
+// the oldest finished jobs. A forgotten ID is unknown to Job, Jobs and
+// Stats.Jobs, while its result stays reachable by content through the
+// result cache, and a job still in flight is never forgotten.
+func TestFinishedJobsForgotten(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	defer svc.Close()
+	svc.mu.Lock()
+	svc.retain = 3
+	svc.mu.Unlock()
+
+	// Hold one job in flight behind a blocked progress line while the
+	// others finish and overflow the bound.
+	release := make(chan struct{})
+	var once sync.Once
+	o := fastOpts()
+	o.Log = func(string, ...interface{}) { once.Do(func() { <-release }) }
+	held, err := svc.Submit(tinyBench("held", 99), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	var first *core.Result
+	for v := 0; v < 6; v++ {
+		j, err := svc.Submit(tinyBench("forget-me", v), fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == 0 {
+			first = res
+		}
+		ids = append(ids, j.ID())
+	}
+	jobs := svc.Jobs()
+	if len(jobs) != 3 || svc.Stats().Jobs != 3 {
+		t.Fatalf("retained %d jobs (stats %d), want 3", len(jobs), svc.Stats().Jobs)
+	}
+	if jobs[0] != held {
+		t.Fatalf("the in-flight job was forgotten; oldest retained is %s", jobs[0].ID())
+	}
+	for _, id := range ids[:4] {
+		if _, ok := svc.Job(id); ok {
+			t.Errorf("finished job %s still known past the bound", id)
+		}
+	}
+	for _, id := range ids[4:] {
+		if _, ok := svc.Job(id); !ok {
+			t.Errorf("recent job %s forgotten", id)
+		}
+	}
+	again, err := svc.Submit(tinyBench("forget-me", 0), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := again.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit() || !reflect.DeepEqual(res.Final, first.Final) {
+		t.Error("a forgotten job's result is not served from the cache by content")
+	}
+	close(release)
+	if _, err := held.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	svc.CancelAll()
+}
