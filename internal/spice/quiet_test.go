@@ -388,12 +388,14 @@ func checkKernelShapes(t *testing.T, cov *kernelCoverage) {
 
 // FuzzStageKernel: on a random RC stage of any shape, driver, input
 // waveform and time step, simStage with one to four columns must match
-// refStage bit for bit.
+// refStage bit for bit. A shape of numShapes or more (odd multiples) drops
+// the stage's loads, so its columns end at their last crossings. pulls is
+// a schedule of reads that extends the suspended stage (checkPullSchedule).
 func FuzzStageKernel(f *testing.F) {
-	f.Add(int64(1), 1.0, uint16(0), uint8(0), uint8(shapeRandom))
-	f.Add(int64(2), 0.7, uint16(300), uint8(3), uint8(shapeChain))
-	f.Add(int64(3), 2.0, uint16(40), uint8(1), uint8(shapeStar))
-	f.Fuzz(func(t *testing.T, seed int64, dt float64, tail uint16, cols, shape uint8) {
+	f.Add(int64(1), 1.0, uint16(0), uint8(0), uint8(shapeRandom), []byte{})
+	f.Add(int64(2), 0.7, uint16(300), uint8(3), uint8(shapeChain), []byte{3, 40, 2})
+	f.Add(int64(3), 2.0, uint16(40), uint8(1), uint8(shapeStar), []byte{255, 255})
+	f.Fuzz(func(t *testing.T, seed int64, dt float64, tail uint16, cols, shape uint8, pulls []byte) {
 		if math.IsNaN(dt) || math.IsInf(dt, 0) {
 			dt = 1
 		}
@@ -402,9 +404,73 @@ func FuzzStageKernel(f *testing.F) {
 		e := New()
 		e.Dt = dt
 		s, in, stalled := randomKernelCase(rng, shape%numShapes, dt, int(tail)%512, 1+int(cols%4))
+		if shape/numShapes%2 == 1 {
+			s.Loads = nil
+		}
 		var cov kernelCoverage
 		checkAgainstReference(t, "fuzz", e, s, in, stalled, &cov)
+		checkPullSchedule(t, e, s, in, pulls)
 	})
+}
+
+// pullRun reports what checkPullSchedule exercised.
+type pullRun struct {
+	pulls     int  // reads that extended a suspended column
+	midChunk  bool // a column stopped inside an extension, short of the samples asked for
+	suspended bool // the stage suspended with an unfinished column
+}
+
+// checkPullSchedule integrates the columns again and reads their load
+// waveforms in the order pulls gives: each byte picks a column and a
+// load, and raises the sample count asked for by eight times its value.
+// Every snapshot must cover the samples asked for unless its column has
+// stopped first, and match refStage sample for sample; pulled to their
+// ends afterwards, the waveforms must equal refStage's.
+func checkPullSchedule(t *testing.T, e *Engine, s *analysis.Stage, in []stageIn, pulls []byte) pullRun {
+	t.Helper()
+	var pr pullRun
+	got := e.simStage(s, in)
+	want := make([]stageResult, len(in))
+	for c := range in {
+		want[c], _ = refStage(e, s, in[c])
+		for _, w := range got[c].loadWaves {
+			if _, done := w.final(); !done {
+				pr.suspended = true
+			}
+		}
+	}
+	m := 0
+	for _, b := range pulls {
+		if len(s.Loads) == 0 {
+			break
+		}
+		c := int(b) % len(in)
+		node := s.Loads[int(b/4)%len(s.Loads)].Node
+		m += 8 * int(b)
+		w := got[c].loadWaves[node]
+		_, doneBefore := w.final()
+		snap := w.pull(m)
+		ref := want[c].loadWaves[node]
+		if !doneBefore {
+			pr.pulls++
+			pr.midChunk = pr.midChunk || (snap.feed == nil && snap.known() < m)
+		}
+		if snap.feed != nil && snap.known() < m {
+			t.Fatalf("pull %d: column %d load %d covers %d samples, asked for %d", pr.pulls, c, node, snap.known(), m)
+		}
+		if snap.feed == nil && snap.known() != len(ref.V) {
+			t.Fatalf("pull %d: column %d load %d finished with %d samples, reference %d", pr.pulls, c, node, snap.known(), len(ref.V))
+		}
+		for i := 0; i < snap.known(); i++ {
+			if math.Float64bits(snap.sample(i)) != math.Float64bits(ref.V[i]) {
+				t.Fatalf("pull %d: column %d load %d sample %d %v, reference %v", pr.pulls, c, node, i, snap.sample(i), ref.V[i])
+			}
+		}
+	}
+	for c := range in {
+		sameStageResult(t, fmt.Sprintf("pulled column %d", c), &got[c], &want[c])
+	}
+	return pr
 }
 
 // TestGridReplayMatchesStepping: on the exact grid a held column counts
