@@ -53,6 +53,14 @@ import (
 // bytes and skips a network larger than that; Reset and a new tree clear
 // it with the stage cache.
 //
+// A cached stage transient may be suspended (see simStage): a later
+// evaluation that reuses it under a child reading further extends it in
+// place, and a stage integrated again starts about as far ahead as its
+// children read its newest cached transient. The memo stores flat
+// results only. An entry the cache drops is collected once no cached
+// child can still pull it: a child's unfinished transient holds its
+// parent's.
+//
 // Each supply corner is one task, or two adjacent corners whose
 // interconnect derates are equal (the default ispd09 pair) share one: a
 // task integrates the rising and falling launch edges of every corner it

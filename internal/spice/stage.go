@@ -914,10 +914,10 @@ func newStageRun(k *stageKernel, cols *[4]column, w int) *stageRun {
 
 // extend advances the run until column c has computed at least m samples
 // of each load, or has stopped. It advances every unfinished column of
-// the run by the same number of steps, at least extendChunk, so that they
-// step in lockstep through the four-column sweep, and since the children
-// reading the other columns read them at about the same times. Steps past
-// a column's eager stop are never taken. It runs in the caller's
+// the run by the same number of steps, at least extendChunk: the children
+// reading the other columns read them at about the same times, and
+// columns in lockstep share the four-column sweep. Steps past a column's
+// eager stop are never taken. It runs in the caller's
 // integration slot, and its columns may pull their own inputs, locking the
 // runs upstream: locks are always taken from child to parent, so they
 // cannot cycle. The caller holds r.mu.

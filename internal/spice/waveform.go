@@ -14,18 +14,25 @@
 // safeguarded 1-D Newton iteration. Full node waveforms propagate from stage
 // to stage, so downstream delays see realistic input slews.
 //
-// Each stage's window must cover its input's whole waveform plus its own
-// settling, so windows grow with depth, and most of a deep stage's window
-// comes after its last threshold crossing. There the state soon repeats
-// itself bit for bit. The kernel skips such quiet steps at O(1) cost each,
-// and a waveform stores its settled tail implicitly, as a count of repeats
-// of its last sample; both leave every result bit-identical to integrating
-// and storing every step. The steps it does take are the bare tree solve:
-// crossing trackers run only while a node has a threshold left to cross,
-// the settle check only where the stop test reads it, chains of RC nodes
-// carry their values in registers, and on the exact time grid the input
-// is read by step index and a held column's remaining steps are counted in
-// closed form.
+// Each stage's eager window covers its input's whole waveform plus its own
+// settling, so windows grow with depth, yet a stage's t50 and slew are
+// final at its last threshold crossing, and a child reads its input only
+// up to the child's own last crossing. So stages integrate on demand: a
+// stage without loads stops at its last crossing, and a stage with loads
+// suspends there and keeps its state, and its load waveforms are views
+// that extend it when a child reads past the samples computed so far. The
+// incremental evaluator starts a stage about as far ahead as its children
+// read the stage's previous transient, so that children rarely wait on a
+// parent. Every sample anyone reads is the sample the eager integration
+// computes, and steps past the eager stop are never taken, so results are
+// bit-identical. Within the steps it takes, the kernel skips quiet ones at
+// O(1) cost each, and a waveform stores its settled tail implicitly, as a
+// count of repeats of its last sample. The steps it does take are the bare
+// tree solve: crossing trackers run only while a node has a threshold left
+// to cross, the settle check only where the stop test reads it, chains of
+// RC nodes carry their values in registers, and on the exact time grid
+// the input is read by step index and a held column's remaining steps are
+// counted in closed form.
 //
 // Inside the optimization loop the incremental evaluator (Incremental)
 // caches stage transients, so a move re-integrates only the stages it
@@ -38,8 +45,9 @@
 // stage. The memo holds results in a compact flat form and is bounded by a
 // byte budget, evicting least recently used networks. Stages are
 // scheduled by dependency: a stage starts as soon as its parent's
-// transient is known, with at most the evaluator's Parallelism stage
-// integrations running at once.
+// transient has suspended or stopped, with at most the evaluator's
+// Parallelism stage integrations running at once; a child extending its
+// parent does so inside its own integration slot.
 package spice
 
 import (
