@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"contango/internal/analysis"
@@ -332,4 +333,44 @@ func TestCachedProducerExtends(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("results after the extension differ from a fresh Engine")
 	}
+}
+
+// TestWaveEqualOnUnfinishedViews: cache matching compares a stage's input
+// with a cached entry's, and either may be a view on a suspended
+// transient. waveEqual must answer as it does on the finished waveforms:
+// two independent transients of the same stage and input are equal, and
+// a transient of a different input is not.
+func TestWaveEqualOnUnfinishedViews(t *testing.T) {
+	e := New()
+	var equal, unequal, open int
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		s, in, _ := randomKernelCase(rng, uint8(trial%numShapes), e.Dt, 0, 1+rng.Intn(4))
+		other := slices.Clone(in)
+		other[0].vin = Ramp(other[0].vin.V0, other[0].vin.Last(), 7+rng.Float64()*200, e.Dt)
+		a, b, c := e.simStage(s, in), e.simStage(s, in), e.simStage(s, other)
+		node := s.Loads[0].Node
+		wa, wb, wc := a[0].loadWaves[node], b[0].loadWaves[node], c[0].loadWaves[node]
+		if _, done := wa.final(); !done {
+			open++
+		}
+		tol := 0.002 * in[0].corner.Vdd
+		ta, tb, tc := wa.TrimInto(tol, new(Waveform)), wb.TrimInto(tol, new(Waveform)), wc.TrimInto(tol, new(Waveform))
+		same, diff := waveEqual(ta, tb), waveEqual(ta, tc)
+		fa, fb, fc := ta.complete(), tb.complete(), tc.complete()
+		if same != waveEqual(&fa, &fb) || diff != waveEqual(&fa, &fc) {
+			t.Fatalf("trial %d: unfinished views compare %v/%v, finished %v/%v", trial, same, diff, waveEqual(&fa, &fb), waveEqual(&fa, &fc))
+		}
+		if !same {
+			t.Fatalf("trial %d: two transients of the same input differ", trial)
+		}
+		equal++
+		if !diff {
+			unequal++
+		}
+	}
+	if open == 0 || unequal == 0 {
+		t.Errorf("coverage: %d unfinished views, %d unequal pairs", open, unequal)
+	}
+	t.Logf("%d equal pairs, %d unequal, %d unfinished views", equal, unequal, open)
 }

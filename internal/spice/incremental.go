@@ -299,10 +299,10 @@ func matchEntry(entries []*stageEntry, sig, chain uint64, vin *Waveform) *stageE
 }
 
 // waveEqual reports exact sample-level equality of two waveforms, however
-// each splits its samples between stored ones and the implicit tail. It
-// compares finished waveforms only: an unfinished one matches nothing but
-// itself, since comparing it would mean integrating its producer to the
-// end, and the chain keys catch the matches that count.
+// each splits its samples between stored ones and the implicit tail. An
+// unfinished waveform is compared as far as its samples are computed, and
+// pulled further only while they agree: most candidates differ within the
+// first few samples, and a match has to be pulled to its producer's stop.
 func waveEqual(a, b *Waveform) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -310,13 +310,26 @@ func waveEqual(a, b *Waveform) bool {
 	if a == b {
 		return true
 	}
-	fa, okA := a.final()
-	fb, okB := b.final()
-	if !okA || !okB {
+	if a.T0 != b.T0 || a.Dt != b.Dt || a.V0 != b.V0 {
 		return false
 	}
-	a, b = &fa, &fb
-	if a.T0 != b.T0 || a.Dt != b.Dt || a.V0 != b.V0 || a.Len() != b.Len() {
+	sa, sb := a.pull(1), b.pull(1)
+	for i := 0; sa.feed != nil || sb.feed != nil; i++ {
+		if sa.feed != nil && i >= sa.known() {
+			sa = a.pull(i + extendChunk)
+		}
+		if sb.feed != nil && i >= sb.known() {
+			sb = b.pull(i + extendChunk)
+		}
+		if i >= sa.known() || i >= sb.known() {
+			return i >= sa.known() && i >= sb.known()
+		}
+		if sa.sample(i) != sb.sample(i) {
+			return false
+		}
+	}
+	a, b = &sa, &sb
+	if a.Len() != b.Len() {
 		return false
 	}
 	// Past the longer stored part both repeat the last samples compared

@@ -140,7 +140,8 @@ func (w *Waveform) Len() int {
 	return len(w.V) + w.Tail
 }
 
-// sample returns sample i, 0 <= i < Len(), of a finished waveform.
+// sample returns sample i of a finished waveform, 0 <= i < Len(), or of
+// a snapshot, 0 <= i < known().
 func (w *Waveform) sample(i int) float64 {
 	if i < len(w.V) {
 		return w.V[i]
