@@ -25,6 +25,10 @@ import (
 	"contango/internal/viz"
 )
 
+// benchCascade is the paper cascade the table benches run, cut to six
+// rounds per pass and at most two convergence cycles.
+const benchCascade = "tbsz:6,twsz:6,twsn:6,bwsn:6,cycle(twsz:6,twsn:6,bwsn:6)x2"
+
 // trimmed returns the named benchmark truncated to at most n sinks, with a
 // proportionally reduced capacitance budget, for bounded bench runtimes.
 // The truncation happens on a deep copy: back-to-back benchmarks loading
@@ -81,7 +85,7 @@ func BenchmarkTableIII_StageProgress(b *testing.B) {
 	bm := trimmed("ispd09f22", 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(bm, core.Options{MaxRounds: 6, Cycles: 2})
+		res, err := core.Synthesize(bm, core.Options{Plan: benchCascade})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +101,7 @@ func BenchmarkTableIV_ContestComparison(b *testing.B) {
 	bm := trimmed("ispd09f22", 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full, err := core.Synthesize(bm, core.Options{MaxRounds: 6, Cycles: 2})
+		full, err := core.Synthesize(bm, core.Options{Plan: benchCascade})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +122,7 @@ func BenchmarkTableV_Scalability(b *testing.B) {
 	bm := pool.Sample(200, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(bm, core.Options{LargeInverters: true, MaxRounds: 6, Cycles: 2})
+		res, err := core.Synthesize(bm, core.Options{LargeInverters: true, Plan: benchCascade})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -379,7 +383,7 @@ func BenchmarkCascadeIncremental(b *testing.B) {
 	bm := trimmed("ispd09f22", 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Synthesize(bm.Clone(), core.Options{MaxRounds: 6, Cycles: 2})
+		res, err := core.Synthesize(bm.Clone(), core.Options{Plan: benchCascade})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -389,19 +393,24 @@ func BenchmarkCascadeIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanMatrix smokes the non-default built-in synthesis plans end
-// to end on one trimmed benchmark: "fast" (reduced round budgets, no
-// convergence cycles) and "wire-only" (cascade without TBSZ). CI requires
-// both rows to be present (benchci -require), so a plan that stops
-// synthesizing fails the gate rather than disappearing from the report;
-// the 30% threshold gate on the unchanged default-plan benchmarks above
-// doubles as the pipeline-overhead budget.
+// BenchmarkPlanMatrix smokes two non-default plans end to end on one
+// trimmed benchmark: the built-in "fast" (reduced round budgets, no
+// convergence cycles) and "wire-only" (the cascade without TBSZ, spelled
+// out at benchCascade's budgets). CI requires both rows to be present
+// (benchci -require), so a plan that stops synthesizing fails the gate
+// rather than disappearing from the report; the 30% threshold gate on the
+// unchanged default-plan benchmarks above doubles as the pipeline-overhead
+// budget.
 func BenchmarkPlanMatrix(b *testing.B) {
 	bm := trimmed("ispd09f22", 40)
-	for _, plan := range []string{"fast", "wire-only"} {
+	for _, tc := range []struct{ plan, spec string }{
+		{"fast", "fast"},
+		{"wire-only", "twsz:6,twsn:6,bwsn:6,cycle(twsz:6,twsn:6,bwsn:6)x2"},
+	} {
+		plan := tc.plan
 		b.Run(plan, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Synthesize(bm.Clone(), core.Options{Plan: plan, MaxRounds: 6, Cycles: 2})
+				res, err := core.Synthesize(bm.Clone(), core.Options{Plan: tc.spec})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -436,7 +445,7 @@ func BenchmarkCornerMatrix(b *testing.B) {
 		}
 		b.Run(spec, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := core.Options{Corners: spec, MaxRounds: 2, Cycles: -1}
+				opts := core.Options{Corners: spec, Plan: "tbsz:2,twsz:2,twsn:2,bwsn:2"}
 				r1, err := core.Synthesize(bm.Clone(), opts)
 				if err != nil {
 					b.Fatal(err)

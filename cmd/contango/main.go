@@ -34,7 +34,6 @@ func main() {
 	svg := flag.String("svg", "", "write the final tree as SVG to this path")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON (the contangod wire format)")
 	parallel := flag.Int("parallel", 0, "stage-simulation workers for the optimization cascade (0 = all CPUs, 1 = serial)")
-	fullEval := flag.Bool("full-eval", false, "disable the incremental evaluation cache (slow reference path, identical results)")
 	plan := flag.String("plan", "", "synthesis plan: a built-in name ("+strings.Join(core.PlanNames(), ", ")+
 		") or a plan-spec string like 'tbsz:2,cycle(twsz,twsn)x2'")
 	listPlans := flag.Bool("plans", false, "list the built-in synthesis plans and exit")
@@ -73,7 +72,7 @@ func main() {
 		fail(err)
 	}
 
-	opt := core.Options{FastSim: *fast, LargeInverters: *large, Parallelism: *parallel, FullEval: *fullEval,
+	opt := core.Options{FastSim: *fast, LargeInverters: *large, Parallelism: *parallel,
 		Plan: *plan, Corners: *cornerSpec}
 	if level == "debug" {
 		opt.Log = func(f string, a ...interface{}) { logger.Debug(fmt.Sprintf(f, a...)) }

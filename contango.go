@@ -58,10 +58,10 @@ import (
 // paper's contest setup: 45 nm technology, batches of 8 small inverters,
 // 10% capacitance reserve, transient-checked optimization rounds — with
 // the incremental evaluation engine on and its stage simulations spread
-// over all CPUs (Options.Parallelism; Options.FullEval restores the
-// whole-tree reference path, identical results, much slower). Options.Plan
-// selects the synthesis pipeline: a built-in plan name (PlanNames) or a
-// plan-spec string (ValidatePlan documents the grammar). Options.Corners
+// over all CPUs (Options.Parallelism). Options.Plan selects the synthesis
+// pipeline: a built-in plan name (PlanNames) or a plan-spec string
+// (ValidatePlan documents the grammar); the plan alone shapes the run —
+// which passes run, their round budgets and the convergence cycles. Options.Corners
 // selects the PVT corner set (CornerSetNames / ValidateCorners): the
 // default "ispd09" pair, the "pvt5" envelope, or "mc:<n>:<seed>" Monte
 // Carlo variation samples with yield/quantile reporting.

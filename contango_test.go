@@ -49,7 +49,7 @@ func TestPublicSynthesizeAndRender(t *testing.T) {
 	b, _ := Benchmark("ispd09f22")
 	// Keep the sink set small for test runtime.
 	b.Sinks = b.Sinks[:24]
-	res, err := Synthesize(b, Options{MaxRounds: 3, Cycles: 1})
+	res, err := Synthesize(b, Options{Plan: "tbsz:3,twsz:3,twsn:3,bwsn:3,cycle(twsz:3,twsn:3,bwsn:3)x1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,7 @@ func TestServicePublicSurface(t *testing.T) {
 
 	b, _ := Benchmark("ispd09f22")
 	b.Sinks = b.Sinks[:10]
-	opts := Options{
-		MaxRounds:  1,
-		Cycles:     1,
-		SkipStages: map[string]bool{"tbsz": true, "twsz": true, "twsn": true, "bwsn": true},
-	}
+	opts := Options{Plan: "zst,legalize,buffer,polarity"}
 	jobs, err := svc.SubmitBatch([]SynthesisRequest{{Bench: b, Opts: opts}, {Bench: b, Opts: opts}})
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +133,7 @@ func TestDurablePublicSurface(t *testing.T) {
 	dir := t.TempDir()
 	b, _ := Benchmark("ispd09f22")
 	b.Sinks = b.Sinks[:10]
-	opts := Options{
-		MaxRounds:  1,
-		Cycles:     1,
-		SkipStages: map[string]bool{"tbsz": true, "twsz": true, "twsn": true, "bwsn": true},
-	}
+	opts := Options{Plan: "zst,legalize,buffer,polarity"}
 
 	svc, err := OpenService(ServiceConfig{Workers: 1, DataDir: dir, NoFsync: true})
 	if err != nil {

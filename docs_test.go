@@ -2,16 +2,20 @@ package contango
 
 // Documentation gates, run by the CI docs job (go test -run 'TestDocs' .):
 // every intra-repo markdown link must resolve to a real file, and the API
-// reference must document exactly the endpoints the HTTP mux serves.
+// reference must document exactly the endpoints the HTTP mux serves and
+// exactly the option and sweep fields the submit handlers decode.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"contango/internal/service"
 )
 
 // docFiles returns the repo's markdown documents: the root-level files
@@ -134,4 +138,72 @@ func TestDocsAPIEndpointsMatchMux(t *testing.T) {
 			t.Errorf("docs/API.md endpoint table lists %q but has no %q section", row[2], heading)
 		}
 	}
+}
+
+// jsonTags returns the JSON field names of a struct type, in field order.
+func jsonTags(t reflect.Type) []string {
+	var names []string
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		if name != "" && name != "-" {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// sameSet fails unless doc and want name the same fields.
+func sameSet(t *testing.T, what string, doc, want []string) {
+	t.Helper()
+	doc, want = append([]string(nil), doc...), append([]string(nil), want...)
+	sort.Strings(doc)
+	sort.Strings(want)
+	if !reflect.DeepEqual(doc, want) {
+		t.Errorf("%s documents %v, the struct's JSON tags are %v", what, doc, want)
+	}
+}
+
+var (
+	// optionsDocRow matches one row of the OptionsWire field table:
+	// "| `plan` | string | … |".
+	optionsDocRow = regexp.MustCompile("(?m)^\\| `([a-z_]+)` \\|")
+	// sweepDocKey matches one axis of the batch sweep example:
+	// `    "plans": [...],`.
+	sweepDocKey = regexp.MustCompile(`(?m)^\s*"([a-z_]+)":`)
+)
+
+// TestDocsAPIOptionsMatchWire keeps docs/API.md in lockstep with the
+// submit wire types: the OptionsWire table lists exactly the struct's JSON
+// fields, and the batch sweep example names exactly Sweep's axes. A field
+// the docs still describe but the decoder rejects (or the reverse) fails.
+func TestDocsAPIOptionsMatchWire(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+
+	_, table, ok := strings.Cut(doc, "`options` (`OptionsWire`)")
+	if !ok {
+		t.Fatal("docs/API.md has no OptionsWire table")
+	}
+	// The table runs from its header rule to the first blank line.
+	_, table, _ = strings.Cut(table, "| --- |")
+	table, _, _ = strings.Cut(table, "\n\n")
+	var fields []string
+	for _, m := range optionsDocRow.FindAllStringSubmatch(table, -1) {
+		fields = append(fields, m[1])
+	}
+	sameSet(t, "the docs/API.md OptionsWire table", fields, jsonTags(reflect.TypeOf(service.OptionsWire{})))
+
+	_, sweep, ok := strings.Cut(doc, `"sweep": {`)
+	if !ok {
+		t.Fatal("docs/API.md has no batch sweep example")
+	}
+	sweep, _, _ = strings.Cut(sweep, "}")
+	var axes []string
+	for _, m := range sweepDocKey.FindAllStringSubmatch(sweep, -1) {
+		axes = append(axes, m[1])
+	}
+	sameSet(t, "the docs/API.md sweep example", axes, jsonTags(reflect.TypeOf(service.Sweep{})))
 }

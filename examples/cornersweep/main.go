@@ -19,13 +19,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Trim for example runtime: the full cascade on 8 sinks per corner,
-	// with a proportionally reduced capacitance budget.
+	// Trim for example runtime: 8 sinks per corner with a proportionally
+	// reduced capacitance budget, and the cascade cut to two rounds per
+	// pass without convergence cycles.
 	b.CapLimit *= 8.0 / float64(len(b.Sinks))
 	b.Sinks = b.Sinks[:8]
 
 	for _, spec := range []string{"ispd09", "pvt5", "mc:16:7"} {
-		res, err := contango.Synthesize(b, contango.Options{Corners: spec, MaxRounds: 2, Cycles: -1})
+		res, err := contango.Synthesize(b, contango.Options{Corners: spec, Plan: "tbsz:2,twsz:2,twsn:2,bwsn:2"})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -115,7 +115,7 @@ func cascadeCases() []cascadeCase {
 	cases = append(cases,
 		ispdCascadeCase("ispd09f22", 48, "corners/pvt5/", Options{FastSim: true, Corners: "pvt5", Plan: "fast"}),
 		ispdCascadeCase("ispd09f22", 48, "corners/mc:4:1/", Options{FastSim: true, Corners: "mc:4:1", Plan: "fast"}),
-		ispdCascadeCase("ispd09f12", 32, "full-eval/", Options{FastSim: true, FullEval: true}),
+		ispdCascadeCase("ispd09f12", 32, "full-eval/", Options{FastSim: true, WrapEval: wholeTree}),
 		// Full accuracy: the default engine (1 ps steps, 100 µm segments).
 		ispdCascadeCase("ispd09f22", 32, "full-accuracy/paper/", Options{}),
 		ispdCascadeCase("ispd09f12", 32, "full-accuracy/pvt5/", Options{Corners: "pvt5", Plan: "fast"}),
@@ -158,10 +158,10 @@ func TestCascadeGolden(t *testing.T) {
 			if counts[0] != counts[1] {
 				t.Fatalf("work at parallelism 1 (%s) differs from parallelism %d (%s)", counts[0], runtime.GOMAXPROCS(0), counts[1])
 			}
-			if o := tc.opts(t); o.FullEval {
+			if o := tc.opts(t); o.WrapEval != nil {
 				// The whole-tree reference must agree with the incremental
 				// engine in everything but the cache's work counters.
-				o.FullEval = false
+				o.WrapEval = nil
 				res, err := Synthesize(tc.bench(t), o)
 				if err != nil {
 					t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // synthTiny runs a cheap cascade for codec tests.
 func synthTiny(t *testing.T) *Result {
 	t.Helper()
-	res, err := Synthesize(tinyBench(), Options{MaxRounds: 2, Cycles: 1})
+	res, err := Synthesize(tinyBench(), Options{Plan: cascadeSpec(2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,20 @@ func tinyBench() *bench.Benchmark {
 	return b
 }
 
+// cascadeSpec spells out the paper cascade with every pass pinned to the
+// given round budget, followed by a cycle group pinned to the given count
+// (none when cycles is 0): the cheap cascades the flow tests run.
+func cascadeSpec(rounds, cycles int) string {
+	spec := fmt.Sprintf("tbsz:%[1]d,twsz:%[1]d,twsn:%[1]d,bwsn:%[1]d", rounds)
+	if cycles > 0 {
+		spec += fmt.Sprintf(",cycle(twsz:%[1]d,twsn:%[1]d,bwsn:%[1]d)x%[2]d", rounds, cycles)
+	}
+	return spec
+}
+
 func TestSynthesizeEndToEnd(t *testing.T) {
 	b := tinyBench()
-	res, err := Synthesize(b, Options{MaxRounds: 4, Cycles: 1})
+	res, err := Synthesize(b, Options{Plan: cascadeSpec(4, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +108,7 @@ func geomObstacles(b *bench.Benchmark) *geom.ObstacleSet {
 
 func TestBaselinesRunAndLoseToContango(t *testing.T) {
 	b := tinyBench()
-	full, err := Synthesize(b, Options{MaxRounds: 4, Cycles: 1})
+	full, err := Synthesize(b, Options{Plan: cascadeSpec(4, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,69 +132,37 @@ func TestBaselinesRunAndLoseToContango(t *testing.T) {
 	}
 }
 
-func TestSkipStages(t *testing.T) {
+// TestOmittedPassesNotRecorded: an ablation is a plan that leaves passes
+// out, in any letter case; the omitted passes record no stage.
+func TestOmittedPassesNotRecorded(t *testing.T) {
 	b := tinyBench()
-	// Mixed-case names must skip too: Resolve canonicalizes the set with
-	// the same helper the cache-key fingerprint uses.
-	res, err := Synthesize(b, Options{
-		MaxRounds:  2,
-		Cycles:     1,
-		SkipStages: map[string]bool{"TBSZ": true, "bwsn": true},
-	})
+	res, err := Synthesize(b, Options{Plan: "TWSZ:2,twsn:2,Cycle(twsz:2,TWSN:2)x1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range res.Stages {
 		if st.Name == "TBSZ" || st.Name == "BWSN" {
-			t.Errorf("skipped stage %s still recorded", st.Name)
+			t.Errorf("omitted stage %s still recorded", st.Name)
 		}
 	}
-}
-
-// TestSkipStagesRejectsUnknown: only cascade passes can be skipped. A typo
-// or a construction pass is an error, not a full run under its own cache
-// key.
-func TestSkipStagesRejectsUnknown(t *testing.T) {
-	for _, name := range []string{"twzs", "zst", "eco", "INITIAL"} {
-		skip := map[string]bool{name: true}
-		if err := CheckSkipStages(skip); err == nil {
-			t.Errorf("CheckSkipStages accepted %q", name)
-		}
-		if _, err := Synthesize(tinyBench(), Options{SkipStages: skip}); err == nil || !strings.Contains(err.Error(), Canon(name)) {
-			t.Errorf("Synthesize with SkipStages{%q}: err = %v, want a rejection naming it", name, err)
-		}
-	}
-	if err := CheckSkipStages(map[string]bool{" TBSZ": true, "twsz": true, "bwsn": true, "zst": false}); err != nil {
-		t.Errorf("cascade passes rejected: %v", err)
+	if got := strings.Join(stageNames(res), ","); got != "INITIAL,TWSZ,TWSN,CYCLE1" {
+		t.Errorf("stages = %s, want INITIAL,TWSZ,TWSN,CYCLE1", got)
 	}
 }
 
 func TestCyclesDisabled(t *testing.T) {
 	b := tinyBench()
-	res, err := Synthesize(b, Options{MaxRounds: 2, Cycles: -1})
+	res, err := Synthesize(b, Options{Plan: cascadeSpec(2, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range res.Stages {
 		if strings.HasPrefix(st.Name, "CYCLE") {
-			t.Errorf("Cycles: -1 still recorded %s", st.Name)
+			t.Errorf("a plan without a cycle group still recorded %s", st.Name)
 		}
 	}
 	if res.Stages[len(res.Stages)-1].Name != "BWSN" {
 		t.Errorf("last stage = %s, want BWSN", res.Stages[len(res.Stages)-1].Name)
-	}
-
-	// Resolution semantics: 0 keeps the paper default, negatives normalize
-	// to the canonical "disabled" value, and resolution stays idempotent.
-	if got := (Options{}).Resolve().Cycles; got != 3 {
-		t.Errorf("zero Cycles resolved to %d, want 3", got)
-	}
-	if got := (Options{Cycles: -7}).Resolve().Cycles; got != -1 {
-		t.Errorf("negative Cycles resolved to %d, want -1", got)
-	}
-	r := (Options{Cycles: -1}).Resolve()
-	if again := r.Resolve(); again.Cycles != r.Cycles {
-		t.Errorf("Resolve not idempotent: %d then %d", r.Cycles, again.Cycles)
 	}
 }
 
@@ -284,7 +263,7 @@ func TestSynthesizeContextCancellation(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	eng2 := spice.New()
-	o := Options{Engine: eng2, MaxRounds: 16}
+	o := Options{Engine: eng2}
 	o.Log = func(format string, args ...interface{}) {
 		if strings.Contains(fmt.Sprintf(format, args...), "[INITIAL]") {
 			cancel2()
@@ -299,7 +278,7 @@ func TestSynthesizeContextCancellation(t *testing.T) {
 	}
 	// A full run needs strictly more evaluations than the canceled one.
 	eng3 := spice.New()
-	if _, err := Synthesize(b, Options{Engine: eng3, MaxRounds: 16}); err != nil {
+	if _, err := Synthesize(b, Options{Engine: eng3}); err != nil {
 		t.Fatal(err)
 	}
 	if eng3.Runs <= runsAtCancel {

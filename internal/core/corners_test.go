@@ -14,7 +14,7 @@ import (
 // value, because the default set is defined as "leave the technology's
 // native corners untouched".
 func TestDefaultCornerSetParity(t *testing.T) {
-	opts := Options{MaxRounds: 3, Cycles: 1}
+	opts := Options{Plan: cascadeSpec(3, 1)}
 	legacy, err := Synthesize(tinyBench(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestDefaultCornerSetParity(t *testing.T) {
 // checks the multi-corner reporting: five per-corner rows, a spread at
 // least as wide as the role-based CLR, and an attributed worst corner.
 func TestPVT5Synthesis(t *testing.T) {
-	res, err := Synthesize(tinyBench(), Options{MaxRounds: 2, Cycles: -1, Corners: "pvt5"})
+	res, err := Synthesize(tinyBench(), Options{Plan: cascadeSpec(2, 0), Corners: "pvt5"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPVT5Synthesis(t *testing.T) {
 // TestMonteCarloDeterministic: two synthesis runs under the same mc spec
 // are bit-identical, and the MC yield statistics are populated.
 func TestMonteCarloDeterministic(t *testing.T) {
-	opts := Options{MaxRounds: 2, Cycles: -1, Corners: "mc:6:11"}
+	opts := Options{Plan: cascadeSpec(2, 0), Corners: "mc:6:11"}
 	a, err := Synthesize(tinyBench(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +152,8 @@ func TestResolveCornerIdempotent(t *testing.T) {
 // derates and per-corner metrics intact — a recovered artifact re-renders
 // the same wire JSON.
 func TestCodecRoundTripCornerSet(t *testing.T) {
-	res, err := Synthesize(tinyBench(), Options{MaxRounds: 1, Cycles: -1, Corners: "mc:4:9",
-		SkipStages: map[string]bool{"tbsz": true, "twsz": true, "twsn": true, "bwsn": true}})
+	res, err := Synthesize(tinyBench(), Options{Corners: "mc:4:9",
+		Plan: "zst,legalize,buffer,polarity"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 func ecoFixture(t *testing.T) (*Result, *eco.Delta, Options) {
 	t.Helper()
 	b := tinyBench()
-	base, err := Synthesize(b, Options{MaxRounds: 2, Cycles: 1})
+	base, err := Synthesize(b, Options{Plan: cascadeSpec(2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func ecoFixture(t *testing.T) (*Result, *eco.Delta, Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{MaxRounds: 2, Cycles: 1, Plan: "eco", ECO: &eco.Spec{
+	o := Options{Plan: "eco", ECO: &eco.Spec{
 		BaseKey:   "base-key",
 		Delta:     d,
 		Base:      base.Tree,

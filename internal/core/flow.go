@@ -41,8 +41,8 @@ type Result struct {
 
 	// StageSims counts transient stage simulations actually integrated by
 	// the cascade's incremental evaluator; StageReuses counts stage
-	// transients served from its dirty-cone cache. Both are zero when
-	// FullEval disabled the incremental path.
+	// transients served from its dirty-cone cache. Both stay zero when
+	// Options.WrapEval substitutes an evaluator that bypasses the cache.
 	StageSims   int
 	StageReuses int
 
@@ -68,9 +68,6 @@ func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Res
 	o = o.Resolve()
 	plan, err := ResolvePlan(o.Plan)
 	if err != nil {
-		return nil, err
-	}
-	if err := CheckSkipStages(o.SkipStages); err != nil {
 		return nil, err
 	}
 	// Resolve installs valid corner sets; an invalid spec survives it

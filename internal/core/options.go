@@ -6,7 +6,6 @@ import (
 	"contango/internal/analysis"
 	"contango/internal/corners"
 	"contango/internal/eco"
-	"contango/internal/opt"
 	"contango/internal/spice"
 	"contango/internal/tech"
 )
@@ -31,12 +30,13 @@ type Options struct {
 	// paper's TI scalability configuration: ~8x faster, slightly worse CLR
 	// and capacitance).
 	LargeInverters bool
-	// MaxRounds bounds each optimization pass (default 10). A plan step's
-	// own round budget ("twsz:4") overrides it for that step.
-	MaxRounds int
 	// Plan selects the synthesis pipeline: a built-in plan name ("paper",
-	// "fast", "wire-only", "tune-only", "no-cycles") or a plan-spec string
-	// (see ParsePlan). Empty means "paper" — the exact pre-pipeline flow.
+	// "fast", "wire-only", "tune-only", "no-cycles", "eco") or a plan-spec
+	// string (see ParsePlan). Empty means "paper" — the exact pre-pipeline
+	// flow. The plan is the one place a run is shaped: which passes run,
+	// their round budgets ("twsz:4"; opt.DefaultMaxRounds when unpinned)
+	// and the convergence cycle budget ("cycle(...)x2"; DefaultCycles when
+	// unpinned).
 	Plan string
 	// Corners selects the PVT corner set the run is evaluated and
 	// optimized across: "ispd09" (the technology's native pair — the
@@ -56,24 +56,11 @@ type Options struct {
 	// fingerprint — appended to the fingerprint only when set, so default
 	// keys stay byte-identical.
 	ECO *eco.Spec
-	// SkipStages disables individual cascade passes by name ("tbsz",
-	// "twsz", "twsn", "bwsn") for ablations, whatever plan runs. Any other
-	// name is an error (CheckSkipStages).
-	SkipStages map[string]bool
-	// Cycles is the number of extra wire-pass convergence cycles after the
-	// named cascade (0 = default 3; each costs one recalibration). A
-	// negative value disables convergence cycles entirely — unlike the
-	// zero value, which keeps the paper's default.
-	Cycles int
 	// Parallelism is the worker budget for concurrent stage simulations in
 	// the optimization cascade's incremental evaluator, for DME subtree
 	// merging and for the composite sweep's candidates (0 = GOMAXPROCS,
 	// 1 = serial). It changes wall-clock time only, never results.
 	Parallelism int
-	// FullEval forces whole-tree re-evaluation for every CNE instead of
-	// the incremental per-stage cache — the reference path the incremental
-	// engine is validated against. Identical results, much slower.
-	FullEval bool
 	// Log receives progress lines when non-nil.
 	Log func(format string, args ...interface{})
 	// SpanHook, when non-nil, brackets instrumented flow phases: it is
@@ -85,10 +72,10 @@ type Options struct {
 	// in result-cache keys.
 	SpanHook func(kind, name string) func()
 	// WrapEval, when non-nil, wraps the accurate evaluator (the incremental
-	// engine, or Engine itself under FullEval) right before the optimization
-	// context is armed. The service's packing scheduler uses it to install a
-	// corner-chunking shim that yields the worker slot between chunks of a
-	// large sweep. The contract:
+	// engine over Engine) right before the optimization context is armed.
+	// The service's packing scheduler uses it to install a corner-chunking
+	// shim that yields the worker slot between chunks of a large sweep, and
+	// parity tests substitute the whole-tree Engine itself. The contract:
 	//   - the returned Evaluator must give the same results for the same
 	//     calls, in corner order: a wrapper may split, time or trace
 	//     evaluations but never change them;
@@ -103,14 +90,6 @@ type Options struct {
 	WrapEval func(analysis.Evaluator) analysis.Evaluator
 }
 
-// defaultCycles is the extra wire-pass convergence budget when unset.
-const defaultCycles = 3
-
-// noCycles is the canonical resolved value for "convergence cycles
-// disabled". Resolve maps every negative Cycles to it so resolution is
-// idempotent: 0 means "defaulted" only on unresolved options.
-const noCycles = -1
-
 // span opens an instrumented phase through SpanHook and returns the func
 // that closes it (a no-op when no hook is installed).
 func (o *Options) span(kind, name string) func() {
@@ -120,53 +99,19 @@ func (o *Options) span(kind, name string) func() {
 	return o.SpanHook(kind, name)
 }
 
-// extraCycles returns the effective convergence-cycle budget: the default
-// when unset, zero when explicitly disabled.
-func (o *Options) extraCycles() int {
-	switch {
-	case o.Cycles < 0:
-		return 0
-	case o.Cycles == 0:
-		return defaultCycles
-	default:
-		return o.Cycles
-	}
-}
-
 // Resolve returns a copy of the options with every defaulted knob made
-// explicit: technology model, engine, capacitance reserve, ladder, round
-// and cycle budgets, and the plan canonicalized to its expanded spec
-// string. The flow itself runs on resolved options and the service layer
-// fingerprints them for its result cache, so the two can never disagree
-// about what a zero value means. Resolution is idempotent; note that a
-// resolved Cycles is either the positive budget or -1 for "disabled".
+// explicit: technology model, engine, capacitance reserve, ladder, worker
+// budget, and the plan canonicalized to its expanded spec string. The flow
+// itself runs on resolved options and the service layer fingerprints them
+// for its result cache, so the two can never disagree about what a zero
+// value means. Resolution is idempotent.
 func (o Options) Resolve() Options {
 	o.fill()
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = opt.DefaultMaxRounds
-	}
-	if o.Cycles == 0 {
-		o.Cycles = defaultCycles
-	} else if o.Cycles < 0 {
-		o.Cycles = noCycles
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if o.Plan == "" {
 		o.Plan = DefaultPlanName
-	}
-	// Canonicalize the skip set (on a copy — the caller's map is shared)
-	// so the runtime skip lookup and the service's cache-key fingerprint
-	// can never disagree about e.g. {"TBSZ": true} vs {"tbsz": true}.
-	if len(o.SkipStages) > 0 {
-		canon := make(map[string]bool, len(o.SkipStages))
-		for name, on := range o.SkipStages {
-			if on {
-				canon[Canon(name)] = true
-			}
-		}
-		o.SkipStages = canon
 	}
 	// Canonicalize the plan to its expanded spec, so a named plan and its
 	// spelled-out equivalent fingerprint identically. Invalid specs are

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"contango/internal/analysis"
 	"contango/internal/bench"
+	"contango/internal/spice"
 )
 
 // trimmedISPD returns the named contest benchmark cut down to n sinks with
@@ -24,17 +26,24 @@ func trimmedISPD(t *testing.T, name string, n int) *bench.Benchmark {
 	return b
 }
 
-// TestCascadeIncrementalMatchesFullEval is the flow-level acceptance
+// wholeTree is an Options.WrapEval that substitutes the plain whole-tree
+// Engine for the incremental evaluator: the reference path the incremental
+// engine is validated against, with identical results and no stage cache.
+func wholeTree(ev analysis.Evaluator) analysis.Evaluator {
+	return ev.(*spice.Incremental).Eng
+}
+
+// TestCascadeIncrementalMatchesWholeTree is the flow-level acceptance
 // property: the incremental+parallel cascade must produce skew and CLR
 // equal (within 1e-9 ps) to the whole-tree re-evaluation path on a trimmed
 // ISPD'09 benchmark, while actually exercising the cache.
-func TestCascadeIncrementalMatchesFullEval(t *testing.T) {
+func TestCascadeIncrementalMatchesWholeTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-vs-incremental cascade comparison is slow")
 	}
-	opts := Options{MaxRounds: 4, Cycles: 1}
+	opts := Options{Plan: cascadeSpec(4, 1)}
 	optsFull := opts
-	optsFull.FullEval = true
+	optsFull.WrapEval = wholeTree
 
 	full, err := Synthesize(trimmedISPD(t, "ispd09f22", 30), optsFull)
 	if err != nil {
@@ -61,7 +70,7 @@ func TestCascadeIncrementalMatchesFullEval(t *testing.T) {
 			incr.StageSims, incr.StageReuses)
 	}
 	if full.StageSims != 0 || full.StageReuses != 0 {
-		t.Errorf("full-eval path unexpectedly used the incremental engine")
+		t.Errorf("whole-tree path unexpectedly used the incremental engine's cache")
 	}
 	// The whole point: a healthy fraction of stage transients must be
 	// served from cache rather than re-integrated.
@@ -75,11 +84,11 @@ func TestCascadeIncrementalMatchesFullEval(t *testing.T) {
 // results at different worker counts.
 func TestParallelCascadeDeterminism(t *testing.T) {
 	b := tinyBench()
-	serial, err := Synthesize(b, Options{MaxRounds: 3, Cycles: 1, Parallelism: 1})
+	serial, err := Synthesize(b, Options{Plan: cascadeSpec(3, 1), Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Synthesize(tinyBench(), Options{MaxRounds: 3, Cycles: 1, Parallelism: 8})
+	par, err := Synthesize(tinyBench(), Options{Plan: cascadeSpec(3, 1), Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

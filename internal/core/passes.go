@@ -3,10 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"contango/internal/buffering"
 	"contango/internal/ctree"
@@ -21,8 +17,7 @@ type pass struct {
 	name string
 	run  func(ctx context.Context, s *state) error
 	// cascade marks the SPICE-checked passes. They run against the armed
-	// accurate evaluator, honor Options.SkipStages and record a Table III
-	// row. The other passes build the tree before the evaluator is armed.
+	// accurate evaluator and record a Table III row. The other passes build the tree before the evaluator is armed.
 	cascade bool
 }
 
@@ -61,36 +56,13 @@ func isConstruction(name string) bool {
 	return p != nil && !p.cascade
 }
 
-// passNames lists the table's pass names in order; cascadeOnly keeps just
-// the cascade passes.
-func passNames(cascadeOnly bool) []string {
-	var names []string
-	for _, p := range passes {
-		if p.cascade || !cascadeOnly {
-			names = append(names, p.name)
-		}
+// passNames lists the table's pass names in order.
+func passNames() []string {
+	names := make([]string, len(passes))
+	for i, p := range passes {
+		names[i] = p.name
 	}
 	return names
-}
-
-// CheckSkipStages rejects a skip set that sets anything but a cascade
-// pass. Only cascade passes can be skipped, and every set name enters the
-// result-cache key, so a typo or a construction pass would otherwise run
-// the full plan under a cache slot of its own. Names mapped to false skip
-// nothing and are ignored, as Resolve drops them.
-func CheckSkipStages(skip map[string]bool) error {
-	var bad []string
-	for name, on := range skip {
-		if p := lookupPass(Canon(name)); on && (p == nil || !p.cascade) {
-			bad = append(bad, strconv.Quote(name))
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Strings(bad)
-	return fmt.Errorf("core: cannot skip %s (skippable stages: %s)",
-		strings.Join(bad, ", "), strings.Join(passNames(true), ", "))
 }
 
 // passZST builds the initial zero-skew tree (ZST/DME) straight into the SoA

@@ -19,12 +19,17 @@ type Plan struct {
 // round budget and gate predicate) or a convergence cycle group.
 type Step struct {
 	Pass   string // canonical pass name (empty for cycle groups)
-	Rounds int    // per-step round budget; 0 = Options.MaxRounds
+	Rounds int    // per-step round budget; 0 = opt.DefaultMaxRounds
 	Gate   *Gate  // run the pass only while the predicate holds
 
 	Cycle  []Step // non-nil: convergence group run until no improvement
-	Repeat int    // cycle budget; 0 = Options.Cycles
+	Repeat int    // cycle budget; 0 = DefaultCycles
 }
+
+// DefaultCycles is the budget of a cycle group without an xN suffix: the
+// paper's convergence feedback loop runs at most three extra wire-pass
+// cycles.
+const DefaultCycles = 3
 
 // Gate is a metric predicate: the gated pass runs only when the selected
 // metric is above (or, with Less, below) Value.
@@ -105,15 +110,15 @@ const DefaultPlanName = "paper"
 // builtinOrder lists the built-in plan names in documentation order.
 var builtinOrder = []string{"paper", "fast", "wire-only", "tune-only", "no-cycles", "eco"}
 
-// builtinSpecs maps built-in plan names to their full specs. The unpinned
-// cycle group ("cycle(...)" without an xN suffix) takes its budget from
-// Options.Cycles, so -cycles / "cycles" remains honored under named plans.
+// builtinSpecs maps built-in plan names to their full specs. Steps without
+// a ":N" budget run opt.DefaultMaxRounds rounds and a cycle group without
+// an xN suffix runs up to DefaultCycles cycles; a custom spec pins either.
 var builtinSpecs = map[string]string{
 	// The paper's Fig. 1 cascade, bit-identical to the pre-pipeline flow.
 	"paper": "zst,legalize,buffer,polarity,tbsz,twsz,twsn,bwsn,cycle(twsz,twsn,bwsn)",
 	// Reduced round budgets, no convergence cycles: a quick preview run.
 	"fast": "zst,legalize,buffer,polarity,tbsz:4,twsz:4,twsn:4,bwsn:4",
-	// Wire passes only — equivalent to SkipStages{"tbsz"} under "paper".
+	// Wire passes only: "paper" without TBSZ.
 	"wire-only": "zst,legalize,buffer,polarity,twsz,twsn,bwsn,cycle(twsz,twsn,bwsn)",
 	// Buffer sizing and bottom-level fine-tuning only.
 	"tune-only": "zst,legalize,buffer,polarity,tbsz,bwsn",
@@ -134,7 +139,7 @@ func PlanNames() []string {
 
 // BuiltinSpec returns the full plan spec behind a built-in plan name.
 func BuiltinSpec(name string) (string, bool) {
-	spec, ok := builtinSpecs[Canon(name)]
+	spec, ok := builtinSpecs[canon(name)]
 	return spec, ok
 }
 
@@ -164,12 +169,12 @@ func ResolvePlan(nameOrSpec string) (Plan, error) {
 	if s == "" {
 		s = DefaultPlanName
 	}
-	if spec, ok := builtinSpecs[Canon(s)]; ok {
+	if spec, ok := builtinSpecs[canon(s)]; ok {
 		p, err := ParsePlan(spec)
 		if err != nil {
-			return Plan{}, fmt.Errorf("built-in plan %s: %w", Canon(s), err)
+			return Plan{}, fmt.Errorf("built-in plan %s: %w", canon(s), err)
 		}
-		p.Name = Canon(s)
+		p.Name = canon(s)
 		return p, nil
 	}
 	return ParsePlan(s)
@@ -285,7 +290,7 @@ func splitTop(s string) ([]string, error) {
 }
 
 func parseStep(tok string) (Step, error) {
-	if strings.HasPrefix(Canon(tok), "cycle(") {
+	if strings.HasPrefix(canon(tok), "cycle(") {
 		return parseCycle(tok)
 	}
 	rest := tok
@@ -307,7 +312,7 @@ func parseStep(tok string) (Step, error) {
 		rounds = n
 		rest = rest[:c]
 	}
-	name := Canon(rest)
+	name := canon(rest)
 	if name == "" {
 		return Step{}, fmt.Errorf("core: empty pass name in step %q", tok)
 	}
@@ -317,7 +322,7 @@ func parseStep(tok string) (Step, error) {
 		}
 	}
 	if lookupPass(name) == nil {
-		return Step{}, fmt.Errorf("core: unknown pass %q (known: %s)", name, strings.Join(passNames(false), ", "))
+		return Step{}, fmt.Errorf("core: unknown pass %q (known: %s)", name, strings.Join(passNames(), ", "))
 	}
 	return Step{Pass: name, Rounds: rounds, Gate: gate}, nil
 }
@@ -342,7 +347,7 @@ func parseCycle(tok string) (Step, error) {
 	}
 	repeat := 0
 	if suffix := strings.TrimSpace(tok[closing+1:]); suffix != "" {
-		low := Canon(suffix)
+		low := canon(suffix)
 		if !strings.HasPrefix(low, "x") {
 			return Step{}, fmt.Errorf("core: bad cycle suffix %q (want xN)", suffix)
 		}
@@ -360,7 +365,7 @@ func parseGate(s string) (Gate, error) {
 	if i < 0 {
 		return Gate{}, fmt.Errorf("core: bad gate %q (want metric>value or metric<value)", s)
 	}
-	metric := Canon(s[:i])
+	metric := canon(s[:i])
 	if _, ok := gateMetrics[metric]; !ok {
 		return Gate{}, fmt.Errorf("core: unknown gate metric %q (want skew, clr, lat, slew, viol or cap)", metric)
 	}
@@ -376,11 +381,10 @@ func parseGate(s string) (Gate, error) {
 	return Gate{Metric: metric, Less: s[i] == '<', Value: v}, nil
 }
 
-// Canon returns the canonical form of a pass or stage name: trimmed and
-// ASCII-lowercased. It is the one normalization used everywhere a stage
-// name is compared — plan parsing, SkipStages lookups, cache-key
-// fingerprints, and the service wire layer.
-func Canon(s string) string {
+// canon returns the canonical form of a pass or stage name: trimmed and
+// ASCII-lowercased. It is the one normalization used everywhere a pass or
+// plan name is compared: plan parsing and built-in plan lookups.
+func canon(s string) string {
 	s = strings.TrimSpace(s)
 	b := []byte(s)
 	for i, c := range b {

@@ -102,8 +102,8 @@ func TestCanon(t *testing.T) {
 	for in, want := range map[string]string{
 		" TBSZ ": "tbsz", "TwSz": "twsz", "bwsn": "bwsn", "Cycle-1_a": "cycle-1_a",
 	} {
-		if got := Canon(in); got != want {
-			t.Errorf("Canon(%q) = %q, want %q", in, got, want)
+		if got := canon(in); got != want {
+			t.Errorf("canon(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -207,7 +207,7 @@ func TestPaperPlanMatchesExplicitSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full cascade comparison is slow")
 	}
-	opts := Options{MaxRounds: 4, Cycles: 1}
+	opts := Options{}
 	def, err := Synthesize(trimmedISPD(t, "ispd09f22", 30), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -230,21 +230,32 @@ func TestPaperPlanMatchesExplicitSpec(t *testing.T) {
 	}
 }
 
-// TestWireOnlyPlanEqualsSkipStages: the wire-only built-in must be
-// bit-identical to ablating TBSZ from the default plan via SkipStages.
-func TestWireOnlyPlanEqualsSkipStages(t *testing.T) {
-	skip, err := Synthesize(tinyBench(), Options{
-		MaxRounds: 2, Cycles: 1, SkipStages: map[string]bool{"tbsz": true},
-	})
+// TestWireOnlyPlanIsPaperWithoutTBSZ: the wire-only built-in is the
+// paper cascade with TBSZ left out, step for step, and its run records no
+// TBSZ stage.
+func TestWireOnlyPlanIsPaperWithoutTBSZ(t *testing.T) {
+	paper, err := ResolvePlan("paper")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := Synthesize(tinyBench(), Options{MaxRounds: 2, Cycles: 1, Plan: "wire-only"})
+	var steps []Step
+	for _, st := range paper.Steps {
+		if st.Pass != "tbsz" {
+			steps = append(steps, st)
+		}
+	}
+	wire, err := ResolvePlan("wire-only")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRun(t, "SkipStages{tbsz} vs wire-only", skip, wire)
-	for _, st := range wire.Stages {
+	if got, want := wire.String(), (Plan{Steps: steps}).String(); got != want {
+		t.Errorf("wire-only = %q, want paper without tbsz %q", got, want)
+	}
+	res, err := Synthesize(tinyBench(), Options{Plan: "wire-only"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range res.Stages {
 		if st.Name == "TBSZ" {
 			t.Error("wire-only plan ran TBSZ")
 		}
@@ -256,8 +267,7 @@ func TestWireOnlyPlanEqualsSkipStages(t *testing.T) {
 func TestCustomPlanSpecEndToEnd(t *testing.T) {
 	var progress, logs int
 	o := Options{
-		MaxRounds: 2,
-		Plan:      "tbsz:2,twsz:2",
+		Plan: "tbsz:2,twsz:2",
 		Log: func(format string, args ...interface{}) {
 			if IsProgressLine(format) {
 				progress++
@@ -288,7 +298,7 @@ func TestCustomPlanSpecEndToEnd(t *testing.T) {
 
 // TestGatedPass: a gate predicate that can never hold skips its pass.
 func TestGatedPass(t *testing.T) {
-	res, err := Synthesize(tinyBench(), Options{MaxRounds: 2, Plan: "tbsz:2,twsz:2?skew<-1"})
+	res, err := Synthesize(tinyBench(), Options{Plan: "tbsz:2,twsz:2?skew<-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +330,7 @@ func TestMisorderedPlanFailsCleanly(t *testing.T) {
 		{"zst,legalize,buffer,polarity,cycle(twsz,zst)", "cannot run in a cycle group"},
 		{"legalize,buffer,polarity,tbsz", "zst pass must run first"},
 	} {
-		_, err := Synthesize(tinyBench(), Options{MaxRounds: 1, Plan: tc.spec})
+		_, err := Synthesize(tinyBench(), Options{Plan: tc.spec})
 		if err == nil {
 			t.Errorf("mis-ordered plan %q succeeded", tc.spec)
 		} else if !strings.Contains(err.Error(), tc.want) {

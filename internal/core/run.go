@@ -12,11 +12,11 @@ import (
 const cycleMinGain = 0.05
 
 // runPlan executes a plan over the shared state: passes run in order,
-// cascade passes honor Options.SkipStages, gated passes consult their
-// predicate, and cycle groups repeat until the improvement check fails or
-// the budget runs out. Cancellation is checked between steps (and by the armed
-// evaluator before every improvement round); the context's error is
-// returned verbatim so callers can test against it.
+// gated passes consult their predicate, and cycle groups repeat until the
+// improvement check fails or the budget runs out. Cancellation is checked
+// between steps (and by the armed evaluator before every improvement
+// round); the context's error is returned verbatim so callers can test
+// against it.
 func runPlan(ctx context.Context, s *state, p Plan) error {
 	total := len(p.Steps)
 	for i, st := range p.Steps {
@@ -41,10 +41,6 @@ func runStep(ctx context.Context, s *state, st Step, idx, total int, record bool
 	if p == nil {
 		return fmt.Errorf("core: unknown pass %q", st.Pass)
 	}
-	if p.cascade && s.opts.SkipStages[st.Pass] {
-		s.progressf("%d/%d %s: skipped", idx, total, st.Pass)
-		return nil
-	}
 	if p.cascade || st.Gate != nil {
 		if err := s.ensureEval(ctx); err != nil {
 			return err
@@ -67,9 +63,9 @@ func runStep(ctx context.Context, s *state, st Step, idx, total int, record bool
 	}
 	s.progressf("%d/%d %s: start", idx, total, st.Pass)
 	t0 := time.Now()
-	// The span brackets only the pass body: skipped and gated-off passes
-	// never reach here, and a failing pass still closes its span before
-	// the error propagates.
+	// The span brackets only the pass body: gated-off passes never reach
+	// here, and a failing pass still closes its span before the error
+	// propagates.
 	end := s.opts.span("pass", st.Pass)
 	err := p.run(ctx, s)
 	end()
@@ -98,7 +94,7 @@ func runCycle(ctx context.Context, s *state, st Step, idx, total int) error {
 	}
 	budget := st.Repeat
 	if budget == 0 {
-		budget = s.opts.extraCycles()
+		budget = DefaultCycles
 	}
 	label := st.String()
 	for cycle := 0; cycle < budget; cycle++ {

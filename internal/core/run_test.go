@@ -58,13 +58,13 @@ func inOrder(t *testing.T, lines []string, events ...string) {
 }
 
 func TestRunOrderSkipAndLazyArm(t *testing.T) {
-	s, lines := newTestState(Options{MaxRounds: 1, SkipStages: map[string]bool{"twsz": true}})
-	if err := runPlan(context.Background(), s, mustParse(t, "tbsz,twsz,twsn")); err != nil {
+	s, lines := newTestState(Options{})
+	if err := runPlan(context.Background(), s, mustParse(t, "tbsz:1,twsz:1?skew<-1,twsn:1")); err != nil {
 		t.Fatal(err)
 	}
 	// Construction runs before arming; arming happens once, right before
-	// the first cascade pass.
-	inOrder(t, *lines, "zst: done", "polarity: done", "[INITIAL]", "tbsz: start", "twsz: skipped", "twsn: start")
+	// the first cascade pass. A gated-off pass is skipped without a stage.
+	inOrder(t, *lines, "zst: done", "polarity: done", "[INITIAL]", "tbsz: start", "twsz: gated off", "twsn: start")
 	if n := strings.Count(strings.Join(*lines, "\n"), "[INITIAL]"); n != 1 {
 		t.Errorf("evaluator armed %d times, want once", n)
 	}
@@ -76,29 +76,32 @@ func TestRunOrderSkipAndLazyArm(t *testing.T) {
 func TestRunRoundsOverrideRestored(t *testing.T) {
 	rounds := map[string]int{}
 	var s *state
-	s, _ = newTestState(Options{MaxRounds: 3, SpanHook: func(kind, name string) func() {
+	s, _ = newTestState(Options{SpanHook: func(kind, name string) func() {
 		if kind == "pass" && s.opt != nil {
 			rounds[name] = s.opt.MaxRounds
 		}
 		return func() {}
 	}})
-	if err := runPlan(context.Background(), s, mustParse(t, "tbsz:1,twsz")); err != nil {
+	if err := runPlan(context.Background(), s, mustParse(t, "tbsz:1,twsz:2,twsn")); err != nil {
 		t.Fatal(err)
 	}
-	if rounds["tbsz"] != 1 {
-		t.Errorf("tbsz ran with %d rounds, want its step budget 1", rounds["tbsz"])
+	if rounds["tbsz"] != 1 || rounds["twsz"] != 2 {
+		t.Errorf("tbsz ran with %d rounds and twsz with %d, want their step budgets 1 and 2",
+			rounds["tbsz"], rounds["twsz"])
 	}
-	if rounds["twsz"] != 3 || s.opt.MaxRounds != 3 {
-		t.Errorf("round budget not restored after the step: twsz ran with %d, context holds %d, want 3",
-			rounds["twsz"], s.opt.MaxRounds)
+	// An unpinned step leaves the context's budget unset, so the pass runs
+	// opt.DefaultMaxRounds.
+	if rounds["twsn"] != 0 || s.opt.MaxRounds != 0 {
+		t.Errorf("round budget not restored after the step: twsn ran with %d, context holds %d, want 0",
+			rounds["twsn"], s.opt.MaxRounds)
 	}
 }
 
 func TestRunGate(t *testing.T) {
 	// Every metric read reports skew 10.
-	s, lines := newTestState(Options{MaxRounds: 1})
+	s, lines := newTestState(Options{})
 	scriptMetrics(s, 10)
-	plan := mustParse(t, "tbsz?skew>50,twsz?skew>5,twsn?skew<5")
+	plan := mustParse(t, "tbsz:1?skew>50,twsz:1?skew>5,twsn:1?skew<5")
 	if err := runPlan(context.Background(), s, plan); err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +114,9 @@ func TestRunGate(t *testing.T) {
 func TestRunCycleConvergence(t *testing.T) {
 	// Metrics script: INITIAL 10, then cycle records 8 (improved),
 	// 7.99 (not improved by >= 0.05) -> stop after CYCLE2 despite budget 5.
-	s, _ := newTestState(Options{MaxRounds: 1})
+	s, _ := newTestState(Options{})
 	scriptMetrics(s, 10, 8, 7.99, 5, 4)
-	if err := runPlan(context.Background(), s, mustParse(t, "cycle(twsz,twsn)x5")); err != nil {
+	if err := runPlan(context.Background(), s, mustParse(t, "cycle(twsz:1,twsn:1)x5")); err != nil {
 		t.Fatal(err)
 	}
 	if got := stageList(s); got != "INITIAL,CYCLE1,CYCLE2" {
@@ -121,15 +124,16 @@ func TestRunCycleConvergence(t *testing.T) {
 	}
 }
 
-func TestRunCycleBudgetFromOptions(t *testing.T) {
-	// An unpinned cycle group takes its budget from resolved
-	// Options.Cycles; a disabled budget runs zero cycles.
-	s, _ := newTestState(Options{MaxRounds: 1, Cycles: -1})
-	if err := runPlan(context.Background(), s, mustParse(t, "tbsz,cycle(twsz)")); err != nil {
+func TestRunCycleDefaultBudget(t *testing.T) {
+	// An unpinned cycle group runs up to DefaultCycles cycles: every
+	// scripted cycle improves, so only the budget stops the group.
+	s, _ := newTestState(Options{})
+	scriptMetrics(s, 10, 9, 8, 7, 6, 5, 4, 3)
+	if err := runPlan(context.Background(), s, mustParse(t, "tbsz:1,cycle(twsz:1)")); err != nil {
 		t.Fatal(err)
 	}
-	if got := stageList(s); got != "INITIAL,TBSZ" {
-		t.Errorf("stages = %s, want INITIAL,TBSZ (cycles disabled)", got)
+	if got := stageList(s); got != "INITIAL,TBSZ,CYCLE1,CYCLE2,CYCLE3" {
+		t.Errorf("stages = %s, want INITIAL,TBSZ,CYCLE1,CYCLE2,CYCLE3", got)
 	}
 }
 

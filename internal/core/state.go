@@ -37,7 +37,7 @@ type state struct {
 	// opt is the optimization-pass context around the accurate evaluator.
 	// It is nil until ensureEval arms it, before the first cascade pass.
 	opt *opt.Context
-	// inc is the incremental evaluator behind opt (nil under FullEval).
+	// inc is the incremental evaluator behind opt.
 	inc   *spice.Incremental
 	armed bool
 
@@ -114,11 +114,8 @@ func (s *state) arm(ctx context.Context) error {
 	// before the cascade starts copying the arena into IVC snapshots.
 	s.Tree.Arena().Compact()
 	o := &s.opts
-	var cne analysis.Evaluator = o.Engine
-	if !o.FullEval {
-		s.inc = spice.NewIncremental(s.Tree, o.Engine, o.Parallelism)
-		cne = s.inc
-	}
+	s.inc = spice.NewIncremental(s.Tree, o.Engine, o.Parallelism)
+	var cne analysis.Evaluator = s.inc
 	if o.WrapEval != nil {
 		// Scheduling shims (corner chunking with cooperative slot yields)
 		// wrap the evaluator here; they must not change what is evaluated,
@@ -127,7 +124,7 @@ func (s *state) arm(ctx context.Context) error {
 	}
 	s.opt = &opt.Context{
 		Tree: s.Tree, Eng: cne, Obs: s.obs, CapLimit: s.Benchmark.CapLimit,
-		MaxRounds: o.MaxRounds, Log: o.Log, Check: ctx.Err,
+		Log: o.Log, Check: ctx.Err,
 	}
 	return s.record("INITIAL")
 }

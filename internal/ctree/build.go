@@ -184,14 +184,6 @@ func (a *Arena) Sinks() []int32 {
 	return out
 }
 
-// EdgeRes returns the wire resistance (kΩ) of slot i's parent edge.
-func (a *Arena) EdgeRes(i int32) float64 {
-	if a.Parent[i] < 0 {
-		return 0
-	}
-	return a.Tech.Wires[a.WidthIdx[i]].RPerUm * a.EdgeLen(i)
-}
-
 // EdgeCap returns the wire capacitance (fF) of slot i's parent edge.
 func (a *Arena) EdgeCap(i int32) float64 {
 	if a.Parent[i] < 0 {

@@ -190,18 +190,6 @@ func (m *Metrics) mcStats(set *corners.Set, results []*analysis.Result, capLimit
 	m.LatP95 = quantile(0.95)
 }
 
-// Violated reports whether the network breaks a hard constraint (slew, or
-// the capacitance limit when one is set).
-func (m Metrics) Violated(capLimit float64) bool {
-	if m.SlewViol > 0 {
-		return true
-	}
-	if capLimit > 0 && m.TotalCap > capLimit {
-		return true
-	}
-	return false
-}
-
 func (m Metrics) String() string {
 	return fmt.Sprintf("skew=%.3fps clr=%.2fps lat=%.1fps slew=%.1fps cap=%.1fpF (%.1f%%)",
 		m.Skew, m.CLR, m.MaxLatency, m.MaxSlew, m.TotalCap/1000, m.CapPct)

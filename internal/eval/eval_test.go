@@ -212,21 +212,6 @@ func TestFromResultsMCYield(t *testing.T) {
 	}
 }
 
-func TestViolated(t *testing.T) {
-	if (Metrics{SlewViol: 1}).Violated(0) == false {
-		t.Error("slew violation must trip")
-	}
-	if (Metrics{TotalCap: 200}).Violated(100) == false {
-		t.Error("cap over limit must trip")
-	}
-	if (Metrics{TotalCap: 50}).Violated(100) {
-		t.Error("clean metrics flagged")
-	}
-	if (Metrics{TotalCap: 200}).Violated(0) {
-		t.Error("no limit: cap cannot violate")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	out := Table([]string{"name", "val"}, [][]string{{"a", "1"}, {"longer-name", "22"}})
 	lines := strings.Split(strings.TrimSpace(out), "\n")

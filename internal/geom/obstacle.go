@@ -109,23 +109,6 @@ func (s *ObstacleSet) CompoundAt(p Point) int {
 	return -1
 }
 
-// CompoundsCrossedBy returns the (sorted, de-duplicated) indices of compounds
-// whose members' interiors are crossed by the polyline.
-func (s *ObstacleSet) CompoundsCrossedBy(pl Polyline) []int {
-	seen := map[int]bool{}
-	for i := range s.Obstacles {
-		if pl.CrossesRect(s.Obstacles[i].Rect) {
-			seen[s.compoundOf[i]] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // SegmentCrossesAny reports whether the axis-parallel segment a-b crosses the
 // interior of any obstacle.
 func (s *ObstacleSet) SegmentCrossesAny(a, b Point) bool {

@@ -71,22 +71,6 @@ func TestBlocksPointAndCompoundAt(t *testing.T) {
 	}
 }
 
-func TestCompoundsCrossedBy(t *testing.T) {
-	s := NewObstacleSet([]Obstacle{
-		{Rect: NewRect(10, 10, 20, 20)},
-		{Rect: NewRect(40, 10, 50, 20)},
-	})
-	pl := Polyline{Pt(0, 15), Pt(60, 15)}
-	got := s.CompoundsCrossedBy(pl)
-	if len(got) != 2 {
-		t.Fatalf("crossed=%v want both", got)
-	}
-	pl2 := Polyline{Pt(0, 5), Pt(60, 5)}
-	if got := s.CompoundsCrossedBy(pl2); len(got) != 0 {
-		t.Errorf("crossed=%v want none", got)
-	}
-}
-
 func TestContourRing(t *testing.T) {
 	s := NewObstacleSet([]Obstacle{{Rect: NewRect(100, 100, 200, 200)}})
 	ring := s.Contour(0)

@@ -61,8 +61,8 @@ func TestLerpEndpointsAndMid(t *testing.T) {
 	if got := a.Lerp(b, 1); !got.Eq(b, 0) {
 		t.Errorf("Lerp(1)=%v want %v", got, b)
 	}
-	if got := a.Mid(b); !got.Eq(Pt(3, 6), 0) {
-		t.Errorf("Mid=%v want (3,6)", got)
+	if got := a.Lerp(b, 0.5); !got.Eq(Pt(3, 6), 0) {
+		t.Errorf("Lerp(0.5)=%v want (3,6)", got)
 	}
 }
 

@@ -95,31 +95,6 @@ func (r Rect) SegmentIntersects(a, b Point) bool {
 	return r.IntersectsStrict(NewRect(a.X, a.Y, b.X, b.Y))
 }
 
-// ClosestBoundaryPoint returns the point on the boundary of r nearest to p in
-// the Manhattan metric.
-func (r Rect) ClosestBoundaryPoint(p Point) Point {
-	q := p.Clamp(r)
-	if !r.ContainsStrict(q) {
-		return q
-	}
-	// p is inside: project to the nearest edge.
-	dl := q.X - r.MinX
-	dr := r.MaxX - q.X
-	db := q.Y - r.MinY
-	dt := r.MaxY - q.Y
-	m := math.Min(math.Min(dl, dr), math.Min(db, dt))
-	switch m {
-	case dl:
-		return Point{r.MinX, q.Y}
-	case dr:
-		return Point{r.MaxX, q.Y}
-	case db:
-		return Point{q.X, r.MinY}
-	default:
-		return Point{q.X, r.MaxY}
-	}
-}
-
 // Corners returns the four corner points of r in counter-clockwise order
 // starting from (MinX, MinY).
 func (r Rect) Corners() [4]Point {

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRectNormalization(t *testing.T) {
 	r := NewRect(10, 20, 0, 5)
@@ -89,42 +86,4 @@ func TestUnionInflate(t *testing.T) {
 	if !a.Inflate(-3).Empty() {
 		t.Error("over-shrunk rect should be empty")
 	}
-}
-
-func TestClosestBoundaryPoint(t *testing.T) {
-	r := NewRect(0, 0, 10, 10)
-	cases := []struct{ p, want Point }{
-		{Pt(-5, 5), Pt(0, 5)},
-		{Pt(5, 12), Pt(5, 10)},
-		{Pt(1, 5), Pt(0, 5)},  // inside, near left edge
-		{Pt(5, 9), Pt(5, 10)}, // inside, near top edge
-		{Pt(0, 0), Pt(0, 0)},  // on corner
-	}
-	for _, c := range cases {
-		if got := r.ClosestBoundaryPoint(c.p); !got.Eq(c.want, 1e-9) {
-			t.Errorf("ClosestBoundaryPoint(%v)=%v want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestClosestBoundaryPointProperty(t *testing.T) {
-	r := NewRect(0, 0, 100, 50)
-	prop := func(x, y float64) bool {
-		p := Pt(mod(x, 200)-50, mod(y, 150)-50)
-		q := r.ClosestBoundaryPoint(p)
-		onBoundary := (q.X == r.MinX || q.X == r.MaxX) && q.Y >= r.MinY && q.Y <= r.MaxY ||
-			(q.Y == r.MinY || q.Y == r.MaxY) && q.X >= r.MinX && q.X <= r.MaxX
-		return onBoundary
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func mod(x, m float64) float64 {
-	v := x - float64(int(x/m))*m
-	if v < 0 {
-		v += m
-	}
-	return v
 }

@@ -63,7 +63,9 @@ type Context struct {
 	Eng      analysis.Evaluator
 	Obs      *geom.ObstacleSet
 	CapLimit float64 // hard capacitance limit, fF (0 = unlimited)
-	// MaxRounds bounds the improvement loop of each pass (default 10).
+	// MaxRounds bounds the improvement loop of each pass (0 =
+	// DefaultMaxRounds). The plan runner sets it per step from the step's
+	// round budget ("twsz:4").
 	MaxRounds int
 	// Check, when non-nil, is consulted before every improvement round; a
 	// non-nil error aborts the pass immediately (context cancellation from
@@ -89,7 +91,7 @@ func (cx *Context) arena() *ctree.Arena { return cx.Tree.Arena() }
 const minGain = 0.05
 
 // DefaultMaxRounds is the per-pass round budget used when MaxRounds is
-// unset (core.Options.Resolve makes it explicit).
+// unset: the budget of every plan step without a ":N" suffix.
 const DefaultMaxRounds = 16
 
 func (cx *Context) rounds() int {

@@ -16,8 +16,7 @@ import (
 // per-(corner,edge) caches key by corner identity), so wrapping an
 // evaluator in Chunked never changes results, only when the slot is held.
 type Chunked struct {
-	// Eval is the wrapped accurate evaluator (the incremental engine, or
-	// the plain engine under FullEval).
+	// Eval is the wrapped accurate evaluator (the incremental engine).
 	Eval analysis.Evaluator
 	// Chunk is the maximum corners evaluated per slot tenure; calls with
 	// that many corners or fewer (and any Chunk <= 0) pass through whole.

@@ -176,7 +176,7 @@ func TestHTTPECO(t *testing.T) {
 	// Base synthesis over the wire.
 	var baseWire JobWire
 	resp := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{
-		BenchText: benchText(t, "eco-http", 0), Options: OptionsWire{MaxRounds: 1, Cycles: 1},
+		BenchText: benchText(t, "eco-http", 0), Options: OptionsWire{Plan: "tbsz:1,twsz:1,twsn:1,bwsn:1,cycle(twsz:1,twsn:1,bwsn:1)x1"},
 	})
 	decode(t, resp, http.StatusAccepted, &baseWire)
 	baseWire = pollDone(t, ts.URL, baseWire.ID)

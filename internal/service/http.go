@@ -110,6 +110,20 @@ func writeError(w http.ResponseWriter, code int, format string, args ...interfac
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// decodeBody decodes a submission body into v, answering 400 on failure.
+// Unknown fields are rejected, so a misspelled or retired option (say
+// "max_rounds", now a plan step's ":N" budget) names itself in the error
+// instead of silently running a different cascade.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -121,8 +135,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		b, err := resolveBench(req)
@@ -178,8 +191,7 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ECORequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Base == "" || req.Delta == "" {
@@ -218,8 +230,7 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	reqs, err := req.Resolve()

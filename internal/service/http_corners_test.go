@@ -41,8 +41,7 @@ func TestHTTPSubmitCorners(t *testing.T) {
 
 	resp := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{
 		BenchText: benchText(t, "corner-job", 1),
-		Options: OptionsWire{MaxRounds: 1, Cycles: -1, Corners: "pvt5",
-			SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}},
+		Options:   OptionsWire{Plan: constructionPlan, Corners: "pvt5"},
 	})
 	var jw JobWire
 	decode(t, resp, http.StatusAccepted, &jw)
@@ -76,8 +75,7 @@ func TestServiceDefaultCorners(t *testing.T) {
 	svc := New(Config{Workers: 1, DefaultCorners: "pvt5"})
 	t.Cleanup(func() { svc.CancelAll(); svc.Close() })
 	b := tinyBench("default-corners", 1)
-	opts := OptionsWire{MaxRounds: 1, Cycles: -1,
-		SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}}.Options()
+	opts := OptionsWire{Plan: constructionPlan}.Options()
 	j, err := svc.Submit(b, opts)
 	if err != nil {
 		t.Fatal(err)

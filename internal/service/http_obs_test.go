@@ -42,7 +42,7 @@ func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
 func TestHTTPMetricsAgreeWithStats(t *testing.T) {
 	ts, _ := testServer(t, 2)
 
-	opts := OptionsWire{MaxRounds: 1, Cycles: 1, SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}}
+	opts := OptionsWire{Plan: constructionPlan}
 	submit := func(variant int) JobWire {
 		var jw JobWire
 		req := SubmitRequest{BenchText: benchText(t, "obs-mix", variant), Options: opts}
@@ -133,7 +133,7 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 
 	req := SubmitRequest{
 		BenchText: benchText(t, "methods", 0),
-		Options:   OptionsWire{MaxRounds: 1, Cycles: 1, SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}},
+		Options:   OptionsWire{Plan: constructionPlan},
 	}
 	var jw JobWire
 	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusAccepted, &jw)
@@ -189,7 +189,7 @@ func TestSSEPassEvents(t *testing.T) {
 
 	req := SubmitRequest{
 		BenchText: benchText(t, "sse-pass", 0),
-		Options:   OptionsWire{MaxRounds: 1, Cycles: 1, SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}},
+		Options:   OptionsWire{Plan: constructionPlan},
 	}
 	var jw JobWire
 	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusAccepted, &jw)
@@ -244,7 +244,7 @@ func TestHTTPTraceArtifact(t *testing.T) {
 
 	req := SubmitRequest{
 		BenchText: benchText(t, "tracey", 0),
-		Options:   OptionsWire{MaxRounds: 1, Cycles: 1, SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}},
+		Options:   OptionsWire{Plan: constructionPlan},
 	}
 	var jw JobWire
 	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusAccepted, &jw)
@@ -339,7 +339,7 @@ func TestHTTPTraceInMemoryFallback(t *testing.T) {
 
 	req := SubmitRequest{
 		BenchText: benchText(t, "memtrace", 0),
-		Options:   OptionsWire{MaxRounds: 1, Cycles: 1, SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}},
+		Options:   OptionsWire{Plan: constructionPlan},
 	}
 	var jw JobWire
 	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusAccepted, &jw)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func TestHTTPJobRoundTrip(t *testing.T) {
 	// Submit an inline benchmark.
 	req := SubmitRequest{
 		BenchText: benchText(t, "http-tiny", 0),
-		Options:   OptionsWire{MaxRounds: 1, Cycles: 1, SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}},
+		Options:   OptionsWire{Plan: constructionPlan},
 	}
 	var jw JobWire
 	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusAccepted, &jw)
@@ -183,7 +184,7 @@ func TestHTTPBatchSweepAndCache(t *testing.T) {
 
 	req := BatchRequest{
 		BenchTexts: []string{benchText(t, "hb-0", 0), benchText(t, "hb-1", 1)},
-		Options:    OptionsWire{MaxRounds: 1, Cycles: 1, SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}},
+		Options:    OptionsWire{Plan: constructionPlan},
 		Sweep:      &Sweep{Gammas: []float64{0.1, 0.15}},
 	}
 	var out struct {
@@ -294,7 +295,7 @@ func TestHTTPResultBeforeDone(t *testing.T) {
 	var jw JobWire
 	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{
 		BenchText: benchText(t, "queued-job", 3),
-		Options:   OptionsWire{MaxRounds: 1, Cycles: 1},
+		Options:   OptionsWire{Plan: "tbsz:1,twsz:1,twsn:1,bwsn:1,cycle(twsz:1,twsn:1,bwsn:1)x1"},
 	}), http.StatusAccepted, &jw)
 
 	// Result and SVG for an unfinished job: 409.
@@ -330,7 +331,7 @@ func TestHTTPCustomPlanWithPassEvents(t *testing.T) {
 
 	req := SubmitRequest{
 		BenchText: benchText(t, "http-plan", 0),
-		Options:   OptionsWire{MaxRounds: 1, Plan: "tbsz:1,twsz:1"},
+		Options:   OptionsWire{Plan: "tbsz:1,twsz:1"},
 	}
 	var jw JobWire
 	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusAccepted, &jw)
@@ -388,19 +389,29 @@ func TestHTTPInvalidPlanRejected(t *testing.T) {
 	}
 }
 
-// TestHTTPInvalidSkipStagesRejected: a skip-stage name that is not a
-// cascade pass is a 400, not a full run under a cache key of its own.
-func TestHTTPInvalidSkipStagesRejected(t *testing.T) {
+// TestHTTPRetiredOptionFieldsRejected: the plan alone shapes a run, so a
+// body naming a retired option field is a 400 that names the field, not a
+// job that silently runs a different cascade.
+func TestHTTPRetiredOptionFieldsRejected(t *testing.T) {
 	ts, _ := testServer(t, 1)
-	for _, name := range []string{"twzs", "zst"} {
-		req := SubmitRequest{
-			BenchText: benchText(t, "http-badskip", 0),
-			Options:   OptionsWire{SkipStages: []string{name}},
+	text := strconv.Quote(benchText(t, "http-retired", 0))
+	for _, tc := range []struct{ path, body, field string }{
+		{"/api/v1/jobs", `{"bench_text":` + text + `,"options":{"max_rounds":2}}`, "max_rounds"},
+		{"/api/v1/jobs", `{"bench_text":` + text + `,"options":{"cycles":-1}}`, "cycles"},
+		{"/api/v1/jobs", `{"bench_text":` + text + `,"options":{"skip_stages":["tbsz"]}}`, "skip_stages"},
+		{"/api/v1/jobs", `{"bench_text":` + text + `,"options":{"full_eval":true}}`, "full_eval"},
+		{"/api/v1/batches", `{"bench_texts":[` + text + `],"sweep":{"max_rounds":[4,8]}}`, "max_rounds"},
+		{"/api/v1/batches", `{"bench_texts":[` + text + `],"options":{"cycles":1}}`, "cycles"},
+		{"/api/v1/eco", `{"base":"k","delta":"remove a","options":{"skip_stages":["bwsn"]}}`, "skip_stages"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
 		}
 		var apiErr apiError
-		decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusBadRequest, &apiErr)
-		if !strings.Contains(apiErr.Error, name) {
-			t.Errorf("skip stage %q: error %q does not name it", name, apiErr.Error)
+		decode(t, resp, http.StatusBadRequest, &apiErr)
+		if !strings.Contains(apiErr.Error, strconv.Quote(tc.field)) {
+			t.Errorf("%s with %s: error %q does not name the field", tc.path, tc.field, apiErr.Error)
 		}
 	}
 }
@@ -444,7 +455,7 @@ func TestHTTPArtifacts(t *testing.T) {
 
 	req := SubmitRequest{
 		BenchText: benchText(t, "artifacty", 0),
-		Options:   OptionsWire{MaxRounds: 1, Cycles: 1, SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}},
+		Options:   OptionsWire{Plan: constructionPlan},
 	}
 	var jw JobWire
 	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusAccepted, &jw)
@@ -551,7 +562,7 @@ func TestHTTPArtifactsWithoutStore(t *testing.T) {
 	ts, _ := testServer(t, 1)
 	req := SubmitRequest{
 		BenchText: benchText(t, "nostore", 0),
-		Options:   OptionsWire{MaxRounds: 1, Cycles: 1, SkipStages: []string{"tbsz", "twsz", "twsn", "bwsn"}},
+		Options:   OptionsWire{Plan: constructionPlan},
 	}
 	var jw JobWire
 	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusAccepted, &jw)

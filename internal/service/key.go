@@ -4,11 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 
 	"contango/internal/bench"
 	"contango/internal/core"
+	"contango/internal/opt"
 	"contango/internal/tech"
 )
 
@@ -71,24 +71,24 @@ func techFingerprint(t *tech.Tech) string {
 // the flow itself runs on — so the zero Options and an Options spelling
 // out the paper's defaults fingerprint identically, and a future change to
 // a default can never alias cached results computed under the old one.
-// Map iteration order, function hooks (Log) and the engine's mutable run
+// Function hooks (Log, SpanHook, WrapEval) and the engine's mutable run
 // counter never leak in. Parallelism is deliberately excluded: the
 // incremental evaluator produces results identical at any worker count, so
-// runs differing only in worker budget share one cache slot. FullEval is
-// included even though metrics match too — a caller explicitly requesting
-// the reference evaluation path must actually run it (and see its zeroed
-// stage_sims/stage_reuses counters), not be served a cached incremental
-// result.
+// runs differing only in worker budget share one cache slot.
 func OptionsFingerprint(o core.Options) string {
 	r := o.Resolve()
 	var b strings.Builder
 	techSum := sha256.Sum256([]byte(techFingerprint(r.Tech)))
 	fmt.Fprintf(&b, "tech=%s", hex.EncodeToString(techSum[:8]))
 	fmt.Fprintf(&b, ";eng=%g,%g,%g,%g", r.Engine.MaxSeg, r.Engine.Dt, r.Engine.SourceSlew, r.Engine.SettleTol)
-	// bufstep=0 stands for a since-removed buffer-spacing knob whose
-	// default was 0; the literal keeps default keys byte-identical.
-	fmt.Fprintf(&b, ";gamma=%g;rounds=%d;cycles=%d;bufstep=0;fulleval=%t",
-		r.Gamma, r.MaxRounds, r.Cycles, r.FullEval)
+	// rounds and cycles are the budgets of unpinned plan steps and cycle
+	// groups, which the canonical plan spec leaves implicit. bufstep=0,
+	// fulleval=false and the empty skip= below stand for since-removed
+	// knobs at their defaults (a buffer-spacing step, the whole-tree
+	// evaluator switch, the skip set); the literals keep default keys
+	// byte-identical.
+	fmt.Fprintf(&b, ";gamma=%g;rounds=%d;cycles=%d;bufstep=0;fulleval=false",
+		r.Gamma, opt.DefaultMaxRounds, core.DefaultCycles)
 	// Resolve canonicalized the plan to its expanded spec, so a named plan
 	// and its spelled-out equivalent share one cache slot while any two
 	// different cascades address differently.
@@ -100,16 +100,7 @@ func OptionsFingerprint(o core.Options) string {
 		}
 		fmt.Fprintf(&b, "%dx%s(%g/%g/%g)", c.N, c.Type.Name, c.Type.Cin, c.Type.Cout, c.Type.Rout)
 	}
-	// Skipped stages, sorted for stable map order and normalized with the
-	// same canonical helper the pipeline's own skip lookups use.
-	var skips []string
-	for name, on := range r.SkipStages {
-		if on {
-			skips = append(skips, core.Canon(name))
-		}
-	}
-	sort.Strings(skips)
-	fmt.Fprintf(&b, ";skip=%s", strings.Join(skips, ","))
+	b.WriteString(";skip=")
 	// ECO runs extend the key with the base result's key and the delta's
 	// content address, appended only when set: every non-ECO fingerprint —
 	// and therefore every existing cache key — stays byte-identical.

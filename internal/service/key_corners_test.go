@@ -37,8 +37,10 @@ func TestDefaultFingerprintUnchangedSinceSeed(t *testing.T) {
 }
 
 // TestLegacyBufferStepGetsDefaultKey: the removed buffer_step wire field
-// did nothing, so a request that still sends it decodes (unknown fields are
-// ignored) and addresses the default cache slot.
+// did nothing, so options that still carry it decode under json.Unmarshal
+// (unknown fields are ignored) and address the default cache slot. The
+// HTTP submit handlers decode strictly and answer such a body with a 400
+// naming the field instead.
 func TestLegacyBufferStepGetsDefaultKey(t *testing.T) {
 	var w OptionsWire
 	if err := json.Unmarshal([]byte(`{"buffer_step": 150}`), &w); err != nil {
@@ -93,7 +95,7 @@ func TestCornerSpecKeying(t *testing.T) {
 // carry the corner spec, or a durable job recovered after a restart would
 // re-run under the default corners with a stale content key.
 func TestOptionsWireRoundTripCorners(t *testing.T) {
-	o := core.Options{Plan: "fast", Corners: "mc:8:1", MaxRounds: 2}
+	o := core.Options{Plan: "fast", Corners: "mc:8:1"}
 	back := optionsToWire(o).Options()
 	if back.Corners != "mc:8:1" {
 		t.Errorf("corner spec lost in wire round-trip: %q", back.Corners)

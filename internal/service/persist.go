@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"contango/internal/bench"
@@ -130,8 +129,9 @@ func (s *Service) persistJobLog(j *Job) {
 
 // recoverJournal replays the compacted journal: every job whose latest
 // record is non-terminal lost its run to the previous process's death and
-// is re-queued (counted in Stats.RecoveredJobs). Damaged or irreproducible
-// specs are logged and skipped — recovery never fails startup.
+// is re-queued (counted in Stats.RecoveredJobs). Damaged specs and specs
+// that no longer reproduce their content key are logged and skipped —
+// recovery never fails startup.
 func (s *Service) recoverJournal(recs []store.Record) {
 	for _, r := range recs {
 		if r.Terminal() {
@@ -153,6 +153,19 @@ func (s *Service) recoverJournal(recs []store.Record) {
 			continue
 		}
 		o := spec.Options.Options()
+		// Re-queue a spec only under the key it was journaled with, the
+		// invariant persistSubmit checks at write time. A spec whose options
+		// no longer reproduce its key (one naming a since-retired field,
+		// which decoding drops) would otherwise re-run a different cascade.
+		if key := JobKey(b, o); key != r.Key {
+			var raw struct {
+				Options json.RawMessage `json:"options"`
+			}
+			_ = json.Unmarshal(data, &raw)
+			s.logf("recovery: job %s: spec options %s no longer reproduce its key (now %s); not re-queued",
+				shortKey(r.Key), raw.Options, shortKey(key))
+			continue
+		}
 		// A recovered ECO job's spec holds only the base key and delta; the
 		// base tree re-hydrates from the base run's result artifact. A base
 		// evicted from the store since the crash is a skip, not a failure.
@@ -252,17 +265,8 @@ func optionsToWire(o core.Options) OptionsWire {
 		FastSim:        o.FastSim,
 		Gamma:          o.Gamma,
 		LargeInverters: o.LargeInverters,
-		MaxRounds:      o.MaxRounds,
-		Cycles:         o.Cycles,
 		Parallelism:    o.Parallelism,
-		FullEval:       o.FullEval,
 	}
-	for name, on := range o.SkipStages {
-		if on {
-			w.SkipStages = append(w.SkipStages, name)
-		}
-	}
-	sort.Strings(w.SkipStages)
 	if o.ECO != nil && o.ECO.Delta != nil {
 		// The spec carries only the key material (base key + canonical
 		// delta text): enough to round-trip the content key, and the

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"log/slog"
 	"os"
@@ -192,6 +194,67 @@ func TestRecoveryRequeuesUnfinished(t *testing.T) {
 	if !j.CacheHit() || j.CacheTier() != "disk" {
 		t.Errorf("completed recovered job not servable from disk (hit=%v tier=%s)",
 			j.CacheHit(), j.CacheTier())
+	}
+}
+
+// TestRecoverySkipsSpecWithStaleKey: a spec written in an older format
+// (here a "cycles" field that decoding now drops) no longer reproduces the
+// key it was journaled under. Recovery logs it and leaves it alone instead
+// of re-queueing the default cascade under the old key.
+func TestRecoverySkipsSpecWithStaleKey(t *testing.T) {
+	dir := t.TempDir()
+	b := tinyBench("stale-spec", 0)
+	// The key the older format gave {"cycles": -1}: the default fingerprint
+	// with that budget in place of the default one.
+	fp := strings.Replace(OptionsFingerprint(core.Options{}), ";cycles=3;", ";cycles=-1;", 1)
+	h := sha256.New()
+	h.Write([]byte(b.Hash()))
+	h.Write([]byte{0})
+	h.Write([]byte(fp))
+	key := hex.EncodeToString(h.Sum(nil))
+
+	st, err := store.Open(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bb bytes.Buffer
+	if err := bench.Write(&bb, b); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(map[string]interface{}{
+		"bench":   bb.String(),
+		"options": map[string]interface{}{"cycles": -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key+".job", spec); err != nil {
+		t.Fatal(err)
+	}
+	jnl, _, err := store.OpenJournal(filepath.Join(dir, "journal.log"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jnl.Append("submitted", key); err != nil {
+		t.Fatal(err)
+	}
+	jnl.Close()
+
+	var logs bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	svc, err := Open(Config{Workers: 1, DataDir: dir, NoFsync: true, Logger: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if n := svc.Stats().RecoveredJobs; n != 0 {
+		t.Errorf("RecoveredJobs = %d, want 0", n)
+	}
+	if n := len(svc.Jobs()); n != 0 {
+		t.Errorf("jobs after recovery = %d, want 0", n)
+	}
+	if !strings.Contains(logs.String(), "recovery: job "+shortKey(key)) {
+		t.Errorf("no recovery line names the key %s:\n%s", shortKey(key), logs.String())
 	}
 }
 

@@ -236,7 +236,7 @@ func TestHTTPBackpressureRetryAfter(t *testing.T) {
 	}
 	<-started
 
-	body, err := json.Marshal(SubmitRequest{BenchText: benchText(t, "late", 1), Options: OptionsWire{MaxRounds: 1}})
+	body, err := json.Marshal(SubmitRequest{BenchText: benchText(t, "late", 1), Options: OptionsWire{Plan: "tbsz:1,twsz:1,twsn:1,bwsn:1,cycle(twsz:1,twsn:1,bwsn:1)"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,13 +326,10 @@ func (s *Service) SubmitWith(b *bench.Benchmark, o core.Options, so SubmitOpts) 
 	if o.Corners == "" {
 		o.Corners = s.cfg.DefaultCorners
 	}
-	// Reject unparsable plan and corner-set specs and unknown skip-stage
-	// names up front: a bad spec would only fail after queueing, and its
-	// raw string would pollute the key space.
+	// Reject unparsable plan and corner-set specs up front: a bad spec
+	// would only fail after queueing, and its raw string would pollute the
+	// key space.
 	if _, err := core.ResolvePlan(o.Plan); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	if err := core.CheckSkipStages(o.SkipStages); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	if err := corners.Validate(o.Corners); err != nil {

@@ -44,16 +44,14 @@ func tinyBench(name string, variant int) *bench.Benchmark {
 	}
 }
 
-// fastOpts skips the whole cascade so a job costs only a handful of
-// evaluations — enough to exercise the service machinery.
+// constructionPlan builds the tree and runs no cascade pass, so a job
+// costs only the INITIAL evaluation — enough to exercise the service
+// machinery.
+const constructionPlan = "zst,legalize,buffer,polarity"
+
+// fastOpts runs constructionPlan.
 func fastOpts() core.Options {
-	return core.Options{
-		MaxRounds: 1,
-		Cycles:    1,
-		SkipStages: map[string]bool{
-			"tbsz": true, "twsz": true, "twsn": true, "bwsn": true,
-		},
-	}
+	return core.Options{Plan: constructionPlan}
 }
 
 func TestSubmitWaitAndCacheHit(t *testing.T) {
@@ -277,7 +275,7 @@ func TestCancelMidCascade(t *testing.T) {
 	defer svc.Close()
 
 	eng := spice.New()
-	o := core.Options{Engine: eng, MaxRounds: 16, Cycles: 3}
+	o := core.Options{Engine: eng}
 	var j *Job
 	ready := make(chan struct{})
 	var cancelOnce sync.Once
@@ -369,7 +367,7 @@ func TestJobKeyCanonicalization(t *testing.T) {
 	b := tinyBench("keys", 0)
 
 	// Zero options and the spelled-out defaults address identically.
-	explicit := core.Options{Gamma: 0.10, MaxRounds: 16, Cycles: 3}
+	explicit := core.Options{Gamma: 0.10, Plan: "paper", Corners: "ispd09"}
 	if JobKey(b, core.Options{}) != JobKey(b, explicit) {
 		t.Error("zero options and explicit defaults should share a key")
 	}
@@ -388,12 +386,6 @@ func TestJobKeyCanonicalization(t *testing.T) {
 	}
 	if JobKey(b, core.Options{}) == JobKey(b, core.Options{FastSim: true}) {
 		t.Error("simulator accuracy must change the key")
-	}
-	// SkipStages is canonicalized regardless of map construction order.
-	a := core.Options{SkipStages: map[string]bool{"tbsz": true, "bwsn": true, "twsz": false}}
-	c := core.Options{SkipStages: map[string]bool{"bwsn": true, "tbsz": true}}
-	if JobKey(b, a) != JobKey(b, c) {
-		t.Error("skip-stage sets with equal content should share a key")
 	}
 	// Benchmark content drives the key too.
 	if JobKey(b, core.Options{}) == JobKey(tinyBench("keys", 1), core.Options{}) {
@@ -452,7 +444,7 @@ func TestSubmitAfterClose(t *testing.T) {
 }
 
 func TestSweepExpansion(t *testing.T) {
-	sw := Sweep{Gammas: []float64{0.1, 0.2}, MaxRounds: []int{4, 8}, LargeInverters: []bool{false, true}}
+	sw := Sweep{Gammas: []float64{0.1, 0.2}, Plans: []string{"fast", "tbsz:8,twsz:8"}, LargeInverters: []bool{false, true}}
 	opts := sw.Expand(core.Options{})
 	if len(opts) != 8 {
 		t.Fatalf("sweep points = %d, want 8", len(opts))
@@ -493,9 +485,13 @@ func TestPlanKeying(t *testing.T) {
 	if JobKey(b, core.Options{Plan: "wire-only"}) == JobKey(b, core.Options{Plan: "fast"}) {
 		t.Error("distinct plans share a key")
 	}
-	// Disabled convergence cycles are distinct from the default budget.
-	if JobKey(b, core.Options{Cycles: -1}) == def {
-		t.Error("Cycles: -1 must change the key")
+	// Disabled convergence cycles and pinned round budgets are distinct
+	// from the default cascade.
+	if JobKey(b, core.Options{Plan: "no-cycles"}) == def {
+		t.Error("no-cycles plan must change the key")
+	}
+	if JobKey(b, core.Options{Plan: "tbsz:4,twsz:4,twsn:4,bwsn:4,cycle(twsz:4,twsn:4,bwsn:4)"}) == def {
+		t.Error("pinned round budgets must change the key")
 	}
 }
 
@@ -511,15 +507,15 @@ func TestSubmitRejectsInvalidPlan(t *testing.T) {
 }
 
 func TestDefaultPlanApplied(t *testing.T) {
-	svc := New(Config{Workers: 1, DefaultPlan: "no-cycles"})
+	svc := New(Config{Workers: 1, DefaultPlan: constructionPlan})
 	defer svc.Close()
-	o := fastOpts()
+	o := core.Options{}
 	j, err := svc.Submit(tinyBench("defplan", 0), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := o
-	want.Plan = "no-cycles"
+	want.Plan = constructionPlan
 	if j.Key() != JobKey(j.Benchmark(), want) {
 		t.Error("service default plan not reflected in the job key")
 	}
@@ -527,8 +523,7 @@ func TestDefaultPlanApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An explicit plan still wins over the service default.
-	j2, err := svc.Submit(tinyBench("defplan", 0), core.Options{Plan: "tune-only", MaxRounds: 1,
-		SkipStages: map[string]bool{"tbsz": true, "bwsn": true}})
+	j2, err := svc.Submit(tinyBench("defplan", 0), core.Options{Plan: "tbsz:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,24 +553,6 @@ func TestJobStreamsPassEvents(t *testing.T) {
 	}
 	if passes == 0 {
 		t.Error("job log carries no per-pass pipeline progress lines")
-	}
-}
-
-func TestSkipStagesCaseKeyConsistency(t *testing.T) {
-	// {"TBSZ": true} and {"tbsz": true} must share a key AND behave
-	// identically at run time (Resolve canonicalizes the skip set), so the
-	// cache can never serve one configuration's result for the other.
-	b := tinyBench("skipcase", 0)
-	upper := core.Options{SkipStages: map[string]bool{"TBSZ": true}}
-	lower := core.Options{SkipStages: map[string]bool{"tbsz": true}}
-	if JobKey(b, upper) != JobKey(b, lower) {
-		t.Fatal("case-differing skip sets diverge in the key")
-	}
-	if r := upper.Resolve(); !r.SkipStages["tbsz"] {
-		t.Error("Resolve did not canonicalize the skip set")
-	}
-	if upper.SkipStages["tbsz"] {
-		t.Error("Resolve mutated the caller's map")
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 // empty axis keeps the base value (one point on that axis).
 type Sweep struct {
 	Gammas         []float64 `json:"gammas,omitempty"`
-	MaxRounds      []int     `json:"max_rounds,omitempty"`
 	LargeInverters []bool    `json:"large_inverters,omitempty"`
 	// Plans sweeps the synthesis pipeline: built-in plan names or plan-spec
-	// strings (a plan-matrix run in one batch).
+	// strings (a plan-matrix run in one batch). Round budgets and cycle
+	// counts sweep here too, as plan specs ("tbsz:4,twsz:4", "paper").
 	Plans []string `json:"plans,omitempty"`
 	// Corners sweeps the PVT corner set: built-in names or mc:<n>:<seed>
 	// specs (a corner-matrix run in one batch).
@@ -32,9 +32,6 @@ func (sw Sweep) Expand(base core.Options) []core.Options {
 	}
 	if len(sw.Gammas) > 0 {
 		out = expandAxis(out, len(sw.Gammas), func(o *core.Options, i int) { o.Gamma = sw.Gammas[i] })
-	}
-	if len(sw.MaxRounds) > 0 {
-		out = expandAxis(out, len(sw.MaxRounds), func(o *core.Options, i int) { o.MaxRounds = sw.MaxRounds[i] })
 	}
 	if len(sw.LargeInverters) > 0 {
 		out = expandAxis(out, len(sw.LargeInverters), func(o *core.Options, i int) { o.LargeInverters = sw.LargeInverters[i] })

@@ -204,9 +204,11 @@ func (j *Job) Wire() *JobWire {
 // custom engines and custom technology models are library-only).
 type OptionsWire struct {
 	// Plan selects the synthesis pipeline: a built-in plan name ("paper",
-	// "fast", "wire-only", "tune-only", "no-cycles") or a plan-spec string
-	// such as "tbsz:2,cycle(twsz,twsn)x2". Different plans content-address
-	// differently, so they never share a result-cache slot.
+	// "fast", "wire-only", "tune-only", "no-cycles", "eco") or a plan-spec
+	// string such as "tbsz:2,cycle(twsz,twsn)x2". The plan alone sets
+	// which passes run, their round budgets and the convergence cycles.
+	// Different plans content-address differently, so they never share a
+	// result-cache slot.
 	Plan string `json:"plan,omitempty"`
 	// Corners selects the PVT corner set: "ispd09" (default), "pvt5", or
 	// "mc:<n>:<seed>[:vsigma[:rsigma[:csigma]]]". Different sets evaluate
@@ -217,20 +219,11 @@ type OptionsWire struct {
 	FastSim        bool    `json:"fast_sim,omitempty"`
 	Gamma          float64 `json:"gamma,omitempty"`
 	LargeInverters bool    `json:"large_inverters,omitempty"`
-	MaxRounds      int     `json:"max_rounds,omitempty"`
-	// Cycles is the wire-pass convergence budget: 0 keeps the default (3),
-	// a negative value disables convergence cycles entirely.
-	Cycles     int      `json:"cycles,omitempty"`
-	SkipStages []string `json:"skip_stages,omitempty"`
 	// Parallelism is the per-job stage-simulation worker budget (0 = the
 	// service default, 1 = serial; negative is rejected). It affects wall-clock time only — the
 	// incremental evaluator produces identical results at any setting —
 	// so it does not participate in result-cache keys.
 	Parallelism int `json:"parallelism,omitempty"`
-	// FullEval disables the incremental per-stage evaluation cache and
-	// re-simulates the whole network at every optimization round: the slow
-	// reference path the incremental engine is validated against.
-	FullEval bool `json:"full_eval,omitempty"`
 	// DeadlineMS is a soft completion deadline in milliseconds from
 	// submission (0 = none). It is a scheduling hint, not an option: the
 	// pack scheduler prioritizes jobs whose deadline is in jeopardy and a
@@ -261,16 +254,7 @@ func (o OptionsWire) Options() core.Options {
 		FastSim:        o.FastSim,
 		Gamma:          o.Gamma,
 		LargeInverters: o.LargeInverters,
-		MaxRounds:      o.MaxRounds,
-		Cycles:         o.Cycles,
 		Parallelism:    o.Parallelism,
-		FullEval:       o.FullEval,
-	}
-	if len(o.SkipStages) > 0 {
-		out.SkipStages = make(map[string]bool, len(o.SkipStages))
-		for _, s := range o.SkipStages {
-			out.SkipStages[core.Canon(s)] = true
-		}
 	}
 	if o.ECOBase != "" && o.ECODelta != "" {
 		// A delta that fails to parse leaves ECO nil; SubmitECO and the

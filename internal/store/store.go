@@ -250,15 +250,6 @@ func (s *Store) Quarantined() int {
 	return s.quarantined
 }
 
-// Has reports whether a blob exists under key (without verifying it).
-func (s *Store) Has(key string) bool {
-	if !validKey(key) {
-		return false
-	}
-	_, err := os.Stat(s.objectPath(key))
-	return err == nil
-}
-
 // Size returns the payload size of the blob under key, if present.
 func (s *Store) Size(key string) (int64, bool) {
 	if !validKey(key) {

@@ -126,7 +126,7 @@ func TestDelete(t *testing.T) {
 	if err := s.Delete(k1); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has(k1) {
+	if _, ok := s.Size(k1); ok {
 		t.Error("deleted blob still present")
 	}
 	if err := s.Delete(k1); err != nil {
