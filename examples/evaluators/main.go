@@ -41,8 +41,8 @@ func main() {
 	for _, name := range []string{"elmore", "twopole", "transient"} {
 		r := results[name]
 		worst := 0.0
-		for id, v := range r.Rise {
-			if d := v - ref.Rise[id]; d < 0 {
+		for _, id := range tr.Arena().Sinks() {
+			if d := r.Rise[id] - ref.Rise[id]; d < 0 {
 				d = -d
 				if d > worst {
 					worst = d

@@ -210,16 +210,20 @@ func TestSlewDetection(t *testing.T) {
 }
 
 func TestResultHelpers(t *testing.T) {
-	r := &Result{
-		Rise: map[int]float64{1: 10, 2: 14, 3: 12},
-		Fall: map[int]float64{1: 11, 2: 13, 3: 19},
-	}
+	r := NewResult(tech.Corner{}, 5)
+	copy(r.Rise, []float64{0, 10, 14, 12, -1})
+	copy(r.Fall, []float64{0, 11, 13, 19, 50})
+	copy(r.Has, []uint8{0, HasRise | HasFall, HasRise | HasFall, HasRise | HasFall, 0})
 	min, max := r.MinMaxRise()
 	if min != 10 || max != 14 {
 		t.Errorf("rise min/max = %v/%v", min, max)
 	}
 	if sk := r.Skew(); sk != 8 { // fall skew 19-11 dominates
 		t.Errorf("skew=%v want 8", sk)
+	}
+	// Unmeasured slots take no part, whatever they hold.
+	if !r.Measured(HasFall) || (&Result{Has: make([]uint8, 3)}).Measured(HasRise) {
+		t.Error("Measured disagrees with the presence bits")
 	}
 }
 

@@ -147,16 +147,17 @@ func elmoreCorners(net *Net, corners []tech.Corner) []*Result {
 	limit := net.Tech.SlewLimit
 	results := make([]*Result, len(corners))
 	for k, c := range corners {
-		results[k] = newResult(c)
+		results[k] = NewResult(c, net.Slots)
 	}
 	elmoreStages(net, corners, func(s *Stage, k int, base float64, d []float64) {
 		res := results[k]
-		key := s.Key()
+		key := net.StageSlot(s)
 		for _, m := range s.Sinks {
 			t := base + d[m.Node]
 			res.Rise[m.Slot] = t
 			res.Fall[m.Slot] = t
 			res.SinkSlew[m.Slot] = ln9 * d[m.Node]
+			res.Has[m.Slot] = HasRise | HasFall
 		}
 		for i := range d {
 			slew := ln9 * d[i]
@@ -178,7 +179,7 @@ func elmoreCorners(net *Net, corners []tech.Corner) []*Result {
 // the composite sweep judges a candidate by: the latest sink arrival (the
 // max of Result.MinMaxRise, 0 without sinks) and SlewViol. It runs the
 // same recurrence as Elmore.Evaluate, bit for bit, without building the
-// per-sink maps.
+// per-slot results.
 func ElmoreWorst(net *Net, corner tech.Corner) (worst float64, slewViol int) {
 	limit := net.Tech.SlewLimit
 	first := true
@@ -249,7 +250,7 @@ func twoPoleCorners(net *Net, corners []tech.Corner) []*Result {
 	results := make([]*Result, K)
 	arrivals := make([][]float64, K)
 	for k, c := range corners {
-		results[k] = newResult(c)
+		results[k] = NewResult(c, net.Slots)
 		arrivals[k] = make([]float64, len(net.Stages))
 	}
 	rd := make([]float64, K)
@@ -266,7 +267,7 @@ func twoPoleCorners(net *Net, corners []tech.Corner) []*Result {
 		ks2.b = growFloats(ks2.b, K*n)
 		m1, m2 := ks2.a, ks2.b
 		stageMomentsBatchInto(s, rd, rs, cs, ks.a, ks.b, m1, m2)
-		key := s.Key()
+		key := net.StageSlot(s)
 		for k := range corners {
 			m1k := m1[k*n : (k+1)*n]
 			m2k := m2[k*n : (k+1)*n]
@@ -281,6 +282,7 @@ func twoPoleCorners(net *Net, corners []tech.Corner) []*Result {
 				res.Rise[m.Slot] = t
 				res.Fall[m.Slot] = t
 				res.SinkSlew[m.Slot] = slewFromMoments(m1k[m.Node], m2k[m.Node])
+				res.Has[m.Slot] = HasRise | HasFall
 			}
 			for i := range m1k {
 				slew := slewFromMoments(m1k[i], m2k[i])
@@ -299,17 +301,6 @@ func twoPoleCorners(net *Net, corners []tech.Corner) []*Result {
 	kernelPool.Put(ks)
 	kernelPool.Put(ks2)
 	return results
-}
-
-// newResult allocates an empty Result for one corner.
-func newResult(c tech.Corner) *Result {
-	return &Result{
-		Corner:    c,
-		Rise:      make(map[int]float64),
-		Fall:      make(map[int]float64),
-		SinkSlew:  make(map[int]float64),
-		StageSlew: make(map[int]float64),
-	}
 }
 
 var (

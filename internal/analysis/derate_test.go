@@ -38,6 +38,7 @@ func TestDerateUnityBitIdentical(t *testing.T) {
 func TestDerateSlowsNetwork(t *testing.T) {
 	tk := tech.Default45()
 	tr := ctree.NewTree(singleWire(tk))
+	sinks := tr.Arena().Sinks()
 	base := tech.Corner{Name: "base", Vdd: 1.2}
 	for _, ev := range []Evaluator{&Elmore{}, &TwoPole{}} {
 		b, err := ev.Evaluate(tr, base)
@@ -53,8 +54,8 @@ func TestDerateSlowsNetwork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id, v := range d.Rise {
-				if v <= b.Rise[id] {
+			for _, id := range sinks {
+				if v := d.Rise[id]; v <= b.Rise[id] {
 					t.Errorf("%s/%s: sink %d not slower: %v <= %v", ev.Name(), derated.Name, id, v, b.Rise[id])
 				}
 			}
@@ -64,8 +65,8 @@ func TestDerateSlowsNetwork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id, v := range f.Rise {
-			if v >= b.Rise[id] {
+		for _, id := range sinks {
+			if f.Rise[id] >= b.Rise[id] {
 				t.Errorf("%s: fast derate not faster at sink %d", ev.Name(), id)
 			}
 		}

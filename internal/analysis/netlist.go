@@ -88,6 +88,19 @@ type Net struct {
 	Tech    *tech.Tech
 	SourceR float64  // clock source output resistance, kΩ
 	Stages  []*Stage // topologically ordered, Stages[0] is the source stage
+	// Slots is the extracted arena's slot count, the length of every
+	// Result slice; Root is its root slot, where results put the source
+	// stage's StageSlew.
+	Slots, Root int
+}
+
+// StageSlot returns the slot a Result's StageSlew keeps stage s under:
+// its driver's, or the root's for the source stage.
+func (net *Net) StageSlot(s *Stage) int {
+	if s.Driver < 0 {
+		return net.Root
+	}
+	return s.Driver
 }
 
 // Extract re-extracts net from the arena a, subdividing wires into
@@ -100,6 +113,7 @@ func (net *Net) Extract(a *ctree.Arena, maxSeg float64) error {
 		maxSeg = DefaultMaxSeg
 	}
 	net.Tech, net.SourceR = a.Tech, a.SourceR
+	net.Slots, net.Root = a.Len(), int(a.Root())
 	net.Stages = net.Stages[:0]
 	b := stageBuilder{net: net, a: a, maxSeg: maxSeg}
 	root := a.Root()

@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
+	"contango/internal/dme"
 	"contango/internal/geom"
 )
 
@@ -104,6 +108,50 @@ func TestTIPoolAndSampling(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Error("different seeds should differ")
+	}
+}
+
+// fprintfWrite is Write as it was first written, with fmt's %g; the
+// content hash is pinned to its bytes.
+func fprintfWrite(w io.Writer, b *Benchmark) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# contango benchmark\nname %s\n", b.Name)
+	fmt.Fprintf(bw, "die %g %g %g %g\n", b.Die.MinX, b.Die.MinY, b.Die.MaxX, b.Die.MaxY)
+	fmt.Fprintf(bw, "source %g %g\n", b.Source.X, b.Source.Y)
+	fmt.Fprintf(bw, "sourcer %g\n", b.SourceR)
+	fmt.Fprintf(bw, "caplimit %g\n", b.CapLimit)
+	for _, s := range b.Sinks {
+		fmt.Fprintf(bw, "sink %s %g %g %g\n", s.Name, s.Loc.X, s.Loc.Y, s.Cap)
+	}
+	for _, o := range b.Obstacles {
+		fmt.Fprintf(bw, "obstacle %s %g %g %g %g\n",
+			o.Name, o.Rect.MinX, o.Rect.MinY, o.Rect.MaxX, o.Rect.MaxY)
+	}
+	return bw.Flush()
+}
+
+// TestWriteMatchesFprintf: Write renders every benchmark byte for byte as
+// the fmt version did, odd numbers and names included.
+func TestWriteMatchesFprintf(t *testing.T) {
+	odd := &Benchmark{
+		Die:     geom.Rect{MinX: math.Copysign(0, -1), MinY: 1e-7, MaxX: 1e21, MaxY: 123456789012},
+		Source:  geom.Pt(math.Inf(1), math.NaN()),
+		SourceR: 5e-324, CapLimit: math.Inf(-1),
+		Sinks: []dme.Sink{{Name: "", Loc: geom.Pt(0.1, 1e20), Cap: 1.7976931348623157e308},
+			{Name: "név<&>", Loc: geom.Pt(-2.5, 100000), Cap: 1e-5}},
+		Obstacles: []geom.Obstacle{{Name: "o", Rect: geom.Rect{MinX: 1, MinY: 2, MaxX: 3.25, MaxY: 4e6}}},
+	}
+	for _, b := range append(ISPD09Suite(), odd, NewTIPool().Sample(500, 3)) {
+		var got, want bytes.Buffer
+		if err := Write(&got, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := fprintfWrite(&want, b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: Write differs from the fmt rendering", b.Name)
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package bench
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"contango/internal/dme"
 	"contango/internal/geom"
@@ -25,18 +27,51 @@ import (
 // Lines starting with '#' are comments. All coordinates are µm. An empty
 // name is written as a bare "name" line.
 func Write(w io.Writer, b *Benchmark) error {
+	// Numbers render as fmt's %g does (strconv's shortest 'g' form); the
+	// text is built with appends, one line at a time, because the hash
+	// and the result envelope write every sink.
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# contango benchmark\nname %s\n", b.Name)
-	fmt.Fprintf(bw, "die %g %g %g %g\n", b.Die.MinX, b.Die.MinY, b.Die.MaxX, b.Die.MaxY)
-	fmt.Fprintf(bw, "source %g %g\n", b.Source.X, b.Source.Y)
-	fmt.Fprintf(bw, "sourcer %g\n", b.SourceR)
-	fmt.Fprintf(bw, "caplimit %g\n", b.CapLimit)
+	line := make([]byte, 0, 128)
+	num := func(v float64) {
+		line = append(line, ' ')
+		line = strconv.AppendFloat(line, v, 'g', -1, 64)
+	}
+	flush := func() {
+		line = append(line, '\n')
+		bw.Write(line)
+		line = line[:0]
+	}
+	bw.WriteString("# contango benchmark\nname ")
+	bw.WriteString(b.Name)
+	bw.WriteString("\ndie")
+	num(b.Die.MinX)
+	num(b.Die.MinY)
+	num(b.Die.MaxX)
+	num(b.Die.MaxY)
+	line = append(line, "\nsource"...)
+	num(b.Source.X)
+	num(b.Source.Y)
+	line = append(line, "\nsourcer"...)
+	num(b.SourceR)
+	line = append(line, "\ncaplimit"...)
+	num(b.CapLimit)
+	flush()
 	for _, s := range b.Sinks {
-		fmt.Fprintf(bw, "sink %s %g %g %g\n", s.Name, s.Loc.X, s.Loc.Y, s.Cap)
+		line = append(line, "sink "...)
+		line = append(line, s.Name...)
+		num(s.Loc.X)
+		num(s.Loc.Y)
+		num(s.Cap)
+		flush()
 	}
 	for _, o := range b.Obstacles {
-		fmt.Fprintf(bw, "obstacle %s %g %g %g %g\n",
-			o.Name, o.Rect.MinX, o.Rect.MinY, o.Rect.MaxX, o.Rect.MaxY)
+		line = append(line, "obstacle "...)
+		line = append(line, o.Name...)
+		num(o.Rect.MinX)
+		num(o.Rect.MinY)
+		num(o.Rect.MaxX)
+		num(o.Rect.MaxY)
+		flush()
 	}
 	return bw.Flush()
 }
@@ -45,40 +80,41 @@ func Write(w io.Writer, b *Benchmark) error {
 func Read(r io.Reader) (*Benchmark, error) {
 	b := &Benchmark{SourceR: 0.1}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc.Buffer(make([]byte, 64*1024), 64*1024*1024)
 	lineNo := 0
+	var fieldBuf [8][]byte
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			// Scale-generated files carry a "# sinks n" hint so the sink
 			// slice can be sized once instead of doubling its way up.
-			if f := strings.Fields(line); len(f) == 3 && f[0] == "#" && f[1] == "sinks" {
-				if n, err := strconv.Atoi(f[2]); err == nil && n > 0 && n <= 4<<20 && b.Sinks == nil {
+			if f := fields(fieldBuf[:0], line); len(f) == 3 && string(f[0]) == "#" && string(f[1]) == "sinks" {
+				if n, err := strconv.Atoi(string(f[2])); err == nil && n > 0 && n <= 4<<20 && b.Sinks == nil {
 					b.Sinks = make([]dme.Sink, 0, n)
 				}
 			}
 			continue
 		}
-		f := strings.Fields(line)
+		f := fields(fieldBuf[:0], line)
 		bad := func(why string) error {
 			return fmt.Errorf("bench: line %d: %s: %q", lineNo, why, line)
 		}
-		num := func(s string) (float64, error) {
-			v, err := strconv.ParseFloat(s, 64)
+		num := func(s []byte) (float64, error) {
+			v, err := strconv.ParseFloat(string(s), 64)
 			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
 				err = fmt.Errorf("non-finite number %q", s)
 			}
 			return v, err
 		}
-		switch f[0] {
+		switch string(f[0]) {
 		case "name":
 			if len(f) > 2 {
 				return nil, bad("name takes at most 1 argument")
 			}
 			b.Name = ""
 			if len(f) == 2 {
-				b.Name = f[1]
+				b.Name = string(f[1])
 			}
 		case "die":
 			if len(f) != 5 {
@@ -131,7 +167,7 @@ func Read(r io.Reader) (*Benchmark, error) {
 			if err1 != nil || err2 != nil || err3 != nil || c < 0 {
 				return nil, bad("bad sink fields")
 			}
-			b.Sinks = append(b.Sinks, dme.Sink{Name: f[1], Loc: geom.Pt(x, y), Cap: c})
+			b.Sinks = append(b.Sinks, dme.Sink{Name: string(f[1]), Loc: geom.Pt(x, y), Cap: c})
 		case "obstacle":
 			if len(f) != 6 {
 				return nil, bad("obstacle needs name and 4 coordinates")
@@ -145,7 +181,7 @@ func Read(r io.Reader) (*Benchmark, error) {
 				v[i] = x
 			}
 			b.Obstacles = append(b.Obstacles, geom.Obstacle{
-				Name: f[1], Rect: geom.NewRect(v[0], v[1], v[2], v[3]),
+				Name: string(f[1]), Rect: geom.NewRect(v[0], v[1], v[2], v[3]),
 			})
 		default:
 			return nil, bad("unknown directive")
@@ -161,4 +197,37 @@ func Read(r io.Reader) (*Benchmark, error) {
 		return nil, fmt.Errorf("bench: missing or empty die")
 	}
 	return b, nil
+}
+
+// fields splits line around runs of white space exactly as strings.Fields
+// does, appending views of line to dst. A line with a non-ASCII byte goes
+// through strings.Fields itself, for its Unicode white space.
+func fields(dst [][]byte, line []byte) [][]byte {
+	for _, c := range line {
+		if c >= utf8.RuneSelf {
+			for _, f := range strings.Fields(string(line)) {
+				dst = append(dst, []byte(f))
+			}
+			return dst
+		}
+	}
+	for i := 0; i < len(line); {
+		for i < len(line) && asciiSpace(line[i]) {
+			i++
+		}
+		j := i
+		for j < len(line) && !asciiSpace(line[j]) {
+			j++
+		}
+		if j > i {
+			dst = append(dst, line[i:j])
+		}
+		i = j
+	}
+	return dst
+}
+
+// asciiSpace reports the ASCII bytes unicode.IsSpace accepts.
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }

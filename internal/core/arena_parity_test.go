@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -59,11 +60,15 @@ func TestArenaDirtyJournalParityRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		b := randomBench(seed, 60)
 		arn := dme.BuildZSTArena(tk, b.Source, b.Sinks, dme.Options{})
-		decoded, err := decodeTree(encodeTree(arn))
+		var env bytes.Buffer
+		if err := EncodeResult(&env, &Result{Tree: ctree.NewTree(arn)}); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeResult(&env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec := decoded.Arena()
+		dec := decoded.Tree.Arena()
 		if arn.Len() != dec.Len() || ctreetest.Digest(arn) != ctreetest.Digest(dec) {
 			t.Fatalf("seed %d: decoded arena differs from the built one", seed)
 		}

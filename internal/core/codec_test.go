@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -293,22 +294,42 @@ func TestDecodeResultRejectsSeedCorpus(t *testing.T) {
 
 // FuzzDecodeResult feeds arbitrary bytes to DecodeResult, whose arena
 // decoder and Arena.Validate are the structural check on every tree that
-// arrives from outside. It must never panic, and an envelope it accepts must encode to
-// a fixed point: decoding the re-encoded bytes and encoding again gives
-// the same bytes. The seed corpus (testdata/fuzz/FuzzDecodeResult) holds
-// the envelope of TestResultCodecRoundTrip, the unnamed-benchmark envelope
-// of TestResultCodecUnnamedBench, every damaged case of
-// TestDecodeResultRejectsDamage, and the node-table damage the arena
-// decoder rejects (TestDecodeResultRejectsSeedCorpus).
+// arrives from outside. It must never panic, and an envelope it accepts
+// must be one the reflection oracle (codec_oracle_test.go) accepts too,
+// decoding to the same arena and result, and must encode to a fixed point:
+// its encoding is byte for byte the oracle's encoding of the oracle's
+// result, and decoding and encoding that again gives the same bytes. The
+// seed corpus (testdata/fuzz/FuzzDecodeResult) holds the envelope of
+// TestResultCodecRoundTrip, the unnamed-benchmark envelope of
+// TestResultCodecUnnamedBench, every damaged case of
+// TestDecodeResultRejectsDamage, the node-table damage the arena decoder
+// rejects (TestDecodeResultRejectsSeedCorpus) and the encoder corners of
+// craftedResult (escaped names, -0 and extreme floats, dead slots).
 func FuzzDecodeResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResult(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var first bytes.Buffer
+		want, err := oracleDecodeResult(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("accepted an envelope the oracle rejects: %v", err)
+		}
+		if (res.Tree == nil) != (want.Tree == nil) {
+			t.Fatal("tree presence differs from the oracle's")
+		}
+		if res.Tree != nil {
+			ctreetest.RequireSameArena(t, "decoded arena", res.Tree.Arena(), want.Tree.Arena())
+		}
+		var first, oracle bytes.Buffer
 		if err := EncodeResult(&first, res); err != nil {
 			t.Fatalf("accepted envelope does not re-encode: %v", err)
+		}
+		if err := oracleEncodeResult(&oracle, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), oracle.Bytes()) {
+			t.Fatalf("re-encoding differs from the oracle's:\n%s\n%s", first.Bytes(), oracle.Bytes())
 		}
 		again, err := DecodeResult(bytes.NewReader(first.Bytes()))
 		if err != nil {
@@ -322,4 +343,150 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatalf("re-encoding is not byte-stable:\n%s\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// craftedResult is synthTiny's result edited into the encoder's corner
+// cases: arena names with <, &, U+2028 and invalid UTF-8, a -0 snake, a
+// 1e-7 sink cap and a 1e21 snake (both written in 'e' notation), a 1e-6
+// sink cap and a 1e20 snake (the last ones written plainly), and dead
+// slots. It still validates.
+func craftedResult(t *testing.T) *Result {
+	t.Helper()
+	res := synthTiny(t)
+	a := res.Tree.Arena()
+	sinks := a.Sinks()
+	if len(sinks) < 6 {
+		t.Fatal("fixture has too few sinks")
+	}
+	a.Name[sinks[0]] = "a<b>&c"
+	a.Name[sinks[1]] = "line\u2028para\u2029end"
+	a.Name[sinks[2]] = "bad\xffutf8\x01\"q\"\\"
+	a.SinkCap[sinks[3]] = 1e-7
+	a.SinkCap[sinks[4]] = 1e-6
+	a.Snake[sinks[0]] = math.Copysign(0, -1)
+	a.Snake[sinks[1]] = 1e21
+	a.Snake[sinks[2]] = 1e20
+	a.DeleteSubtree(sinks[5])
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestEncodeResultMatchesOracle: the streaming encoder writes the
+// reflection oracle's bytes, corner cases included, and fails on a NaN
+// with the oracle's error, writing nothing.
+func TestEncodeResultMatchesOracle(t *testing.T) {
+	orphan := synthTiny(t)
+	oa := orphan.Tree.Arena()
+	s := oa.Sinks()[0]
+	oa.Detach(s)
+	oa.ReplaceRoute(s, nil) // a live slot with an empty route
+	cases := map[string]*Result{
+		"tiny":        synthTiny(t),
+		"crafted":     craftedResult(t),
+		"empty route": orphan,
+		"no tree":     {Benchmark: tinyBench(), Runs: 3},
+		"zero":        {},
+	}
+	for name, r := range cases {
+		var got, want bytes.Buffer
+		if err := EncodeResult(&got, r); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := oracleEncodeResult(&want, r); err != nil {
+			t.Fatalf("%s: oracle: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: encoding differs from the oracle's:\n%s\n%s", name, got.Bytes(), want.Bytes())
+		}
+	}
+
+	for name, edit := range map[string]func(a *ctree.Arena){
+		"NaN loc":       func(a *ctree.Arena) { a.Loc[a.Sinks()[0]].X = math.NaN() },
+		"Inf sink cap":  func(a *ctree.Arena) { a.SinkCap[a.Sinks()[0]] = math.Inf(1) },
+		"-Inf source R": func(a *ctree.Arena) { a.SourceR = math.Inf(-1) },
+	} {
+		r := synthTiny(t)
+		edit(r.Tree.Arena())
+		var got, want bytes.Buffer
+		gerr := EncodeResult(&got, r)
+		werr := oracleEncodeResult(&want, r)
+		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+			t.Errorf("%s: error %v, oracle's %v", name, gerr, werr)
+		}
+		if got.Len() != 0 {
+			t.Errorf("%s: a failed encode wrote %d bytes", name, got.Len())
+		}
+	}
+}
+
+// TestJSONAppendersMatchEncodingJSON: the float and string appenders
+// render exactly what encoding/json does around the format switches.
+func TestJSONAppendersMatchEncodingJSON(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, -1.5, 1e-7, 1e-6, 9.99999e-7, 1e20, 1e21, -1e21,
+		1.7976931348623157e308, 5e-324, 123456789.125, 1e-10, 2.5e-300}
+	for _, f := range floats {
+		want, _ := json.Marshal(f)
+		if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
+			t.Errorf("%v: %s, encoding/json %s", f, got, want)
+		}
+	}
+	strs := []string{"", "plain", "a<b>&c", "q\"b\\", "\b\f\n\r\t\x00\x1f\x7f", "\u2028\u2029",
+		"bad\xff\xfe", "\xe2\x80", "日本語", "\U0001F600", "/"}
+	for _, s := range strs {
+		want, _ := json.Marshal(s)
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("%q: %s, encoding/json %s", s, got, want)
+		}
+	}
+}
+
+// TestDecodeResultStricterThanOracle: inputs the oracle takes but the
+// streaming decoder refuses on purpose, and inputs both take the same way.
+func TestDecodeResultStricterThanOracle(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeResult(&buf, synthTiny(t)); err != nil {
+		t.Fatal(err)
+	}
+	env := buf.String()
+	refused := map[string]string{
+		"unknown field":   strings.Replace(env, `{"version":1,`, `{"version":1,"extra":0,`, 1),
+		"repeated field":  strings.Replace(env, `{"version":1,`, `{"version":1,"version":1,`, 1),
+		"folded key":      strings.Replace(env, `"kind":1`, `"Kind":1`, 1),
+		"raw bad UTF-8":   strings.Replace(env, `"name":"a"`, "\"name\":\"\xff\"", 1),
+		"long number":     strings.Replace(env, `"parent":-1`, `"parent":-1,"snake":0.`+strings.Repeat("0", 80)+`1`, 1),
+		"repeated in loc": strings.Replace(env, `"loc":{"X":`, `"loc":{"X":0,"X":`, 1),
+	}
+	for name, text := range refused {
+		if text == env {
+			t.Fatalf("%s: fixture edit did not apply", name)
+		}
+		if _, err := oracleDecodeResult(strings.NewReader(text)); err != nil {
+			t.Fatalf("%s: the oracle refuses it too (%v); the case shows nothing", name, err)
+		}
+		if _, err := DecodeResult(strings.NewReader(text)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// Whitespace, member order, escapes in keys and trailing bytes are
+	// taken as the oracle takes them.
+	moved := strings.Replace(env, `{"version":1,`, `{`, 1)
+	same := map[string]string{
+		"spaced":   strings.ReplaceAll(env, `,"`, " ,\n\t\""),
+		"reorder":  strings.TrimSuffix(moved, "}\n") + `,"version":1}`,
+		"escaped":  strings.Replace(env, `"kind":`, `"\u006bind":`, -1),
+		"trailing": env + "garbage",
+	}
+	for name, text := range same {
+		got, err := DecodeResult(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := oracleDecodeResult(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", name, err)
+		}
+		ctreetest.RequireSameArena(t, name, got.Tree.Arena(), want.Tree.Arena())
+	}
 }

@@ -222,8 +222,27 @@ func (a *Arena) BufferCap() float64 {
 
 // TotalCap is the capacitance charged against the benchmark's limit: wire
 // plus buffers. Sink pin capacitance is part of the design, not the clock
-// network, and is excluded (as in the contest).
-func (a *Arena) TotalCap() float64 { return a.WireCap() + a.BufferCap() }
+// network, and is excluded (as in the contest). It equals
+// WireCap() + BufferCap() bit for bit: one iterative pre-order walk keeps
+// both sums, each in pre-order.
+func (a *Arena) TotalCap() float64 {
+	var wire, buf float64
+	stack := make([]int32, 1, 64)
+	stack[0] = a.root
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		wire += a.EdgeCap(i)
+		if a.BufN[i] > 0 {
+			buf += tech.Composite{Type: a.BufType[i], N: int(a.BufN[i])}.CapCost()
+		}
+		kids := a.Children(i)
+		for k := len(kids) - 1; k >= 0; k-- {
+			stack = append(stack, kids[k])
+		}
+	}
+	return wire + buf
+}
 
 // LoadCap returns the capacitance (fF) a driver sees looking into slot i's
 // parent edge: the edge's wire capacitance plus i's load. Buffer inputs

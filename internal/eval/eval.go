@@ -73,13 +73,17 @@ type CornerStat struct {
 	Weight   float64 `json:",omitempty"`
 }
 
-// minMax returns the least and greatest sink latency of one corner result
-// over both launch edges.
-func minMax(r *analysis.Result) (min, max float64) {
-	minR, maxR := r.MinMaxRise()
-	minF, maxF := r.MinMaxFall()
-	return math.Min(minR, minF), math.Max(maxR, maxF)
+// latencies is one corner result's extreme sink arrivals per launch edge,
+// gathered in one pass over the result.
+type latencies struct{ rmin, rmax, fmin, fmax float64 }
+
+// minMax returns the least and greatest sink latency over both launch
+// edges.
+func (l latencies) minMax() (min, max float64) {
+	return math.Min(l.rmin, l.fmin), math.Max(l.rmax, l.fmax)
 }
+
+func (l latencies) skew() float64 { return analysis.SkewOf(l.rmin, l.rmax, l.fmin, l.fmax) }
 
 // FromResults computes metrics for the tree a from per-corner results
 // aligned with the corner set (results[i] evaluated at set.Corners[i]). Corner roles come
@@ -106,11 +110,15 @@ func FromResults(a *ctree.Arena, set *corners.Set, results []*analysis.Result, c
 			return m, fmt.Errorf("eval: nil result for corner %q", set.Corners[i].Name)
 		}
 	}
-	ref := results[set.Ref]
-	worst := results[set.Worst]
-	m.Skew = ref.Skew()
-	refMin, refMax := minMax(ref)
-	_, worstMax := minMax(worst)
+	lats := make([]latencies, len(results))
+	for i, r := range results {
+		l := &lats[i]
+		l.rmin, l.rmax, l.fmin, l.fmax = r.Extremes()
+	}
+	ref := lats[set.Ref]
+	m.Skew = ref.skew()
+	refMin, refMax := ref.minMax()
+	_, worstMax := lats[set.Worst].minMax()
 	m.MaxLatency = refMax
 	m.CLR = worstMax - refMin
 	globalMin, globalMax := math.Inf(1), math.Inf(-1)
@@ -121,10 +129,10 @@ func FromResults(a *ctree.Arena, set *corners.Set, results []*analysis.Result, c
 		}
 		m.SlewViol += r.SlewViol
 		c := set.Corners[i]
-		lo, hi := minMax(r)
+		lo, hi := lats[i].minMax()
 		m.PerCorner[i] = CornerStat{
 			Name: c.Name, Vdd: c.Vdd,
-			MinLat: lo, MaxLat: hi, Skew: r.Skew(),
+			MinLat: lo, MaxLat: hi, Skew: lats[i].skew(),
 			MaxSlew: r.MaxSlew, SlewViol: r.SlewViol,
 			Weight: c.Weight,
 		}
@@ -138,21 +146,21 @@ func FromResults(a *ctree.Arena, set *corners.Set, results []*analysis.Result, c
 	}
 	m.CLRSpread = globalMax - globalMin
 	if set.MC {
-		m.mcStats(set, results, capLimit)
+		m.mcStats(set, results, lats, capLimit)
 	}
 	return m, nil
 }
 
 // mcStats fills the Monte Carlo yield and quantile fields from the
 // per-sample results, honoring per-corner weights.
-func (m *Metrics) mcStats(set *corners.Set, results []*analysis.Result, capLimit float64) {
+func (m *Metrics) mcStats(set *corners.Set, results []*analysis.Result, lats []latencies, capLimit float64) {
 	type sample struct{ lat, w float64 }
 	samples := make([]sample, 0, len(results))
 	var totalW, passW float64
 	capOK := capLimit <= 0 || m.TotalCap <= capLimit
 	for i, r := range results {
 		w := set.Corners[i].W()
-		_, hi := minMax(r)
+		_, hi := lats[i].minMax()
 		samples = append(samples, sample{lat: hi, w: w})
 		totalW += w
 		if r.SlewViol == 0 && capOK {

@@ -19,19 +19,28 @@ func twoSinkTree(tk *tech.Tech) (*ctree.Arena, int, int) {
 	return tr, int(a), int(b)
 }
 
+// sinkResult builds a result over tr's slots holding the given rising and
+// falling sink arrivals.
+func sinkResult(tr *ctree.Arena, rise, fall map[int]float64) *analysis.Result {
+	r := analysis.NewResult(tech.Corner{}, tr.Len())
+	for id, v := range rise {
+		r.Rise[id] = v
+		r.Has[id] |= analysis.HasRise
+	}
+	for id, v := range fall {
+		r.Fall[id] = v
+		r.Has[id] |= analysis.HasFall
+	}
+	return r
+}
+
 func TestFromResults(t *testing.T) {
 	tk := tech.Default45()
 	tr, a, b := twoSinkTree(tk)
-	fast := &analysis.Result{
-		Rise:    map[int]float64{a: 100, b: 104},
-		Fall:    map[int]float64{a: 101, b: 103},
-		MaxSlew: 60,
-	}
-	slow := &analysis.Result{
-		Rise:    map[int]float64{a: 130, b: 140},
-		Fall:    map[int]float64{a: 131, b: 138},
-		MaxSlew: 80,
-	}
+	fast := sinkResult(tr, map[int]float64{a: 100, b: 104}, map[int]float64{a: 101, b: 103})
+	fast.MaxSlew = 60
+	slow := sinkResult(tr, map[int]float64{a: 130, b: 140}, map[int]float64{a: 131, b: 138})
+	slow.MaxSlew = 80
 	m, err := FromResults(tr, corners.FromTech(tk), []*analysis.Result{fast, slow}, 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +84,7 @@ func TestFromResults(t *testing.T) {
 func TestFromResultsSingleCorner(t *testing.T) {
 	tk := tech.Default45()
 	tr, a, b := twoSinkTree(tk)
-	only := &analysis.Result{
-		Rise: map[int]float64{a: 100, b: 110},
-		Fall: map[int]float64{a: 100, b: 110},
-	}
+	only := sinkResult(tr, map[int]float64{a: 100, b: 110}, map[int]float64{a: 100, b: 110})
 	set := &corners.Set{Spec: "one", Corners: []tech.Corner{{Name: "tt@1.1V", Vdd: 1.1}}}
 	m, err := FromResults(tr, set, []*analysis.Result{only}, 0)
 	if err != nil {
@@ -98,10 +104,7 @@ func TestFromResultsManyCorners(t *testing.T) {
 	tk := tech.Default45()
 	tr, a, b := twoSinkTree(tk)
 	mk := func(lo, hi float64) *analysis.Result {
-		return &analysis.Result{
-			Rise: map[int]float64{a: lo, b: hi},
-			Fall: map[int]float64{a: lo, b: hi},
-		}
+		return sinkResult(tr, map[int]float64{a: lo, b: hi}, map[int]float64{a: lo, b: hi})
 	}
 	// The fastest corner sits in the middle, the slowest first: positional
 	// indexing would compute garbage here.
@@ -146,7 +149,7 @@ func TestFromResultsEmpty(t *testing.T) {
 	if _, err := FromResults(tr, nil, nil, 0); err == nil {
 		t.Error("nil set must error")
 	}
-	one := &analysis.Result{Rise: map[int]float64{1: 1}, Fall: map[int]float64{1: 1}}
+	one := sinkResult(tr, map[int]float64{1: 1}, map[int]float64{1: 1})
 	if _, err := FromResults(tr, set, []*analysis.Result{one}, 0); err == nil {
 		t.Error("fewer results than corners must error")
 	}
@@ -167,11 +170,9 @@ func TestFromResultsMCYield(t *testing.T) {
 	tk := tech.Default45()
 	tr, a, b := twoSinkTree(tk)
 	mk := func(hi float64, viol int) *analysis.Result {
-		return &analysis.Result{
-			Rise:     map[int]float64{a: hi - 5, b: hi},
-			Fall:     map[int]float64{a: hi - 5, b: hi},
-			SlewViol: viol,
-		}
+		r := sinkResult(tr, map[int]float64{a: hi - 5, b: hi}, map[int]float64{a: hi - 5, b: hi})
+		r.SlewViol = viol
+		return r
 	}
 	set := &corners.Set{
 		Spec: "mc:4:1",

@@ -198,7 +198,7 @@ func SkewBufferSizing(cx *Context) error {
 	limit := a.Tech.SlewLimit
 	return cx.improveLoop("sbsz", MinSkew, func(res []*analysis.Result) bool {
 		slk := slack.Compute(a, res)
-		stageSlew := worstStageSlew(res)
+		stageSlew := worstStageSlew(a, res)
 		changed := 0
 		topDown(a, func(n int32, used float64) float64 {
 			if a.Kind[n] != ctree.Buffer {

@@ -234,12 +234,13 @@ func topDown(a *ctree.Arena, visit func(n int32, used float64) float64) {
 	}
 }
 
-// worstStageSlew maps each stage driver to the worst slew inside its stage
-// over every corner's result.
-func worstStageSlew(res []*analysis.Result) map[int]float64 {
-	out := map[int]float64{}
+// worstStageSlew returns, per stage driver slot of a (the root for the
+// source stage), the worst slew inside its stage over every corner's
+// result.
+func worstStageSlew(a *ctree.Arena, res []*analysis.Result) []float64 {
+	out := make([]float64, a.Len())
 	for _, r := range res {
-		for id, v := range r.StageSlew {
+		for id, v := range r.StageSlew[:min(len(r.StageSlew), len(out))] {
 			if v > out[id] {
 				out[id] = v
 			}

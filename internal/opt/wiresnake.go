@@ -93,7 +93,7 @@ func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, lwn, safety float
 	// Per-stage measured slews (worst over corners): snake on an edge only
 	// degrades the slews of its own stage, so each stage's remaining
 	// headroom bounds how much snake its edges can absorb this round.
-	stageSlew := worstStageSlew(res)
+	stageSlew := worstStageSlew(a, res)
 	// Analytic slew impact of snaking edge n by x µm, at the slow corner:
 	//   Δslew ≈ 2.2·[Rd·c·x + r·x·(c·x/2 + Cdown)]
 	// — the stage driver charging the extra capacitance plus the snake's
@@ -101,23 +101,24 @@ func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, lwn, safety float
 	// the quadratic gives the largest snake the remaining stage headroom
 	// allows; headroom is consumed as edges of the same stage are snaked.
 	slowV := tk.Worst().Vdd
-	driverR := func(driverID int) float64 {
-		if driverID < 0 {
+	root := a.Root()
+	driverR := func(driverID int32) float64 {
+		if driverID == root {
 			return a.SourceR * (tk.VddRef - tk.Vt) / (slowV - tk.Vt)
 		}
-		buf, ok := a.Buf(int32(driverID))
+		buf, ok := a.Buf(driverID)
 		if !ok {
 			return 1
 		}
 		return tk.RoutAt(buf, slowV)
 	}
-	slewCost := func(n int32, driverID int, x float64) float64 {
+	slewCost := func(n int32, driverID int32, x float64) float64 {
 		w := tk.Wires[a.WidthIdx[n]]
 		rd := driverR(driverID)
 		cdown := a.LoadCap(n)
 		return 2.2 * (rd*w.CPerUm*x + w.RPerUm*x*(w.CPerUm*x/2+cdown))
 	}
-	slewRoomLen := func(n int32, driverID int, room float64) float64 {
+	slewRoomLen := func(n int32, driverID int32, room float64) float64 {
 		if room <= 0 {
 			return 0
 		}
@@ -130,20 +131,21 @@ func snakeBudgetPass(cx *Context, res []*analysis.Result, twn, lwn, safety float
 		return (-bq + math.Sqrt(bq*bq+4*qa*c0)) / (2 * qa)
 	}
 	changed := 0
-	// driverOf maps every slot to its stage driver (-1 = source).
-	driverOf := make([]int, a.Len())
-	var mark func(n int32, drv int)
-	mark = func(n int32, drv int) {
+	// driverOf maps every slot to its stage driver (the root for the
+	// source's stage).
+	driverOf := make([]int32, a.Len())
+	var mark func(n, drv int32)
+	mark = func(n, drv int32) {
 		driverOf[n] = drv
 		next := drv
 		if a.Kind[n] == ctree.Buffer {
-			next = int(n)
+			next = n
 		}
 		for _, c := range a.Children(n) {
 			mark(c, next)
 		}
 	}
-	mark(a.Root(), -1)
+	mark(root, root)
 	topDown(a, func(n int32, used float64) float64 {
 		if onlySinkEdges && a.Kind[n] != ctree.Sink {
 			return used

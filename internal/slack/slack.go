@@ -18,41 +18,48 @@ import (
 
 // Slacks holds the slow-down slacks of a tree for one set of measurements.
 type Slacks struct {
-	// EdgeSlow is keyed by arena slot; the parent edge of slot n is keyed
-	// by n. A sink's entry is its own slack Tmax − Ts
-	// (Definition 1); any other edge's is the least over the sinks below it
-	// (Definition 2 via Lemma 1). Both are minimized over transitions and
-	// corners.
-	EdgeSlow map[int]float64
+	// EdgeSlow is indexed by arena slot; the parent edge of slot n is at
+	// n. A sink's entry is its own slack Tmax − Ts (Definition 1); any
+	// other edge's is the least over the sinks below it (Definition 2 via
+	// Lemma 1). Both are minimized over transitions and corners. Slots the
+	// tree does not reach read 0.
+	EdgeSlow []float64
 	// scale is the largest finite EdgeSlow, Gradient's green end.
 	scale float64
 }
 
 // Compute derives the slacks of the tree a from one or more evaluation
 // results (one per corner). Each result contributes rising and falling latencies; the
-// conservative minimum over all of them is kept per sink and per edge.
+// conservative minimum over all of them is kept per sink and per edge. A
+// result without any rising (falling) arrival contributes no rising
+// (falling) latencies, and a sink without an arrival reads latency 0.
 func Compute(a *ctree.Arena, results []*analysis.Result) *Slacks {
-	s := &Slacks{EdgeSlow: map[int]float64{}}
-	var views []map[int]float64
-	for _, r := range results {
-		if len(r.Rise) > 0 {
-			views = append(views, r.Rise)
-		}
-		if len(r.Fall) > 0 {
-			views = append(views, r.Fall)
-		}
-	}
+	s := &Slacks{EdgeSlow: make([]float64, a.Len())}
 	sinks := a.Sinks()
 	for _, sk := range sinks {
-		s.EdgeSlow[int(sk)] = math.Inf(1)
+		s.EdgeSlow[sk] = math.Inf(1)
 	}
-	for _, lat := range views {
-		tmax := math.Inf(-1)
-		for _, sk := range sinks {
-			tmax = math.Max(tmax, lat[int(sk)])
+	at := func(lat []float64, sk int32) float64 {
+		if int(sk) < len(lat) {
+			return lat[sk]
 		}
-		for _, sk := range sinks {
-			s.EdgeSlow[int(sk)] = math.Min(s.EdgeSlow[int(sk)], tmax-lat[int(sk)])
+		return 0
+	}
+	for _, r := range results {
+		for _, view := range [2]struct {
+			lat []float64
+			bit uint8
+		}{{r.Rise, analysis.HasRise}, {r.Fall, analysis.HasFall}} {
+			if !r.Measured(view.bit) {
+				continue
+			}
+			tmax := math.Inf(-1)
+			for _, sk := range sinks {
+				tmax = math.Max(tmax, at(view.lat, sk))
+			}
+			for _, sk := range sinks {
+				s.EdgeSlow[sk] = math.Min(s.EdgeSlow[sk], tmax-at(view.lat, sk))
+			}
 		}
 	}
 	// Lemma 1: edge slack = min over downstream sinks, computable in O(n)
@@ -63,9 +70,9 @@ func Compute(a *ctree.Arena, results []*analysis.Result) *Slacks {
 		}
 		slow := math.Inf(1)
 		for _, c := range a.Children(n) {
-			slow = math.Min(slow, s.EdgeSlow[int(c)])
+			slow = math.Min(slow, s.EdgeSlow[c])
 		}
-		s.EdgeSlow[int(n)] = slow
+		s.EdgeSlow[n] = slow
 	})
 	for _, v := range s.EdgeSlow {
 		if !math.IsInf(v, 1) && v > s.scale {
@@ -80,6 +87,9 @@ func Compute(a *ctree.Arena, results []*analysis.Result) *Slacks {
 // tree (drawn green). Used to reproduce the paper's Figure 3 coloring.
 func (s *Slacks) Gradient(id int) float64 {
 	if s.scale == 0 {
+		return 0
+	}
+	if id < 0 || id >= len(s.EdgeSlow) {
 		return 0
 	}
 	v := s.EdgeSlow[id]

@@ -26,7 +26,29 @@ func buildTree(tk *tech.Tech) (*ctree.Arena, []int32) {
 }
 
 func resultWith(lat map[int]float64) *analysis.Result {
-	return &analysis.Result{Rise: lat, Fall: lat}
+	return resultOf(lat, lat)
+}
+
+// resultOf builds a result holding the given rising and falling sink
+// arrivals, sized to the largest slot named.
+func resultOf(rise, fall map[int]float64) *analysis.Result {
+	n := 0
+	for id := range rise {
+		n = max(n, id+1)
+	}
+	for id := range fall {
+		n = max(n, id+1)
+	}
+	r := analysis.NewResult(tech.Corner{}, n)
+	for id, v := range rise {
+		r.Rise[id] = v
+		r.Has[id] |= analysis.HasRise
+	}
+	for id, v := range fall {
+		r.Fall[id] = v
+		r.Has[id] |= analysis.HasFall
+	}
+	return r
 }
 
 func TestSinkSlacksDefinition1(t *testing.T) {
@@ -153,19 +175,15 @@ func TestMultiViewConservativeMerge(t *testing.T) {
 	s1, s2, s3 := ns[2], ns[3], ns[4]
 	// Rising: s1 fast. Falling: s1 slow. The merged slow-down slack of s1
 	// must be limited by the falling view.
-	r := &analysis.Result{
-		Rise: map[int]float64{int(s1): 100, int(s2): 120, int(s3): 120},
-		Fall: map[int]float64{int(s1): 125, int(s2): 120, int(s3): 120},
-	}
+	r := resultOf(map[int]float64{int(s1): 100, int(s2): 120, int(s3): 120},
+		map[int]float64{int(s1): 125, int(s2): 120, int(s3): 120})
 	s := Compute(tr, []*analysis.Result{r})
 	if got := s.EdgeSlow[int(s1)]; got != 0 {
 		t.Errorf("s1 merged slow slack=%v want 0 (falling corner limits it)", got)
 	}
 	// Two corners: the second corner further restricts.
-	r2 := &analysis.Result{
-		Rise: map[int]float64{int(s1): 110, int(s2): 110, int(s3): 112},
-		Fall: map[int]float64{int(s1): 110, int(s2): 110, int(s3): 112},
-	}
+	r2 := resultOf(map[int]float64{int(s1): 110, int(s2): 110, int(s3): 112},
+		map[int]float64{int(s1): 110, int(s2): 110, int(s3): 112})
 	s2c := Compute(tr, []*analysis.Result{r, r2})
 	if s2c.EdgeSlow[int(s3)] > 0 {
 		t.Errorf("corner 2 should zero s3's slow slack, got %v", s2c.EdgeSlow[int(s3)])

@@ -71,7 +71,7 @@ func eagerNetwork(e *Engine, net *analysis.Net, cs []tech.Corner) eagerEval {
 			addLaunch(&flat, net, chosen, rising, e.SourceSlew/2)
 			ev.ref = append(ev.ref, col)
 		}
-		ev.results = append(ev.results, flat.result(corner, keys))
+		ev.results = append(ev.results, flat.result(corner, keys, net.Slots))
 	}
 	return ev
 }

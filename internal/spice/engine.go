@@ -67,7 +67,7 @@ func (e *Engine) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*anal
 	keys := resultKeysOf(net)
 	res := make([]*analysis.Result, len(corners))
 	for i, c := range corners {
-		res[i] = outs[i].flat.result(c, keys)
+		res[i] = outs[i].flat.result(c, keys, net.Slots)
 		e.Runs++
 	}
 	return res, nil
@@ -345,22 +345,16 @@ func commitEdge(net *analysis.Net, prev map[int][]*stageEntry, chosen []*stageEn
 // flatResult is one corner's evaluation in compact form, the only form an
 // evaluation builds: per-sink arrivals and worst slews in the net's sink
 // order (stage by stage, each stage's Sinks in order) with presence bits,
-// and each stage's worst slew in stage order. result expands it into an
-// analysis.Result; the network memo stores it instead of the maps, which
-// cost several times the bytes.
+// and each stage's worst slew in stage order. result scatters it into a
+// slot-indexed analysis.Result; the network memo stores it instead, as it
+// is a fraction of the result's size.
 type flatResult struct {
 	rise, fall, slew []float64 // per sink
-	has              []uint8   // per sink: hasRise | hasFall
+	has              []uint8   // per sink: analysis.HasRise | analysis.HasFall
 	stageSlew        []float64 // per stage; 0 = no measured transition
 	maxSlew          float64
 	slewViol         int
 }
-
-// Presence bits of flatResult.has: the launch edges that reached a sink.
-const (
-	hasRise uint8 = 1 << iota
-	hasFall
-)
 
 // newFlatResult returns an empty flat result for nSinks sinks and nStages
 // stages, its float slices cut from one allocation.
@@ -386,9 +380,9 @@ func (f *flatResult) bytes() int {
 // merge into the per-sink, per-stage and overall maxima and the violation
 // count.
 func addLaunch(f *flatResult, net *analysis.Net, chosen []*stageEntry, rising bool, srcT50 float64) {
-	arrivals, bit := f.fall, hasFall
+	arrivals, bit := f.fall, analysis.HasFall
 	if rising {
-		arrivals, bit = f.rise, hasRise
+		arrivals, bit = f.rise, analysis.HasRise
 	}
 	slewLimit := net.Tech.SlewLimit
 	j := 0 // sink index in net order
@@ -424,8 +418,8 @@ func addLaunch(f *flatResult, net *analysis.Net, chosen []*stageEntry, rising bo
 	}
 }
 
-// resultKeys lists the map keys of a network's results in net order: every
-// sink's slot, stage by stage, and every stage's Key.
+// resultKeys lists the slots of a network's results in net order: every
+// sink's slot, stage by stage, and every stage's StageSlot.
 type resultKeys struct {
 	sinks, stages []int32
 }
@@ -435,7 +429,7 @@ func resultKeysOf(net *analysis.Net) resultKeys {
 	k.stages = make([]int32, len(net.Stages))
 	n := 0
 	for i, s := range net.Stages {
-		k.stages[i] = int32(s.Key())
+		k.stages[i] = int32(net.StageSlot(s))
 		n += len(s.Sinks)
 	}
 	k.sinks = make([]int32, 0, n)
@@ -447,36 +441,29 @@ func resultKeysOf(net *analysis.Net) resultKeys {
 	return k
 }
 
-// result expands f into a fresh analysis.Result for corner, keyed by keys.
-// A stage enters StageSlew only if a transition was measured in it; a sink
-// enters SinkSlew if either edge reached it.
-func (f *flatResult) result(corner tech.Corner, keys resultKeys) *analysis.Result {
-	res := &analysis.Result{
-		Corner:    corner,
-		Rise:      make(map[int]float64, len(keys.sinks)),
-		Fall:      make(map[int]float64, len(keys.sinks)),
-		SinkSlew:  make(map[int]float64, len(keys.sinks)),
-		StageSlew: make(map[int]float64, len(keys.stages)),
-		MaxSlew:   f.maxSlew,
-		SlewViol:  f.slewViol,
-	}
+// result scatters f into a fresh analysis.Result for corner over an arena
+// of slots slots, at the slots keys names. A stage's StageSlew stays 0
+// unless a transition was measured in it; a sink is present for each edge
+// that reached it.
+func (f *flatResult) result(corner tech.Corner, keys resultKeys, slots int) *analysis.Result {
+	res := analysis.NewResult(corner, slots)
+	res.MaxSlew, res.SlewViol = f.maxSlew, f.slewViol
 	for j, slot := range keys.sinks {
-		id := int(slot)
 		h := f.has[j]
-		if h&hasRise != 0 {
-			res.Rise[id] = f.rise[j]
+		if h == 0 {
+			continue
 		}
-		if h&hasFall != 0 {
-			res.Fall[id] = f.fall[j]
+		res.Has[slot] = h
+		if h&analysis.HasRise != 0 {
+			res.Rise[slot] = f.rise[j]
 		}
-		if h != 0 {
-			res.SinkSlew[id] = f.slew[j]
+		if h&analysis.HasFall != 0 {
+			res.Fall[slot] = f.fall[j]
 		}
+		res.SinkSlew[slot] = f.slew[j]
 	}
-	for i, key := range keys.stages {
-		if f.stageSlew[i] > 0 {
-			res.StageSlew[int(key)] = f.stageSlew[i]
-		}
+	for i, slot := range keys.stages {
+		res.StageSlew[slot] = f.stageSlew[i]
 	}
 	return res
 }

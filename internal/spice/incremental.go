@@ -195,7 +195,7 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 				lk := launchKey{c, rising}
 				ie.launches[lk] = promote(net, ie.chains, ie.launches[lk])
 			}
-			results[ci] = ent.flats[ci].result(c, ent.keys)
+			results[ci] = ent.flats[ci].result(c, ent.keys, net.Slots)
 			ie.Stats.StagesHit += ent.transients[ci]
 			ie.Stats.NetHits++
 			ie.Stats.Evals++
@@ -254,7 +254,7 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 		ie.Stats.Evals++
 		ent.flats[ci] = out.flat
 		ent.transients[ci] = out.simulated + out.reused
-		results[ci] = out.flat.result(c, ent.keys)
+		results[ci] = out.flat.result(c, ent.keys, net.Slots)
 	}
 	ie.memo.add(ent)
 	return results, nil

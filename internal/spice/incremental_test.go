@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"contango/internal/analysis"
@@ -78,16 +79,18 @@ func randomMove(rng *rand.Rand, tr *ctree.Tree) {
 
 func transientResultsClose(t *testing.T, a, b *analysis.Result, tol float64) {
 	t.Helper()
-	check := func(what string, ma, mb map[int]float64) {
-		if len(ma) != len(mb) {
-			t.Fatalf("%s size %d vs %d", what, len(ma), len(mb))
+	check := func(what string, va, vb []float64) {
+		if len(va) != len(vb) {
+			t.Fatalf("%s size %d vs %d", what, len(va), len(vb))
 		}
-		for id, v := range ma {
-			w, ok := mb[id]
-			if !ok || math.Abs(v-w) > tol {
+		for id, v := range va {
+			if w := vb[id]; math.Abs(v-w) > tol {
 				t.Fatalf("%s[%d] = %v vs %v", what, id, v, w)
 			}
 		}
+	}
+	if !slices.Equal(a.Has, b.Has) {
+		t.Fatal("presence bits differ")
 	}
 	check("rise", a.Rise, b.Rise)
 	check("fall", a.Fall, b.Fall)

@@ -120,7 +120,7 @@ func memoRevisits(t *testing.T) {
 	}
 }
 
-// memoFreshMaps: a hit builds fresh maps, so a caller that
+// memoFreshMaps: a hit builds fresh result slices, so a caller that
 // mutates a returned result cannot change what a later hit returns.
 func memoFreshMaps(t *testing.T) {
 	tk := tech.Default45()
@@ -134,11 +134,10 @@ func memoFreshMaps(t *testing.T) {
 		for _, r := range rs {
 			for id := range r.Rise {
 				r.Rise[id] = -1
+				r.StageSlew[id] = 0
+				r.SinkSlew[id] = 1
+				r.Has[id] = 0
 			}
-			for id := range r.StageSlew {
-				delete(r.StageSlew, id)
-			}
-			r.SinkSlew[-7] = 1
 			r.MaxSlew, r.SlewViol = -1, -1
 		}
 	}

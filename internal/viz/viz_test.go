@@ -104,16 +104,21 @@ func TestEmptyTree(t *testing.T) {
 // (the SVG endpoint colours every wire of a finished job).
 func TestSlackColoursLargeTreeFast(t *testing.T) {
 	tr := ctree.NewArena(tech.Default45(), geom.Pt(0, 0), 0.1, ctree.BuildHints{})
-	lat := map[int]float64{}
+	lat := map[int32]float64{}
 	for i := 0; i < 100; i++ {
 		mid := tr.AddChildL(tr.Root(), ctree.Internal, geom.Pt(float64(50*i), 1000))
 		for j := 0; j < 199; j++ {
 			s := tr.AddSink(mid, geom.Pt(float64(50*i+j%10), float64(1100+j)), 30, fmt.Sprintf("s%d_%d", i, j))
-			lat[int(s)] = float64((i*199 + j) % 97)
+			lat[s] = float64((i*199 + j) % 97)
 		}
 	}
 	start := time.Now()
-	slk := slack.Compute(tr, []*analysis.Result{{Rise: lat, Fall: lat}})
+	res := analysis.NewResult(tech.Corner{}, tr.Len())
+	for s, v := range lat {
+		res.Rise[s], res.Fall[s] = v, v
+		res.Has[s] = analysis.HasRise | analysis.HasFall
+	}
+	slk := slack.Compute(tr, []*analysis.Result{res})
 	colours := map[string]int{}
 	tr.PreOrder(func(n int32) {
 		if tr.Parent[n] >= 0 {
