@@ -96,3 +96,55 @@ func TestSweepArenaMatchesPointer(t *testing.T) {
 		expectGolden(t, fmt.Sprintf("sweep/n%d", n), a, res)
 	}
 }
+
+// TestRebufferSinkArenaGolden pins the ECO stage repair: sinks re-attached
+// near and far from buffered and unbuffered attach points, with and
+// without an obstacle across their edges, each followed by
+// RebufferSinkArena. The digest covers the repaired arena and every
+// per-sink buffer count.
+func TestRebufferSinkArenaGolden(t *testing.T) {
+	tk := tech.Default45()
+	comp := tech.Composite{Type: tk.Inverters[1], N: 4}
+	wall := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(1500, 500, 3500, 3500)}})
+	cases := []struct {
+		name   string
+		reach  float64 // how far a new sink lands from its attach point, µm
+		obs    *geom.ObstacleSet
+		maxCap float64
+	}{
+		{"near", 40, nil, 0},
+		{"far", 6000, nil, 0},
+		{"far-obs", 6000, wall, 0},
+		{"mid-maxcap", 1500, nil, 120},
+	}
+	for _, tc := range cases {
+		a := randomZST(401, 60)
+		if _, err := BalancedInsertArena(a, comp, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		base := int32(a.Len()) // slots from here on are the repair's
+		rng := rand.New(rand.NewSource(7))
+		opt := Options{Obs: tc.obs, MaxCap: tc.maxCap}
+		var counts []int
+		for k := 0; k < 12; k++ {
+			var at int32
+			for {
+				at = int32(rng.Intn(a.Len()))
+				if a.Alive.Test(int(at)) && a.Kind[at] != ctree.Sink {
+					break
+				}
+			}
+			loc := a.Loc[at].Add(geom.Pt((rng.Float64()-0.5)*tc.reach, (rng.Float64()-0.5)*tc.reach))
+			s := a.AddSink(at, loc, 20+rng.Float64()*30, fmt.Sprintf("new%d", k))
+			counts = append(counts, RebufferSinkArena(a, s, comp, opt))
+		}
+		if tc.obs != nil {
+			for _, b := range buffers(a) {
+				if b >= base && tc.obs.BlocksPoint(a.Loc[b]) {
+					t.Errorf("%s: repair buffer %d inside obstacle at %v", tc.name, b, a.Loc[b])
+				}
+			}
+		}
+		expectGolden(t, "rebuffer/"+tc.name, a, counts)
+	}
+}
