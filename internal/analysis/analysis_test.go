@@ -214,7 +214,7 @@ func TestResultHelpers(t *testing.T) {
 	copy(r.Rise, []float64{0, 10, 14, 12, -1})
 	copy(r.Fall, []float64{0, 11, 13, 19, 50})
 	copy(r.Has, []uint8{0, HasRise | HasFall, HasRise | HasFall, HasRise | HasFall, 0})
-	min, max := r.MinMaxRise()
+	min, max, _, _ := r.Extremes()
 	if min != 10 || max != 14 {
 		t.Errorf("rise min/max = %v/%v", min, max)
 	}

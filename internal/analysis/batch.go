@@ -177,7 +177,7 @@ func elmoreCorners(net *Net, corners []tech.Corner) []*Result {
 
 // ElmoreWorst returns, at one corner, the two numbers of an Elmore Result
 // the composite sweep judges a candidate by: the latest sink arrival (the
-// max of Result.MinMaxRise, 0 without sinks) and SlewViol. It runs the
+// max rising arrival of Result.Extremes, 0 without sinks) and SlewViol. It runs the
 // same recurrence as Elmore.Evaluate, bit for bit, without building the
 // per-slot results.
 func ElmoreWorst(net *Net, corner tech.Corner) (worst float64, slewViol int) {

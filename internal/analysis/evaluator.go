@@ -60,21 +60,9 @@ func (r *Result) Measured(bit uint8) bool {
 	return false
 }
 
-// MinMaxRise returns the earliest and latest measured rising arrivals (0, 0
-// when none was measured).
-func (r *Result) MinMaxRise() (min, max float64) {
-	min, max, _, _ = r.Extremes()
-	return
-}
-
-// MinMaxFall returns the earliest and latest measured falling arrivals.
-func (r *Result) MinMaxFall() (min, max float64) {
-	_, _, min, max = r.Extremes()
-	return
-}
-
 // Extremes returns the earliest and latest measured rising arrivals, then
-// the falling ones, from one pass over the slots.
+// the falling ones, from one pass over the slots (0, 0 for an edge none
+// was measured on).
 func (r *Result) Extremes() (rmin, rmax, fmin, fmax float64) {
 	rfirst, ffirst := true, true
 	for id, h := range r.Has {

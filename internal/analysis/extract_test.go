@@ -193,7 +193,7 @@ func TestElmoreWorstMatchesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, want := res.MinMaxRise()
+			_, want, _, _ := res.Extremes()
 			worst, viol := analysis.ElmoreWorst(net, c)
 			if math.Float64bits(worst) != math.Float64bits(want) || viol != res.SlewViol {
 				t.Fatalf("seed %d corner %v: judge (%v, %d), evaluate (%v, %d)", seed, c.Name, worst, viol, want, res.SlewViol)

@@ -21,15 +21,13 @@ import (
 // identical buffer counts on every source-to-sink path — the property the
 // paper relies on for low post-insertion skew ("source-to-sink paths contain
 // practically the same numbers of buffers", Section IV-C) — and it is the
-// flow's default insertion mode. The van Ginneken DP (InsertArena) minimizes
-// worst delay more aggressively and is kept for comparison and ablation.
+// flow's insertion mode.
 //
 // The threshold is 35% of the safe load. The deliberately deep margin
 // leaves slew headroom that the snaking and sizing passes spend later; the
 // slow corner and slew compounding through chains consume their share as
 // well.
 func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) {
-	opt.defaults()
 	maxCap := opt.MaxCap
 	if maxCap == 0 {
 		maxCap = SafeLoad(a.Tech, comp)
@@ -201,51 +199,21 @@ func legalizePosArena(a *ctree.Arena, n int32, d float64, opt Options) float64 {
 	return pos
 }
 
-// --- van Ginneken DP ---
+// --- van Ginneken DP over one edge ---
 
-// abufPos identifies a chosen buffer site: on the parent edge of slot edge,
-// at Manhattan distance dist from the parent along the route.
-type abufPos struct {
-	edge int32
+// candidateStep is the spacing of the DP's candidate buffer sites along an
+// edge, in µm, measured from the child end.
+const candidateStep = 200
+
+// maxOptions caps the van Ginneken option list per point. It sets the fast
+// variant's trade: a smaller cap is faster and slightly less optimal.
+const maxOptions = 24
+
+// bufList is a persistent list of chosen buffer sites on the DP's edge,
+// each at electrical distance dist from the parent.
+type bufList struct {
 	dist float64
-}
-
-// aplist is a persistent list of buffer placements with O(1)
-// concatenation.
-type aplist struct {
-	pos         abufPos
-	leaf        bool
-	left, right *aplist
-}
-
-func aCons(pos abufPos, rest *aplist) *aplist {
-	leaf := &aplist{pos: pos, leaf: true}
-	if rest == nil {
-		return leaf
-	}
-	return &aplist{left: leaf, right: rest}
-}
-
-func aJoin(a, b *aplist) *aplist {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return &aplist{left: a, right: b}
-}
-
-func (p *aplist) collect(out *[]abufPos) {
-	if p == nil {
-		return
-	}
-	if p.leaf {
-		*out = append(*out, p.pos)
-		return
-	}
-	p.left.collect(out)
-	p.right.collect(out)
+	next *bufList
 }
 
 // aOption is one Pareto point of the DP: downstream cap seen from here and
@@ -254,7 +222,7 @@ func (p *aplist) collect(out *[]abufPos) {
 type aOption struct {
 	cap   float64
 	delay float64
-	bufs  *aplist
+	bufs  *bufList
 }
 
 // arenaInserter runs van Ginneken insertion for one composite buffer.
@@ -266,82 +234,19 @@ type arenaInserter struct {
 	maxCap float64
 }
 
-// InsertArena places buffers of the given composite throughout the tree
-// (van Ginneken DP), minimizing worst Elmore source-to-sink delay subject
-// to the slew-safe load cap. It returns the number of buffers added.
-func InsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) {
-	opt.defaults()
-	ins := &arenaInserter{a: a, comp: comp, opt: opt}
-	ins.maxCap = opt.MaxCap
-	if ins.maxCap == 0 {
-		ins.maxCap = SafeLoad(a.Tech, comp)
-	}
-	if ins.maxCap <= comp.Cin() {
-		return 0, fmt.Errorf("buffering: composite %v cannot even drive its own input cap", comp)
-	}
-
-	// Bottom-up DP from each root child.
-	var rootOpts []aOption
-	for i, c := range a.Children(a.Root()) {
-		co := ins.edgeOptions(c)
-		if i == 0 {
-			rootOpts = co
-		} else {
-			rootOpts = ins.mergeOptions(rootOpts, co)
-		}
-	}
-	if len(rootOpts) == 0 {
-		return 0, nil // empty tree
-	}
-	// Pick the option minimizing source delay; the source must also be able
-	// to drive it safely.
-	best := -1
-	bestScore := math.Inf(1)
-	for i, o := range rootOpts {
-		score := a.SourceR*o.cap + o.delay
-		if o.cap > ins.maxCap {
-			score += 1e12 // admissible only if nothing better exists
-		}
-		if score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	var poss []abufPos
-	rootOpts[best].bufs.collect(&poss)
-	return ins.realize(poss), nil
-}
-
-// edgeOptions computes the option list looking down slot n's parent edge
+// sinkOptions computes the option list looking down sink n's parent edge
 // from the parent end.
-func (ins *arenaInserter) edgeOptions(n int32) []aOption {
+func (ins *arenaInserter) sinkOptions(n int32) []aOption {
 	a := ins.a
-	var opts []aOption
-	switch a.Kind[n] {
-	case ctree.Sink:
-		opts = []aOption{{cap: a.SinkCap[n], delay: 0}}
-	default:
-		for i, c := range a.Children(n) {
-			co := ins.edgeOptions(c)
-			if i == 0 {
-				opts = co
-			} else {
-				opts = ins.mergeOptions(opts, co)
-			}
-		}
-		if len(opts) == 0 { // childless internal node: pure stub
-			opts = []aOption{{cap: 0, delay: 0}}
-		}
-	}
-
+	opts := []aOption{{cap: a.SinkCap[n], delay: 0}}
 	// Walk up the edge, adding wire and offering buffer sites.
 	w := a.Tech.Wires[a.WidthIdx[n]]
 	length := a.EdgeLen(n)
-	cands := ins.candidates(length)
 	prev := length
-	for _, pos := range cands { // descending positions
+	for _, pos := range candidates(length) { // descending positions
 		opts = ins.addWire(opts, w, prev-pos)
 		if !ins.blocked(n, pos, length) {
-			opts = ins.offerBuffer(opts, n, pos)
+			opts = ins.offerBuffer(opts, pos)
 		}
 		prev = pos
 	}
@@ -350,10 +255,11 @@ func (ins *arenaInserter) edgeOptions(n int32) []aOption {
 }
 
 // candidates returns buffer positions (distance from parent) in descending
-// order: spaced Step apart measured from the child end, plus the edge top.
-func (ins *arenaInserter) candidates(length float64) []float64 {
+// order: spaced candidateStep apart measured from the child end, plus the
+// edge top.
+func candidates(length float64) []float64 {
 	var out []float64
-	for d := length - ins.opt.Step; d > 0; d -= ins.opt.Step {
+	for d := length - candidateStep; d > 0; d -= candidateStep {
 		out = append(out, d)
 	}
 	out = append(out, 0)
@@ -393,9 +299,9 @@ func (ins *arenaInserter) addWire(opts []aOption, w tech.WireType, dl float64) [
 	return ins.prune(out)
 }
 
-// offerBuffer adds the buffered alternative at the site (n, dist): a buffer
-// driving the best downstream option.
-func (ins *arenaInserter) offerBuffer(opts []aOption, n int32, dist float64) []aOption {
+// offerBuffer adds the buffered alternative at distance dist from the
+// parent: a buffer driving the best downstream option.
+func (ins *arenaInserter) offerBuffer(opts []aOption, dist float64) []aOption {
 	comp := ins.comp
 	bestScore := math.Inf(1)
 	bi := -1
@@ -413,25 +319,9 @@ func (ins *arenaInserter) offerBuffer(opts []aOption, n int32, dist float64) []a
 	buffered := aOption{
 		cap:   comp.Cin(),
 		delay: bestScore,
-		bufs:  aCons(abufPos{edge: n, dist: dist}, opts[bi].bufs),
+		bufs:  &bufList{dist: dist, next: opts[bi].bufs},
 	}
 	return ins.prune(append(opts, buffered))
-}
-
-// mergeOptions combines option lists of sibling subtrees at their common
-// parent: caps add, delays take the max.
-func (ins *arenaInserter) mergeOptions(a, b []aOption) []aOption {
-	out := make([]aOption, 0, len(a)+len(b))
-	for _, x := range a {
-		for _, y := range b {
-			out = append(out, aOption{
-				cap:   x.cap + y.cap,
-				delay: math.Max(x.delay, y.delay),
-				bufs:  aJoin(x.bufs, y.bufs),
-			})
-		}
-	}
-	return ins.prune(out)
 }
 
 // prune removes dominated options (another option with <= cap and <= delay),
@@ -479,41 +369,29 @@ func (ins *arenaInserter) prune(opts []aOption) []aOption {
 	return append([]aOption(nil), out...)
 }
 
-// realize inserts buffers at the chosen positions. DP distances are
-// electrical (they include snaking); they are scaled onto the geometric
-// route before splitting. Positions on the same edge are applied top-down
-// so later distances stay valid. Positions are grouped per edge in
-// first-seen order: iterating the map would make slot assignment (and
-// hence encoded artifacts) vary run to run.
-func (ins *arenaInserter) realize(poss []abufPos) int {
-	byEdge := map[int32][]float64{}
-	var edges []int32
-	for _, p := range poss {
-		if _, ok := byEdge[p.edge]; !ok {
-			edges = append(edges, p.edge)
-		}
-		byEdge[p.edge] = append(byEdge[p.edge], p.dist)
+// realize inserts buffers at the chosen distances on slot edge's parent
+// edge. DP distances are electrical (they include snaking); they are
+// scaled onto the geometric route before splitting, and applied top-down
+// so later distances stay valid.
+func (ins *arenaInserter) realize(edge int32, bufs *bufList) int {
+	var dists []float64
+	for p := bufs; p != nil; p = p.next {
+		dists = append(dists, p.dist)
 	}
-	added := 0
-	for _, edge := range edges {
-		dists := byEdge[edge]
-		sort.Float64s(dists)
-		scale := 1.0
-		if el := ins.a.EdgeLen(edge); el > 0 {
-			scale = ins.a.Route(edge).Length() / el
-		}
-		consumed := 0.0
-		target := edge
-		for _, d := range dists {
-			rd := d * scale
-			b := ins.a.InsertOnEdge(target, rd-consumed, ctree.Buffer)
-			ins.a.SetBuf(b, ins.comp)
-			consumed = rd
-			// After the split the lower half is still `target`'s edge.
-			added++
-		}
+	sort.Float64s(dists)
+	scale := 1.0
+	if el := ins.a.EdgeLen(edge); el > 0 {
+		scale = ins.a.Route(edge).Length() / el
 	}
-	return added
+	consumed := 0.0
+	for _, d := range dists {
+		rd := d * scale
+		// After each split the lower half is still edge's.
+		b := ins.a.InsertOnEdge(edge, rd-consumed, ctree.Buffer)
+		ins.a.SetBuf(b, ins.comp)
+		consumed = rd
+	}
+	return len(dists)
 }
 
 // CorrectPolarityArena fixes inverted sinks after inverter-based buffer
@@ -854,7 +732,6 @@ func RebufferSinkArena(a *ctree.Arena, sink int32, comp tech.Composite, opt Opti
 	if a.Parent[sink] < 0 || a.Kind[sink] != ctree.Sink {
 		return 0
 	}
-	opt.defaults()
 	ins := &arenaInserter{a: a, comp: comp, opt: opt}
 	ins.maxCap = opt.MaxCap
 	if ins.maxCap == 0 {
@@ -870,10 +747,10 @@ func RebufferSinkArena(a *ctree.Arena, sink int32, comp tech.Composite, opt Opti
 	if StageLoadArena(a, anc) <= ins.maxCap {
 		return 0
 	}
-	// The same option scoring InsertArena uses at the root, with the
-	// decoupling composite itself as the driver model; unbuffered options
-	// cannot reduce the overloaded stage, so only buffered ones compete.
-	opts := ins.edgeOptions(sink)
+	// Options are scored with the decoupling composite itself as the
+	// driver model; unbuffered options cannot reduce the overloaded stage,
+	// so only buffered ones compete.
+	opts := ins.sinkOptions(sink)
 	best, bestScore := -1, math.Inf(1)
 	for i, o := range opts {
 		if o.bufs == nil {
@@ -890,7 +767,5 @@ func RebufferSinkArena(a *ctree.Arena, sink int32, comp tech.Composite, opt Opti
 	if best < 0 {
 		return 0
 	}
-	var poss []abufPos
-	opts[best].bufs.collect(&poss)
-	return ins.realize(poss)
+	return ins.realize(sink, opts[best].bufs)
 }

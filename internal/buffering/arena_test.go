@@ -55,19 +55,6 @@ func TestBalancedInsertArenaMatchesPointer(t *testing.T) {
 	}
 }
 
-func TestInsertArenaMatchesPointer(t *testing.T) {
-	tk := tech.Default45()
-	comp := tech.Composite{Type: tk.Inverters[1], N: 4}
-	for _, n := range []int{5, 40, 150} {
-		a := randomZST(int64(100+n), n)
-		added, err := InsertArena(a, comp, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		expectGolden(t, fmt.Sprintf("vg/n%d", n), a, added)
-	}
-}
-
 func TestCorrectPolarityArenaMatchesPointer(t *testing.T) {
 	tk := tech.Default45()
 	comp := tech.Composite{Type: tk.Inverters[1], N: 2}

@@ -8,14 +8,12 @@
 // argument). InsertBestCompositeArena runs it for every composite of the
 // sizing ladder and keeps the strongest one that fits the power budget.
 //
-// A van Ginneken-style bottom-up dynamic program (InsertArena) is kept
-// beside it: candidate option lists (downstream capacitance, worst
-// downstream delay) propagate from the sinks toward the root, buffers may
-// be placed at evenly spaced legal candidate sites along edges, and
-// dominated options are pruned, after the fast variant of [Shi & Li 2005]
-// the paper adopts. The flow does not insert with it. Its machinery serves
-// RebufferSinkArena, the ECO repair of one re-attached sink's stage, and
-// the insertion ablation bench compares it with the balanced inserter.
+// RebufferSinkArena, the ECO repair of one re-attached sink's stage, runs
+// a van Ginneken-style dynamic program over that sink's own edge: option
+// lists (downstream capacitance, worst downstream delay) propagate from
+// the sink toward the parent, buffers may be placed at evenly spaced legal
+// candidate sites, and dominated options are pruned, after the fast
+// variant of [Shi & Li 2005] the paper adopts.
 //
 // Because clock inverters flip polarity, insertion is followed by the
 // paper's provably-minimal sink-polarity correction (Proposition 2).
@@ -30,8 +28,6 @@ import (
 
 // Options configures buffer insertion.
 type Options struct {
-	// Step is the candidate spacing along edges in µm (default 200).
-	Step float64
 	// Obs blocks candidate sites inside obstacles (may be nil).
 	Obs *geom.ObstacleSet
 	// MaxCap overrides the slew-safe load per driver (fF). 0 derives it
@@ -42,16 +38,6 @@ type Options struct {
 	// and small or very large trees use fewer workers. Results never
 	// depend on it.
 	Parallelism int
-}
-
-// maxOptions caps the van Ginneken option list per point. It sets the fast
-// variant's trade: a smaller cap is faster and slightly less optimal.
-const maxOptions = 24
-
-func (o *Options) defaults() {
-	if o.Step == 0 {
-		o.Step = 200
-	}
 }
 
 // SafeLoad returns the slew-safe load (fF) for a composite at the tree's

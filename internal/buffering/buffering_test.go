@@ -22,10 +22,10 @@ func zst(t *testing.T, tk *tech.Tech, source geom.Point, sinks []dme.Sink) *ctre
 	return dme.BuildZSTArena(tk, source, sinks, dme.Options{})
 }
 
-// insert runs the van Ginneken inserter on a.
+// insert runs the flow's inserter, BalancedInsertArena, on a.
 func insert(t *testing.T, a *ctree.Arena, comp tech.Composite, opt Options) int {
 	t.Helper()
-	n, err := InsertArena(a, comp, opt)
+	n, err := BalancedInsertArena(a, comp, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

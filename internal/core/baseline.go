@@ -68,16 +68,16 @@ func SynthesizeBaseline(b *bench.Benchmark, kind BaselineKind, o Options) (*Resu
 	a.SourceR = b.SourceR
 
 	obs := geom.NewObstacleSet(b.Obstacles)
-	rep, err := route.LegalizeArena(a, obs, b.Die, route.Options{SafeCap: buffering.SafeLoad(o.Tech, o.Ladder[0])})
+	ladder := o.Ladder()
+	rep, err := route.LegalizeArena(a, obs, b.Die, route.Options{SafeCap: buffering.SafeLoad(o.Tech, ladder[0])})
 	if err != nil {
 		return nil, fmt.Errorf("legalize: %w", err)
 	}
 	res.Legalization = *rep
 
-	ladder := o.Ladder
 	if kind == BaselineGreedy {
 		// Single mid-strength configuration, no sweep.
-		ladder = []tech.Composite{o.Ladder[len(o.Ladder)/2]}
+		ladder = []tech.Composite{ladder[len(ladder)/2]}
 	}
 	sweep, err := buffering.InsertBestCompositeArena(a, ladder, b.CapLimit, o.Gamma,
 		buffering.Options{Obs: obs, Parallelism: o.Parallelism})

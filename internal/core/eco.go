@@ -40,7 +40,7 @@ func passECO(ctx context.Context, s *state) error {
 
 	comp := spec.Composite
 	if comp.N == 0 {
-		comp = s.opts.Ladder[0]
+		comp = s.opts.Ladder()[0]
 	}
 	endApply := s.opts.span("eco", "apply")
 	rep, err := eco.Apply(a, spec.Delta, eco.Config{

@@ -23,12 +23,10 @@ type Options struct {
 	// Gamma is the capacitance reserve for post-insertion optimization
 	// (default 0.10, the paper's 10%).
 	Gamma float64
-	// Ladder overrides the composite buffer ladder (default: batches of 8
-	// small inverters, the paper's contest configuration).
-	Ladder []tech.Composite
-	// LargeInverters switches the ladder to groups of large inverters (the
-	// paper's TI scalability configuration: ~8x faster, slightly worse CLR
-	// and capacitance).
+	// LargeInverters switches the composite buffer ladder from batches of
+	// 8 small inverters (the paper's contest configuration) to groups of
+	// large inverters (its TI scalability configuration: ~8x faster,
+	// slightly worse CLR and capacitance). See Ladder.
 	LargeInverters bool
 	// Plan selects the synthesis pipeline: a built-in plan name ("paper",
 	// "fast", "wire-only", "tune-only", "no-cycles", "eco") or a plan-spec
@@ -100,8 +98,7 @@ func (o *Options) span(kind, name string) func() {
 }
 
 // Resolve returns a copy of the options with every defaulted knob made
-// explicit: technology model, engine, capacitance reserve, ladder, worker
-// budget, and the plan canonicalized to its expanded spec string. The flow
+// explicit: technology model, engine, capacitance reserve, worker budget, and the plan canonicalized to its expanded spec string. The flow
 // itself runs on resolved options and the service layer fingerprints them
 // for its result cache, so the two can never disagree about what a zero
 // value means. Resolution is idempotent.
@@ -152,11 +149,15 @@ func (o *Options) fill() {
 	if o.Gamma == 0 {
 		o.Gamma = 0.10
 	}
-	if len(o.Ladder) == 0 {
-		if o.LargeInverters {
-			o.Ladder = o.Tech.BatchLadder("Large", 1)
-		} else {
-			o.Ladder = o.Tech.BatchLadder("Small", 8)
-		}
+}
+
+// Ladder returns the composite buffer ladder the run sizes its buffers
+// from, weakest first: groups of large inverters with LargeInverters,
+// else batches of 8 small inverters. It reads Tech, so call it on
+// resolved options.
+func (o *Options) Ladder() []tech.Composite {
+	if o.LargeInverters {
+		return o.Tech.BatchLadder("Large", 1)
 	}
+	return o.Tech.BatchLadder("Small", 8)
 }

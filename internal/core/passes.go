@@ -92,7 +92,7 @@ func passLegalize(ctx context.Context, s *state) error {
 	}
 	obs := geom.NewObstacleSet(s.Benchmark.Obstacles)
 	s.obs = obs
-	safeCap := buffering.SafeLoad(s.opts.Tech, s.opts.Ladder[0])
+	safeCap := buffering.SafeLoad(s.opts.Tech, s.opts.Ladder()[0])
 	rep, err := route.LegalizeArena(a, obs, s.Benchmark.Die, route.Options{SafeCap: safeCap})
 	if err != nil {
 		return err
@@ -110,7 +110,7 @@ func passBuffer(ctx context.Context, s *state) error {
 		return errNoTree
 	}
 	b := s.Benchmark
-	sweep, err := buffering.InsertBestCompositeArena(a, s.opts.Ladder, b.CapLimit, s.opts.Gamma,
+	sweep, err := buffering.InsertBestCompositeArena(a, s.opts.Ladder(), b.CapLimit, s.opts.Gamma,
 		buffering.Options{Obs: s.obs, Parallelism: s.opts.Parallelism})
 	if err != nil {
 		return err
@@ -133,7 +133,7 @@ func passPolarity(ctx context.Context, s *state) error {
 	if polComp.N == 0 {
 		// A plan that skipped insertion still corrects with the ladder's
 		// workhorse rung.
-		polComp = s.opts.Ladder[0]
+		polComp = s.opts.Ladder()[0]
 	}
 	if half := polComp.N / 2; half >= 1 {
 		polComp.N = half

@@ -58,9 +58,6 @@ type Set struct {
 // Reference returns the set's fast (reference) corner.
 func (s *Set) Reference() tech.Corner { return s.Corners[s.Ref] }
 
-// WorstCase returns the set's worst-case (slow) corner.
-func (s *Set) WorstCase() tech.Corner { return s.Corners[s.Worst] }
-
 // FromTech views a technology model's installed corners as a Set, reading
 // the roles from the Tech accessors. It is how layers that only hold a
 // tree (the optimization passes, CNE-only evaluation) recover the active

@@ -25,61 +25,39 @@ type mseg struct {
 	cap, delay     float64
 }
 
-// Scratch holds the buffers an arena build reuses: the merge-segment slice
-// and the topology orderings. A zero Scratch is ready to use; callers that
-// construct many trees (plan matrices, sweeps, the scale harness) should
-// keep one and pass it to BuildZSTArenaScratch so steady-state construction
-// allocates nothing per merge.
-type Scratch struct {
-	segs  []mseg
-	order []int32
-	live  []int32
-}
-
 // BuildZSTArena constructs a zero-skew tree over the sinks, rooted at
 // source, directly into a ctree.Arena with capacity reserved up front from
 // the sink count. The trunk (source to first merge point) is a plain
 // route; it delays all sinks equally and is later populated with buffers.
+// Every edge uses wire type 0.
 func BuildZSTArena(tk *tech.Tech, source geom.Point, sinks []Sink, opt Options) *ctree.Arena {
-	var sc Scratch
-	return BuildZSTArenaScratch(tk, source, sinks, opt, &sc)
-}
-
-// BuildZSTArenaScratch is BuildZSTArena with caller-owned scratch buffers.
-func BuildZSTArenaScratch(tk *tech.Tech, source geom.Point, sinks []Sink, opt Options, sc *Scratch) *ctree.Arena {
 	opt.defaults()
 	a := ctree.NewArena(tk, source, 0.1, ctree.HintsForSinks(len(sinks)))
 	if len(sinks) == 0 {
 		return a
 	}
-	w := tk.Wires[opt.WidthIdx]
+	w := tk.Wires[0]
 
 	n := len(sinks)
-	if cap(sc.segs) < 2*n-1 {
-		sc.segs = make([]mseg, 0, 2*n-1)
-	}
-	segs := sc.segs[:n]
+	segs := make([]mseg, n, 2*n-1)
 	for i := range sinks {
 		segs[i] = mseg{loc: sinks[i].Loc, left: -1, right: -1, sink: int32(i), cap: sinks[i].Cap}
 	}
 
 	var top int32
-	useNN := opt.Topology == "nn" || (opt.Topology == "auto" && n <= opt.NNThreshold)
-	if useNN {
-		segs, top = mergeNearestNeighborSegs(segs, w, opt, sc)
+	if opt.Topology == "nn" || (opt.Topology == "auto" && n <= nnThreshold) {
+		segs, top = mergeNearestNeighborSegs(segs, w, opt)
 	} else {
-		segs, top = buildMMMSegs(segs, w, opt, sc)
+		segs, top = buildMMMSegs(segs, w, opt)
 	}
-	sc.segs = segs[:0]
-
-	materialize(a, segs, sinks, top, opt)
+	materialize(a, segs, sinks, top)
 	return a
 }
 
 // materialize writes the merge tree into the arena top-down: each vertex,
 // then its left and right subtrees, with every child edge carrying the
 // snake its merge assigned.
-func materialize(a *ctree.Arena, segs []mseg, sinks []Sink, top int32, opt Options) {
+func materialize(a *ctree.Arena, segs []mseg, sinks []Sink, top int32) {
 	var attach func(parent, si int32)
 	attach = func(parent, si int32) {
 		sg := &segs[si]
@@ -90,7 +68,6 @@ func materialize(a *ctree.Arena, segs []mseg, sinks []Sink, top int32, opt Optio
 		} else {
 			n = a.AddChildL(parent, ctree.Internal, sg.loc)
 		}
-		a.WidthIdx[n] = int32(opt.WidthIdx)
 		if sg.left >= 0 {
 			attach(n, sg.left)
 			kids := a.Children(n)
@@ -103,7 +80,6 @@ func materialize(a *ctree.Arena, segs []mseg, sinks []Sink, top int32, opt Optio
 		}
 	}
 	attach(a.Root(), top)
-	a.WidthIdx[a.Children(a.Root())[0]] = int32(opt.WidthIdx)
 }
 
 // mergeSegs merges segs[ai] and segs[bi] through mergeKernel and writes the
@@ -123,12 +99,8 @@ func mergeSegs(segs []mseg, ai, bi, out int32, w tech.WireType, opt Options) {
 // mergeNearestNeighborSegs repeatedly merges the globally closest pair of
 // cluster roots (Edahiro-style greedy clustering), appending merge results
 // to the segment slice.
-func mergeNearestNeighborSegs(segs []mseg, w tech.WireType, opt Options, sc *Scratch) ([]mseg, int32) {
-	n := len(segs)
-	if cap(sc.live) < n {
-		sc.live = make([]int32, 0, n)
-	}
-	live := sc.live[:n]
+func mergeNearestNeighborSegs(segs []mseg, w tech.WireType, opt Options) ([]mseg, int32) {
+	live := make([]int32, len(segs))
 	for i := range live {
 		live[i] = int32(i)
 	}
@@ -149,9 +121,7 @@ func mergeNearestNeighborSegs(segs []mseg, w tech.WireType, opt Options, sc *Scr
 		live[bj] = live[len(live)-1]
 		live = live[:len(live)-1]
 	}
-	root := live[0]
-	sc.live = sc.live[:0]
-	return segs, root
+	return segs, live[0]
 }
 
 // buildMMMSegs recursively bisects the sink set at the median of its wider
@@ -165,15 +135,12 @@ func mergeNearestNeighborSegs(segs []mseg, w tech.WireType, opt Options, sc *Scr
 // Because the ranges are disjoint by construction, independent subtrees can
 // merge concurrently (bounded by Options.Parallelism) without changing a
 // single bit of the result.
-func buildMMMSegs(segs []mseg, w tech.WireType, opt Options, sc *Scratch) ([]mseg, int32) {
+func buildMMMSegs(segs []mseg, w tech.WireType, opt Options) ([]mseg, int32) {
 	n := len(segs)
 	if n == 1 {
 		return segs, 0
 	}
-	if cap(sc.order) < n {
-		sc.order = make([]int32, 0, n)
-	}
-	order := sc.order[:n]
+	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -182,9 +149,7 @@ func buildMMMSegs(segs []mseg, w tech.WireType, opt Options, sc *Scratch) ([]mse
 	if par < 1 {
 		par = 1
 	}
-	root := mmmRange(segs, order, int32(n), w, opt, par)
-	sc.order = sc.order[:0]
-	return segs, root
+	return segs, mmmRange(segs, order, int32(n), w, opt, par)
 }
 
 // mmmParMin is the smallest half size worth a goroutine; below it the

@@ -62,20 +62,3 @@ func TestArenaBuildParallelBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestArenaScratchReuse: a build on reused scratch buffers matches a build
-// on fresh ones.
-func TestArenaScratchReuse(t *testing.T) {
-	tk := tech.Default45()
-	var sc Scratch
-	rng := rand.New(rand.NewSource(13))
-	for round := 0; round < 4; round++ {
-		n := 50 + round*400
-		sinks := randomSinks(rng, n, geom.NewRect(0, 0, 5000, 5000))
-		want := ctreetest.Digest(BuildZSTArena(tk, geom.Pt(0, 0), sinks, Options{}))
-		got := ctreetest.Digest(BuildZSTArenaScratch(tk, geom.Pt(0, 0), sinks, Options{}, &sc))
-		if got != want {
-			t.Fatalf("round %d (n=%d): tree digest %s, fresh build %s", round, n, got, want)
-		}
-	}
-}

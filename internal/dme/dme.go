@@ -28,13 +28,8 @@ type Sink struct {
 type Options struct {
 	// Topology selects the pairing strategy: "auto" (default), "nn"
 	// (greedy nearest-neighbor clustering) or "mmm" (means-and-medians
-	// recursive bisection). Auto uses nn below NNThreshold sinks.
+	// recursive bisection). Auto uses nn up to nnThreshold sinks.
 	Topology string
-	// NNThreshold is the sink count up to which auto picks nearest-neighbor
-	// clustering (which is cubic but gives slightly better wirelength).
-	NNThreshold int
-	// WidthIdx is the wire type used for all tree edges.
-	WidthIdx int
 
 	// NoBalance disables Elmore balancing: tapping points land at the
 	// geometric midpoint and no snaking is added. This models simpler
@@ -61,10 +56,12 @@ func (o *Options) defaults() {
 	if o.Topology == "" {
 		o.Topology = "auto"
 	}
-	if o.NNThreshold == 0 {
-		o.NNThreshold = 400
-	}
 }
+
+// nnThreshold is the sink count up to which auto topology picks
+// nearest-neighbor clustering (which is cubic but gives slightly better
+// wirelength).
+const nnThreshold = 400
 
 // subtree is the Elmore state of a merge-candidate root: its position, total
 // downstream capacitance and zero-skew delay. mergeKernel consumes two of

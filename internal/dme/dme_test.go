@@ -49,7 +49,7 @@ func TestZeroElmoreSkewProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, max := res.MinMaxRise()
+			_, max, _, _ := res.Extremes()
 			if sk := res.Skew(); sk > 1e-6*math.Max(max, 1) {
 				t.Errorf("%s/%d sinks: Elmore skew=%v ps (max latency %v)", topo, n, sk, max)
 			}
@@ -208,7 +208,7 @@ func TestLargeMMMScales(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _ := (&analysis.Elmore{MaxSeg: 1e9}).Evaluate(tr, tk.Reference())
-	_, max := res.MinMaxRise()
+	_, max, _, _ := res.Extremes()
 	if sk := res.Skew(); sk > 1e-6*max {
 		t.Errorf("20K-sink ZST skew=%v", sk)
 	}

@@ -33,8 +33,11 @@ func TestMazeRouteAvoidsObstacle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.CrossesRect(NewRect(400+10, 0+10, 600-10, 900-10)) {
-		t.Errorf("route crosses obstacle interior: %v", pl)
+	core := NewObstacleSet([]Obstacle{{Rect: NewRect(400+10, 0+10, 600-10, 900-10)}})
+	for i := 1; i < len(pl); i++ {
+		if core.SegmentCrossesAny(pl[i-1], pl[i]) {
+			t.Errorf("route crosses obstacle interior: %v", pl)
+		}
 	}
 	// Detour must go over the top (y>900): length >= direct + 2*(900-450) - slack
 	want := a.Manhattan(b) + 2*(900-450)

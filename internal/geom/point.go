@@ -37,9 +37,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p translated by -q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p with both coordinates multiplied by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // Eq reports whether p and q coincide within tolerance eps.
 func (p Point) Eq(q Point, eps float64) bool {
 	return math.Abs(p.X-q.X) <= eps && math.Abs(p.Y-q.Y) <= eps

@@ -80,15 +80,12 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
+func TestAddSub(t *testing.T) {
 	p := Pt(1, 2)
 	if got := p.Add(Pt(3, 4)); !got.Eq(Pt(4, 6), 0) {
 		t.Errorf("Add=%v", got)
 	}
 	if got := p.Sub(Pt(3, 4)); !got.Eq(Pt(-2, -2), 0) {
 		t.Errorf("Sub=%v", got)
-	}
-	if got := p.Scale(2); !got.Eq(Pt(2, 4), 0) {
-		t.Errorf("Scale=%v", got)
 	}
 }

@@ -116,16 +116,6 @@ func (pl Polyline) Split(d float64) (Polyline, Polyline) {
 	return append(Polyline(nil), pl...), Polyline{end, end}
 }
 
-// CrossesRect reports whether any segment of pl crosses the interior of r.
-func (pl Polyline) CrossesRect(r Rect) bool {
-	for i := 1; i < len(pl); i++ {
-		if r.SegmentIntersects(pl[i-1], pl[i]) {
-			return true
-		}
-	}
-	return false
-}
-
 // LShape returns the two candidate single-bend routes between a and b:
 // horizontal-first and vertical-first. When a and b are axis-aligned the two
 // candidates coincide and contain no bend.

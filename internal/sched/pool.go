@@ -83,11 +83,10 @@ func (t *Ticket) QueueWait() time.Duration {
 // Pool packs tickets onto a fixed number of worker slots. Grant order:
 // deadline-urgent tickets first (earliest deadline wins), then
 // shortest-remaining-estimate with linear aging — every second waited
-// forgives Aging seconds of estimate, so long jobs rise in rank instead
+// forgives aging seconds of estimate, so long jobs rise in rank instead
 // of starving — with admission order as the tiebreak.
 type Pool struct {
 	slots      int
-	aging      float64       // estimate-seconds forgiven per waited second
 	maxWaiting int           // 0 = unbounded
 	maxWait    time.Duration // 0 = no backlog-based admission bound
 
@@ -108,23 +107,19 @@ type PoolConfig struct {
 	// MaxWait bounds admission by estimated queue wait; Enqueue returns a
 	// *BacklogError when a new arrival would wait longer. 0 = unbounded.
 	MaxWait time.Duration
-	// Aging is the estimate-seconds forgiven per second of waiting
-	// (default 0.5: after waiting 2× its own estimate at rate ½, a job
-	// outranks a fresh zero-cost arrival).
-	Aging float64
 }
+
+// aging is the estimate-seconds forgiven per second of waiting: after
+// waiting 2× its own estimate, a job outranks a fresh zero-cost arrival.
+const aging = 0.5
 
 // NewPool builds a pool with cfg.Slots free slots.
 func NewPool(cfg PoolConfig) *Pool {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	if cfg.Aging <= 0 {
-		cfg.Aging = 0.5
-	}
 	return &Pool{
 		slots:      cfg.Slots,
-		aging:      cfg.Aging,
 		maxWaiting: cfg.MaxWaiting,
 		maxWait:    cfg.MaxWait,
 		free:       cfg.Slots,
@@ -312,8 +307,8 @@ func (p *Pool) rankLess(a, b *Ticket, now time.Time) bool {
 	if au && bu && !a.claim.Deadline.Equal(b.claim.Deadline) {
 		return a.claim.Deadline.Before(b.claim.Deadline)
 	}
-	as := a.remaining.Seconds() - p.aging*now.Sub(a.enqueued).Seconds()
-	bs := b.remaining.Seconds() - p.aging*now.Sub(b.enqueued).Seconds()
+	as := a.remaining.Seconds() - aging*now.Sub(a.enqueued).Seconds()
+	bs := b.remaining.Seconds() - aging*now.Sub(b.enqueued).Seconds()
 	if as != bs {
 		return as < bs
 	}

@@ -85,7 +85,7 @@ func TestPoolDeadlineUrgencyFirst(t *testing.T) {
 // Aging: waiting linearly forgives estimate, so a long job that has
 // waited long enough outranks a fresh short one — nothing starves.
 func TestPoolAgingPreventsStarvation(t *testing.T) {
-	p := NewPool(PoolConfig{Slots: 1, Aging: 0.5})
+	p := NewPool(PoolConfig{Slots: 1})
 	now := time.Now()
 	long := &Ticket{claim: Claim{Label: "long"}, remaining: 10 * time.Second,
 		enqueued: now.Add(-30 * time.Second), seq: 1}

@@ -94,7 +94,7 @@ func OptionsFingerprint(o core.Options) string {
 	// different cascades address differently.
 	fmt.Fprintf(&b, ";plan=%s", r.Plan)
 	b.WriteString(";ladder=")
-	for i, c := range r.Ladder {
+	for i, c := range r.Ladder() {
 		if i > 0 {
 			b.WriteByte(',')
 		}

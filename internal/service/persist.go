@@ -68,7 +68,7 @@ func (s *Service) journal(kind, key string) {
 // It reports whether the spec was persisted — only then does the caller
 // journal "submitted" (a journal record without a spec would be
 // unrecoverable noise). Jobs whose options are not wire-representable
-// (custom Engine, Tech, Ladder — the spec would not reproduce the content
+// (a custom Engine or Tech — the spec would not reproduce the content
 // key) are skipped: they run normally and their results still persist via
 // the cache write-through, but a crash cannot re-queue them. Runs without
 // s.mu held: the write is idempotent, so racing identical submissions are

@@ -66,7 +66,7 @@ func mapsOfSlots(r *analysis.Result) mapResult {
 	return m
 }
 
-// mapMinMax is MinMaxRise/MinMaxFall over a map.
+// mapMinMax is one edge of Result.Extremes over a map.
 func mapMinMax(v map[int]float64) (min, max float64) {
 	first := true
 	for _, x := range v {
@@ -145,9 +145,9 @@ func requireSameMaps(t *testing.T, label string, got, want mapResult) {
 }
 
 // requireSlotParity checks a slot-indexed result against its own map
-// expansion: every slot the map form lacks reads 0, MinMaxRise,
-// MinMaxFall, Extremes and Skew equal the map computations, and the source
-// stage's slew sits on the root slot.
+// expansion: every slot the map form lacks reads 0, Extremes and Skew
+// equal the map computations, and the source stage's slew sits on the
+// root slot.
 func requireSlotParity(t *testing.T, label string, a *ctree.Arena, r *analysis.Result) mapResult {
 	t.Helper()
 	n := a.Len()
@@ -175,12 +175,6 @@ func requireSlotParity(t *testing.T, label string, a *ctree.Arena, r *analysis.R
 	}
 	rlo, rhi := mapMinMax(m.rise)
 	flo, fhi := mapMinMax(m.fall)
-	if glo, ghi := r.MinMaxRise(); !sameBits(glo, rlo) || !sameBits(ghi, rhi) {
-		t.Fatalf("%s: MinMaxRise %v..%v, map form %v..%v", label, glo, ghi, rlo, rhi)
-	}
-	if glo, ghi := r.MinMaxFall(); !sameBits(glo, flo) || !sameBits(ghi, fhi) {
-		t.Fatalf("%s: MinMaxFall %v..%v, map form %v..%v", label, glo, ghi, flo, fhi)
-	}
 	if a, b, c, d := r.Extremes(); !sameBits(a, rlo) || !sameBits(b, rhi) || !sameBits(c, flo) || !sameBits(d, fhi) {
 		t.Fatalf("%s: Extremes %v %v %v %v, map form %v %v %v %v", label, a, b, c, d, rlo, rhi, flo, fhi)
 	}
@@ -213,7 +207,7 @@ func requireSlackParity(t *testing.T, label string, a *ctree.Arena, rs []*analys
 // flat results, and Engine, through its own corner simulation) are
 // checked against the map expansion of their flat form; Elmore and
 // TwoPole against the worst arrival ElmoreWorst computes without any
-// result. MinMaxRise, MinMaxFall, Skew and slack.Compute must agree with
+// result. Extremes, Skew and slack.Compute must agree with
 // the map computations bit for bit.
 func TestSlotResultParity(t *testing.T) {
 	tk := tech.Default45()
@@ -268,7 +262,7 @@ func TestSlotResultParity(t *testing.T) {
 					}
 					if ev.Name() == "elmore" {
 						worst, viol := analysis.ElmoreWorst(&net, tk.Corners[ci])
-						if _, hi := r.MinMaxRise(); !sameBits(hi, worst) || viol != r.SlewViol {
+						if _, hi, _, _ := r.Extremes(); !sameBits(hi, worst) || viol != r.SlewViol {
 							t.Fatalf("elmore: worst %v/%d, ElmoreWorst %v/%d", hi, r.SlewViol, worst, viol)
 						}
 					}

@@ -28,7 +28,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 )
 
@@ -66,9 +65,6 @@ type Store struct {
 	dir     string
 	sync    bool     // fsync files and directories on write
 	metrics *Metrics // optional observability counters (SetMetrics)
-
-	mu          sync.Mutex
-	quarantined int
 }
 
 // Open creates (if needed) and opens a store directory. With sync true
@@ -236,18 +232,7 @@ func (s *Store) quarantine(key string) {
 		// serving corrupt reads forever.
 		_ = os.Remove(s.objectPath(key))
 	}
-	s.mu.Lock()
-	s.quarantined++
-	s.mu.Unlock()
 	s.metrics.Quarantines.Inc()
-}
-
-// Quarantined returns how many blobs this Store instance moved to
-// quarantine (since Open).
-func (s *Store) Quarantined() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantined
 }
 
 // Size returns the payload size of the blob under key, if present.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"contango/internal/obs"
 )
 
 const k1 = "ab12cdef0000000000000000000000000000000000000000000000000000ffff.result"
@@ -69,6 +71,8 @@ func TestInvalidKeysRejected(t *testing.T) {
 func TestCorruptBlobQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, false)
+	m := &Metrics{Quarantines: obs.NewRegistry().Counter("quarantines", "")}
+	s.SetMetrics(m)
 	if err := s.Put(k1, []byte("precious result bytes")); err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +94,8 @@ func TestCorruptBlobQuarantined(t *testing.T) {
 	if !errors.Is(err, ErrNotFound) {
 		t.Error("corruption should also read as not-found for cache callers")
 	}
-	if s.Quarantined() != 1 {
-		t.Errorf("Quarantined = %d want 1", s.Quarantined())
+	if got := m.Quarantines.Value(); got != 1 {
+		t.Errorf("Quarantines = %d want 1", got)
 	}
 	// The bad blob moved aside: next read is a clean miss, bytes kept for
 	// post-mortem.
