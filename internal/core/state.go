@@ -124,7 +124,7 @@ func (s *state) arm(ctx context.Context) error {
 	}
 	s.opt = &opt.Context{
 		Tree: s.Tree, Eng: cne, Obs: s.obs, CapLimit: s.Benchmark.CapLimit,
-		Log: o.Log, Check: ctx.Err,
+		Log: o.Log, Check: ctx.Err, Revert: s.inc.Revert,
 	}
 	return s.record("INITIAL")
 }

@@ -73,6 +73,12 @@ type Context struct {
 	Check func() error
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...interface{})
+	// Revert, when non-nil, is called after every undo of an evaluated
+	// mutation (a rejected IVC round, a model probe's removal), once the
+	// tree is back at the network evaluated before it. The incremental
+	// transient evaluator's Revert goes here, so its stage cache keeps the
+	// restored network's transients as the newest.
+	Revert func()
 
 	// cached state from the most recent CNE
 	lastResults []*analysis.Result
@@ -135,6 +141,13 @@ func (cx *Context) Baseline() ([]*analysis.Result, eval.Metrics, error) {
 // invalidate drops the CNE cache after an uncommitted tree mutation.
 func (cx *Context) invalidate() { cx.haveCNE = false }
 
+// reverted reports an undone evaluated mutation through the Revert hook.
+func (cx *Context) reverted() {
+	if cx.Revert != nil {
+		cx.Revert()
+	}
+}
+
 // worse reports whether candidate metrics violate constraints more than the
 // baseline did: more slew violations, or capacitance newly/further over the
 // limit. Judging violations relatively lets the passes make progress on
@@ -183,6 +196,7 @@ func (cx *Context) improveLoop(name string, obj Objective, mutate func(res []*an
 		if cx.worse(baseM, nm) || obj.value(nm) > best-minGain {
 			// IVC fail: restore the saved solution and stop the pass.
 			a.CopyFrom(&cx.spare)
+			cx.reverted()
 			cx.lastResults, cx.lastMetrics, cx.haveCNE = snapRes, snapM, true
 			cx.logf("%s: round %d rejected (%.3f -> %.3f, worse=%v, viol %d->%d, maxslew %.1f->%.1f, cap %.0f->%.0f)",
 				name, round, best, obj.value(nm), cx.worse(baseM, nm),

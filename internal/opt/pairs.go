@@ -41,6 +41,7 @@ func EstimateTpair(cx *Context) (float64, error) {
 	worst, _ := probeDelta(a, base, after, p)
 	a.RemoveDegree2(b2)
 	a.RemoveDegree2(b1)
+	cx.reverted()
 	cx.invalidate()
 	return worst, nil
 }

@@ -44,6 +44,7 @@ func EstimateTws(cx *Context) (float64, error) {
 	for _, p := range probes {
 		a.WidthIdx[p] = int32(wide)
 	}
+	cx.reverted()
 	cx.invalidate()
 	return twsUnit, nil
 }

@@ -74,6 +74,7 @@ func EstimateTwn(cx *Context, lwn float64, sinkEdges bool) (twn, twnSlew float64
 	for _, p := range probes {
 		a.Snake[p] -= lwn
 	}
+	cx.reverted()
 	cx.invalidate()
 	return twn, twnSlew, nil
 }

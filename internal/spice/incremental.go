@@ -28,9 +28,9 @@ import (
 // one word; see chainKeys) or by direct sample comparison against the
 // recorded input. Two generations of results are kept per stage, which
 // makes the cascade's characteristic apply-evaluate-revert patterns (model
-// probes, rejected IVC rounds) cheap: the revert's evaluation finds the
-// pre-mutation generation and promotes it instead of re-integrating the
-// cone.
+// probes, rejected IVC rounds) cheap. The cascade reports each such undo
+// through Revert, which makes the pre-mutation entries every stage's
+// newest again, so the next trial does not push them out.
 //
 // Whole networks are memoized too. The cascade revisits networks it has
 // evaluated before: a baseline is evaluated again after every probe
@@ -42,14 +42,8 @@ import (
 // order, the corner list and the slew limit (which no signature covers);
 // the key trusts exactly what the stage cache trusts. A hit expands the
 // stored flat results into fresh maps without simulating or matching a
-// stage; it still counts one Eng.Runs per corner, and its stage
-// transients count as cache hits. A hit also promotes, per (corner, edge),
-// every stage entry still cached under the network's chain keys to its
-// stage's newest, as the full evaluation would have; stages whose entries
-// were dropped keep their lists. Promotion cannot make a match unsound,
-// because matching never relies on which generation an entry sits in: a
-// chain key or a sample comparison vouches for every entry it accepts.
-// The memo evicts least recently used networks beyond netMemoBudget
+// stage and leaves the stage cache as it is; it still counts one Eng.Runs
+// per corner, and its stage transients count as cache hits. The memo evicts least recently used networks beyond netMemoBudget
 // bytes and skips a network larger than that; Reset and a new tree clear
 // it with the stage cache.
 //
@@ -86,12 +80,15 @@ type Incremental struct {
 
 	tree     *ctree.Tree
 	launches map[launchKey]map[int][]*stageEntry
+	// replaced holds, per launch, the generation its latest evaluation
+	// replaced (the current one after a memo hit): the generation Revert
+	// restores.
+	replaced map[launchKey]map[int][]*stageEntry
 	memo     *netMemo
 	// net is re-extracted in place by every evaluation; sigs holds its
-	// stage signatures, the memo's lookup key, and chains its chain keys
-	// on a memo hit.
-	net          analysis.Net
-	sigs, chains []uint64
+	// stage signatures, the memo's lookup key.
+	net  analysis.Net
+	sigs []uint64
 
 	// Stats counts evaluator work across the evaluator's lifetime.
 	Stats IncrementalStats
@@ -155,6 +152,7 @@ func (ie *Incremental) bind(tr *ctree.Tree) {
 // it after changing Eng's integration parameters.
 func (ie *Incremental) Reset() {
 	ie.launches = make(map[launchKey]map[int][]*stageEntry)
+	ie.replaced = make(map[launchKey]map[int][]*stageEntry)
 	ie.memo = newNetMemo(netMemoBudget)
 }
 
@@ -188,12 +186,11 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 	slewLimit := net.Tech.SlewLimit
 	hash := netHash(ie.sigs, corners, slewLimit)
 	if ent := ie.memo.lookup(hash, ie.sigs, corners, slewLimit); ent != nil {
-		ie.chains = chainKeys(net, ie.chains)
 		results := make([]*analysis.Result, len(corners))
 		for ci, c := range corners {
 			for _, rising := range launchEdges {
 				lk := launchKey{c, rising}
-				ie.launches[lk] = promote(net, ie.chains, ie.launches[lk])
+				ie.replaced[lk] = ie.launches[lk]
 			}
 			results[ci] = ent.flats[ci].result(c, ent.keys, net.Slots)
 			ie.Stats.StagesHit += ent.transients[ci]
@@ -246,7 +243,9 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 	for ci, c := range corners {
 		out := &outs[ci]
 		for k, rising := range launchEdges {
-			ie.launches[launchKey{c, rising}] = out.entries[k]
+			lk := launchKey{c, rising}
+			ie.replaced[lk] = ie.launches[lk]
+			ie.launches[lk] = out.entries[k]
 		}
 		ie.Stats.StagesSim += out.simulated
 		ie.Stats.StagesHit += out.reused
@@ -260,26 +259,23 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 	return results, nil
 }
 
-// promote returns an edge's next cache generation after a network-memo
-// hit, given the network's chain keys: every stage whose cached list
-// holds an entry under the stage's chain key gets that entry as its
-// newest, exactly as the full evaluation would have committed it. A stage
-// whose entry has been dropped keeps its list; only an integration could
-// restore it.
-func promote(net *analysis.Net, chains []uint64, prev map[int][]*stageEntry) map[int][]*stageEntry {
-	chosen := make([]*stageEntry, len(net.Stages))
-	moved := false
-	for i, s := range net.Stages {
-		lst := prev[s.Key()]
-		if k := slices.IndexFunc(lst, func(ent *stageEntry) bool { return ent.chain == chains[i] }); k >= 0 {
-			chosen[i] = lst[k]
-			moved = moved || k > 0
+// Revert tells the evaluator that the tree is back at the network its
+// evaluation before the latest one saw, the latest being a trial the
+// caller undid (a rejected round, a removed probe). Per launch, the
+// replaced generation's entries become the newest again and the trial's
+// their predecessors, as committing an evaluation of the restored tree
+// would leave them. After a memo hit, and on a second call, it is a no-op.
+func (ie *Incremental) Revert() {
+	for lk, gen := range ie.replaced {
+		if gen == nil { // the trial was the launch's first evaluation
+			continue
 		}
+		next := make(map[int][]*stageEntry, len(gen))
+		for key, lst := range gen {
+			next[key] = pushNewest(ie.launches[lk][key], lst[0])
+		}
+		ie.launches[lk] = next
 	}
-	if !moved {
-		return prev // every entry found is already its stage's newest
-	}
-	return commitEdge(net, prev, chosen)
 }
 
 // matchEntry finds a cached transient valid for a stage with the given

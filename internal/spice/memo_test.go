@@ -214,3 +214,48 @@ func memoEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Fatal("a network larger than the budget was memoized")
 	}
 }
+
+// TestRevertedTrialMatchesBaseline: after trials that are evaluated and
+// then undone with Revert, re-evaluating the restored tree integrates no
+// stage and equals a fresh evaluation, even with the network memo off and
+// two trials through the whole cone in a row (which would otherwise push
+// the baseline's transients out of the two-generation stage cache).
+func TestRevertedTrialMatchesBaseline(t *testing.T) {
+	base := tech.Default45()
+	pvt, err := corners.Build("pvt5", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range []*tech.Tech{base, pvt.Apply(base)} {
+		for _, par := range []int{1, 4} {
+			// resims replays the sequence and returns the stages the final
+			// re-evaluation of the baseline integrated.
+			resims := func(revert bool) int {
+				tr := randomStagedTree(rand.New(rand.NewSource(int64(5+par))), tk)
+				h := &memoHarness{t: t, tr: tr, ie: NewIncremental(tr, New(), par)}
+				h.ie.memo = newNetMemo(0) // nothing fits: every call misses
+				a := tr.Arena()
+				start := a.Clone()
+				h.eval(tk.Corners)
+				trunk := a.Children(a.Root())[0]
+				for k := 1; k <= 2; k++ {
+					a.Snake[trunk] += 25 * float64(k)
+					h.eval(tk.Corners)
+					a.CopyFrom(start)
+					if revert {
+						h.ie.Revert()
+					}
+				}
+				sims := h.ie.Stats.StagesSim
+				h.eval(tk.Corners)
+				return h.ie.Stats.StagesSim - sims
+			}
+			if n := resims(true); n != 0 {
+				t.Errorf("%d corners, par %d: re-evaluating the restored tree integrated %d stages", len(tk.Corners), par, n)
+			}
+			if n := resims(false); n == 0 {
+				t.Errorf("%d corners, par %d: without Revert the baseline survived both trials; the case shows nothing", len(tk.Corners), par)
+			}
+		}
+	}
+}
