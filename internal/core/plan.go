@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"contango/internal/eval"
+	"contango/internal/opt"
 )
 
 // Plan is an ordered synthesis pipeline: a named list of pass steps.
@@ -113,6 +114,8 @@ var builtinOrder = []string{"paper", "fast", "wire-only", "tune-only", "no-cycle
 // builtinSpecs maps built-in plan names to their full specs. Steps without
 // a ":N" budget run opt.DefaultMaxRounds rounds and a cycle group without
 // an xN suffix runs up to DefaultCycles cycles; a custom spec pins either.
+// A spec that pins exactly a default parses as unpinned, so it renders,
+// keys and runs as the same plan without the suffix.
 var builtinSpecs = map[string]string{
 	// The paper's Fig. 1 cascade, bit-identical to the pre-pipeline flow.
 	"paper": "zst,legalize,buffer,polarity,tbsz,twsz,twsn,bwsn,cycle(twsz,twsn,bwsn)",
@@ -309,7 +312,9 @@ func parseStep(tok string) (Step, error) {
 		if err != nil || n < 1 {
 			return Step{}, fmt.Errorf("core: bad round budget in step %q (want a positive integer)", tok)
 		}
-		rounds = n
+		if n != opt.DefaultMaxRounds { // the default budget pinned is unpinned
+			rounds = n
+		}
 		rest = rest[:c]
 	}
 	name := canon(rest)
@@ -355,7 +360,9 @@ func parseCycle(tok string) (Step, error) {
 		if err != nil || n < 1 {
 			return Step{}, fmt.Errorf("core: bad cycle count %q (want a positive integer)", suffix)
 		}
-		repeat = n
+		if n != DefaultCycles { // the default budget pinned is unpinned
+			repeat = n
+		}
 	}
 	return Step{Cycle: inner, Repeat: repeat}, nil
 }

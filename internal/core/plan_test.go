@@ -119,7 +119,9 @@ func TestParsePlanRoundTrip(t *testing.T) {
 		{"zst,legalize,buffer,polarity,tbsz:4,cycle(twsz,twsn)x2", ""},
 		{"zst,legalize,buffer,polarity,twsz?skew>10.5,twsn?cap<2000", ""},
 		{"zst, Legalize , BUFFER,polarity, tbsz : 4", "zst,legalize,buffer,polarity,tbsz:4"},
-		{"cycle(twsz,twsn) X3,tbsz", "zst,legalize,buffer,polarity,cycle(twsz,twsn)x3,tbsz"},
+		{"cycle(twsz,twsn) X3,tbsz", "zst,legalize,buffer,polarity,cycle(twsz,twsn),tbsz"},
+		// Pinned defaults (opt.DefaultMaxRounds, DefaultCycles) are unpinned.
+		{"tbsz:16,cycle(twsz:16,twsn:2)x3", "zst,legalize,buffer,polarity,tbsz,cycle(twsz,twsn:2)"},
 		// Construction prelude implied for pure-cascade specs.
 		{"tbsz:2,twsz", "zst,legalize,buffer,polarity,tbsz:2,twsz"},
 	}
