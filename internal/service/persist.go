@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 
 	"contango/internal/bench"
@@ -59,7 +60,8 @@ func (s *Service) journal(kind, key string) {
 		return
 	}
 	if _, err := s.jnl.Append(kind, key); err != nil {
-		s.logf("journal %s %s: %v", kind, shortKey(key), err)
+		s.logAt(slog.LevelWarn, "journal append failed", slog.String("record", kind),
+			slog.String("key", key), slog.String("error", err.Error()))
 	}
 }
 
@@ -83,24 +85,26 @@ func (s *Service) persistSubmit(b *bench.Benchmark, o core.Options, key string, 
 	// a recovered job gets a fresh window of the same length. It does not
 	// perturb the spec's content key: OptionsWire.Options ignores it.
 	spec.Options.DeadlineMS = deadlineMS
+	notDurable := func(err error) bool {
+		s.logAt(slog.LevelWarn, "job not durable", slog.String("key", key), slog.String("error", err.Error()))
+		return false
+	}
 	var bb bytes.Buffer
 	if err := bench.Write(&bb, b); err != nil {
-		s.logf("job %s: not durable (benchmark serialization: %v)", shortKey(key), err)
-		return false
+		return notDurable(fmt.Errorf("benchmark serialization: %w", err))
 	}
 	spec.Bench = bb.String()
 	if roundTrip, err := specKey(spec); err != nil || roundTrip != key {
-		s.logf("job %s: not durable (library-only options do not round-trip the content key)", shortKey(key))
+		s.logAt(slog.LevelInfo, "job not durable: library-only options do not round-trip the content key",
+			slog.String("key", key))
 		return false
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {
-		s.logf("job %s: not durable (%v)", shortKey(key), err)
-		return false
+		return notDurable(err)
 	}
 	if err := s.st.Put(artifactKey(key, artJob), data); err != nil {
-		s.logf("job %s: not durable (%v)", shortKey(key), err)
-		return false
+		return notDurable(err)
 	}
 	return true
 }
@@ -123,7 +127,8 @@ func (s *Service) persistJobLog(j *Job) {
 	}
 	lines := j.Logs()
 	if err := s.st.Put(artifactKey(j.key, artLog), []byte(strings.Join(lines, "\n"))); err != nil {
-		s.logf("job %s: log not persisted: %v", j.id, err)
+		s.logAt(slog.LevelWarn, "job log not persisted", slog.String("job", j.id),
+			slog.String("key", j.key), slog.String("error", err.Error()))
 	}
 }
 
@@ -137,19 +142,23 @@ func (s *Service) recoverJournal(recs []store.Record) {
 		if r.Terminal() {
 			continue
 		}
+		skip := func(reason string, attrs ...slog.Attr) {
+			s.logAt(slog.LevelWarn, "recovery: job skipped",
+				append([]slog.Attr{slog.String("key", r.Key), slog.String("reason", reason)}, attrs...)...)
+		}
 		data, err := s.st.Get(artifactKey(r.Key, artJob))
 		if err != nil {
-			s.logf("recovery: job %s: spec unavailable: %v", shortKey(r.Key), err)
+			skip("spec unavailable", slog.String("error", err.Error()))
 			continue
 		}
 		var spec jobSpec
 		if err := json.Unmarshal(data, &spec); err != nil {
-			s.logf("recovery: job %s: bad spec: %v", shortKey(r.Key), err)
+			skip("bad spec", slog.String("error", err.Error()))
 			continue
 		}
 		b, err := bench.Read(strings.NewReader(spec.Bench))
 		if err != nil {
-			s.logf("recovery: job %s: bad benchmark: %v", shortKey(r.Key), err)
+			skip("bad benchmark", slog.String("error", err.Error()))
 			continue
 		}
 		o := spec.Options.Options()
@@ -162,31 +171,33 @@ func (s *Service) recoverJournal(recs []store.Record) {
 				Options json.RawMessage `json:"options"`
 			}
 			_ = json.Unmarshal(data, &raw)
-			s.logf("recovery: job %s: spec options %s no longer reproduce its key (now %s); not re-queued",
-				shortKey(r.Key), raw.Options, shortKey(key))
+			skip("spec options no longer reproduce the key",
+				slog.String("options", string(raw.Options)), slog.String("now", key))
 			continue
 		}
 		// A recovered ECO job's spec holds only the base key and delta; the
 		// base tree re-hydrates from the base run's result artifact. A base
 		// evicted from the store since the crash is a skip, not a failure.
 		if err := s.hydrateECO(&o); err != nil {
-			s.logf("recovery: job %s: eco base unavailable: %v", shortKey(r.Key), err)
+			skip("eco base unavailable", slog.String("error", err.Error()))
 			continue
 		}
 		j, err := s.SubmitWith(b, o, SubmitOpts{Deadline: spec.Options.Deadline()})
 		if err != nil {
-			s.logf("recovery: job %s: resubmission failed: %v", shortKey(r.Key), err)
+			skip("resubmission failed", slog.String("error", err.Error()))
 			continue
 		}
 		if j.CacheHit() {
 			// The crash lost only the "finished" record, not the result;
 			// the submission converged the journal and nothing re-runs —
 			// that is not a recovered job.
-			s.logf("recovery: job %s (%s) already finished on disk", j.ID(), b.Name)
+			s.logAt(slog.LevelInfo, "recovery: job already finished on disk", slog.String("job", j.ID()),
+				slog.String("bench", b.Name), slog.String("key", r.Key))
 			continue
 		}
 		s.metrics.recovered.Inc()
-		s.logf("recovery: re-queued job %s (%s, %s)", j.ID(), b.Name, shortKey(r.Key))
+		s.logAt(slog.LevelInfo, "recovery: job re-queued", slog.String("job", j.ID()),
+			slog.String("bench", b.Name), slog.String("key", r.Key))
 	}
 }
 
@@ -228,7 +239,8 @@ func (s *Service) putArtifact(key, name string, data []byte) {
 		return
 	}
 	if err := s.st.Put(artifactKey(key, name), data); err != nil {
-		s.logf("artifact %s.%s not persisted: %v", shortKey(key), name, err)
+		s.logAt(slog.LevelWarn, "artifact not persisted", slog.String("key", key),
+			slog.String("artifact", name), slog.String("error", err.Error()))
 	}
 }
 
@@ -240,7 +252,8 @@ func (s *Service) getArtifact(key, name string) []byte {
 	data, err := s.st.Get(artifactKey(key, name))
 	if err != nil {
 		if !errors.Is(err, store.ErrNotFound) {
-			s.logf("artifact %s.%s unreadable: %v", shortKey(key), name, err)
+			s.logAt(slog.LevelWarn, "artifact unreadable", slog.String("key", key),
+				slog.String("artifact", name), slog.String("error", err.Error()))
 		}
 		return nil
 	}
@@ -277,7 +290,7 @@ func optionsToWire(o core.Options) OptionsWire {
 	return w
 }
 
-// shortKey abbreviates a content key for log lines.
+// shortKey abbreviates a content key for error messages.
 func shortKey(key string) string {
 	if len(key) > 12 {
 		return key[:12]

@@ -259,16 +259,17 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// logf emits a service lifecycle line through the configured Logger at
-// debug level.
-func (s *Service) logf(format string, args ...interface{}) {
+// logAt emits one structured record through the configured Logger. Job
+// lifecycle events and expected skips go out at Info; a durable write that
+// failed, or a journaled job recovery had to drop, at Warn.
+func (s *Service) logAt(level slog.Level, msg string, attrs ...slog.Attr) {
 	if s.cfg.Logger != nil {
-		s.cfg.Logger.Debug(fmt.Sprintf(format, args...))
+		s.cfg.Logger.LogAttrs(context.Background(), level, msg, attrs...)
 	}
 }
 
-// logJob emits one structured job-lifecycle record through the Logger
-// with the job's identifying attributes attached.
+// logJob emits one job-lifecycle record at Info with the job's identifying
+// attributes attached.
 func (s *Service) logJob(j *Job, msg string, attrs ...slog.Attr) {
 	if s.cfg.Logger == nil {
 		return
@@ -282,7 +283,7 @@ func (s *Service) logJob(j *Job, msg string, attrs ...slog.Attr) {
 	if tier := j.CacheTier(); tier != "" {
 		base = append(base, slog.String("cache_tier", tier))
 	}
-	s.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, msg, append(base, attrs...)...)
+	s.logAt(slog.LevelInfo, msg, append(base, attrs...)...)
 }
 
 // MetricsRegistry returns the registry holding the service's metric
@@ -492,7 +493,6 @@ func (s *Service) SubmitWith(b *bench.Benchmark, o core.Options, so SubmitOpts) 
 	s.wg.Add(1)
 	s.mu.Unlock()
 	go s.runPacked(j)
-	s.logf("job %s: queued %s (%d sinks)", j.id, b.Name, len(b.Sinks))
 	s.logJob(j, "job queued", slog.Int("sinks", len(b.Sinks)))
 	return j, nil
 }
@@ -581,7 +581,6 @@ func (s *Service) addJobLocked(j *Job) {
 
 func (s *Service) logCacheHit(j *Job) {
 	j.appendLog(fmt.Sprintf("%s: served from result cache (%s)", j.benchmark.Name, j.cacheTier))
-	s.logf("job %s: %s cache hit for %s", j.id, j.cacheTier, j.benchmark.Name)
 	s.logJob(j, "job served from cache")
 }
 
@@ -729,7 +728,7 @@ func (s *Service) Shutdown(ctx context.Context) {
 func (s *Service) closeJournal() {
 	if s.jnl != nil {
 		if err := s.jnl.Close(); err != nil {
-			s.logf("journal close: %v", err)
+			s.logAt(slog.LevelWarn, "journal close failed", slog.String("error", err.Error()))
 		}
 	}
 }
@@ -763,7 +762,6 @@ func (s *Service) run(j *Job) {
 	if j.durable {
 		s.journal("started", j.key)
 	}
-	s.logf("job %s: running %s", j.id, j.benchmark.Name)
 	s.logJob(j, "job running")
 
 	// The job's flow trace: a root span over the whole submit→terminal
@@ -879,7 +877,8 @@ func (s *Service) run(j *Job) {
 		sp := root.Child("persist")
 		if s.cache != nil {
 			if derr := s.cache.Add(j.key, res); derr != nil {
-				s.logf("job %s: result not persisted: %v", j.id, derr)
+				s.logAt(slog.LevelWarn, "job result not persisted", slog.String("job", j.id),
+					slog.String("key", j.key), slog.String("error", derr.Error()))
 			}
 		}
 		s.persistJobLog(j)
@@ -911,13 +910,12 @@ func (s *Service) run(j *Job) {
 		}
 	}
 	if err != nil {
-		s.logf("job %s: %s (%v)", j.id, st, err)
 		s.logJob(j, "job "+string(st), slog.String("error", err.Error()))
 	} else {
-		s.logf("job %s: done in %v, %d runs, %s", j.id, j.Elapsed().Round(time.Millisecond), res.Runs, res.Final)
 		s.logJob(j, "job finished",
 			slog.Duration("elapsed", j.Elapsed()),
-			slog.Int("sim_runs", res.Runs))
+			slog.Int("sim_runs", res.Runs),
+			slog.String("final", res.Final.String()))
 	}
 }
 

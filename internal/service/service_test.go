@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"reflect"
 	"strings"
 	"sync"
@@ -626,4 +627,76 @@ func TestFinishedJobsForgotten(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.CancelAll()
+}
+
+// recordCapture is a slog.Handler that keeps every record it handles.
+type recordCapture struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (c *recordCapture) Enabled(context.Context, slog.Level) bool { return true }
+func (c *recordCapture) WithAttrs([]slog.Attr) slog.Handler       { return c }
+func (c *recordCapture) WithGroup(string) slog.Handler            { return c }
+
+func (c *recordCapture) Handle(_ context.Context, r slog.Record) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recs = append(c.recs, r.Clone())
+	return nil
+}
+
+func (c *recordCapture) all() []slog.Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]slog.Record(nil), c.recs...)
+}
+
+// recordAttr returns the string value of r's attribute key ("" if absent).
+func recordAttr(r slog.Record, key string) string {
+	var v string
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == key {
+			v = a.Value.String()
+			return false
+		}
+		return true
+	})
+	return v
+}
+
+// TestLifecycleLoggedOnce: each job lifecycle event is one Info record
+// naming its job: an executed job is queued, running and finished; its
+// resubmission is served from cache.
+func TestLifecycleLoggedOnce(t *testing.T) {
+	logs := &recordCapture{}
+	svc := New(Config{Workers: 1, Logger: slog.New(logs)})
+	b := tinyBench("log-once", 0)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		j, err := svc.Submit(b, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID())
+	}
+	svc.Close() // the worker logs "job finished" after waiters wake
+	want := map[string][]string{
+		ids[0]: {"job queued", "job running", "job finished"},
+		ids[1]: {"job served from cache"},
+	}
+	got := map[string][]string{}
+	for _, r := range logs.all() {
+		if r.Level != slog.LevelInfo {
+			t.Errorf("record %q at %v, want Info", r.Message, r.Level)
+		}
+		id := recordAttr(r, "job")
+		got[id] = append(got[id], r.Message)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("lifecycle records %v, want %v", got, want)
+	}
 }
