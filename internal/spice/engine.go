@@ -324,25 +324,22 @@ func commitEdge(net *analysis.Net, prev map[int][]*stageEntry, chosen []*stageEn
 			}
 			continue
 		}
-		next[key] = pushNewest(old, chosen[i])
+		if len(old) > 0 && old[0] == chosen[i] {
+			// Steady-state hit on the newest entry: the committed list is
+			// identical to the previous generation's (same head, same ≤1
+			// distinct predecessor), so reuse it instead of copying.
+			next[key] = old
+			continue
+		}
+		lst := append(make([]*stageEntry, 0, 2), chosen[i])
+		for _, ent := range old {
+			if ent != chosen[i] && len(lst) < 2 {
+				lst = append(lst, ent)
+			}
+		}
+		next[key] = lst
 	}
 	return next
-}
-
-// pushNewest returns a stage's cached list with ent as its newest entry,
-// followed by the most recent other entry of old. When ent already heads
-// old (a steady-state hit), old is the answer and is reused uncopied.
-func pushNewest(old []*stageEntry, ent *stageEntry) []*stageEntry {
-	if len(old) > 0 && old[0] == ent {
-		return old
-	}
-	lst := append(make([]*stageEntry, 0, 2), ent)
-	for _, e := range old {
-		if e != ent && len(lst) < 2 {
-			lst = append(lst, e)
-		}
-	}
-	return lst
 }
 
 // flatResult is one corner's evaluation in compact form, the only form an

@@ -43,9 +43,10 @@ import (
 // the key trusts exactly what the stage cache trusts. A hit expands the
 // stored flat results into fresh maps without simulating or matching a
 // stage and leaves the stage cache as it is; it still counts one Eng.Runs
-// per corner, and its stage transients count as cache hits. The memo evicts least recently used networks beyond netMemoBudget
-// bytes and skips a network larger than that; Reset and a new tree clear
-// it with the stage cache.
+// per corner, and its stage transients count as cache hits. The memo
+// evicts least recently used networks beyond netMemoBudget bytes and
+// skips a network larger than that; Reset and a new tree clear it with
+// the stage cache.
 //
 // A cached stage transient may be suspended (see simStage): a later
 // evaluation that reuses it under a child reading further extends it in
@@ -80,11 +81,10 @@ type Incremental struct {
 
 	tree     *ctree.Tree
 	launches map[launchKey]map[int][]*stageEntry
-	// replaced holds, per launch, the generation its latest evaluation
-	// replaced (the current one after a memo hit): the generation Revert
-	// restores.
-	replaced map[launchKey]map[int][]*stageEntry
-	memo     *netMemo
+	// undo holds, per launch, the stages whose newest entry its latest
+	// evaluation changed (none after a memo hit), for Revert.
+	undo map[launchKey][]int
+	memo *netMemo
 	// net is re-extracted in place by every evaluation; sigs holds its
 	// stage signatures, the memo's lookup key.
 	net  analysis.Net
@@ -152,7 +152,7 @@ func (ie *Incremental) bind(tr *ctree.Tree) {
 // it after changing Eng's integration parameters.
 func (ie *Incremental) Reset() {
 	ie.launches = make(map[launchKey]map[int][]*stageEntry)
-	ie.replaced = make(map[launchKey]map[int][]*stageEntry)
+	ie.undo = make(map[launchKey][]int)
 	ie.memo = newNetMemo(netMemoBudget)
 }
 
@@ -189,8 +189,7 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 		results := make([]*analysis.Result, len(corners))
 		for ci, c := range corners {
 			for _, rising := range launchEdges {
-				lk := launchKey{c, rising}
-				ie.replaced[lk] = ie.launches[lk]
+				delete(ie.undo, launchKey{c, rising})
 			}
 			results[ci] = ent.flats[ci].result(c, ent.keys, net.Slots)
 			ie.Stats.StagesHit += ent.transients[ci]
@@ -244,8 +243,14 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 		out := &outs[ci]
 		for k, rising := range launchEdges {
 			lk := launchKey{c, rising}
-			ie.replaced[lk] = ie.launches[lk]
-			ie.launches[lk] = out.entries[k]
+			prevGen, keys := ie.launches[lk], ie.undo[lk][:0]
+			for _, s := range net.Stages { // the stages whose newest entry changed
+				lst, old := out.entries[k][s.Key()], prevGen[s.Key()]
+				if len(lst) > 0 && (len(old) == 0 || old[0] != lst[0]) {
+					keys = append(keys, s.Key())
+				}
+			}
+			ie.undo[lk], ie.launches[lk] = keys, out.entries[k]
 		}
 		ie.Stats.StagesSim += out.simulated
 		ie.Stats.StagesHit += out.reused
@@ -259,22 +264,24 @@ func (ie *Incremental) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([
 	return results, nil
 }
 
-// Revert tells the evaluator that the tree is back at the network its
-// evaluation before the latest one saw, the latest being a trial the
-// caller undid (a rejected round, a removed probe). Per launch, the
-// replaced generation's entries become the newest again and the trial's
-// their predecessors, as committing an evaluation of the restored tree
-// would leave them. After a memo hit, and on a second call, it is a no-op.
+// Revert tells the evaluator that the tree is back at the network it saw
+// before its latest evaluation, a trial the caller undid. Per launch, each
+// stage the trial gave a new newest entry gets its previous one back, the
+// trial's kept second, and a stage only the trial had is dropped, as a
+// commit after re-evaluating the restored tree would leave them (a stage
+// the trial removed is not brought back). After a memo hit, and on a
+// second call, it is a no-op.
 func (ie *Incremental) Revert() {
-	for lk, gen := range ie.replaced {
-		if gen == nil { // the trial was the launch's first evaluation
-			continue
+	for lk, keys := range ie.undo {
+		gen := ie.launches[lk]
+		for _, key := range keys {
+			if lst := gen[key]; len(lst) == 2 {
+				gen[key] = []*stageEntry{lst[1], lst[0]}
+			} else {
+				delete(gen, key)
+			}
 		}
-		next := make(map[int][]*stageEntry, len(gen))
-		for key, lst := range gen {
-			next[key] = pushNewest(ie.launches[lk][key], lst[0])
-		}
-		ie.launches[lk] = next
+		delete(ie.undo, lk)
 	}
 }
 
