@@ -218,8 +218,8 @@ func BenchmarkAblation_CompositeBuffers(b *testing.B) {
 }
 
 // BenchmarkAblation_InsertionModes times one balanced load-threshold
-// insertion, the flow's inserter, on a fresh ZST. Its one row keeps the
-// name it had beside the retired whole-tree van Ginneken DP row.
+// insertion, the flow's inserter, on a fresh ZST. The row keeps its
+// name so the committed baseline's entry still gates it.
 func BenchmarkAblation_InsertionModes(b *testing.B) {
 	bm := trimmed("ispd09f22", 60)
 	tk := tech.Default45()
