@@ -119,14 +119,21 @@ func cascadeCases() []cascadeCase {
 		// Full accuracy: the default engine (1 ps steps, 100 µm segments).
 		ispdCascadeCase("ispd09f22", 32, "full-accuracy/paper/", Options{}),
 		ispdCascadeCase("ispd09f12", 32, "full-accuracy/pvt5/", Options{Corners: "pvt5", Plan: "fast"}),
+		// A fresh service-shaped job: the fast plan on a small TI sample.
+		cascadeCase{
+			name:  "fast/ti70",
+			bench: func(*testing.T) *bench.Benchmark { return bench.NewTIPool().Sample(70, 1010) },
+			opts:  func(*testing.T) Options { return Options{FastSim: true, Plan: "fast"} },
+		},
 	)
 	return append(cases, ecoCascadeCases()...)
 }
 
 // TestCascadeGolden pins the optimization cascade: the paper plan on every
 // ISPD'09 design (trimmed, see cascadeSinks), the pvt5 and Monte Carlo
-// corner sets, the eco plan on three deltas, the whole-tree reference
-// evaluator, and two full-accuracy cases at the default engine settings.
+// corner sets, the fast plan on a TI sample, the eco plan on three deltas,
+// the whole-tree reference evaluator, and two full-accuracy cases at the
+// default engine settings.
 // Each case runs serially and at GOMAXPROCS workers; the two envelopes and
 // the two work counts must be identical before they are compared with the
 // golden files. The whole-tree reference keeps no stage cache, so its work
