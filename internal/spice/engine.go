@@ -201,20 +201,16 @@ func matchStage(net *analysis.Net, group []tech.Corner, cache [4]map[int][]*stag
 	miss := false
 	for c := 0; c < 2*len(group); c++ {
 		es := &cs.edge[c]
-		var vin *Waveform
 		if s.Parent >= 0 {
 			up := es.chosen[s.Parent]
 			if up == nil {
 				continue // upstream never switched; neither do we
 			}
-			w, ok := up.res.loadWaves[s.InputNode]
-			if !ok {
+			if _, ok := up.res.loadWaves[s.InputNode]; !ok {
 				continue
 			}
-			vin = w.TrimInto(0.002*group[c/2].Vdd, &es.trim[i])
 		}
-		es.inputs[i] = vin
-		if ent := matchEntry(cache[c][key], s.Sig(), cs.chain[i], vin); ent != nil {
+		if ent := matchEntry(cache[c][key], s.Sig(), cs.chain[i]); ent != nil {
 			es.chosen[i] = ent
 			continue
 		}
@@ -225,13 +221,6 @@ func matchStage(net *analysis.Net, group []tech.Corner, cache [4]map[int][]*stag
 			ext := old[0].res.extent()
 			es.ahead[i] = ext - ext/8
 		}
-		if vin == &es.trim[i] {
-			// Cache miss: the input enters a long-lived cache entry,
-			// so promote the scratch header to its own allocation
-			// (the samples stay shared with the upstream waveform).
-			h := *vin
-			es.inputs[i] = &h
-		}
 		es.need[i] = true
 		miss = true
 	}
@@ -240,10 +229,13 @@ func matchStage(net *analysis.Net, group []tech.Corner, cache [4]map[int][]*stag
 
 // simColumns integrates stage i for every column of the group that missed
 // the cache, all in one simStage call, and records fresh cache entries.
+// A column's input is its parent's load waveform, trimmed here, inside
+// the integration slot, since trimming may pull the parent's transient.
 // Concurrent calls touch disjoint stages.
 func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerScratch, i int) {
 	s := net.Stages[i]
 	var in [4]stageIn
+	var trimmed [4]Waveform
 	var col [4]int
 	w := 0
 	for k, corner := range group {
@@ -253,13 +245,15 @@ func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerSc
 			if !es.need[i] {
 				continue
 			}
-			vin := es.inputs[i]
-			if s.Parent < 0 {
-				if rising {
-					vin = Ramp(0, corner.Vdd, e.SourceSlew, e.Dt)
-				} else {
-					vin = Ramp(corner.Vdd, 0, e.SourceSlew, e.Dt)
-				}
+			var vin *Waveform
+			switch {
+			case s.Parent >= 0:
+				trimmed[w] = es.chosen[s.Parent].res.loadWaves[s.InputNode].Trim(0.002 * corner.Vdd)
+				vin = &trimmed[w]
+			case rising:
+				vin = Ramp(0, corner.Vdd, e.SourceSlew, e.Dt)
+			default:
+				vin = Ramp(corner.Vdd, 0, e.SourceSlew, e.Dt)
 			}
 			in[w] = stageIn{vin: vin, outRising: cs.dirs[i] == rising, corner: corner, drv: drv, rd: rd, ahead: es.ahead[i]}
 			col[w] = 2*k + c
@@ -268,9 +262,7 @@ func (e *Engine) simColumns(net *analysis.Net, group []tech.Corner, cs *cornerSc
 	}
 	res := e.simStage(s, in[:w])
 	for k := 0; k < w; k++ {
-		es := &cs.edge[col[k]]
-		ent := &stageEntry{chain: cs.chain[i], sig: s.Sig(), input: es.inputs[i], res: res[k]}
-		es.chosen[i] = ent
+		cs.edge[col[k]].chosen[i] = &stageEntry{chain: cs.chain[i], sig: s.Sig(), res: res[k]}
 	}
 }
 

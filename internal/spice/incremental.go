@@ -20,15 +20,15 @@ import (
 // afresh; the cone is found by content alone, so any mutation — through
 // the ctree operations or a direct field write — is seen.
 //
-// A cached stage transient is reused when (a) the stage's content signature
+// A cached stage transient is reused when the stage's content signature
 // matches — same driver parameters and RC arrays, as hashed by the
-// extractor — and (b) the stage sees the same input waveform it was
-// simulated with, either because it was recorded under the same chain key
-// (the signatures of the stage and every stage upstream of it, folded into
-// one word; see chainKeys) or by direct sample comparison against the
-// recorded input. Two generations of results are kept per stage, which
-// makes the cascade's characteristic apply-evaluate-revert patterns (model
-// probes, rejected IVC rounds) cheap. The cascade reports each such undo
+// extractor — and so does its chain key, the signatures of the stage and
+// every stage upstream of it folded into one word (chainKeys): the stage
+// then sees the same input waveform it was simulated with. A stage's input
+// is trimmed only when the stage is integrated. Two generations of results
+// are kept per stage, which makes the cascade's characteristic
+// apply-evaluate-revert patterns (model probes, rejected IVC rounds)
+// cheap. The cascade reports each such undo
 // through Revert, which makes the pre-mutation entries every stage's
 // newest again, so the next trial does not push them out.
 //
@@ -111,12 +111,10 @@ type launchKey struct {
 }
 
 // stageEntry caches one stage transient for one launch: the stage content
-// it was integrated for, the input waveform it was driven with (nil for the
-// source stage, whose ramp is deterministic), and the measurements.
+// and chain key it was integrated for, and the measurements.
 type stageEntry struct {
 	chain uint64 // the stage's chain key (chainKeys) when integrated
 	sig   uint64
-	input *Waveform
 	res   stageResult
 }
 
@@ -286,63 +284,15 @@ func (ie *Incremental) Revert() {
 }
 
 // matchEntry finds a cached transient valid for a stage with the given
-// content signature, chain key and input waveform (nil for the source
-// stage, whose ramp is deterministic). An entry recorded under the same
-// chain key saw the same input, so the sample comparison is skipped.
-func matchEntry(entries []*stageEntry, sig, chain uint64, vin *Waveform) *stageEntry {
+// content signature and chain key. An entry recorded under the same chain
+// key saw the same input: every stage upstream of it had the same content.
+func matchEntry(entries []*stageEntry, sig, chain uint64) *stageEntry {
 	for _, ent := range entries {
-		if ent.sig != sig {
-			continue
-		}
-		if vin == nil || ent.chain == chain || waveEqual(vin, ent.input) {
+		if ent.sig == sig && ent.chain == chain {
 			return ent
 		}
 	}
 	return nil
-}
-
-// waveEqual reports exact sample-level equality of two waveforms, however
-// each splits its samples between stored ones and the implicit tail. An
-// unfinished waveform is compared as far as its samples are computed, and
-// pulled further only while they agree: most candidates differ within the
-// first few samples, and a match has to be pulled to its producer's stop.
-func waveEqual(a, b *Waveform) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a == b {
-		return true
-	}
-	if a.T0 != b.T0 || a.Dt != b.Dt || a.V0 != b.V0 {
-		return false
-	}
-	sa, sb := a.pull(1), b.pull(1)
-	for i := 0; sa.feed != nil || sb.feed != nil; i++ {
-		if sa.feed != nil && i >= sa.known() {
-			sa = a.pull(i + extendChunk)
-		}
-		if sb.feed != nil && i >= sb.known() {
-			sb = b.pull(i + extendChunk)
-		}
-		if i >= sa.known() || i >= sb.known() {
-			return i >= sa.known() && i >= sb.known()
-		}
-		if sa.sample(i) != sb.sample(i) {
-			return false
-		}
-	}
-	a, b = &sa, &sb
-	if a.Len() != b.Len() {
-		return false
-	}
-	// Past the longer stored part both repeat the last samples compared
-	// at its end.
-	for i, n := 0, max(len(a.V), len(b.V)); i < n; i++ {
-		if a.sample(i) != b.sample(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // netMemoBudget bounds the bytes the network memo of one Incremental

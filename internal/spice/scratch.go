@@ -57,20 +57,16 @@ type cornerScratch struct {
 	edge  [4]edgeScratch
 }
 
-// edgeScratch is one (corner, launch edge) column's per-stage state. Every entry is zero
-// while the scratch sits in the pool: stages skipped by the dirty-cone walk
-// must read zero values, exactly as freshly made slices would give.
+// edgeScratch is one (corner, launch edge) column's per-stage state. Every
+// entry is zero while the scratch sits in the pool: stages skipped by the
+// dirty-cone walk must read zero values, exactly as freshly made slices
+// would give.
 type edgeScratch struct {
-	inputs []*Waveform
-	need   []bool // stage misses the cache and must be integrated
-	ahead  []int  // steps to take before suspending (stageIn.ahead)
+	need  []bool // stage misses the cache and must be integrated
+	ahead []int  // steps to take before suspending (stageIn.ahead)
 	// chosen is the cache entry that served or recorded the stage; nil =
 	// no input transition reached it.
 	chosen []*stageEntry
-	// trim holds per-stage trimmed-input headers (TrimInto targets). A
-	// header is cloned to the heap before it enters a cache entry, so
-	// nothing outlives the evaluation that wrote it.
-	trim []Waveform
 }
 
 var cornerPool = sync.Pool{New: func() any { return new(cornerScratch) }}
@@ -81,11 +77,9 @@ func getCornerScratch(n int) *cornerScratch {
 		cs.dirs = make([]bool, n)
 		for c := range cs.edge {
 			cs.edge[c] = edgeScratch{
-				inputs: make([]*Waveform, n),
 				need:   make([]bool, n),
 				ahead:  make([]int, n),
 				chosen: make([]*stageEntry, n),
-				trim:   make([]Waveform, n),
 			}
 		}
 		return cs
@@ -93,26 +87,22 @@ func getCornerScratch(n int) *cornerScratch {
 	cs.dirs = cs.dirs[:n]
 	for c := range cs.edge {
 		es := &cs.edge[c]
-		es.inputs = es.inputs[:n]
 		es.need = es.need[:n]
 		es.ahead = es.ahead[:n]
 		es.chosen = es.chosen[:n]
-		es.trim = es.trim[:n]
 	}
 	return cs
 }
 
 // putCornerScratch zeroes what an evaluation wrote and pools the scratch.
-// Clearing here rather than on checkout also keeps pooled headers from
-// pinning waveforms the cache has already dropped.
+// Clearing here rather than on checkout also keeps pooled entries from
+// pinning transients the cache has already dropped.
 func putCornerScratch(cs *cornerScratch) {
 	for c := range cs.edge {
 		es := &cs.edge[c]
-		clear(es.inputs)
 		clear(es.need)
 		clear(es.ahead)
 		clear(es.chosen)
-		clear(es.trim)
 	}
 	cornerPool.Put(cs)
 }

@@ -66,9 +66,9 @@ import (
 // A stage's load waveform may be unfinished: a view on a stage transient
 // that has suspended before its eager stop (stageRun), because nothing has
 // read that far yet. Such a view has feed set, and skip counts the samples
-// of the feed it drops at the front (TrimInto). Its methods pull the
+// of the feed it drops at the front (Trim). Its methods pull the
 // producer as far as they read, and so still return what the finished
-// trace would: At up to the time asked for, TrimInto up to the first
+// trace would: At up to the time asked for, Trim up to the first
 // sample that leaves the band, and Len, End and Last to the producer's
 // stop. A snapshot (pull) is a view that also carries the samples computed
 // so far in V and Tail; past them it must be pulled again.
@@ -110,7 +110,7 @@ func (w *Waveform) pull(m int) Waveform {
 }
 
 // finalView returns w's final form once its feed is done: the feed's
-// final waveform with skip samples dropped, as TrimInto drops them.
+// final waveform with skip samples dropped, as Trim drops them.
 func (w *Waveform) finalView() Waveform {
 	fin := &w.feed.fin
 	k := min(w.skip, len(fin.V)-1)
@@ -138,15 +138,6 @@ func (w *Waveform) Len() int {
 		return c.known()
 	}
 	return len(w.V) + w.Tail
-}
-
-// sample returns sample i of a finished waveform, 0 <= i < Len(), or of
-// a snapshot, 0 <= i < known().
-func (w *Waveform) sample(i int) float64 {
-	if i < len(w.V) {
-		return w.V[i]
-	}
-	return w.V[len(w.V)-1]
 }
 
 // atNeeds returns how many samples At(t) reads: up to the one after t's.
@@ -262,17 +253,14 @@ func (w *Waveform) Last() float64 {
 	return w.V[len(w.V)-1]
 }
 
-// TrimInto drops leading samples that stay within tol of V0, keeping one
-// sample of margin, and returns the trimmed waveform. Trimming lets
-// downstream stages start their windows when their input actually begins
-// to move. It returns w itself when nothing is trimmed and otherwise writes
-// the trimmed header into dst and returns dst; the samples are shared with
-// w either way. The incremental evaluator trims into per-stage scratch so
-// cache hits allocate nothing. An unfinished waveform is pulled until a
+// Trim drops leading samples that stay within tol of V0, keeping one
+// sample of margin, and returns the trimmed waveform, which shares w's
+// samples. Trimming lets downstream stages start their windows when their
+// input actually begins to move. An unfinished waveform is pulled until a
 // sample leaves the band; its trimmed form is an unfinished view too. A
 // suspended stage transient has one among the samples it has computed,
 // since every node has crossed 10% of the swing.
-func (w *Waveform) TrimInto(tol float64, dst *Waveform) *Waveform {
+func (w *Waveform) Trim(tol float64) Waveform {
 	if w.feed != nil {
 		s := w.pull(1)
 		for i := 0; ; {
@@ -282,20 +270,14 @@ func (w *Waveform) TrimInto(tol float64, dst *Waveform) *Waveform {
 				}
 			}
 			if s.feed == nil {
-				// Finished first: trim the final form.
-				fin := s
-				if fin.TrimInto(tol, dst) == &fin {
-					return w
-				}
-				return dst
+				return s.Trim(tol) // finished first: trim the final form
 			}
 			if i < len(s.V) {
 				if i == 0 {
-					return w
+					return *w
 				}
 				first := i - 1 // keep one quiet sample for interpolation
-				*dst = Waveform{T0: w.T0 + float64(first)*w.Dt, Dt: w.Dt, V0: w.V0, feed: w.feed, skip: w.skip + first}
-				return dst
+				return Waveform{T0: w.T0 + float64(first)*w.Dt, Dt: w.Dt, V0: w.V0, feed: w.feed, skip: w.skip + first}
 			}
 			s = w.pull(s.known() + extendChunk)
 		}
@@ -310,18 +292,17 @@ func (w *Waveform) TrimInto(tol float64, dst *Waveform) *Waveform {
 		}
 	}
 	if first == 0 {
-		return w
+		return *w
 	}
 	first-- // keep one quiet sample for interpolation
 	k := min(first, len(w.V)-1)
-	*dst = Waveform{
+	return Waveform{
 		T0:   w.T0 + float64(first)*w.Dt,
 		Dt:   w.Dt,
 		V:    w.V[k:],
 		Tail: w.Len() - first - (len(w.V) - k),
 		V0:   w.V0,
 	}
-	return dst
 }
 
 // Ramp builds a linear transition from v0 to v1 starting at t=0 with the
