@@ -70,16 +70,6 @@ func (s *Stage) Sig() uint64 { return s.sig }
 // caches are keyed on it.
 func (s *Stage) Key() int { return s.Driver }
 
-// TotalCap returns the sum of grounded capacitance in the stage (fF),
-// including buffer input pins and sink loads attached to it.
-func (s *Stage) TotalCap() float64 {
-	var c float64
-	for _, v := range s.C {
-		c += v
-	}
-	return c
-}
-
 // Net is the staged RC netlist of a clock tree. A Net can be extracted
 // into again and again: each Extract reuses the stage storage of the last
 // one, so a caller that keeps its Net pays the RC-array growth once, not

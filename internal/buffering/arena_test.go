@@ -121,7 +121,7 @@ func TestRebufferSinkArenaGolden(t *testing.T) {
 					break
 				}
 			}
-			loc := a.Loc[at].Add(geom.Pt((rng.Float64()-0.5)*tc.reach, (rng.Float64()-0.5)*tc.reach))
+			loc := geom.Pt(a.Loc[at].X+(rng.Float64()-0.5)*tc.reach, a.Loc[at].Y+(rng.Float64()-0.5)*tc.reach)
 			s := a.AddSink(at, loc, 20+rng.Float64()*30, fmt.Sprintf("new%d", k))
 			counts = append(counts, RebufferSinkArena(a, s, comp, opt))
 		}

@@ -100,10 +100,20 @@ func TestEveryStageWithinSafeLoad(t *testing.T) {
 		if s.Driver < 0 {
 			continue
 		}
-		if got := s.TotalCap() - s.Buf.Cout(); got > safe*1.001 {
+		if got := stageCap(s) - s.Buf.Cout(); got > safe*1.001 {
 			t.Errorf("stage driven by buffer %d carries %v fF > safe %v", s.Driver, got, safe)
 		}
 	}
+}
+
+// stageCap returns the sum of grounded capacitance in stage s (fF),
+// buffer input pins and sink loads included.
+func stageCap(s *analysis.Stage) float64 {
+	var c float64
+	for _, v := range s.C {
+		c += v
+	}
+	return c
 }
 
 func TestBuffersAvoidObstacles(t *testing.T) {

@@ -32,7 +32,7 @@ func TestSinkClusterSplit(t *testing.T) {
 		if s.Driver >= 0 {
 			drv = "buf"
 		}
-		driven := s.TotalCap()
+		driven := stageCap(s)
 		if s.Driver >= 0 {
 			driven -= s.Buf.Cout()
 		}

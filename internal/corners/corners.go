@@ -55,9 +55,6 @@ type Set struct {
 	MC      bool // Monte Carlo sample set
 }
 
-// Reference returns the set's fast (reference) corner.
-func (s *Set) Reference() tech.Corner { return s.Corners[s.Ref] }
-
 // FromTech views a technology model's installed corners as a Set, reading
 // the roles from the Tech accessors. It is how layers that only hold a
 // tree (the optimization passes, CNE-only evaluation) recover the active

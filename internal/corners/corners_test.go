@@ -83,7 +83,7 @@ func TestPVT5(t *testing.T) {
 	if len(s.Corners) != 5 {
 		t.Fatalf("pvt5 corners=%d want 5", len(s.Corners))
 	}
-	ref, worst := s.Reference(), s.Corners[s.Worst]
+	ref, worst := s.Corners[s.Ref], s.Corners[s.Worst]
 	if ref.Vdd != tk.Reference().Vdd {
 		t.Errorf("pvt5 reference Vdd=%v want the native fast corner's %v", ref.Vdd, tk.Reference().Vdd)
 	}
@@ -160,7 +160,7 @@ func TestMonteCarloShape(t *testing.T) {
 	}
 	slowness := func(c tech.Corner) float64 { return c.RScale() * c.CScale() / (c.Vdd - tk.Vt) }
 	for _, c := range s.Corners {
-		if slowness(c) < slowness(s.Reference()) {
+		if slowness(c) < slowness(s.Corners[s.Ref]) {
 			t.Errorf("sample %s faster than the reference", c.Name)
 		}
 		if slowness(c) > slowness(s.Corners[s.Worst]) {
@@ -183,7 +183,7 @@ func TestApplyClones(t *testing.T) {
 	if applied.CornerSpec != "pvt5" || len(applied.Corners) != 5 {
 		t.Errorf("applied tech wrong: spec=%q corners=%d", applied.CornerSpec, len(applied.Corners))
 	}
-	if applied.Reference().Name != s.Reference().Name || applied.Worst().Name != s.Corners[s.Worst].Name {
+	if applied.Reference().Name != s.Corners[s.Ref].Name || applied.Worst().Name != s.Corners[s.Worst].Name {
 		t.Error("roles lost in application")
 	}
 	if applied.MCSet != s.MC {

@@ -12,10 +12,11 @@
 // edges. Every pass reads and writes the arena by slot index.
 //
 // Tree is a thin handle on one Arena. It is the package boundary the
-// end-to-end benchmark module (benchmark/) compiles against: results, ECO bases and
-// evaluator signatures carry a *Tree, and that module walks it through
-// Node views (PreOrder) and edits it through Validate, DeleteSubtree and
-// Clone. Code inside the repository reaches the arena through Arena.
+// end-to-end benchmark module (benchmark/) compiles against: results, ECO
+// bases and evaluator signatures carry a *Tree. That module's non-test
+// code checks it with Validate and walks it through Node views
+// (PreOrder); its tests also cut it with DeleteSubtree. Code inside the
+// repository reaches the arena through Arena.
 package ctree
 
 import (

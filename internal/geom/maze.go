@@ -56,9 +56,6 @@ func NewMaze(die Rect, step float64, obs *ObstacleSet) *Maze {
 	return m
 }
 
-// Step returns the grid cell size in µm.
-func (m *Maze) Step() float64 { return m.step }
-
 func (m *Maze) cellOf(p Point) (int, int) {
 	i := int(math.Round((p.X - m.die.MinX) / m.step))
 	j := int(math.Round((p.Y - m.die.MinY) / m.step))

@@ -19,7 +19,7 @@ func TestMazeRouteEmptyGrid(t *testing.T) {
 	}
 	// On an empty grid the route must be (near) the Manhattan distance;
 	// grid snapping can add at most a couple of cells.
-	if pl.Length() > a.Manhattan(b)+4*m.Step() {
+	if pl.Length() > a.Manhattan(b)+4*m.step {
 		t.Errorf("route length %v >> manhattan %v", pl.Length(), a.Manhattan(b))
 	}
 }

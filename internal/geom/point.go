@@ -31,9 +31,6 @@ func (p Point) Euclid(q Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // Sub returns p translated by -q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 

@@ -80,11 +80,8 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestAddSub(t *testing.T) {
+func TestSub(t *testing.T) {
 	p := Pt(1, 2)
-	if got := p.Add(Pt(3, 4)); !got.Eq(Pt(4, 6), 0) {
-		t.Errorf("Add=%v", got)
-	}
 	if got := p.Sub(Pt(3, 4)); !got.Eq(Pt(-2, -2), 0) {
 		t.Errorf("Sub=%v", got)
 	}

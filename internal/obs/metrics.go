@@ -49,41 +49,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a float64 metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram accumulates observations into fixed buckets (cumulative on
 // exposition, Prometheus-style) plus a running sum and count.
 type Histogram struct {
@@ -220,42 +185,12 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return h
 }
 
-// Count sums the observation counts of every child histogram.
-func (v *HistogramVec) Count() int64 {
-	if v == nil {
-		return 0
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	var t int64
-	for _, h := range v.kids {
-		t += h.Count()
-	}
-	return t
-}
-
-// Sum totals the observed values across every child histogram (for a
-// duration histogram: the cumulative seconds observed by the family).
-func (v *HistogramVec) Sum() float64 {
-	if v == nil {
-		return 0
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	var t float64
-	for _, h := range v.kids {
-		t += h.Sum()
-	}
-	return t
-}
-
 // family is one registered metric under its exposition name.
 type family struct {
 	name, help string
 	kind       string // "counter", "gauge", "histogram"
 
 	c  *Counter
-	g  *Gauge
 	gf func() float64
 	h  *Histogram
 	cv *CounterVec
@@ -339,15 +274,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 		panic(fmt.Sprintf("obs: metric %q is a plain counter, not a vec", name))
 	}
 	return f.cv
-}
-
-// Gauge registers (or returns) the gauge named name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.lookup(name, help, "gauge", func() *family { return &family{g: &Gauge{}} })
-	if f.g == nil {
-		panic(fmt.Sprintf("obs: metric %q is a gauge func, not a settable gauge", name))
-	}
-	return f.g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at exposition
@@ -477,8 +403,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 		switch {
 		case f.c != nil:
 			_, err = fmt.Fprintf(w, "%s %d\n", f.name, f.c.Value())
-		case f.g != nil:
-			_, err = fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.g.Value()))
 		case f.gf != nil:
 			_, err = fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gf()))
 		case f.h != nil:

@@ -18,11 +18,19 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Errorf("counter = %d, want 42", got)
 	}
-	g := r.Gauge("test_depth", "depth")
-	g.Set(3)
-	g.Add(-1.5)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("gauge = %g, want 1.5", got)
+	depth := 3.0
+	r.GaugeFunc("test_depth", "depth", func() float64 { return depth })
+	depth = 1.5
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseText(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
+	}
+	if got := samples["test_depth"]; got != 1.5 {
+		t.Errorf("gauge = %g, want 1.5 (read at exposition)", got)
 	}
 	// Idempotent re-registration returns the same handle.
 	if r.Counter("test_ops_total", "ops") != c {
@@ -32,18 +40,15 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var cv *CounterVec
 	var hv *HistogramVec
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	cv.With("x").Inc()
 	hv.With("x").Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || cv.Total() != 0 || hv.Count() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || cv.Total() != 0 || hv.With("x").Count() != 0 {
 		t.Error("nil metrics should read zero")
 	}
 	var tr *Trace
@@ -132,7 +137,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Error("registering test_x as a gauge should panic")
 		}
 	}()
-	r.Gauge("test_x", "x")
+	r.GaugeFunc("test_x", "x", func() float64 { return 0 })
 }
 
 func TestConcurrentUpdates(t *testing.T) {

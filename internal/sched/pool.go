@@ -65,12 +65,6 @@ type Ticket struct {
 	ready     chan struct{} // closed on grant; fresh per wait cycle
 }
 
-// Label returns the claim label.
-func (t *Ticket) Label() string { return t.claim.Label }
-
-// Deadline returns the claim's soft deadline (zero = none).
-func (t *Ticket) Deadline() time.Time { return t.claim.Deadline }
-
 // QueueWait returns how long the ticket waited from admission to its
 // first slot grant (0 while still waiting).
 func (t *Ticket) QueueWait() time.Duration {
@@ -126,9 +120,6 @@ func NewPool(cfg PoolConfig) *Pool {
 		running:    make(map[*Ticket]struct{}),
 	}
 }
-
-// Slots returns the pool's slot count.
-func (p *Pool) Slots() int { return p.slots }
 
 // Enqueue admits a claim, returning its ticket. The ticket may already be
 // granted on return (free slot); the caller must Await it either way and

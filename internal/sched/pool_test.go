@@ -22,10 +22,10 @@ func awaitGranted(t *testing.T, p *Pool, tk *Ticket) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("Await(%s): %v", tk.Label(), err)
+			t.Fatalf("Await(%s): %v", tk.claim.Label, err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatalf("Await(%s): not granted in time", tk.Label())
+		t.Fatalf("Await(%s): not granted in time", tk.claim.Label)
 	}
 }
 
@@ -199,15 +199,15 @@ func TestPoolUpdateDeadlineOnlyTightens(t *testing.T) {
 	early := time.Now().Add(time.Minute)
 	late := early.Add(time.Hour)
 	p.UpdateDeadline(tk, late)
-	if !tk.Deadline().Equal(late) {
+	if !tk.claim.Deadline.Equal(late) {
 		t.Fatalf("deadline not set")
 	}
 	p.UpdateDeadline(tk, early)
-	if !tk.Deadline().Equal(early) {
+	if !tk.claim.Deadline.Equal(early) {
 		t.Fatalf("earlier deadline did not tighten")
 	}
 	p.UpdateDeadline(tk, late)
-	if !tk.Deadline().Equal(early) {
+	if !tk.claim.Deadline.Equal(early) {
 		t.Fatalf("later deadline loosened the ticket")
 	}
 	p.Release(tk)

@@ -101,12 +101,6 @@ func (j *Job) ID() string { return j.id }
 // plus canonicalized options. Jobs with equal keys compute equal results.
 func (j *Job) Key() string { return j.key }
 
-// Benchmark returns the benchmark the job synthesizes.
-func (j *Job) Benchmark() *bench.Benchmark { return j.benchmark }
-
-// Submitted returns the submission time.
-func (j *Job) Submitted() time.Time { return j.submitted }
-
 // State returns the current lifecycle state.
 func (j *Job) State() State {
 	j.mu.Lock()
@@ -141,26 +135,6 @@ func (j *Job) terminal() bool {
 	default:
 		return false
 	}
-}
-
-// Estimate returns the cost model's predicted runtime for the job, fixed
-// at submission (zero for cache-hit jobs, which never needed one).
-func (j *Job) Estimate() time.Duration { return j.estimate }
-
-// Deadline returns the job's soft completion deadline and whether one is
-// set. Coalesced resubmissions may have tightened it since submission.
-func (j *Job) Deadline() (time.Time, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.deadline, !j.deadline.IsZero()
-}
-
-// DeadlineMissed reports whether the job finished successfully after its
-// soft deadline. Always false while running and for undeadlined jobs.
-func (j *Job) DeadlineMissed() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.deadlineMissed
 }
 
 // tightenDeadline moves the job's soft deadline earlier (never later) and

@@ -269,11 +269,8 @@ func TestDeadlineAccounting(t *testing.T) {
 	if _, err := hit.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if hit.DeadlineMissed() {
-		t.Fatal("hour-long deadline reported missed")
-	}
-	if _, ok := hit.Deadline(); !ok {
-		t.Fatal("deadline not recorded on the job")
+	if w := hit.Wire(); w.Deadline == nil || w.DeadlineMissed {
+		t.Fatalf("hour-long deadline not recorded as met: %+v", w)
 	}
 
 	// Unmeetable deadline: recorded as a miss, job still completes.
@@ -285,12 +282,9 @@ func TestDeadlineAccounting(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("missed-deadline job must still finish: %v", err)
 	}
-	if !miss.DeadlineMissed() {
-		t.Fatal("10ns deadline not reported missed")
-	}
 	w := miss.Wire()
 	if w.Deadline == nil || !w.DeadlineMissed {
-		t.Fatalf("wire status lost the deadline outcome: %+v", w)
+		t.Fatalf("10ns deadline not reported missed: %+v", w)
 	}
 	if w.EstimatedMs <= 0 {
 		t.Fatalf("wire status has no runtime estimate: %+v", w)
@@ -318,7 +312,7 @@ func TestCoalesceTightensDeadline(t *testing.T) {
 	if j2 != j1 {
 		t.Fatal("identical submission did not coalesce")
 	}
-	if _, ok := j1.Deadline(); !ok {
+	if j1.Wire().Deadline == nil {
 		t.Fatal("coalesced deadline not applied to the shared job")
 	}
 	close(release)

@@ -511,13 +511,14 @@ func TestDefaultPlanApplied(t *testing.T) {
 	svc := New(Config{Workers: 1, DefaultPlan: constructionPlan})
 	defer svc.Close()
 	o := core.Options{}
-	j, err := svc.Submit(tinyBench("defplan", 0), o)
+	b := tinyBench("defplan", 0)
+	j, err := svc.Submit(b, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := o
 	want.Plan = constructionPlan
-	if j.Key() != JobKey(j.Benchmark(), want) {
+	if j.Key() != JobKey(b, want) {
 		t.Error("service default plan not reflected in the job key")
 	}
 	if _, err := j.Wait(context.Background()); err != nil {

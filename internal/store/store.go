@@ -96,9 +96,6 @@ func Open(dir string, sync bool) (*Store, error) {
 // conservatively beyond any in-flight write.
 const staleTmpAge = time.Hour
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // validKey reports whether key is safe as a file name under objects/:
 // lower-case hex content addresses plus dot/dash suffixes, at least two
 // leading shard characters, no path separators.
@@ -256,21 +253,6 @@ func (s *Store) Delete(key string) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// Len counts the stored objects (a full scan; used by stats and tests, not
-// hot paths).
-func (s *Store) Len() int {
-	n := 0
-	shards, _ := os.ReadDir(filepath.Join(s.dir, "objects"))
-	for _, sh := range shards {
-		if !sh.IsDir() {
-			continue
-		}
-		entries, _ := os.ReadDir(filepath.Join(s.dir, "objects", sh.Name()))
-		n += len(entries)
-	}
-	return n
 }
 
 func syncDir(dir string) error {

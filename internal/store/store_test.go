@@ -31,14 +31,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("got %q want %q", got, data)
 	}
 	// Sharded layout: objects/ab/<key>.
-	if _, err := os.Stat(filepath.Join(s.Dir(), "objects", "ab", k1)); err != nil {
+	if _, err := os.Stat(filepath.Join(s.dir, "objects", "ab", k1)); err != nil {
 		t.Errorf("blob not in sharded location: %v", err)
 	}
 	if n, ok := s.Size(k1); !ok || n != int64(len(data)) {
 		t.Errorf("Size = %d,%v want %d,true", n, ok, len(data))
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d want 1", s.Len())
+	if ents, err := os.ReadDir(filepath.Join(s.dir, "objects", "ab")); err != nil || len(ents) != 1 {
+		t.Errorf("shard holds %d entries (%v), want 1", len(ents), err)
 	}
 	// Overwrite is idempotent replacement.
 	if err := s.Put(k1, []byte("v2")); err != nil {
